@@ -151,12 +151,16 @@ impl ArbiterBank {
     }
 }
 
-/// A bank of two-level tree arbiters over `groups * group_size <= 64`
-/// inputs each — the struct-of-arrays counterpart of
-/// [`crate::TreeArbiter`], used for the wide `P*V:1` output arbiters of the
-/// VC allocators (§4.1). One root bank (width = group count) plus one leaf
-/// bank (width = group size, `count * groups` arbiters) hold the whole
-/// family's state in two contiguous allocations.
+/// A bank of two-level tree arbiters over `groups x group_size` inputs each
+/// (`groups <= 64`, `group_size <= 64`, so up to 4096 inputs) — the
+/// struct-of-arrays counterpart of [`crate::TreeArbiter`], used for the wide
+/// `P*V:1` output arbiters of the VC allocators (§4.1). One root bank (width
+/// = group count) plus one leaf bank (width = group size, `count * groups`
+/// arbiters) hold the whole family's state in two contiguous allocations.
+///
+/// Requests arrive already split by group — one `group_size`-bit word per
+/// leaf — which is both the shape the hardware tree consumes and what lets
+/// the total width exceed a machine word.
 #[derive(Clone, Debug)]
 pub struct TreeBank {
     groups: usize,
@@ -167,14 +171,8 @@ pub struct TreeBank {
 
 impl TreeBank {
     /// Creates a bank of `count` tree arbiters, each `groups x group_size`
-    /// wide. The total width must fit the 64-bit kernel word.
+    /// wide. Panics unless both dimensions are in `1..=64`.
     pub fn new(kind: ArbiterKind, count: usize, groups: usize, group_size: usize) -> Self {
-        assert!(groups > 0 && group_size > 0);
-        assert!(
-            groups * group_size <= 64,
-            "TreeBank width {} outside kernel range",
-            groups * group_size
-        );
         TreeBank {
             groups,
             group_size,
@@ -188,37 +186,30 @@ impl TreeBank {
         self.groups * self.group_size
     }
 
-    /// Winner for tree arbiter `a` over the flat request word `requests`
-    /// (input `g * group_size + l` = leaf `l` of group `g`). Bit-identical
-    /// to [`crate::TreeArbiter`] of the same kind and shape.
+    /// Winner for tree arbiter `a`, where `requests[g]` holds the requests
+    /// of group `g`, as `(group, index within the group)`. Flattened to
+    /// `group * group_size + index` it is bit-identical to
+    /// [`crate::TreeArbiter`] of the same kind and shape on the flattened
+    /// request vector.
     #[inline]
-    pub fn arbitrate(&self, a: usize, requests: u64) -> Option<usize> {
-        if requests == 0 {
-            return None;
-        }
-        let leaf_mask = width_mask(self.group_size);
+    pub fn arbitrate(&self, a: usize, requests: &[u64]) -> Option<(usize, usize)> {
+        debug_assert_eq!(requests.len(), self.groups);
         let mut active = 0u64;
-        for g in 0..self.groups {
-            if requests >> (g * self.group_size) & leaf_mask != 0 {
-                active |= 1 << g;
-            }
+        for (g, &leaf) in requests.iter().enumerate() {
+            active |= u64::from(leaf != 0) << g;
         }
         let g = self.root.arbitrate(a, active)?;
-        let local = self.leaves.arbitrate(
-            a * self.groups + g,
-            requests >> (g * self.group_size) & leaf_mask,
-        )?;
-        Some(g * self.group_size + local)
+        let local = self.leaves.arbitrate(a * self.groups + g, requests[g])?;
+        Some((g, local))
     }
 
-    /// Commits a grant: the root advances on the winning group, the winning
-    /// group's leaf on the local index; other groups' leaves are untouched.
+    /// Commits a grant to input `local` of group `g`: the root advances on
+    /// the winning group, the winning group's leaf on the local index; other
+    /// groups' leaves are untouched.
     #[inline]
-    pub fn update(&mut self, a: usize, winner: usize) {
-        let g = winner / self.group_size;
+    pub fn update(&mut self, a: usize, g: usize, local: usize) {
         self.root.update(a, g);
-        self.leaves
-            .update(a * self.groups + g, winner % self.group_size);
+        self.leaves.update(a * self.groups + g, local);
     }
 
     /// Restores power-on state for every tree in the bank.
@@ -297,30 +288,151 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tree_bank_matches_tree_arbiter() {
-        for kind in kinds() {
-            for (groups, group_size) in [(2, 2), (3, 4), (5, 8), (8, 8), (10, 6)] {
-                let width = groups * group_size;
-                let mut bank = TreeBank::new(kind, 2, groups, group_size);
-                let mut boxed = [
-                    TreeArbiter::new(groups, group_size, kind),
-                    TreeArbiter::new(groups, group_size, kind),
-                ];
-                for (t, &p) in patterns(width, 150).iter().enumerate() {
-                    let a = t % 2;
-                    let bits = Bits::from_indices(width, (0..width).filter(|i| p >> i & 1 != 0));
-                    let got = bank.arbitrate(a, p);
-                    let want = boxed[a].arbitrate(&bits);
-                    assert_eq!(got, want, "{kind:?} {groups}x{group_size} t={t}");
-                    if let Some(w) = got {
-                        if t % 3 != 2 {
-                            bank.update(a, w);
-                            boxed[a].update(w);
+    /// Tree shapes `(groups, group_size)`: narrow ones, the paper's VC
+    /// output arbiters (5x4, 10x8 sparse fbfly, 10x16 dense fbfly = 160
+    /// inputs), both sides of the one-word total (8x8 = 64, 5x13 = 65) and
+    /// the extreme dimensions.
+    const TREE_SHAPES: [(usize, usize); 10] = [
+        (2, 2),
+        (3, 4),
+        (5, 4),
+        (8, 8),
+        (5, 13),
+        (10, 8),
+        (10, 16),
+        (64, 2),
+        (3, 64),
+        (64, 64),
+    ];
+
+    /// Per-group request words for `len` rounds: about half the groups
+    /// empty in any round, so the root regularly has to skip groups.
+    fn group_patterns(groups: usize, group_size: usize, len: usize) -> Vec<Vec<u64>> {
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 7
+        };
+        (0..len)
+            .map(|_| {
+                (0..groups)
+                    .map(|_| {
+                        if next() & 1 == 0 {
+                            0
+                        } else {
+                            next() & next() & width_mask(group_size)
                         }
-                    }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    type TreeArbitrate = fn(&TreeBank, usize, &[u64]) -> Option<(usize, usize)>;
+    type TreeUpdate = fn(&mut TreeBank, usize, usize, usize);
+
+    /// Drives two trees of a bank through `arbitrate`/`update` (or mutants
+    /// of them) against boxed [`TreeArbiter`]s on the flattened request
+    /// vector; true iff every round agrees.
+    fn tree_agrees(
+        kind: ArbiterKind,
+        (groups, group_size): (usize, usize),
+        arbitrate: TreeArbitrate,
+        update: TreeUpdate,
+    ) -> bool {
+        let width = groups * group_size;
+        let mut bank = TreeBank::new(kind, 2, groups, group_size);
+        let mut boxed = [
+            TreeArbiter::new(groups, group_size, kind),
+            TreeArbiter::new(groups, group_size, kind),
+        ];
+        for (t, words) in group_patterns(groups, group_size, 150).iter().enumerate() {
+            let a = t % 2;
+            let flat = (0..width).filter(|i| words[i / group_size] >> (i % group_size) & 1 != 0);
+            let want = boxed[a].arbitrate(&Bits::from_indices(width, flat));
+            let got = arbitrate(&bank, a, words);
+            if got.map(|(g, local)| g * group_size + local) != want {
+                return false;
+            }
+            if let (Some((g, local)), Some(w)) = (got, want) {
+                // Leave every third grant uncommitted (the iSLIP path).
+                if t % 3 != 2 {
+                    update(&mut bank, a, g, local);
+                    boxed[a].update(w);
                 }
             }
+        }
+        true
+    }
+
+    #[test]
+    fn tree_bank_matches_tree_arbiter_beyond_one_word() {
+        for kind in kinds() {
+            for shape in TREE_SHAPES {
+                assert!(
+                    tree_agrees(kind, shape, TreeBank::arbitrate, TreeBank::update),
+                    "{kind:?} {shape:?}"
+                );
+            }
+        }
+    }
+
+    // The mutant catalogue, as for the `bits` primitives: each miscoding of
+    // the tree walk must be told apart from the boxed arbiter by some
+    // kind and shape of the grid above, or the pinning test has no teeth.
+    #[test]
+    fn tree_bank_mutant_catalogue_is_rejected() {
+        let mutants: [(&str, TreeArbitrate, TreeUpdate); 5] = [
+            (
+                "root sees empty groups as active",
+                |t, a, req| {
+                    let g = t.root.arbitrate(a, width_mask(t.groups))?;
+                    Some((g, t.leaves.arbitrate(a * t.groups + g, req[g])?))
+                },
+                TreeBank::update,
+            ),
+            (
+                "leaf index forgets the per-tree stride",
+                |t, a, req| {
+                    let active = (0..t.groups).fold(0, |m, g| m | u64::from(req[g] != 0) << g);
+                    let g = t.root.arbitrate(a, active)?;
+                    Some((g, t.leaves.arbitrate(g, req[g])?))
+                },
+                TreeBank::update,
+            ),
+            (
+                "leaf arbitrates the root's request word",
+                |t, a, req| {
+                    let (g, _) = t.arbitrate(a, req)?;
+                    let active = (0..t.groups).fold(0, |m, g| m | u64::from(req[g] != 0) << g);
+                    let word = active & width_mask(t.group_size);
+                    Some((g, t.leaves.arbitrate(a * t.groups + g, word)?))
+                },
+                TreeBank::update,
+            ),
+            (
+                "update advances group 0's leaf, not the winner's",
+                TreeBank::arbitrate,
+                |t, a, g, local| {
+                    t.root.update(a, g);
+                    t.leaves.update(a * t.groups, local);
+                },
+            ),
+            (
+                "update leaves the root untouched",
+                TreeBank::arbitrate,
+                |t, a, g, local| t.leaves.update(a * t.groups + g, local),
+            ),
+        ];
+        for (name, arbitrate, update) in mutants {
+            let caught = kinds().iter().any(|&kind| {
+                TREE_SHAPES
+                    .iter()
+                    .any(|&shape| !tree_agrees(kind, shape, arbitrate, update))
+            });
+            assert!(caught, "mutant '{name}' survives the pinning grid");
         }
     }
 

@@ -18,13 +18,12 @@ pub const INLINE_WORDS: usize = 3;
 // u64 kernel primitives
 //
 // The bit-parallel allocator kernels treat a request vector of width
-// `n <= 64` as a single machine word. The primitives below are the whole
-// vocabulary those kernels need: a width mask, a rotate that wraps at the
-// *vector* width (not at 64 — the wavefront diagonal recurrence needs
-// wrap-around at non-power-of-two port counts), a mask-and-ctz round-robin
-// pick, and the AND-NOT speculative kill. Each is deliberately tiny so the
-// kernel-level unit tests can pin its semantics against a scalar oracle and
-// against a catalogue of off-by-one mutants.
+// `n <= 64` as a single machine word (wider sets are arrays of such words).
+// The primitives below are the whole vocabulary those kernels need: a width
+// mask, a mask-and-ctz round-robin pick, and the AND-NOT speculative kill.
+// Each is deliberately tiny so the kernel-level unit tests can pin its
+// semantics against a scalar oracle and against a catalogue of off-by-one
+// mutants.
 // ---------------------------------------------------------------------------
 
 /// The lowest `n` bits set, for `1 <= n <= 64`.
@@ -35,21 +34,6 @@ pub fn width_mask(n: usize) -> u64 {
         u64::MAX
     } else {
         (1u64 << n) - 1
-    }
-}
-
-/// Rotate-left of a width-`n` vector by `by` positions: bit `j` of `word`
-/// moves to position `(j + by) % n`. Bits at positions `>= n` must be (and
-/// stay) zero. `by` may be any value; it is reduced mod `n`.
-#[inline]
-pub fn rotl_width(word: u64, by: usize, n: usize) -> u64 {
-    debug_assert!((1..=64).contains(&n));
-    debug_assert_eq!(word & !width_mask(n), 0, "stray bits above width {n}");
-    let by = by % n;
-    if by == 0 {
-        word
-    } else {
-        ((word << by) | (word >> (n - by))) & width_mask(n)
     }
 }
 
@@ -581,8 +565,8 @@ mod tests {
 mod kernel_tests {
     use super::*;
 
-    /// Widths covering non-powers-of-two (wrap-around is the hard case),
-    /// the paper's port counts (5, 10), and the word boundary.
+    /// Widths covering non-powers-of-two, the paper's port counts (5, 10),
+    /// and the word boundary.
     const WIDTHS: [usize; 10] = [1, 2, 3, 5, 7, 8, 10, 16, 63, 64];
 
     fn patterns_for(n: usize) -> Vec<u64> {
@@ -598,17 +582,6 @@ mod kernel_tests {
                 })
                 .collect()
         }
-    }
-
-    /// Scalar oracle: move each set bit individually.
-    fn oracle_rotl(word: u64, by: usize, n: usize) -> u64 {
-        let mut out = 0;
-        for j in 0..n {
-            if word >> j & 1 != 0 {
-                out |= 1 << ((j + by) % n);
-            }
-        }
-        out
     }
 
     /// Scalar oracle: pointer walk, exactly `RoundRobinArbiter::arbitrate`.
@@ -631,21 +604,6 @@ mod kernel_tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn rotl_width_matches_oracle_including_nonpow2_wraparound() {
-        for &n in &WIDTHS {
-            for by in 0..(2 * n).max(4) {
-                for &p in &patterns_for(n) {
-                    assert_eq!(
-                        rotl_width(p, by, n),
-                        oracle_rotl(p, by, n),
-                        "n={n} by={by} p={p:#x}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -684,56 +642,6 @@ mod kernel_tests {
     // its power and must be extended.
 
     type NamedMutant<F> = (&'static str, F);
-
-    fn rotl_mutants() -> Vec<NamedMutant<fn(u64, usize, usize) -> u64>> {
-        vec![
-            // Wraps at the 64-bit word instead of the vector width.
-            ("rotl wraps at word not width", |w, by, n| {
-                let by = by % n;
-                if by == 0 {
-                    w
-                } else {
-                    w.rotate_left(by as u32) & width_mask(n)
-                }
-            }),
-            // Off-by-one in the wrap shift (n - by - 1).
-            ("rotl wrap shift off by one", |w, by, n| {
-                let by = by % n;
-                if by == 0 {
-                    w
-                } else {
-                    ((w << by) | (w >> (n - by).saturating_sub(1).max(1))) & width_mask(n)
-                }
-            }),
-            // Forgets to mask the tail after shifting.
-            ("rotl drops tail mask", |w, by, n| {
-                let by = by % n;
-                if by == 0 {
-                    w
-                } else {
-                    (w << by) | (w >> (n - by))
-                }
-            }),
-        ]
-    }
-
-    #[test]
-    fn rotl_mutant_catalogue_is_rejected() {
-        for (name, mutant) in rotl_mutants() {
-            let mut caught = false;
-            'search: for &n in &WIDTHS {
-                for by in 0..(2 * n).max(4) {
-                    for &p in &patterns_for(n) {
-                        if mutant(p, by, n) != oracle_rotl(p, by, n) {
-                            caught = true;
-                            break 'search;
-                        }
-                    }
-                }
-            }
-            assert!(caught, "mutant '{name}' survives the pinning grid");
-        }
-    }
 
     #[test]
     fn rr_pick_mutant_catalogue_is_rejected() {

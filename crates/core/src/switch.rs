@@ -527,7 +527,7 @@ impl SwitchAllocator for SepOfSwitchAllocator {
 pub struct WavefrontSwitchAllocator {
     ports: usize,
     vcs: usize,
-    /// The `P × P` port matcher (itself kernel-backed for `P <= 64`).
+    /// The `P × P` port matcher.
     wavefront: WavefrontAllocator,
     inner: WfSwInner,
     /// Combined-request and grant scratch matrices, kept across calls so

@@ -33,6 +33,9 @@ pub struct VcAllocSpec {
     /// `rc_succ[from][to]`: packets in resource class `from` may acquire a
     /// VC of resource class `to` at the next hop.
     rc_succ: Vec<Vec<bool>>,
+    /// `(msg, res, bank)` of every VC index, so the per-request decode in
+    /// the allocators is a load instead of two divisions.
+    vc_classes: Vec<(usize, usize, usize)>,
 }
 
 /// Why a [`VcAllocSpec`] could not be constructed. Produced by
@@ -132,12 +135,23 @@ impl VcAllocSpec {
                 return Err(SpecError::DeadEndClass { class: from });
             }
         }
+        let vc_classes = (0..msg_classes * resource_classes * vcs_per_class)
+            .map(|vc| {
+                let cls = vc / vcs_per_class;
+                (
+                    cls / resource_classes,
+                    cls % resource_classes,
+                    vc % vcs_per_class,
+                )
+            })
+            .collect();
         Ok(VcAllocSpec {
             ports,
             msg_classes,
             resource_classes,
             vcs_per_class,
             rc_succ,
+            vc_classes,
         })
     }
 
@@ -232,7 +246,7 @@ impl VcAllocSpec {
 
     /// Total VCs per port, `V = M*R*C`.
     pub fn total_vcs(&self) -> usize {
-        self.msg_classes * self.resource_classes * self.vcs_per_class
+        self.vc_classes.len()
     }
 
     /// Design-point label in the paper's `MxRxC` notation, e.g. `2x2x4`.
@@ -251,14 +265,7 @@ impl VcAllocSpec {
 
     /// Decomposes a VC index into `(msg, res, bank)`.
     pub fn vc_class(&self, vc: usize) -> (usize, usize, usize) {
-        assert!(vc < self.total_vcs());
-        let bank = vc % self.vcs_per_class;
-        let cls = vc / self.vcs_per_class;
-        (
-            cls / self.resource_classes,
-            cls % self.resource_classes,
-            bank,
-        )
+        self.vc_classes[vc]
     }
 
     /// True if a packet holding resource class `from` may acquire class `to`
@@ -349,28 +356,29 @@ pub trait VcAllocator: Send {
         &mut self,
         requests: &[Option<VcRequest>],
         free_out: &BitMatrix,
-    ) -> Vec<Option<OutVc>>;
+    ) -> Vec<Option<OutVc>> {
+        let mut results = Vec::new();
+        self.allocate_into(requests, free_out, &mut results);
+        results
+    }
 
-    /// Allocation round writing grants into a caller-owned buffer so hot
-    /// paths can reuse capacity across cycles. Must produce exactly the
-    /// grants (and priority updates) of [`VcAllocator::allocate`].
+    /// [`VcAllocator::allocate`] writing grants into a caller-owned buffer
+    /// so hot paths can reuse capacity across cycles.
     fn allocate_into(
         &mut self,
         requests: &[Option<VcRequest>],
         free_out: &BitMatrix,
         results: &mut Vec<Option<OutVc>>,
-    ) {
-        results.clear();
-        results.extend(self.allocate(requests, free_out));
-    }
+    );
 
     /// Restores power-on priority state.
     fn reset(&mut self);
 }
 
-fn validate_request(spec: &VcAllocSpec, in_vc_flat: usize, req: &VcRequest) {
+/// Asserts that `req`, issued by VC `in_vc` of some input port, is legal.
+fn validate_request(spec: &VcAllocSpec, in_vc: usize, req: &VcRequest) {
     assert!(req.out_port < spec.ports(), "out port out of range");
-    let (_, ir, _) = spec.vc_class(in_vc_flat % spec.total_vcs());
+    let (_, ir, _) = spec.vc_class(in_vc);
     assert!(!req.classes.is_empty(), "request with no candidate classes");
     for &rc in &req.classes {
         assert!(
@@ -380,18 +388,17 @@ fn validate_request(spec: &VcAllocSpec, in_vc_flat: usize, req: &VcRequest) {
     }
 }
 
-/// Computes, for input VC `g`, the candidate output VCs (as a `V`-wide mask
-/// over VC indices at the destination port): free output VCs in the
-/// requested classes of the input VC's own message class.
+/// Computes, for VC `in_vc` of some input port, the candidate output VCs (as
+/// a `V`-wide mask over VC indices at the destination port): free output VCs
+/// in the requested classes of the input VC's own message class.
 fn candidate_mask(
     spec: &VcAllocSpec,
-    g: usize,
+    in_vc: usize,
     req: &VcRequest,
     free_out: &BitMatrix,
 ) -> noc_arbiter::Bits {
-    let v = spec.total_vcs();
-    let (im, _, _) = spec.vc_class(g % v);
-    let mut mask = noc_arbiter::Bits::new(v);
+    let (im, _, _) = spec.vc_class(in_vc);
+    let mut mask = noc_arbiter::Bits::new(spec.total_vcs());
     for &rc in &req.classes {
         let base = spec.class_base(im, rc);
         for bank in 0..spec.vcs_per_class() {
@@ -408,16 +415,58 @@ fn candidate_mask(
 /// port (`V <= 64`): free output VCs in the requested classes of the input
 /// VC's own message class.
 #[inline]
-fn candidate_word(spec: &VcAllocSpec, g: usize, req: &VcRequest, free_out: &BitMatrix) -> u64 {
-    let v = spec.total_vcs();
-    debug_assert!(v <= 64);
-    let (im, _, _) = spec.vc_class(g % v);
+fn candidate_word(spec: &VcAllocSpec, in_vc: usize, req: &VcRequest, free_out: &BitMatrix) -> u64 {
+    debug_assert!(spec.total_vcs() <= 64);
+    let (im, _, _) = spec.vc_class(in_vc);
     let class_ones = noc_arbiter::bits::width_mask(spec.vcs_per_class());
     let mut class_bits = 0u64;
     for &rc in &req.classes {
         class_bits |= class_ones << spec.class_base(im, rc);
     }
     free_out.row(req.out_port).low_word() & class_bits
+}
+
+/// True if the word kernels cover `spec`: one `u64` per port group and per
+/// VC row. Wider routers — none of the paper's — take the scalar
+/// [`reference`] path.
+fn fits_word_kernel(spec: &VcAllocSpec) -> bool {
+    spec.ports() <= 64 && spec.total_vcs() <= 64
+}
+
+/// The arbiter *span* of a VC allocator: how many VC indices one arbiter
+/// ranges over. The dense organization (§4.1) spans all `V` VCs of a port;
+/// the sparse one (§4.2) only the `V/M` VCs of one message class, because
+/// packets never change message class.
+fn arbiter_span(spec: &VcAllocSpec, sparse: bool) -> usize {
+    if sparse {
+        spec.total_vcs() / spec.msg_classes()
+    } else {
+        spec.total_vcs()
+    }
+}
+
+/// Index of the `span`-wide arbiter window VC `vc` falls in: always 0 when
+/// dense, the message class when sparse.
+#[inline]
+fn arbiter_window(spec: &VcAllocSpec, span: usize, vc: usize) -> usize {
+    if span == spec.total_vcs() {
+        0
+    } else {
+        spec.vc_class(vc).0
+    }
+}
+
+/// The separable stage order and arbiter kind of `kind`, or `None` for the
+/// monolithic cores (wavefront, maximum-size).
+fn separable_stages(kind: AllocatorKind) -> Option<(bool, noc_arbiter::ArbiterKind)> {
+    use noc_arbiter::ArbiterKind::{Matrix, RoundRobin};
+    match kind {
+        AllocatorKind::SepIfMatrix => Some((true, Matrix)),
+        AllocatorKind::SepIfRr => Some((true, RoundRobin)),
+        AllocatorKind::SepOfMatrix => Some((false, Matrix)),
+        AllocatorKind::SepOfRr => Some((false, RoundRobin)),
+        AllocatorKind::Wavefront | AllocatorKind::MaxSize => None,
+    }
 }
 
 /// Separable VC allocator with the exact structure of Figures 3(a)/3(b).
@@ -437,163 +486,78 @@ fn candidate_word(spec: &VcAllocSpec, g: usize, req: &VcRequest, free_out: &BitM
 /// propagate more distinct requests into the wide second stage than
 /// output-first (§4.3.2).
 ///
-/// Implemented as a `u64` kernel over contiguous [`noc_arbiter::ArbiterBank`]
-/// / [`noc_arbiter::TreeBank`] state whenever `P*V <= 64`; the boxed-arbiter
-/// scalar predecessor lives in [`reference`] and handles wider instances.
+/// Implemented as a word kernel over contiguous [`noc_arbiter::ArbiterBank`]
+/// / [`noc_arbiter::TreeBank`] state for any `P <= 64`, `V <= 64`: the bids
+/// for one output VC are kept as `P` words of `V` bits — one word per leaf
+/// of the §4.1 tree arbiter — so the total width `P*V` is not bounded by a
+/// machine word. The boxed-arbiter scalar predecessor lives in
+/// [`reference`]; [`DenseVcAllocator`] and [`SparseVcAllocator`] fall back
+/// to it for wider routers.
+///
+/// With `span < V` (sparse) every arbiter ranges over one message class
+/// only: VC index `vc` appears at an arbiter as bit `vc % span`, and class
+/// `vc / span` selects which of the `M` independent sub-allocators of §4.2
+/// the arbiter belongs to. Nothing is projected — the message class is a
+/// shift of the free-VC row and of the VC index.
 pub struct SeparableVcAllocator {
     spec: VcAllocSpec,
     input_first: bool,
-    inner: SepVcInner,
-}
-
-enum SepVcInner {
-    Kernel {
-        /// Per input VC (`P*V` of them): `V:1` arbiter over output-VC
-        /// indices at the destination port.
-        input: noc_arbiter::ArbiterBank,
-        /// Per output VC (`P*V` of them): `P*V:1` *tree* arbiter over input
-        /// VCs — `P` `V`-input leaves plus a `P`-input root, the structure
-        /// §4.1 prescribes for these wide arbiters.
-        output: noc_arbiter::TreeBank,
-        /// Bid accumulator: `incoming[out_flat]` bit `g` set iff input VC
-        /// `g` bids on output VC `out_flat`. All-zero between calls.
-        incoming: Vec<u64>,
-        /// Output-first stage-1 wins per input VC: `won[g]` bit `ov` set
-        /// iff output VC `ov` at `g`'s port chose `g`. All-zero between
-        /// calls.
-        won: Vec<u64>,
-    },
-    Reference(reference::SeparableVcAllocator),
+    /// VC indices one arbiter ranges over: `V` (dense) or `V/M` (sparse).
+    span: usize,
+    /// Per input VC (`P*V` of them): `span:1` arbiter over output-VC
+    /// indices at the destination port.
+    input: noc_arbiter::ArbiterBank,
+    /// Per output VC (`P*V` of them): `P*span:1` *tree* arbiter over input
+    /// VCs — `P` `span`-input leaves plus a `P`-input root, the structure
+    /// §4.1 prescribes for these wide arbiters.
+    output: noc_arbiter::TreeBank,
+    /// Bid accumulator: `incoming[out_flat * P + p]` bit `iv % span` set
+    /// iff input VC `iv` of port `p` bids on output VC `out_flat`. All-zero
+    /// between calls.
+    incoming: Vec<u64>,
+    /// Per output port: the output VCs with at least one bid. All-zero
+    /// between calls.
+    pending: Vec<u64>,
+    /// Output-first stage-1 wins per input VC: `won[g]` bit `ov % span` set
+    /// iff output VC `ov` at `g`'s port chose `g`. All-zero between calls.
+    won: Vec<u64>,
+    /// Per input port: the input VCs chosen by at least one output VC in
+    /// output-first stage 1. All-zero between calls.
+    chosen: Vec<u64>,
 }
 
 impl SeparableVcAllocator {
-    /// Builds the Figure 3 structure with the given arbiter kind.
+    /// Builds the dense Figure 3 structure with the given arbiter kind.
+    /// Panics if `P > 64` or `V > 64`.
     pub fn new(spec: VcAllocSpec, input_first: bool, kind: noc_arbiter::ArbiterKind) -> Self {
-        let v = spec.total_vcs();
-        let n = spec.ports() * v;
-        let inner = if n <= 64 {
-            SepVcInner::Kernel {
-                input: noc_arbiter::ArbiterBank::new(kind, n, v),
-                output: noc_arbiter::TreeBank::new(kind, n, spec.ports(), v),
-                incoming: vec![0; n],
-                won: vec![0; n],
-            }
-        } else {
-            SepVcInner::Reference(reference::SeparableVcAllocator::new(
-                spec.clone(),
-                input_first,
-                kind,
-            ))
-        };
-        SeparableVcAllocator {
-            spec,
-            input_first,
-            inner,
-        }
+        Self::build(spec, input_first, kind, false)
     }
 
-    fn kernel_allocate_into(
-        &mut self,
-        requests: &[Option<VcRequest>],
-        free_out: &BitMatrix,
-        results: &mut [Option<OutVc>],
-    ) {
-        let SepVcInner::Kernel {
-            input,
-            output,
-            incoming,
-            won,
-        } = &mut self.inner
-        else {
-            unreachable!()
-        };
-        let spec = &self.spec;
-        let v = spec.total_vcs();
-        let n = spec.ports() * v;
-
-        if self.input_first {
-            // Stage 1: each input VC picks one output VC at its port.
-            let mut pending = 0u64; // output VCs with >= 1 bid
-            for (g, req) in requests.iter().enumerate() {
-                let Some(req) = req else { continue };
-                validate_request(spec, g, req);
-                let mask = candidate_word(spec, g, req, free_out);
-                if let Some(ov) = input.arbitrate(g, mask) {
-                    let out_flat = req.out_port * v + ov;
-                    incoming[out_flat] |= 1 << g;
-                    pending |= 1 << out_flat;
-                }
-            }
-            // Stage 2: each bid-receiving output VC arbitrates, in the
-            // same ascending out_flat order as the scalar reference's
-            // sorted bid list.
-            while pending != 0 {
-                let out_flat = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let inc = incoming[out_flat];
-                incoming[out_flat] = 0;
-                if let Some(g) = output.arbitrate(out_flat, inc) {
-                    results[g] = Some(OutVc {
-                        port: out_flat / v,
-                        vc: out_flat % v,
-                    });
-                    input.update(g, out_flat % v);
-                    output.update(out_flat, g);
-                }
-            }
-        } else {
-            // Stage 1: each requested output VC arbitrates among all
-            // requesting input VCs.
-            let mut pending = 0u64; // output VCs with >= 1 bid
-            for (g, req) in requests.iter().enumerate() {
-                let Some(req) = req else { continue };
-                validate_request(spec, g, req);
-                let mut mask = candidate_word(spec, g, req, free_out);
-                while mask != 0 {
-                    let ov = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let out_flat = req.out_port * v + ov;
-                    incoming[out_flat] |= 1 << g;
-                    pending |= 1 << out_flat;
-                }
-            }
-            let mut chosen = 0u64; // input VCs chosen by >= 1 output VC
-            while pending != 0 {
-                let out_flat = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let inc = incoming[out_flat];
-                incoming[out_flat] = 0;
-                if let Some(g) = output.arbitrate(out_flat, inc) {
-                    // All of g's bids share its destination port, so the
-                    // local VC index suffices.
-                    won[g] |= 1 << (out_flat % v);
-                    chosen |= 1 << g;
-                }
-            }
-            // Stage 2: each chosen input VC picks among output VCs that
-            // chose it (ascending g, like the scalar regrouped sweep).
-            while chosen != 0 {
-                let g = chosen.trailing_zeros() as usize;
-                chosen &= chosen - 1;
-                let wmask = won[g];
-                won[g] = 0;
-                // Stage-1 winners can only come from live requests.
-                let Some(req) = requests[g].as_ref() else {
-                    continue;
-                };
-                if let Some(ov) = input.arbitrate(g, wmask) {
-                    let out_flat = req.out_port * v + ov;
-                    results[g] = Some(OutVc {
-                        port: req.out_port,
-                        vc: ov,
-                    });
-                    input.update(g, ov);
-                    output.update(out_flat, g);
-                }
-            }
+    /// Dense (`sparse == false`) or per-message-class sparse structure.
+    fn build(
+        spec: VcAllocSpec,
+        input_first: bool,
+        kind: noc_arbiter::ArbiterKind,
+        sparse: bool,
+    ) -> Self {
+        assert!(
+            fits_word_kernel(&spec),
+            "router too wide for the word kernel"
+        );
+        let ports = spec.ports();
+        let n = ports * spec.total_vcs();
+        let span = arbiter_span(&spec, sparse);
+        SeparableVcAllocator {
+            input_first,
+            span,
+            input: noc_arbiter::ArbiterBank::new(kind, n, span),
+            output: noc_arbiter::TreeBank::new(kind, n, ports, span),
+            incoming: vec![0; n * ports],
+            pending: vec![0; ports],
+            won: vec![0; n],
+            chosen: vec![0; ports],
+            spec,
         }
-        debug_assert!(incoming.iter().all(|&w| w == 0) && won.iter().all(|&w| w == 0));
-        debug_assert_eq!(results.len(), n);
     }
 }
 
@@ -602,53 +566,139 @@ impl VcAllocator for SeparableVcAllocator {
         &self.spec
     }
 
-    fn allocate(
-        &mut self,
-        requests: &[Option<VcRequest>],
-        free_out: &BitMatrix,
-    ) -> Vec<Option<OutVc>> {
-        let mut results = Vec::new();
-        self.allocate_into(requests, free_out, &mut results);
-        results
-    }
-
     fn allocate_into(
         &mut self,
         requests: &[Option<VcRequest>],
         free_out: &BitMatrix,
         results: &mut Vec<Option<OutVc>>,
     ) {
-        let n = self.spec.ports() * self.spec.total_vcs();
-        assert_eq!(requests.len(), n, "one request slot per input VC");
+        let SeparableVcAllocator {
+            spec,
+            input_first,
+            span,
+            input,
+            output,
+            incoming,
+            pending,
+            won,
+            chosen,
+        } = self;
+        let (input_first, span) = (*input_first, *span);
+        let (ports, v) = (spec.ports(), spec.total_vcs());
+        assert_eq!(requests.len(), ports * v, "one request slot per input VC");
         results.clear();
-        results.resize(n, None);
-        match &mut self.inner {
-            SepVcInner::Kernel { .. } => self.kernel_allocate_into(requests, free_out, results),
-            SepVcInner::Reference(r) => r.allocate_into(requests, free_out, results),
+        results.resize(ports * v, None);
+
+        // Stage 1 bids. Input-first: each input VC's arbiter picks one
+        // output VC at its port. Output-first: it bids on every candidate.
+        for ip in 0..ports {
+            for (iv, req) in requests[ip * v..(ip + 1) * v].iter().enumerate() {
+                let Some(req) = req else { continue };
+                let g = ip * v + iv;
+                validate_request(spec, iv, req);
+                let base = arbiter_window(spec, span, iv) * span;
+                let mut cand = candidate_word(spec, iv, req, free_out);
+                if input_first {
+                    cand = match input.arbitrate(g, cand >> base) {
+                        Some(pick) => 1 << (base + pick),
+                        None => 0,
+                    };
+                }
+                pending[req.out_port] |= cand;
+                while cand != 0 {
+                    let ov = cand.trailing_zeros() as usize;
+                    cand &= cand - 1;
+                    incoming[(req.out_port * v + ov) * ports + ip] |= 1 << (iv - base);
+                }
+            }
         }
+        // Each bid-receiving output VC arbitrates, in the same ascending
+        // out_flat order as the scalar reference's sorted bid list. The
+        // tree's leaves are the input ports.
+        for op in 0..ports {
+            let mut bids = std::mem::take(&mut pending[op]);
+            while bids != 0 {
+                let ov = bids.trailing_zeros() as usize;
+                bids &= bids - 1;
+                let out_flat = op * v + ov;
+                let leaves = &mut incoming[out_flat * ports..(out_flat + 1) * ports];
+                let winner = output.arbitrate(out_flat, leaves);
+                leaves.fill(0);
+                let Some((ip, local)) = winner else { continue };
+                let base = arbiter_window(spec, span, ov) * span;
+                let g = ip * v + base + local;
+                if input_first {
+                    // Stage 2 of input-first: the grant is final.
+                    results[g] = Some(OutVc { port: op, vc: ov });
+                    input.update(g, ov - base);
+                    output.update(out_flat, ip, local);
+                } else {
+                    // All of g's bids share its destination port, so the
+                    // class-local VC index suffices.
+                    won[g] |= 1 << (ov - base);
+                    chosen[ip] |= 1 << (base + local);
+                }
+            }
+        }
+        debug_assert!(incoming.iter().all(|&w| w == 0));
+        if input_first {
+            return;
+        }
+        // Output-first stage 2: each chosen input VC picks among output VCs
+        // that chose it (ascending g, like the scalar regrouped sweep).
+        for ip in 0..ports {
+            let mut vcs = std::mem::take(&mut chosen[ip]);
+            while vcs != 0 {
+                let iv = vcs.trailing_zeros() as usize;
+                vcs &= vcs - 1;
+                let g = ip * v + iv;
+                let wins = std::mem::take(&mut won[g]);
+                // Stage-1 winners can only come from live requests.
+                let Some(req) = requests[g].as_ref() else {
+                    continue;
+                };
+                if let Some(pick) = input.arbitrate(g, wins) {
+                    let base = arbiter_window(spec, span, iv) * span;
+                    let ov = base + pick;
+                    results[g] = Some(OutVc {
+                        port: req.out_port,
+                        vc: ov,
+                    });
+                    input.update(g, pick);
+                    output.update(req.out_port * v + ov, ip, iv - base);
+                }
+            }
+        }
+        debug_assert!(won.iter().all(|&w| w == 0));
     }
 
     fn reset(&mut self) {
-        match &mut self.inner {
-            SepVcInner::Kernel { input, output, .. } => {
-                input.reset();
-                output.reset();
-            }
-            SepVcInner::Reference(r) => r.reset(),
-        }
+        self.input.reset();
+        self.output.reset();
     }
 }
 
-/// VC allocator built on a monolithic core allocator over the full
-/// `P*V × P*V` request space — used for the wavefront implementation
-/// (Figure 3(c)) and the maximum-size reference.
+/// VC allocator built on monolithic core allocators — used for the
+/// wavefront implementation (Figure 3(c)) and the maximum-size reference.
+/// Dense: one core over the full `P*V × P*V` request space. Sparse: `M`
+/// independent cores of `P*V/M` inputs each, one per message class — exactly
+/// the replacement of the `P*V`-input block by `M` smaller blocks that §4.2
+/// describes — whose matrices are filled straight from the full request
+/// array.
 pub struct MatrixVcAllocator {
     spec: VcAllocSpec,
+    /// VC indices per block and port: `V` (dense) or `V/M` (sparse).
+    span: usize,
+    /// One block per message class (a single block when dense).
+    blocks: Vec<MatrixBlock>,
+}
+
+struct MatrixBlock {
     inner: Box<dyn Allocator + Send>,
-    /// Reusable `P*V × P*V` request matrix.
+    /// Reusable `P*span × P*span` request matrix.
     matrix: BitMatrix,
-    /// Reusable `P*V × P*V` grant matrix, filled via
-    /// [`Allocator::allocate_into`] so kernel-backed cores stay zero-alloc.
+    /// Reusable grant matrix, filled via [`Allocator::allocate_into`] so
+    /// kernel-backed cores stay zero-alloc.
     grants: BitMatrix,
 }
 
@@ -656,24 +706,32 @@ impl MatrixVcAllocator {
     /// Wraps a core allocator architecture (meaningful for
     /// [`AllocatorKind::Wavefront`] and [`AllocatorKind::MaxSize`]).
     pub fn new(spec: VcAllocSpec, kind: AllocatorKind) -> Self {
-        let n = spec.ports() * spec.total_vcs();
-        MatrixVcAllocator {
-            spec,
-            inner: kind.build(n, n),
-            matrix: BitMatrix::new(n, n),
-            grants: BitMatrix::new(n, n),
-        }
+        Self::build(spec, false, |n| kind.build(n, n))
     }
 
     /// [`MatrixVcAllocator::new`] over the scalar-reference core allocator
     /// ([`AllocatorKind::build_reference`]) — for the differential tests.
     pub fn new_reference(spec: VcAllocSpec, kind: AllocatorKind) -> Self {
-        let n = spec.ports() * spec.total_vcs();
+        Self::build(spec, false, |n| kind.build_reference(n, n))
+    }
+
+    fn build(
+        spec: VcAllocSpec,
+        sparse: bool,
+        core: impl Fn(usize) -> Box<dyn Allocator + Send>,
+    ) -> Self {
+        let span = arbiter_span(&spec, sparse);
+        let n = spec.ports() * span;
         MatrixVcAllocator {
+            blocks: (0..spec.total_vcs() / span)
+                .map(|_| MatrixBlock {
+                    inner: core(n),
+                    matrix: BitMatrix::new(n, n),
+                    grants: BitMatrix::new(n, n),
+                })
+                .collect(),
+            span,
             spec,
-            inner: kind.build_reference(n, n),
-            matrix: BitMatrix::new(n, n),
-            grants: BitMatrix::new(n, n),
         }
     }
 }
@@ -683,51 +741,99 @@ impl VcAllocator for MatrixVcAllocator {
         &self.spec
     }
 
-    fn allocate(
-        &mut self,
-        requests: &[Option<VcRequest>],
-        free_out: &BitMatrix,
-    ) -> Vec<Option<OutVc>> {
-        let mut results = Vec::new();
-        self.allocate_into(requests, free_out, &mut results);
-        results
-    }
-
     fn allocate_into(
         &mut self,
         requests: &[Option<VcRequest>],
         free_out: &BitMatrix,
         results: &mut Vec<Option<OutVc>>,
     ) {
-        let spec = &self.spec;
+        let MatrixVcAllocator { spec, span, blocks } = self;
+        let span = *span;
         let v = spec.total_vcs();
         let n = spec.ports() * v;
         assert_eq!(requests.len(), n, "one request slot per input VC");
         assert_eq!(free_out.num_rows(), spec.ports());
         assert_eq!(free_out.num_cols(), v);
 
-        self.matrix.clear();
-        for (g, req) in requests.iter().enumerate() {
-            let Some(req) = req else { continue };
-            validate_request(spec, g, req);
-            let mask = candidate_mask(spec, g, req, free_out);
-            for ov in mask.iter_set() {
-                self.matrix.set(g, req.out_port * v + ov, true);
+        // Block-local index of VC `vc` at port `p`: the message class is
+        // dropped from the VC index, `p * span + (vc - base)`.
+        for block in blocks.iter_mut() {
+            block.matrix.clear();
+        }
+        for ip in 0..spec.ports() {
+            for (iv, req) in requests[ip * v..(ip + 1) * v].iter().enumerate() {
+                let Some(req) = req else { continue };
+                validate_request(spec, iv, req);
+                let window = arbiter_window(spec, span, iv);
+                let base = window * span;
+                let row = blocks[window].matrix.row_mut(ip * span + iv - base);
+                let col0 = req.out_port * span;
+                if v <= 64 {
+                    let mut cand = candidate_word(spec, iv, req, free_out);
+                    while cand != 0 {
+                        row.set(col0 + cand.trailing_zeros() as usize - base, true);
+                        cand &= cand - 1;
+                    }
+                } else {
+                    for ov in candidate_mask(spec, iv, req, free_out).iter_set() {
+                        row.set(col0 + ov - base, true);
+                    }
+                }
             }
         }
-        self.inner.allocate_into(&self.matrix, &mut self.grants);
-        let grants = &self.grants;
+        for block in blocks.iter_mut() {
+            block.inner.allocate_into(&block.matrix, &mut block.grants);
+        }
         results.clear();
-        results.extend((0..n).map(|g| {
-            grants.row(g).first_set().map(|col| OutVc {
-                port: col / v,
-                vc: col % v,
-            })
-        }));
+        for ip in 0..spec.ports() {
+            results.extend(
+                requests[ip * v..(ip + 1) * v]
+                    .iter()
+                    .enumerate()
+                    .map(|(iv, req)| {
+                        let req = req.as_ref()?;
+                        let window = arbiter_window(spec, span, iv);
+                        let base = window * span;
+                        let col = blocks[window]
+                            .grants
+                            .row(ip * span + iv - base)
+                            .first_set()?;
+                        // Every candidate column lies at the requested port.
+                        Some(OutVc {
+                            port: req.out_port,
+                            vc: col + base - req.out_port * span,
+                        })
+                    }),
+            );
+        }
     }
 
     fn reset(&mut self) {
-        self.inner.reset();
+        for block in &mut self.blocks {
+            block.inner.reset();
+        }
+    }
+}
+
+/// Builds the production allocator for `kind`, dense or sparse: the
+/// Figure 3 structure appropriate for the core architecture, on the word
+/// kernels whenever the router fits them.
+fn build_vc_allocator(
+    spec: VcAllocSpec,
+    kind: AllocatorKind,
+    sparse: bool,
+) -> Box<dyn VcAllocator + Send> {
+    match separable_stages(kind) {
+        Some((input_first, arbiter)) if fits_word_kernel(&spec) => Box::new(
+            SeparableVcAllocator::build(spec, input_first, arbiter, sparse),
+        ),
+        Some(_) if sparse => Box::new(reference::SparseVcAllocator::new(spec, kind)),
+        Some((input_first, arbiter)) => Box::new(reference::SeparableVcAllocator::new(
+            spec,
+            input_first,
+            arbiter,
+        )),
+        None => Box::new(MatrixVcAllocator::build(spec, sparse, |n| kind.build(n, n))),
     }
 }
 
@@ -743,40 +849,23 @@ pub struct DenseVcAllocator {
 impl DenseVcAllocator {
     /// Builds a dense VC allocator around the given core architecture.
     pub fn new(spec: VcAllocSpec, kind: AllocatorKind) -> Self {
-        use noc_arbiter::ArbiterKind::{Matrix, RoundRobin};
-        let inner: Box<dyn VcAllocator + Send> = match kind {
-            AllocatorKind::SepIfMatrix => Box::new(SeparableVcAllocator::new(spec, true, Matrix)),
-            AllocatorKind::SepIfRr => Box::new(SeparableVcAllocator::new(spec, true, RoundRobin)),
-            AllocatorKind::SepOfMatrix => Box::new(SeparableVcAllocator::new(spec, false, Matrix)),
-            AllocatorKind::SepOfRr => Box::new(SeparableVcAllocator::new(spec, false, RoundRobin)),
-            AllocatorKind::Wavefront | AllocatorKind::MaxSize => {
-                Box::new(MatrixVcAllocator::new(spec, kind))
-            }
-        };
-        DenseVcAllocator { kind, inner }
+        DenseVcAllocator {
+            kind,
+            inner: build_vc_allocator(spec, kind, false),
+        }
     }
 
     /// [`DenseVcAllocator::new`] built entirely from scalar-reference
     /// implementations (sort-based separable stages, element-wise cores) —
     /// the oracle side of the differential test layer.
     pub fn new_reference(spec: VcAllocSpec, kind: AllocatorKind) -> Self {
-        use noc_arbiter::ArbiterKind::{Matrix, RoundRobin};
-        let inner: Box<dyn VcAllocator + Send> = match kind {
-            AllocatorKind::SepIfMatrix => {
-                Box::new(reference::SeparableVcAllocator::new(spec, true, Matrix))
-            }
-            AllocatorKind::SepIfRr => {
-                Box::new(reference::SeparableVcAllocator::new(spec, true, RoundRobin))
-            }
-            AllocatorKind::SepOfMatrix => {
-                Box::new(reference::SeparableVcAllocator::new(spec, false, Matrix))
-            }
-            AllocatorKind::SepOfRr => Box::new(reference::SeparableVcAllocator::new(
-                spec, false, RoundRobin,
+        let inner: Box<dyn VcAllocator + Send> = match separable_stages(kind) {
+            Some((input_first, arbiter)) => Box::new(reference::SeparableVcAllocator::new(
+                spec,
+                input_first,
+                arbiter,
             )),
-            AllocatorKind::Wavefront | AllocatorKind::MaxSize => {
-                Box::new(MatrixVcAllocator::new_reference(spec, kind))
-            }
+            None => Box::new(MatrixVcAllocator::new_reference(spec, kind)),
         };
         DenseVcAllocator { kind, inner }
     }
@@ -790,14 +879,6 @@ impl DenseVcAllocator {
 impl VcAllocator for DenseVcAllocator {
     fn spec(&self) -> &VcAllocSpec {
         self.inner.spec()
-    }
-
-    fn allocate(
-        &mut self,
-        requests: &[Option<VcRequest>],
-        free_out: &BitMatrix,
-    ) -> Vec<Option<OutVc>> {
-        self.inner.allocate(requests, free_out)
     }
 
     fn allocate_into(
@@ -823,58 +904,24 @@ impl VcAllocator for DenseVcAllocator {
 /// paper describes. (The further arbiter-width reductions from
 /// resource-class transition sparsity are logic-level optimizations modeled
 /// by the cost model in `noc-hw`; they do not change matching behaviour.)
+///
+/// The sub-allocators are not separate objects: the same kernels as
+/// [`DenseVcAllocator`] run once over the full request array with arbiters
+/// (or core blocks) that span `V/M` VCs instead of `V`. Grants and priority
+/// state are those of `M` dense allocators fed per-class projections of the
+/// requests — [`reference::SparseVcAllocator`] is that construction, kept as
+/// the differential oracle.
 pub struct SparseVcAllocator {
-    spec: VcAllocSpec,
-    /// Class structure of one message class, used by the sub-allocators.
-    sub_spec: VcAllocSpec,
-    /// One sub-allocator per message class.
-    subs: Vec<DenseVcAllocator>,
     kind: AllocatorKind,
-    /// Reusable per-class projection of `requests` (`P * V/M` slots); only
-    /// the `touched` slots are live and must be returned to `spare` before
-    /// the next projection.
-    sub_reqs: Vec<Option<VcRequest>>,
-    /// Indices of `sub_reqs` currently holding a projected request.
-    touched: Vec<usize>,
-    /// Recycled `VcRequest` values (keeps their `classes` allocations).
-    spare: Vec<VcRequest>,
-    /// Reusable per-class projection of `free_out`.
-    sub_free: BitMatrix,
-    /// Reusable sub-allocator grant buffer.
-    sub_grants: Vec<Option<OutVc>>,
+    inner: Box<dyn VcAllocator + Send>,
 }
 
 impl SparseVcAllocator {
     /// Builds a sparse VC allocator around the given core architecture.
     pub fn new(spec: VcAllocSpec, kind: AllocatorKind) -> Self {
-        let sub_spec = VcAllocSpec::new(
-            spec.ports(),
-            1,
-            spec.resource_classes(),
-            spec.vcs_per_class(),
-            spec.rc_succ.clone(),
-        );
-        let n_sub = spec.ports() * sub_spec.total_vcs();
         SparseVcAllocator {
-            subs: (0..spec.msg_classes())
-                .map(|_| DenseVcAllocator::new(sub_spec.clone(), kind))
-                .collect(),
-            sub_reqs: vec![None; n_sub],
-            touched: Vec::with_capacity(n_sub),
-            // Pre-primed pool: at most one projected request per sub-slot,
-            // each requesting at most every resource class, so the
-            // steady-state projection loop never allocates.
-            spare: (0..n_sub)
-                .map(|_| VcRequest {
-                    out_port: 0,
-                    classes: Vec::with_capacity(sub_spec.resource_classes()),
-                })
-                .collect(),
-            sub_free: BitMatrix::new(spec.ports(), sub_spec.total_vcs()),
-            sub_grants: Vec::new(),
-            sub_spec,
-            spec,
             kind,
+            inner: build_vc_allocator(spec, kind, true),
         }
     }
 
@@ -885,175 +932,39 @@ impl SparseVcAllocator {
 
     /// Width of each per-message-class sub-allocator.
     pub fn sub_width(&self) -> usize {
-        self.spec.ports() * self.spec.resource_classes() * self.spec.vcs_per_class()
+        let spec = self.inner.spec();
+        spec.ports() * arbiter_span(spec, true)
     }
 }
 
 impl VcAllocator for SparseVcAllocator {
     fn spec(&self) -> &VcAllocSpec {
-        &self.spec
+        self.inner.spec()
     }
 
-    fn allocate(
-        &mut self,
-        requests: &[Option<VcRequest>],
-        free_out: &BitMatrix,
-    ) -> Vec<Option<OutVc>> {
-        let spec = &self.spec;
-        let v = spec.total_vcs();
-        let v_sub = self.sub_spec.total_vcs();
-        let n = spec.ports() * v;
-        assert_eq!(requests.len(), n, "one request slot per input VC");
-        let mut results: Vec<Option<OutVc>> = vec![None; n];
-
-        for (m, sub) in self.subs.iter_mut().enumerate() {
-            // Project requests and availability onto message class m.
-            let mut sub_reqs: Vec<Option<VcRequest>> = vec![None; spec.ports() * v_sub];
-            for (g, req) in requests.iter().enumerate() {
-                let Some(req) = req else { continue };
-                let (im, ir, ibank) = spec.vc_class(g % v);
-                if im != m {
-                    continue;
-                }
-                validate_request(spec, g, req);
-                let sub_vc = ir * spec.vcs_per_class() + ibank;
-                sub_reqs[(g / v) * v_sub + sub_vc] = Some(req.clone());
-            }
-            let mut sub_free = BitMatrix::new(spec.ports(), v_sub);
-            for p in 0..spec.ports() {
-                for sv in 0..v_sub {
-                    sub_free.set(p, sv, free_out.get(p, m * v_sub + sv));
-                }
-            }
-            let sub_grants = sub.allocate(&sub_reqs, &sub_free);
-            for (g, req) in requests.iter().enumerate() {
-                if req.is_none() {
-                    continue;
-                }
-                let (im, ir, ibank) = spec.vc_class(g % v);
-                if im != m {
-                    continue;
-                }
-                let sub_vc = ir * spec.vcs_per_class() + ibank;
-                if let Some(grant) = sub_grants[(g / v) * v_sub + sub_vc] {
-                    results[g] = Some(OutVc {
-                        port: grant.port,
-                        vc: m * v_sub + grant.vc,
-                    });
-                }
-            }
-        }
-        results
-    }
-
-    /// Scratch-buffer fast path: identical matching behaviour to
-    /// [`SparseVcAllocator::allocate`] (which is kept as the
-    /// fresh-allocation reference for differential tests), but the per-class
-    /// request/availability projections, recycled `VcRequest` values, and
-    /// grant buffers are all reused across cycles, so steady-state operation
-    /// performs no heap allocation at this level.
     fn allocate_into(
         &mut self,
         requests: &[Option<VcRequest>],
         free_out: &BitMatrix,
         results: &mut Vec<Option<OutVc>>,
     ) {
-        let SparseVcAllocator {
-            spec,
-            sub_spec,
-            subs,
-            kind: _,
-            sub_reqs,
-            touched,
-            spare,
-            sub_free,
-            sub_grants,
-        } = self;
-        let v = spec.total_vcs();
-        let v_sub = sub_spec.total_vcs();
-        let n = spec.ports() * v;
-        assert_eq!(requests.len(), n, "one request slot per input VC");
-        results.clear();
-        results.resize(n, None);
-
-        for (m, sub) in subs.iter_mut().enumerate() {
-            // Project requests and availability onto message class m,
-            // recycling the request slots populated for the previous class.
-            for &i in touched.iter() {
-                if let Some(r) = sub_reqs[i].take() {
-                    spare.push(r);
-                }
-            }
-            touched.clear();
-            for (g, req) in requests.iter().enumerate() {
-                let Some(req) = req else { continue };
-                let (im, ir, ibank) = spec.vc_class(g % v);
-                if im != m {
-                    continue;
-                }
-                validate_request(spec, g, req);
-                let sub_vc = ir * spec.vcs_per_class() + ibank;
-                let idx = (g / v) * v_sub + sub_vc;
-                let mut slot = spare.pop().unwrap_or_else(|| VcRequest {
-                    out_port: 0,
-                    classes: Vec::new(),
-                });
-                slot.out_port = req.out_port;
-                slot.classes.clear();
-                slot.classes.extend_from_slice(&req.classes);
-                sub_reqs[idx] = Some(slot);
-                touched.push(idx);
-            }
-            sub_free.clear();
-            for p in 0..spec.ports() {
-                for sv in 0..v_sub {
-                    if free_out.get(p, m * v_sub + sv) {
-                        sub_free.set(p, sv, true);
-                    }
-                }
-            }
-            sub.allocate_into(sub_reqs, sub_free, sub_grants);
-            for (g, req) in requests.iter().enumerate() {
-                if req.is_none() {
-                    continue;
-                }
-                let (im, ir, ibank) = spec.vc_class(g % v);
-                if im != m {
-                    continue;
-                }
-                let sub_vc = ir * spec.vcs_per_class() + ibank;
-                if let Some(grant) = sub_grants[(g / v) * v_sub + sub_vc] {
-                    results[g] = Some(OutVc {
-                        port: grant.port,
-                        vc: m * v_sub + grant.vc,
-                    });
-                }
-            }
-        }
-        // Return the final class's projections to the spare pool so stale
-        // requests can never leak into the next allocation round.
-        for &i in touched.iter() {
-            if let Some(r) = sub_reqs[i].take() {
-                spare.push(r);
-            }
-        }
-        touched.clear();
+        self.inner.allocate_into(requests, free_out, results);
     }
 
     fn reset(&mut self) {
-        for s in &mut self.subs {
-            s.reset();
-        }
+        self.inner.reset();
     }
 }
 
-/// Scalar predecessors of the bit-parallel VC-allocation kernels, kept
-/// alive as differential-testing oracles (and as the wide-instance
-/// fallback when `P*V > 64`). Element-wise `Bits` masks and sort-based
-/// bid grouping instead of `u64` words and ctz sweeps.
+/// Scalar predecessors of the VC-allocation word kernels, kept alive as
+/// differential-testing oracles (and as the fallback for routers with
+/// `P > 64` or `V > 64`). Element-wise `Bits` masks, sort-based bid grouping
+/// and per-class request projection instead of `u64` words, ctz sweeps and
+/// index shifts.
 pub mod reference {
     use super::{
-        candidate_mask, validate_request, BitMatrix, OutVc, VcAllocSpec, VcAllocator, VcRequest,
+        candidate_mask, validate_request, AllocatorKind, BitMatrix, DenseVcAllocator, OutVc,
+        VcAllocSpec, VcAllocator, VcRequest,
     };
 
     /// Scalar separable VC allocator: boxed per-arbiter state and a sorted
@@ -1107,16 +1018,6 @@ pub mod reference {
             &self.spec
         }
 
-        fn allocate(
-            &mut self,
-            requests: &[Option<VcRequest>],
-            free_out: &BitMatrix,
-        ) -> Vec<Option<OutVc>> {
-            let mut results = Vec::new();
-            self.allocate_into(requests, free_out, &mut results);
-            results
-        }
-
         fn allocate_into(
             &mut self,
             requests: &[Option<VcRequest>],
@@ -1148,8 +1049,8 @@ pub mod reference {
                 // Stage 1: each input VC picks one output VC at its port.
                 for (g, req) in requests.iter().enumerate() {
                     let Some(req) = req else { continue };
-                    validate_request(spec, g, req);
-                    let mask = candidate_mask(spec, g, req, free_out);
+                    validate_request(spec, g % v, req);
+                    let mask = candidate_mask(spec, g % v, req, free_out);
                     if let Some(ov) = input_arbs[g].arbitrate(&mask) {
                         bids.push((req.out_port * v + ov, g));
                     }
@@ -1180,8 +1081,8 @@ pub mod reference {
                 // requesting input VCs.
                 for (g, req) in requests.iter().enumerate() {
                     let Some(req) = req else { continue };
-                    validate_request(spec, g, req);
-                    let mask = candidate_mask(spec, g, req, free_out);
+                    validate_request(spec, g % v, req);
+                    let mask = candidate_mask(spec, g % v, req, free_out);
                     for ov in mask.iter_set() {
                         bids.push((req.out_port * v + ov, g));
                     }
@@ -1241,6 +1142,103 @@ pub mod reference {
         fn reset(&mut self) {
             for a in self.input_arbs.iter_mut().chain(&mut self.output_arbs) {
                 a.reset();
+            }
+        }
+    }
+
+    /// The sparse VC allocator as §4.2 words it: `M` independent dense
+    /// sub-allocators, each over the `P*R*C` VCs of one message class and
+    /// fed a projection of the requests and of the free-VC map onto that
+    /// class. Fresh projections every call — nothing here is fast.
+    pub struct SparseVcAllocator {
+        spec: VcAllocSpec,
+        /// Class structure of one message class.
+        sub_spec: VcAllocSpec,
+        /// One scalar-reference sub-allocator per message class.
+        subs: Vec<DenseVcAllocator>,
+    }
+
+    impl SparseVcAllocator {
+        /// Scalar counterpart of [`super::SparseVcAllocator::new`].
+        pub fn new(spec: VcAllocSpec, kind: AllocatorKind) -> Self {
+            let sub_spec = VcAllocSpec::new(
+                spec.ports(),
+                1,
+                spec.resource_classes(),
+                spec.vcs_per_class(),
+                spec.rc_succ.clone(),
+            );
+            SparseVcAllocator {
+                subs: (0..spec.msg_classes())
+                    .map(|_| DenseVcAllocator::new_reference(sub_spec.clone(), kind))
+                    .collect(),
+                sub_spec,
+                spec,
+            }
+        }
+    }
+
+    impl VcAllocator for SparseVcAllocator {
+        fn spec(&self) -> &VcAllocSpec {
+            &self.spec
+        }
+
+        fn allocate_into(
+            &mut self,
+            requests: &[Option<VcRequest>],
+            free_out: &BitMatrix,
+            results: &mut Vec<Option<OutVc>>,
+        ) {
+            let spec = &self.spec;
+            let v = spec.total_vcs();
+            let v_sub = self.sub_spec.total_vcs();
+            let n = spec.ports() * v;
+            assert_eq!(requests.len(), n, "one request slot per input VC");
+            results.clear();
+            results.resize(n, None);
+
+            for (m, sub) in self.subs.iter_mut().enumerate() {
+                // Project requests and availability onto message class m.
+                let mut sub_reqs: Vec<Option<VcRequest>> = vec![None; spec.ports() * v_sub];
+                for (g, req) in requests.iter().enumerate() {
+                    let Some(req) = req else { continue };
+                    let (im, ir, ibank) = spec.vc_class(g % v);
+                    if im != m {
+                        continue;
+                    }
+                    validate_request(spec, g % v, req);
+                    let sub_vc = ir * spec.vcs_per_class() + ibank;
+                    sub_reqs[(g / v) * v_sub + sub_vc] = Some(req.clone());
+                }
+                let mut sub_free = BitMatrix::new(spec.ports(), v_sub);
+                for p in 0..spec.ports() {
+                    for sv in 0..v_sub {
+                        sub_free.set(p, sv, free_out.get(p, m * v_sub + sv));
+                    }
+                }
+                let sub_grants = sub.allocate(&sub_reqs, &sub_free);
+                for (g, req) in requests.iter().enumerate() {
+                    if req.is_none() {
+                        continue;
+                    }
+                    let (im, ir, ibank) = spec.vc_class(g % v);
+                    if im != m {
+                        continue;
+                    }
+                    let sub_vc = ir * spec.vcs_per_class() + ibank;
+                    if let Some(grant) = sub_grants[(g / v) * v_sub + sub_vc] {
+                        results[g] = Some(OutVc {
+                            port: grant.port,
+                            vc: m * v_sub + grant.vc,
+                        });
+                    }
+                }
+            }
+        }
+
+        fn reset(&mut self) {
+            for s in &mut self.subs {
+                s.reset();
             }
         }
     }

@@ -1,7 +1,6 @@
 //! Wavefront allocator (§2.2).
 
 use crate::{Allocator, BitMatrix};
-use noc_arbiter::bits::{rotl_width, width_mask};
 
 /// Wavefront allocator (`wf`), after Tamir & Chi's wrapped wavefront
 /// arbiter.
@@ -29,6 +28,7 @@ pub struct WavefrontAllocator {
     /// Currently active priority diagonal.
     diagonal: usize,
     policy: DiagonalPolicy,
+    scratch: DiagonalScratch,
 }
 
 /// Priority-diagonal update policy — the rotating policy is the paper's
@@ -42,6 +42,43 @@ pub enum DiagonalPolicy {
     Fixed,
 }
 
+/// Working set of the diagonal kernel for an `n × n` array, every set
+/// `⌈n/64⌉` words wide and sized once at construction.
+struct DiagonalScratch {
+    /// Words per row/column set.
+    words: usize,
+    /// `diag[d * words..][..words]`: the rows with a request on wrapped
+    /// diagonal `d` (bit `i` set iff entry `(i, (d - i) mod n)` is
+    /// requested).
+    diag: Vec<u64>,
+    /// Rows / columns not yet granted in the current sweep.
+    row_free: Vec<u64>,
+    col_free: Vec<u64>,
+}
+
+impl DiagonalScratch {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        DiagonalScratch {
+            words,
+            diag: vec![0; n * words],
+            row_free: vec![0; words],
+            col_free: vec![0; words],
+        }
+    }
+}
+
+/// Sets the lowest `n` bits of the word-array set `set`, clears the rest.
+fn fill_ones(set: &mut [u64], n: usize) {
+    for (w, word) in set.iter_mut().enumerate() {
+        *word = match n.saturating_sub(w * 64) {
+            0 => 0,
+            live @ 1..=63 => (1 << live) - 1,
+            _ => u64::MAX,
+        };
+    }
+}
+
 impl WavefrontAllocator {
     /// Creates a wavefront allocator for `requesters × resources` with the
     /// paper's rotating-diagonal policy.
@@ -52,12 +89,14 @@ impl WavefrontAllocator {
     /// Creates a wavefront allocator with an explicit diagonal policy.
     pub fn with_policy(requesters: usize, resources: usize, policy: DiagonalPolicy) -> Self {
         assert!(requesters > 0 && resources > 0);
+        let n = requesters.max(resources);
         WavefrontAllocator {
             requesters,
             resources,
-            n: requesters.max(resources),
+            n,
             diagonal: 0,
             policy,
+            scratch: DiagonalScratch::new(n),
         }
     }
 
@@ -72,87 +111,35 @@ impl WavefrontAllocator {
     /// `n` replicas with the rotating state.
     pub fn allocate_with_diagonal(&self, requests: &BitMatrix, start: usize) -> BitMatrix {
         let mut grants = BitMatrix::new(self.requesters, self.resources);
-        self.allocate_with_diagonal_into(requests, start, &mut grants);
+        let mut scratch = DiagonalScratch::new(self.n);
+        sweep(
+            self.requesters,
+            self.resources,
+            &mut scratch,
+            requests,
+            start,
+            &mut grants,
+        );
         grants
     }
 
     /// [`WavefrontAllocator::allocate_with_diagonal`] into a caller-owned
-    /// grant matrix, so a per-cycle caller can keep one scratch matrix and
-    /// never allocate (`Bits` tracks free rows/columns inline).
+    /// grant matrix using the allocator's own scratch, so a per-cycle
+    /// caller never allocates.
     pub fn allocate_with_diagonal_into(
-        &self,
+        &mut self,
         requests: &BitMatrix,
         start: usize,
         grants: &mut BitMatrix,
     ) {
-        assert_eq!(requests.num_rows(), self.requesters);
-        assert_eq!(requests.num_cols(), self.resources);
-        assert_eq!(grants.num_rows(), self.requesters);
-        assert_eq!(grants.num_cols(), self.resources);
-        grants.clear();
-        if self.n <= 64 {
-            self.kernel_with_diagonal_into(requests, start, grants);
-        } else {
-            reference::wavefront_with_diagonal_into(
-                self.requesters,
-                self.resources,
-                requests,
-                start,
-                grants,
-            );
-        }
-    }
-
-    /// The `u64` diagonal-propagation kernel (`n <= 64`).
-    ///
-    /// Rotating row `i` of the request matrix left by `i` (mod `n`) moves
-    /// bit `j` to position `(i + j) mod n` — the index of the wrapped
-    /// diagonal through `(i, j)`. Scattering the rotated rows into per-
-    /// diagonal *row masks* (`diag[d]` bit `i` set iff requester `i` has a
-    /// request on diagonal `d`) turns the wavefront sweep into: for each
-    /// diagonal from `start`, take `diag[d] & row_free`, pop rows in ctz
-    /// order, and grant where the implied column is still free. Entries on
-    /// one diagonal touch each row and column at most once, so the pop
-    /// order within a diagonal cannot change the outcome — the grant set is
-    /// identical to the scalar reference sweep, which the differential
-    /// suite asserts exhaustively.
-    fn kernel_with_diagonal_into(
-        &self,
-        requests: &BitMatrix,
-        start: usize,
-        grants: &mut BitMatrix,
-    ) {
-        let n = self.n;
-        let mut diag = [0u64; 64];
-        for i in 0..self.requesters {
-            let mut r = rotl_width(requests.row(i).low_word(), i, n);
-            while r != 0 {
-                let d = r.trailing_zeros() as usize;
-                r &= r - 1;
-                diag[d] |= 1 << i;
-            }
-        }
-        let mut row_free = width_mask(self.requesters);
-        let mut col_free = width_mask(self.resources);
-        for k in 0..n {
-            if row_free == 0 || col_free == 0 {
-                break;
-            }
-            let d = (start + k) % n;
-            let mut cand = diag[d] & row_free;
-            while cand != 0 && col_free != 0 {
-                let i = cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                // Bits in `diag` come only from real requests, so `j` is
-                // always a legal column (< resources).
-                let j = (d + n - i) % n;
-                if col_free >> j & 1 != 0 {
-                    grants.set(i, j, true);
-                    row_free &= !(1u64 << i);
-                    col_free &= !(1u64 << j);
-                }
-            }
-        }
+        sweep(
+            self.requesters,
+            self.resources,
+            &mut self.scratch,
+            requests,
+            start,
+            grants,
+        );
     }
 
     /// [`Allocator::allocate`] into a caller-owned grant matrix (advances
@@ -162,6 +149,76 @@ impl WavefrontAllocator {
         if self.policy == DiagonalPolicy::Rotating {
             self.diagonal = (self.diagonal + 1) % self.n;
         }
+    }
+}
+
+/// The diagonal-propagation kernel.
+///
+/// Entry `(i, j)` lies on wrapped diagonal `(i + j) mod n`. Scattering the
+/// request matrix into per-diagonal *row sets* (`diag[d]` bit `i` set iff
+/// requester `i` has a request on diagonal `d`) turns the wavefront sweep
+/// into: for each diagonal from `start`, take `diag[d] & row_free` word by
+/// word, pop rows in ctz order, and grant where the implied column is still
+/// free. Entries on one diagonal touch each row and column at most once, so
+/// the pop order within a diagonal cannot change the outcome — the grant set
+/// is identical to the scalar reference sweep, which the differential suite
+/// asserts exhaustively for small arrays and on random streams up to
+/// n = 200. Cost is O(requests + n·⌈n/64⌉) instead of the reference's O(n²).
+fn sweep(
+    requesters: usize,
+    resources: usize,
+    scratch: &mut DiagonalScratch,
+    requests: &BitMatrix,
+    start: usize,
+    grants: &mut BitMatrix,
+) {
+    assert_eq!(requests.num_rows(), requesters);
+    assert_eq!(requests.num_cols(), resources);
+    assert_eq!(grants.num_rows(), requesters);
+    assert_eq!(grants.num_cols(), resources);
+    grants.clear();
+    let n = requesters.max(resources);
+    let DiagonalScratch {
+        words,
+        diag,
+        row_free,
+        col_free,
+    } = scratch;
+    let words = *words;
+    diag.fill(0);
+    for i in 0..requesters {
+        for j in requests.row(i).iter_set() {
+            let d = if i + j >= n { i + j - n } else { i + j };
+            diag[d * words + i / 64] |= 1 << (i % 64);
+        }
+    }
+    fill_ones(row_free, requesters);
+    fill_ones(col_free, resources);
+    // Each grant retires one row and one column; once either side is
+    // exhausted no later diagonal can add a grant.
+    let mut left = requesters.min(resources);
+    let mut d = start % n;
+    for _ in 0..n {
+        for w in 0..words {
+            let mut cand = diag[d * words + w] & row_free[w];
+            while cand != 0 {
+                let i = w * 64 + cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                // Bits in `diag` come only from real requests, so `j`
+                // is always a legal column (< resources).
+                let j = if d >= i { d - i } else { d + n - i };
+                if col_free[j / 64] >> (j % 64) & 1 != 0 {
+                    grants.set(i, j, true);
+                    row_free[i / 64] &= !(1 << (i % 64));
+                    col_free[j / 64] &= !(1 << (j % 64));
+                    left -= 1;
+                }
+            }
+        }
+        if left == 0 {
+            break;
+        }
+        d = if d + 1 == n { 0 } else { d + 1 };
     }
 }
 
@@ -175,11 +232,9 @@ impl Allocator for WavefrontAllocator {
     }
 
     fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
-        let g = self.allocate_with_diagonal(requests, self.diagonal);
-        if self.policy == DiagonalPolicy::Rotating {
-            self.diagonal = (self.diagonal + 1) % self.n;
-        }
-        g
+        let mut grants = BitMatrix::new(self.requesters, self.resources);
+        WavefrontAllocator::allocate_into(self, requests, &mut grants);
+        grants
     }
 
     fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
@@ -192,8 +247,8 @@ impl Allocator for WavefrontAllocator {
 }
 
 /// The scalar predecessor of the bit kernel, kept alive so the two can be
-/// driven differentially (and as the only path for `n > 64` arrays, which
-/// exceed the kernel word).
+/// driven differentially. No production constructor reaches it: the kernel
+/// has no width limit.
 pub mod reference {
     use crate::{Allocator, BitMatrix};
     use noc_arbiter::Bits;

@@ -14,7 +14,11 @@
 //! * at the switch-allocation layer (per-VC request matrices, including the
 //!   wavefront pre-selection arbiters);
 //! * at the VC-allocation layer, with sparse free-VC masks and the class
-//!   legality structure;
+//!   legality structure, up to the paper's widest router (fbfly C = 4:
+//!   `P*V = 160`) and across the `V = 64` / `P = 64` kernel boundaries;
+//! * for the sparse VC allocator, against `M` scalar dense sub-allocators
+//!   fed per-class projections — the construction §4.2 describes;
+//! * for the wavefront kernel, on arrays one to four words wide;
 //! * at the speculation layer, where the AND-NOT masking kernel must agree
 //!   with the scalar `Vec<bool>` masking for every mode.
 //!
@@ -23,10 +27,12 @@
 //! pointer update surfaces as a grant mismatch in a later round even if the
 //! grants of the divergent round happen to coincide.
 
+use noc_core::vc::reference::SparseVcAllocator as ProjectedSparseVcAllocator;
+use noc_core::wavefront::reference::wavefront_with_diagonal_into;
 use noc_core::{
-    AllocatorKind, BitMatrix, DenseVcAllocator, SpecAllocResult, SpecMode,
-    SpeculativeSwitchAllocator, SwitchAllocatorKind, SwitchGrant, SwitchRequests, VcAllocSpec,
-    VcAllocator, VcRequest,
+    validate_vc_grants, AllocatorKind, BitMatrix, DenseVcAllocator, SparseVcAllocator,
+    SpecAllocResult, SpecMode, SpeculativeSwitchAllocator, SwitchAllocatorKind, SwitchGrant,
+    SwitchRequests, VcAllocSpec, VcAllocator, VcRequest, WavefrontAllocator,
 };
 use proptest::prelude::*;
 
@@ -154,6 +160,59 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Wavefront arrays wider than one word
+// ---------------------------------------------------------------------------
+
+fn random_matrix(rng: &mut impl rand::Rng, r: usize, c: usize, density: f64) -> BitMatrix {
+    let mut m = BitMatrix::new(r, c);
+    for i in 0..r {
+        for j in 0..c {
+            if rng.gen_bool(density) {
+                m.set(i, j, true);
+            }
+        }
+    }
+    m
+}
+
+#[test]
+fn wide_wavefront_matches_reference_from_random_diagonals() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x3a7e);
+    for n in [64usize, 65, 80, 128, 160, 192, 200] {
+        // Square, wide, tall, and lopsided enough that whole words of the
+        // row or column sets are tied off.
+        for (r, c) in [(n, n), (n / 2 + 3, n), (n, n / 3 + 1), (n, 1), (2, n)] {
+            let kernel = WavefrontAllocator::new(r, c);
+            for density in [0.01, 0.05, 0.4] {
+                let requests = random_matrix(&mut rng, r, c, density);
+                for _ in 0..4 {
+                    // Any start is legal; it wraps at the array side.
+                    let start = rng.gen_range(0..2 * n);
+                    let mut want = BitMatrix::new(r, c);
+                    wavefront_with_diagonal_into(r, c, &requests, start, &mut want);
+                    assert_eq!(
+                        kernel.allocate_with_diagonal(&requests, start),
+                        want,
+                        "{r}x{c} density {density} start {start}"
+                    );
+                }
+            }
+            // The rotating state through the scratch-reusing entry point.
+            let mut kernel = AllocatorKind::Wavefront.build(r, c);
+            let mut reference = AllocatorKind::Wavefront.build_reference(r, c);
+            let (mut kg, mut rg) = (BitMatrix::new(r, c), BitMatrix::new(r, c));
+            for round in 0..6 {
+                let requests = random_matrix(&mut rng, r, c, 0.03);
+                kernel.allocate_into(&requests, &mut kg);
+                reference.allocate_into(&requests, &mut rg);
+                assert_eq!(kg, rg, "{r}x{c} round {round}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Switch allocation
 // ---------------------------------------------------------------------------
 
@@ -248,6 +307,50 @@ fn random_vc_workload(
     (reqs, free)
 }
 
+/// Drives `kernel` and `oracle` through `rounds` rounds of one evolving
+/// workload and asserts identical grants every round. Granted output VCs
+/// become busy and busy ones are released at random, so the free map each
+/// round depends on every earlier grant: a single divergent priority update
+/// surfaces later even if that round's grants happen to coincide.
+fn assert_same_grants_over_rounds(
+    label: &str,
+    spec: &VcAllocSpec,
+    kernel: &mut dyn VcAllocator,
+    oracle: &mut dyn VcAllocator,
+    rounds: usize,
+    rng: &mut impl rand::Rng,
+) {
+    let (_, mut free) = random_vc_workload(spec, rng, 0.0, 0.5);
+    let mut kg = Vec::new();
+    for round in 0..rounds {
+        let req_rate = [0.05, 0.3, 0.6, 0.9][round % 4];
+        let (reqs, _) = random_vc_workload(spec, rng, req_rate, 0.0);
+        kernel.allocate_into(&reqs, &free, &mut kg);
+        let og = oracle.allocate(&reqs, &free);
+        assert_eq!(
+            kg,
+            og,
+            "{label}: VC grants diverge at round {round} (spec {}p x {}, {} free)",
+            spec.ports(),
+            spec.label(),
+            free.count_ones()
+        );
+        if let Err(e) = validate_vc_grants(spec, &reqs, &free, &kg) {
+            panic!("{label}: invalid grants at round {round}: {e}");
+        }
+        for grant in kg.iter().flatten() {
+            free.set(grant.port, grant.vc, false);
+        }
+        for p in 0..spec.ports() {
+            for vc in 0..spec.total_vcs() {
+                if rng.gen_bool(0.15) {
+                    free.set(p, vc, true);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn vc_allocators_match_reference_under_sparse_masks() {
     use rand::SeedableRng;
@@ -257,9 +360,9 @@ fn vc_allocators_match_reference_under_sparse_masks() {
         VcAllocSpec::mesh(4),
         VcAllocSpec::torus(2),
         VcAllocSpec::fbfly(1),
-        // P*V = 80 > 64: both sides take the scalar path — kept in the
-        // sweep so the wide-instance fallback stays covered.
+        // Past one word: P*V = 80 and the paper's widest router, 160.
         VcAllocSpec::fbfly(2),
+        VcAllocSpec::fbfly(4),
     ];
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
     for spec in specs {
@@ -282,6 +385,80 @@ fn vc_allocators_match_reference_under_sparse_masks() {
                     spec.total_vcs()
                 );
             }
+            assert_same_grants_over_rounds(
+                kind.label(),
+                &spec,
+                &mut kernel,
+                &mut reference,
+                40,
+                &mut rng,
+            );
+        }
+    }
+}
+
+#[test]
+fn sparse_vc_allocators_match_per_class_projection() {
+    use rand::SeedableRng;
+    let specs = [
+        VcAllocSpec::mesh(2),
+        VcAllocSpec::torus(2),
+        VcAllocSpec::fbfly(2),
+        VcAllocSpec::fbfly(4),
+    ];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ba75e);
+    for spec in specs {
+        for kind in AllocatorKind::COST_FIGURE_KINDS {
+            // The oracle is M scalar-reference dense sub-allocators fed
+            // projected requests; the kernel never projects.
+            let mut kernel = SparseVcAllocator::new(spec.clone(), kind);
+            let mut oracle = ProjectedSparseVcAllocator::new(spec.clone(), kind);
+            assert_same_grants_over_rounds(
+                &format!("sparse {}", kind.label()),
+                &spec,
+                &mut kernel,
+                &mut oracle,
+                60,
+                &mut rng,
+            );
+        }
+    }
+}
+
+#[test]
+fn kernel_boundary_shapes_match_reference_and_wider_ones_stay_valid() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xb0d4);
+    let two_way = || vec![vec![true, true], vec![false, true]];
+    // Widest VC rows / port sets the word kernels take.
+    let widest_kernel = [
+        VcAllocSpec::new(2, 2, 2, 16, two_way()), // V = 64, P*V = 128
+        VcAllocSpec::new(3, 1, 1, 64, vec![vec![true]]), // one 64-wide class
+        VcAllocSpec::mesh(1).with_ports(64),      // P = 64
+    ];
+    // One past either limit: the scalar fallback.
+    let past_kernel = [
+        VcAllocSpec::mesh(1).with_ports(65),             // P = 65
+        VcAllocSpec::new(3, 2, 1, 33, vec![vec![true]]), // V = 66
+    ];
+    for spec in widest_kernel.iter().chain(&past_kernel) {
+        for kind in AllocatorKind::COST_FIGURE_KINDS {
+            assert_same_grants_over_rounds(
+                &format!("dense {}", kind.label()),
+                spec,
+                &mut DenseVcAllocator::new(spec.clone(), kind),
+                &mut DenseVcAllocator::new_reference(spec.clone(), kind),
+                12,
+                &mut rng,
+            );
+            assert_same_grants_over_rounds(
+                &format!("sparse {}", kind.label()),
+                spec,
+                &mut SparseVcAllocator::new(spec.clone(), kind),
+                &mut ProjectedSparseVcAllocator::new(spec.clone(), kind),
+                12,
+                &mut rng,
+            );
         }
     }
 }

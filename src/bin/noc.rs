@@ -935,6 +935,13 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     params.engine = args.engine()?;
     let out_dir: String = args.get("out", ".".to_string())?;
     let tolerance: f64 = args.get("tolerance", 15.0)?;
+    // The matrix takes minutes; find out now, not after it, that the
+    // report has nowhere to go.
+    if !std::path::Path::new(&out_dir).is_dir() {
+        return Err(format!(
+            "--out '{out_dir}' is not an existing directory (create it first)"
+        ));
+    }
     eprintln!(
         "running bench matrix ({} mode, {} rep(s) per workload, engine {})...",
         if params.quick { "quick" } else { "full" },

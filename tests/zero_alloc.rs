@@ -105,21 +105,27 @@ fn sequential_engine_steady_state_is_allocation_free() {
 /// recurrence, the matrix allocator's `allocate_into` scratch, and the
 /// router's struct-of-arrays output-VC state) must preserve the zero-alloc
 /// steady state. Covers both separable kernels at C=2 (mesh 5-port, 4-VC
-/// routers: every VA/SA stage takes the u64 path) and the wavefront
-/// VC+switch pairing, whose grant scratch is the newest reuse surface.
+/// routers: every VA/SA stage is one word wide) and the wavefront
+/// VC+switch pairing, then the paper's widest router (fbfly C=4: P=10,
+/// V=16), whose sparse VC allocators are 80 wide per message class — the
+/// multi-word tree-arbiter and wavefront-diagonal scratch.
 #[test]
 fn kernel_paths_steady_state_is_allocation_free() {
     let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let rr = noc_arbiter::ArbiterKind::RoundRobin;
-    let configs: [(AllocatorKind, SwitchAllocatorKind, SpecMode); 3] = [
+    let mesh2 = (TopologyKind::Mesh8x8, 2);
+    let fbfly4 = (TopologyKind::FlattenedButterfly4x4, 4);
+    let configs = [
         // Paper baseline kinds at C=2: separable input-first kernels.
         (
+            mesh2,
             AllocatorKind::SepIfRr,
             SwitchAllocatorKind::SepIf(rr),
             SpecMode::Pessimistic,
         ),
         // Output-first kernels plus conventional speculation masking.
         (
+            mesh2,
             AllocatorKind::SepOfRr,
             SwitchAllocatorKind::SepOf(rr),
             SpecMode::Conventional,
@@ -127,25 +133,39 @@ fn kernel_paths_steady_state_is_allocation_free() {
         // Wavefront VC allocation drives `MatrixVcAllocator`'s reused
         // grant scratch through `Allocator::allocate_into`.
         (
+            mesh2,
             AllocatorKind::Wavefront,
             SwitchAllocatorKind::Wavefront,
             SpecMode::Pessimistic,
         ),
+        (
+            fbfly4,
+            AllocatorKind::SepIfRr,
+            SwitchAllocatorKind::SepIf(rr),
+            SpecMode::Pessimistic,
+        ),
+        (
+            fbfly4,
+            AllocatorKind::Wavefront,
+            SwitchAllocatorKind::Wavefront,
+            SpecMode::Conventional,
+        ),
     ];
-    for (vca_kind, sa_kind, spec_mode) in configs {
+    for ((topo, c), vca_kind, sa_kind, spec_mode) in configs {
         let cfg = SimConfig {
             injection_rate: 0.2,
             vca_kind,
             sa_kind,
             spec_mode,
-            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
+            ..SimConfig::paper_baseline(topo, c)
         };
+        assert!(cfg.vca_sparse, "the paper's default VC allocator is sparse");
         let mut n = Network::new(cfg);
         n.run(WARMUP);
         let during = allocs_during(|| n.run(MEASURED));
         assert_eq!(
             during, 0,
-            "kernel path {vca_kind:?}/{sa_kind:?}/{spec_mode:?} allocated \
+            "kernel path {topo:?} C={c} {vca_kind:?}/{sa_kind:?}/{spec_mode:?} allocated \
              {during} times in {MEASURED} steady-state cycles"
         );
     }
