@@ -3,7 +3,8 @@
 //! Runs a fixed workload matrix (both evaluated topologies at three load
 //! points each), measures simulator throughput in cycles/sec on the
 //! *default* (uninstrumented) path, attributes wall time to the router
-//! pipeline phases with a separate profiled run, and emits one
+//! pipeline phases with a separate profiled run on the same engine, and
+//! emits one
 //! machine-readable report. A committed baseline report turns any later
 //! run into a pass/fail regression check (`compare_baseline`).
 //!
@@ -41,7 +42,7 @@
 //! is the first thing to look at when a regression check fails.
 
 use noc_obs::{JsonValue, Profiler};
-use noc_sim::{run_sim_engine, run_sim_profiled, Engine, SimConfig, SimResult, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, Run, SimConfig, SimResult, TopologyKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -135,7 +136,9 @@ pub struct WorkloadResult {
     /// Median simulated cycles per wall-clock second (the regression
     /// metric).
     pub cycles_per_sec: f64,
-    /// Phase attribution from the separate profiled run.
+    /// Phase attribution from the separate profiled run, on the engine
+    /// the timed runs used (the parallel engine profiles on its in-order
+    /// body: phase timing needs the routers stepped on one thread).
     pub profile: Profiler,
 }
 
@@ -157,6 +160,32 @@ pub fn report_filename(created_unix: u64) -> String {
     format!("BENCH_{created_unix}.json")
 }
 
+/// Times and profiles one workload with `params`.
+pub fn bench_workload(name: String, cfg: &SimConfig, params: &BenchParams) -> WorkloadResult {
+    let cycles = params.warmup + params.measure;
+    let mut times = Vec::new();
+    let t0 = Instant::now();
+    let mut result = run_sim_engine(cfg, params.warmup, params.measure, params.engine);
+    times.push(t0.elapsed().as_nanos() as u64);
+    for _ in 1..params.reps.max(1) {
+        let t0 = Instant::now();
+        result = run_sim_engine(cfg, params.warmup, params.measure, params.engine);
+        times.push(t0.elapsed().as_nanos() as u64);
+    }
+    times.sort_unstable();
+    let wall_nanos = times[times.len() / 2];
+    let run = Run::new(cfg, params.warmup, params.measure).engine(params.engine);
+    let profiled = run.profile().finish();
+    WorkloadResult {
+        name,
+        result,
+        cycles,
+        wall_nanos,
+        cycles_per_sec: cycles as f64 / (wall_nanos as f64 * 1e-9),
+        profile: profiled.profile.unwrap_or_default(),
+    }
+}
+
 /// Runs the full workload matrix with `params`, reporting progress lines
 /// through `progress` (pass `|_| {}` for silence).
 pub fn run_bench(params: &BenchParams, mut progress: impl FnMut(&str)) -> BenchReport {
@@ -164,35 +193,16 @@ pub fn run_bench(params: &BenchParams, mut progress: impl FnMut(&str)) -> BenchR
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let cycles = params.warmup + params.measure;
     let mut workloads = Vec::new();
     for (name, cfg) in workload_matrix() {
-        let mut times = Vec::new();
-        let t0 = Instant::now();
-        let mut result = run_sim_engine(&cfg, params.warmup, params.measure, params.engine);
-        times.push(t0.elapsed().as_nanos() as u64);
-        for _ in 1..params.reps.max(1) {
-            let t0 = Instant::now();
-            result = run_sim_engine(&cfg, params.warmup, params.measure, params.engine);
-            times.push(t0.elapsed().as_nanos() as u64);
-        }
-        times.sort_unstable();
-        let wall_nanos = times[times.len() / 2];
-        let (_, profile) = run_sim_profiled(&cfg, params.warmup, params.measure);
-        let cycles_per_sec = cycles as f64 / (wall_nanos as f64 * 1e-9);
+        let w = bench_workload(name, &cfg, params);
         progress(&format!(
-            "{name}: {:.2} Mcycles/sec ({} reps)",
-            cycles_per_sec / 1e6,
-            times.len()
+            "{}: {:.2} Mcycles/sec ({} reps)",
+            w.name,
+            w.cycles_per_sec / 1e6,
+            params.reps.max(1)
         ));
-        workloads.push(WorkloadResult {
-            name,
-            result,
-            cycles,
-            wall_nanos,
-            cycles_per_sec,
-            profile,
-        });
+        workloads.push(w);
     }
     BenchReport {
         schema: SCHEMA.to_string(),

@@ -13,8 +13,8 @@ pub mod points;
 pub mod sweep;
 
 pub use harness::{
-    compare_baseline, parse_report, report_filename, run_bench, workload_matrix, BaselineSummary,
-    BenchParams, BenchReport, WorkloadResult,
+    bench_workload, compare_baseline, parse_report, report_filename, run_bench, workload_matrix,
+    BaselineSummary, BenchParams, BenchReport, WorkloadResult,
 };
 pub use points::{DesignPoint, DESIGN_POINTS};
 

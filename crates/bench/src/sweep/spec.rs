@@ -12,7 +12,7 @@ use crate::sweep::SWEEP_SCHEMA;
 use noc_arbiter::ArbiterKind;
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind};
 use noc_obs::JsonValue;
-use noc_sim::{digest_pairs, Engine, SimConfig, TopologyKind, TrafficPattern};
+use noc_sim::{digest_pairs, ConfigError, Engine, SimConfig, TopologyKind, TrafficPattern};
 
 /// A named collection of sweep grids.
 #[derive(Clone, Debug)]
@@ -151,6 +151,27 @@ impl SweepGrid {
         out
     }
 
+    /// Checks every value on the axes [`SimConfig::validate`] constrains.
+    /// Its checks are per-field, so one probe per axis value covers the
+    /// whole cartesian product — without expanding it, which an invalid
+    /// value (zero VCs) would not survive.
+    fn validate(&self) -> Result<(), ConfigError> {
+        let base = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1);
+        let probe = |set: &dyn Fn(&mut SimConfig)| {
+            let mut cfg = base.clone();
+            set(&mut cfg);
+            cfg.validate()
+        };
+        let each = |axis: &[usize], set: fn(&mut SimConfig, usize)| {
+            axis.iter().try_for_each(|&v| probe(&|c| set(c, v)))
+        };
+        each(&self.vcs, |c, v| c.vcs_per_class = v)?;
+        each(&self.buf_depth, |c, v| c.buf_depth = v)?;
+        each(&self.burst, |c, v| c.burst = v)?;
+        each(&self.payload_flits, |c, v| c.payload_flits = v)?;
+        (self.rates.iter()).try_for_each(|&r| probe(&|c| c.injection_rate = r))
+    }
+
     fn point(&self, cfg: SimConfig) -> SweepPoint {
         let label = format!(
             "{} vca={} sa={} {} {} bd{} b{} pf{} r={} s={:x}",
@@ -176,6 +197,17 @@ impl SweepGrid {
 }
 
 impl SweepSpec {
+    /// Rejects a spec any of whose points [`SimConfig::validate`] would
+    /// reject, naming the grid. [`SweepSpec::from_value`] (and so every
+    /// spec file and serve request) and [`crate::sweep::run_sweep`] call
+    /// this before expanding.
+    pub fn validate(&self) -> Result<(), String> {
+        self.grids.iter().enumerate().try_for_each(|(i, g)| {
+            g.validate()
+                .map_err(|e| format!("sweep spec: grids[{i}]: {e}"))
+        })
+    }
+
     /// Expands every grid, in order.
     pub fn expand(&self) -> Vec<SweepPoint> {
         self.grids.iter().flat_map(SweepGrid::expand).collect()
@@ -244,7 +276,9 @@ impl SweepSpec {
             .enumerate()
             .map(|(i, g)| parse_grid(g).map_err(|e| format!("sweep spec: grids[{i}]: {e}")))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(SweepSpec { name, grids })
+        let spec = SweepSpec { name, grids };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 
@@ -490,6 +524,11 @@ mod tests {
         for bad in [
             r#"{"name":"t","grids":[{"ratess":[0.1]}]}"#,
             r#"{"name":"t","grids":[{"rates":[-0.1]}]}"#,
+            r#"{"name":"t","grids":[{"rates":[2]}]}"#,
+            r#"{"name":"t","grids":[{"vcs":[1,0]}]}"#,
+            r#"{"name":"t","grids":[{"buf_depth":0}]}"#,
+            r#"{"name":"t","grids":[{"burst":0}]}"#,
+            r#"{"name":"t","grids":[{"payload_flits":0}]}"#,
             r#"{"name":"t","grids":[{"topology":"hypercube"}]}"#,
             r#"{"name":"t","grids":[{"engine":"warp"}]}"#,
             r#"{"name":"t","grids":[{"rates":[]}]}"#,

@@ -1,9 +1,9 @@
 //! Integration tests for the `noc bench` harness: report schema,
 //! round-trip through the JSON reader, and the regression gate.
 
-use noc_bench::{compare_baseline, parse_report, run_bench, BenchParams};
-use noc_obs::validate_json;
-use noc_sim::Engine;
+use noc_bench::{bench_workload, compare_baseline, parse_report, run_bench, BenchParams};
+use noc_obs::{validate_json, Phase};
+use noc_sim::{Engine, SimConfig, TopologyKind};
 
 fn tiny_params() -> BenchParams {
     BenchParams {
@@ -80,4 +80,26 @@ fn wrong_schema_is_rejected() {
     assert!(err.is_err());
     let err = parse_report("not json at all");
     assert!(err.is_err());
+}
+
+#[test]
+fn profile_comes_from_the_engine_that_was_timed() {
+    // On an idle network the engine shows in the profile: the in-order
+    // body times every router's (empty) allocation phases; the active-set
+    // body skips every router, so it attributes exactly nothing to them.
+    let idle = SimConfig {
+        injection_rate: 0.0,
+        ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
+    };
+    let vc_alloc_nanos = |engine| {
+        let params = BenchParams {
+            engine,
+            ..tiny_params()
+        };
+        let w = bench_workload("idle".to_string(), &idle, &params);
+        assert!(w.profile.wall_nanos > 0, "profile not stamped");
+        w.profile.nanos(Phase::VcAlloc)
+    };
+    assert!(vc_alloc_nanos(Engine::Sequential) > 0);
+    assert_eq!(vc_alloc_nanos(Engine::ActiveSet), 0);
 }

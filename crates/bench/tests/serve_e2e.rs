@@ -245,3 +245,38 @@ fn status_and_error_paths_answer_over_tcp() {
     daemon.shutdown();
     let _ = fs::remove_dir_all(&root);
 }
+
+/// A spec no network can be built from is refused with an `error` line —
+/// and the daemon, its handler thread intact, serves the next request.
+#[test]
+fn invalid_config_is_refused_and_the_daemon_keeps_serving() {
+    let root = scratch("invalid");
+    let daemon = start(&opts(&root)).unwrap();
+    let addr = daemon.addr().to_string();
+    for bad in [
+        r#"{"name":"e2e","grids":[{"vcs":[0],"warmup":50,"measure":100}]}"#,
+        r#"{"name":"e2e","grids":[{"buf_depth":0,"warmup":50,"measure":100}]}"#,
+        r#"{"name":"e2e","grids":[{"rates":[2],"warmup":50,"measure":100}]}"#,
+    ] {
+        let mut error_lines = 0;
+        let err = request(
+            &addr,
+            &serve_sweep_request_line("bad", bad, None),
+            |_, e| {
+                error_lines += usize::from(matches!(e, ServeEvent::Error { .. }));
+            },
+        )
+        .unwrap_err();
+        assert_eq!(error_lines, 1, "{bad}: client must receive an error line");
+        assert!(
+            err.contains("daemon refused: sweep spec: grids[0]"),
+            "{err}"
+        );
+    }
+    let good = serve_sweep_request_line("good", &spec_json(&[0.05]), None);
+    let outcome = request(&addr, &good, |_, _| {}).unwrap();
+    assert_eq!(outcome.unique, 1);
+    let counters = daemon.shutdown();
+    assert_eq!(counters.computed, 1, "only the valid request computed");
+    let _ = fs::remove_dir_all(&root);
+}

@@ -274,3 +274,84 @@ fn anatomy_sweep_writes_linked_dumps_without_touching_the_cache_contract() {
     let _ = fs::remove_dir_all(&root);
     let _ = fs::remove_dir_all(&plain_root);
 }
+
+#[test]
+fn telemetry_plus_anatomy_sweep_computes_each_point_once() {
+    let spec = tiny_spec("t");
+    let sweep = |tag: &str, telemetry: bool, anatomy: bool| {
+        let root = scratch(tag);
+        let options = SweepOptions {
+            telemetry,
+            anatomy,
+            ..opts(&root)
+        };
+        let outcome = run_sweep(&spec, &options).unwrap();
+        assert_eq!(outcome.computed, outcome.total);
+        (root, outcome)
+    };
+    let (both_root, both) = sweep("both", true, true);
+    let (tel_root, tel) = sweep("both-telemetry", true, false);
+    let (ana_root, ana) = sweep("both-anatomy", false, true);
+    let dumps = |root: &Path, suffix: &str| -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(root.join("cache"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with(suffix))
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, fs::read(&p).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    // One simulation per point fed both observers: each dump is the one
+    // the single-observer sweep writes, byte for byte.
+    for (suffix, alone_root) in [
+        (".telemetry.jsonl", &tel_root),
+        (".anatomy.jsonl", &ana_root),
+    ] {
+        let combined = dumps(&both_root, suffix);
+        assert_eq!(combined.len(), both.total, "{suffix}: one dump per point");
+        assert_eq!(combined, dumps(alone_root, suffix), "{suffix}");
+    }
+    for (a, b) in both
+        .results
+        .iter()
+        .zip(tel.results.iter().zip(&ana.results))
+    {
+        assert_eq!(a.to_json_full(), b.0.to_json_full());
+        assert_eq!(a.to_json_full(), b.1.to_json_full());
+    }
+    for root in [both_root, tel_root, ana_root] {
+        let _ = fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn invalid_spec_is_rejected_before_anything_is_cached_or_journaled() {
+    // From outside: the parser refuses it.
+    let err = SweepSpec::from_json(r#"{"name":"bad","grids":[{"vcs":[0]}]}"#).unwrap_err();
+    assert!(err.contains("grids[0]") && err.contains("VCs"), "{err}");
+    // Built in code: `run_sweep` refuses it, touching neither directory.
+    let root = scratch("invalid");
+    for grid in [
+        SweepGrid {
+            vcs: vec![1, 0],
+            ..SweepGrid::default()
+        },
+        SweepGrid {
+            rates: vec![0.1, 2.0],
+            ..SweepGrid::default()
+        },
+    ] {
+        let spec = SweepSpec {
+            name: "bad".into(),
+            grids: vec![grid],
+        };
+        let err = run_sweep(&spec, &opts(&root)).unwrap_err();
+        assert!(err.starts_with("sweep spec: grids[0]: "), "{err}");
+    }
+    assert!(!root.join("cache").exists(), "nothing may be cached");
+    assert!(!root.join("sweeps").exists(), "nothing may be journaled");
+}

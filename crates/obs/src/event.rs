@@ -99,6 +99,17 @@ impl TraceSink for NopSink {
     fn record(&mut self, _: FlitEvent) {}
 }
 
+/// A borrowed sink is a sink: a run can report into a sink its caller
+/// keeps.
+impl<T: TraceSink> TraceSink for &mut T {
+    const ACTIVE: bool = T::ACTIVE;
+
+    #[inline(always)]
+    fn record(&mut self, ev: FlitEvent) {
+        (**self).record(ev);
+    }
+}
+
 /// Buffers events in memory (feeds [`crate::chrome_trace`]), bounded:
 /// once `capacity` events are stored, further events are counted in
 /// [`VecSink::dropped`] instead of growing the buffer, so a long traced

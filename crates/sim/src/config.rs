@@ -59,7 +59,54 @@ pub struct SimConfig {
     pub routing_override: Option<RoutingKind>,
 }
 
+/// Why a [`SimConfig`] cannot be simulated (see [`SimConfig::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ConfigError {
+    /// A count no network can be built or driven with at zero; carries the
+    /// field's description (VCs per class, buffer depth, burst, payload).
+    Zero(&'static str),
+    /// `injection_rate` is NaN, infinite, or outside `[0, 1]`
+    /// flits/cycle/terminal.
+    Rate(f64),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Zero(what) => write!(f, "{what} must be at least 1"),
+            ConfigError::Rate(r) => write!(
+                f,
+                "injection rate {r} is not a number in [0, 1] flits/cycle/terminal"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl SimConfig {
+    /// Checks the numeric fields a network cannot be built or driven
+    /// without. Configurations arriving from outside the program (CLI
+    /// flags, sweep specs, serve requests) are validated where they enter;
+    /// [`crate::Network::new`] and the run drivers assume a valid config.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (count, what) in [
+            (self.vcs_per_class, "VCs per class"),
+            (self.buf_depth, "buffer depth in flits"),
+            (self.burst, "burst in packets"),
+            (self.payload_flits, "payload in flits"),
+        ] {
+            if count == 0 {
+                return Err(ConfigError::Zero(what));
+            }
+        }
+        // `contains` is false for NaN, so this also rejects non-finite rates.
+        if !(0.0..=1.0).contains(&self.injection_rate) {
+            return Err(ConfigError::Rate(self.injection_rate));
+        }
+        Ok(())
+    }
+
     /// The paper's baseline configuration for a topology and VC count:
     /// separable input-first VC and switch allocation with round-robin
     /// arbiters, pessimistic speculation, uniform random traffic.
@@ -122,5 +169,34 @@ mod tests {
         let f = SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 4);
         assert_eq!(f.vc_spec().total_vcs(), 16);
         assert_eq!(f.vc_spec().ports(), 10);
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let base = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2);
+        assert_eq!(base.validate(), Ok(()));
+        let bad = |f: fn(&mut SimConfig)| {
+            let mut cfg = base.clone();
+            f(&mut cfg);
+            cfg.validate().expect_err("must be rejected")
+        };
+        let zero = |f| match bad(f) {
+            ConfigError::Zero(what) => what,
+            other => panic!("expected a zero-count error, got {other:?}"),
+        };
+        assert!(zero(|c| c.vcs_per_class = 0).starts_with("VCs"));
+        assert!(zero(|c| c.buf_depth = 0).starts_with("buffer depth"));
+        assert!(zero(|c| c.burst = 0).starts_with("burst"));
+        assert!(zero(|c| c.payload_flits = 0).starts_with("payload"));
+        assert_eq!(bad(|c| c.injection_rate = 2.0), ConfigError::Rate(2.0));
+        assert_eq!(bad(|c| c.injection_rate = -1.0), ConfigError::Rate(-1.0));
+        assert!(matches!(
+            bad(|c| c.injection_rate = f64::NAN),
+            ConfigError::Rate(r) if r.is_nan()
+        ));
+        // Zero load is a valid (drain-phase) configuration.
+        let mut idle = base.clone();
+        idle.injection_rate = 0.0;
+        assert_eq!(idle.validate(), Ok(()));
     }
 }

@@ -31,17 +31,16 @@ pub mod topology;
 pub mod traffic;
 pub mod verify;
 
-pub use config::SimConfig;
+pub use config::{ConfigError, SimConfig};
 pub use digest::digest_pairs;
 pub use network::Network;
 pub use packet::{Flit, PacketKind};
 pub use routing::RoutingKind;
 pub use sim::{
-    latency_curve, latency_curve_with, run_many, run_sim, run_sim_anatomy, run_sim_auto,
-    run_sim_engine, run_sim_observed, run_sim_profiled, run_sim_recorded, run_sim_recorded_with,
-    run_sim_replicated, saturation_rate, saturation_rate_with, summarize, zero_load_latency,
-    Engine, ObservedRun, SimResult, TelemetryOptions, WatchdogTrip,
+    latency_curve, latency_curve_with, run_many, run_sim, run_sim_auto, run_sim_engine,
+    run_sim_profiled, run_sim_replicated, saturation_rate, saturation_rate_with, summarize,
+    zero_load_latency, Engine, Run, RunOutput, SimResult, TelemetryOptions, WatchdogTrip,
 };
 pub use topology::{Topology, TopologyKind};
 pub use traffic::TrafficPattern;
-pub use verify::{run_sim_verified, InvariantChecker, NopChecker, StrictChecker, VerifyReport};
+pub use verify::StrictChecker;

@@ -6,7 +6,7 @@ use crate::router::{Router, RouterConfig, RouterOutputs, RouterStats};
 use crate::stats::NetStats;
 use crate::terminal::{RouterProbe, Terminal};
 use crate::topology::Topology;
-use crate::verify::{InvariantChecker, NopChecker};
+use crate::verify::StrictChecker;
 use noc_obs::{
     AnatomyCollector, FlightRecorder, FlitEvent, FlitEventKind, MetricsRegistry, NopProfiler,
     NopSink, Phase, PhaseProfiler, RouterBreakdown, RouterObs, TraceSink,
@@ -179,6 +179,10 @@ pub struct Network<S: TraceSink = NopSink> {
     /// order — both engine-invariant, so dumps are byte-identical across
     /// engines.
     pub anatomy: Option<AnatomyCollector>,
+    /// Opt-in runtime invariant checker (see [`Network::enable_verify`]).
+    /// Audited on the main thread after every cycle's commit, so it works
+    /// on every engine.
+    pub checker: Option<StrictChecker>,
 }
 
 impl Network<NopSink> {
@@ -250,6 +254,7 @@ impl<S: TraceSink> Network<S> {
             metrics: None,
             telemetry: None,
             anatomy: None,
+            checker: None,
         }
     }
 
@@ -285,6 +290,13 @@ impl<S: TraceSink> Network<S> {
         }
     }
 
+    /// Turns on the runtime invariant checker: after every cycle the
+    /// per-router matching-legality invariants and a whole-network
+    /// credit-conservation audit run against the committed state.
+    pub fn enable_verify(&mut self) {
+        self.checker = Some(StrictChecker::default());
+    }
+
     /// Arms a one-shot injected panic in router `r` at cycle `cycle` (see
     /// [`Router::arm_test_panic`]); panic-safety regression tests only.
     #[doc(hidden)]
@@ -309,254 +321,106 @@ impl<S: TraceSink> Network<S> {
         &mut self.cfg
     }
 
-    /// Runs one network cycle.
+    /// Runs one network cycle in router-id order.
     pub fn step(&mut self) {
-        self.step_profiled(&mut NopProfiler)
+        self.run(1);
     }
 
-    /// Runs one network cycle, attributing wall time to pipeline phases.
-    /// With [`NopProfiler`] every clock read compiles away and this is the
-    /// plain [`Network::step`] fast path.
-    pub fn step_profiled<P: PhaseProfiler>(&mut self, prof: &mut P) {
-        self.step_checked(prof, &mut NopChecker)
+    /// Runs `cycles` network cycles in router-id order.
+    pub fn run(&mut self, cycles: u64) {
+        self.run_in_order(cycles, false, &mut NopProfiler);
     }
 
-    /// Runs one network cycle with the runtime invariant checker attached.
-    /// With [`NopChecker`] (the [`Network::step`] / [`Network::step_profiled`]
-    /// path) every check compiles away; an active checker additionally runs
-    /// the per-router matching-legality invariants and a whole-network
-    /// credit-conservation audit after the cycle.
-    pub fn step_checked<P: PhaseProfiler, K: InvariantChecker>(
-        &mut self,
-        prof: &mut P,
-        chk: &mut K,
-    ) {
-        let now = self.now;
-        deliver_and_inject(
-            &self.topo,
-            &self.cfg,
-            &mut self.wheel,
-            &mut self.routers,
-            &mut self.terminals,
-            &mut self.stats,
-            &mut self.sink,
-            &mut self.anatomy,
-            now,
-            prof,
-        );
-
-        // --- routers: two-phase (compute into out_buf, commit to wheel) ----
-        // Compute only touches the router itself; commit only schedules
-        // wheel events with delay >= 1, so interleaving compute/commit per
-        // router (here) is cycle-identical to computing all routers first
-        // (the parallel engine) as long as commits stay in router-id order.
-        for r in 0..self.routers.len() {
-            {
-                let (routers, out_buf, topo, sink) = (
-                    &mut self.routers,
-                    &mut self.out_buf,
-                    &self.topo,
-                    &mut self.sink,
-                );
-                routers[r].step_into(topo, now, &mut out_buf[r], sink, prof);
-            }
-            commit_outputs(
-                &self.topo,
-                &self.rev,
-                &mut self.wheel,
-                r,
-                &mut self.out_buf[r],
-                &mut self.anatomy,
-                now,
-            );
-        }
-
-        // --- runtime invariants --------------------------------------------
-        if K::ACTIVE {
-            for r in &self.routers {
-                r.check_invariants(chk);
-            }
-            self.audit_credit_conservation(chk);
-        }
-        finish_cycle(
-            &self.routers,
-            &self.terminals,
-            &self.stats,
-            &mut self.metrics,
-            &mut self.telemetry,
-            K::ACTIVE,
-            now,
-        );
-        self.now += 1;
-    }
-
-    /// Runs one network cycle with the router compute phase sharded across
-    /// `threads` scoped threads. Cycle-identical to [`Network::step`]: the
-    /// compute phase of each router reads nothing outside the router, and
-    /// the commit phase runs on this thread in router-id order, so the
-    /// timing-wheel event order matches the sequential engine exactly.
+    /// The in-order engine body behind the sequential (`skip_idle =
+    /// false`) and active-set (`skip_idle = true`) engines, attributing
+    /// wall time to pipeline phases through `prof` (with [`NopProfiler`]
+    /// every clock read compiles away). Each cycle delivers and injects,
+    /// then computes and commits router by router, then does the
+    /// post-commit bookkeeping.
     ///
-    /// With an active trace sink the compute phase falls back to a
-    /// sequential in-order loop so trace event order stays identical too.
-    pub fn step_parallel(&mut self, threads: usize) {
-        let threads = threads.clamp(1, self.routers.len().max(1));
-        let now = self.now;
-        deliver_and_inject(
-            &self.topo,
-            &self.cfg,
-            &mut self.wheel,
-            &mut self.routers,
-            &mut self.terminals,
-            &mut self.stats,
-            &mut self.sink,
-            &mut self.anatomy,
-            now,
-            &mut NopProfiler,
-        );
-
-        if S::ACTIVE || threads == 1 {
-            for r in 0..self.routers.len() {
-                let (routers, out_buf, topo, sink) = (
-                    &mut self.routers,
-                    &mut self.out_buf,
-                    &self.topo,
-                    &mut self.sink,
-                );
-                routers[r].step_into(topo, now, &mut out_buf[r], sink, &mut NopProfiler);
-            }
-        } else {
-            let topo = &self.topo;
-            let chunk = self.routers.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for (rs, os) in self
-                    .routers
-                    .chunks_mut(chunk)
-                    .zip(self.out_buf.chunks_mut(chunk))
-                {
-                    s.spawn(move || {
-                        for (router, out) in rs.iter_mut().zip(os.iter_mut()) {
-                            router.step_into(topo, now, out, &mut NopSink, &mut NopProfiler);
-                        }
-                    });
-                }
-            });
-        }
-
-        for r in 0..self.routers.len() {
-            commit_outputs(
-                &self.topo,
-                &self.rev,
-                &mut self.wheel,
-                r,
-                &mut self.out_buf[r],
-                &mut self.anatomy,
-                now,
-            );
-        }
-        finish_cycle(
-            &self.routers,
-            &self.terminals,
-            &self.stats,
-            &mut self.metrics,
-            &mut self.telemetry,
-            false,
-            now,
-        );
-        self.now += 1;
-    }
-
-    /// Runs one network cycle skipping routers with no buffered flits and
-    /// no flit in switch traversal. Cycle-identical to [`Network::step`]:
-    /// an idle router's step produces no outputs and touches no allocator
-    /// state; its only observable effect — one `empty` stall count per
-    /// input VC — is accrued as a debt settled by [`Network::flush_skips`]
-    /// (or lazily on the router's next non-idle step).
-    pub fn step_active(&mut self) {
-        let now = self.now;
-        deliver_and_inject(
-            &self.topo,
-            &self.cfg,
-            &mut self.wheel,
-            &mut self.routers,
-            &mut self.terminals,
-            &mut self.stats,
-            &mut self.sink,
-            &mut self.anatomy,
-            now,
-            &mut NopProfiler,
-        );
-
-        for r in 0..self.routers.len() {
-            if self.routers[r].is_idle() {
-                self.routers[r].note_skipped();
-                continue;
-            }
-            {
-                let (routers, out_buf, topo, sink) = (
-                    &mut self.routers,
-                    &mut self.out_buf,
-                    &self.topo,
-                    &mut self.sink,
-                );
-                routers[r].step_into(topo, now, &mut out_buf[r], sink, &mut NopProfiler);
-            }
-            commit_outputs(
-                &self.topo,
-                &self.rev,
-                &mut self.wheel,
-                r,
-                &mut self.out_buf[r],
-                &mut self.anatomy,
-                now,
-            );
-        }
-        finish_cycle(
-            &self.routers,
-            &self.terminals,
-            &self.stats,
-            &mut self.metrics,
-            &mut self.telemetry,
-            false,
-            now,
-        );
-        self.now += 1;
-    }
-
-    /// Settles the active-set engine's skipped-cycle debt so stall-cause
-    /// read-outs ([`Network::router_obs`], [`Network::router_breakdowns`])
-    /// match the sequential engine exactly. [`Network::run_active`] calls
-    /// this; manual [`Network::step_active`] users must call it before
-    /// reading per-VC stall counters.
-    pub fn flush_skips(&mut self) {
-        for r in &mut self.routers {
-            r.flush_skipped();
-        }
-    }
-
-    /// Runs `cycles` cycles on the active-set engine and settles skip
-    /// debts.
-    pub fn run_active(&mut self, cycles: u64) {
+    /// Skipping is cycle-identical to stepping: an idle router's step
+    /// produces no outputs and touches no allocator state; its only
+    /// observable effect — one `empty` stall count per input VC — is
+    /// accrued as a debt that the router settles on its next real step and
+    /// this loop settles at the end of the run, so stall-cause read-outs
+    /// ([`Network::router_obs`], [`Network::router_breakdowns`]) match the
+    /// sequential engine exactly.
+    pub fn run_in_order<P: PhaseProfiler>(&mut self, cycles: u64, skip_idle: bool, prof: &mut P) {
         for _ in 0..cycles {
-            self.step_active();
+            let now = self.now;
+            deliver_and_inject(
+                &self.topo,
+                &self.cfg,
+                &mut self.wheel,
+                &mut self.routers,
+                &mut self.terminals,
+                &mut self.stats,
+                &mut self.sink,
+                &mut self.anatomy,
+                now,
+                prof,
+            );
+
+            // Two-phase: compute into out_buf, commit to the wheel. Compute
+            // only touches the router itself; commit only schedules wheel
+            // events with delay >= 1, so interleaving compute/commit per
+            // router (here) is cycle-identical to computing all routers
+            // first (the parallel engine) as long as commits stay in
+            // router-id order.
+            for r in 0..self.routers.len() {
+                if skip_idle && self.routers[r].is_idle() {
+                    self.routers[r].note_skipped();
+                    continue;
+                }
+                let out = &mut self.out_buf[r];
+                self.routers[r].step_into(&self.topo, now, out, &mut self.sink, prof);
+                commit_outputs(
+                    &self.topo,
+                    &self.rev,
+                    &mut self.wheel,
+                    r,
+                    out,
+                    &mut self.anatomy,
+                    now,
+                );
+            }
+            finish_cycle(
+                &self.topo,
+                self.cfg.buf_depth,
+                &self.wheel,
+                &self.routers,
+                &self.terminals,
+                &self.stats,
+                &mut self.metrics,
+                &mut self.telemetry,
+                &mut self.checker,
+                now,
+            );
+            self.now += 1;
         }
-        self.flush_skips();
+        if skip_idle {
+            for r in &mut self.routers {
+                r.flush_skipped();
+            }
+        }
     }
 
-    /// Runs `cycles` cycles on the parallel engine with a persistent pool
-    /// of `threads` workers, avoiding the per-cycle thread-spawn cost of
-    /// [`Network::step_parallel`]. Workers spin between cycles, so this is
-    /// a throughput engine for batch runs, not for interactive stepping.
+    /// Runs `cycles` cycles on the parallel engine: a persistent pool of
+    /// `threads` workers computes the routers' steps in disjoint shards,
+    /// and this thread commits their outputs in router-id order, so the
+    /// timing-wheel event order — and with it every result, trace and dump
+    /// — matches [`Network::run`] exactly (each router's compute phase
+    /// reads nothing outside the router). Workers spin between cycles, so
+    /// this is a throughput engine for batch runs.
     ///
-    /// Cycle-identical to [`Network::run`] for the same reasons as
-    /// [`Network::step_parallel`]. With an active trace sink it degrades to
-    /// per-cycle sequential-compute steps so trace order is preserved.
-    pub fn run_parallel(&mut self, cycles: u64, threads: usize) {
+    /// A per-router observer — an active trace sink or an active profiler
+    /// — needs the routers stepped in order on one thread, so with either
+    /// attached (or with a single worker) the run takes the in-order body
+    /// instead.
+    pub fn run_parallel<P: PhaseProfiler>(&mut self, cycles: u64, threads: usize, prof: &mut P) {
         let threads = threads.clamp(1, self.routers.len().max(1));
-        if threads == 1 || S::ACTIVE {
-            for _ in 0..cycles {
-                self.step_parallel(threads);
-            }
-            return;
+        if threads == 1 || S::ACTIVE || P::ACTIVE {
+            return self.run_in_order(cycles, false, prof);
         }
         if cycles == 0 {
             return;
@@ -645,6 +509,7 @@ impl<S: TraceSink> Network<S> {
             metrics,
             telemetry,
             anatomy,
+            checker,
         } = self;
         let n = routers.len();
         let guard = Restore {
@@ -799,116 +664,21 @@ impl<S: TraceSink> Network<S> {
                     std::slice::from_raw_parts(guard.router_cells.as_ptr() as *const Router, n)
                 };
                 finish_cycle(
+                    topo_ref,
+                    cfg.buf_depth,
+                    wheel,
                     routers_ref,
                     terminals,
                     stats,
                     metrics,
                     telemetry,
-                    false,
+                    checker,
                     cycle_now,
                 );
             }
             *now = base_now + cycles;
             drop(stop_guard);
         });
-    }
-
-    /// Verifies credit conservation on every channel: upstream credits plus
-    /// in-flight flits plus downstream occupancy plus in-flight return
-    /// credits must equal the buffer depth, for router→router links,
-    /// terminal injection channels and terminal ejection channels alike.
-    fn audit_credit_conservation<K: InvariantChecker>(&self, chk: &mut K) {
-        use std::collections::HashMap;
-        let depth = self.cfg.buf_depth;
-        let Some(first) = self.routers.first() else {
-            return;
-        };
-        let vcs = first.vcs();
-        // One pass over the timing wheel counts every in-flight event.
-        let mut flit_to_router: HashMap<(usize, usize, usize), usize> = HashMap::new();
-        let mut credit_to_router: HashMap<(usize, usize, usize), usize> = HashMap::new();
-        let mut flit_to_term: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut credit_to_term: HashMap<(usize, usize), usize> = HashMap::new();
-        for slot in &self.wheel.slots {
-            for ev in slot {
-                match ev {
-                    Event::FlitToRouter {
-                        router, port, vc, ..
-                    } => *flit_to_router.entry((*router, *port, *vc)).or_default() += 1,
-                    Event::CreditToRouter { router, port, vc } => {
-                        *credit_to_router.entry((*router, *port, *vc)).or_default() += 1
-                    }
-                    Event::FlitToTerminal { term, vc, .. } => {
-                        *flit_to_term.entry((*term, *vc)).or_default() += 1
-                    }
-                    Event::CreditToTerminal { term, vc } => {
-                        *credit_to_term.entry((*term, *vc)).or_default() += 1
-                    }
-                }
-            }
-        }
-        let count3 = |m: &HashMap<(usize, usize, usize), usize>, k| m.get(&k).copied().unwrap_or(0);
-        let count2 = |m: &HashMap<(usize, usize), usize>, k| m.get(&k).copied().unwrap_or(0);
-        let mut checks = 0u64;
-        for r in 0..self.routers.len() {
-            for p in 0..self.topo.ports {
-                if let Some(l) = self.topo.link(r, p) {
-                    for vc in 0..vcs {
-                        checks += 1;
-                        let total = self.routers[r].output_credits(p, vc)
-                            + count3(&flit_to_router, (l.to_router, l.to_port, vc))
-                            + self.routers[l.to_router].input_occupancy(l.to_port, vc)
-                            + count3(&credit_to_router, (r, p, vc));
-                        if total != depth {
-                            chk.violation(format!(
-                                "cycle {}: credit conservation broken on link \
-                                 {r}:{p} -> {}:{} vc {vc}: credits + in-flight + \
-                                 occupancy = {total}, buffer depth {depth}",
-                                self.now, l.to_router, l.to_port
-                            ));
-                        }
-                    }
-                } else if let Some(term) = self.topo.port_terminal(r, p) {
-                    for vc in 0..vcs {
-                        checks += 2;
-                        // Ejection channel (ideal sink: no terminal buffer).
-                        let eject = self.routers[r].output_credits(p, vc)
-                            + count2(&flit_to_term, (term, vc))
-                            + count3(&credit_to_router, (r, p, vc));
-                        if eject != depth {
-                            chk.violation(format!(
-                                "cycle {}: credit conservation broken on ejection \
-                                 channel {r}:{p} -> terminal {term} vc {vc}: \
-                                 credits + in-flight = {eject}, buffer depth {depth}",
-                                self.now
-                            ));
-                        }
-                        // Injection channel.
-                        let inject = self.terminals[term].credits(vc)
-                            + count3(&flit_to_router, (r, p, vc))
-                            + self.routers[r].input_occupancy(p, vc)
-                            + count2(&credit_to_term, (term, vc));
-                        if inject != depth {
-                            chk.violation(format!(
-                                "cycle {}: credit conservation broken on injection \
-                                 channel terminal {term} -> {r}:{p} vc {vc}: \
-                                 credits + in-flight + occupancy = {inject}, \
-                                 buffer depth {depth}",
-                                self.now
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        chk.add_checks(checks);
-    }
-
-    /// Runs `cycles` network cycles.
-    pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
-        }
     }
 
     /// True when no flit is buffered, in flight, or queued anywhere.
@@ -1173,23 +943,130 @@ fn commit_outputs(
     }
 }
 
-/// Post-commit bookkeeping: debug-build invariant checks, sampled time
+/// Verifies credit conservation on every channel: upstream credits plus
+/// in-flight flits plus downstream occupancy plus in-flight return
+/// credits must equal the buffer depth, for router→router links,
+/// terminal injection channels and terminal ejection channels alike.
+fn audit_credit_conservation(
+    topo: &Topology,
+    depth: usize,
+    wheel: &TimingWheel,
+    routers: &[Router],
+    terminals: &[Terminal],
+    now: u64,
+    chk: &mut StrictChecker,
+) {
+    use std::collections::HashMap;
+    let Some(first) = routers.first() else {
+        return;
+    };
+    let vcs = first.vcs();
+    // One pass over the timing wheel counts every in-flight event.
+    let mut flit_to_router: HashMap<(usize, usize, usize), usize> = HashMap::new();
+    let mut credit_to_router: HashMap<(usize, usize, usize), usize> = HashMap::new();
+    let mut flit_to_term: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut credit_to_term: HashMap<(usize, usize), usize> = HashMap::new();
+    for slot in &wheel.slots {
+        for ev in slot {
+            match ev {
+                Event::FlitToRouter {
+                    router, port, vc, ..
+                } => *flit_to_router.entry((*router, *port, *vc)).or_default() += 1,
+                Event::CreditToRouter { router, port, vc } => {
+                    *credit_to_router.entry((*router, *port, *vc)).or_default() += 1
+                }
+                Event::FlitToTerminal { term, vc, .. } => {
+                    *flit_to_term.entry((*term, *vc)).or_default() += 1
+                }
+                Event::CreditToTerminal { term, vc } => {
+                    *credit_to_term.entry((*term, *vc)).or_default() += 1
+                }
+            }
+        }
+    }
+    let count3 = |m: &HashMap<(usize, usize, usize), usize>, k| m.get(&k).copied().unwrap_or(0);
+    let count2 = |m: &HashMap<(usize, usize), usize>, k| m.get(&k).copied().unwrap_or(0);
+    let mut checks = 0u64;
+    for r in 0..routers.len() {
+        for p in 0..topo.ports {
+            if let Some(l) = topo.link(r, p) {
+                for vc in 0..vcs {
+                    checks += 1;
+                    let total = routers[r].output_credits(p, vc)
+                        + count3(&flit_to_router, (l.to_router, l.to_port, vc))
+                        + routers[l.to_router].input_occupancy(l.to_port, vc)
+                        + count3(&credit_to_router, (r, p, vc));
+                    if total != depth {
+                        chk.violation(format!(
+                            "cycle {}: credit conservation broken on link \
+                             {r}:{p} -> {}:{} vc {vc}: credits + in-flight + \
+                             occupancy = {total}, buffer depth {depth}",
+                            now, l.to_router, l.to_port
+                        ));
+                    }
+                }
+            } else if let Some(term) = topo.port_terminal(r, p) {
+                for vc in 0..vcs {
+                    checks += 2;
+                    // Ejection channel (ideal sink: no terminal buffer).
+                    let eject = routers[r].output_credits(p, vc)
+                        + count2(&flit_to_term, (term, vc))
+                        + count3(&credit_to_router, (r, p, vc));
+                    if eject != depth {
+                        chk.violation(format!(
+                            "cycle {}: credit conservation broken on ejection \
+                             channel {r}:{p} -> terminal {term} vc {vc}: \
+                             credits + in-flight = {eject}, buffer depth {depth}",
+                            now
+                        ));
+                    }
+                    // Injection channel.
+                    let inject = terminals[term].credits(vc)
+                        + count3(&flit_to_router, (r, p, vc))
+                        + routers[r].input_occupancy(p, vc)
+                        + count2(&credit_to_term, (term, vc));
+                    if inject != depth {
+                        chk.violation(format!(
+                            "cycle {}: credit conservation broken on injection \
+                             channel terminal {term} -> {r}:{p} vc {vc}: \
+                             credits + in-flight + occupancy = {inject}, \
+                             buffer depth {depth}",
+                            now
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    chk.add_checks(checks);
+}
+
+/// Post-commit bookkeeping: runtime invariant checks, sampled time
 /// series, and flight-recorder window snapshots. Does not advance `now` —
 /// callers own the clock.
+#[allow(clippy::too_many_arguments)]
 fn finish_cycle(
+    topo: &Topology,
+    buf_depth: usize,
+    wheel: &TimingWheel,
     routers: &[Router],
     terminals: &[Terminal],
     stats: &NetStats,
     metrics: &mut Option<MetricsRegistry>,
     telemetry: &mut Option<FlightRecorder>,
-    checker_active: bool,
+    checker: &mut Option<StrictChecker>,
     now: u64,
 ) {
-    if cfg!(debug_assertions) && !checker_active {
+    if let Some(chk) = checker {
+        for r in routers {
+            r.check_invariants(chk);
+        }
+        audit_credit_conservation(topo, buf_depth, wheel, routers, terminals, now, chk);
+    } else if cfg!(debug_assertions) {
         // Debug builds run the (cheap) router-local invariants on the
         // ordinary step path too, so the whole test suite exercises
-        // them; the credit audit stays opt-in via an active checker.
-        let mut strict = crate::verify::StrictChecker::default();
+        // them; the credit audit stays opt-in via an attached checker.
+        let mut strict = StrictChecker::default();
         for r in routers {
             r.check_invariants(&mut strict);
         }

@@ -10,7 +10,7 @@
 use crate::packet::Flit;
 use crate::routing::{route_at, RoutingKind};
 use crate::topology::Topology;
-use crate::verify::InvariantChecker;
+use crate::verify::StrictChecker;
 use noc_arbiter::Bits;
 use noc_core::{
     AllocatorKind, BitMatrix, DenseVcAllocator, OutVc, SparseVcAllocator, SpecAllocResult,
@@ -441,42 +441,22 @@ impl Router {
         );
     }
 
-    /// Runs one cycle without tracing (the common fast path).
+    /// Runs one cycle without tracing or profiling, returning a fresh
+    /// output buffer (single-router tests; the engines call
+    /// [`Router::step_into`] on buffers they keep).
     pub fn step(&mut self, topo: &Topology, now: u64) -> RouterOutputs {
-        self.step_profiled(topo, now, &mut NopSink, &mut NopProfiler)
-    }
-
-    /// Runs one cycle, reporting pipeline steps to `sink`; with
-    /// [`NopSink`] the instrumentation compiles away.
-    pub fn step_traced<S: TraceSink>(
-        &mut self,
-        topo: &Topology,
-        now: u64,
-        sink: &mut S,
-    ) -> RouterOutputs {
-        self.step_profiled(topo, now, sink, &mut NopProfiler)
-    }
-
-    /// Runs one cycle: switch traversal for last cycle's grants, then VC
-    /// allocation and speculative switch allocation in parallel (stage 1
-    /// for the flits still queued). Every pipeline step is reported to
-    /// `sink`, and wall time per pipeline phase to `prof`; with
-    /// [`NopSink`] / [`NopProfiler`] the instrumentation (including every
-    /// clock read) compiles away.
-    pub fn step_profiled<S: TraceSink, P: PhaseProfiler>(
-        &mut self,
-        topo: &Topology,
-        now: u64,
-        sink: &mut S,
-        prof: &mut P,
-    ) -> RouterOutputs {
         let mut out = RouterOutputs::default();
-        self.step_into(topo, now, &mut out, sink, prof);
+        self.step_into(topo, now, &mut out, &mut NopSink, &mut NopProfiler);
         out
     }
 
-    /// Core of one router cycle, writing this cycle's link flits and
-    /// upstream credits into a caller-owned buffer (cleared first). All
+    /// One router cycle: switch traversal for last cycle's grants, then VC
+    /// allocation and speculative switch allocation in parallel (stage 1
+    /// for the flits still queued), writing this cycle's link flits and
+    /// upstream credits into a caller-owned buffer (cleared first). Every
+    /// pipeline step is reported to `sink`, and wall time per pipeline
+    /// phase to `prof`; with [`NopSink`] / [`NopProfiler`] the
+    /// instrumentation (including every clock read) compiles away. All
     /// intermediate state lives in the router's scratch arena, so in steady
     /// state a step performs no heap allocation — the property the
     /// `step_cycle` microbenchmark tracks. The two-phase engines call this
@@ -948,11 +928,7 @@ impl Router {
     /// VC and per output port, each backed by an output VC, a downstream
     /// credit and a buffered flit), the input-VC/output-VC ownership
     /// bijection, buffer/credit bounds, and the no-flit-without-VC rule.
-    /// With a `!ACTIVE` checker this compiles to nothing.
-    pub fn check_invariants<K: InvariantChecker>(&self, chk: &mut K) {
-        if !K::ACTIVE {
-            return;
-        }
+    pub fn check_invariants(&self, chk: &mut StrictChecker) {
         let v = self.vcs;
         let n = self.ports * v;
         let depth = self.cfg.buf_depth;

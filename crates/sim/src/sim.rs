@@ -4,11 +4,13 @@
 use crate::config::SimConfig;
 use crate::network::Network;
 use crate::router::RouterStats;
+use crate::stats::NetStats;
 use crate::steady;
+use crate::verify::StrictChecker;
 use noc_obs::{
     percentile_table_json, AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue,
-    MetricsRegistry, Profiler, RouterBreakdown, RouterObs, TelemetrySummary, TraceSink,
-    WindowSnapshot, DEFAULT_QUANTILES,
+    MetricsRegistry, NopProfiler, NopSink, PhaseProfiler, Profiler, RouterBreakdown, RouterObs,
+    TelemetrySummary, TraceSink, WindowSnapshot, DEFAULT_QUANTILES,
 };
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -362,95 +364,44 @@ impl Engine {
 
     /// Drives `net` for `cycles` cycles on this engine.
     pub fn run<S: TraceSink>(self, net: &mut Network<S>, cycles: u64) {
+        self.run_profiled(net, cycles, &mut NopProfiler);
+    }
+
+    /// As [`Engine::run`], attributing wall time to pipeline phases
+    /// through `prof`.
+    pub fn run_profiled<S: TraceSink, P: PhaseProfiler>(
+        self,
+        net: &mut Network<S>,
+        cycles: u64,
+        prof: &mut P,
+    ) {
         match self {
-            Engine::Sequential => net.run(cycles),
-            Engine::Parallel(_) => net.run_parallel(cycles, self.threads()),
-            Engine::ActiveSet => net.run_active(cycles),
+            Engine::Sequential => net.run_in_order(cycles, false, prof),
+            Engine::ActiveSet => net.run_in_order(cycles, true, prof),
+            Engine::Parallel(_) => net.run_parallel(cycles, self.threads(), prof),
         }
     }
-}
-
-/// As [`run_sim`], but driving the cycle loop with the chosen [`Engine`].
-/// The result is bit-identical across engines.
-pub fn run_sim_engine(cfg: &SimConfig, warmup: u64, measure: u64, engine: Engine) -> SimResult {
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, warmup + measure);
-    engine.run(&mut net, warmup + measure);
-    summarize(&net)
-}
-
-/// As [`run_sim_engine`], with the per-packet latency ledger on: every
-/// router stamps its waiting heads each cycle and ejections fold into the
-/// returned [`AnatomyCollector`] (`capacity` per-packet rows retained,
-/// `top_k` slowest waterfalls kept). The ledger is a pure observer — the
-/// [`SimResult`] is bit-identical to the plain run's — and the fold order
-/// is engine-invariant, so collector dumps are byte-identical across
-/// engines.
-pub fn run_sim_anatomy(
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    engine: Engine,
-    capacity: usize,
-    top_k: usize,
-) -> (SimResult, AnatomyCollector) {
-    let mut net = Network::new(cfg.clone());
-    net.enable_anatomy(capacity, top_k);
-    net.stats.set_window(warmup, warmup + measure);
-    engine.run(&mut net, warmup + measure);
-    let result = summarize(&net);
-    let collector = net
-        .anatomy
-        .take()
-        .unwrap_or_else(|| AnatomyCollector::new(capacity, top_k));
-    (result, collector)
-}
-
-/// Everything produced by an observed run: the summary, the sink with its
-/// recorded events, the sampled time series, and each router's counters.
-pub struct ObservedRun<S: TraceSink> {
-    /// Standard run summary.
-    pub result: SimResult,
-    /// The trace sink, with whatever it recorded.
-    pub sink: S,
-    /// Sampled time series, if sampling was enabled.
-    pub metrics: Option<MetricsRegistry>,
-    /// Per-router observability counters.
-    pub router_obs: Vec<RouterObs>,
 }
 
 /// Runs one simulation: `warmup` cycles to reach steady state, then a
 /// `measure`-cycle window.
 pub fn run_sim(cfg: &SimConfig, warmup: u64, measure: u64) -> SimResult {
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, warmup + measure);
-    net.run(warmup + measure);
-    summarize(&net)
+    Run::new(cfg, warmup, measure).finish().result
 }
 
-/// As [`run_sim`], but reporting flit events to `sink` and, when
-/// `sample_interval` is set, collecting the occupancy/utilization time
-/// series.
-pub fn run_sim_observed<S: TraceSink>(
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    sink: S,
-    sample_interval: Option<u64>,
-) -> ObservedRun<S> {
-    let mut net = Network::with_sink(cfg.clone(), sink);
-    if let Some(interval) = sample_interval {
-        net.enable_metrics(interval);
-    }
-    net.stats.set_window(warmup, warmup + measure);
-    net.run(warmup + measure);
-    let result = summarize(&net);
-    ObservedRun {
-        result,
-        router_obs: net.router_obs(),
-        metrics: net.metrics,
-        sink: net.sink,
-    }
+/// As [`run_sim`], but driving the cycle loop with the chosen [`Engine`].
+/// The result is bit-identical across engines.
+pub fn run_sim_engine(cfg: &SimConfig, warmup: u64, measure: u64, engine: Engine) -> SimResult {
+    Run::new(cfg, warmup, measure)
+        .engine(engine)
+        .finish()
+        .result
+}
+
+/// As [`run_sim`], with phase profiling on (see [`Run::profile`]).
+pub fn run_sim_profiled(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, Profiler) {
+    let out = Run::new(cfg, warmup, measure).profile().finish();
+    (out.result, out.profile.unwrap_or_default())
 }
 
 /// Builds a [`SimResult`] from a network that has finished running.
@@ -499,8 +450,7 @@ pub fn summarize<S: TraceSink>(net: &Network<S>) -> SimResult {
     }
 }
 
-/// Flight-recorder configuration for a recorded run
-/// ([`run_sim_recorded`]).
+/// Flight-recorder configuration for a recorded run ([`Run::telemetry`]).
 #[derive(Clone, Copy, Debug)]
 pub struct TelemetryOptions {
     /// Telemetry window length in cycles.
@@ -580,47 +530,198 @@ impl WatchdogTrip {
     }
 }
 
-/// As [`run_sim_engine`], with the flight recorder on: drives the engine
-/// in window-sized chunks (chunking is cycle-exact on every engine),
-/// invokes `on_window` with each snapshot as its window closes (the live
-/// `noc top` / `--record` streaming hook), and checks the stall watchdog
-/// between chunks. Returns the summary (with its `telemetry` block) plus
-/// the recorder, or the [`WatchdogTrip`] if the network stopped moving.
-pub fn run_sim_recorded_with(
-    cfg: &SimConfig,
+/// One simulation run, described and then executed: the single driver
+/// behind every `run_sim*` function, `noc sim`, `noc explain`, the sweep
+/// runner and the bench harness.
+///
+/// `Run::new(&cfg, warmup, measure)` is the plain sequential run; builder
+/// methods pick the [`Engine`] and attach observers, and [`Run::run`] (or
+/// [`Run::finish`]) executes it. Every observer is a pure observer and
+/// every engine is cycle-identical, so any combination on any engine
+/// yields the same [`SimResult`], trace, and dumps as each observer
+/// attached alone on the sequential engine. Where each observer lives:
+///
+/// * the trace sink and the profiler see every router step — they ride
+///   the in-order cycle body, and the parallel engine falls back to it
+///   while either is attached;
+/// * metrics, telemetry, anatomy and the invariant checker read committed
+///   state on the main thread, so they ride every engine unchanged.
+pub struct Run<'a, S: TraceSink = NopSink> {
+    cfg: &'a SimConfig,
     warmup: u64,
     measure: u64,
     engine: Engine,
-    opts: TelemetryOptions,
-    mut on_window: impl FnMut(&WindowSnapshot),
-) -> Result<(SimResult, FlightRecorder), Box<WatchdogTrip>> {
-    let mut net = Network::new(cfg.clone());
-    net.enable_telemetry(opts.window, opts.capacity, opts.matching_period());
-    net.stats.set_window(warmup, warmup + measure);
-    let total = warmup + measure;
-    let mut done = 0u64;
-    while done < total {
-        let chunk = opts.window.min(total - done);
-        engine.run(&mut net, chunk);
-        done += chunk;
-        // The recorder was installed by enable_telemetry above; an `if let`
-        // keeps the hot path free of unwrap machinery.
-        let Some(rec) = net.telemetry.as_ref() else {
-            break;
-        };
-        if let Some(snap) = rec.latest() {
-            if snap.cycle == done {
+    sink: S,
+    profile: bool,
+    metrics: Option<u64>,
+    telemetry: Option<TelemetryOptions>,
+    anatomy: Option<(usize, usize)>,
+    verify: bool,
+    timeline: Option<u64>,
+}
+
+/// Everything a finished [`Run`] produced. Observer fields are `Some`
+/// exactly when the observer was attached.
+pub struct RunOutput {
+    /// Standard run summary (its `telemetry` block is present iff a
+    /// recorder was attached).
+    pub result: SimResult,
+    /// The network's measurement statistics.
+    pub stats: NetStats,
+    /// Per-router observability counters, in router-id order.
+    pub router_obs: Vec<RouterObs>,
+    /// Phase attribution, stamped with the run's wall time and cycle
+    /// count so shares and cycles/sec are ready to read ([`Run::profile`]).
+    pub profile: Option<Profiler>,
+    /// Sampled time series ([`Run::metrics`]).
+    pub metrics: Option<MetricsRegistry>,
+    /// The flight recorder, ring intact ([`Run::telemetry`]).
+    pub recorder: Option<FlightRecorder>,
+    /// The per-packet latency ledger ([`Run::anatomy`]).
+    pub anatomy: Option<AnatomyCollector>,
+    /// The invariant checker's report ([`Run::verify`]).
+    pub verify: Option<StrictChecker>,
+}
+
+impl<'a> Run<'a> {
+    /// A plain run of `cfg` on the sequential engine measuring
+    /// `[warmup, warmup + measure)`, with no observer attached.
+    pub fn new(cfg: &'a SimConfig, warmup: u64, measure: u64) -> Self {
+        Run {
+            cfg,
+            warmup,
+            measure,
+            engine: Engine::Sequential,
+            sink: NopSink,
+            profile: false,
+            metrics: None,
+            telemetry: None,
+            anatomy: None,
+            verify: false,
+            timeline: None,
+        }
+    }
+}
+
+impl<'a, S: TraceSink> Run<'a, S> {
+    /// Drives the cycle loop with `engine`.
+    pub fn engine(mut self, engine: Engine) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// Reports every flit event to `sink`, which the caller keeps.
+    pub fn sink<T: TraceSink>(self, sink: &'a mut T) -> Run<'a, &'a mut T> {
+        Run {
+            sink,
+            cfg: self.cfg,
+            warmup: self.warmup,
+            measure: self.measure,
+            engine: self.engine,
+            profile: self.profile,
+            metrics: self.metrics,
+            telemetry: self.telemetry,
+            anatomy: self.anatomy,
+            verify: self.verify,
+            timeline: self.timeline,
+        }
+    }
+
+    /// Attributes wall time and event counts to the router pipeline
+    /// phases ([`RunOutput::profile`]).
+    pub fn profile(mut self) -> Self {
+        self.profile = true;
+        self
+    }
+
+    /// Samples the occupancy / channel-utilization time series every
+    /// `sample_interval` cycles.
+    pub fn metrics(mut self, sample_interval: u64) -> Self {
+        self.metrics = Some(sample_interval);
+        self
+    }
+
+    /// Attaches the flight recorder: [`Run::run`] then drives the engine
+    /// in window-sized chunks (chunking is cycle-exact on every engine),
+    /// hands each snapshot to its callback as the window closes, and
+    /// checks the stall watchdog between chunks.
+    pub fn telemetry(mut self, opts: TelemetryOptions) -> Self {
+        self.telemetry = Some(opts);
+        self
+    }
+
+    /// Attaches the per-packet latency ledger: every router stamps its
+    /// waiting heads each cycle and ejections fold into an
+    /// [`AnatomyCollector`] (`capacity` per-packet rows retained, `top_k`
+    /// slowest waterfalls kept).
+    pub fn anatomy(mut self, capacity: usize, top_k: usize) -> Self {
+        self.anatomy = Some((capacity, top_k));
+        self
+    }
+
+    /// Audits the runtime invariants after every cycle (see
+    /// [`crate::verify`]).
+    pub fn verify(mut self) -> Self {
+        self.verify = true;
+        self
+    }
+
+    /// Records a windowed latency timeline in the run's statistics (the
+    /// steady-state detector's input).
+    fn timeline(mut self, window: u64) -> Self {
+        self.timeline = Some(window);
+        self
+    }
+
+    /// Executes the run. `on_window` receives each telemetry snapshot as
+    /// its window closes (the live `noc top` / `--record` streaming hook;
+    /// never called without [`Run::telemetry`]). Fails only when the
+    /// recorder's stall watchdog fires.
+    pub fn run(
+        self,
+        mut on_window: impl FnMut(&WindowSnapshot),
+    ) -> Result<RunOutput, Box<WatchdogTrip>> {
+        let mut net = Network::with_sink(self.cfg.clone(), self.sink);
+        let total = self.warmup + self.measure;
+        net.stats.set_window(self.warmup, total);
+        if let Some(window) = self.timeline {
+            net.stats.enable_timeline(window);
+        }
+        if let Some(interval) = self.metrics {
+            net.enable_metrics(interval);
+        }
+        if let Some(opts) = &self.telemetry {
+            net.enable_telemetry(opts.window, opts.capacity, opts.matching_period());
+        }
+        if let Some((capacity, top_k)) = self.anatomy {
+            net.enable_anatomy(capacity, top_k);
+        }
+        if self.verify {
+            net.enable_verify();
+        }
+        // Only a recorder has windows to report and a watchdog to check
+        // between them; every other run is one uninterrupted engine call.
+        let chunk = self.telemetry.map_or(total, |opts| opts.window);
+        let mut profile = self.profile.then(Profiler::default);
+        let start = Instant::now();
+        while net.now < total {
+            let cycles = chunk.min(total - net.now);
+            match &mut profile {
+                Some(prof) => self.engine.run_profiled(&mut net, cycles, prof),
+                None => self.engine.run(&mut net, cycles),
+            }
+            let (Some(opts), Some(rec)) = (&self.telemetry, &net.telemetry) else {
+                continue;
+            };
+            if let Some(snap) = rec.latest().filter(|snap| snap.cycle == net.now) {
                 on_window(snap);
             }
-        }
-        if let Some(threshold) = opts.watchdog {
             let stalled = rec.stalled_windows();
-            if stalled >= threshold {
-                let in_flight = rec.latest().map_or(0, |s| s.in_flight);
-                let recorder = net
-                    .telemetry
-                    .take()
-                    .unwrap_or_else(|| FlightRecorder::new(opts.window, opts.capacity));
+            if opts.watchdog.is_some_and(|threshold| stalled >= threshold) {
+                let in_flight = rec.latest().map_or(0, |snap| snap.in_flight);
+                let Some(recorder) = net.telemetry.take() else {
+                    unreachable!("the recorder was read just above")
+                };
                 return Err(Box::new(WatchdogTrip {
                     cycle: net.now,
                     stalled_windows: stalled,
@@ -630,24 +731,33 @@ pub fn run_sim_recorded_with(
                 }));
             }
         }
+        if let Some(prof) = &mut profile {
+            prof.wall_nanos = start.elapsed().as_nanos() as u64;
+            prof.cycles = total;
+        }
+        Ok(RunOutput {
+            result: summarize(&net),
+            router_obs: net.router_obs(),
+            profile,
+            stats: net.stats,
+            metrics: net.metrics,
+            recorder: net.telemetry,
+            anatomy: net.anatomy,
+            verify: net.checker,
+        })
     }
-    let result = summarize(&net);
-    let recorder = net
-        .telemetry
-        .take()
-        .unwrap_or_else(|| FlightRecorder::new(opts.window, opts.capacity));
-    Ok((result, recorder))
-}
 
-/// [`run_sim_recorded_with`] without a per-window callback.
-pub fn run_sim_recorded(
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    engine: Engine,
-    opts: TelemetryOptions,
-) -> Result<(SimResult, FlightRecorder), Box<WatchdogTrip>> {
-    run_sim_recorded_with(cfg, warmup, measure, engine, opts, |_| {})
+    /// Executes the run with no per-window callback and the stall watchdog
+    /// off, so it cannot fail.
+    pub fn finish(mut self) -> RunOutput {
+        if let Some(opts) = &mut self.telemetry {
+            opts.watchdog = None;
+        }
+        match self.run(|_| {}) {
+            Ok(out) => out,
+            Err(trip) => unreachable!("watchdog is off: {}", trip.describe()),
+        }
+    }
 }
 
 /// Default warmup/measurement lengths used by the figure benches.
@@ -771,10 +881,7 @@ where
 /// (a multiple of the timeline window).
 fn detect_warmup(cfg: &SimConfig, total: u64) -> u64 {
     let window = timeline_window_for(total);
-    let mut pilot = Network::new(cfg.clone());
-    pilot.stats.set_window(0, total);
-    pilot.stats.enable_timeline(window);
-    pilot.run(total);
+    let pilot = Run::new(cfg, 0, total).timeline(window).finish();
     steady::mser_truncation(&pilot.stats.timeline_means()) as u64 * window
 }
 
@@ -785,11 +892,8 @@ fn detect_warmup(cfg: &SimConfig, total: u64) -> u64 {
 /// batch-means 95% confidence interval on the mean latency.
 pub fn run_sim_auto(cfg: &SimConfig, total: u64) -> SimResult {
     let warmup = detect_warmup(cfg, total);
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, total);
-    net.stats.enable_timeline(timeline_window_for(total));
-    net.run(total);
-    let mut res = summarize(&net);
+    let run = Run::new(cfg, warmup, total - warmup).timeline(timeline_window_for(total));
+    let mut res = run.finish().result;
     res.warmup_detected = Some(warmup);
     res
 }
@@ -810,10 +914,7 @@ pub fn run_sim_replicated(cfg: &SimConfig, total: u64, n_seeds: usize) -> SimRes
             seed: cfg.seed.wrapping_add(i as u64),
             ..cfg.clone()
         };
-        let mut net = Network::new(cfg_i);
-        net.stats.set_window(warmup, total);
-        net.run(total);
-        summarize(&net)
+        Run::new(&cfg_i, warmup, total - warmup).finish().result
     });
     let mean_of = |get: fn(&SimResult) -> f64| {
         let xs: Vec<f64> = runs.iter().map(get).filter(|x| x.is_finite()).collect();
@@ -857,24 +958,6 @@ pub fn run_sim_replicated(cfg: &SimConfig, total: u64, n_seeds: usize) -> SimRes
             .map(|r| r.routers)
             .unwrap_or_default(),
     }
-}
-
-/// Runs one simulation with phase profiling on: the returned [`Profiler`]
-/// attributes wall time and event counts to the router pipeline phases
-/// and is stamped with the run's totals, so shares and cycles/sec are
-/// ready to read. The [`SimResult`] is identical to [`run_sim`]'s (the
-/// profiled path executes the same cycle-level logic).
-pub fn run_sim_profiled(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, Profiler) {
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, warmup + measure);
-    let mut prof = Profiler::default();
-    let start = Instant::now();
-    for _ in 0..warmup + measure {
-        net.step_profiled(&mut prof);
-    }
-    prof.wall_nanos = start.elapsed().as_nanos() as u64;
-    prof.cycles = warmup + measure;
-    (summarize(&net), prof)
 }
 
 /// Measures the zero-load latency: the average packet latency at a very
@@ -934,6 +1017,35 @@ where
 mod tests {
     use super::*;
     use crate::topology::TopologyKind;
+    use noc_obs::Phase;
+
+    /// A recorded run on `engine`: the summary plus the recorder.
+    fn recorded(
+        cfg: &SimConfig,
+        warmup: u64,
+        measure: u64,
+        engine: Engine,
+        opts: TelemetryOptions,
+    ) -> Result<(SimResult, FlightRecorder), Box<WatchdogTrip>> {
+        let run = Run::new(cfg, warmup, measure)
+            .engine(engine)
+            .telemetry(opts);
+        run.run(|_| {})
+            .map(|out| (out.result, out.recorder.expect("recorder attached")))
+    }
+
+    /// An anatomy run on `engine`: the summary plus the ledger.
+    fn anatomy(
+        cfg: &SimConfig,
+        warmup: u64,
+        measure: u64,
+        engine: Engine,
+        top_k: usize,
+    ) -> (SimResult, AnatomyCollector) {
+        let run = Run::new(cfg, warmup, measure).engine(engine);
+        let out = run.anatomy(1 << 16, top_k).finish();
+        (out.result, out.anatomy.expect("ledger attached"))
+    }
 
     #[test]
     fn low_load_runs_are_stable() {
@@ -1066,15 +1178,11 @@ mod tests {
         };
         let plain = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
         let mut windows_seen = 0u64;
-        let (rec_res, rec) = run_sim_recorded_with(
-            &cfg,
-            500,
-            1_500,
-            Engine::Sequential,
-            TelemetryOptions::recording(),
-            |_| windows_seen += 1,
-        )
-        .expect("healthy run must not trip the watchdog");
+        let out = Run::new(&cfg, 500, 1_500)
+            .telemetry(TelemetryOptions::recording())
+            .run(|_| windows_seen += 1)
+            .expect("healthy run must not trip the watchdog");
+        let (rec_res, rec) = (out.result, out.recorder.expect("recorder attached"));
         // Telemetry must be a pure observer: every simulation metric is
         // identical to the unrecorded run.
         assert_eq!(rec_res.avg_latency.to_bits(), plain.avg_latency.to_bits());
@@ -1102,7 +1210,7 @@ mod tests {
         };
         let opts = TelemetryOptions::recording();
         let run = |engine| {
-            let (res, rec) = run_sim_recorded(&cfg, 500, 1_500, engine, opts).expect("no trip");
+            let (res, rec) = recorded(&cfg, 500, 1_500, engine, opts).expect("no trip");
             (res.to_json(), rec.summary().to_json())
         };
         let seq = run(Engine::Sequential);
@@ -1117,7 +1225,7 @@ mod tests {
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
         let plain = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
-        let (res, col) = run_sim_anatomy(&cfg, 500, 1_500, Engine::Sequential, 1 << 16, 4);
+        let (res, col) = anatomy(&cfg, 500, 1_500, Engine::Sequential, 4);
         // Every simulation metric must be bit-identical to the plain run.
         assert_eq!(res.avg_latency.to_bits(), plain.avg_latency.to_bits());
         assert_eq!(res.throughput.to_bits(), plain.throughput.to_bits());
@@ -1132,7 +1240,7 @@ mod tests {
             injection_rate: 0.2,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        let (res, col) = run_sim_anatomy(&cfg, 500, 1_500, Engine::Sequential, 1 << 16, 8);
+        let (res, col) = anatomy(&cfg, 500, 1_500, Engine::Sequential, 8);
         assert!(col.totals.packets > 100, "window too thin to be meaningful");
         assert_eq!(col.totals.dropped, 0);
         assert_eq!(col.records.len() as u64, col.totals.packets);
@@ -1174,7 +1282,7 @@ mod tests {
             top_k: 4,
         };
         let run = |engine| {
-            let (res, col) = run_sim_anatomy(&cfg, 500, 1_500, engine, 1 << 16, 4);
+            let (res, col) = anatomy(&cfg, 500, 1_500, engine, 4);
             (res.to_json(), col.to_jsonl(&header))
         };
         let seq = run(Engine::Sequential);
@@ -1197,7 +1305,7 @@ mod tests {
             watchdog: Some(10),
             ..TelemetryOptions::recording()
         };
-        let trip = run_sim_recorded(&cfg, 5_000, 45_000, Engine::Sequential, opts)
+        let trip = recorded(&cfg, 5_000, 45_000, Engine::Sequential, opts)
             .expect_err("no-dateline torus must deadlock");
         assert_eq!(trip.stalled_windows, 10);
         assert!(trip.in_flight > 0, "a stall needs stuck flits");
@@ -1220,10 +1328,51 @@ mod tests {
             watchdog: Some(10),
             ..TelemetryOptions::recording()
         };
-        let (res, rec) =
-            run_sim_recorded(&cfg, 2_000, 8_000, Engine::Sequential, opts).expect("no trip");
+        let (res, rec) = recorded(&cfg, 2_000, 8_000, Engine::Sequential, opts).expect("no trip");
         assert!(res.throughput > 0.0);
         assert_eq!(rec.max_stalled_windows(), 0);
+    }
+
+    #[test]
+    fn profile_runs_on_the_requested_engine() {
+        // An idle network makes the engine visible in the profile: the
+        // in-order body times every router's (empty) allocation phases,
+        // while the active-set body skips every router and so attributes
+        // exactly nothing to them. The parallel engine profiles on the
+        // in-order body.
+        let cfg = SimConfig {
+            injection_rate: 0.0,
+            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
+        };
+        let profile = |engine| {
+            let out = Run::new(&cfg, 0, 200).engine(engine).profile().finish();
+            let prof = out.profile.expect("profiler attached");
+            assert_eq!(prof.cycles, 200);
+            assert!(prof.wall_nanos > 0, "profile not stamped");
+            prof
+        };
+        assert!(profile(Engine::Sequential).nanos(Phase::VcAlloc) > 0);
+        assert!(profile(Engine::Parallel(4)).nanos(Phase::VcAlloc) > 0);
+        assert_eq!(profile(Engine::ActiveSet).nanos(Phase::VcAlloc), 0);
+    }
+
+    #[test]
+    fn finish_runs_a_recorded_run_without_its_watchdog() {
+        // The deadlocking fixture that trips `run` completes under `finish`.
+        let cfg = SimConfig {
+            topology: TopologyKind::Torus8x8,
+            injection_rate: 0.35,
+            routing_override: Some(crate::routing::RoutingKind::TorusNoDateline),
+            ..SimConfig::paper_baseline(TopologyKind::Torus8x8, 1)
+        };
+        let opts = TelemetryOptions {
+            watchdog: Some(2),
+            ..TelemetryOptions::recording()
+        };
+        let out = Run::new(&cfg, 1_000, 9_500).telemetry(opts).finish();
+        let rec = out.recorder.expect("recorder attached");
+        assert_eq!(rec.windows(), 105);
+        assert!(rec.max_stalled_windows() >= 2, "fixture did not stall");
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Zero-cost runtime invariant checking.
+//! Opt-in runtime invariant checking.
 //!
-//! The same const-`ACTIVE` pattern as `TraceSink` / `PhaseProfiler`: the
-//! network's step loop is generic over an [`InvariantChecker`], and with the
-//! default [`NopChecker`] every check (including the per-channel credit
-//! audit) compiles away entirely. `noc sim --verify` runs with
-//! [`StrictChecker`] instead and reports:
+//! A [`StrictChecker`] attached to a network (`Network::enable_verify`,
+//! `Run::verify`, `noc sim --verify`) audits the committed state after
+//! every cycle, on the main thread, so it works on every engine; without
+//! one the per-cycle cost is a single `Option` branch. It reports:
 //!
 //! * **matching legality** — every cycle, at most one switch grant per
 //!   input port and per output port, each grant backed by an output VC,
@@ -16,47 +15,14 @@
 //! * **no flit without a VC** — a body flit can never sit at the head of an
 //!   input VC that holds no output VC.
 //!
-//! Debug builds additionally run the router-local checks inside
-//! `debug_assert`-gated code on the ordinary step path, so the whole test
-//! suite exercises them for free.
-
-use crate::config::SimConfig;
-use crate::network::Network;
-use crate::sim::{summarize, SimResult};
-use noc_obs::NopProfiler;
-
-/// Per-cycle invariant sink. `ACTIVE = false` implementations compile all
-/// checking away.
-pub trait InvariantChecker {
-    /// Whether checks run at all. The step loop gates every check on this
-    /// associated constant, so a `false` impl costs nothing.
-    const ACTIVE: bool;
-
-    /// Records that `n` invariant checks were evaluated.
-    fn add_checks(&mut self, n: u64);
-
-    /// Records one invariant violation.
-    fn violation(&mut self, msg: String);
-}
-
-/// The no-op checker: all methods compile away.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NopChecker;
-
-impl InvariantChecker for NopChecker {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn add_checks(&mut self, _n: u64) {}
-
-    #[inline(always)]
-    fn violation(&mut self, _msg: String) {}
-}
+//! Debug builds additionally run the router-local checks on the ordinary
+//! step path, so the whole test suite exercises them for free.
 
 /// Cap on stored violation messages (the counter keeps counting).
 const MAX_STORED: usize = 64;
 
-/// Collects violations with bounded memory.
+/// The runtime invariant checker and, after a run, its report: collects
+/// violations with bounded memory.
 #[derive(Clone, Debug, Default)]
 pub struct StrictChecker {
     /// Invariant checks evaluated.
@@ -67,83 +33,45 @@ pub struct StrictChecker {
     pub violations: Vec<String>,
 }
 
-impl InvariantChecker for StrictChecker {
-    const ACTIVE: bool = true;
-
-    fn add_checks(&mut self, n: u64) {
+impl StrictChecker {
+    /// Records that `n` invariant checks were evaluated.
+    pub fn add_checks(&mut self, n: u64) {
         self.checks += n;
     }
 
-    fn violation(&mut self, msg: String) {
+    /// Records one invariant violation.
+    pub fn violation(&mut self, msg: String) {
         self.total_violations += 1;
         if self.violations.len() < MAX_STORED {
             self.violations.push(msg);
         }
     }
-}
 
-impl StrictChecker {
-    /// Finalizes into a report.
-    pub fn into_report(self) -> VerifyReport {
-        VerifyReport {
-            checks: self.checks,
-            total_violations: self.total_violations,
-            violations: self.violations,
-        }
-    }
-}
-
-/// Outcome of a verified run.
-#[derive(Clone, Debug)]
-pub struct VerifyReport {
-    /// Invariant checks evaluated across the run.
-    pub checks: u64,
-    /// Total violations found.
-    pub total_violations: u64,
-    /// First stored violation messages.
-    pub violations: Vec<String>,
-}
-
-impl VerifyReport {
-    /// True if the run was violation-free.
+    /// True if no violation was found.
     pub fn passed(&self) -> bool {
         self.total_violations == 0
     }
 }
 
-/// As `run_sim`, but with the runtime invariant checker enabled on every
-/// cycle. Returns the ordinary result plus the verification report.
-pub fn run_sim_verified(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, VerifyReport) {
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, warmup + measure);
-    let mut chk = StrictChecker::default();
-    for _ in 0..warmup + measure {
-        net.step_checked(&mut NopProfiler, &mut chk);
-    }
-    (summarize(&net), chk.into_report())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimConfig;
+    use crate::sim::{Run, SimResult};
     use crate::topology::TopologyKind;
 
-    #[test]
-    fn nop_checker_is_inert() {
-        let mut n = NopChecker;
-        n.add_checks(10);
-        n.violation("x".into());
-        const { assert!(!NopChecker::ACTIVE) };
+    fn run_verified(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, StrictChecker) {
+        let out = Run::new(cfg, warmup, measure).verify().finish();
+        (out.result, out.verify.expect("checker attached"))
     }
 
     #[test]
     fn strict_checker_caps_stored_messages() {
-        let mut s = StrictChecker::default();
+        let mut rep = StrictChecker::default();
         for i in 0..100 {
-            s.violation(format!("v{i}"));
+            rep.violation(format!("v{i}"));
         }
-        s.add_checks(7);
-        let rep = s.into_report();
+        rep.add_checks(7);
         assert_eq!(rep.total_violations, 100);
         assert_eq!(rep.violations.len(), MAX_STORED);
         assert_eq!(rep.checks, 7);
@@ -156,7 +84,7 @@ mod tests {
             injection_rate: 0.2,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        let (res, rep) = run_sim_verified(&cfg, 300, 800);
+        let (res, rep) = run_verified(&cfg, 300, 800);
         assert!(rep.passed(), "violations: {:?}", rep.violations);
         assert!(rep.checks > 0);
         assert!(res.throughput > 0.0);
@@ -169,7 +97,7 @@ mod tests {
             injection_rate: 0.15,
             ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
         };
-        let (v, rep) = run_sim_verified(&cfg, 300, 700);
+        let (v, rep) = run_verified(&cfg, 300, 700);
         assert!(rep.passed(), "violations: {:?}", rep.violations);
         let p = crate::sim::run_sim(&cfg, 300, 700);
         assert_eq!(v.avg_latency.to_bits(), p.avg_latency.to_bits());

@@ -8,7 +8,7 @@
 //! are enough to cross every synchronization edge of the epoch/done/stop
 //! protocol at least once — publish, worker step, signal, commit, stop.
 
-use noc_sim::{Network, SimConfig, TopologyKind};
+use noc_sim::{Engine, Network, SimConfig, TopologyKind};
 
 fn tiny() -> Network {
     let cfg = SimConfig {
@@ -28,7 +28,7 @@ fn run_parallel_tiny_threaded() {
     let mut seq = tiny();
     let mut par = tiny();
     seq.run(cycles);
-    par.run_parallel(cycles, 2);
+    Engine::Parallel(2).run(&mut par, cycles);
     assert_eq!(seq.now, par.now);
     assert_eq!(
         seq.total_flits_injected(),
@@ -44,7 +44,7 @@ fn run_parallel_tiny_threaded() {
 fn run_parallel_twice_reuses_state() {
     let cycles = if cfg!(miri) { 2 } else { 32 };
     let mut net = tiny();
-    net.run_parallel(cycles, 2);
-    net.run_parallel(cycles, 2);
+    Engine::Parallel(2).run(&mut net, cycles);
+    Engine::Parallel(2).run(&mut net, cycles);
     assert_eq!(net.now, 2 * cycles);
 }

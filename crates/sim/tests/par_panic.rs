@@ -5,7 +5,7 @@
 //! the main thread hung the scope join forever). These tests inject a
 //! panicking router step and assert the network comes back intact.
 
-use noc_sim::{Network, SimConfig, TopologyKind};
+use noc_sim::{Engine, Network, SimConfig, TopologyKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
@@ -43,7 +43,7 @@ fn worker_panic_restores_router_state() {
     let full = n.router_count();
     assert_eq!(full, 64);
     n.arm_router_panic(37, 10);
-    let err = catch_unwind(AssertUnwindSafe(|| n.run_parallel(50, 3)))
+    let err = catch_unwind(AssertUnwindSafe(|| Engine::Parallel(3).run(&mut n, 50)))
         .expect_err("armed panic did not fire");
     let msg = err
         .downcast_ref::<String>()
@@ -72,21 +72,21 @@ fn panic_on_first_cycle_restores_router_state() {
     let mut n = net();
     let full = n.router_count();
     n.arm_router_panic(0, 0);
-    let err = catch_unwind(AssertUnwindSafe(|| n.run_parallel(5, 2)));
+    let err = catch_unwind(AssertUnwindSafe(|| Engine::Parallel(2).run(&mut n, 5)));
     assert!(err.is_err(), "armed panic did not fire");
     assert_eq!(n.router_count(), full);
 }
 
 #[test]
 fn single_threaded_and_sequential_paths_unaffected() {
-    // threads == 1 takes the step_parallel fallback, which never drains
-    // the routers; the armed panic still propagates and the network
+    // threads == 1 takes the in-order body, which never drains the
+    // routers; the armed panic still propagates and the network
     // still holds its routers.
     quiet_panics();
     let mut n = net();
     let full = n.router_count();
     n.arm_router_panic(12, 3);
-    let err = catch_unwind(AssertUnwindSafe(|| n.run_parallel(10, 1)));
+    let err = catch_unwind(AssertUnwindSafe(|| Engine::Parallel(1).run(&mut n, 10)));
     assert!(err.is_err(), "armed panic did not fire");
     assert_eq!(n.router_count(), full);
 }
@@ -101,7 +101,7 @@ fn unpoisoned_run_matches_sequential_after_fix() {
     a.stats.set_window(0, 200);
     b.stats.set_window(0, 200);
     a.run(200);
-    b.run_parallel(200, 3);
+    Engine::Parallel(3).run(&mut b, 200);
     assert_eq!(a.now, b.now);
     assert_eq!(a.stats.flits_ejected, b.stats.flits_ejected);
     assert_eq!(a.stats.latency_sum, b.stats.latency_sum);

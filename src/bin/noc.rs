@@ -31,9 +31,8 @@ use noc_obs::{
     WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
 };
 use noc_sim::{
-    run_sim_anatomy, run_sim_engine, run_sim_observed, run_sim_profiled, run_sim_recorded_with,
-    run_sim_replicated, run_sim_verified, Engine, RoutingKind, SimConfig, TelemetryOptions,
-    TopologyKind, TrafficPattern,
+    run_sim_replicated, Engine, RoutingKind, Run, SimConfig, TelemetryOptions, TopologyKind,
+    TrafficPattern,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -418,7 +417,7 @@ impl Args {
 /// Builds the simulated design point from the shared `noc sim` /
 /// `noc explain` config flags.
 fn sim_config(args: &Args) -> Result<SimConfig, String> {
-    Ok(SimConfig {
+    let cfg = SimConfig {
         injection_rate: args.get("rate", 0.2)?,
         vca_kind: args.alloc_kind()?,
         sa_kind: args.sw_kind("sa")?,
@@ -429,7 +428,9 @@ fn sim_config(args: &Args) -> Result<SimConfig, String> {
         seed: args.get("seed", 0x5c09_2009u64)?,
         routing_override: args.routing_override()?,
         ..SimConfig::paper_baseline(args.topology()?, args.get("vcs", 2)?)
-    })
+    };
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok(cfg)
 }
 
 fn cmd_sim(args: &Args) -> Result<(), String> {
@@ -455,53 +456,20 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     if window == 0 {
         return Err("--window must be at least 1 cycle".to_string());
     }
+    if sample_interval == 0 {
+        return Err("--sample-interval must be at least 1 cycle".to_string());
+    }
     let engine = args.engine()?;
-    if seeds > 1 && (want_profile || trace_path.is_some() || metrics_path.is_some()) {
-        return Err("--seeds cannot be combined with --profile, --trace or --metrics".to_string());
-    }
-    if want_verify && (seeds > 1 || want_profile || trace_path.is_some() || metrics_path.is_some())
-    {
+    let observed = want_profile
+        || want_verify
+        || want_record
+        || want_anatomy
+        || trace_path.is_some()
+        || metrics_path.is_some();
+    if seeds > 1 && (observed || engine != Engine::Sequential) {
         return Err(
-            "--verify cannot be combined with --seeds, --profile, --trace or --metrics".to_string(),
-        );
-    }
-    if want_record
-        && (seeds > 1
-            || want_profile
-            || want_verify
-            || trace_path.is_some()
-            || metrics_path.is_some())
-    {
-        return Err(
-            "--record/--top cannot be combined with --seeds, --profile, --verify, --trace or \
-             --metrics"
-                .to_string(),
-        );
-    }
-    if want_anatomy
-        && (seeds > 1
-            || want_profile
-            || want_verify
-            || want_record
-            || trace_path.is_some()
-            || metrics_path.is_some())
-    {
-        return Err(
-            "--anatomy cannot be combined with --seeds, --profile, --verify, --record, --top, \
-             --trace or --metrics (use 'noc explain' for a dedicated anatomy run)"
-                .to_string(),
-        );
-    }
-    if engine != Engine::Sequential
-        && (seeds > 1
-            || want_profile
-            || want_verify
-            || trace_path.is_some()
-            || metrics_path.is_some())
-    {
-        return Err(
-            "--engine par/active applies to plain runs; drop --seeds/--profile/--verify/--trace/\
-             --metrics (results are engine-independent anyway)"
+            "--seeds replicates plain sequential runs; it cannot be combined with --profile, \
+             --verify, --trace, --metrics, --record, --top, --anatomy or --engine"
                 .to_string(),
         );
     }
@@ -513,85 +481,62 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         measure,
         engine.label()
     );
-    let mut profile = None;
-    let mut verify_report = None;
-    let mut anatomy: Option<AnatomyCollector> = None;
-    let r = if want_verify {
-        let (r, rep) = run_sim_verified(&cfg, warmup, measure);
-        verify_report = Some(rep);
-        r
-    } else if trace_path.is_some() || metrics_path.is_some() {
-        let run = run_sim_observed(
-            &cfg,
-            warmup,
-            measure,
-            VecSink::default(),
-            metrics_path.as_ref().map(|_| sample_interval),
-        );
-        if let Some(path) = &trace_path {
-            std::fs::write(path, chrome_trace(&run.sink.events))
-                .map_err(|e| format!("writing trace '{path}': {e}"))?;
-            eprintln!("wrote {} flit events to {path}", run.sink.events.len());
-        }
-        if let Some(path) = &metrics_path {
-            let text = if path.ends_with(".json") || path.ends_with(".jsonl") {
-                metrics_jsonl(&run.router_obs, run.metrics.as_ref())
-            } else {
-                metrics_csv(&run.router_obs, run.metrics.as_ref())
-            };
-            std::fs::write(path, text).map_err(|e| format!("writing metrics '{path}': {e}"))?;
-            eprintln!("wrote metrics to {path}");
-        }
-        run.result
-    } else if seeds > 1 {
+    let (r, profile, anatomy) = if seeds > 1 {
         // Replicated run: warmup is detected automatically (MSER), so the
         // --warmup flag only contributes to the total cycle count.
-        run_sim_replicated(&cfg, warmup + measure, seeds)
-    } else if want_profile {
-        let (r, prof) = run_sim_profiled(&cfg, warmup, measure);
-        profile = Some(prof);
-        r
-    } else if want_anatomy {
-        let (r, col) = run_sim_anatomy(
-            &cfg,
-            warmup,
-            measure,
-            engine,
-            anatomy_capacity,
-            anatomy_top_k,
-        );
-        if let Some(path) = &anatomy_out {
-            let header = anatomy_header(&cfg, warmup, measure, anatomy_capacity, anatomy_top_k);
-            std::fs::write(path, col.to_jsonl(&header))
-                .map_err(|e| format!("cannot write anatomy dump '{path}': {e}"))?;
-            eprintln!(
-                "wrote anatomy dump ({} packets, {} waterfalls) to {path}",
-                col.totals.packets,
-                col.slow.len()
-            );
+        (
+            run_sim_replicated(&cfg, warmup + measure, seeds),
+            None,
+            None,
+        )
+    } else {
+        // Every observer flag attaches to the one run. Without --record /
+        // --top a coarse watchdog-only recorder still stands guard (unless
+        // --no-watchdog): a deadlocked network terminates with a
+        // post-mortem dump instead of burning cycles until the measure
+        // window runs out.
+        let telemetry = if want_record {
+            Some(TelemetryOptions {
+                window,
+                match_every,
+                capacity: 256,
+                watchdog: (!no_watchdog).then(|| 10_000u64.div_ceil(window).max(1)),
+            })
+        } else {
+            (!no_watchdog).then(|| TelemetryOptions::watchdog_only(10_000))
+        };
+        let mut run = Run::new(&cfg, warmup, measure).engine(engine);
+        if want_profile {
+            run = run.profile();
         }
-        anatomy = Some(col);
-        r
-    } else if want_record {
+        if want_verify {
+            run = run.verify();
+        }
+        if metrics_path.is_some() {
+            run = run.metrics(sample_interval);
+        }
+        if want_anatomy {
+            run = run.anatomy(anatomy_capacity, anatomy_top_k);
+        }
+        if let Some(opts) = telemetry {
+            run = run.telemetry(opts);
+        }
         let header = TelemetryHeader {
             digest: cfg.digest(warmup, measure, TELEMETRY_SCHEMA),
             label: format!("{} @ {}", cfg.label(), cfg.injection_rate),
-            window,
-            match_every,
+            window: telemetry.map_or(0, |t| t.window),
+            match_every: telemetry.map_or(0, |t| t.match_every),
             routers: cfg.topology.build().num_routers(),
             warmup,
             measure,
         };
         let capacity_flits = (cfg.vc_spec().total_vcs() * cfg.buf_depth) as u32;
-        let opts = TelemetryOptions {
-            window,
-            match_every,
-            capacity: 256,
-            watchdog: (!no_watchdog).then(|| 10_000u64.div_ceil(window).max(1)),
-        };
         let mut lines: Vec<String> = Vec::new();
         let mut eff: Vec<f64> = Vec::new();
-        let outcome = run_sim_recorded_with(&cfg, warmup, measure, engine, opts, |snap| {
+        let on_window = |snap: &WindowSnapshot| {
+            if !want_record {
+                return;
+            }
             lines.push(window_jsonl(snap));
             if want_top {
                 eff.push(snap.efficiency());
@@ -602,52 +547,23 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
                     render_top(&header.label, snap, &eff, capacity_flits)
                 );
             }
-        });
-        match outcome {
-            Ok((r, _recorder)) => {
-                if let Some(path) = &record_path {
-                    write_telemetry_dump(path, &header, &lines)?;
-                    eprintln!("wrote {} telemetry windows to {path}", lines.len());
-                }
-                r
-            }
+        };
+        let mut sink = VecSink::default();
+        let outcome = if trace_path.is_some() {
+            run.sink(&mut sink).run(on_window)
+        } else {
+            run.run(on_window)
+        };
+        let mut out = match outcome {
+            Ok(out) => out,
             Err(trip) => {
+                // A recorded run dumps every window it streamed; the guard
+                // recorder only has its ring.
+                if !want_record {
+                    lines = trip.recorder.ring().map(window_jsonl).collect();
+                }
                 let path = record_path
                     .unwrap_or_else(|| format!("noc-postmortem-{}.jsonl", header.digest));
-                write_telemetry_dump(&path, &header, &lines)?;
-                return Err(format!(
-                    "{}\npost-mortem telemetry dump ({} windows): {path}",
-                    trip.describe(),
-                    lines.len()
-                ));
-            }
-        }
-    } else if no_watchdog {
-        run_sim_engine(&cfg, warmup, measure, engine)
-    } else {
-        // Plain runs keep a coarse watchdog-only recorder on guard: a
-        // deadlocked network terminates with a post-mortem dump instead of
-        // burning cycles until the measure window runs out.
-        let opts = TelemetryOptions::watchdog_only(10_000);
-        match noc_sim::run_sim_recorded(&cfg, warmup, measure, engine, opts) {
-            Ok((mut r, _recorder)) => {
-                // The guard recorder is internal; keep the default report
-                // identical to an unrecorded run.
-                r.telemetry = None;
-                r
-            }
-            Err(trip) => {
-                let header = TelemetryHeader {
-                    digest: cfg.digest(warmup, measure, TELEMETRY_SCHEMA),
-                    label: format!("{} @ {}", cfg.label(), cfg.injection_rate),
-                    window: trip.window,
-                    match_every: 0,
-                    routers: cfg.topology.build().num_routers(),
-                    warmup,
-                    measure,
-                };
-                let lines: Vec<String> = trip.recorder.ring().map(window_jsonl).collect();
-                let path = format!("noc-postmortem-{}.jsonl", header.digest);
                 write_telemetry_dump(&path, &header, &lines)?;
                 return Err(format!(
                     "{}\npost-mortem telemetry dump ({} windows): {path}\n\
@@ -656,31 +572,71 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
                     lines.len()
                 ));
             }
+        };
+        if let Some(path) = &record_path {
+            write_telemetry_dump(path, &header, &lines)?;
+            eprintln!("wrote {} telemetry windows to {path}", lines.len());
         }
-    };
-    if let Some(rep) = &verify_report {
-        eprintln!(
-            "invariants       {} checks, {} violations",
-            rep.checks, rep.total_violations
-        );
-        if !rep.passed() {
-            let mut msg = format!("{} runtime invariant violation(s):", rep.total_violations);
-            for v in rep.violations.iter().take(10) {
-                msg.push_str("\n  ");
-                msg.push_str(v);
+        if !want_record {
+            // The guard recorder is internal; keep the report identical to
+            // an unrecorded run.
+            out.result.telemetry = None;
+        }
+        if let Some(path) = &trace_path {
+            std::fs::write(path, chrome_trace(&sink.events))
+                .map_err(|e| format!("writing trace '{path}': {e}"))?;
+            eprintln!("wrote {} flit events to {path}", sink.events.len());
+        }
+        if let Some(path) = &metrics_path {
+            let text = if path.ends_with(".json") || path.ends_with(".jsonl") {
+                metrics_jsonl(&out.router_obs, out.metrics.as_ref())
+            } else {
+                metrics_csv(&out.router_obs, out.metrics.as_ref())
+            };
+            std::fs::write(path, text).map_err(|e| format!("writing metrics '{path}': {e}"))?;
+            eprintln!("wrote metrics to {path}");
+        }
+        if let (Some(path), Some(col)) = (&anatomy_out, &out.anatomy) {
+            write_anatomy_dump(
+                path,
+                &cfg,
+                warmup,
+                measure,
+                anatomy_capacity,
+                anatomy_top_k,
+                col,
+            )?;
+        }
+        if let Some(rep) = &out.verify {
+            eprintln!(
+                "invariants       {} checks, {} violations",
+                rep.checks, rep.total_violations
+            );
+            if !rep.passed() {
+                let mut msg = format!("{} runtime invariant violation(s):", rep.total_violations);
+                for v in rep.violations.iter().take(10) {
+                    msg.push_str("\n  ");
+                    msg.push_str(v);
+                }
+                return Err(msg);
             }
-            return Err(msg);
         }
-    }
+        (out.result, out.profile, out.anatomy)
+    };
     if args.flags.contains_key("json") {
-        match (&profile, &anatomy) {
-            (Some(p), _) => println!("{{\"result\":{},\"profile\":{}}}", r.to_json(), p.to_json()),
-            (None, Some(col)) => println!(
-                "{{\"result\":{},\"anatomy\":{}}}",
-                r.to_json(),
-                col.summary().to_json()
-            ),
-            (None, None) => println!("{}", r.to_json()),
+        // A plain run prints the bare result; profile / anatomy sections
+        // wrap it in an object that names each part.
+        let mut parts = String::new();
+        if let Some(p) = &profile {
+            parts.push_str(&format!(",\"profile\":{}", p.to_json()));
+        }
+        if let Some(col) = &anatomy {
+            parts.push_str(&format!(",\"anatomy\":{}", col.summary().to_json()));
+        }
+        if parts.is_empty() {
+            println!("{}", r.to_json());
+        } else {
+            println!("{{\"result\":{}{parts}}}", r.to_json());
         }
         return Ok(());
     }
@@ -771,15 +727,17 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `noc-anatomy/v1` dump identity line for a run of `cfg`.
-fn anatomy_header(
+/// Writes the `noc-anatomy/v1` dump of a run of `cfg` to `path`.
+fn write_anatomy_dump(
+    path: &str,
     cfg: &SimConfig,
     warmup: u64,
     measure: u64,
     capacity: usize,
     top_k: usize,
-) -> AnatomyHeader {
-    AnatomyHeader {
+    col: &AnatomyCollector,
+) -> Result<(), String> {
+    let header = AnatomyHeader {
         digest: cfg.digest(warmup, measure, ANATOMY_SCHEMA),
         label: format!("{} @ {}", cfg.label(), cfg.injection_rate),
         routers: cfg.topology.build().num_routers(),
@@ -787,7 +745,15 @@ fn anatomy_header(
         measure,
         capacity: capacity as u64,
         top_k: top_k as u64,
-    }
+    };
+    std::fs::write(path, col.to_jsonl(&header))
+        .map_err(|e| format!("cannot write anatomy dump '{path}': {e}"))?;
+    eprintln!(
+        "wrote anatomy dump ({} packets, {} waterfalls) to {path}",
+        col.totals.packets,
+        col.slow.len()
+    );
+    Ok(())
 }
 
 /// Verifies the tentpole invariant on a finished run and renders the
@@ -835,17 +801,14 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         measure,
         engine.label()
     );
-    let (r, col) = run_sim_anatomy(&cfg, warmup, measure, engine, capacity, top_k);
+    let run = Run::new(&cfg, warmup, measure).engine(engine);
+    let out = run.anatomy(capacity, top_k).finish();
+    let (r, Some(col)) = (out.result, out.anatomy) else {
+        return Err("internal: the anatomy ledger was not attached".to_string());
+    };
     let receipt = check_reconciliation(&col, &r)?;
     if let Some(path) = args.flags.get("out") {
-        let header = anatomy_header(&cfg, warmup, measure, capacity, top_k);
-        std::fs::write(path, col.to_jsonl(&header))
-            .map_err(|e| format!("cannot write anatomy dump '{path}': {e}"))?;
-        eprintln!(
-            "wrote anatomy dump ({} packets, {} waterfalls) to {path}",
-            col.totals.packets,
-            col.slow.len()
-        );
+        write_anatomy_dump(path, &cfg, warmup, measure, capacity, top_k, &col)?;
     }
     if let Some(path) = args.flags.get("trace") {
         std::fs::write(path, anatomy_chrome_trace(&col.slowest()))

@@ -11,13 +11,18 @@
 //!    attached: the order-sensitive FNV-1a digest over every flit event
 //!    must match, and on a mismatch the test names the first diverging
 //!    cycle so the bug is bisectable.
+//!
+//! Layers 3 and 4 extend the contract to the telemetry and anatomy dumps,
+//! and layer 5 to composition: every observer attached to one run, on any
+//! engine, reproduces what each observer reports alone on `seq`.
 
+// Panicking on setup failure is the right behaviour outside library code.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc_bench::workload_matrix;
-use noc_obs::{window_jsonl, AnatomyHeader, DigestSink, ANATOMY_SCHEMA};
-use noc_sim::{
-    run_sim_anatomy, run_sim_engine, run_sim_recorded_with, Engine, Network, SimConfig,
-    TelemetryOptions,
+use noc_obs::{
+    metrics_jsonl, window_jsonl, AnatomyCollector, AnatomyHeader, DigestSink, ANATOMY_SCHEMA,
 };
+use noc_sim::{run_sim_engine, Engine, Network, Run, SimConfig, TelemetryOptions};
 
 const WARMUP: u64 = 500;
 const MEASURE: u64 = 1500;
@@ -124,22 +129,28 @@ fn fbfly_flit_traces_identical_across_engines() {
     assert_traces_identical("fbfly4x4");
 }
 
+/// Flight-recorder settings of the recorded layers: no watchdog, so a run
+/// cannot trip.
+fn recording() -> TelemetryOptions {
+    TelemetryOptions {
+        watchdog: None,
+        ..TelemetryOptions::recording()
+    }
+}
+
 /// Runs `cfg` with the flight recorder attached and returns every telemetry
 /// window as its dump-file JSONL line, plus the result JSON.
 fn telemetry_lines(cfg: &SimConfig, engine: Engine) -> (String, Vec<String>) {
-    let opts = TelemetryOptions {
-        watchdog: None,
-        ..TelemetryOptions::recording()
-    };
     let mut lines = Vec::new();
-    let outcome = run_sim_recorded_with(cfg, WARMUP, MEASURE, engine, opts, |snap| {
-        lines.push(window_jsonl(snap));
-    });
-    let (res, _rec) = match outcome {
-        Ok(pair) => pair,
+    let run = Run::new(cfg, WARMUP, MEASURE).engine(engine);
+    let outcome = run
+        .telemetry(recording())
+        .run(|snap| lines.push(window_jsonl(snap)));
+    let out = match outcome {
+        Ok(out) => out,
         Err(trip) => panic!("run cannot trip without a watchdog: {}", trip.describe()),
     };
-    (res.to_json(), lines)
+    (out.result.to_json(), lines)
 }
 
 /// Layer 3: the flight recorder is part of the cycle-exact contract. Every
@@ -180,7 +191,14 @@ fn telemetry_dumps_byte_identical_across_engines() {
 /// Runs `cfg` with the per-packet latency ledger attached and returns the
 /// result JSON plus the full `noc-anatomy/v1` dump text.
 fn anatomy_dump(cfg: &SimConfig, engine: Engine) -> (String, String) {
-    let (res, col) = run_sim_anatomy(cfg, WARMUP, MEASURE, engine, 1 << 16, 4);
+    let run = Run::new(cfg, WARMUP, MEASURE).engine(engine);
+    let out = run.anatomy(1 << 16, 4).finish();
+    let col = out.anatomy.expect("ledger attached");
+    (out.result.to_json(), anatomy_jsonl(cfg, &col))
+}
+
+/// The `noc-anatomy/v1` dump text of a finished ledger.
+fn anatomy_jsonl(cfg: &SimConfig, col: &AnatomyCollector) -> String {
     let header = AnatomyHeader {
         digest: cfg.digest(WARMUP, MEASURE, ANATOMY_SCHEMA),
         label: cfg.label(),
@@ -190,7 +208,7 @@ fn anatomy_dump(cfg: &SimConfig, engine: Engine) -> (String, String) {
         capacity: 1 << 16,
         top_k: 4,
     };
-    (res.to_json(), col.to_jsonl(&header))
+    col.to_jsonl(&header)
 }
 
 /// Layer 4: the latency-anatomy ledger is part of the cycle-exact contract.
@@ -226,6 +244,78 @@ fn anatomy_dumps_byte_identical_across_engines() {
                 "{name}: engine '{}' anatomy dump diverged",
                 engine.label()
             );
+        }
+    }
+}
+
+/// Layer 5: observers compose. One run with the trace sink, profiler,
+/// metrics sampler, flight recorder, anatomy ledger and invariant checker
+/// all attached — on each engine — must reproduce, byte for byte, what each
+/// observer reports when attached alone on the sequential engine, and the
+/// checker must find nothing.
+#[test]
+fn observers_compose_on_every_engine() {
+    const SAMPLE: u64 = 64;
+    for (name, cfg) in workload_matrix() {
+        if name != "mesh8x8_c2_r0.25" && name != "fbfly4x4_c2_r0.2" {
+            continue;
+        }
+        // Each observer alone, on seq.
+        let plain = run_sim_engine(&cfg, WARMUP, MEASURE, Engine::Sequential).to_json_full();
+        let ref_trace = trace_digest(&cfg, Engine::Sequential, WARMUP + MEASURE);
+        let sampled = Run::new(&cfg, WARMUP, MEASURE).metrics(SAMPLE).finish();
+        let ref_metrics = metrics_jsonl(&sampled.router_obs, sampled.metrics.as_ref());
+        let (_, ref_windows) = telemetry_lines(&cfg, Engine::Sequential);
+        let (_, ref_anatomy) = anatomy_dump(&cfg, Engine::Sequential);
+
+        for engine in [Engine::Sequential, Engine::ActiveSet, Engine::Parallel(4)] {
+            let tag = format!("{name} on '{}'", engine.label());
+            let mut sink = DigestSink::with_cycle_digests();
+            let mut windows = Vec::new();
+            let run = Run::new(&cfg, WARMUP, MEASURE).engine(engine);
+            let outcome = run
+                .sink(&mut sink)
+                .profile()
+                .metrics(SAMPLE)
+                .telemetry(recording())
+                .anatomy(1 << 16, 4)
+                .verify()
+                .run(|snap| windows.push(window_jsonl(snap)));
+            let mut out = match outcome {
+                Ok(out) => out,
+                Err(trip) => panic!("{tag}: tripped without a watchdog: {}", trip.describe()),
+            };
+            sink.finish_cycles(WARMUP + MEASURE);
+
+            let report = out.verify.expect("checker attached");
+            assert!(report.checks > 0, "{tag}: checker did not run");
+            assert!(report.passed(), "{tag}: {:?}", report.violations.first());
+            let profile = out.profile.expect("profiler attached");
+            assert_eq!(
+                profile.cycles,
+                WARMUP + MEASURE,
+                "{tag}: profile not stamped"
+            );
+
+            assert_eq!(sink.digest(), ref_trace.digest(), "{tag}: trace digest");
+            assert_eq!(sink.events(), ref_trace.events(), "{tag}: trace events");
+            assert_eq!(
+                metrics_jsonl(&out.router_obs, out.metrics.as_ref()),
+                ref_metrics,
+                "{tag}: metrics export"
+            );
+            assert_eq!(windows, ref_windows, "{tag}: telemetry windows");
+            let col = out.anatomy.expect("ledger attached");
+            assert_eq!(
+                anatomy_jsonl(&cfg, &col),
+                ref_anatomy,
+                "{tag}: anatomy dump"
+            );
+            // The recorder's summary is the one part of the result an
+            // observer adds; without it the result is the plain run's.
+            assert!(out.result.telemetry.is_some(), "{tag}: no telemetry block");
+            out.result.telemetry = None;
+            assert_eq!(out.result.to_json_full(), plain, "{tag}: SimResult");
         }
     }
 }

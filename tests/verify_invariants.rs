@@ -2,14 +2,21 @@
 //! on every workload of the bench matrix, and the static checker must prove
 //! every simulated configuration deadlock-free.
 
+// Panicking on setup failure is the right behaviour outside library code.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc_bench::workload_matrix;
 use noc_check::{check_design, RouteModel};
-use noc_sim::{run_sim_verified, SimConfig, TopologyKind};
+use noc_sim::{Run, SimConfig, SimResult, StrictChecker, TopologyKind};
+
+fn run_verified(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, StrictChecker) {
+    let out = Run::new(cfg, warmup, measure).verify().finish();
+    (out.result, out.verify.expect("checker attached"))
+}
 
 #[test]
 fn bench_matrix_runs_with_zero_invariant_violations() {
     for (name, cfg) in workload_matrix() {
-        let (res, rep) = run_sim_verified(&cfg, 200, 600);
+        let (res, rep) = run_verified(&cfg, 200, 600);
         assert!(
             rep.passed(),
             "{name}: {} violations, e.g. {:?}",
@@ -27,7 +34,7 @@ fn torus_runs_with_zero_invariant_violations() {
         injection_rate: 0.15,
         ..SimConfig::paper_baseline(TopologyKind::Torus8x8, 2)
     };
-    let (_, rep) = run_sim_verified(&cfg, 300, 900);
+    let (_, rep) = run_verified(&cfg, 300, 900);
     assert!(rep.passed(), "torus: {:?}", rep.violations.first());
 }
 

@@ -14,7 +14,7 @@
 //! separate processes and invisible to this allocator.
 
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind};
-use noc_sim::{Network, SimConfig, TopologyKind};
+use noc_sim::{Engine, Network, SimConfig, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -176,8 +176,8 @@ fn kernel_paths_steady_state_is_allocation_free() {
 fn active_engine_steady_state_is_allocation_free() {
     let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut n = net(TopologyKind::Mesh8x8);
-    n.run_active(WARMUP);
-    let during = allocs_during(|| n.run_active(MEASURED));
+    Engine::ActiveSet.run(&mut n, WARMUP);
+    let during = allocs_during(|| Engine::ActiveSet.run(&mut n, MEASURED));
     assert_eq!(
         during, 0,
         "active engine allocated {during} times in {MEASURED} steady-state cycles"
@@ -193,10 +193,11 @@ fn parallel_engine_allocates_per_call_not_per_cycle() {
     // per-call constants, so the counts must match exactly.
     let mut a = net(TopologyKind::Mesh8x8);
     let mut b = net(TopologyKind::Mesh8x8);
-    a.run_parallel(WARMUP, 3);
-    b.run_parallel(WARMUP, 3);
-    let short = allocs_during(|| a.run_parallel(MEASURED, 3));
-    let long = allocs_during(|| b.run_parallel(2 * MEASURED, 3));
+    let par = Engine::Parallel(3);
+    par.run(&mut a, WARMUP);
+    par.run(&mut b, WARMUP);
+    let short = allocs_during(|| par.run(&mut a, MEASURED));
+    let long = allocs_during(|| par.run(&mut b, 2 * MEASURED));
     assert_eq!(
         short,
         long,
