@@ -12,9 +12,9 @@ use noc_sim::sim::{latency_curve_with, run_sim};
 use noc_sim::{SimConfig, SimResult};
 
 /// The runner signature every simulation-driven series accepts: a plain
-/// `run_sim` closure reproduces the legacy behavior; the sweep
-/// orchestrator's cache-backed runner makes the same computation
-/// resumable and shareable across binaries.
+/// `run_sim` closure simulates every point; the sweep orchestrator's
+/// cache-backed runner makes the same computation resumable and
+/// shareable across figures.
 pub type SimRunner = dyn Fn(&SimConfig, u64, u64) -> SimResult + Sync;
 
 /// The direct (uncached) runner: plain [`run_sim`].
@@ -77,6 +77,18 @@ pub struct SwCostPoint {
     /// three connected data points per curve in Figures 10/11.
     pub modes: [Result<SynthResult, SynthError>; 3],
 }
+
+/// The three switch-allocator architectures of the quality and latency
+/// figures (12/13) and the ablations built on them, with their legend
+/// labels.
+pub const SW_FIGURE_KINDS: [(&str, SwitchAllocatorKind); 3] = {
+    use noc_arbiter::ArbiterKind::RoundRobin;
+    [
+        ("sep_if", SwitchAllocatorKind::SepIf(RoundRobin)),
+        ("sep_of", SwitchAllocatorKind::SepOf(RoundRobin)),
+        ("wf", SwitchAllocatorKind::Wavefront),
+    ]
+};
 
 /// Switch-allocator variants plotted in Figures 10/11.
 pub fn sw_variants() -> Vec<SwitchAllocatorKind> {
@@ -146,7 +158,6 @@ pub fn vc_quality_data(point: &DesignPoint, trials: usize) -> Vec<QualityCurve> 
 
 /// Figure 12 series for one design point.
 pub fn sw_quality_data(point: &DesignPoint, trials: usize) -> Vec<QualityCurve> {
-    use noc_arbiter::ArbiterKind::RoundRobin;
     let spec = point.spec();
     let cfg = SwQualityConfig {
         ports: spec.ports(),
@@ -155,14 +166,10 @@ pub fn sw_quality_data(point: &DesignPoint, trials: usize) -> Vec<QualityCurve> 
         seed: 0x5c09,
     };
     let rates = quality_rates();
-    [
-        SwitchAllocatorKind::SepIf(RoundRobin),
-        SwitchAllocatorKind::SepOf(RoundRobin),
-        SwitchAllocatorKind::Wavefront,
-    ]
-    .iter()
-    .map(|&k| sw_quality_curve(&cfg, k, &rates))
-    .collect()
+    SW_FIGURE_KINDS
+        .iter()
+        .map(|&(_, k)| sw_quality_curve(&cfg, k, &rates))
+        .collect()
 }
 
 /// A labeled latency-vs-injection-rate curve (one line of Figures 13/14).
@@ -187,14 +194,8 @@ impl LatencyCurve {
 
     /// Bisection-refined saturation rate: narrows the bracket between the
     /// last stable and the first unstable grid point with a few extra runs
-    /// of the given configuration.
-    pub fn refined_saturation(&self, warmup: u64, measure: u64) -> f64 {
-        self.refined_saturation_with(warmup, measure, &direct_runner())
-    }
-
-    /// As [`LatencyCurve::refined_saturation`], with the probe runs
-    /// produced by `run` (the probe sequence is deterministic, so a cache
-    /// makes the refinement free on re-runs).
+    /// of the curve's configuration, produced by `run` (the probe sequence
+    /// is deterministic, so a cache makes the refinement free on re-runs).
     pub fn refined_saturation_with(&self, warmup: u64, measure: u64, run: &SimRunner) -> f64 {
         let cfg = &self.cfg;
         let mut lo = self.saturation();
@@ -236,50 +237,50 @@ impl LatencyCurve {
     }
 }
 
-/// Figure 13: latency curves for the three switch-allocator architectures
-/// on one design point (VC allocator fixed to `sep_if`, pessimistic
-/// speculation — §5.3.3).
-pub fn sa_latency_data(point: &DesignPoint, warmup: u64, measure: u64) -> Vec<LatencyCurve> {
-    sa_latency_data_with(point, warmup, measure, &direct_runner())
+/// One latency curve per `(label, configuration)` variant, over the design
+/// point's rate grid.
+fn latency_curves(
+    point: &DesignPoint,
+    variants: impl IntoIterator<Item = (String, SimConfig)>,
+    warmup: u64,
+    measure: u64,
+    run: &SimRunner,
+) -> Vec<LatencyCurve> {
+    let rates = point.rate_grid();
+    variants
+        .into_iter()
+        .map(|(label, cfg)| LatencyCurve {
+            label,
+            results: latency_curve_with(&cfg, &rates, warmup, measure, run),
+            cfg,
+        })
+        .collect()
 }
 
-/// [`sa_latency_data`] with an injectable runner (see [`SimRunner`]).
+/// Figure 13: latency curves for the three switch-allocator architectures
+/// on one design point (VC allocator fixed to `sep_if`, pessimistic
+/// speculation — §5.3.3), every simulation produced by `run` (see
+/// [`SimRunner`]).
 pub fn sa_latency_data_with(
     point: &DesignPoint,
     warmup: u64,
     measure: u64,
     run: &SimRunner,
 ) -> Vec<LatencyCurve> {
-    use noc_arbiter::ArbiterKind::RoundRobin;
     let base = SimConfig::paper_baseline(point.topology, point.vcs_per_class);
-    let rates = point.rate_grid();
-    [
-        ("sep_if", SwitchAllocatorKind::SepIf(RoundRobin)),
-        ("sep_of", SwitchAllocatorKind::SepOf(RoundRobin)),
-        ("wf", SwitchAllocatorKind::Wavefront),
-    ]
-    .iter()
-    .map(|(label, kind)| {
+    let variants = SW_FIGURE_KINDS.map(|(label, sa_kind)| {
         let cfg = SimConfig {
-            sa_kind: *kind,
+            sa_kind,
             ..base.clone()
         };
-        LatencyCurve {
-            label: label.to_string(),
-            results: latency_curve_with(&cfg, &rates, warmup, measure, run),
-            cfg,
-        }
-    })
-    .collect()
+        (label.to_string(), cfg)
+    });
+    latency_curves(point, variants, warmup, measure, run)
 }
 
 /// Figure 14: latency curves for the three speculation schemes on one
-/// design point (switch allocator fixed to `sep_if` — §5.3.3).
-pub fn spec_latency_data(point: &DesignPoint, warmup: u64, measure: u64) -> Vec<LatencyCurve> {
-    spec_latency_data_with(point, warmup, measure, &direct_runner())
-}
-
-/// [`spec_latency_data`] with an injectable runner (see [`SimRunner`]).
+/// design point (switch allocator fixed to `sep_if` — §5.3.3), every
+/// simulation produced by `run` (see [`SimRunner`]).
 pub fn spec_latency_data_with(
     point: &DesignPoint,
     warmup: u64,
@@ -287,31 +288,14 @@ pub fn spec_latency_data_with(
     run: &SimRunner,
 ) -> Vec<LatencyCurve> {
     let base = SimConfig::paper_baseline(point.topology, point.vcs_per_class);
-    let rates = point.rate_grid();
-    SpecMode::ALL
-        .iter()
-        .map(|&mode| {
-            let cfg = SimConfig {
-                spec_mode: mode,
-                ..base.clone()
-            };
-            LatencyCurve {
-                label: mode.label().to_string(),
-                results: latency_curve_with(&cfg, &rates, warmup, measure, run),
-                cfg,
-            }
-        })
-        .collect()
-}
-
-/// Zero-load latency at 1% load for an arbitrary configuration (used by
-/// the Figure 14 summaries).
-pub fn zero_load(cfg: &SimConfig, measure: u64) -> f64 {
-    let cfg = SimConfig {
-        injection_rate: 0.01,
-        ..cfg.clone()
-    };
-    run_sim(&cfg, 2_000, measure).avg_latency
+    let variants = SpecMode::ALL.map(|spec_mode| {
+        let cfg = SimConfig {
+            spec_mode,
+            ..base.clone()
+        };
+        (spec_mode.label().to_string(), cfg)
+    });
+    latency_curves(point, variants, warmup, measure, run)
 }
 
 #[cfg(test)]

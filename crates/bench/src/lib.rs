@@ -1,15 +1,19 @@
 #![forbid(unsafe_code)]
-//! Shared infrastructure for the figure-regeneration binaries.
+//! Figure regeneration, the sweep orchestrator and the bench harness.
 //!
-//! Every table/figure in the paper's evaluation has a binary in
-//! `src/bin/` (`fig04` … `fig14`) that regenerates its data series; the
-//! functions here compute those series so that integration tests can check
-//! them without re-parsing stdout. See `DESIGN.md` §4 for the experiment
-//! index and `EXPERIMENTS.md` for paper-vs-measured results.
+//! Every table/figure of the paper's evaluation (Figures 4–14) and every
+//! ablation is one row of the [`registry`]: a name, a render function
+//! (`sweep::render`) that builds its text from the data series computed
+//! in [`figures`], and — for the simulation figures — the sweep grid
+//! ([`sweep::presets`]) that pre-computes its points through the result
+//! cache. `noc fig NAME` prints a row; `results/NAME.txt` is its committed
+//! text. See `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md`
+//! for paper-vs-measured results.
 
 pub mod figures;
 pub mod harness;
 pub mod points;
+pub mod registry;
 pub mod sweep;
 
 pub use harness::{
@@ -17,16 +21,7 @@ pub use harness::{
     BaselineSummary, BenchParams, BenchReport, WorkloadResult,
 };
 pub use points::{DesignPoint, DESIGN_POINTS};
-
-/// Reads an environment-variable override for experiment sizing, so the
-/// full paper-scale runs (`NOC_TRIALS=10000`, `NOC_MEASURE=10000`, …) and
-/// quick smoke runs use the same binaries.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+pub use registry::{figure, preset_spec, FigCtx, Figure, FIGURES};
 
 /// Formats an `f64` that may be NaN (unsaturated/no-data points).
 pub fn fmt(v: f64) -> String {

@@ -18,11 +18,7 @@ pub struct DesignPoint {
 impl DesignPoint {
     /// The VC class structure of this point.
     pub fn spec(&self) -> VcAllocSpec {
-        match self.topology {
-            TopologyKind::Mesh8x8 => VcAllocSpec::mesh(self.vcs_per_class),
-            TopologyKind::FlattenedButterfly4x4 => VcAllocSpec::fbfly(self.vcs_per_class),
-            TopologyKind::Torus8x8 => VcAllocSpec::torus(self.vcs_per_class),
-        }
+        self.topology.vc_spec(self.vcs_per_class)
     }
 
     /// Figure caption label, e.g. `mesh, 2x1x4 VCs`.

@@ -4,9 +4,9 @@
 //! topology × allocator × speculation × traffic × rate × seed — that runs
 //! with bounded parallelism, caches every point by content digest, and
 //! journals completions so an interrupted sweep resumes with **zero
-//! recomputation**. The figure binaries (`fig13`, `fig14`, the
-//! simulation ablations) are thin wrappers over the same machinery, so a
-//! preset sweep and a legacy binary produce bit-identical stdout.
+//! recomputation**. The simulation figures of the registry
+//! ([`crate::registry`]) run on the same machinery: `noc fig fig13` and
+//! `noc sweep run --preset fig13` are the same grid, cache and render.
 //!
 //! Layering:
 //!
@@ -21,12 +21,12 @@
 //!   resume.
 //! - [`runner`]: [`run_sweep`] — journal-skip / cache-hit / compute
 //!   accounting, `run_many` parallelism, progress + ETA on stderr, and a
-//!   manifest export; plus [`cached_runner`]/[`env_runner`] which give the
-//!   figure renderers a cache-backed `run_sim`.
-//! - [`presets`]: the in-repo sweeps covering the simulation figures and
-//!   ablations, plus a CI-sized `smoke` preset.
-//! - [`render`]: exact stdout reproductions of the legacy figure
-//!   binaries, parameterized by runner.
+//!   manifest export; plus [`cached_runner`], which gives the figure
+//!   renderers a cache-backed `run_sim`.
+//! - [`presets`]: the grids of the simulation figures and ablations, plus
+//!   a CI-sized `smoke` grid.
+//! - `render`: the text of every figure and ablation, parameterized by
+//!   runner; reached through the registry's rows.
 //! - [`serve`]: sweep-as-a-service — the `noc serve` daemon deduplicating
 //!   concurrent clients' overlapping grids against the same cache and
 //!   journal.
@@ -34,15 +34,14 @@
 pub mod cache;
 pub mod journal;
 pub mod presets;
-pub mod render;
+pub(crate) mod render;
 pub mod runner;
 pub mod serve;
 pub mod spec;
 
 pub use cache::ResultCache;
 pub use journal::{Journal, JournalHeader};
-pub use presets::{preset, preset_names, preset_windows};
-pub use runner::{cached_runner, env_runner, run_sweep, SweepOptions, SweepOutcome};
+pub use runner::{cached_runner, run_sweep, SweepOptions, SweepOutcome};
 pub use spec::{SweepGrid, SweepPoint, SweepSpec};
 
 /// Cache/journal schema version. Participates in every point digest, so

@@ -1,170 +1,104 @@
-//! In-repo sweep presets covering the simulation-driven figures.
+//! The grids behind the simulation-driven figures.
 //!
-//! Each preset expands to exactly the grid its legacy binary simulates,
-//! with the same `NOC_WARMUP`/`NOC_MEASURE` environment overrides and
-//! defaults, so `noc sweep run --preset fig13` populates the cache with
-//! precisely the points `fig13` needs and the subsequent render is
-//! all-hits. The `smoke` preset is CI-sized: two mesh points, sub-second.
+//! Each function expands to exactly the points its figure's render
+//! simulates on the grid, so running it through `run_sweep` populates the
+//! cache with precisely what the render needs and the render is all-hits
+//! (only adaptive saturation probes may still simulate). The figure
+//! registry ([`crate::registry::FIGURES`]) binds each to its name, run
+//! window (stamped over the grids' default one) and render. The `smoke`
+//! grid is CI-sized: two mesh points, sub-second.
 
-use crate::env_usize;
+use crate::figures::SW_FIGURE_KINDS;
 use crate::points::DESIGN_POINTS;
-use crate::sweep::spec::{SweepGrid, SweepSpec};
-use noc_arbiter::ArbiterKind::RoundRobin;
-use noc_core::{SpecMode, SwitchAllocatorKind};
+use crate::sweep::spec::SweepGrid;
+use noc_core::SpecMode;
 use noc_sim::{TopologyKind, TrafficPattern};
 
 /// The injection rates of the `smoke` preset (shared with its renderer).
 pub const SMOKE_RATES: [f64; 2] = [0.05, 0.10];
 
-/// Every preset name, in display order.
-pub fn preset_names() -> &'static [&'static str] {
-    &[
-        "fig13",
-        "fig14",
-        "ablation-traffic",
-        "ablation-speculation",
-        "smoke",
-    ]
-}
+/// The synthetic patterns of the traffic ablation (shared with its
+/// renderer).
+pub const TRAFFIC_PATTERNS: [TrafficPattern; 4] = [
+    TrafficPattern::UniformRandom,
+    TrafficPattern::BitComplement,
+    TrafficPattern::Transpose,
+    TrafficPattern::Tornado,
+];
 
-/// The env-resolved (warmup, measure) window of a preset — the same
-/// `NOC_WARMUP`/`NOC_MEASURE` lookup, with the same defaults, as the
-/// preset's legacy binary.
-pub fn preset_windows(name: &str) -> Option<(u64, u64)> {
-    let (w, m) = match name {
-        "fig13" | "fig14" => (3_000, 6_000),
-        "ablation-traffic" | "ablation-speculation" => (2_000, 4_000),
-        "smoke" => (200, 400),
-        _ => return None,
-    };
-    Some((
-        env_usize("NOC_WARMUP", w) as u64,
-        env_usize("NOC_MEASURE", m) as u64,
-    ))
-}
-
-/// Resolves a preset by name (windows come from [`preset_windows`]).
-pub fn preset(name: &str) -> Option<SweepSpec> {
-    let (warmup, measure) = preset_windows(name)?;
-    Some(match name {
-        "fig13" => fig13_spec(warmup, measure),
-        "fig14" => fig14_spec(warmup, measure),
-        "ablation-traffic" => ablation_traffic_spec(warmup, measure),
-        "ablation-speculation" => ablation_speculation_spec(warmup, measure),
-        "smoke" => smoke_spec(warmup, measure),
-        _ => return None,
-    })
-}
+/// The `(topology, C)` design points of the speculation ablation (shared
+/// with its renderer).
+pub const SPECULATION_POINTS: [(TopologyKind, usize); 2] = [
+    (TopologyKind::Mesh8x8, 1),
+    (TopologyKind::FlattenedButterfly4x4, 4),
+];
 
 /// Figure 13's grid: all six design points × the three switch-allocator
 /// architectures × the per-point rate grid.
-pub fn fig13_spec(warmup: u64, measure: u64) -> SweepSpec {
-    let grids = DESIGN_POINTS
+pub fn fig13_grids() -> Vec<SweepGrid> {
+    DESIGN_POINTS
         .iter()
         .map(|p| SweepGrid {
             topology: vec![p.topology],
             vcs: vec![p.vcs_per_class],
-            sa: vec![
-                SwitchAllocatorKind::SepIf(RoundRobin),
-                SwitchAllocatorKind::SepOf(RoundRobin),
-                SwitchAllocatorKind::Wavefront,
-            ],
+            sa: SW_FIGURE_KINDS.map(|(_, kind)| kind).to_vec(),
             rates: p.rate_grid(),
-            warmup,
-            measure,
             ..SweepGrid::default()
         })
-        .collect();
-    SweepSpec {
-        name: "fig13".into(),
-        grids,
-    }
+        .collect()
 }
 
 /// Figure 14's grid: all six design points × the three speculation
 /// schemes × the per-point rate grid.
-pub fn fig14_spec(warmup: u64, measure: u64) -> SweepSpec {
-    let grids = DESIGN_POINTS
+pub fn fig14_grids() -> Vec<SweepGrid> {
+    DESIGN_POINTS
         .iter()
         .map(|p| SweepGrid {
             topology: vec![p.topology],
             vcs: vec![p.vcs_per_class],
             spec_mode: SpecMode::ALL.to_vec(),
             rates: p.rate_grid(),
-            warmup,
-            measure,
             ..SweepGrid::default()
         })
-        .collect();
-    SweepSpec {
-        name: "fig14".into(),
-        grids,
-    }
+        .collect()
 }
 
 /// The traffic-pattern ablation: fbfly 2x2x2, four synthetic patterns,
 /// sep_if vs wavefront.
-pub fn ablation_traffic_spec(warmup: u64, measure: u64) -> SweepSpec {
-    SweepSpec {
-        name: "ablation-traffic".into(),
-        grids: vec![SweepGrid {
-            topology: vec![TopologyKind::FlattenedButterfly4x4],
-            vcs: vec![2],
-            pattern: vec![
-                TrafficPattern::UniformRandom,
-                TrafficPattern::BitComplement,
-                TrafficPattern::Transpose,
-                TrafficPattern::Tornado,
-            ],
-            sa: vec![
-                SwitchAllocatorKind::SepIf(RoundRobin),
-                SwitchAllocatorKind::Wavefront,
-            ],
-            rates: (1..=8).map(|i| 0.07 * i as f64).collect(),
-            warmup,
-            measure,
-            ..SweepGrid::default()
-        }],
-    }
+pub fn ablation_traffic_grids() -> Vec<SweepGrid> {
+    vec![SweepGrid {
+        topology: vec![TopologyKind::FlattenedButterfly4x4],
+        vcs: vec![2],
+        pattern: TRAFFIC_PATTERNS.to_vec(),
+        sa: vec![SW_FIGURE_KINDS[0].1, SW_FIGURE_KINDS[2].1],
+        rates: (1..=8).map(|i| 0.07 * i as f64).collect(),
+        ..SweepGrid::default()
+    }]
 }
 
 /// The speculation-efficiency ablation: conventional vs pessimistic
 /// grant outcomes on mesh 2x1x1 and fbfly 2x2x4 at four load points.
-pub fn ablation_speculation_spec(warmup: u64, measure: u64) -> SweepSpec {
-    let grids = [
-        (TopologyKind::Mesh8x8, 1usize),
-        (TopologyKind::FlattenedButterfly4x4, 4),
-    ]
-    .into_iter()
-    .map(|(topo, c)| SweepGrid {
-        topology: vec![topo],
-        vcs: vec![c],
-        spec_mode: vec![SpecMode::Conventional, SpecMode::Pessimistic],
-        rates: vec![0.05, 0.15, 0.25, 0.35],
-        warmup,
-        measure,
-        ..SweepGrid::default()
-    })
-    .collect();
-    SweepSpec {
-        name: "ablation-speculation".into(),
-        grids,
-    }
+pub fn ablation_speculation_grids() -> Vec<SweepGrid> {
+    SPECULATION_POINTS
+        .into_iter()
+        .map(|(topo, c)| SweepGrid {
+            topology: vec![topo],
+            vcs: vec![c],
+            spec_mode: vec![SpecMode::Conventional, SpecMode::Pessimistic],
+            rates: vec![0.05, 0.15, 0.25, 0.35],
+            ..SweepGrid::default()
+        })
+        .collect()
 }
 
 /// The CI smoke preset: two mesh 2x1x1 points, sub-second.
-pub fn smoke_spec(warmup: u64, measure: u64) -> SweepSpec {
-    SweepSpec {
-        name: "smoke".into(),
-        grids: vec![SweepGrid {
-            topology: vec![TopologyKind::Mesh8x8],
-            vcs: vec![1],
-            rates: SMOKE_RATES.to_vec(),
-            warmup,
-            measure,
-            ..SweepGrid::default()
-        }],
-    }
+pub fn smoke_grids() -> Vec<SweepGrid> {
+    vec![SweepGrid {
+        topology: vec![TopologyKind::Mesh8x8],
+        vcs: vec![1],
+        rates: SMOKE_RATES.to_vec(),
+        ..SweepGrid::default()
+    }]
 }
 
 #[cfg(test)]
@@ -173,24 +107,29 @@ mod tests {
 
     #[test]
     fn preset_sizes_match_their_binaries() {
+        let points = |grids: Vec<SweepGrid>| grids.iter().map(|g| g.expand().len()).sum::<usize>();
         // fig13: 6 points × 3 allocators × 10 rates.
-        assert_eq!(fig13_spec(100, 200).expand().len(), 180);
+        assert_eq!(points(fig13_grids()), 180);
         // fig14: 6 points × 3 spec modes × 10 rates.
-        assert_eq!(fig14_spec(100, 200).expand().len(), 180);
+        assert_eq!(points(fig14_grids()), 180);
         // ablation-traffic: 4 patterns × 2 allocators × 8 rates.
-        assert_eq!(ablation_traffic_spec(100, 200).expand().len(), 64);
+        assert_eq!(points(ablation_traffic_grids()), 64);
         // ablation-speculation: 2 points × 2 modes × 4 rates.
-        assert_eq!(ablation_speculation_spec(100, 200).expand().len(), 16);
-        assert_eq!(smoke_spec(100, 200).expand().len(), 2);
+        assert_eq!(points(ablation_speculation_grids()), 16);
+        assert_eq!(points(smoke_grids()), 2);
     }
 
     #[test]
     fn every_name_resolves_and_unknowns_do_not() {
-        for name in preset_names() {
-            let spec = preset(name).expect("preset resolves");
-            assert_eq!(&spec.name, name, "spec name matches preset name");
-            assert!(preset_windows(name).is_some());
+        use crate::registry::{figure, preset_spec, FIGURES};
+        let presets: Vec<_> = FIGURES.iter().filter(|f| f.grid.is_some()).collect();
+        assert_eq!(presets.len(), 5);
+        for f in presets {
+            let spec = preset_spec(f.name).expect("preset resolves");
+            assert_eq!(spec.name, f.name, "spec name matches preset name");
         }
-        assert!(preset("fig99").is_none());
+        assert!(preset_spec("fig99").is_err());
+        // A figure without a grid is a figure, not a preset.
+        assert!(figure("fig05").is_ok() && preset_spec("fig05").is_err());
     }
 }

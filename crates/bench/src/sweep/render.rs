@@ -1,214 +1,545 @@
-//! Exact stdout reproductions of the simulation figure binaries.
+//! The text of every figure and ablation.
 //!
-//! Each function builds the same text the corresponding `src/bin/`
-//! binary prints, character for character, but takes the simulation
-//! runner as a parameter — so the binaries call these with the
-//! (optionally cache-backed) [`env_runner`](crate::sweep::env_runner),
-//! and `noc sweep run --preset <name>` calls them with a
-//! [`cached_runner`](crate::sweep::cached_runner) over a freshly
-//! populated cache. Bit-identical output between the two paths is a
-//! tested invariant, not an aspiration.
+//! Each function builds one figure's complete stdout — the text committed
+//! under `results/` — from a [`FigCtx`]: the simulation runner plus the
+//! resolved run window and trial count. Nothing here reads the
+//! environment or the file system, so the same function serves `noc fig`,
+//! `noc sweep run --preset` (over a freshly populated cache) and the
+//! tests, and a cached render is bit-identical to a direct one — a tested
+//! invariant. The registry ([`crate::registry::FIGURES`]) names them.
 
-use crate::figures::{sa_latency_data_with, spec_latency_data_with, SimRunner};
-use crate::fmt;
-use crate::points::DESIGN_POINTS;
-use crate::sweep::presets::SMOKE_RATES;
-use noc_core::{SpecMode, SwitchAllocatorKind};
-use noc_sim::sim::latency_curve_with;
-use noc_sim::{SimConfig, TopologyKind, TrafficPattern};
+use crate::figures::{
+    pessimistic_delay_saving, quality_rates, sa_latency_data_with, sparse_savings,
+    spec_latency_data_with, sw_cost_data, sw_quality_data, vc_cost_data, vc_quality_data,
+    LatencyCurve, SimRunner, SwCostPoint, VcCostPoint, SW_FIGURE_KINDS,
+};
+use crate::points::{DesignPoint, DESIGN_POINTS};
+use crate::registry::FigCtx;
+use crate::sweep::presets::{SMOKE_RATES, SPECULATION_POINTS, TRAFFIC_PATTERNS};
+use noc_core::{
+    Allocator, AllocatorKind, AugmentingPathAllocator, BitMatrix, MaxSizeAllocator,
+    SeparableInputFirst, SeparableOutputFirst, SpecMode, VcAllocSpec,
+};
+use noc_hw::builders::arbiters::{arbiter_netlist, HwArbiterKind};
+use noc_hw::builders::sw_alloc::switch_allocator_netlist;
+use noc_hw::builders::vc_alloc::synthesize_vc_allocator;
+use noc_hw::builders::wavefront::{build_wavefront, build_wavefront_unrolled};
+use noc_hw::{Netlist, SynthResult, Synthesizer};
+use noc_quality::{
+    sw_quality_curve, vc_quality_curve, QualityCurve, SwQualityConfig, VcQualityConfig,
+};
+use noc_sim::sim::{latency_curve_with, saturation_rate_with};
+use noc_sim::{SimConfig, TopologyKind};
+use rand::{Rng, SeedableRng};
+use std::fmt::{self, Write as _};
 
-macro_rules! w {
-    ($out:expr, $($t:tt)*) => {{
-        use std::fmt::Write as _;
-        let _ = write!($out, $($t)*);
-    }};
+/// Figure 4: the VC transition matrix for the flattened butterfly with
+/// 2x2x4 VCs — 96 of 256 transitions legal, each VC confined to at most 8
+/// successors in its own message-class quadrant.
+pub(crate) fn fig04(_: &FigCtx, out: &mut String) -> fmt::Result {
+    let spec = VcAllocSpec::fbfly(4);
+    let t = spec.transition_matrix();
+    let v = spec.total_vcs();
+    writeln!(
+        out,
+        "Figure 4: VC transition matrix (fbfly, {} VCs)",
+        spec.label()
+    )?;
+    writeln!(
+        out,
+        "rows = input VCs, cols = output VCs; '#' = legal transition\n"
+    )?;
+    write!(out, "        ")?;
+    for ov in 0..v {
+        write!(out, "{}", ov % 10)?;
+    }
+    writeln!(out)?;
+    for iv in 0..v {
+        let (m, r, c) = spec.vc_class(iv);
+        write!(out, "vc{iv:2} {m}{r}{c} ")?;
+        for ov in 0..v {
+            write!(out, "{}", if t.get(iv, ov) { '#' } else { '.' })?;
+        }
+        writeln!(out)?;
+    }
+    writeln!(out)?;
+    writeln!(
+        out,
+        "legal transitions: {} of {} (paper: 96 of 256)",
+        spec.legal_transition_count(),
+        v * v
+    )?;
+    let max_succ = (0..v).map(|iv| t.row(iv).count_ones()).max().unwrap_or(0);
+    let max_pred = (0..v).map(|ov| t.col(ov).count_ones()).max().unwrap_or(0);
+    writeln!(out, "max successors per VC: {max_succ} (paper: 8)")?;
+    writeln!(out, "max predecessors per VC: {max_pred} (paper: 8)")
 }
-macro_rules! wl {
-    ($out:expr) => {{
-        use std::fmt::Write as _;
-        let _ = writeln!($out);
-    }};
-    ($out:expr, $($t:tt)*) => {{
-        use std::fmt::Write as _;
-        let _ = writeln!($out, $($t)*);
-    }};
+
+/// The y axis of a cost figure: area (Figures 5/10) or power (6/11),
+/// against delay on x.
+struct CostAxis {
+    /// Caption text, e.g. `area (um^2)`.
+    caption: &'static str,
+    /// Column-header unit, e.g. `um2`.
+    unit: &'static str,
+    /// Formats the axis value of one synthesis result.
+    value: fn(&SynthResult) -> String,
 }
 
-/// Renders a preset's figure text, or `None` for presets without a
-/// figure (never: every preset renders). Windows resolve exactly as the
-/// legacy binaries resolve them (see
-/// [`preset_windows`](crate::sweep::presets::preset_windows)).
-pub fn render_preset(name: &str, run: &SimRunner) -> Option<String> {
-    let (warmup, measure) = crate::sweep::presets::preset_windows(name)?;
-    Some(match name {
-        "fig13" => fig13(run, warmup, measure),
-        "fig14" => fig14(run, warmup, measure),
-        "ablation-traffic" => ablation_traffic(run, warmup, measure),
-        "ablation-speculation" => ablation_speculation(run, warmup, measure),
-        "smoke" => smoke(run, warmup, measure),
-        _ => return None,
+const AREA: CostAxis = CostAxis {
+    caption: "area (um^2)",
+    unit: "um2",
+    value: |r| format!("{:.0}", r.area_um2),
+};
+
+const POWER: CostAxis = CostAxis {
+    caption: "power (mW)",
+    unit: "mW",
+    value: |r| format!("{:.2}", r.power_mw),
+};
+
+/// The `(delay, axis value)` cell pair of one synthesis outcome.
+fn cost_cells<E>(r: &Result<SynthResult, E>, axis: &CostAxis) -> (String, String) {
+    match r {
+        Ok(r) => (format!("{:.3}", r.delay_ns), (axis.value)(r)),
+        Err(_) => ("OOM".into(), "OOM".into()),
+    }
+}
+
+/// Figures 5/6: one VC-allocator cost table per design point, dense and
+/// sparse, with `axis` against delay in columns `width` wide; `headline`
+/// appends the figure's closing lines from all six points' data.
+fn vc_cost_figure(
+    out: &mut String,
+    fig: u32,
+    axis: &CostAxis,
+    width: usize,
+    headline: fn(&mut String, &[Vec<VcCostPoint>]) -> fmt::Result,
+) -> fmt::Result {
+    let mut all = Vec::new();
+    for point in &DESIGN_POINTS {
+        writeln!(
+            out,
+            "--- Figure {fig}({}): {} — {} vs delay (ns) ---",
+            point.tag,
+            point.label(),
+            axis.caption
+        )?;
+        writeln!(
+            out,
+            "{:<10} {:>10} {:>width$} {:>10} {:>width$}",
+            "variant",
+            "dense_ns",
+            format!("dense_{}", axis.unit),
+            "sparse_ns",
+            format!("sparse_{}", axis.unit)
+        )?;
+        let data = vc_cost_data(point);
+        for p in &data {
+            let (dd, dv) = cost_cells(&p.dense, axis);
+            let (sd, sv) = cost_cells(&p.sparse, axis);
+            writeln!(
+                out,
+                "{:<10} {dd:>10} {dv:>width$} {sd:>10} {sv:>width$}",
+                p.variant
+            )?;
+        }
+        writeln!(out)?;
+        all.push(data);
+    }
+    headline(out, &all)
+}
+
+/// Figure 5: VC allocator area vs delay for all six design points, dense
+/// (un-optimized) and sparse (§4.2) variants, plus the §4.3.1 savings
+/// headline.
+pub(crate) fn fig05(_: &FigCtx, out: &mut String) -> fmt::Result {
+    vc_cost_figure(out, 5, &AREA, 12, |out, all| {
+        let (d, a, p) = sparse_savings(all);
+        writeln!(
+            out,
+            "sparse VC allocation savings across synthesizable points (paper: up to 41% / 90% / 83%):"
+        )?;
+        writeln!(
+            out,
+            "  delay: up to {d:.0}%   area: up to {a:.0}%   power: up to {p:.0}%"
+        )
     })
 }
 
-/// Figure 13 (`fig13` binary): latency vs injection rate for the three
-/// switch-allocator architectures, all six design points.
-pub fn fig13(run: &SimRunner, warmup: u64, measure: u64) -> String {
-    let mut out = String::new();
-    wl!(out, "warmup {warmup} / measure {measure} cycles per run\n");
+/// Figure 6: VC allocator power vs delay for all six design points.
+pub(crate) fn fig06(_: &FigCtx, out: &mut String) -> fmt::Result {
+    vc_cost_figure(out, 6, &POWER, 11, |_, _| Ok(()))
+}
+
+/// Figures 10/11: one switch-allocator cost table per design point —
+/// five architectures × three speculation schemes — with `axis` against
+/// delay in columns `width` wide; `headline` as in [`vc_cost_figure`].
+fn sw_cost_figure(
+    out: &mut String,
+    fig: u32,
+    axis: &CostAxis,
+    width: usize,
+    headline: fn(&mut String, &[Vec<SwCostPoint>]) -> fmt::Result,
+) -> fmt::Result {
+    let mut all = Vec::new();
     for point in &DESIGN_POINTS {
-        wl!(
+        writeln!(
             out,
-            "--- Figure 13({}): {} — latency (cycles) vs injection rate (flits/cycle) ---",
+            "--- Figure {fig}({}): {} — {} vs delay (ns) ---",
+            point.tag,
+            point.label(),
+            axis.caption
+        )?;
+        write!(out, "{:<10}", "variant")?;
+        for mode in ["nonspec", "pessimistic", "conventional"] {
+            // One header spans a mode's delay and axis columns.
+            let span = width + 12;
+            write!(out, " {:>span$}", format!("{mode} ns/{}", axis.unit))?;
+        }
+        writeln!(out)?;
+        let data = sw_cost_data(point);
+        for p in &data {
+            write!(out, "{:<10}", p.variant)?;
+            for m in &p.modes {
+                let (delay, value) = cost_cells(m, axis);
+                write!(out, " {delay:>11} {value:>width$}")?;
+            }
+            writeln!(out)?;
+        }
+        writeln!(out)?;
+        all.push(data);
+    }
+    headline(out, &all)
+}
+
+/// Figure 10: switch allocator area vs delay — five architectures × three
+/// speculation schemes per design point, plus the §5.3.1 delay headline.
+pub(crate) fn fig10(_: &FigCtx, out: &mut String) -> fmt::Result {
+    sw_cost_figure(out, 10, &AREA, 12, |out, all| {
+        writeln!(
+            out,
+            "pessimistic vs conventional speculation delay saving: up to {:.0}% (paper: up to 23%)",
+            pessimistic_delay_saving(all)
+        )
+    })
+}
+
+/// Figure 11: switch allocator power vs delay.
+pub(crate) fn fig11(_: &FigCtx, out: &mut String) -> fmt::Result {
+    sw_cost_figure(out, 11, &POWER, 10, |_, _| Ok(()))
+}
+
+/// Figures 7/12: matching quality vs request rate for the three
+/// architectures on all six design points, the curves computed by `data`
+/// over `ctx.trials` request matrices per rate (paper: 10000).
+fn quality_figure(
+    ctx: &FigCtx,
+    out: &mut String,
+    fig: u32,
+    data: fn(&DesignPoint, usize) -> Vec<QualityCurve>,
+) -> fmt::Result {
+    let rates = quality_rates();
+    writeln!(out, "trials per point: {} (paper: 10000)\n", ctx.trials)?;
+    for point in &DESIGN_POINTS {
+        writeln!(
+            out,
+            "--- Figure {fig}({}): {} — matching quality ---",
             point.tag,
             point.label()
-        );
-        let curves = sa_latency_data_with(point, warmup, measure, run);
-        w!(out, "{:<8}", "rate");
-        for r in &curves[0].results {
-            w!(out, " {:>7.3}", r.offered);
+        )?;
+        write!(out, "{:<8}", "rate")?;
+        for r in &rates {
+            write!(out, " {r:>6.2}")?;
         }
-        wl!(out);
+        writeln!(out)?;
+        for curve in data(point, ctx.trials) {
+            write!(out, "{:<8}", curve.label)?;
+            for p in &curve.points {
+                write!(out, " {:>6.3}", p.quality())?;
+            }
+            writeln!(out)?;
+        }
+        writeln!(out)?;
+    }
+    Ok(())
+}
+
+/// Figure 7: VC allocator matching quality vs request rate.
+pub(crate) fn fig07(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    quality_figure(ctx, out, 7, vc_quality_data)
+}
+
+/// Figure 12: switch allocator matching quality vs request rate.
+pub(crate) fn fig12(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    quality_figure(ctx, out, 12, sw_quality_data)
+}
+
+/// Figures 13/14: latency vs injection rate on all six design points, the
+/// curves computed by `data` and labelled in a column `width` wide, each
+/// with its bisection-refined saturation rate; `summary` appends a
+/// point's comparison lines from its curves and their saturation rates.
+fn latency_figure(
+    ctx: &FigCtx,
+    out: &mut String,
+    fig: u32,
+    width: usize,
+    data: fn(&DesignPoint, u64, u64, &SimRunner) -> Vec<LatencyCurve>,
+    summary: fn(&mut String, &[LatencyCurve], &[f64]) -> fmt::Result,
+) -> fmt::Result {
+    let (warmup, measure) = (ctx.warmup, ctx.measure);
+    writeln!(out, "warmup {warmup} / measure {measure} cycles per run\n")?;
+    for point in &DESIGN_POINTS {
+        writeln!(
+            out,
+            "--- Figure {fig}({}): {} — latency (cycles) vs injection rate (flits/cycle) ---",
+            point.tag,
+            point.label()
+        )?;
+        let curves = data(point, warmup, measure, ctx.run);
+        write!(out, "{:<width$}", "rate")?;
+        for r in &curves[0].results {
+            write!(out, " {:>7.3}", r.offered)?;
+        }
+        writeln!(out)?;
+        let mut sats = Vec::new();
         for c in &curves {
-            w!(out, "{:<8}", c.label);
+            write!(out, "{:<width$}", c.label)?;
             for r in &c.results {
-                w!(
+                write!(
                     out,
                     " {:>7}",
                     if r.stable {
-                        fmt(r.avg_latency)
+                        crate::fmt(r.avg_latency)
                     } else {
                         "sat".into()
                     }
-                );
+                )?;
             }
-            wl!(
-                out,
-                "   | saturation ~{:.3}",
-                c.refined_saturation_with(warmup, measure, run)
-            );
+            let sat = c.refined_saturation_with(warmup, measure, ctx.run);
+            writeln!(out, "   | saturation ~{sat:.3}")?;
+            sats.push(sat);
         }
-        let sat_if = curves[0].refined_saturation_with(warmup, measure, run);
-        let sat_wf = curves[2].refined_saturation_with(warmup, measure, run);
-        if sat_if > 0.0 {
-            wl!(
+        summary(out, &curves, &sats)?;
+        writeln!(out)?;
+    }
+    Ok(())
+}
+
+/// Figure 13: average packet latency vs injection rate for the three
+/// switch-allocator architectures, plus the §5.3.3/§6 saturation-rate
+/// comparisons.
+pub(crate) fn fig13(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    latency_figure(ctx, out, 13, 8, sa_latency_data_with, |out, _, sats| {
+        // sep_if is index 0, wf index 2.
+        if sats[0] > 0.0 {
+            writeln!(
                 out,
                 "wf vs sep_if saturation: {:+.1}%",
-                (sat_wf / sat_if - 1.0) * 100.0
-            );
+                (sats[2] / sats[0] - 1.0) * 100.0
+            )?;
         }
-        wl!(out);
-    }
-    wl!(
+        Ok(())
+    })?;
+    writeln!(
         out,
-        "paper reference points: wf ~= sep_if on mesh (<4% for 2x1x4);"
-    );
-    wl!(out, "wf +4% on fbfly 2x2x1; wf >+20% on fbfly 2x2x4.");
-    out
+        "paper reference points: wf ~= sep_if on mesh (<4% for 2x1x4);\n\
+         wf +4% on fbfly 2x2x1; wf >+20% on fbfly 2x2x4."
+    )
 }
 
-/// Figure 14 (`fig14` binary): latency vs injection rate for the three
-/// speculation schemes, all six design points.
-pub fn fig14(run: &SimRunner, warmup: u64, measure: u64) -> String {
-    let mut out = String::new();
-    wl!(out, "warmup {warmup} / measure {measure} cycles per run\n");
-    for point in &DESIGN_POINTS {
-        wl!(
-            out,
-            "--- Figure 14({}): {} — latency (cycles) vs injection rate (flits/cycle) ---",
-            point.tag,
-            point.label()
-        );
-        let curves = spec_latency_data_with(point, warmup, measure, run);
-        w!(out, "{:<9}", "rate");
-        for r in &curves[0].results {
-            w!(out, " {:>7.3}", r.offered);
-        }
-        wl!(out);
-        for c in &curves {
-            w!(out, "{:<9}", c.label);
-            for r in &c.results {
-                w!(
+/// Figure 14: average packet latency vs injection rate for the three
+/// speculative switch-allocation schemes, plus the §5.3.3 zero-load and
+/// saturation summaries.
+pub(crate) fn fig14(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    latency_figure(
+        ctx,
+        out,
+        14,
+        9,
+        spec_latency_data_with,
+        |out, curves, sats| {
+            // nonspec is index 0, conventional 1, pessimistic 2.
+            let (ns, pess) = (&curves[0], &curves[2]);
+            let zl_gain = (ns.min_rate_latency() - pess.min_rate_latency()) / ns.min_rate_latency();
+            writeln!(
+                out,
+                "zero-load latency gain from speculation: {:.1}%",
+                zl_gain * 100.0
+            )?;
+            let (s_ns, s_conv, s_pess) = (sats[0], sats[1], sats[2]);
+            if s_ns > 0.0 && s_conv > 0.0 {
+                writeln!(
                     out,
-                    " {:>7}",
-                    if r.stable {
-                        fmt(r.avg_latency)
-                    } else {
-                        "sat".into()
-                    }
-                );
+                    "saturation: spec vs nonspec {:+.1}%, pessimistic vs conventional {:+.1}%",
+                    (s_pess / s_ns - 1.0) * 100.0,
+                    (s_pess / s_conv - 1.0) * 100.0
+                )?;
             }
-            wl!(
-                out,
-                "   | saturation ~{:.3}",
-                c.refined_saturation_with(warmup, measure, run)
-            );
-        }
-        // Summaries: nonspec is index 0, conventional 1, pessimistic 2.
-        let (ns, conv, pess) = (&curves[0], &curves[1], &curves[2]);
-        let zl_gain = (ns.min_rate_latency() - pess.min_rate_latency()) / ns.min_rate_latency();
-        wl!(
-            out,
-            "zero-load latency gain from speculation: {:.1}%",
-            zl_gain * 100.0
-        );
-        let (s_ns, s_conv, s_pess) = (
-            ns.refined_saturation_with(warmup, measure, run),
-            conv.refined_saturation_with(warmup, measure, run),
-            pess.refined_saturation_with(warmup, measure, run),
-        );
-        if s_ns > 0.0 && s_conv > 0.0 {
-            wl!(
-                out,
-                "saturation: spec vs nonspec {:+.1}%, pessimistic vs conventional {:+.1}%",
-                (s_pess / s_ns - 1.0) * 100.0,
-                (s_pess / s_conv - 1.0) * 100.0
-            );
-        }
-        wl!(out);
-    }
-    wl!(
+            Ok(())
+        },
+    )?;
+    writeln!(
         out,
-        "paper reference points: zero-load gain up to 23% (mesh) / 14% (fbfly);"
-    );
-    wl!(
-        out,
-        "spec saturation gain 14% (mesh 2x1x1), 6% (fbfly 2x2x1), <5% elsewhere;"
-    );
-    wl!(out, "pessimistic loses <4% throughput vs conventional.");
-    out
+        "paper reference points: zero-load gain up to 23% (mesh) / 14% (fbfly);\n\
+         spec saturation gain 14% (mesh 2x1x1), 6% (fbfly 2x2x1), <5% elsewhere;\n\
+         pessimistic loses <4% throughput vs conventional."
+    )
 }
 
-/// The traffic-pattern ablation (`ablation_traffic` binary).
-pub fn ablation_traffic(run: &SimRunner, warmup: u64, measure: u64) -> String {
-    let mut out = String::new();
+/// Runs the flow with no capacity limit — the only way it can fail.
+fn synth_unlimited(netlist: Netlist) -> SynthResult {
+    match Synthesizer::unlimited().run(netlist) {
+        Ok(r) => r,
+        Err(e) => unreachable!("{e}"),
+    }
+}
+
+/// One `delay / area / power` row tail shared by the synthesis ablations.
+fn cost_row(r: &SynthResult) -> String {
+    format!(
+        "{:>9.3} {:>11.0} {:>9.2}",
+        r.delay_ns, r.area_um2, r.power_mw
+    )
+}
+
+/// Ablation: round-robin vs matrix arbiters (DESIGN.md §6).
+///
+/// The paper concludes the delay advantage of matrix arbiters "is unlikely
+/// to justify the higher cost" (§4.3.1/§5.3.1). This isolates the arbiter
+/// itself: synthesis cost of standalone rr/matrix arbiters across widths,
+/// and the (absence of) matching-quality impact of the arbiter kind
+/// inside separable allocators.
+pub(crate) fn ablation_arbiters(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    writeln!(out, "standalone arbiter synthesis:")?;
+    writeln!(
+        out,
+        "{:<6} {:>5} {:>9} {:>11} {:>9}",
+        "kind", "width", "delay_ns", "area_um2", "power_mW"
+    )?;
+    for n in [4usize, 8, 16, 32, 64] {
+        for kind in [HwArbiterKind::RoundRobin, HwArbiterKind::Matrix] {
+            let r = synth_unlimited(arbiter_netlist(kind, n));
+            let name: String = format!("{kind:?}").to_lowercase().chars().take(6).collect();
+            writeln!(out, "{name:<6} {n:>5} {}", cost_row(&r))?;
+        }
+    }
+
+    writeln!(
+        out,
+        "\nmatching quality: arbiter kind inside separable VC allocators (rate 1.0):"
+    )?;
+    for spec in [VcAllocSpec::mesh(4), VcAllocSpec::fbfly(2)] {
+        let cfg = VcQualityConfig {
+            spec: spec.clone(),
+            trials: ctx.trials,
+            seed: 11,
+        };
+        for kind in [
+            AllocatorKind::SepIfRr,
+            AllocatorKind::SepIfMatrix,
+            AllocatorKind::SepOfRr,
+            AllocatorKind::SepOfMatrix,
+        ] {
+            let q = vc_quality_curve(&cfg, kind, &[1.0]).points[0].quality();
+            writeln!(out, "  {} {:<10} {q:.3}", spec.label(), kind.label())?;
+        }
+    }
+    writeln!(
+        out,
+        "\nconclusion check: quality is essentially arbiter-kind independent;\n\
+         matrix buys delay at a superlinear area cost (see widths 32/64)."
+    )
+}
+
+/// Grants of `alloc` relative to a maximum-size allocator over `trials`
+/// random 16×16 request matrices of density 0.25 (a fixed seed, so every
+/// variant sees the same matrices).
+fn quality_vs_maximum(alloc: &mut dyn Allocator, trials: usize) -> f64 {
+    const N: usize = 16;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+    let (mut got, mut best) = (0u64, 0u64);
+    for _ in 0..trials {
+        let mut req = BitMatrix::new(N, N);
+        for r in 0..N {
+            for c in 0..N {
+                if rng.gen_bool(0.25) {
+                    req.set(r, c, true);
+                }
+            }
+        }
+        got += alloc.allocate(&req).count_ones() as u64;
+        best += MaxSizeAllocator::max_matching_size(&req) as u64;
+    }
+    got as f64 / best as f64
+}
+
+/// Ablation: multi-iteration separable allocation (DESIGN.md §6).
+///
+/// §2.1 notes that "multiple iterations can be performed to improve
+/// matching quality" but rejects them for NoCs on delay grounds. This
+/// quantifies the quality side of that tradeoff: grants vs a maximum-size
+/// allocator on random matrices, for 1..4 iterations, and for the
+/// step-bounded augmenting-path allocator of §2.3.
+pub(crate) fn ablation_iterations(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    use noc_arbiter::ArbiterKind::RoundRobin;
+    let (n, trials) = (16, ctx.trials);
+    writeln!(
+        out,
+        "separable allocation quality vs iterations ({n}x{n}, density 0.25, {trials} trials)"
+    )?;
+    writeln!(out, "{:<8} {:>6} {:>10}", "variant", "iters", "quality")?;
+    for iters in 1..=4usize {
+        let mut sep_if = SeparableInputFirst::with_iterations(n, n, RoundRobin, iters);
+        let mut sep_of = SeparableOutputFirst::with_iterations(n, n, RoundRobin, iters);
+        let variants: [(&str, &mut dyn Allocator); 2] =
+            [("sep_if", &mut sep_if), ("sep_of", &mut sep_of)];
+        for (label, alloc) in variants {
+            let q = quality_vs_maximum(alloc, trials);
+            writeln!(out, "{label:<8} {iters:>6} {q:>10.4}")?;
+        }
+    }
+    writeln!(out)?;
+    writeln!(
+        out,
+        "step-bounded augmenting-path allocation (§2.3, Hoare et al. style):"
+    )?;
+    writeln!(out, "{:<12} {:>6} {:>10}", "variant", "steps", "quality")?;
+    for steps in [0usize, 1, 2, 4, 16] {
+        let q = quality_vs_maximum(&mut AugmentingPathAllocator::new(n, n, steps), trials);
+        writeln!(out, "{:<12} {steps:>6} {q:>10.4}", "augmenting")?;
+    }
+    writeln!(
+        out,
+        "\neach extra separable iteration repeats both arbitration stages serially,\n\
+         and each augmentation step is a sequential search — the delay cost that\n\
+         rules both out for single-cycle NoC allocation (§2.1/§2.3)."
+    )
+}
+
+/// Ablation: traffic-pattern invariance (§3.2's claim that the paper's
+/// conclusions are "largely invariant to traffic pattern selection").
+///
+/// Repeats the Figure 13 comparison (sep_if vs wf switch allocator) on
+/// the flattened butterfly 2x2x2 under four synthetic patterns.
+pub(crate) fn ablation_traffic(ctx: &FigCtx, out: &mut String) -> fmt::Result {
     let base = SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2);
     let rates: Vec<f64> = (1..=8).map(|i| 0.07 * i as f64).collect();
-    for pattern in [
-        TrafficPattern::UniformRandom,
-        TrafficPattern::BitComplement,
-        TrafficPattern::Transpose,
-        TrafficPattern::Tornado,
-    ] {
-        wl!(out, "--- {} traffic, fbfly 2x2x2 ---", pattern.label());
-        for (label, kind) in [
-            (
-                "sep_if",
-                SwitchAllocatorKind::SepIf(noc_arbiter::ArbiterKind::RoundRobin),
-            ),
-            ("wf", SwitchAllocatorKind::Wavefront),
-        ] {
+    for pattern in TRAFFIC_PATTERNS {
+        writeln!(out, "--- {} traffic, fbfly 2x2x2 ---", pattern.label())?;
+        for (label, kind) in [SW_FIGURE_KINDS[0], SW_FIGURE_KINDS[2]] {
             let cfg = SimConfig {
                 pattern,
                 sa_kind: kind,
                 ..base.clone()
             };
-            let curve = latency_curve_with(&cfg, &rates, warmup, measure, run);
-            w!(out, "{label:<8}");
+            let curve = latency_curve_with(&cfg, &rates, ctx.warmup, ctx.measure, ctx.run);
+            write!(out, "{label:<8}")?;
             for r in &curve {
                 if r.stable {
-                    w!(out, " {:>7.1}", r.avg_latency);
+                    write!(out, " {:>7.1}", r.avg_latency)?;
                 } else {
-                    w!(out, " {:>7}", "sat");
+                    write!(out, " {:>7}", "sat")?;
                 }
             }
             let sat = curve
@@ -216,36 +547,29 @@ pub fn ablation_traffic(run: &SimRunner, warmup: u64, measure: u64) -> String {
                 .filter(|r| r.stable)
                 .map(|r| r.offered)
                 .fold(0.0, f64::max);
-            wl!(out, "  | saturation ~{sat:.3}");
+            writeln!(out, "  | saturation ~{sat:.3}")?;
         }
-        wl!(out);
+        writeln!(out)?;
     }
-    wl!(
+    writeln!(
         out,
         "conclusion check: wf saturation >= sep_if saturation under every pattern."
-    );
-    out
+    )
 }
 
-/// The speculation-efficiency ablation (`ablation_speculation` binary).
-pub fn ablation_speculation(run: &SimRunner, warmup: u64, measure: u64) -> String {
-    let mut out = String::new();
-    for (topo, c) in [
-        (TopologyKind::Mesh8x8, 1usize),
-        (TopologyKind::FlattenedButterfly4x4, 4),
-    ] {
+/// Ablation: speculation efficiency (§5.2's pessimism argument, measured
+/// directly). Tracks the fraction of speculative switch grants that are
+/// discarded — by the masking stage and by failed validation — as load
+/// rises, for the conventional and pessimistic schemes.
+pub(crate) fn ablation_speculation(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    for (topo, c) in SPECULATION_POINTS {
         let base = SimConfig::paper_baseline(topo, c);
-        wl!(out, "--- {} — speculative grant outcomes ---", base.label());
-        wl!(
+        writeln!(out, "--- {} — speculative grant outcomes ---", base.label())?;
+        writeln!(
             out,
             "{:<10} {:>6} {:>10} {:>10} {:>10} {:>10}",
-            "mode",
-            "rate",
-            "clean",
-            "masked",
-            "invalid",
-            "kill_rate"
-        );
+            "mode", "rate", "clean", "masked", "invalid", "kill_rate"
+        )?;
         for mode in [SpecMode::Conventional, SpecMode::Pessimistic] {
             for rate in [0.05, 0.15, 0.25, 0.35] {
                 let cfg = SimConfig {
@@ -253,11 +577,11 @@ pub fn ablation_speculation(run: &SimRunner, warmup: u64, measure: u64) -> Strin
                     injection_rate: rate,
                     ..base.clone()
                 };
-                let r = run(&cfg, warmup, measure);
+                let r = (ctx.run)(&cfg, ctx.warmup, ctx.measure);
                 let s = r.router_stats;
                 let total = s.spec_grants + s.spec_masked + s.spec_invalid;
                 let kill = (s.spec_masked + s.spec_invalid) as f64 / total.max(1) as f64;
-                wl!(
+                writeln!(
                     out,
                     "{:<10} {:>6.2} {:>10} {:>10} {:>10} {:>9.1}%",
                     mode.label(),
@@ -266,40 +590,268 @@ pub fn ablation_speculation(run: &SimRunner, warmup: u64, measure: u64) -> Strin
                     s.spec_masked,
                     s.spec_invalid,
                     kill * 100.0
-                );
+                )?;
             }
         }
-        wl!(out);
+        writeln!(out)?;
     }
-    wl!(
+    writeln!(
         out,
-        "expectation (§5.2): kill rates converge at low load; the pessimistic"
-    );
-    wl!(
+        "expectation (§5.2): kill rates converge at low load; the pessimistic\n\
+         scheme discards a growing fraction as the network approaches saturation."
+    )
+}
+
+/// Ablation: VC buffer depth (DESIGN.md §6). The paper fixes 8-flit
+/// buffers; this shows saturation throughput sensitivity to 4/8/16.
+pub(crate) fn ablation_buffers(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    writeln!(out, "{:<14} {:>6} {:>12}", "config", "depth", "saturation")?;
+    for (topo, c) in [
+        (TopologyKind::Mesh8x8, 2usize),
+        (TopologyKind::FlattenedButterfly4x4, 2),
+    ] {
+        for depth in [4usize, 8, 16] {
+            let cfg = SimConfig {
+                buf_depth: depth,
+                ..SimConfig::paper_baseline(topo, c)
+            };
+            let sat = saturation_rate_with(&cfg, ctx.warmup, ctx.measure, ctx.run);
+            writeln!(out, "{:<14} {:>6} {:>12.3}", cfg.label(), depth, sat)?;
+        }
+    }
+    Ok(())
+}
+
+/// Ablation: radix and VC scaling of switch-allocator cost and quality.
+///
+/// §1 faults prior work for not evaluating "how performance and cost of
+/// the proposed mechanisms scale with the network radix and the number of
+/// VCs"; this provides exactly that for the three switch-allocator
+/// architectures.
+pub(crate) fn ablation_radix(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    let radii = [5usize, 8, 10, 12, 16];
+    // One synthesis table: `axis` swept over `values`, the other held.
+    let mut cost_table = |title: &str,
+                          axis: &str,
+                          values: &[usize],
+                          shape: fn(usize) -> (usize, usize)|
+     -> fmt::Result {
+        writeln!(out, "{title}")?;
+        writeln!(
+            out,
+            "{:<8} {:>4} {:>9} {:>11} {:>9}",
+            "variant", axis, "delay_ns", "area_um2", "power_mW"
+        )?;
+        for &x in values {
+            let (p, v) = shape(x);
+            for (label, kind) in SW_FIGURE_KINDS {
+                let r = synth_unlimited(switch_allocator_netlist(kind, p, v));
+                writeln!(out, "{label:<8} {x:>4} {}", cost_row(&r))?;
+            }
+        }
+        Ok(())
+    };
+    cost_table("synthesis cost vs radix (V = 4):", "P", &radii, |p| (p, 4))?;
+    cost_table(
+        "\nsynthesis cost vs VCs (P = 10):",
+        "V",
+        &[2, 4, 8, 16],
+        |v| (10, v),
+    )?;
+    let trials = ctx.trials;
+    writeln!(
         out,
-        "scheme discards a growing fraction as the network approaches saturation."
-    );
-    out
+        "\nmatching quality at rate 0.5 vs radix (V = 4, {trials} trials):"
+    )?;
+    write!(out, "{:<8}", "variant")?;
+    for p in radii {
+        write!(out, " {:>7}", format!("P={p}"))?;
+    }
+    writeln!(out)?;
+    for (label, kind) in SW_FIGURE_KINDS {
+        write!(out, "{label:<8}")?;
+        for p in radii {
+            let cfg = SwQualityConfig {
+                ports: p,
+                vcs: 4,
+                trials,
+                seed: 9,
+            };
+            let q = sw_quality_curve(&cfg, kind, &[0.5]).points[0].quality();
+            write!(out, " {q:>7.3}")?;
+        }
+        writeln!(out)?;
+    }
+    writeln!(
+        out,
+        "\nobservations: the wavefront quality advantage persists (and widens\n\
+         slightly) with radix, while its delay and area scale away from the\n\
+         separable designs — the cost/quality tension of §6's conclusion."
+    )
+}
+
+/// Ablation: throughput-oriented (DMA-like) workloads (§5.4).
+///
+/// The paper's discussion argues that switch allocators with higher
+/// matching quality "are particularly suitable for improving performance
+/// in primarily throughput-oriented networks, where large quantities of
+/// data are transferred concurrently using DMA-like semantics". This
+/// compares sep_if against wf on the flattened butterfly under
+/// increasingly bursty traffic.
+pub(crate) fn ablation_bulk(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    writeln!(out, "fbfly 2x2x4, saturation throughput vs burst size:")?;
+    writeln!(out, "{:<8} {:>7} {:>12}", "alloc", "burst", "saturation")?;
+    for burst in [1usize, 4, 8] {
+        let mut sats = Vec::new();
+        for (label, kind) in [SW_FIGURE_KINDS[0], SW_FIGURE_KINDS[2]] {
+            let cfg = SimConfig {
+                sa_kind: kind,
+                burst,
+                ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 4)
+            };
+            let sat = saturation_rate_with(&cfg, ctx.warmup, ctx.measure, ctx.run);
+            writeln!(out, "{:<8} {:>7} {:>12.3}", label, burst, sat)?;
+            sats.push(sat);
+        }
+        if sats[0] > 0.0 {
+            writeln!(
+                out,
+                "{:<8} {:>7} {:>11.1}%",
+                "wf gain",
+                burst,
+                (sats[1] / sats[0] - 1.0) * 100.0
+            )?;
+        }
+    }
+    writeln!(
+        out,
+        "\nobservation: the wavefront's large matching-quality advantage\n\
+         (~17-22% saturation) persists across burst sizes — §5.4's argument\n\
+         for quality-first allocators in throughput-oriented networks — while\n\
+         bursts themselves cost everyone throughput by hammering ejection\n\
+         ports with correlated packets."
+    )
+}
+
+/// Extension: torus dateline routing (§4.2's other resource-class
+/// example). Compares the 8x8 torus against the 8x8 mesh at equal VC
+/// budget, and reports the sparse-VCA savings available under the torus's
+/// all-transitions resource-class relation (message-class split only).
+pub(crate) fn ablation_torus(ctx: &FigCtx, out: &mut String) -> fmt::Result {
+    let (warmup, measure) = (ctx.warmup, ctx.measure);
+    writeln!(out, "network comparison (2 VCs per class, uniform random):")?;
+    writeln!(
+        out,
+        "{:<8} {:>10} {:>12}",
+        "topology", "zero-load", "saturation"
+    )?;
+    for topo in [TopologyKind::Mesh8x8, TopologyKind::Torus8x8] {
+        let base = SimConfig::paper_baseline(topo, 2);
+        let zl = latency_curve_with(&base, &[0.01], warmup, measure, ctx.run)[0].avg_latency;
+        let sat = saturation_rate_with(&base, warmup, measure, ctx.run);
+        writeln!(out, "{:<8} {:>10.2} {:>12.3}", topo.label(), zl, sat)?;
+    }
+
+    writeln!(
+        out,
+        "\nsparse VC allocation on the torus class structure (2x2xC, all rc transitions legal):"
+    )?;
+    let synth = Synthesizer::default();
+    // Dense -> sparse sep_if/rr cost of one class structure, if both fit.
+    let mut dense_vs_sparse = |title: String, spec: &VcAllocSpec| -> fmt::Result {
+        let kind = AllocatorKind::SepIfRr;
+        let dense = synthesize_vc_allocator(&synth, spec, kind, false);
+        let sparse = synthesize_vc_allocator(&synth, spec, kind, true);
+        if let (Ok(d), Ok(s)) = (dense, sparse) {
+            writeln!(
+                out,
+                "  {title} dense {:.3} ns / {:.0} um2 -> sparse {:.3} ns / {:.0} um2 ({:.0}% area saved)",
+                d.delay_ns,
+                d.area_um2,
+                s.delay_ns,
+                s.area_um2,
+                100.0 * (1.0 - s.area_um2 / d.area_um2)
+            )?;
+        }
+        Ok(())
+    };
+    for c in [1usize, 2] {
+        let spec = VcAllocSpec::torus(c);
+        dense_vs_sparse(
+            format!("{} {}:", spec.label(), AllocatorKind::SepIfRr.label()),
+            &spec,
+        )?;
+        // Compare with the fbfly relation at the same size, where the
+        // one-way rc order allows the §4.2 restriction too.
+        dense_vs_sparse(
+            "one-way relation, same size:      ".to_string(),
+            &VcAllocSpec::fbfly(c).with_ports(5),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nthe torus relation saves only the message-class split; the acyclic\n\
+         fbfly/dateline-style relation additionally prunes predecessor classes."
+    )
+}
+
+/// Ablation: wavefront implementation style (§2.2).
+///
+/// The paper synthesizes the loop-free wavefront as a per-diagonal
+/// replicated array and notes that the area-efficient alternative of Hurt
+/// et al. (ICC '99) "tends to yield lower delay ... for the allocator
+/// sizes considered in this paper" — i.e. the replicated array wins on
+/// delay, the unrolled array on area. This reproduces that comparison
+/// across block sizes.
+pub(crate) fn ablation_wavefront(_: &FigCtx, out: &mut String) -> fmt::Result {
+    let netlist = |n: usize, unrolled: bool| {
+        let style = if unrolled { "_unrolled" } else { "_replicated" };
+        let mut nl = Netlist::new(format!("wf{n}{style}"));
+        let reqs = nl.inputs_vec(n * n);
+        let wf = if unrolled {
+            build_wavefront_unrolled(&mut nl, &reqs, n)
+        } else {
+            build_wavefront(&mut nl, &reqs, n)
+        };
+        for &g in &wf.grants {
+            nl.output(g);
+        }
+        nl
+    };
+    writeln!(
+        out,
+        "{:>4} {:>12} {:>9} {:>11} {:>9} | {:>9} {:>11} {:>9}",
+        "n", "", "repl_ns", "repl_um2", "repl_mW", "unrol_ns", "unrol_um2", "unrol_mW"
+    )?;
+    for n in [4usize, 8, 12, 16, 24, 32] {
+        let r = synth_unlimited(netlist(n, false));
+        let u = synth_unlimited(netlist(n, true));
+        writeln!(out, "{n:>4} {:>12} {} | {}", "", cost_row(&r), cost_row(&u))?;
+    }
+    writeln!(out)?;
+    writeln!(
+        out,
+        "replicated: O(n^3) area, one n-step wave + replica mux on the path;\n\
+         unrolled (Hurt et al.): O(n^2) area, up to 2n wave steps on the path.\n\
+         the paper's choice (replicated, for delay) holds at every size above."
+    )
 }
 
 /// The `smoke` preset's table: the two mesh points it sweeps.
-pub fn smoke(run: &SimRunner, warmup: u64, measure: u64) -> String {
-    let mut out = String::new();
+pub(crate) fn smoke(ctx: &FigCtx, out: &mut String) -> fmt::Result {
     let base = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1);
-    wl!(out, "{:<6} {:>9} {:>11}", "rate", "latency", "throughput");
+    writeln!(out, "{:<6} {:>9} {:>11}", "rate", "latency", "throughput")?;
     for rate in SMOKE_RATES {
         let cfg = SimConfig {
             injection_rate: rate,
             ..base.clone()
         };
-        let r = run(&cfg, warmup, measure);
-        wl!(
+        let r = (ctx.run)(&cfg, ctx.warmup, ctx.measure);
+        writeln!(
             out,
             "{:<6.2} {:>9.2} {:>11.3}",
-            rate,
-            r.avg_latency,
-            r.throughput
-        );
+            rate, r.avg_latency, r.throughput
+        )?;
     }
-    out
+    Ok(())
 }

@@ -6,7 +6,7 @@
 //! 1. **journal skip** — the point is recorded complete in the journal
 //!    and its result is in the cache: nothing runs;
 //! 2. **cache hit** — the result exists in the content-addressed cache
-//!    (written by another sweep, a figure binary, or an earlier schema-
+//!    (written by another sweep, a figure render, or an earlier schema-
 //!    compatible run): the completion is journaled, nothing runs;
 //! 3. **computed** — the point is simulated (via [`run_many`]'s worker
 //!    pool), stored in the cache, then journaled.
@@ -15,7 +15,6 @@
 //! crash at any instant leaves the invariant "journaled ⇒ cached" intact
 //! and the resumed run recomputes zero points.
 
-use crate::figures::{direct_runner, SimRunner};
 use crate::sweep::cache::ResultCache;
 use crate::sweep::journal::{Journal, JournalHeader};
 use crate::sweep::spec::{SweepPoint, SweepSpec};
@@ -25,7 +24,7 @@ use noc_obs::{
     TelemetryHeader,
 };
 use noc_sim::{run_many, run_sim_engine, Engine, Run, SimConfig, SimResult, TelemetryOptions};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Where and how a sweep runs.
@@ -314,22 +313,5 @@ pub fn cached_runner(
             eprintln!("warning: {e}");
         }
         r
-    }
-}
-
-/// The runner a figure binary uses: plain `run_sim` normally, or the
-/// cache at `$NOC_SWEEP_CACHE` when that variable names a directory —
-/// which is how `noc sweep run --preset <fig>` makes the binaries' exact
-/// output reproducible without re-simulating.
-pub fn env_runner() -> Box<SimRunner> {
-    match std::env::var("NOC_SWEEP_CACHE") {
-        Ok(dir) if !dir.is_empty() => match ResultCache::new(Path::new(&dir)) {
-            Ok(cache) => Box::new(cached_runner(cache, Engine::Sequential)),
-            Err(e) => {
-                eprintln!("warning: {e}; running uncached");
-                Box::new(direct_runner())
-            }
-        },
-        _ => Box::new(direct_runner()),
     }
 }

@@ -7,7 +7,7 @@
 //! malformed request is refused with the same diagnostics `noc sweep`
 //! would print.
 
-use crate::sweep::presets::preset;
+use crate::registry::preset_spec;
 use crate::sweep::spec::SweepSpec;
 use noc_obs::serve::SERVE_SCHEMA;
 use noc_obs::JsonValue;
@@ -79,8 +79,7 @@ impl ServeRequest {
                     .get("preset")
                     .and_then(JsonValue::as_str)
                     .ok_or("request: preset without string field 'preset'")?;
-                let spec =
-                    preset(name).ok_or_else(|| format!("request: unknown preset '{name}'"))?;
+                let spec = preset_spec(name).map_err(|e| format!("request: {e}"))?;
                 Ok(ServeRequest::Sweep { id, spec, engine })
             }
             Some("status") => Ok(ServeRequest::Status { id }),
@@ -144,7 +143,8 @@ mod tests {
             ),
             (
                 r#"{"schema":"noc-serve/v1","type":"preset","id":"x","preset":"fig99"}"#,
-                "unknown preset",
+                "unknown preset 'fig99' (available: fig13, fig14, ablation-traffic, \
+                 ablation-speculation, smoke)",
             ),
             (
                 r#"{"schema":"noc-serve/v1","type":"sweep","id":"x","spec":{"name":"t","grids":[{"ratess":[0.1]}]}}"#,

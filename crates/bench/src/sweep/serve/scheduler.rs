@@ -4,7 +4,7 @@
 //! satisfied from the cheapest source:
 //!
 //! 1. **cache** — the digest is already in the content-addressed store
-//!    (from any earlier sweep, figure binary, daemon run, or a previous
+//!    (from any earlier sweep, figure render, daemon run, or a previous
 //!    daemon life): the result is sent back immediately, nothing runs;
 //! 2. **coalesced** — another request is already computing (or queued to
 //!    compute) the digest: this request subscribes to that in-flight
@@ -318,9 +318,14 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use crate::sweep::journal::JournalHeader;
-    use crate::sweep::presets::smoke_spec;
+    use crate::sweep::spec::SweepPoint;
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn smoke_points() -> Vec<SweepPoint> {
+        let smoke = crate::registry::figure("smoke").unwrap();
+        smoke.spec_at(50, 100).unwrap().expand()
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
@@ -353,7 +358,7 @@ mod tests {
     fn overlapping_submissions_share_work() {
         let dir = tmp_dir("overlap");
         let sched = scheduler(&dir, 2);
-        let points = smoke_spec(50, 100).expand();
+        let points = smoke_points();
         assert_eq!(points.len(), 2);
         let (rx1, s1) = sched.submit(&points, None);
         let (rx2, s2) = sched.submit(&points, None);
@@ -385,7 +390,7 @@ mod tests {
     fn duplicate_points_within_a_request_dedup() {
         let dir = tmp_dir("dup");
         let sched = scheduler(&dir, 1);
-        let mut points = smoke_spec(50, 100).expand();
+        let mut points = smoke_points();
         points.push(points[0].clone());
         let (rx, s) = sched.submit(&points, None);
         assert_eq!((s.total, s.unique, s.scheduled), (3, 2, 2));
@@ -400,7 +405,7 @@ mod tests {
     /// point leaves the queue third, not eighth.
     #[test]
     fn round_robin_interleaves_clients() {
-        let template = &smoke_spec(50, 100).expand()[0];
+        let template = &smoke_points()[0];
         let mut st = State::default();
         for (client, count) in [(0u64, 6usize), (1, 2)] {
             let queue: VecDeque<Job> = (0..count)

@@ -8,7 +8,8 @@
 //! exactly once), restarts the daemon over the same directories, replays
 //! the union of every grid, and asserts zero recomputation.
 
-use crate::sweep::presets::{preset_windows, SMOKE_RATES};
+use crate::registry::preset_spec;
+use crate::sweep::presets::SMOKE_RATES;
 use crate::sweep::serve::client::{request, ClientOutcome};
 use crate::sweep::serve::daemon::{start, ServeOptions};
 use crate::sweep::spec::SweepSpec;
@@ -64,7 +65,8 @@ pub fn run_selftest(
     workers: usize,
 ) -> Result<(), String> {
     let clients = clients.max(1);
-    let (warmup, measure) = preset_windows("smoke").ok_or("selftest: smoke preset missing")?;
+    let smoke = &preset_spec("smoke")?.grids[0];
+    let (warmup, measure) = (smoke.warmup, smoke.measure);
     let specs: Vec<String> = (0..clients)
         .map(|i| spec_json(warmup, measure, &[extra_rate(i)]))
         .collect();

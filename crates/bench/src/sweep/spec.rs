@@ -9,7 +9,6 @@
 //! or scalar-vs-array axes) are interchangeable for journal validation.
 
 use crate::sweep::SWEEP_SCHEMA;
-use noc_arbiter::ArbiterKind;
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind};
 use noc_obs::JsonValue;
 use noc_sim::{digest_pairs, ConfigError, Engine, SimConfig, TopologyKind, TrafficPattern};
@@ -312,13 +311,13 @@ fn parse_grid(g: &JsonValue) -> Result<SweepGrid, String> {
     }
     let mut grid = SweepGrid::default();
     if let Some(v) = axis(g, "topology")? {
-        grid.topology = map_axis(&v, "topology", parse_topology)?;
+        grid.topology = map_axis(&v, "topology", named("topology", TopologyKind::parse))?;
     }
     if let Some(v) = axis(g, "vcs")? {
         grid.vcs = map_axis(&v, "vcs", parse_usize)?;
     }
     if let Some(v) = axis(g, "vca")? {
-        grid.vca = map_axis(&v, "vca", parse_vca)?;
+        grid.vca = map_axis(&v, "vca", named("allocator", AllocatorKind::parse))?;
     }
     if let Some(v) = axis(g, "vca_sparse")? {
         grid.vca_sparse = map_axis(&v, "vca_sparse", |j| {
@@ -326,13 +325,17 @@ fn parse_grid(g: &JsonValue) -> Result<SweepGrid, String> {
         })?;
     }
     if let Some(v) = axis(g, "sa")? {
-        grid.sa = map_axis(&v, "sa", parse_sa)?;
+        grid.sa = map_axis(
+            &v,
+            "sa",
+            named("switch allocator", SwitchAllocatorKind::parse),
+        )?;
     }
     if let Some(v) = axis(g, "spec")? {
-        grid.spec_mode = map_axis(&v, "spec", parse_spec_mode)?;
+        grid.spec_mode = map_axis(&v, "spec", named("speculation mode", SpecMode::parse))?;
     }
     if let Some(v) = axis(g, "pattern")? {
-        grid.pattern = map_axis(&v, "pattern", parse_pattern)?;
+        grid.pattern = map_axis(&v, "pattern", named("pattern", TrafficPattern::parse))?;
     }
     if let Some(v) = axis(g, "buf_depth")? {
         grid.buf_depth = map_axis(&v, "buf_depth", parse_usize)?;
@@ -416,54 +419,16 @@ fn str_of(v: &JsonValue) -> Result<&str, String> {
     v.as_str().ok_or_else(|| "expected a string".to_string())
 }
 
-/// Topology names as the `noc` CLI spells them.
-pub fn parse_topology(v: &JsonValue) -> Result<TopologyKind, String> {
-    match str_of(v)? {
-        "mesh" => Ok(TopologyKind::Mesh8x8),
-        "fbfly" => Ok(TopologyKind::FlattenedButterfly4x4),
-        "torus" => Ok(TopologyKind::Torus8x8),
-        other => Err(format!("unknown topology '{other}'")),
+/// Reads a design-axis name with the enum's own `parse` — the one
+/// vocabulary the `noc` flags use too.
+fn named<T>(
+    what: &'static str,
+    parse: fn(&str) -> Option<T>,
+) -> impl Fn(&JsonValue) -> Result<T, String> {
+    move |v| {
+        let s = str_of(v)?;
+        parse(s).ok_or_else(|| format!("unknown {what} '{s}'"))
     }
-}
-
-/// VC-allocator names as the `noc` CLI spells them.
-pub fn parse_vca(v: &JsonValue) -> Result<AllocatorKind, String> {
-    match str_of(v)? {
-        "sep_if_rr" => Ok(AllocatorKind::SepIfRr),
-        "sep_if_m" => Ok(AllocatorKind::SepIfMatrix),
-        "sep_of_rr" => Ok(AllocatorKind::SepOfRr),
-        "sep_of_m" => Ok(AllocatorKind::SepOfMatrix),
-        "wf" => Ok(AllocatorKind::Wavefront),
-        other => Err(format!("unknown allocator '{other}'")),
-    }
-}
-
-/// Switch-allocator names as the `noc` CLI spells them.
-pub fn parse_sa(v: &JsonValue) -> Result<SwitchAllocatorKind, String> {
-    match str_of(v)? {
-        "sep_if_rr" | "sep_if" => Ok(SwitchAllocatorKind::SepIf(ArbiterKind::RoundRobin)),
-        "sep_if_m" => Ok(SwitchAllocatorKind::SepIf(ArbiterKind::Matrix)),
-        "sep_of_rr" | "sep_of" => Ok(SwitchAllocatorKind::SepOf(ArbiterKind::RoundRobin)),
-        "sep_of_m" => Ok(SwitchAllocatorKind::SepOf(ArbiterKind::Matrix)),
-        "wf" => Ok(SwitchAllocatorKind::Wavefront),
-        other => Err(format!("unknown switch allocator '{other}'")),
-    }
-}
-
-/// Speculation-mode names as the `noc` CLI spells them.
-pub fn parse_spec_mode(v: &JsonValue) -> Result<SpecMode, String> {
-    match str_of(v)? {
-        "nonspec" => Ok(SpecMode::NonSpeculative),
-        "spec_gnt" | "conventional" => Ok(SpecMode::Conventional),
-        "spec_req" | "pessimistic" => Ok(SpecMode::Pessimistic),
-        other => Err(format!("unknown speculation mode '{other}'")),
-    }
-}
-
-/// Traffic-pattern names as the `noc` CLI spells them.
-pub fn parse_pattern(v: &JsonValue) -> Result<TrafficPattern, String> {
-    let s = str_of(v)?;
-    TrafficPattern::parse(s).ok_or_else(|| format!("unknown pattern '{s}'"))
 }
 
 #[cfg(test)]
@@ -530,6 +495,8 @@ mod tests {
             r#"{"name":"t","grids":[{"burst":0}]}"#,
             r#"{"name":"t","grids":[{"payload_flits":0}]}"#,
             r#"{"name":"t","grids":[{"topology":"hypercube"}]}"#,
+            r#"{"name":"t","grids":[{"sa":"maxsize"}]}"#,
+            r#"{"name":"t","grids":[{"spec":7}]}"#,
             r#"{"name":"t","grids":[{"engine":"warp"}]}"#,
             r#"{"name":"t","grids":[{"rates":[]}]}"#,
             r#"{"name":"t","grids":[]}"#,
@@ -550,24 +517,5 @@ mod tests {
             }],
         };
         assert_ne!(mk(100).digest(), mk(200).digest());
-    }
-
-    #[test]
-    fn kind_names_match_the_cli_vocabulary() {
-        let j = |s: &str| JsonValue::Str(s.to_string());
-        assert_eq!(parse_vca(&j("wf")).unwrap(), AllocatorKind::Wavefront);
-        assert_eq!(
-            parse_sa(&j("sep_of_m")).unwrap(),
-            SwitchAllocatorKind::SepOf(ArbiterKind::Matrix)
-        );
-        assert_eq!(
-            parse_spec_mode(&j("pessimistic")).unwrap(),
-            SpecMode::Pessimistic
-        );
-        assert_eq!(
-            parse_pattern(&j("tornado")).unwrap(),
-            TrafficPattern::Tornado
-        );
-        assert!(parse_sa(&j("maxsize")).is_err());
     }
 }

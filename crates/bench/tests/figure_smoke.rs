@@ -1,5 +1,5 @@
 //! Smoke tests for every figure's data pipeline at reduced scale, so the
-//! regeneration binaries cannot bit-rot between full runs.
+//! series behind `noc fig` cannot bit-rot between full runs.
 
 use noc_bench::figures::*;
 use noc_bench::points::DesignPoint;
@@ -83,7 +83,7 @@ fn fig13_latency_pipeline() {
         topology: TopologyKind::FlattenedButterfly4x4,
         vcs_per_class: 1,
     };
-    let curves = sa_latency_data(&point, 500, 1_000);
+    let curves = sa_latency_data_with(&point, 500, 1_000, &direct_runner());
     assert_eq!(curves.len(), 3);
     for c in &curves {
         assert_eq!(c.results.len(), point.rate_grid().len());
@@ -100,7 +100,7 @@ fn fig14_speculation_pipeline() {
         topology: TopologyKind::Mesh8x8,
         vcs_per_class: 1,
     };
-    let curves = spec_latency_data(&point, 500, 1_500);
+    let curves = spec_latency_data_with(&point, 500, 1_500, &direct_runner());
     assert_eq!(curves.len(), 3);
     let (ns, conv, pess) = (&curves[0], &curves[1], &curves[2]);
     assert_eq!(ns.label, "nonspec");

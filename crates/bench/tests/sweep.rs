@@ -2,11 +2,12 @@
 //! sharing, and bit-identical preset renders.
 
 use noc_bench::figures::direct_runner;
-use noc_bench::sweep::presets::ablation_speculation_spec;
 use noc_bench::sweep::{
-    cached_runner, render, run_sweep, ResultCache, SweepGrid, SweepOptions, SweepSpec,
+    cached_runner, run_sweep, ResultCache, SweepGrid, SweepOptions, SweepSpec, SWEEP_SCHEMA,
 };
+use noc_bench::{FigCtx, FIGURES};
 use noc_sim::{Engine, TopologyKind};
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -158,26 +159,46 @@ fn cache_is_shared_across_sweeps() {
 
 #[test]
 fn preset_render_from_cache_is_bit_identical_to_direct() {
-    let root = scratch("render");
     let (warmup, measure) = (100, 200);
-    // The legacy path: direct simulation, exactly what the binary prints.
-    let direct = render::ablation_speculation(&direct_runner(), warmup, measure);
-    // The sweep path: populate the cache, then render through it.
-    let spec = ablation_speculation_spec(warmup, measure);
-    let out = run_sweep(&spec, &opts(&root)).unwrap();
-    assert_eq!(out.computed, out.total, "cold cache computes all");
-    let cache = ResultCache::new(&root.join("cache")).unwrap();
-    let entries_before = cache.len();
-    let via_cache =
-        render::ablation_speculation(&cached_runner(cache, Engine::Sequential), warmup, measure);
-    assert_eq!(direct, via_cache, "cached render bit-identical to direct");
-    let cache = ResultCache::new(&root.join("cache")).unwrap();
-    assert_eq!(
-        cache.len(),
-        entries_before,
-        "render was all cache hits: no new entries"
-    );
-    let _ = fs::remove_dir_all(&root);
+    let mut presets = 0;
+    for fig in FIGURES.iter() {
+        let Some(spec) = fig.spec_at(warmup, measure) else {
+            continue;
+        };
+        presets += 1;
+        let root = scratch(fig.name);
+        let render = |run: &noc_bench::figures::SimRunner| {
+            fig.text(&FigCtx {
+                run,
+                warmup,
+                measure,
+                trials: 0,
+            })
+        };
+        // Direct simulation of everything the figure asks for...
+        let direct = render(&direct_runner());
+        // ...against the sweep path: populate the cache with the figure's
+        // grid, then render through it.
+        let out = run_sweep(&spec, &opts(&root)).unwrap();
+        assert_eq!(out.computed, out.total, "{}: cold cache", fig.name);
+        let on_grid: HashSet<String> = spec.expand().iter().map(|p| p.digest()).collect();
+        let cache = ResultCache::new(&root.join("cache")).unwrap();
+        let cached = cached_runner(cache.clone(), Engine::Sequential);
+        let name = fig.name;
+        let via_cache = render(&move |cfg, w, m| {
+            // Only the adaptive saturation probes of Figures 13/14 may
+            // still simulate; a grid point never does.
+            let digest = cfg.digest(w, m, SWEEP_SCHEMA);
+            assert!(
+                cache.contains(&digest) || !on_grid.contains(&digest),
+                "{name}: grid point {digest} simulated by the render"
+            );
+            cached(cfg, w, m)
+        });
+        assert_eq!(direct, via_cache, "{}: cached render", fig.name);
+        let _ = fs::remove_dir_all(&root);
+    }
+    assert_eq!(presets, 5);
 }
 
 #[test]

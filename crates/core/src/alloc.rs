@@ -165,6 +165,21 @@ impl AllocatorKind {
         }
     }
 
+    /// Parses the name every external surface uses — `noc` flags, sweep
+    /// specs, serve requests (`sep_if_rr`, `sep_if_m`, `sep_of_rr`,
+    /// `sep_of_m`, `wf`) — or the [`AllocatorKind::label`] legend spelling
+    /// of the same kind (`sep_if/rr`, …, `wf/rr`).
+    pub fn parse(s: &str) -> Option<AllocatorKind> {
+        match s.replace('/', "_").as_str() {
+            "sep_if_rr" => Some(AllocatorKind::SepIfRr),
+            "sep_if_m" => Some(AllocatorKind::SepIfMatrix),
+            "sep_of_rr" => Some(AllocatorKind::SepOfRr),
+            "sep_of_m" => Some(AllocatorKind::SepOfMatrix),
+            "wf" | "wf_rr" => Some(AllocatorKind::Wavefront),
+            _ => None,
+        }
+    }
+
     /// Architecture family label without the arbiter suffix (`sep_if`,
     /// `sep_of`, `wf`), as used in the quality figures.
     pub fn family(self) -> &'static str {
@@ -174,5 +189,20 @@ impl AllocatorKind {
             AllocatorKind::Wavefront => "wf",
             AllocatorKind::MaxSize => "maxsize",
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_round_trips_labels() {
+        for k in AllocatorKind::COST_FIGURE_KINDS {
+            assert_eq!(AllocatorKind::parse(k.label()), Some(k));
+        }
+        assert_eq!(AllocatorKind::parse("wf"), Some(AllocatorKind::Wavefront));
+        // The quality bound is not a selectable design point.
+        assert_eq!(AllocatorKind::parse(AllocatorKind::MaxSize.label()), None);
     }
 }

@@ -47,6 +47,17 @@ impl SpecMode {
         SpecMode::Conventional,
         SpecMode::Pessimistic,
     ];
+
+    /// Parses a [`SpecMode::label`] name, or the scheme's prose name
+    /// (`conventional`, `pessimistic`).
+    pub fn parse(s: &str) -> Option<SpecMode> {
+        match s {
+            "nonspec" => Some(SpecMode::NonSpeculative),
+            "spec_gnt" | "conventional" => Some(SpecMode::Conventional),
+            "spec_req" | "pessimistic" => Some(SpecMode::Pessimistic),
+            _ => None,
+        }
+    }
 }
 
 /// Result of one speculative switch-allocation round.
@@ -274,6 +285,15 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const KIND: SwitchAllocatorKind = SwitchAllocatorKind::SepIf(ArbiterKind::RoundRobin);
+
+    #[test]
+    fn parse_round_trips_labels() {
+        for m in SpecMode::ALL {
+            assert_eq!(SpecMode::parse(m.label()), Some(m));
+        }
+        assert_eq!(SpecMode::parse("pessimistic"), Some(SpecMode::Pessimistic));
+        assert_eq!(SpecMode::parse("optimistic"), None);
+    }
 
     fn random_requests(rng: &mut impl Rng, p: usize, v: usize, rate: f64) -> SwitchRequests {
         let mut r = SwitchRequests::new(p, v);

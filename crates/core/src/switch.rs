@@ -236,6 +236,22 @@ impl SwitchAllocatorKind {
             SwitchAllocatorKind::Wavefront => "wf/rr".to_string(),
         }
     }
+
+    /// Parses the name every external surface uses (`sep_if_rr`,
+    /// `sep_if_m`, `sep_of_rr`, `sep_of_m`, `wf`; a bare `sep_if` /
+    /// `sep_of` means round-robin) or the [`SwitchAllocatorKind::label`]
+    /// legend spelling of the same kind.
+    pub fn parse(s: &str) -> Option<SwitchAllocatorKind> {
+        use ArbiterKind::{Matrix, RoundRobin};
+        match s.replace('/', "_").as_str() {
+            "sep_if_rr" | "sep_if" => Some(SwitchAllocatorKind::SepIf(RoundRobin)),
+            "sep_if_m" => Some(SwitchAllocatorKind::SepIf(Matrix)),
+            "sep_of_rr" | "sep_of" => Some(SwitchAllocatorKind::SepOf(RoundRobin)),
+            "sep_of_m" => Some(SwitchAllocatorKind::SepOf(Matrix)),
+            "wf" | "wf_rr" => Some(SwitchAllocatorKind::Wavefront),
+            _ => None,
+        }
+    }
 }
 
 fn kernel_fits(ports: usize, vcs: usize) -> bool {
@@ -941,6 +957,15 @@ mod tests {
             SwitchAllocatorKind::SepOf(ArbiterKind::Matrix),
             SwitchAllocatorKind::Wavefront,
         ]
+    }
+
+    #[test]
+    fn parse_round_trips_labels() {
+        for k in kinds() {
+            assert_eq!(SwitchAllocatorKind::parse(&k.label()), Some(k));
+        }
+        assert_eq!(SwitchAllocatorKind::parse("sep_of"), Some(kinds()[2]));
+        assert_eq!(SwitchAllocatorKind::parse("maxsize"), None);
     }
 
     fn random_requests(rng: &mut impl Rng, p: usize, v: usize, rate: f64) -> SwitchRequests {

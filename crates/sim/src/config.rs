@@ -130,11 +130,7 @@ impl SimConfig {
 
     /// The VC class structure implied by topology + C.
     pub fn vc_spec(&self) -> VcAllocSpec {
-        match self.topology {
-            TopologyKind::Mesh8x8 => VcAllocSpec::mesh(self.vcs_per_class),
-            TopologyKind::FlattenedButterfly4x4 => VcAllocSpec::fbfly(self.vcs_per_class),
-            TopologyKind::Torus8x8 => VcAllocSpec::torus(self.vcs_per_class),
-        }
+        self.topology.vc_spec(self.vcs_per_class)
     }
 
     /// The routing algorithm: the topology's (§3.2) unless overridden.

@@ -51,6 +51,18 @@ impl RoutingKind {
             RoutingKind::TorusNoDateline => "torus_nodateline",
         }
     }
+
+    /// Parses a routing override: a [`RoutingKind::label`] name, with the
+    /// `torus_` prefix optional. UGAL carries a threshold and is reached
+    /// through its topology only, so `ugal` is not a name.
+    pub fn parse(s: &str) -> Option<RoutingKind> {
+        match s.strip_prefix("torus_").unwrap_or(s) {
+            "dor" => Some(RoutingKind::DimensionOrder),
+            "dateline" => Some(RoutingKind::TorusDateline),
+            "nodateline" => Some(RoutingKind::TorusNoDateline),
+            _ => None,
+        }
+    }
 }
 
 /// Resource-class indices used on the flattened butterfly: phase-1
@@ -300,6 +312,22 @@ pub fn ugal_choose(
 mod tests {
     use super::*;
     use crate::topology::TopologyKind;
+
+    #[test]
+    fn parse_round_trips_labels() {
+        for k in [
+            RoutingKind::DimensionOrder,
+            RoutingKind::TorusDateline,
+            RoutingKind::TorusNoDateline,
+        ] {
+            assert_eq!(RoutingKind::parse(k.label()), Some(k));
+        }
+        assert_eq!(
+            RoutingKind::parse("nodateline"),
+            Some(RoutingKind::TorusNoDateline)
+        );
+        assert_eq!(RoutingKind::parse("ugal"), None);
+    }
 
     struct FlatProbe(usize);
     impl CongestionProbe for FlatProbe {

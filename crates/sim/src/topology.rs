@@ -1,5 +1,7 @@
 //! The two 64-node topologies of the paper's evaluation (§3).
 
+use noc_core::VcAllocSpec;
+
 /// A directed router-to-router link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Link {
@@ -40,6 +42,26 @@ impl TopologyKind {
             TopologyKind::Mesh8x8 => "mesh",
             TopologyKind::FlattenedButterfly4x4 => "fbfly",
             TopologyKind::Torus8x8 => "torus",
+        }
+    }
+
+    /// Parses a [`TopologyKind::label`] name.
+    pub fn parse(s: &str) -> Option<TopologyKind> {
+        match s {
+            "mesh" => Some(TopologyKind::Mesh8x8),
+            "fbfly" => Some(TopologyKind::FlattenedButterfly4x4),
+            "torus" => Some(TopologyKind::Torus8x8),
+            _ => None,
+        }
+    }
+
+    /// The VC class structure of this topology's routers at `C` VCs per
+    /// class (mesh 2x1xC, fbfly 2x2xC, torus 2x2xC).
+    pub fn vc_spec(self, vcs_per_class: usize) -> VcAllocSpec {
+        match self {
+            TopologyKind::Mesh8x8 => VcAllocSpec::mesh(vcs_per_class),
+            TopologyKind::FlattenedButterfly4x4 => VcAllocSpec::fbfly(vcs_per_class),
+            TopologyKind::Torus8x8 => VcAllocSpec::torus(vcs_per_class),
         }
     }
 }
@@ -272,6 +294,18 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_round_trips_labels() {
+        for k in [
+            TopologyKind::Mesh8x8,
+            TopologyKind::FlattenedButterfly4x4,
+            TopologyKind::Torus8x8,
+        ] {
+            assert_eq!(TopologyKind::parse(k.label()), Some(k));
+        }
+        assert_eq!(TopologyKind::parse("hypercube"), None);
+    }
 
     #[test]
     fn mesh_structure() {

@@ -11,6 +11,7 @@
 //! * `noc synth`   — synthesize a VC or switch allocator design point
 //! * `noc quality` — measure open-loop matching quality
 //! * `noc verilog` — emit structural Verilog for a design point
+//! * `noc fig`     — print any figure or ablation of the registry
 //! * `noc sweep`   — run/resume cached, journaled experiment sweeps
 //! * `noc serve`   — sweep-as-a-service daemon deduplicating concurrent clients
 //! * `noc client`  — send one sweep/preset/status request to a serve daemon
@@ -20,8 +21,10 @@
 //! Run `noc help` (or any subcommand with `--help`) for flags. Argument
 //! parsing is deliberately dependency-free.
 
+use noc_bench::sweep::{cached_runner, run_sweep, ResultCache, SweepOptions, SweepSpec};
 use noc_bench::{
-    compare_baseline, parse_report, report_filename, run_bench, workload_matrix, BenchParams,
+    compare_baseline, figure, parse_report, preset_spec, report_filename, run_bench,
+    workload_matrix, BenchParams, Figure, FIGURES,
 };
 use noc_check::{check_design, check_fixture, fixtures, RouteModel};
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind, VcAllocSpec};
@@ -63,6 +66,7 @@ USAGE:
               [--trials N]
   noc verilog (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--alloc KIND]
               [--dense]
+  noc fig     [NAME... | --all] [--out DIR] [--cache-dir DIR] [--quiet]
   noc sweep   (run|resume|status|clean) [--preset NAME | --spec FILE]
               [--out DIR] [--cache-dir DIR] [--engine seq|par|active|auto]
               [--threads N] [--quiet] [--no-render] [--telemetry] [--anatomy]
@@ -189,11 +193,28 @@ Benchmarking (noc bench):
   --tolerance PCT         allowed slowdown vs baseline (default 15)
   --reps N                timed repetitions per workload (median wins)
 
+Figures (noc fig):
+  prints figures and ablations of the registry; results/NAME.txt holds
+  each one's committed text. Simulation figures run their grid through
+  the sweep cache first (journal and manifest next to it), then render
+  from it. NOC_WARMUP / NOC_MEASURE / NOC_TRIALS override the run window
+  and the trials per quality point.
+  noc fig                 list the registry
+  NAME...                 fig04 fig05 fig06 fig07 fig10 fig11 fig12 fig13
+                          fig14 ablation-arbiters ablation-iterations
+                          ablation-traffic ablation-speculation
+                          ablation-buffers ablation-radix ablation-bulk
+                          ablation-torus ablation-wavefront smoke
+  --all                   every entry, in that order
+  --out DIR               write DIR/NAME.txt instead of printing
+  --cache-dir DIR         result cache directory (default results/cache)
+  --quiet                 suppress per-point progress lines on stderr
+
 Experiment sweeps (noc sweep):
   runs a declarative grid of simulations with a content-addressed result
   cache and a crash-safe completion journal, so interrupted sweeps resume
-  with zero recomputation; preset sweeps reprint their legacy figure
-  binary's stdout bit-identically from cache
+  with zero recomputation; a preset is a registry figure with a grid, and
+  its sweep prints the same text as noc fig NAME, from cache
   run                     run (or continue) a sweep; with --preset, the
                           figure text follows on stdout
   resume                  like run, but requires an existing journal
@@ -252,6 +273,8 @@ Examples:
   noc synth vca --topology mesh --vcs 2 --alloc sep_if_rr
   noc quality swa --topology fbfly --vcs 4 --rate 0.5 --trials 5000
   noc verilog swa --vcs 2 --alloc sep_if_rr > swa.v
+  noc fig fig05 ablation-radix
+  noc fig --all --out results
   noc sweep run --preset fig13 --engine auto
   noc sweep status
   noc serve --addr 127.0.0.1:4009 &
@@ -322,53 +345,65 @@ impl Args {
         }
     }
 
-    fn topology(&self) -> Result<TopologyKind, String> {
-        match self.flags.get("topology").map(String::as_str) {
-            None | Some("mesh") => Ok(TopologyKind::Mesh8x8),
-            Some("fbfly") => Ok(TopologyKind::FlattenedButterfly4x4),
-            Some("torus") => Ok(TopologyKind::Torus8x8),
-            Some(other) => Err(format!("unknown topology '{other}'")),
+    /// A design-axis flag, parsed by the enum's own `parse` — the one
+    /// vocabulary sweep specs and serve requests use too.
+    fn named<T>(
+        &self,
+        key: &str,
+        what: &str,
+        default: T,
+        parse: fn(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.flags.get(key) {
+            None => Ok(default),
+            Some(s) => parse(s).ok_or_else(|| format!("unknown {what} '{s}'")),
         }
     }
 
-    fn spec_for(&self, topo: TopologyKind, c: usize) -> VcAllocSpec {
-        match topo {
-            TopologyKind::Mesh8x8 => VcAllocSpec::mesh(c),
-            TopologyKind::FlattenedButterfly4x4 => VcAllocSpec::fbfly(c),
-            TopologyKind::Torus8x8 => VcAllocSpec::torus(c),
-        }
+    fn topology(&self) -> Result<TopologyKind, String> {
+        let default = TopologyKind::Mesh8x8;
+        self.named("topology", "topology", default, TopologyKind::parse)
     }
 
     fn alloc_kind(&self) -> Result<AllocatorKind, String> {
-        match self.flags.get("alloc").map(String::as_str) {
-            None | Some("sep_if_rr") => Ok(AllocatorKind::SepIfRr),
-            Some("sep_if_m") => Ok(AllocatorKind::SepIfMatrix),
-            Some("sep_of_rr") => Ok(AllocatorKind::SepOfRr),
-            Some("sep_of_m") => Ok(AllocatorKind::SepOfMatrix),
-            Some("wf") => Ok(AllocatorKind::Wavefront),
-            Some(other) => Err(format!("unknown allocator '{other}'")),
-        }
+        let default = AllocatorKind::SepIfRr;
+        self.named("alloc", "allocator", default, AllocatorKind::parse)
     }
 
     fn sw_kind(&self, key: &str) -> Result<SwitchAllocatorKind, String> {
-        use noc_arbiter::ArbiterKind::{Matrix, RoundRobin};
-        match self.flags.get(key).map(String::as_str) {
-            None | Some("sep_if_rr") | Some("sep_if") => Ok(SwitchAllocatorKind::SepIf(RoundRobin)),
-            Some("sep_if_m") => Ok(SwitchAllocatorKind::SepIf(Matrix)),
-            Some("sep_of_rr") | Some("sep_of") => Ok(SwitchAllocatorKind::SepOf(RoundRobin)),
-            Some("sep_of_m") => Ok(SwitchAllocatorKind::SepOf(Matrix)),
-            Some("wf") => Ok(SwitchAllocatorKind::Wavefront),
-            Some(other) => Err(format!("unknown switch allocator '{other}'")),
-        }
+        let default = SwitchAllocatorKind::SepIf(noc_arbiter::ArbiterKind::RoundRobin);
+        self.named(key, "switch allocator", default, SwitchAllocatorKind::parse)
     }
 
     fn spec_mode(&self) -> Result<SpecMode, String> {
-        match self.flags.get("spec").map(String::as_str) {
-            Some("nonspec") => Ok(SpecMode::NonSpeculative),
-            Some("spec_gnt") | Some("conventional") => Ok(SpecMode::Conventional),
-            None | Some("spec_req") | Some("pessimistic") => Ok(SpecMode::Pessimistic),
-            Some(other) => Err(format!("unknown speculation mode '{other}'")),
-        }
+        let default = SpecMode::Pessimistic;
+        self.named("spec", "speculation mode", default, SpecMode::parse)
+    }
+
+    fn pattern(&self) -> Result<TrafficPattern, String> {
+        let default = TrafficPattern::UniformRandom;
+        self.named("pattern", "pattern", default, TrafficPattern::parse)
+    }
+
+    fn routing_override(&self) -> Result<Option<RoutingKind>, String> {
+        (self.flags.get("routing"))
+            .map(|s| {
+                RoutingKind::parse(s)
+                    .ok_or_else(|| format!("unknown routing '{s}' (dor|dateline|nodateline)"))
+            })
+            .transpose()
+    }
+
+    /// The router class structure `noc synth|quality|verilog` work on,
+    /// validated like a `noc sim` configuration: zero VCs or an
+    /// out-of-range request rate is a one-line error, not a panic.
+    fn design_spec(&self, default_vcs: usize, rate: f64) -> Result<VcAllocSpec, String> {
+        let cfg = SimConfig {
+            injection_rate: rate,
+            ..SimConfig::paper_baseline(self.topology()?, self.get("vcs", default_vcs)?)
+        };
+        cfg.validate().map_err(|e| e.to_string())?;
+        Ok(cfg.vc_spec())
     }
 
     fn engine(&self) -> Result<Engine, String> {
@@ -387,29 +422,6 @@ impl Args {
             }
             (_, Some(_)) => Err("--threads requires --engine par".to_string()),
             (engine, None) => Ok(engine),
-        }
-    }
-
-    fn routing_override(&self) -> Result<Option<RoutingKind>, String> {
-        match self.flags.get("routing").map(String::as_str) {
-            None => Ok(None),
-            Some("dor") => Ok(Some(RoutingKind::DimensionOrder)),
-            Some("dateline") => Ok(Some(RoutingKind::TorusDateline)),
-            Some("nodateline") => Ok(Some(RoutingKind::TorusNoDateline)),
-            Some(other) => Err(format!(
-                "unknown routing '{other}' (dor|dateline|nodateline)"
-            )),
-        }
-    }
-
-    fn pattern(&self) -> Result<TrafficPattern, String> {
-        match self.flags.get("pattern").map(String::as_str) {
-            None | Some("uniform") => Ok(TrafficPattern::UniformRandom),
-            Some("bitcomp") => Ok(TrafficPattern::BitComplement),
-            Some("transpose") => Ok(TrafficPattern::Transpose),
-            Some("tornado") => Ok(TrafficPattern::Tornado),
-            Some("shuffle") => Ok(TrafficPattern::Shuffle),
-            Some(other) => Err(format!("unknown pattern '{other}'")),
         }
     }
 }
@@ -844,6 +856,9 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
 
 fn cmd_check(args: &Args) -> Result<(), String> {
     let c: usize = args.get("vcs", 2)?;
+    if c == 0 {
+        return Err(noc_sim::ConfigError::Zero("VCs per class").to_string());
+    }
     let mut reports = Vec::new();
     if let Some(name) = args.flags.get("fixture") {
         let f = fixtures::by_name(name, c)
@@ -863,12 +878,8 @@ fn cmd_check(args: &Args) -> Result<(), String> {
             reports.push(check_design(&name, &topo, &model, &cfg.vc_spec()));
         }
     } else {
-        let label = match args.topology()? {
-            TopologyKind::Mesh8x8 => "mesh",
-            TopologyKind::FlattenedButterfly4x4 => "fbfly",
-            TopologyKind::Torus8x8 => "torus",
-        };
-        reports.push(check_fixture(&fixtures::paper_design(label, c)));
+        let topo = args.topology()?;
+        reports.push(check_fixture(&fixtures::paper_design(topo.label(), c)));
     }
     let mut failed = 0usize;
     for rep in &reports {
@@ -944,8 +955,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 fn cmd_synth(args: &Args) -> Result<(), String> {
     use noc_hw::builders::{sw_alloc, vc_alloc};
     let what = args.positional.get(1).map(String::as_str).unwrap_or("vca");
-    let topo = args.topology()?;
-    let spec = args.spec_for(topo, args.get("vcs", 2)?);
+    let spec = args.design_spec(2, 0.0)?;
     let synth = noc_hw::Synthesizer::default();
     let result = match what {
         "vca" => vc_alloc::synthesize_vc_allocator(
@@ -981,9 +991,8 @@ fn cmd_synth(args: &Args) -> Result<(), String> {
 
 fn cmd_quality(args: &Args) -> Result<(), String> {
     let what = args.positional.get(1).map(String::as_str).unwrap_or("vca");
-    let topo = args.topology()?;
-    let spec = args.spec_for(topo, args.get("vcs", 2)?);
     let rate: f64 = args.get("rate", 0.5)?;
+    let spec = args.design_spec(2, rate)?;
     let trials: usize = args.get("trials", 3000)?;
     match what {
         "vca" => {
@@ -1006,14 +1015,7 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
                 seed: 0x5c09,
             };
             println!("switch allocation quality @ rate {rate} ({trials} trials):");
-            for (label, kind) in [
-                ("sep_if", args.sw_kind("__none")?),
-                (
-                    "sep_of",
-                    SwitchAllocatorKind::SepOf(noc_arbiter::ArbiterKind::RoundRobin),
-                ),
-                ("wf", SwitchAllocatorKind::Wavefront),
-            ] {
+            for (label, kind) in noc_bench::figures::SW_FIGURE_KINDS {
                 let q = noc_quality::sw_quality_curve(&cfg, kind, &[rate]).points[0].quality();
                 println!("  {label:<8} {q:.4}");
             }
@@ -1026,8 +1028,7 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
 fn cmd_verilog(args: &Args) -> Result<(), String> {
     use noc_hw::builders::{sw_alloc, vc_alloc};
     let what = args.positional.get(1).map(String::as_str).unwrap_or("vca");
-    let topo = args.topology()?;
-    let spec = args.spec_for(topo, args.get("vcs", 1)?);
+    let spec = args.design_spec(1, 0.0)?;
     let nl = match what {
         "vca" => vc_alloc::vc_allocator_netlist(
             &spec,
@@ -1056,20 +1057,8 @@ fn cmd_verilog(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    use std::path::PathBuf;
     let sub = args.positional.get(1).map(String::as_str).unwrap_or("run");
-    let out_dir = PathBuf::from(
-        args.flags
-            .get("out")
-            .cloned()
-            .unwrap_or_else(|| "results/sweeps".to_string()),
-    );
-    let cache_dir = PathBuf::from(
-        args.flags
-            .get("cache-dir")
-            .cloned()
-            .unwrap_or_else(|| "results/cache".to_string()),
-    );
+    let (cache_dir, out_dir) = sweep_dirs(args);
     match sub {
         "run" => sweep_run(args, out_dir, cache_dir, false),
         "resume" => sweep_run(args, out_dir, cache_dir, true),
@@ -1081,23 +1070,51 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The `(cache, journal)` directories of `noc sweep` / `noc serve`:
+/// `--cache-dir` and `--out`, defaulting under `results/`.
+fn sweep_dirs(args: &Args) -> (std::path::PathBuf, std::path::PathBuf) {
+    let defaults = SweepOptions::default_dirs();
+    let dir = |key: &str, default| args.flags.get(key).map_or(default, Into::into);
+    (
+        dir("cache-dir", defaults.cache_dir),
+        dir("out", defaults.out_dir),
+    )
+}
+
+/// Runs `spec` through the cache and journal, reporting on stderr.
+fn run_and_report(spec: &SweepSpec, opts: &SweepOptions) -> Result<(), String> {
+    let outcome = run_sweep(spec, opts)?;
+    eprintln!(
+        "sweep {}: {} points — {} computed, {} cache hits, {} journal skips in {:.1}s",
+        outcome.name,
+        outcome.total,
+        outcome.computed,
+        outcome.cache_hits,
+        outcome.journal_skips,
+        outcome.wall_ms as f64 / 1000.0
+    );
+    eprintln!("manifest: {}", outcome.manifest_path.display());
+    Ok(())
+}
+
+/// Renders `fig` through the cache `opts` names: after its grid has run
+/// every grid point is a hit; only adaptive saturation probes (cached
+/// for next time) may still simulate.
+fn render_cached(fig: &Figure, opts: &SweepOptions) -> Result<String, String> {
+    let engine = opts.engine.unwrap_or(Engine::Sequential);
+    let runner = cached_runner(ResultCache::new(&opts.cache_dir)?, engine);
+    Ok(fig.render_with(&runner))
+}
+
 fn sweep_run(
     args: &Args,
     out_dir: std::path::PathBuf,
     cache_dir: std::path::PathBuf,
     require_journal: bool,
 ) -> Result<(), String> {
-    use noc_bench::sweep::{
-        cached_runner, render, run_sweep, ResultCache, SweepOptions, SweepSpec,
-    };
     let preset_name = args.flags.get("preset");
     let spec = match (preset_name, args.flags.get("spec")) {
-        (Some(name), None) => noc_bench::sweep::preset(name).ok_or_else(|| {
-            format!(
-                "unknown preset '{name}' (available: {})",
-                noc_bench::sweep::preset_names().join(", ")
-            )
-        })?,
+        (Some(name), None) => preset_spec(name)?,
         (None, Some(path)) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read spec {path}: {e}"))?;
@@ -1111,7 +1128,7 @@ fn sweep_run(
         None => None,
     };
     let opts = SweepOptions {
-        cache_dir: cache_dir.clone(),
+        cache_dir,
         out_dir,
         engine,
         quiet: args.flags.contains_key("quiet"),
@@ -1119,28 +1136,57 @@ fn sweep_run(
         telemetry: args.flags.contains_key("telemetry"),
         anatomy: args.flags.contains_key("anatomy"),
     };
-    let outcome = run_sweep(&spec, &opts)?;
-    eprintln!(
-        "sweep {}: {} points — {} computed, {} cache hits, {} journal skips in {:.1}s",
-        outcome.name,
-        outcome.total,
-        outcome.computed,
-        outcome.cache_hits,
-        outcome.journal_skips,
-        outcome.wall_ms as f64 / 1000.0
-    );
-    eprintln!("manifest: {}", outcome.manifest_path.display());
+    run_and_report(&spec, &opts)?;
     if let Some(name) = preset_name {
         if !args.flags.contains_key("no-render") {
-            // Re-render the legacy figure through the cache: every grid
-            // point is a hit; only adaptive saturation probes (cached for
-            // next time) may still simulate.
-            let runner = cached_runner(
-                ResultCache::new(&cache_dir)?,
-                engine.unwrap_or(noc_sim::Engine::Sequential),
-            );
-            if let Some(text) = render::render_preset(name, &runner) {
-                print!("{text}");
+            print!("{}", render_cached(figure(name)?, &opts)?);
+        }
+    }
+    Ok(())
+}
+
+/// `noc fig` — print registry entries (no name: list them). An entry with
+/// a grid runs it through the sweep cache first, its journal and manifest
+/// kept next to the cached results; every entry then renders through the
+/// cache, so no simulation is ever repeated.
+fn cmd_fig(args: &Args) -> Result<(), String> {
+    let names = &args.positional[1..];
+    let all = args.flags.contains_key("all");
+    if names.is_empty() && !all {
+        for f in &FIGURES {
+            println!("{:<22}{}", f.name, f.about);
+        }
+        return Ok(());
+    }
+    let figs: Vec<&Figure> = match (all, names) {
+        (true, []) => FIGURES.iter().collect(),
+        (false, names) => (names.iter().map(|n| figure(n))).collect::<Result<_, _>>()?,
+        (true, _) => return Err("fig takes NAME... or --all, not both".to_string()),
+    };
+    let cache_dir = sweep_dirs(args).0;
+    let opts = SweepOptions {
+        out_dir: cache_dir.clone(),
+        cache_dir,
+        quiet: args.flags.contains_key("quiet"),
+        ..SweepOptions::default_dirs()
+    };
+    let out_dir = args.flags.get("out").map(std::path::Path::new);
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    for fig in figs {
+        if let Some(spec) = fig.spec() {
+            run_and_report(&spec, &opts)?;
+        }
+        let text = render_cached(fig, &opts)?;
+        match out_dir {
+            None => print!("{text}"),
+            Some(dir) => {
+                let path = dir.join(fig.file_name());
+                std::fs::write(&path, text)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                eprintln!("wrote {}", path.display());
             }
         }
     }
@@ -1148,7 +1194,7 @@ fn sweep_run(
 }
 
 fn sweep_status(out_dir: &std::path::Path, cache_dir: &std::path::Path) -> Result<(), String> {
-    use noc_bench::sweep::{journal::read_status, ResultCache};
+    use noc_bench::sweep::journal::read_status;
     let mut journals: Vec<std::path::PathBuf> = std::fs::read_dir(out_dir)
         .into_iter()
         .flatten()
@@ -1186,7 +1232,6 @@ fn sweep_status(out_dir: &std::path::Path, cache_dir: &std::path::Path) -> Resul
 }
 
 fn sweep_clean(out_dir: &std::path::Path, cache_dir: &std::path::Path) -> Result<(), String> {
-    use noc_bench::sweep::ResultCache;
     let removed_cache = if cache_dir.is_dir() {
         ResultCache::new(cache_dir)?.clear()?
     } else {
@@ -1221,19 +1266,7 @@ fn default_serve_workers() -> usize {
 /// its built-in concurrent-client load driver).
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use noc_bench::sweep::serve::{run_selftest, start, ServeOptions};
-    use std::path::PathBuf;
-    let cache_dir = PathBuf::from(
-        args.flags
-            .get("cache-dir")
-            .cloned()
-            .unwrap_or_else(|| "results/cache".to_string()),
-    );
-    let out_dir = PathBuf::from(
-        args.flags
-            .get("out")
-            .cloned()
-            .unwrap_or_else(|| "results/sweeps".to_string()),
-    );
+    let (cache_dir, out_dir) = sweep_dirs(args);
     let workers = args.get("workers", default_serve_workers())?;
     if args.flags.contains_key("selftest") {
         let clients: usize = args.get("selftest", 4)?;
@@ -1264,7 +1297,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// response JSONL to stdout, and summarize on stderr.
 fn cmd_client(args: &Args) -> Result<(), String> {
     use noc_bench::sweep::serve::request;
-    use noc_bench::sweep::SweepSpec;
     use noc_obs::{
         serve_preset_request_line, serve_status_request_line, serve_sweep_request_line, ServeEvent,
     };
@@ -1550,6 +1582,7 @@ fn main() -> ExitCode {
         "synth" => cmd_synth(&args),
         "quality" => cmd_quality(&args),
         "verilog" => cmd_verilog(&args),
+        "fig" => cmd_fig(&args),
         "sweep" => cmd_sweep(&args),
         "serve" => cmd_serve(&args),
         "client" => cmd_client(&args),

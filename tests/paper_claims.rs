@@ -1,6 +1,6 @@
 //! Scaled-down reproductions of the paper's headline claims, runnable as
 //! part of the regular test suite. The full-scale numbers come from the
-//! `fig*` binaries in `noc-bench` (see EXPERIMENTS.md).
+//! `noc fig` entries of `noc-bench`'s registry (see EXPERIMENTS.md).
 
 use noc_core::{AllocatorKind, VcAllocSpec};
 use noc_quality::{sw_quality_curve, vc_quality_curve, SwQualityConfig, VcQualityConfig};
