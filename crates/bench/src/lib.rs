@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! Figure regeneration, the sweep orchestrator and the bench harness.
+//! Figure regeneration and the sweep orchestrator.
 //!
 //! Every table/figure of the paper's evaluation (Figures 4–14) and every
 //! ablation is one row of the [`registry`]: a name, a render function
@@ -11,16 +11,11 @@
 //! for paper-vs-measured results.
 
 pub mod figures;
-pub mod harness;
 pub mod points;
 pub mod registry;
 pub mod sweep;
 
-pub use harness::{
-    bench_workload, compare_baseline, parse_report, report_filename, run_bench, workload_matrix,
-    BaselineSummary, BenchParams, BenchReport, WorkloadResult,
-};
-pub use points::{DesignPoint, DESIGN_POINTS};
+pub use points::{workload_matrix, DesignPoint, DESIGN_POINTS};
 pub use registry::{figure, preset_spec, FigCtx, Figure, FIGURES};
 
 /// Formats an `f64` that may be NaN (unsaturated/no-data points).

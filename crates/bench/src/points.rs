@@ -1,8 +1,9 @@
 //! The six design points evaluated throughout the paper (§3): subfigures
-//! (a)–(f) of Figures 5–7 and 10–14.
+//! (a)–(f) of Figures 5–7 and 10–14, and the seven simulated configurations
+//! the engine-equivalence, invariant and `noc check --all` suites iterate.
 
 use noc_core::VcAllocSpec;
-use noc_sim::TopologyKind;
+use noc_sim::{SimConfig, TopologyKind};
 
 /// One (topology, VC configuration) design point.
 #[derive(Clone, Copy, Debug)]
@@ -76,9 +77,49 @@ pub const DESIGN_POINTS: [DesignPoint; 6] = [
     },
 ];
 
+/// The fixed workload matrix: each evaluated topology at load points
+/// below, near, and at the knee of the latency curve, plus a heavy 0.4
+/// mesh point (at high load nearly every router is busy every cycle, the
+/// case that separates the engines most).
+pub fn workload_matrix() -> Vec<(String, SimConfig)> {
+    let mut out = Vec::new();
+    for (tag, topo, rates) in [
+        (
+            "mesh8x8",
+            TopologyKind::Mesh8x8,
+            &[0.05, 0.15, 0.25, 0.4][..],
+        ),
+        (
+            "fbfly4x4",
+            TopologyKind::FlattenedButterfly4x4,
+            &[0.10, 0.20, 0.30][..],
+        ),
+    ] {
+        for &rate in rates {
+            let cfg = SimConfig {
+                injection_rate: rate,
+                ..SimConfig::paper_baseline(topo, 2)
+            };
+            out.push((format!("{tag}_c2_r{rate}"), cfg));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn matrix_covers_both_topologies_plus_heavy_mesh_point() {
+        let m = workload_matrix();
+        assert_eq!(m.len(), 7);
+        assert_eq!(m.iter().filter(|(n, _)| n.starts_with("mesh")).count(), 4);
+        assert_eq!(m.iter().filter(|(n, _)| n.starts_with("fbfly")).count(), 3);
+        assert!(m.iter().any(|(n, _)| n == "mesh8x8_c2_r0.4"));
+        let names: std::collections::HashSet<_> = m.iter().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), 7, "workload names must be unique keys");
+    }
 
     #[test]
     fn points_cover_the_paper_grid() {

@@ -24,7 +24,7 @@
 //! cannot erase a journal whose records were already fsynced.
 
 use crate::sweep::cache::sync_dir;
-use crate::sweep::json_escape;
+use noc_obs::json::esc;
 use noc_obs::JsonValue;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
@@ -47,8 +47,8 @@ impl JournalHeader {
     fn to_line(&self) -> String {
         format!(
             "{{\"schema\":\"noc-sweep-journal/v1\",\"name\":\"{}\",\"spec_digest\":\"{}\",\"points\":{}}}",
-            json_escape(&self.name),
-            json_escape(&self.spec_digest),
+            esc(&self.name),
+            esc(&self.spec_digest),
             self.points
         )
     }
@@ -276,9 +276,9 @@ impl Journal {
     ) -> Result<(), String> {
         let line = format!(
             "{{\"digest\":\"{}\",\"label\":\"{}\",\"source\":\"{}\",\"wall_ms\":{}}}",
-            json_escape(digest),
-            json_escape(label),
-            json_escape(source),
+            esc(digest),
+            esc(label),
+            esc(source),
             wall_ms
         );
         let mut w = self

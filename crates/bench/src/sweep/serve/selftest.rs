@@ -4,15 +4,17 @@
 //! the smoke preset's grid plus one client-unique rate — so every pair
 //! of clients overlaps on the smoke points and differs on one. The test
 //! then asserts the daemon's computed-point counter equals the number of
-//! unique digests across all requests (every shared point computed
-//! exactly once), restarts the daemon over the same directories, replays
-//! the union of every grid, and asserts zero recomputation.
+//! unique digests across all requests that the cache did not already hold
+//! (every shared point computed exactly once), restarts the daemon over
+//! the same directories, replays the union of every grid, and asserts
+//! zero recomputation.
 
 use crate::registry::preset_spec;
 use crate::sweep::presets::SMOKE_RATES;
 use crate::sweep::serve::client::{request, ClientOutcome};
 use crate::sweep::serve::daemon::{start, ServeOptions};
 use crate::sweep::spec::SweepSpec;
+use crate::sweep::ResultCache;
 use noc_obs::serve::serve_sweep_request_line;
 use std::collections::HashSet;
 use std::path::Path;
@@ -78,6 +80,9 @@ pub fn run_selftest(
             expected.insert(p.digest());
         }
     }
+    // A rerun over the same directories finds some or all of them cached.
+    let cache = ResultCache::new(cache_dir)?;
+    let uncached = expected.iter().filter(|d| !cache.contains_valid(d)).count();
     let opts = ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         cache_dir: cache_dir.to_path_buf(),
@@ -115,10 +120,10 @@ pub fn run_selftest(
         check_client(i, outcome, per_point)?;
     }
     let counters = daemon.shutdown();
-    if counters.computed != expected.len() {
+    if counters.computed != uncached {
         return Err(format!(
-            "selftest: dedup FAILED — computed {} points for {} unique digests \
-             (shared points were recomputed)",
+            "selftest: dedup FAILED — computed {} points for {uncached} uncached of {} unique \
+             digests (each uncached point must be computed exactly once)",
             counters.computed,
             expected.len()
         ));

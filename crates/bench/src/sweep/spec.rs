@@ -150,11 +150,15 @@ impl SweepGrid {
         out
     }
 
-    /// Checks every value on the axes [`SimConfig::validate`] constrains.
-    /// Its checks are per-field, so one probe per axis value covers the
-    /// whole cartesian product — without expanding it, which an invalid
-    /// value (zero VCs) would not survive.
+    /// Checks the measurement window and every value on the axes
+    /// [`SimConfig::validate`] constrains. Its checks are per-field, so
+    /// one probe per axis value covers the whole cartesian product —
+    /// without expanding it, which an invalid value (zero VCs) would not
+    /// survive.
     fn validate(&self) -> Result<(), ConfigError> {
+        if self.measure == 0 {
+            return Err(ConfigError::Zero("measure cycles"));
+        }
         let base = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1);
         let probe = |set: &dyn Fn(&mut SimConfig)| {
             let mut cfg = base.clone();
@@ -494,6 +498,7 @@ mod tests {
             r#"{"name":"t","grids":[{"buf_depth":0}]}"#,
             r#"{"name":"t","grids":[{"burst":0}]}"#,
             r#"{"name":"t","grids":[{"payload_flits":0}]}"#,
+            r#"{"name":"t","grids":[{"measure":0}]}"#,
             r#"{"name":"t","grids":[{"topology":"hypercube"}]}"#,
             r#"{"name":"t","grids":[{"sa":"maxsize"}]}"#,
             r#"{"name":"t","grids":[{"spec":7}]}"#,

@@ -3,7 +3,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use noc_bench::sweep::serve::{request, start, ClientOutcome, ServeOptions};
+use noc_bench::sweep::serve::{request, run_selftest, start, ClientOutcome, ServeOptions};
 use noc_bench::sweep::SweepSpec;
 use noc_obs::serve::{serve_status_request_line, serve_sweep_request_line, ServeEvent};
 use noc_obs::JsonValue;
@@ -257,6 +257,7 @@ fn invalid_config_is_refused_and_the_daemon_keeps_serving() {
         r#"{"name":"e2e","grids":[{"vcs":[0],"warmup":50,"measure":100}]}"#,
         r#"{"name":"e2e","grids":[{"buf_depth":0,"warmup":50,"measure":100}]}"#,
         r#"{"name":"e2e","grids":[{"rates":[2],"warmup":50,"measure":100}]}"#,
+        r#"{"name":"e2e","grids":[{"warmup":50,"measure":0}]}"#,
     ] {
         let mut error_lines = 0;
         let err = request(
@@ -278,5 +279,17 @@ fn invalid_config_is_refused_and_the_daemon_keeps_serving() {
     assert_eq!(outcome.unique, 1);
     let counters = daemon.shutdown();
     assert_eq!(counters.computed, 1, "only the valid request computed");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// The built-in selftest passes on a cold cache and again over the same,
+/// now warm, directories (the CLI defaults make every second run warm).
+#[test]
+fn selftest_passes_twice_over_the_same_directories() {
+    let root = scratch("selftest");
+    for run in ["cold", "warm"] {
+        run_selftest(2, &root.join("cache"), &root.join("sweeps"), 2)
+            .unwrap_or_else(|e| panic!("{run} run: {e}"));
+    }
     let _ = fs::remove_dir_all(&root);
 }

@@ -365,6 +365,10 @@ fn invalid_spec_is_rejected_before_anything_is_cached_or_journaled() {
             rates: vec![0.1, 2.0],
             ..SweepGrid::default()
         },
+        SweepGrid {
+            measure: 0,
+            ..SweepGrid::default()
+        },
     ] {
         let spec = SweepSpec {
             name: "bad".into(),

@@ -21,7 +21,7 @@
 //!   done-reset reordering, overlapping shards) that the checker must
 //!   reject — proof that a pass means something.
 //!
-//! Like the in-repo `rand`/`proptest`/`criterion` shims, this crate is
+//! Like the in-repo `rand`/`proptest` shims, this crate is
 //! vendored and dependency-free. Run it via `noc mc` or the tests in
 //! `tests/protocol.rs`.
 //!

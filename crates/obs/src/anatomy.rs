@@ -29,8 +29,7 @@
 //! `noc-anatomy/v1` dumps are byte-identical across seq/par/active.
 
 use crate::hist::HdrHistogram;
-use crate::json::JsonValue;
-use crate::record::{esc, num};
+use crate::json::{esc, num, JsonValue};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 

@@ -12,6 +12,7 @@
 
 use crate::anatomy::Waterfall;
 use crate::event::{FlitEvent, FlitEventKind};
+use crate::json::{esc, num};
 use crate::metrics::{MetricsRegistry, RouterObs};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -335,7 +336,6 @@ pub fn sweep_manifest_json(
     wall_ms: u64,
     points: &[SweepManifestPoint],
 ) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut out = String::from("{\"schema\":\"noc-sweep-manifest/v1\"");
     let _ = write!(
         out,
@@ -397,11 +397,7 @@ pub fn percentile_table_json(table: &[(f64, f64)]) -> String {
                 format!("p{}", (q * 1000.0).round() as u64)
             }
         };
-        if v.is_finite() {
-            let _ = write!(out, "\"{name}\":{v}");
-        } else {
-            let _ = write!(out, "\"{name}\":null");
-        }
+        let _ = write!(out, "\"{name}\":{}", num(*v));
     }
     out.push('}');
     out

@@ -1,11 +1,14 @@
-//! A tiny dependency-free JSON reader.
+//! A tiny dependency-free JSON reader, and the two leaf encoders every
+//! hand-rolled writer in the workspace shares.
 //!
 //! The build environment has no crates.io access, so the workspace carries
 //! its own minimal parser: strict RFC 8259 syntax, numbers as `f64`,
-//! objects as ordered key/value vectors. It exists so that the bench
-//! harness can read baseline `BENCH_*.json` files and tests can round-trip
-//! the simulator's JSON summaries (including the NaN → `null` mapping)
-//! without an external crate.
+//! objects as ordered key/value vectors. It exists so that sweep specs,
+//! serve requests, journals and dumps can be read, and tests can
+//! round-trip the simulator's JSON summaries (including the NaN → `null`
+//! mapping), without an external crate.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -91,6 +94,35 @@ impl JsonValue {
             Some(JsonValue::Num(n)) => *n,
             _ => f64::NAN,
         }
+    }
+}
+
+/// Escapes `s` for embedding between the quotes of a JSON string.
+pub fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Encodes a number; JSON has no NaN/inf literals, so those become `null`
+/// (which [`JsonValue::num_or_nan`] reads back as NaN).
+pub fn num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
     }
 }
 

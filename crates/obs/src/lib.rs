@@ -26,8 +26,9 @@
 //!   VC allocation, switch allocation, traversal, credits); the no-op
 //!   implementation compiles every clock read away, mirroring the sink
 //!   design.
-//! - [`json`]: a tiny strict JSON reader, so bench baselines and JSON
-//!   summaries can be parsed without external dependencies.
+//! - [`json`]: a tiny strict JSON reader, so specs, requests, dumps and
+//!   JSON summaries can be parsed without external dependencies, plus the
+//!   string and number encoders the writers share.
 //! - [`digest`]: order-sensitive FNV-1a trace digests ([`DigestSink`]),
 //!   the substrate of the cycle-exact engine-equivalence and golden-trace
 //!   test layers.

@@ -9,6 +9,7 @@
 //! and the run driver stamps the total wall time and cycle count so the
 //! report can express each phase as a share of the run.
 
+use crate::json::num;
 use std::fmt::Write as _;
 
 /// Router-pipeline phase a measurement is attributed to.
@@ -146,13 +147,6 @@ impl Profiler {
     /// One JSON object: totals, cycles/sec, and per-phase
     /// nanos/share/events.
     pub fn to_json(&self) -> String {
-        let num = |v: f64| {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        };
         let shares = self.shares();
         let mut out = String::from("{");
         let _ = write!(

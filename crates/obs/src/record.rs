@@ -14,38 +14,12 @@
 //! [`FlightRecorder`](crate::FlightRecorder) or a parsed dump, so
 //! `noc replay <dump>` reproduces the in-process summary byte for byte.
 
-use crate::json::JsonValue;
+use crate::json::{esc, num, JsonValue};
 use crate::timeseries::{FlightRecorder, RouterCounters, WindowSnapshot};
 use std::fmt::Write as _;
 
 /// Schema tag written into every dump header and summary block.
 pub const TELEMETRY_SCHEMA: &str = "noc-telemetry/v1";
-
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Identity and sampling parameters of a telemetry dump (the first JSONL
 /// line).

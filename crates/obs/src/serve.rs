@@ -39,29 +39,10 @@
 //! request put on the worker queue, `cache_hits` served immediately,
 //! `coalesced` de-duplicated onto another client's in-flight work.
 
-use crate::json::JsonValue;
-use std::fmt::Write as _;
+use crate::json::{esc, JsonValue};
 
 /// Wire schema tag carried by every request and response line.
 pub const SERVE_SCHEMA: &str = "noc-serve/v1";
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// A `sweep` request line embedding an already-validated sweep-spec JSON
 /// document (the caller must pass well-formed JSON; it is embedded raw).

@@ -7,6 +7,7 @@ use crate::router::RouterStats;
 use crate::stats::NetStats;
 use crate::steady;
 use crate::verify::StrictChecker;
+use noc_obs::json::num;
 use noc_obs::{
     percentile_table_json, AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue,
     MetricsRegistry, NopProfiler, NopSink, PhaseProfiler, Profiler, RouterBreakdown, RouterObs,
@@ -98,14 +99,6 @@ impl SimResult {
     /// Serializes the result (including the per-router breakdown) as one
     /// JSON object.
     pub fn to_json(&self) -> String {
-        // JSON has no NaN/inf literals; map them to null.
-        let num = |v: f64| {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        };
         let s = &self.router_stats;
         let mut out = String::from("{");
         let _ = write!(
@@ -531,8 +524,8 @@ impl WatchdogTrip {
 }
 
 /// One simulation run, described and then executed: the single driver
-/// behind every `run_sim*` function, `noc sim`, `noc explain`, the sweep
-/// runner and the bench harness.
+/// behind every `run_sim*` function, `noc sim`, `noc explain` and the
+/// sweep runner.
 ///
 /// `Run::new(&cfg, warmup, measure)` is the plain sequential run; builder
 /// methods pick the [`Engine`] and attach observers, and [`Run::run`] (or

@@ -7,7 +7,6 @@
 //! * `noc explain` — decompose end-to-end packet latency into pipeline stages
 //! * `noc check`   — statically verify a design (deadlock freedom, liveness,
 //!   allocator wiring)
-//! * `noc bench`   — run the perf-regression workload matrix
 //! * `noc synth`   — synthesize a VC or switch allocator design point
 //! * `noc quality` — measure open-loop matching quality
 //! * `noc verilog` — emit structural Verilog for a design point
@@ -22,10 +21,7 @@
 //! parsing is deliberately dependency-free.
 
 use noc_bench::sweep::{cached_runner, run_sweep, ResultCache, SweepOptions, SweepSpec};
-use noc_bench::{
-    compare_baseline, figure, parse_report, preset_spec, report_filename, run_bench,
-    workload_matrix, BenchParams, Figure, FIGURES,
-};
+use noc_bench::{figure, preset_spec, workload_matrix, Figure, FIGURES};
 use noc_check::{check_design, check_fixture, fixtures, RouteModel};
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind, VcAllocSpec};
 use noc_obs::{
@@ -34,8 +30,8 @@ use noc_obs::{
     WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
 };
 use noc_sim::{
-    run_sim_replicated, Engine, RoutingKind, Run, SimConfig, TelemetryOptions, TopologyKind,
-    TrafficPattern,
+    run_sim_replicated, ConfigError, Engine, RoutingKind, Run, SimConfig, TelemetryOptions,
+    TopologyKind, TrafficPattern,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -45,7 +41,7 @@ noc — allocator implementations for network-on-chip routers (SC'09 reproductio
 
 USAGE:
   noc sim     [--topology mesh|fbfly|torus] [--vcs C] [--rate R] [--sa KIND]
-              [--vca KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
+              [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
               [--seeds N] [--profile] [--trace FILE] [--metrics FILE]
               [--sample-interval N] [--json] [--verify]
@@ -58,8 +54,6 @@ USAGE:
               [--capacity N] [--out FILE] [--trace FILE] [--json]
   noc check   [--topology mesh|fbfly|torus] [--vcs C] [--all]
               [--fixture no-dateline|cyclic-vc]
-  noc bench   [--quick] [--out DIR] [--baseline FILE] [--tolerance PCT]
-              [--reps N] [--engine seq|par|active|auto] [--threads N]
   noc synth   (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--alloc KIND]
               [--dense] [--spec nonspec|spec_gnt|spec_req]
   noc quality (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--rate R]
@@ -134,7 +128,7 @@ Latency anatomy (noc explain / noc sim --anatomy):
   noc sweep run --anatomy write a <digest>.anatomy.jsonl dump per computed
                           point, linked from the sweep manifest
 
-Performance engines (noc sim, noc bench):
+Performance engines (noc sim, noc explain, noc sweep):
   --engine NAME           cycle-loop engine: seq (in-order reference), par
                           (two-phase step, router compute sharded across a
                           worker pool), active (skips idle routers), auto
@@ -179,19 +173,9 @@ Static analysis (noc check):
   starvation / dateline discipline, and allocator wiring; exits nonzero
   if any checked design fails
   --all                   check the paper's designs (mesh, fbfly, torus at
-                          C = 1, 2, 4) and every bench-matrix workload
+                          C = 1, 2, 4) and every workload-matrix config
   --fixture NAME          check a deliberately deadlocked negative fixture
                           (no-dateline | cyclic-vc) — expected to FAIL
-
-Benchmarking (noc bench):
-  runs a fixed workload matrix (mesh + flattened butterfly at three load
-  points) and writes BENCH_<unix>.json (schema noc-bench/v1)
-  --quick                 CI-sized runs (500+1500 cycles, median of 3)
-  --out DIR               directory for the report (default .)
-  --baseline FILE         compare cycles/sec against a previous report;
-                          exits nonzero on regression
-  --tolerance PCT         allowed slowdown vs baseline (default 15)
-  --reps N                timed repetitions per workload (median wins)
 
 Figures (noc fig):
   prints figures and ablations of the registry; results/NAME.txt holds
@@ -244,8 +228,8 @@ Sweep service (noc serve / noc client):
   --selftest N            run the built-in load driver instead: N
                           concurrent overlapping clients against a fresh
                           in-process daemon; asserts computed points ==
-                          unique digests, then restarts the daemon and
-                          asserts zero recomputation
+                          unique digests not yet cached, then restarts the
+                          daemon and asserts zero recomputation
   noc client              send one request and print the response JSONL
   --preset NAME           request an in-repo preset by name
   --spec FILE             request the sweep spec in FILE (same grammar as
@@ -269,7 +253,6 @@ Examples:
   noc sim --topology torus --routing nodateline --rate 0.35
   noc top run.jsonl --once
   noc replay run.jsonl
-  noc bench --quick --baseline results/bench_baseline.json
   noc synth vca --topology mesh --vcs 2 --alloc sep_if_rr
   noc quality swa --topology fbfly --vcs 4 --rate 0.5 --trials 5000
   noc verilog swa --vcs 2 --alloc sep_if_rr > swa.v
@@ -290,6 +273,65 @@ const DEFAULT_ANATOMY_CAPACITY: usize = 1 << 16;
 /// Default slowest-packet waterfall count for the anatomy surfaces.
 const DEFAULT_ANATOMY_TOP_K: usize = 4;
 
+/// Flags that take no value.
+const BARE_FLAGS: &[&str] = &[
+    "all",
+    "anatomy",
+    "dense",
+    "fixtures",
+    "json",
+    "no-render",
+    "no-watchdog",
+    "once",
+    "profile",
+    "quiet",
+    "status",
+    "telemetry",
+    "top",
+    "verify",
+];
+
+/// Flags followed by their value.
+const VALUE_FLAGS: &[&str] = &[
+    "addr",
+    "alloc",
+    "anatomy-out",
+    "buf-depth",
+    "burst",
+    "cache-dir",
+    "capacity",
+    "cycles",
+    "engine",
+    "fixture",
+    "id",
+    "match-every",
+    "measure",
+    "metrics",
+    "out",
+    "pattern",
+    "preset",
+    "rate",
+    "record",
+    "root",
+    "routers",
+    "routing",
+    "sa",
+    "sample-interval",
+    "seed",
+    "seeds",
+    "selftest",
+    "spec",
+    "threads",
+    "top-k",
+    "topology",
+    "trace",
+    "trials",
+    "vcs",
+    "warmup",
+    "window",
+    "workers",
+];
+
 /// Parsed `--key value` flags plus positional arguments.
 struct Args {
     positional: Vec<String>,
@@ -297,41 +339,32 @@ struct Args {
 }
 
 impl Args {
+    /// `--help` anywhere parses as the `help` command; a flag in neither
+    /// list, or a value flag without its value, is an error.
     fn parse(argv: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if key == "help" {
-                    return Err(HELP.to_string());
-                }
-                if key == "dense"
-                    || key == "json"
-                    || key == "quick"
-                    || key == "profile"
-                    || key == "verify"
-                    || key == "all"
-                    || key == "quiet"
-                    || key == "no-render"
-                    || key == "top"
-                    || key == "once"
-                    || key == "no-watchdog"
-                    || key == "telemetry"
-                    || key == "anatomy"
-                    || key == "fixtures"
-                    || key == "status"
-                {
-                    flags.insert(key.to_string(), "true".to_string());
-                    continue;
-                }
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{key} needs a value"))?;
-                flags.insert(key.to_string(), v.clone());
-            } else {
+            let Some(key) = a.strip_prefix("--") else {
                 positional.push(a.clone());
+                continue;
+            };
+            if key == "help" {
+                return Ok(Args {
+                    positional: vec!["help".to_string()],
+                    flags: HashMap::new(),
+                });
             }
+            let value = if BARE_FLAGS.contains(&key) {
+                "true"
+            } else if VALUE_FLAGS.contains(&key) {
+                it.next()
+                    .ok_or_else(|| format!("flag --{key} needs a value"))?
+            } else {
+                return Err(format!("unknown flag --{key} (see noc help)"));
+            };
+            flags.insert(key.to_string(), value.to_string());
         }
         Ok(Args { positional, flags })
     }
@@ -426,6 +459,15 @@ impl Args {
     }
 }
 
+/// The `(warmup, measure)` run window of `noc sim` / `noc explain`.
+fn run_window(args: &Args) -> Result<(u64, u64), String> {
+    let measure: u64 = args.get("measure", 6000)?;
+    if measure == 0 {
+        return Err(ConfigError::Zero("measure cycles").to_string());
+    }
+    Ok((args.get("warmup", 3000)?, measure))
+}
+
 /// Builds the simulated design point from the shared `noc sim` /
 /// `noc explain` config flags.
 fn sim_config(args: &Args) -> Result<SimConfig, String> {
@@ -447,8 +489,7 @@ fn sim_config(args: &Args) -> Result<SimConfig, String> {
 
 fn cmd_sim(args: &Args) -> Result<(), String> {
     let cfg = sim_config(args)?;
-    let warmup: u64 = args.get("warmup", 3000u64)?;
-    let measure: u64 = args.get("measure", 6000u64)?;
+    let (warmup, measure) = run_window(args)?;
     let trace_path = args.flags.get("trace").cloned();
     let metrics_path = args.flags.get("metrics").cloned();
     let sample_interval: u64 = args.get("sample-interval", 100u64)?;
@@ -800,8 +841,7 @@ fn check_reconciliation(col: &AnatomyCollector, r: &noc_sim::SimResult) -> Resul
 
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let cfg = sim_config(args)?;
-    let warmup: u64 = args.get("warmup", 3000u64)?;
-    let measure: u64 = args.get("measure", 6000u64)?;
+    let (warmup, measure) = run_window(args)?;
     let engine = args.engine()?;
     let capacity: usize = args.get("capacity", DEFAULT_ANATOMY_CAPACITY)?;
     let top_k: usize = args.get("top-k", DEFAULT_ANATOMY_TOP_K)?;
@@ -857,7 +897,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
 fn cmd_check(args: &Args) -> Result<(), String> {
     let c: usize = args.get("vcs", 2)?;
     if c == 0 {
-        return Err(noc_sim::ConfigError::Zero("VCs per class").to_string());
+        return Err(ConfigError::Zero("VCs per class").to_string());
     }
     let mut reports = Vec::new();
     if let Some(name) = args.flags.get("fixture") {
@@ -871,7 +911,7 @@ fn cmd_check(args: &Args) -> Result<(), String> {
                 reports.push(check_fixture(&fixtures::paper_design(topo, c)));
             }
         }
-        // ...plus every configuration the bench matrix actually simulates.
+        // ...plus every configuration the workload matrix simulates.
         for (name, cfg) in workload_matrix() {
             let topo = cfg.topology.build();
             let model = RouteModel::Simulator(cfg.routing());
@@ -895,59 +935,6 @@ fn cmd_check(args: &Args) -> Result<(), String> {
     );
     if failed > 0 {
         return Err(format!("{failed} design(s) failed verification"));
-    }
-    Ok(())
-}
-
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    let mut params = if args.flags.contains_key("quick") {
-        BenchParams::quick()
-    } else {
-        BenchParams::full()
-    };
-    params.reps = args.get("reps", params.reps)?;
-    params.engine = args.engine()?;
-    let out_dir: String = args.get("out", ".".to_string())?;
-    let tolerance: f64 = args.get("tolerance", 15.0)?;
-    // The matrix takes minutes; find out now, not after it, that the
-    // report has nowhere to go.
-    if !std::path::Path::new(&out_dir).is_dir() {
-        return Err(format!(
-            "--out '{out_dir}' is not an existing directory (create it first)"
-        ));
-    }
-    eprintln!(
-        "running bench matrix ({} mode, {} rep(s) per workload, engine {})...",
-        if params.quick { "quick" } else { "full" },
-        params.reps,
-        params.engine.label()
-    );
-    let report = run_bench(&params, |line| eprintln!("  {line}"));
-    let path = std::path::Path::new(&out_dir).join(report_filename(report.created_unix));
-    std::fs::write(&path, report.to_json())
-        .map_err(|e| format!("writing report '{}': {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    if let Some(bpath) = args.flags.get("baseline") {
-        let text = std::fs::read_to_string(bpath)
-            .map_err(|e| format!("reading baseline '{bpath}': {e}"))?;
-        let baseline = parse_report(&text)?;
-        match compare_baseline(&report, &baseline, tolerance) {
-            Ok(lines) => {
-                println!("baseline check passed (tolerance {tolerance}%):");
-                for l in lines {
-                    println!("  {l}");
-                }
-            }
-            Err(regressions) => {
-                let mut msg =
-                    format!("performance regression vs '{bpath}' (tolerance {tolerance}%):");
-                for l in &regressions {
-                    msg.push_str("\n  ");
-                    msg.push_str(l);
-                }
-                return Err(msg);
-            }
-        }
     }
     Ok(())
 }
@@ -1559,44 +1546,45 @@ fn cmd_mc(args: &Args) -> Result<(), String> {
     }
 }
 
+fn cmd_help(_: &Args) -> Result<(), String> {
+    println!("{HELP}");
+    Ok(())
+}
+
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand: `main` dispatches on it, and each has a `noc NAME`
+/// usage line in `HELP`.
+const COMMANDS: &[(&str, Command)] = &[
+    ("sim", cmd_sim),
+    ("explain", cmd_explain),
+    ("check", cmd_check),
+    ("synth", cmd_synth),
+    ("quality", cmd_quality),
+    ("verilog", cmd_verilog),
+    ("fig", cmd_fig),
+    ("sweep", cmd_sweep),
+    ("serve", cmd_serve),
+    ("client", cmd_client),
+    ("top", cmd_top),
+    ("replay", cmd_replay),
+    ("audit", cmd_audit),
+    ("mc", cmd_mc),
+    ("help", cmd_help),
+];
+
+fn run(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv)?;
+    let name = args.positional.first().map_or("help", String::as_str);
+    match COMMANDS.iter().find(|(n, _)| *n == name) {
+        Some((_, cmd)) => cmd(&args),
+        None => Err(format!("unknown command '{name}'\n\n{HELP}")),
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match Args::parse(&argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            // --help lands here with the full help text.
-            println!("{msg}");
-            return ExitCode::SUCCESS;
-        }
-    };
-    let cmd = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("help");
-    let result = match cmd {
-        "sim" => cmd_sim(&args),
-        "explain" => cmd_explain(&args),
-        "check" => cmd_check(&args),
-        "bench" => cmd_bench(&args),
-        "synth" => cmd_synth(&args),
-        "quality" => cmd_quality(&args),
-        "verilog" => cmd_verilog(&args),
-        "fig" => cmd_fig(&args),
-        "sweep" => cmd_sweep(&args),
-        "serve" => cmd_serve(&args),
-        "client" => cmd_client(&args),
-        "top" => cmd_top(&args),
-        "replay" => cmd_replay(&args),
-        "audit" => cmd_audit(&args),
-        "mc" => cmd_mc(&args),
-        "help" | "" => {
-            println!("{HELP}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n\n{HELP}")),
-    };
-    match result {
+    match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -1646,6 +1634,32 @@ mod tests {
     fn missing_flag_value_is_an_error() {
         let argv = vec!["sim".to_string(), "--rate".to_string()];
         assert!(Args::parse(&argv).is_err());
+    }
+
+    /// Word after `prefix` at each place it occurs in `HELP`.
+    fn help_words(prefix: &str) -> std::collections::BTreeSet<&'static str> {
+        let word = |rest: &'static str| {
+            let end = rest.find(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+            &rest[..end.unwrap_or(rest.len())]
+        };
+        HELP.split(prefix).skip(1).map(word).collect()
+    }
+
+    #[test]
+    fn help_documents_exactly_the_accepted_flags() {
+        let mut accepted: Vec<&str> = BARE_FLAGS.iter().chain(VALUE_FLAGS).copied().collect();
+        accepted.sort_unstable();
+        assert!(accepted.windows(2).all(|w| w[0] != w[1]), "duplicate flag");
+        let documented: Vec<&str> = help_words("--").into_iter().collect();
+        assert_eq!(documented, accepted);
+    }
+
+    #[test]
+    fn help_usage_lines_are_exactly_the_command_table() {
+        let documented: Vec<&str> = help_words("\n  noc ").into_iter().collect();
+        let mut table: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
+        table.sort_unstable();
+        assert_eq!(documented, table);
     }
 
     #[test]
@@ -1700,10 +1714,10 @@ mod tests {
             Engine::Parallel(4)
         );
         assert_eq!(
-            args("bench --engine active").engine().unwrap(),
+            args("sim --engine active").engine().unwrap(),
             Engine::ActiveSet
         );
-        assert!(args("bench --engine auto").engine().is_ok());
+        assert!(args("sim --engine auto").engine().is_ok());
         assert!(args("sim --engine warp").engine().is_err());
         assert!(args("sim --engine seq --threads 4").engine().is_err());
         assert!(args("sim --engine par --threads 0").engine().is_err());
