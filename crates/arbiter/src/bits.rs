@@ -328,6 +328,12 @@ impl Bits {
         }
     }
 
+    /// Overwrites `self` with `other`. Panics on width mismatch.
+    pub fn copy_from(&mut self, other: &Bits) {
+        assert_eq!(self.len, other.len, "Bits width mismatch");
+        self.words_mut().copy_from_slice(other.words());
+    }
+
     /// In-place union with `other`. Panics on width mismatch.
     pub fn union_with(&mut self, other: &Bits) {
         assert_eq!(self.len, other.len, "Bits width mismatch");
@@ -515,6 +521,8 @@ mod tests {
         assert!(a.intersects(&b));
         assert!(i.is_subset_of(&a));
         assert!(!a.is_subset_of(&b));
+        d.copy_from(&b);
+        assert_eq!(d, b);
     }
 
     #[test]

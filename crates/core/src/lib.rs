@@ -43,7 +43,8 @@ pub use switch::{
     validate_switch_grants, SwitchAllocator, SwitchAllocatorKind, SwitchGrant, SwitchRequests,
 };
 pub use vc::{
-    validate_vc_grants, DenseVcAllocator, MatrixVcAllocator, OutVc, SeparableVcAllocator,
-    SparseVcAllocator, SpecError, VcAllocSpec, VcAllocator, VcRequest,
+    validate_live_vc_grants, validate_vc_grants, DenseVcAllocator, MatrixVcAllocator, OutVc,
+    SeparableVcAllocator, SparseVcAllocator, SpecError, VcAllocSpec, VcAllocator, VcRequest,
+    VcRequestSet,
 };
 pub use wavefront::{DiagonalPolicy, WavefrontAllocator};

@@ -201,10 +201,8 @@ impl SpeculativeSwitchAllocator {
                 }
             }
             SpecMode::Pessimistic => {
-                for p in 0..ports {
-                    in_blocked |= (nonspec_reqs.input_active(p) as u64) << p;
-                    out_blocked |= (nonspec_reqs.output_requested(p) as u64) << p;
-                }
+                in_blocked = nonspec_reqs.active_inputs_word();
+                out_blocked = nonspec_reqs.requested_outputs_word();
             }
             SpecMode::NonSpeculative => unreachable!(),
         }

@@ -13,26 +13,84 @@
 //! in [`reference`], kept alive as the differential oracle and as the
 //! fallback for wider configurations.
 
+use crate::vc::bits_of;
 use crate::wavefront::WavefrontAllocator;
 use crate::{Allocator, BitMatrix};
 use noc_arbiter::{Arbiter, ArbiterBank, ArbiterKind, Bits};
 
 /// Requests for one switch-allocation round: for every input VC, the output
-/// port it wants this cycle (or `None` when idle).
+/// port it wants this cycle (or none when idle).
+///
+/// Kept as words, the form the kernels consume: per input port the VCs with
+/// a request, per (input, output) pair the VCs requesting that output, the
+/// port-level request matrix, and the masks of active inputs and requested
+/// outputs. Every one of them is updated by [`SwitchRequests::request`], so
+/// the read accessors are loads and [`SwitchRequests::clear`] touches only
+/// what the round set.
 #[derive(Clone, Debug)]
 pub struct SwitchRequests {
     ports: usize,
     vcs: usize,
-    req: Vec<Option<usize>>,
+    /// Words per VC set, `⌈vcs / 64⌉` (one for every router the paper
+    /// builds).
+    vc_words: usize,
+    /// Output requested by input VC `in_port * V + vc`; meaningful only
+    /// where the `active` bit is set. Narrow on purpose: open-loop drivers
+    /// hold thousands of request sets.
+    out: Vec<u16>,
+    /// VCs at input `i` with a request: words `[i * vc_words ..]`.
+    active: Vec<u64>,
+    /// VCs at input `i` requesting output `o`: words
+    /// `[(i * P + o) * vc_words ..]`.
+    by_out: Vec<u64>,
+    /// Entry `(i, o)` set iff any VC at input `i` requests output `o`.
+    port: BitMatrix,
+    /// Input ports with at least one requesting VC.
+    in_active: Bits,
+    /// Output ports requested by at least one VC.
+    out_requested: Bits,
+}
+
+/// Two request sets are equal when they hold the same requests; `out` is
+/// left out because its idle slots are stale and its live ones are encoded
+/// by `by_out`.
+impl PartialEq for SwitchRequests {
+    fn eq(&self, other: &Self) -> bool {
+        self.ports == other.ports
+            && self.vcs == other.vcs
+            && self.active == other.active
+            && self.by_out == other.by_out
+            && self.port == other.port
+            && self.in_active == other.in_active
+            && self.out_requested == other.out_requested
+    }
+}
+
+impl Eq for SwitchRequests {}
+
+/// The set bits of a word array as ascending indices.
+fn word_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(wi, &w)| bits_of(w).map(move |b| wi * 64 + b))
 }
 
 impl SwitchRequests {
     /// All-idle request set for a `ports`-port router with `vcs` VCs/port.
     pub fn new(ports: usize, vcs: usize) -> Self {
+        assert!(ports <= usize::from(u16::MAX), "port index must fit u16");
+        let vc_words = vcs.div_ceil(64).max(1);
         SwitchRequests {
             ports,
             vcs,
-            req: vec![None; ports * vcs],
+            vc_words,
+            out: vec![0; ports * vcs],
+            active: vec![0; ports * vc_words],
+            by_out: vec![0; ports * ports * vc_words],
+            port: BitMatrix::new(ports, ports),
+            in_active: Bits::new(ports),
+            out_requested: Bits::new(ports),
         }
     }
 
@@ -46,108 +104,177 @@ impl SwitchRequests {
         self.vcs
     }
 
+    /// The `by_out` words of the pair `(in_port, out_port)`.
+    #[inline]
+    fn pair(&self, in_port: usize, out_port: usize) -> std::ops::Range<usize> {
+        let at = (in_port * self.ports + out_port) * self.vc_words;
+        at..at + self.vc_words
+    }
+
     /// Registers that VC `vc` at input `in_port` wants output `out_port`.
+    /// A VC holds one request: asking again replaces the earlier one.
     pub fn request(&mut self, in_port: usize, vc: usize, out_port: usize) {
         assert!(in_port < self.ports && vc < self.vcs && out_port < self.ports);
-        self.req[in_port * self.vcs + vc] = Some(out_port);
+        let (w, bit) = (vc / 64, 1u64 << (vc % 64));
+        let g = in_port * self.vcs + vc;
+        if self.active[in_port * self.vc_words + w] & bit != 0 {
+            let old = usize::from(self.out[g]);
+            if old == out_port {
+                return;
+            }
+            let pair = self.pair(in_port, old);
+            self.by_out[pair.start + w] &= !bit;
+            if self.by_out[pair].iter().all(|&x| x == 0) {
+                self.port.set(in_port, old, false);
+                let still = (0..self.ports).any(|i| self.port.get(i, old));
+                self.out_requested.set(old, still);
+            }
+        }
+        self.out[g] = out_port as u16;
+        self.active[in_port * self.vc_words + w] |= bit;
+        let at = self.pair(in_port, out_port).start + w;
+        self.by_out[at] |= bit;
+        self.port.set(in_port, out_port, true);
+        self.in_active.set(in_port, true);
+        self.out_requested.set(out_port, true);
     }
 
     /// Drops every request, keeping the allocation for reuse next cycle.
+    /// Work is proportional to the requests held, not to `P·V`.
     pub fn clear(&mut self) {
-        self.req.fill(None);
+        if self.is_empty() {
+            return;
+        }
+        for i in self.in_active.iter_set() {
+            for o in self.port.row(i).iter_set() {
+                let pair = self.pair(i, o);
+                self.by_out[pair].fill(0);
+            }
+            self.port.row_mut(i).clear();
+            self.active[i * self.vc_words..(i + 1) * self.vc_words].fill(0);
+        }
+        self.in_active.clear();
+        self.out_requested.clear();
     }
 
     /// The output port requested by `(in_port, vc)`, if any.
+    #[inline]
     pub fn get(&self, in_port: usize, vc: usize) -> Option<usize> {
-        self.req[in_port * self.vcs + vc]
+        assert!(vc < self.vcs);
+        let live = self.active[in_port * self.vc_words + vc / 64] >> (vc % 64) & 1 != 0;
+        live.then(|| usize::from(self.out[in_port * self.vcs + vc]))
     }
 
     /// True if no VC has a request.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.req.iter().all(Option::is_none)
+        self.in_active.is_zero()
     }
 
     /// Bit vector over VCs at `in_port` that request *any* output.
     pub fn active_vcs(&self, in_port: usize) -> Bits {
-        let mut b = Bits::new(self.vcs);
-        for v in 0..self.vcs {
-            if self.req[in_port * self.vcs + v].is_some() {
-                b.set(v, true);
-            }
-        }
-        b
+        let words = &self.active[in_port * self.vc_words..(in_port + 1) * self.vc_words];
+        Bits::from_indices(self.vcs, word_bits(words))
     }
 
     /// [`SwitchRequests::active_vcs`] as a kernel word (`vcs <= 64`).
     #[inline]
     pub fn active_vcs_word(&self, in_port: usize) -> u64 {
         debug_assert!(self.vcs <= 64);
-        let mut w = 0u64;
-        for v in 0..self.vcs {
-            if self.req[in_port * self.vcs + v].is_some() {
-                w |= 1 << v;
-            }
-        }
-        w
+        self.active[in_port]
     }
 
     /// Bit vector over VCs at `in_port` requesting `out_port` specifically.
     pub fn vcs_for_output(&self, in_port: usize, out_port: usize) -> Bits {
-        let mut b = Bits::new(self.vcs);
-        for v in 0..self.vcs {
-            if self.req[in_port * self.vcs + v] == Some(out_port) {
-                b.set(v, true);
-            }
-        }
-        b
+        let words = &self.by_out[self.pair(in_port, out_port)];
+        Bits::from_indices(self.vcs, word_bits(words))
     }
 
     /// [`SwitchRequests::vcs_for_output`] as a kernel word (`vcs <= 64`).
     #[inline]
     pub fn vcs_for_output_word(&self, in_port: usize, out_port: usize) -> u64 {
         debug_assert!(self.vcs <= 64);
-        let mut w = 0u64;
-        for v in 0..self.vcs {
-            if self.req[in_port * self.vcs + v] == Some(out_port) {
-                w |= 1 << v;
-            }
-        }
-        w
+        self.by_out[in_port * self.ports + out_port]
     }
 
     /// The port-level request matrix: entry `(i, o)` set iff any VC at input
     /// `i` requests output `o` (the "combined and forwarded" requests of the
     /// output-first and wavefront implementations).
     pub fn port_matrix(&self) -> BitMatrix {
-        let mut m = BitMatrix::new(self.ports, self.ports);
-        self.port_matrix_into(&mut m);
-        m
+        self.port.clone()
     }
 
-    /// Fills a caller-owned `P × P` matrix with the port-level requests —
-    /// the reusable-scratch form of [`SwitchRequests::port_matrix`].
-    pub fn port_matrix_into(&self, m: &mut BitMatrix) {
-        assert_eq!(m.num_rows(), self.ports);
-        assert_eq!(m.num_cols(), self.ports);
-        m.clear();
-        for i in 0..self.ports {
-            for v in 0..self.vcs {
-                if let Some(o) = self.req[i * self.vcs + v] {
-                    m.set(i, o, true);
-                }
-            }
-        }
+    /// [`SwitchRequests::port_matrix`] by reference: the matrix is kept up
+    /// to date by every request, so allocators read it in place.
+    #[inline]
+    pub fn port_requests(&self) -> &BitMatrix {
+        &self.port
     }
 
     /// True if any VC at `in_port` has a request (used by the pessimistic
     /// speculation mask).
+    #[inline]
     pub fn input_active(&self, in_port: usize) -> bool {
-        (0..self.vcs).any(|v| self.req[in_port * self.vcs + v].is_some())
+        self.in_active.get(in_port)
     }
 
     /// True if any VC at any input requests `out_port`.
+    #[inline]
     pub fn output_requested(&self, out_port: usize) -> bool {
-        self.req.contains(&Some(out_port))
+        self.out_requested.get(out_port)
+    }
+
+    /// The input ports with a request, as a kernel word (`ports <= 64`).
+    #[inline]
+    pub fn active_inputs_word(&self) -> u64 {
+        self.in_active.low_word()
+    }
+
+    /// The output ports requested, as a kernel word (`ports <= 64`).
+    #[inline]
+    pub fn requested_outputs_word(&self) -> u64 {
+        self.out_requested.low_word()
+    }
+
+    /// Checks every derived word and mask against the per-VC ground truth
+    /// (`active` bits and their `out` slots). Allocation-free, so the
+    /// router's per-cycle invariant sweep can afford it.
+    pub fn check(&self) -> Result<(), String> {
+        let (p, wv) = (self.ports, self.vc_words);
+        for i in 0..p {
+            let active = &self.active[i * wv..(i + 1) * wv];
+            for vc in word_bits(active) {
+                let o = usize::from(self.out[i * self.vcs + vc]);
+                if vc >= self.vcs || o >= p {
+                    return Err(format!("request ({i}, {vc}) -> {o} out of range"));
+                }
+                if self.by_out[self.pair(i, o).start + vc / 64] >> (vc % 64) & 1 == 0 {
+                    return Err(format!("request ({i}, {vc}) -> {o} missing by output"));
+                }
+            }
+            // Every live VC sits in its own output's word, so equal bit
+            // counts mean the by-output words hold nothing else.
+            let by_out = &self.by_out[i * p * wv..(i + 1) * p * wv];
+            let ones = |ws: &[u64]| ws.iter().map(|w| w.count_ones()).sum::<u32>();
+            if ones(by_out) != ones(active) {
+                return Err(format!("stale by-output bits at input {i}"));
+            }
+            for o in 0..p {
+                let any = self.by_out[self.pair(i, o)].iter().any(|&w| w != 0);
+                if self.port.get(i, o) != any {
+                    return Err(format!("port matrix out of sync at ({i}, {o})"));
+                }
+            }
+            if self.in_active.get(i) != active.iter().any(|&w| w != 0) {
+                return Err(format!("active-input mask out of sync at {i}"));
+            }
+        }
+        for o in 0..p {
+            if self.out_requested.get(o) != (0..p).any(|i| self.port.get(i, o)) {
+                return Err(format!("requested-output mask out of sync at {o}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -276,8 +403,8 @@ enum SepIfSwInner {
         input: ArbiterBank,
         /// `P:1` arbiter per output port.
         output: ArbiterBank,
-        /// Stage-1 scratch, `(vc, out_port)` per input port; kept across
-        /// calls so steady-state allocation stays at zero.
+        /// Stage-1 scratch, `(vc, out_port)` per input port; only the
+        /// slots of this round's requesting inputs are written and read.
         winners: Vec<Option<(usize, usize)>>,
         /// Forwarded-request accumulator: `incoming[o]` bit `i` set iff
         /// input `i`'s stage-1 winner targets output `o`. All-zero between
@@ -294,7 +421,7 @@ impl SepIfSwitchAllocator {
             SepIfSwInner::Kernel {
                 input: ArbiterBank::new(kind, ports, vcs),
                 output: ArbiterBank::new(kind, ports, ports),
-                winners: Vec::with_capacity(ports),
+                winners: vec![None; ports],
                 incoming: vec![0; ports],
             }
         } else {
@@ -334,10 +461,13 @@ impl SwitchAllocator for SepIfSwitchAllocator {
                 winners,
                 incoming,
             } => {
-                // Stage 1: winning VC per input port.
-                winners.clear();
+                // Stage 1: winning VC per requesting input port (an input
+                // without requests forwards nothing, so it is not visited).
                 let mut pending = 0u64; // outputs with >= 1 forwarded request
-                for i in 0..self.ports {
+                let mut inputs = requests.active_inputs_word();
+                while inputs != 0 {
+                    let i = inputs.trailing_zeros() as usize;
+                    inputs &= inputs - 1;
                     // An arbitration winner always comes from the active-VC
                     // mask, so its request is present.
                     let w = input
@@ -347,7 +477,7 @@ impl SwitchAllocator for SepIfSwitchAllocator {
                         incoming[o] |= 1 << i;
                         pending |= 1 << o;
                     }
-                    winners.push(w);
+                    winners[i] = w;
                 }
                 // Stage 2: arbitration among forwarded requests at each
                 // output, in the same ascending output order as the scalar
@@ -462,16 +592,18 @@ impl SwitchAllocator for SepOfSwitchAllocator {
                 colw,
                 won,
             } => {
-                // Combine per-VC requests into port-level columns.
-                let mut active = 0u64; // outputs with >= 1 requesting input
-                for i in 0..self.ports {
-                    for v in 0..self.vcs {
-                        if let Some(o) = requests.get(i, v) {
-                            colw[o] |= 1 << i;
-                            active |= 1 << o;
-                        }
+                // Transpose the port-level request rows into columns.
+                let mut inputs = requests.active_inputs_word();
+                while inputs != 0 {
+                    let i = inputs.trailing_zeros() as usize;
+                    inputs &= inputs - 1;
+                    let mut outs = requests.port_requests().row(i).low_word();
+                    while outs != 0 {
+                        colw[outs.trailing_zeros() as usize] |= 1 << i;
+                        outs &= outs - 1;
                     }
                 }
+                let mut active = requests.requested_outputs_word();
                 // Stage 1: each output arbitrates among requesting inputs.
                 let mut pending = 0u64; // inputs chosen by >= 1 output
                 while active != 0 {
@@ -493,12 +625,10 @@ impl SwitchAllocator for SepOfSwitchAllocator {
                     let wmask = won[i];
                     won[i] = 0;
                     let mut cand = 0u64;
-                    for v in 0..self.vcs {
-                        if let Some(o) = requests.get(i, v) {
-                            if wmask >> o & 1 != 0 {
-                                cand |= 1 << v;
-                            }
-                        }
+                    let mut outs = wmask;
+                    while outs != 0 {
+                        cand |= requests.vcs_for_output_word(i, outs.trailing_zeros() as usize);
+                        outs &= outs - 1;
                     }
                     // A winner always comes from the candidate mask, which
                     // is built only from VCs with live requests.
@@ -546,9 +676,8 @@ pub struct WavefrontSwitchAllocator {
     /// The `P × P` port matcher.
     wavefront: WavefrontAllocator,
     inner: WfSwInner,
-    /// Combined-request and grant scratch matrices, kept across calls so
-    /// steady-state allocation stays at zero.
-    port_reqs: BitMatrix,
+    /// Grant scratch matrix, kept across calls so steady-state allocation
+    /// stays at zero.
     port_grants: BitMatrix,
 }
 
@@ -582,7 +711,6 @@ impl WavefrontSwitchAllocator {
             vcs,
             wavefront: WavefrontAllocator::new(ports, ports),
             inner,
-            port_reqs: BitMatrix::new(ports, ports),
             port_grants: BitMatrix::new(ports, ports),
         }
     }
@@ -610,9 +738,8 @@ impl SwitchAllocator for WavefrontSwitchAllocator {
         if requests.is_empty() {
             return;
         }
-        requests.port_matrix_into(&mut self.port_reqs);
         self.wavefront
-            .allocate_into(&self.port_reqs, &mut self.port_grants);
+            .allocate_into(requests.port_requests(), &mut self.port_grants);
         let ports = self.ports;
         for (i, o) in self.port_grants.iter_set() {
             let v = match &mut self.inner {
@@ -782,7 +909,6 @@ pub mod reference {
         vcs: usize,
         output_arbs: Vec<Box<dyn Arbiter + Send>>,
         vc_arbs: Vec<Box<dyn Arbiter + Send>>,
-        port_reqs: BitMatrix,
         stage1: Vec<Option<usize>>,
     }
 
@@ -794,7 +920,6 @@ pub mod reference {
                 vcs,
                 output_arbs: (0..ports).map(|_| kind.build(ports)).collect(),
                 vc_arbs: (0..ports).map(|_| kind.build(vcs)).collect(),
-                port_reqs: BitMatrix::new(ports, ports),
                 stage1: Vec::with_capacity(ports),
             }
         }
@@ -822,11 +947,10 @@ pub mod reference {
             if requests.is_empty() {
                 return;
             }
-            requests.port_matrix_into(&mut self.port_reqs);
             // Stage 1: each output arbitrates among all requesting inputs.
             self.stage1.clear();
             for o in 0..self.ports {
-                let w = self.output_arbs[o].arbitrate(&self.port_reqs.col(o));
+                let w = self.output_arbs[o].arbitrate(&requests.port_requests().col(o));
                 self.stage1.push(w);
             }
             let stage1 = &self.stage1;
@@ -872,7 +996,6 @@ pub mod reference {
         vcs: usize,
         wavefront: wavefront::reference::WavefrontAllocator,
         presel: Vec<Box<dyn Arbiter + Send>>,
-        port_reqs: BitMatrix,
         port_grants: BitMatrix,
     }
 
@@ -886,7 +1009,6 @@ pub mod reference {
                 presel: (0..ports * ports)
                     .map(|_| ArbiterKind::RoundRobin.build(vcs))
                     .collect(),
-                port_reqs: BitMatrix::new(ports, ports),
                 port_grants: BitMatrix::new(ports, ports),
             }
         }
@@ -914,9 +1036,8 @@ pub mod reference {
             if requests.is_empty() {
                 return;
             }
-            requests.port_matrix_into(&mut self.port_reqs);
             self.wavefront
-                .allocate_into(&self.port_reqs, &mut self.port_grants);
+                .allocate_into(requests.port_requests(), &mut self.port_grants);
             let ports = self.ports;
             let (port_grants, presel) = (&self.port_grants, &mut self.presel);
             for (i, o) in port_grants.iter_set() {
@@ -1107,5 +1228,55 @@ mod tests {
         assert_eq!(r.active_vcs_word(0), 0b11);
         assert_eq!(r.vcs_for_output_word(0, 2), 0b10);
         assert_eq!(r.vcs_for_output_word(1, 1), 0);
+        assert_eq!(r.active_inputs_word(), 0b101);
+        assert_eq!(r.requested_outputs_word(), 0b110);
+        r.check().unwrap();
+    }
+
+    #[test]
+    fn a_second_request_replaces_the_first() {
+        let mut r = SwitchRequests::new(3, 2);
+        r.request(0, 1, 2);
+        r.request(1, 0, 2);
+        r.request(0, 1, 0);
+        assert_eq!(r.get(0, 1), Some(0));
+        assert_eq!(r.vcs_for_output_word(0, 2), 0, "old by-output bit kept");
+        assert_eq!(r.vcs_for_output_word(0, 0), 0b10);
+        assert!(r.output_requested(2), "input 1 still wants output 2");
+        r.check().unwrap();
+        // Withdrawing the last request for an output clears its mask bit.
+        r.request(1, 0, 1);
+        assert!(!r.output_requested(2));
+        assert!(!r.port_requests().get(1, 2));
+        r.check().unwrap();
+        let mut fresh = SwitchRequests::new(3, 2);
+        fresh.request(0, 1, 0);
+        fresh.request(1, 0, 1);
+        assert_eq!(r, fresh);
+    }
+
+    #[test]
+    fn clear_leaves_a_reusable_empty_set_at_any_width() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        // One word per VC set, and two (V = 70).
+        for (p, v) in [(5, 4), (3, 70)] {
+            let mut kept = SwitchRequests::new(p, v);
+            for _ in 0..20 {
+                let fresh = random_requests(&mut rng, p, v, 0.3);
+                kept.clear();
+                assert!(kept.is_empty());
+                assert_eq!(kept, SwitchRequests::new(p, v));
+                for i in 0..p {
+                    for vc in 0..v {
+                        if let Some(o) = fresh.get(i, vc) {
+                            kept.request(i, vc, o);
+                        }
+                    }
+                }
+                kept.check().unwrap();
+                assert_eq!(kept, fresh);
+                assert_eq!(kept.active_vcs(0), fresh.active_vcs(0));
+            }
+        }
     }
 }

@@ -36,6 +36,9 @@ pub struct VcAllocSpec {
     /// `(msg, res, bank)` of every VC index, so the per-request decode in
     /// the allocators is a load instead of two divisions.
     vc_classes: Vec<(usize, usize, usize)>,
+    /// `rc_succ` one word per class: bit `to` of `succ_mask[from]` (classes
+    /// past 63 have no bit; see [`VcRequestSet`]).
+    succ_mask: Vec<u64>,
 }
 
 /// Why a [`VcAllocSpec`] could not be constructed. Produced by
@@ -145,6 +148,15 @@ impl VcAllocSpec {
                 )
             })
             .collect();
+        let succ_mask = rc_succ
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .take(64)
+                    .enumerate()
+                    .fold(0u64, |m, (to, &legal)| m | u64::from(legal) << to)
+            })
+            .collect();
         Ok(VcAllocSpec {
             ports,
             msg_classes,
@@ -152,6 +164,7 @@ impl VcAllocSpec {
             vcs_per_class,
             rc_succ,
             vc_classes,
+            succ_mask,
         })
     }
 
@@ -327,6 +340,15 @@ impl VcRequest {
             classes: vec![class],
         }
     }
+
+    /// The candidate classes as a [`VcRequestSet`] mask (bit `rc` = class
+    /// `rc`).
+    pub fn class_mask(&self) -> u64 {
+        self.classes.iter().fold(0, |m, &rc| {
+            assert!(rc < 64, "resource class {rc} beyond the class-mask width");
+            m | 1 << rc
+        })
+    }
 }
 
 /// A granted output VC.
@@ -338,7 +360,87 @@ pub struct OutVc {
     pub vc: usize,
 }
 
+/// The VC-allocation requests of one round as a *live set*: a bit per
+/// requesting input VC (flat index `port * V + vc`) plus, for the set bits
+/// only, the destination output port and the candidate resource classes as
+/// a mask (bit `rc` = class `rc`, so at most 64 resource classes). This is
+/// the form the kernels consume; a router that knows which of its VCs are
+/// waiting fills it with work proportional to that number, and clearing it
+/// does not touch the per-VC slots.
+#[derive(Clone, Debug)]
+pub struct VcRequestSet {
+    live: noc_arbiter::Bits,
+    out_port: Vec<usize>,
+    classes: Vec<u64>,
+}
+
+impl VcRequestSet {
+    /// All-idle request set over `n = P * V` input VCs.
+    pub fn new(n: usize) -> Self {
+        VcRequestSet {
+            live: noc_arbiter::Bits::new(n),
+            out_port: vec![0; n],
+            classes: vec![0; n],
+        }
+    }
+
+    /// Input VCs covered (`P * V`).
+    pub fn len(&self) -> usize {
+        self.out_port.len()
+    }
+
+    /// True if no input VC has a request.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_zero()
+    }
+
+    /// Drops every request.
+    pub fn clear(&mut self) {
+        self.live.clear();
+    }
+
+    /// Registers (or replaces) the request of input VC `g`: any free VC of
+    /// the classes in `classes` at `out_port`.
+    #[inline]
+    pub fn request(&mut self, g: usize, out_port: usize, classes: u64) {
+        self.live.set(g, true);
+        self.out_port[g] = out_port;
+        self.classes[g] = classes;
+    }
+
+    /// The requesting input VCs.
+    pub fn live(&self) -> &noc_arbiter::Bits {
+        &self.live
+    }
+
+    /// `(out_port, class mask)` of input VC `g`, if it has a request.
+    pub fn get(&self, g: usize) -> Option<(usize, u64)> {
+        self.live
+            .get(g)
+            .then(|| (self.out_port[g], self.classes[g]))
+    }
+
+    /// The set as one request slot per input VC.
+    pub fn to_slots(&self) -> Vec<Option<VcRequest>> {
+        (0..self.len())
+            .map(|g| {
+                self.get(g).map(|(out_port, classes)| VcRequest {
+                    out_port,
+                    classes: bits_of(classes).collect(),
+                })
+            })
+            .collect()
+    }
+}
+
 /// A VC allocator: matches requesting input VCs to free output VCs.
+///
+/// Two entries reach the same allocation round. A router hands over the
+/// live set it keeps anyway ([`VcAllocator::allocate_live`]); open-loop
+/// drivers that hold one request slot per input VC use
+/// [`VcAllocator::allocate_into`]. A kernel has one body behind both: it
+/// reads the slots in place and the slot entry spreads the body's grant
+/// list over one result slot per input VC.
 pub trait VcAllocator: Send {
     /// The class structure this allocator was built for.
     fn spec(&self) -> &VcAllocSpec;
@@ -371,21 +473,118 @@ pub trait VcAllocator: Send {
         results: &mut Vec<Option<OutVc>>,
     );
 
+    /// The same round on a live request set, writing `(input VC, grant)`
+    /// pairs in ascending input-VC order. Grants and priority updates are
+    /// exactly those of [`VcAllocator::allocate_into`] on the equivalent
+    /// slots. The provided body goes through the slots (and allocates):
+    /// it serves the scalar references, whose native form they are.
+    fn allocate_live(
+        &mut self,
+        requests: &VcRequestSet,
+        free_out: &BitMatrix,
+        grants: &mut Vec<(usize, OutVc)>,
+    ) {
+        let results = self.allocate(&requests.to_slots(), free_out);
+        grants.clear();
+        grants.extend(
+            results
+                .iter()
+                .enumerate()
+                .filter_map(|(g, r)| r.map(|r| (g, r))),
+        );
+    }
+
     /// Restores power-on priority state.
     fn reset(&mut self);
 }
 
-/// Asserts that `req`, issued by VC `in_vc` of some input port, is legal.
-fn validate_request(spec: &VcAllocSpec, in_vc: usize, req: &VcRequest) {
-    assert!(req.out_port < spec.ports(), "out port out of range");
-    let (_, ir, _) = spec.vc_class(in_vc);
-    assert!(!req.classes.is_empty(), "request with no candidate classes");
-    for &rc in &req.classes {
-        assert!(
-            spec.rc_legal(ir, rc),
-            "illegal resource-class transition {ir} -> {rc}"
-        );
+/// One round's requests as the kernel bodies read them. Both entries of a
+/// [`VcAllocator`] implement it, so a kernel has one body and neither entry
+/// copies its requests into the other's form.
+trait Requests {
+    /// Input VCs covered (`P * V`).
+    fn len(&self) -> usize;
+
+    /// Calls `f(input VC, out port, class mask)` for every requesting input
+    /// VC, in ascending order.
+    fn for_each(&self, f: impl FnMut(usize, usize, u64));
+
+    /// The output port input VC `g` requests; `g` must be requesting.
+    fn out_port(&self, g: usize) -> usize;
+}
+
+impl Requests for VcRequestSet {
+    fn len(&self) -> usize {
+        VcRequestSet::len(self)
     }
+
+    #[inline]
+    fn for_each(&self, mut f: impl FnMut(usize, usize, u64)) {
+        for g in self.live.iter_set() {
+            f(g, self.out_port[g], self.classes[g]);
+        }
+    }
+
+    #[inline]
+    fn out_port(&self, g: usize) -> usize {
+        self.out_port[g]
+    }
+}
+
+impl Requests for [Option<VcRequest>] {
+    fn len(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    #[inline]
+    fn for_each(&self, mut f: impl FnMut(usize, usize, u64)) {
+        for (g, req) in self.iter().enumerate() {
+            if let Some(req) = req {
+                f(g, req.out_port, req.class_mask());
+            }
+        }
+    }
+
+    #[inline]
+    fn out_port(&self, g: usize) -> usize {
+        self[g].as_ref().map_or(0, |r| r.out_port)
+    }
+}
+
+/// Spreads a kernel body's grant list over one result slot per input VC,
+/// the form the slot entry returns.
+fn spread_grants(grants: &[(usize, OutVc)], n: usize, results: &mut Vec<Option<OutVc>>) {
+    results.clear();
+    results.resize(n, None);
+    for &(g, grant) in grants {
+        results[g] = Some(grant);
+    }
+}
+
+/// Asserts that a request of VC `in_vc` of some input port for the classes
+/// in `classes` at `out_port` is legal.
+fn validate_request(spec: &VcAllocSpec, in_vc: usize, out_port: usize, classes: u64) {
+    assert!(out_port < spec.ports(), "out port out of range");
+    let (_, ir, _) = spec.vc_class(in_vc);
+    assert!(classes != 0, "request with no candidate classes");
+    let illegal = classes & !spec.succ_mask[ir];
+    assert!(
+        illegal == 0,
+        "illegal resource-class transition {ir} -> {}",
+        illegal.trailing_zeros()
+    );
+}
+
+/// The set bits of `word` as ascending indices.
+#[inline]
+pub(crate) fn bits_of(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// Computes, for VC `in_vc` of some input port, the candidate output VCs (as
@@ -394,16 +593,17 @@ fn validate_request(spec: &VcAllocSpec, in_vc: usize, req: &VcRequest) {
 fn candidate_mask(
     spec: &VcAllocSpec,
     in_vc: usize,
-    req: &VcRequest,
+    out_port: usize,
+    classes: u64,
     free_out: &BitMatrix,
 ) -> noc_arbiter::Bits {
     let (im, _, _) = spec.vc_class(in_vc);
     let mut mask = noc_arbiter::Bits::new(spec.total_vcs());
-    for &rc in &req.classes {
+    for rc in bits_of(classes) {
         let base = spec.class_base(im, rc);
         for bank in 0..spec.vcs_per_class() {
             let ov = base + bank;
-            if free_out.get(req.out_port, ov) {
+            if free_out.get(out_port, ov) {
                 mask.set(ov, true);
             }
         }
@@ -415,15 +615,21 @@ fn candidate_mask(
 /// port (`V <= 64`): free output VCs in the requested classes of the input
 /// VC's own message class.
 #[inline]
-fn candidate_word(spec: &VcAllocSpec, in_vc: usize, req: &VcRequest, free_out: &BitMatrix) -> u64 {
+fn candidate_word(
+    spec: &VcAllocSpec,
+    in_vc: usize,
+    out_port: usize,
+    classes: u64,
+    free_out: &BitMatrix,
+) -> u64 {
     debug_assert!(spec.total_vcs() <= 64);
     let (im, _, _) = spec.vc_class(in_vc);
     let class_ones = noc_arbiter::bits::width_mask(spec.vcs_per_class());
     let mut class_bits = 0u64;
-    for &rc in &req.classes {
+    for rc in bits_of(classes) {
         class_bits |= class_ones << spec.class_base(im, rc);
     }
-    free_out.row(req.out_port).low_word() & class_bits
+    free_out.row(out_port).low_word() & class_bits
 }
 
 /// True if the word kernels cover `spec`: one `u64` per port group and per
@@ -524,6 +730,8 @@ pub struct SeparableVcAllocator {
     /// Per input port: the input VCs chosen by at least one output VC in
     /// output-first stage 1. All-zero between calls.
     chosen: Vec<u64>,
+    /// The slot entry's grant list.
+    grants: Vec<(usize, OutVc)>,
 }
 
 impl SeparableVcAllocator {
@@ -556,6 +764,7 @@ impl SeparableVcAllocator {
             pending: vec![0; ports],
             won: vec![0; n],
             chosen: vec![0; ports],
+            grants: Vec::with_capacity(n),
             spec,
         }
     }
@@ -572,6 +781,41 @@ impl VcAllocator for SeparableVcAllocator {
         free_out: &BitMatrix,
         results: &mut Vec<Option<OutVc>>,
     ) {
+        let mut grants = std::mem::take(&mut self.grants);
+        self.run(requests, free_out, &mut grants);
+        spread_grants(&grants, requests.len(), results);
+        self.grants = grants;
+    }
+
+    fn allocate_live(
+        &mut self,
+        requests: &VcRequestSet,
+        free_out: &BitMatrix,
+        grants: &mut Vec<(usize, OutVc)>,
+    ) {
+        self.run(requests, free_out, grants);
+        if self.input_first {
+            // Input-first settles output VC by output VC; a router's list
+            // is a few grants long.
+            grants.sort_unstable_by_key(|&(g, _)| g);
+        }
+    }
+
+    fn reset(&mut self) {
+        self.input.reset();
+        self.output.reset();
+    }
+}
+
+impl SeparableVcAllocator {
+    /// The kernel body behind both entries. Grants come out in the order
+    /// they settle: by output VC when input-first, by input VC otherwise.
+    fn run<R: Requests + ?Sized>(
+        &mut self,
+        requests: &R,
+        free_out: &BitMatrix,
+        grants: &mut Vec<(usize, OutVc)>,
+    ) {
         let SeparableVcAllocator {
             spec,
             input_first,
@@ -582,44 +826,47 @@ impl VcAllocator for SeparableVcAllocator {
             pending,
             won,
             chosen,
+            ..
         } = self;
         let (input_first, span) = (*input_first, *span);
         let (ports, v) = (spec.ports(), spec.total_vcs());
         assert_eq!(requests.len(), ports * v, "one request slot per input VC");
-        results.clear();
-        results.resize(ports * v, None);
+        grants.clear();
 
         // Stage 1 bids. Input-first: each input VC's arbiter picks one
         // output VC at its port. Output-first: it bids on every candidate.
-        for ip in 0..ports {
-            for (iv, req) in requests[ip * v..(ip + 1) * v].iter().enumerate() {
-                let Some(req) = req else { continue };
-                let g = ip * v + iv;
-                validate_request(spec, iv, req);
-                let base = arbiter_window(spec, span, iv) * span;
-                let mut cand = candidate_word(spec, iv, req, free_out);
-                if input_first {
-                    cand = match input.arbitrate(g, cand >> base) {
-                        Some(pick) => 1 << (base + pick),
-                        None => 0,
-                    };
-                }
-                pending[req.out_port] |= cand;
-                while cand != 0 {
-                    let ov = cand.trailing_zeros() as usize;
-                    cand &= cand - 1;
-                    incoming[(req.out_port * v + ov) * ports + ip] |= 1 << (iv - base);
-                }
+        // The set walk is ascending, so the input port only moves forward.
+        let mut bid_ports = 0u64; // output ports with >= 1 bid
+        let (mut ip, mut port_end) = (0, v);
+        requests.for_each(|g, out_port, classes| {
+            while g >= port_end {
+                ip += 1;
+                port_end += v;
             }
-        }
+            let iv = g + v - port_end;
+            validate_request(spec, iv, out_port, classes);
+            let base = arbiter_window(spec, span, iv) * span;
+            let mut cand = candidate_word(spec, iv, out_port, classes, free_out);
+            if input_first {
+                cand = match input.arbitrate(g, cand >> base) {
+                    Some(pick) => 1 << (base + pick),
+                    None => 0,
+                };
+            }
+            if cand != 0 {
+                bid_ports |= 1 << out_port;
+                pending[out_port] |= cand;
+            }
+            for ov in bits_of(cand) {
+                incoming[(out_port * v + ov) * ports + ip] |= 1 << (iv - base);
+            }
+        });
         // Each bid-receiving output VC arbitrates, in the same ascending
         // out_flat order as the scalar reference's sorted bid list. The
         // tree's leaves are the input ports.
-        for op in 0..ports {
-            let mut bids = std::mem::take(&mut pending[op]);
-            while bids != 0 {
-                let ov = bids.trailing_zeros() as usize;
-                bids &= bids - 1;
+        let mut chosen_ports = 0u64; // input ports with >= 1 chosen VC
+        for op in bits_of(bid_ports) {
+            for ov in bits_of(std::mem::take(&mut pending[op])) {
                 let out_flat = op * v + ov;
                 let leaves = &mut incoming[out_flat * ports..(out_flat + 1) * ports];
                 let winner = output.arbitrate(out_flat, leaves);
@@ -629,7 +876,7 @@ impl VcAllocator for SeparableVcAllocator {
                 let g = ip * v + base + local;
                 if input_first {
                     // Stage 2 of input-first: the grant is final.
-                    results[g] = Some(OutVc { port: op, vc: ov });
+                    grants.push((g, OutVc { port: op, vc: ov }));
                     input.update(g, ov - base);
                     output.update(out_flat, ip, local);
                 } else {
@@ -637,44 +884,27 @@ impl VcAllocator for SeparableVcAllocator {
                     // class-local VC index suffices.
                     won[g] |= 1 << (ov - base);
                     chosen[ip] |= 1 << (base + local);
+                    chosen_ports |= 1 << ip;
                 }
             }
         }
         debug_assert!(incoming.iter().all(|&w| w == 0));
-        if input_first {
-            return;
-        }
         // Output-first stage 2: each chosen input VC picks among output VCs
         // that chose it (ascending g, like the scalar regrouped sweep).
-        for ip in 0..ports {
-            let mut vcs = std::mem::take(&mut chosen[ip]);
-            while vcs != 0 {
-                let iv = vcs.trailing_zeros() as usize;
-                vcs &= vcs - 1;
+        for ip in bits_of(chosen_ports) {
+            for iv in bits_of(std::mem::take(&mut chosen[ip])) {
                 let g = ip * v + iv;
                 let wins = std::mem::take(&mut won[g]);
-                // Stage-1 winners can only come from live requests.
-                let Some(req) = requests[g].as_ref() else {
-                    continue;
-                };
                 if let Some(pick) = input.arbitrate(g, wins) {
                     let base = arbiter_window(spec, span, iv) * span;
-                    let ov = base + pick;
-                    results[g] = Some(OutVc {
-                        port: req.out_port,
-                        vc: ov,
-                    });
+                    let (port, vc) = (requests.out_port(g), base + pick);
+                    grants.push((g, OutVc { port, vc }));
                     input.update(g, pick);
-                    output.update(req.out_port * v + ov, ip, iv - base);
+                    output.update(port * v + vc, ip, iv - base);
                 }
             }
         }
         debug_assert!(won.iter().all(|&w| w == 0));
-    }
-
-    fn reset(&mut self) {
-        self.input.reset();
-        self.output.reset();
     }
 }
 
@@ -691,11 +921,13 @@ pub struct MatrixVcAllocator {
     span: usize,
     /// One block per message class (a single block when dense).
     blocks: Vec<MatrixBlock>,
+    /// The slot entry's grant list.
+    grants: Vec<(usize, OutVc)>,
 }
 
 struct MatrixBlock {
     inner: Box<dyn Allocator + Send>,
-    /// Reusable `P*span × P*span` request matrix.
+    /// Reusable `P*span × P*span` request matrix. All-zero between calls.
     matrix: BitMatrix,
     /// Reusable grant matrix, filled via [`Allocator::allocate_into`] so
     /// kernel-backed cores stay zero-alloc.
@@ -731,6 +963,7 @@ impl MatrixVcAllocator {
                 })
                 .collect(),
             span,
+            grants: Vec::with_capacity(spec.ports() * spec.total_vcs()),
             spec,
         }
     }
@@ -747,71 +980,85 @@ impl VcAllocator for MatrixVcAllocator {
         free_out: &BitMatrix,
         results: &mut Vec<Option<OutVc>>,
     ) {
-        let MatrixVcAllocator { spec, span, blocks } = self;
-        let span = *span;
-        let v = spec.total_vcs();
-        let n = spec.ports() * v;
-        assert_eq!(requests.len(), n, "one request slot per input VC");
-        assert_eq!(free_out.num_rows(), spec.ports());
-        assert_eq!(free_out.num_cols(), v);
+        let mut grants = std::mem::take(&mut self.grants);
+        self.run(requests, free_out, &mut grants);
+        spread_grants(&grants, requests.len(), results);
+        self.grants = grants;
+    }
 
-        // Block-local index of VC `vc` at port `p`: the message class is
-        // dropped from the VC index, `p * span + (vc - base)`.
-        for block in blocks.iter_mut() {
-            block.matrix.clear();
-        }
-        for ip in 0..spec.ports() {
-            for (iv, req) in requests[ip * v..(ip + 1) * v].iter().enumerate() {
-                let Some(req) = req else { continue };
-                validate_request(spec, iv, req);
-                let window = arbiter_window(spec, span, iv);
-                let base = window * span;
-                let row = blocks[window].matrix.row_mut(ip * span + iv - base);
-                let col0 = req.out_port * span;
-                if v <= 64 {
-                    let mut cand = candidate_word(spec, iv, req, free_out);
-                    while cand != 0 {
-                        row.set(col0 + cand.trailing_zeros() as usize - base, true);
-                        cand &= cand - 1;
-                    }
-                } else {
-                    for ov in candidate_mask(spec, iv, req, free_out).iter_set() {
-                        row.set(col0 + ov - base, true);
-                    }
-                }
-            }
-        }
-        for block in blocks.iter_mut() {
-            block.inner.allocate_into(&block.matrix, &mut block.grants);
-        }
-        results.clear();
-        for ip in 0..spec.ports() {
-            results.extend(
-                requests[ip * v..(ip + 1) * v]
-                    .iter()
-                    .enumerate()
-                    .map(|(iv, req)| {
-                        let req = req.as_ref()?;
-                        let window = arbiter_window(spec, span, iv);
-                        let base = window * span;
-                        let col = blocks[window]
-                            .grants
-                            .row(ip * span + iv - base)
-                            .first_set()?;
-                        // Every candidate column lies at the requested port.
-                        Some(OutVc {
-                            port: req.out_port,
-                            vc: col + base - req.out_port * span,
-                        })
-                    }),
-            );
-        }
+    fn allocate_live(
+        &mut self,
+        requests: &VcRequestSet,
+        free_out: &BitMatrix,
+        grants: &mut Vec<(usize, OutVc)>,
+    ) {
+        self.run(requests, free_out, grants);
     }
 
     fn reset(&mut self) {
         for block in &mut self.blocks {
             block.inner.reset();
         }
+    }
+}
+
+impl MatrixVcAllocator {
+    /// The kernel body behind both entries.
+    fn run<R: Requests + ?Sized>(
+        &mut self,
+        requests: &R,
+        free_out: &BitMatrix,
+        grants: &mut Vec<(usize, OutVc)>,
+    ) {
+        let MatrixVcAllocator {
+            spec, span, blocks, ..
+        } = self;
+        let span = *span;
+        let v = spec.total_vcs();
+        assert_eq!(
+            requests.len(),
+            spec.ports() * v,
+            "one request slot per input VC"
+        );
+        assert_eq!(free_out.num_rows(), spec.ports());
+        assert_eq!(free_out.num_cols(), v);
+
+        // Where input VC `g` lives: its in-port VC index, its block, the
+        // block's first VC index, and its block-local row — the message
+        // class is dropped from the VC index, `p * span + (vc - base)`.
+        let place = |g: usize| {
+            let (ip, iv) = (g / v, g % v);
+            let window = arbiter_window(spec, span, iv);
+            (iv, window, window * span, ip * span + iv - window * span)
+        };
+        requests.for_each(|g, out_port, classes| {
+            let (iv, window, base, row) = place(g);
+            validate_request(spec, iv, out_port, classes);
+            let row = blocks[window].matrix.row_mut(row);
+            let col0 = out_port * span;
+            if v <= 64 {
+                for ov in bits_of(candidate_word(spec, iv, out_port, classes, free_out)) {
+                    row.set(col0 + ov - base, true);
+                }
+            } else {
+                for ov in candidate_mask(spec, iv, out_port, classes, free_out).iter_set() {
+                    row.set(col0 + ov - base, true);
+                }
+            }
+        });
+        for block in blocks.iter_mut() {
+            block.inner.allocate_into(&block.matrix, &mut block.grants);
+        }
+        grants.clear();
+        requests.for_each(|g, port, _| {
+            let (_, window, base, row) = place(g);
+            blocks[window].matrix.row_mut(row).clear();
+            // Every candidate column lies at the requested port.
+            if let Some(col) = blocks[window].grants.row(row).first_set() {
+                let vc = col + base - port * span;
+                grants.push((g, OutVc { port, vc }));
+            }
+        });
     }
 }
 
@@ -890,6 +1137,15 @@ impl VcAllocator for DenseVcAllocator {
         self.inner.allocate_into(requests, free_out, results);
     }
 
+    fn allocate_live(
+        &mut self,
+        requests: &VcRequestSet,
+        free_out: &BitMatrix,
+        grants: &mut Vec<(usize, OutVc)>,
+    ) {
+        self.inner.allocate_live(requests, free_out, grants);
+    }
+
     fn reset(&mut self) {
         self.inner.reset();
     }
@@ -949,6 +1205,15 @@ impl VcAllocator for SparseVcAllocator {
         results: &mut Vec<Option<OutVc>>,
     ) {
         self.inner.allocate_into(requests, free_out, results);
+    }
+
+    fn allocate_live(
+        &mut self,
+        requests: &VcRequestSet,
+        free_out: &BitMatrix,
+        grants: &mut Vec<(usize, OutVc)>,
+    ) {
+        self.inner.allocate_live(requests, free_out, grants);
     }
 
     fn reset(&mut self) {
@@ -1049,8 +1314,9 @@ pub mod reference {
                 // Stage 1: each input VC picks one output VC at its port.
                 for (g, req) in requests.iter().enumerate() {
                     let Some(req) = req else { continue };
-                    validate_request(spec, g % v, req);
-                    let mask = candidate_mask(spec, g % v, req, free_out);
+                    let classes = req.class_mask();
+                    validate_request(spec, g % v, req.out_port, classes);
+                    let mask = candidate_mask(spec, g % v, req.out_port, classes, free_out);
                     if let Some(ov) = input_arbs[g].arbitrate(&mask) {
                         bids.push((req.out_port * v + ov, g));
                     }
@@ -1081,8 +1347,9 @@ pub mod reference {
                 // requesting input VCs.
                 for (g, req) in requests.iter().enumerate() {
                     let Some(req) = req else { continue };
-                    validate_request(spec, g % v, req);
-                    let mask = candidate_mask(spec, g % v, req, free_out);
+                    let classes = req.class_mask();
+                    validate_request(spec, g % v, req.out_port, classes);
+                    let mask = candidate_mask(spec, g % v, req.out_port, classes, free_out);
                     for ov in mask.iter_set() {
                         bids.push((req.out_port * v + ov, g));
                     }
@@ -1206,7 +1473,7 @@ pub mod reference {
                     if im != m {
                         continue;
                     }
-                    validate_request(spec, g % v, req);
+                    validate_request(spec, g % v, req.out_port, req.class_mask());
                     let sub_vc = ir * spec.vcs_per_class() + ibank;
                     sub_reqs[(g / v) * v_sub + sub_vc] = Some(req.clone());
                 }
@@ -1244,25 +1511,23 @@ pub mod reference {
     }
 }
 
-/// Checks that a VC-allocation result is valid for the given requests and
-/// availability — used by tests and debug assertions throughout the
-/// workspace.
-pub fn validate_vc_grants(
+/// The checks behind both grant validators: every `(input VC, grant)` pair
+/// answers a request `(out_port, class mask)` with a free output VC of the
+/// requester's message class, and no output VC is granted twice.
+fn check_grants(
     spec: &VcAllocSpec,
-    requests: &[Option<VcRequest>],
+    request: impl Fn(usize) -> Option<(usize, u64)>,
     free_out: &BitMatrix,
-    grants: &[Option<OutVc>],
+    grants: impl Iterator<Item = (usize, OutVc)>,
 ) -> Result<(), String> {
     let v = spec.total_vcs();
     // Runs per cycle under debug assertions; `Bits` keeps the dedup set
     // inline (no allocation) for realistic port/VC counts.
     let mut used = noc_arbiter::Bits::new(free_out.num_rows() * v);
-    for (g, grant) in grants.iter().enumerate() {
-        let Some(grant) = grant else { continue };
-        let req = requests[g]
-            .as_ref()
-            .ok_or_else(|| format!("grant to idle input VC {g}"))?;
-        if grant.port != req.out_port {
+    for (g, grant) in grants {
+        let (out_port, classes) =
+            request(g).ok_or_else(|| format!("grant to idle input VC {g}"))?;
+        if grant.port != out_port {
             return Err(format!("input VC {g}: granted wrong port"));
         }
         let (im, _, _) = spec.vc_class(g % v);
@@ -1270,7 +1535,7 @@ pub fn validate_vc_grants(
         if om != im {
             return Err(format!("input VC {g}: message class changed"));
         }
-        if !req.classes.contains(&or) {
+        if or >= 64 || classes >> or & 1 == 0 {
             return Err(format!("input VC {g}: granted unrequested class {or}"));
         }
         if !free_out.get(grant.port, grant.vc) {
@@ -1286,6 +1551,40 @@ pub fn validate_vc_grants(
         used.set(slot, true);
     }
     Ok(())
+}
+
+/// Checks that a VC-allocation result is valid for the given requests and
+/// availability — used by tests and debug assertions throughout the
+/// workspace.
+pub fn validate_vc_grants(
+    spec: &VcAllocSpec,
+    requests: &[Option<VcRequest>],
+    free_out: &BitMatrix,
+    grants: &[Option<OutVc>],
+) -> Result<(), String> {
+    check_grants(
+        spec,
+        |g| requests[g].as_ref().map(|r| (r.out_port, r.class_mask())),
+        free_out,
+        grants
+            .iter()
+            .enumerate()
+            .filter_map(|(g, grant)| grant.map(|grant| (g, grant))),
+    )
+}
+
+/// [`validate_vc_grants`] for the live-set entry; the grant list must also
+/// be in ascending input-VC order.
+pub fn validate_live_vc_grants(
+    spec: &VcAllocSpec,
+    requests: &VcRequestSet,
+    free_out: &BitMatrix,
+    grants: &[(usize, OutVc)],
+) -> Result<(), String> {
+    if let Some(w) = grants.windows(2).find(|w| w[0].0 >= w[1].0) {
+        return Err(format!("grant list not ascending at input VC {}", w[1].0));
+    }
+    check_grants(spec, |g| requests.get(g), free_out, grants.iter().copied())
 }
 
 #[cfg(test)]

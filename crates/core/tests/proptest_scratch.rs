@@ -109,9 +109,10 @@ fn sw_requests(ports: usize, vcs: usize, raw: &[Option<u8>]) -> SwitchRequests {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    // Sparse VC allocator: `allocate` builds fresh sub-allocator inputs
-    // every call (the reference), `allocate_into` recycles request and
-    // grant pools across calls. Same grants, every round, all variants.
+    // Sparse VC allocator: `allocate` is `allocate_into` on a new result
+    // vector, so what differs between the two sides is only the buffer —
+    // one is empty every round, the other still holds the previous
+    // round's grants. Same grants, every round, all variants.
     #[test]
     fn sparse_vc_scratch_path_matches_fresh_path((spec, rounds) in vc_sequence()) {
         for kind in VC_KINDS {

@@ -1,9 +1,9 @@
 //! Property-based tests for VC and switch allocation invariants.
 
 use noc_core::{
-    validate_switch_grants, validate_vc_grants, AllocatorKind, BitMatrix, DenseVcAllocator,
-    SparseVcAllocator, SpecMode, SpeculativeSwitchAllocator, SwitchAllocatorKind, SwitchRequests,
-    VcAllocSpec, VcAllocator, VcRequest,
+    validate_live_vc_grants, validate_switch_grants, validate_vc_grants, AllocatorKind, BitMatrix,
+    DenseVcAllocator, OutVc, SparseVcAllocator, SpecMode, SpeculativeSwitchAllocator,
+    SwitchAllocatorKind, SwitchRequests, VcAllocSpec, VcAllocator, VcRequest, VcRequestSet,
 };
 use proptest::prelude::*;
 
@@ -60,8 +60,82 @@ fn vc_workload() -> impl Strategy<Value = (VcAllocSpec, Vec<Option<VcRequest>>, 
     spec_strategy().prop_flat_map(workload)
 }
 
+/// Strategy: a spec plus a short sequence of rounds against it.
+#[allow(clippy::type_complexity)]
+fn vc_rounds() -> impl Strategy<Value = (VcAllocSpec, Vec<(Vec<Option<VcRequest>>, BitMatrix)>)> {
+    spec_strategy().prop_flat_map(|spec| {
+        let rounds = proptest::collection::vec(workload(spec.clone()), 1..6);
+        rounds.prop_map(move |rs| {
+            let rounds = rs.into_iter().map(|(_, reqs, free)| (reqs, free)).collect();
+            (spec.clone(), rounds)
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The two entries of a VC allocator are one round: an allocator driven
+    // through its request-slot entry and a twin driven through its live-set
+    // entry grant the same output VCs every round (the live list ascending)
+    // and end in the same priority state, for all five variants, dense and
+    // sparse. The live set is reused across rounds, so its idle slots carry
+    // stale ports and classes.
+    #[test]
+    fn slot_entry_and_live_entry_are_one_round((spec, rounds) in vc_rounds()) {
+        let kinds = [
+            AllocatorKind::SepIfRr,
+            AllocatorKind::SepIfMatrix,
+            AllocatorKind::SepOfRr,
+            AllocatorKind::SepOfMatrix,
+            AllocatorKind::Wavefront,
+        ];
+        for kind in kinds {
+            for sparse in [false, true] {
+                let build = || -> Box<dyn VcAllocator> {
+                    if sparse {
+                        Box::new(SparseVcAllocator::new(spec.clone(), kind))
+                    } else {
+                        Box::new(DenseVcAllocator::new(spec.clone(), kind))
+                    }
+                };
+                let (mut by_slots, mut by_live) = (build(), build());
+                let mut set = VcRequestSet::new(spec.ports() * spec.total_vcs());
+                let mut slots: Vec<Option<OutVc>> = Vec::new();
+                let mut live: Vec<(usize, OutVc)> = Vec::new();
+                for (round, (reqs, free)) in rounds.iter().enumerate() {
+                    by_slots.allocate_into(reqs, free, &mut slots);
+                    set.clear();
+                    for (g, req) in reqs.iter().enumerate() {
+                        if let Some(req) = req {
+                            set.request(g, req.out_port, req.class_mask());
+                        }
+                    }
+                    by_live.allocate_live(&set, free, &mut live);
+                    prop_assert!(
+                        validate_live_vc_grants(&spec, &set, free, &live).is_ok(),
+                        "{kind:?} sparse={sparse} round {round}"
+                    );
+                    let listed: Vec<(usize, OutVc)> = slots
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(g, grant)| grant.map(|grant| (g, grant)))
+                        .collect();
+                    prop_assert_eq!(
+                        &listed, &live,
+                        "{:?} sparse={} round {}", kind, sparse, round
+                    );
+                }
+                // Post-state: the same probe round through the same entry.
+                let (reqs, free) = &rounds[0];
+                prop_assert_eq!(
+                    by_slots.allocate(reqs, free),
+                    by_live.allocate(reqs, free),
+                    "{:?} sparse={}: priority state diverged", kind, sparse
+                );
+            }
+        }
+    }
 
     #[test]
     fn dense_vc_grants_always_valid((spec, reqs, free) in vc_workload()) {

@@ -339,12 +339,12 @@ impl<S: TraceSink> Network<S> {
     /// post-commit bookkeeping.
     ///
     /// Skipping is cycle-identical to stepping: an idle router's step
-    /// produces no outputs and touches no allocator state; its only
-    /// observable effect — one `empty` stall count per input VC — is
-    /// accrued as a debt that the router settles on its next real step and
-    /// this loop settles at the end of the run, so stall-cause read-outs
-    /// ([`Network::router_obs`], [`Network::router_breakdowns`]) match the
-    /// sequential engine exactly.
+    /// produces no outputs, touches no allocator state and classifies no
+    /// VC, so all that is left of it is the router's cycle count
+    /// ([`Router::skip_cycle`]). Stall-cause read-outs
+    /// ([`Network::router_obs`], [`Network::router_breakdowns`]) derive
+    /// each VC's `empty` share from that count and match the sequential
+    /// engine exactly.
     pub fn run_in_order<P: PhaseProfiler>(&mut self, cycles: u64, skip_idle: bool, prof: &mut P) {
         for _ in 0..cycles {
             let now = self.now;
@@ -369,7 +369,7 @@ impl<S: TraceSink> Network<S> {
             // router-id order.
             for r in 0..self.routers.len() {
                 if skip_idle && self.routers[r].is_idle() {
-                    self.routers[r].note_skipped();
+                    self.routers[r].skip_cycle();
                     continue;
                 }
                 let out = &mut self.out_buf[r];
@@ -397,11 +397,6 @@ impl<S: TraceSink> Network<S> {
                 now,
             );
             self.now += 1;
-        }
-        if skip_idle {
-            for r in &mut self.routers {
-                r.flush_skipped();
-            }
         }
     }
 
@@ -706,7 +701,7 @@ impl<S: TraceSink> Network<S> {
     /// Snapshot of every router's observability counters, in router-id
     /// order (feeds the `noc-obs` exporters).
     pub fn router_obs(&self) -> Vec<RouterObs> {
-        self.routers.iter().map(|r| r.obs.clone()).collect()
+        self.routers.iter().map(Router::obs).collect()
     }
 
     /// Per-router digests: link throughput since reset and the
@@ -716,10 +711,10 @@ impl<S: TraceSink> Network<S> {
         self.routers
             .iter()
             .map(|r| {
-                let (worst_port, worst_port_stall) = r.obs.worst_port_stall();
+                let (worst_port, worst_port_stall) = r.worst_port_stall();
                 RouterBreakdown {
                     router: r.id,
-                    throughput: r.obs.total_out_flits() as f64 / cycles,
+                    throughput: r.total_out_flits() as f64 / cycles,
                     worst_port,
                     worst_port_stall,
                 }
@@ -1086,7 +1081,7 @@ fn finish_cycle(
                     (
                         r.buffered_flits() as u32,
                         r.busy_vcs() as u32,
-                        r.obs.total_out_flits(),
+                        r.total_out_flits(),
                         r.ports(),
                     )
                 }),

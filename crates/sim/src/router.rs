@@ -15,11 +15,11 @@ use noc_arbiter::Bits;
 use noc_core::{
     AllocatorKind, BitMatrix, DenseVcAllocator, OutVc, SparseVcAllocator, SpecAllocResult,
     SpecMode, SpeculativeSwitchAllocator, SwitchAllocatorKind, SwitchRequests, VcAllocSpec,
-    VcAllocator, VcRequest,
+    VcAllocator, VcRequestSet,
 };
 use noc_obs::{
     FlitEvent, FlitEventKind, HopRecord, NopProfiler, NopSink, Phase, PhaseProfiler,
-    RouterCounters, RouterObs, TraceSink,
+    RouterCounters, RouterObs, StallCounters, TraceSink,
 };
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -119,32 +119,27 @@ impl RouterOutputs {
 }
 
 /// Reusable per-cycle buffers for the router hot path. Everything a step
-/// needs — stall-attribution flags, VC-allocation requests and grants, the
-/// free-VC map, switch request matrices and grant lists — lives here, so
-/// steady-state stepping performs no heap allocation.
+/// needs — stall-attribution flags, VC-allocation requests and grants,
+/// switch request sets and grant lists — lives here, so steady-state
+/// stepping performs no heap allocation.
 struct StepScratch {
-    /// Input VCs that pushed a flit into the switch this cycle. These six
+    /// Input VCs that pushed a flit into the switch this cycle. The
     /// per-input-VC flag sets are bit masks rather than `Vec<bool>`: one
     /// `P*V`-wide [`Bits`] (inline words, no heap indirection) per flag
-    /// keeps the whole stall-attribution state in a couple of cache lines.
+    /// keeps the stall-attribution state in a couple of cache lines.
     moved: Bits,
     /// Input VCs granted an output VC this cycle.
     va_winner: Bits,
-    /// Input VCs whose non-speculative bid was blocked on credits.
-    credit_blocked: Bits,
-    /// Input VCs that issued a non-speculative switch request.
-    bid: Bits,
-    /// Input VCs that issued a speculative switch request.
-    spec_bid: Bits,
     /// Input VCs that won the switch for next cycle.
     granted: Bits,
-    /// VC-allocation request per input VC (live entries recycled through
-    /// `spare_reqs` so their `classes` vectors keep their allocation).
-    vca_reqs: Vec<Option<VcRequest>>,
-    spare_reqs: Vec<VcRequest>,
-    /// VC-allocation grants (filled by `allocate_into`).
-    vca_grants: Vec<Option<OutVc>>,
-    /// Non-speculative and speculative switch request matrices.
+    /// Input VCs waiting for an output VC: non-empty and holding none.
+    waiting: Bits,
+    /// VC-allocation requests of the waiting input VCs.
+    vca_reqs: VcRequestSet,
+    /// VC-allocation grants, ascending by input VC (filled by
+    /// `allocate_live`).
+    vca_grants: Vec<(usize, OutVc)>,
+    /// Non-speculative and speculative switch request sets.
     nonspec: SwitchRequests,
     spec: SwitchRequests,
     /// Speculative switch allocation result (filled by `allocate_into`).
@@ -159,21 +154,11 @@ impl StepScratch {
         StepScratch {
             moved: Bits::new(n),
             va_winner: Bits::new(n),
-            credit_blocked: Bits::new(n),
-            bid: Bits::new(n),
-            spec_bid: Bits::new(n),
             granted: Bits::new(n),
-            vca_reqs: vec![None; n],
-            // Pre-primed pool: at most one live request per input VC, and
-            // each request carries at most `vcs` candidate classes, so the
-            // steady-state loop never grows these vectors.
-            spare_reqs: (0..n)
-                .map(|_| VcRequest {
-                    out_port: 0,
-                    classes: Vec::with_capacity(vcs),
-                })
-                .collect(),
-            vca_grants: Vec::new(),
+            waiting: Bits::new(n),
+            vca_reqs: VcRequestSet::new(n),
+            // At most one grant per input VC.
+            vca_grants: Vec::with_capacity(n),
             nonspec: SwitchRequests::new(ports, vcs),
             spec: SwitchRequests::new(ports, vcs),
             sa_result: SpecAllocResult::with_capacity(ports),
@@ -228,6 +213,16 @@ struct RouterAnatomy {
     acc: Vec<HopAcc>,
 }
 
+/// What stage 1 did with the flit at the front of an input VC this cycle:
+/// won the switch, or the stage that refused it.
+#[derive(Clone, Copy)]
+enum Verdict {
+    Active,
+    Credit,
+    Sa,
+    Vca,
+}
+
 /// Counters for the speculation-efficiency analysis (§5.2).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RouterStats {
@@ -264,8 +259,15 @@ pub struct Router {
     vcs: usize,
     /// Input buffers, `[port * V + vc]`.
     in_buf: Vec<VecDeque<Flit>>,
+    /// Input VCs with at least one buffered flit — bit `i` set iff
+    /// `in_buf[i]` is non-empty. Kept at `accept_flit` and at the
+    /// switch-traversal pop, so a step walks occupied VCs, never `0..P*V`.
+    nonempty: Bits,
     /// Output VC held by each input VC (flat output id), if any.
     in_out_vc: Vec<Option<usize>>,
+    /// Input VCs holding an output VC — bit `i` set iff `in_out_vc[i]` is
+    /// `Some`. Kept at the VC-allocation grant and at tail release.
+    holds_out_vc: Bits,
     /// Input VC currently holding each output VC, `[port * V + vc]`
     /// (struct-of-arrays with `out_credits` / `free_out`).
     out_owner: Vec<Option<u32>>,
@@ -282,15 +284,17 @@ pub struct Router {
     st_stage: Vec<(usize, usize)>,
     /// Reusable per-cycle buffers.
     scratch: StepScratch,
-    /// Cycles the active-set engine skipped this router for, still owed to
-    /// the per-VC `empty` stall counters (reconciled lazily by
-    /// [`Router::flush_skipped`]).
-    skipped_cycles: u64,
+    /// Cycles this router has lived through, stepped or skipped.
+    cycles: u64,
     /// Statistics.
     pub stats: RouterStats,
     /// Always-on observability counters (per-port flit counts and
-    /// per-input-VC stall-cause attribution).
-    pub obs: RouterObs,
+    /// per-input-VC stall-cause attribution). A step classifies only the
+    /// VCs it walks, so the `empty` buckets stay at zero in here: every VC
+    /// is empty in exactly the cycles it was not otherwise classified, and
+    /// [`Router::obs`] / [`Router::telemetry_counters`] settle that from
+    /// `cycles` at read-out.
+    obs: RouterObs,
     /// Matching-quality sampler; `None` (the default) costs one branch per
     /// cycle.
     match_sampler: Option<MatchSampler>,
@@ -332,7 +336,9 @@ impl Router {
             in_buf: (0..n)
                 .map(|_| VecDeque::with_capacity(cfg.buf_depth))
                 .collect(),
+            nonempty: Bits::new(n),
             in_out_vc: vec![None; n],
+            holds_out_vc: Bits::new(n),
             out_owner: vec![None; n],
             out_credits: vec![cfg.buf_depth as u32; n],
             free_out: {
@@ -349,7 +355,7 @@ impl Router {
             // At most one traversal per output port per cycle.
             st_stage: Vec::with_capacity(ports),
             scratch: StepScratch::new(ports, vcs),
-            skipped_cycles: 0,
+            cycles: 0,
             stats: RouterStats::default(),
             obs: RouterObs::new(ports, vcs),
             match_sampler: None,
@@ -416,7 +422,7 @@ impl Router {
     /// cycle `now` (the arrival cycle feeds the packet ledger's hop spans;
     /// without the ledger it is unused).
     pub fn accept_flit(&mut self, port: usize, vc: usize, flit: Flit, now: u64) {
-        let idx = port * self.vcs + vc;
+        let idx = self.flat(port, vc);
         assert!(
             self.in_buf[idx].len() < self.cfg.buf_depth,
             "router {} input ({port},{vc}) overflow — credit protocol violated",
@@ -428,17 +434,33 @@ impl Router {
             }
         }
         self.in_buf[idx].push_back(flit);
+        self.nonempty.set(idx, true);
     }
 
     /// Accepts a credit for output VC `(port, vc)`.
     pub fn accept_credit(&mut self, port: usize, vc: usize) {
-        let c = &mut self.out_credits[port * self.vcs + vc];
+        let idx = self.flat(port, vc);
+        let c = &mut self.out_credits[idx];
         *c += 1;
         assert!(
             *c as usize <= self.cfg.buf_depth,
             "router {} credit overflow at ({port},{vc})",
             self.id
         );
+    }
+
+    /// Flat index of VC `(port, vc)`. Range-checked: an unchecked
+    /// `vc == V` would silently alias `(port + 1, 0)`.
+    #[inline]
+    fn flat(&self, port: usize, vc: usize) -> usize {
+        assert!(
+            port < self.ports && vc < self.vcs,
+            "router {}: VC ({port},{vc}) outside {} ports x {} VCs",
+            self.id,
+            self.ports,
+            self.vcs
+        );
+        port * self.vcs + vc
     }
 
     /// Runs one cycle without tracing or profiling, returning a fresh
@@ -456,10 +478,12 @@ impl Router {
     /// upstream credits into a caller-owned buffer (cleared first). Every
     /// pipeline step is reported to `sink`, and wall time per pipeline
     /// phase to `prof`; with [`NopSink`] / [`NopProfiler`] the
-    /// instrumentation (including every clock read) compiles away. All
+    /// instrumentation (including every clock read) compiles away. Every
+    /// stage walks the set bits of a kept live-VC set, so a cycle costs in
+    /// proportion to the VCs that hold a flit, not to `P*V`. All
     /// intermediate state lives in the router's scratch arena, so in steady
-    /// state a step performs no heap allocation — the property the
-    /// `step_cycle` microbenchmark tracks. The two-phase engines call this
+    /// state a step performs no heap allocation (`tests/zero_alloc.rs`
+    /// counts). The two-phase engines call this
     /// directly: it only mutates this router (and `out`), reading nothing
     /// from other routers, which is what makes the compute phase safe to run
     /// for all routers in parallel before any output is committed.
@@ -475,9 +499,8 @@ impl Router {
             panic!("injected router panic (router {} cycle {now})", self.id);
         }
         out.clear();
-        self.flush_skipped();
+        self.cycles += 1;
         let v = self.vcs;
-        let n = self.ports * v;
         let id = self.id as u32;
         let ev = move |kind, port: usize, vc: usize, f: &Flit| FlitEvent {
             cycle: now,
@@ -521,12 +544,19 @@ impl Router {
             );
             self.out_credits[out_flat] -= 1;
             out.credits.push((in_flat / v, in_flat % v));
+            if self.in_buf[in_flat].is_empty() {
+                self.nonempty.set(in_flat, false);
+            }
             if flit.tail {
                 self.out_owner[out_flat] = None;
                 self.free_out.set(out_flat / v, out_flat % v, true);
                 self.in_out_vc[in_flat] = None;
+                self.holds_out_vc.set(in_flat, false);
             }
+            // A VC that pushed a flit into the switch is "active" this
+            // cycle, whatever stage 1 decides for the flit behind it.
             self.scratch.moved.set(in_flat, true);
+            self.obs.vc[in_flat].active += 1;
             self.obs.out_flits[out_port] += 1;
             if flit.head {
                 if let Some(an) = &mut self.anatomy {
@@ -611,69 +641,60 @@ impl Router {
         }
 
         // ---- Stage 1a: VC allocation ------------------------------------
+        // The waiting VCs are those with a flit buffered and no output VC.
         let va_timer = P::ACTIVE.then(Instant::now);
-        for slot in self.scratch.vca_reqs.iter_mut() {
-            if let Some(r) = slot.take() {
-                self.scratch.spare_reqs.push(r);
-            }
-        }
-        let mut any_vca = false;
-        for in_flat in 0..n {
-            if self.in_out_vc[in_flat].is_some() {
-                continue;
-            }
-            if let Some(f) = self.in_buf[in_flat].front() {
-                debug_assert!(
-                    f.head,
-                    "router {}: body flit at head of VC without output VC",
-                    self.id
-                );
-                let mut req = self.scratch.spare_reqs.pop().unwrap_or_else(|| VcRequest {
-                    out_port: 0,
-                    classes: Vec::new(),
-                });
-                req.out_port = f.lookahead.out_port;
-                req.classes.clear();
-                req.classes.push(f.lookahead.resource_class);
-                self.scratch.vca_reqs[in_flat] = Some(req);
-                any_vca = true;
-                self.stats.vca_requests += 1;
-                trace!(FlitEventKind::VcaRequest, in_flat / v, in_flat % v, f);
-            }
+        self.scratch.waiting.copy_from(&self.nonempty);
+        self.scratch.waiting.subtract(&self.holds_out_vc);
+        self.scratch.vca_reqs.clear();
+        for in_flat in self.scratch.waiting.iter_set() {
+            let Some(f) = self.in_buf[in_flat].front() else {
+                unreachable!("non-empty set names an empty buffer")
+            };
+            debug_assert!(
+                f.head,
+                "router {}: body flit at head of VC without output VC",
+                self.id
+            );
+            self.scratch.vca_reqs.request(
+                in_flat,
+                f.lookahead.out_port,
+                1 << f.lookahead.resource_class,
+            );
+            self.stats.vca_requests += 1;
+            trace!(FlitEventKind::VcaRequest, in_flat / v, in_flat % v, f);
         }
         self.scratch.va_winner.clear();
-        if any_vca {
-            self.vca.allocate_into(
+        if !self.scratch.vca_reqs.is_empty() {
+            self.vca.allocate_live(
                 &self.scratch.vca_reqs,
                 &self.free_out,
                 &mut self.scratch.vca_grants,
             );
-            debug_assert!(noc_core::validate_vc_grants(
+            debug_assert!(noc_core::validate_live_vc_grants(
                 &self.cfg.spec,
                 &self.scratch.vca_reqs,
                 &self.free_out,
                 &self.scratch.vca_grants
             )
             .is_ok());
-            for in_flat in 0..n {
-                if let Some(OutVc { port, vc }) = self.scratch.vca_grants[in_flat] {
-                    let out_flat = port * v + vc;
-                    self.in_out_vc[in_flat] = Some(out_flat);
-                    self.out_owner[out_flat] = Some(in_flat as u32);
-                    self.free_out.set(port, vc, false);
-                    self.scratch.va_winner.set(in_flat, true);
-                    self.stats.vca_grants += 1;
-                    if S::ACTIVE {
-                        if let Some(f) = self.in_buf[in_flat].front() {
-                            trace!(FlitEventKind::VcaGrant, in_flat / v, in_flat % v, f);
-                        }
+            for &(in_flat, OutVc { port, vc }) in &self.scratch.vca_grants {
+                let out_flat = port * v + vc;
+                self.in_out_vc[in_flat] = Some(out_flat);
+                self.holds_out_vc.set(in_flat, true);
+                self.out_owner[out_flat] = Some(in_flat as u32);
+                self.free_out.set(port, vc, false);
+                self.scratch.va_winner.set(in_flat, true);
+                self.stats.vca_grants += 1;
+                if S::ACTIVE {
+                    if let Some(f) = self.in_buf[in_flat].front() {
+                        trace!(FlitEventKind::VcaGrant, in_flat / v, in_flat % v, f);
                     }
                 }
             }
         }
 
         if let Some(t) = va_timer {
-            let reqs = self.scratch.vca_reqs.iter().filter(|r| r.is_some()).count() as u64;
+            let reqs = self.scratch.vca_reqs.live().count_ones() as u64;
             prof.record(Phase::VcAlloc, t.elapsed().as_nanos() as u64, reqs);
         }
 
@@ -681,15 +702,8 @@ impl Router {
         let sa_timer = P::ACTIVE.then(Instant::now);
         self.scratch.nonspec.clear();
         self.scratch.spec.clear();
-        let mut any_req = false;
-        // Stall attribution inputs: why each input VC did (or could) bid.
-        self.scratch.credit_blocked.clear();
-        self.scratch.bid.clear();
-        self.scratch.spec_bid.clear();
-        for in_flat in 0..n {
-            if self.in_buf[in_flat].is_empty() {
-                continue;
-            }
+        let mut sa_reqs = 0u64;
+        for in_flat in self.nonempty.iter_set() {
             match self.in_out_vc[in_flat] {
                 Some(out_flat) if !self.scratch.va_winner.get(in_flat) => {
                     // Established packet: non-speculative request, gated on
@@ -698,15 +712,12 @@ impl Router {
                         self.scratch
                             .nonspec
                             .request(in_flat / v, in_flat % v, out_flat / v);
-                        any_req = true;
-                        self.scratch.bid.set(in_flat, true);
+                        sa_reqs += 1;
                         if S::ACTIVE {
                             if let Some(f) = self.in_buf[in_flat].front() {
                                 trace!(FlitEventKind::SaRequest, in_flat / v, in_flat % v, f);
                             }
                         }
-                    } else {
-                        self.scratch.credit_blocked.set(in_flat, true);
                     }
                 }
                 _ => {
@@ -721,8 +732,7 @@ impl Router {
                                     in_flat % v,
                                     f.lookahead.out_port,
                                 );
-                                any_req = true;
-                                self.scratch.spec_bid.set(in_flat, true);
+                                sa_reqs += 1;
                                 self.stats.spec_requests += 1;
                                 trace!(FlitEventKind::SaSpecRequest, in_flat / v, in_flat % v, f);
                             }
@@ -732,7 +742,7 @@ impl Router {
             }
         }
         self.scratch.granted.clear();
-        if any_req {
+        if sa_reqs > 0 {
             self.sa.allocate_into(
                 &self.scratch.nonspec,
                 &self.scratch.spec,
@@ -783,8 +793,7 @@ impl Router {
             }
         }
         if let Some(t) = sa_timer {
-            let reqs = (self.scratch.bid.count_ones() + self.scratch.spec_bid.count_ones()) as u64;
-            prof.record(Phase::SwAlloc, t.elapsed().as_nanos() as u64, reqs);
+            prof.record(Phase::SwAlloc, t.elapsed().as_nanos() as u64, sa_reqs);
         }
 
         // ---- Matching-quality sample (opt-in telemetry) -----------------
@@ -793,9 +802,9 @@ impl Router {
         // switch-allocation phase is not polluted by the exact-matching
         // search.
         if let Some(ms) = &mut self.match_sampler {
-            if any_req && now.is_multiple_of(ms.period) {
+            if sa_reqs > 0 && now.is_multiple_of(ms.period) {
                 ms.req.clear();
-                for in_flat in 0..n {
+                for in_flat in self.nonempty.iter_set() {
                     let (p, vc) = (in_flat / v, in_flat % v);
                     if let Some(o) = self.scratch.nonspec.get(p, vc) {
                         ms.req.set(p, o, true);
@@ -809,102 +818,108 @@ impl Router {
             }
         }
 
-        // ---- Stall-cause attribution ------------------------------------
+        // ---- Stall-cause attribution and packet-ledger stamping ---------
         // Each input VC lands in exactly one bucket per cycle. A VC that
-        // pushed a flit into the switch, or just won the switch for next
-        // cycle, is "active"; otherwise the blocker is whichever stage
-        // refused it this cycle.
-        for in_flat in 0..n {
-            let s = &mut self.obs.vc[in_flat];
-            if self.scratch.moved.get(in_flat) || self.scratch.granted.get(in_flat) {
-                s.active += 1;
-            } else if self.in_buf[in_flat].is_empty() {
-                s.empty += 1;
-            } else if self.scratch.credit_blocked.get(in_flat) {
-                s.credit_stall += 1;
-            } else if self.scratch.bid.get(in_flat)
-                || (self.scratch.spec_bid.get(in_flat) && self.scratch.va_winner.get(in_flat))
-            {
-                // Bid for the switch with all resources in hand, lost
-                // arbitration (or, for a fresh VA winner, lost / was masked
-                // on the speculative path).
-                s.sa_stall += 1;
+        // pushed a flit into the switch was counted "active" at traversal;
+        // the others that hold a flit get the verdict of stage 1. No other
+        // VC is visited: it was empty, which `cycles` accounts for.
+        //
+        // The opt-in ledger charges the same verdict to the hop accumulator
+        // of a head flit at the VC front. The verdict describes the
+        // *post-traversal* front (ST ran first), so `moved` is not
+        // consulted there: a departing head was charged its final cycle at
+        // emission time, and whichever head now fronts the VC earns this
+        // cycle's verdict instead.
+        let speculating = self.cfg.spec_mode != SpecMode::NonSpeculative;
+        for in_flat in self.nonempty.iter_set() {
+            let won = self.scratch.va_winner.get(in_flat);
+            let verdict = if self.scratch.granted.get(in_flat) {
+                Verdict::Active
             } else {
-                // Still waiting for an output VC.
-                s.vca_stall += 1;
-            }
-        }
-
-        // ---- Packet-ledger stamping (opt-in anatomy) --------------------
-        // Mirrors the attribution above, but charges the cycle to the hop
-        // accumulator of the head flit at the VC front. Every scratch flag
-        // describes the *post-traversal* front (ST ran first), so `moved`
-        // is deliberately not consulted: a departing head was charged its
-        // final cycle at emission time, and whichever head now fronts the
-        // VC earns this cycle's verdict instead.
-        if let Some(an) = &mut self.anatomy {
-            for in_flat in 0..n {
-                let Some(f) = self.in_buf[in_flat].front() else {
-                    continue;
-                };
-                if !f.head {
-                    continue;
+                match self.in_out_vc[in_flat] {
+                    // Established packet: it bid iff it had a credit.
+                    Some(of) if !won => {
+                        if self.out_credits[of] == 0 {
+                            Verdict::Credit
+                        } else {
+                            Verdict::Sa
+                        }
+                    }
+                    // Fresh VA winner: its speculative bid lost or was
+                    // masked — all resources in hand, switch refused.
+                    Some(_) if speculating => Verdict::Sa,
+                    // Still waiting for an output VC.
+                    _ => Verdict::Vca,
                 }
-                let a = &mut an.acc[in_flat];
-                if self.scratch.granted.get(in_flat) {
-                    a.active += 1;
-                } else if self.scratch.credit_blocked.get(in_flat) {
-                    a.credit += 1;
-                } else if self.scratch.bid.get(in_flat)
-                    || (self.scratch.spec_bid.get(in_flat) && self.scratch.va_winner.get(in_flat))
-                {
-                    a.sa += 1;
-                } else {
-                    a.vca += 1;
+            };
+            if !self.scratch.moved.get(in_flat) {
+                let s = &mut self.obs.vc[in_flat];
+                match verdict {
+                    Verdict::Active => s.active += 1,
+                    Verdict::Credit => s.credit_stall += 1,
+                    Verdict::Sa => s.sa_stall += 1,
+                    Verdict::Vca => s.vca_stall += 1,
+                }
+            }
+            if let Some(an) = &mut self.anatomy {
+                if self.in_buf[in_flat].front().is_some_and(|f| f.head) {
+                    let a = &mut an.acc[in_flat];
+                    match verdict {
+                        Verdict::Active => a.active += 1,
+                        Verdict::Credit => a.credit += 1,
+                        Verdict::Sa => a.sa += 1,
+                        Verdict::Vca => a.vca += 1,
+                    }
                 }
             }
         }
     }
 
-    /// Records that the active-set engine skipped this router for a cycle.
-    /// A skippable router is fully idle, so the only observable effect of
-    /// the skipped step — one `empty` stall count per input VC — is owed to
-    /// `obs` and settled lazily by [`Router::flush_skipped`].
-    pub fn note_skipped(&mut self) {
+    /// Lives through a cycle without stepping: the active-set engine's
+    /// substitute for [`Router::step_into`] on a router that
+    /// [`Router::is_idle`]. Such a step would have produced nothing and
+    /// classified no VC, so counting the cycle is all of it.
+    pub fn skip_cycle(&mut self) {
         debug_assert!(self.is_idle(), "active-set engine skipped a busy router");
-        self.skipped_cycles += 1;
+        self.cycles += 1;
     }
 
-    /// Settles stall-attribution debt from skipped cycles. Called at the
-    /// start of every real step and before any observability read-out.
-    pub fn flush_skipped(&mut self) {
-        if self.skipped_cycles > 0 {
-            for s in self.obs.vc.iter_mut() {
-                s.empty += self.skipped_cycles;
-            }
-            self.skipped_cycles = 0;
+    /// Snapshot of the observability counters with each VC's `empty` bucket
+    /// settled: the cycles lived through minus those classified otherwise.
+    pub fn obs(&self) -> RouterObs {
+        let mut obs = self.obs.clone();
+        for s in &mut obs.vc {
+            s.empty = self.cycles - s.cycles();
         }
+        obs
     }
 
-    /// Cumulative telemetry counters for the flight recorder. Reads only —
-    /// pending skipped-cycle debt is folded in arithmetically rather than
-    /// flushed, so sampling never perturbs engine-equivalence state and the
-    /// active-set engine reports byte-identical telemetry to the others.
+    /// [`RouterObs::worst_port_stall`] of [`Router::obs`], without taking
+    /// the snapshot: a port's VCs have all lived through `cycles`.
+    pub fn worst_port_stall(&self) -> (usize, f64) {
+        (0..self.ports)
+            .map(|p| {
+                let mut s = self.obs.port_stalls(p);
+                s.empty = self.vcs as u64 * self.cycles - s.cycles();
+                (p, s.stall_fraction())
+            })
+            .fold(
+                (0, 0.0),
+                |best, cur| if cur.1 > best.1 { cur } else { best },
+            )
+    }
+
+    /// Total flits this router pushed into links.
+    pub fn total_out_flits(&self) -> u64 {
+        self.obs.total_out_flits()
+    }
+
+    /// Cumulative telemetry counters for the flight recorder.
     pub fn telemetry_counters(&self) -> RouterCounters {
-        let mut active = 0u64;
-        let mut credit_stall = 0u64;
-        let mut vca_stall = 0u64;
-        let mut sa_stall = 0u64;
-        let mut empty = 0u64;
+        let mut busy = StallCounters::default();
         for s in &self.obs.vc {
-            active += s.active;
-            credit_stall += s.credit_stall;
-            vca_stall += s.vca_stall;
-            sa_stall += s.sa_stall;
-            empty += s.empty;
+            busy.merge(s);
         }
-        // Skipped cycles are owed one `empty` count per input VC.
-        empty += self.skipped_cycles * self.obs.vc.len() as u64;
         let (match_granted, match_max) = match &self.match_sampler {
             Some(ms) => (ms.granted, ms.max),
             None => (0, 0),
@@ -913,11 +928,11 @@ impl Router {
             out_flits: self.obs.total_out_flits(),
             occupancy: self.buffered_flits() as u32,
             busy_vcs: self.busy_vcs() as u32,
-            active,
-            credit_stall,
-            vca_stall,
-            sa_stall,
-            empty,
+            active: busy.active,
+            credit_stall: busy.credit_stall,
+            vca_stall: busy.vca_stall,
+            sa_stall: busy.sa_stall,
+            empty: self.cycles * self.obs.vc.len() as u64 - busy.cycles(),
             match_granted,
             match_max,
         }
@@ -927,7 +942,9 @@ impl Router {
     /// state: switch-grant matching legality (at most one grant per input
     /// VC and per output port, each backed by an output VC, a downstream
     /// credit and a buffered flit), the input-VC/output-VC ownership
-    /// bijection, buffer/credit bounds, and the no-flit-without-VC rule.
+    /// bijection, buffer/credit bounds, the no-flit-without-VC rule, and
+    /// every incrementally kept set against a scan of what it summarises —
+    /// the live-VC sets, the free map, and the step's request sets.
     pub fn check_invariants(&self, chk: &mut StrictChecker) {
         let v = self.vcs;
         let n = self.ports * v;
@@ -1045,7 +1062,27 @@ impl Router {
                     depth
                 ));
             }
+            // The live sets are what every stage walks instead of `0..P*V`:
+            // a VC missing from one is a VC the router forgets.
+            checks += 2;
+            if self.nonempty.get(in_flat) == self.in_buf[in_flat].is_empty() {
+                chk.violation(format!(
+                    "router {}: non-empty set out of sync at input ({}, {})",
+                    self.id,
+                    in_flat / v,
+                    in_flat % v
+                ));
+            }
+            if self.holds_out_vc.get(in_flat) != self.in_out_vc[in_flat].is_some() {
+                chk.violation(format!(
+                    "router {}: output-VC-holder set out of sync at input ({}, {})",
+                    self.id,
+                    in_flat / v,
+                    in_flat % v
+                ));
+            }
         }
+        self.check_request_sets(chk);
         for out_flat in 0..n {
             checks += 3;
             if self.out_credits[out_flat] as usize > depth {
@@ -1084,20 +1121,73 @@ impl Router {
         chk.add_checks(checks);
     }
 
+    /// Checks the request sets of the step just run against a scan over
+    /// all `P*V` input VCs. Nothing after stage 1b moves a flit, a credit
+    /// or an output VC, so the post-step state still determines what every
+    /// VC must have asked for; a skipped router left them empty.
+    fn check_request_sets(&self, chk: &mut StrictChecker) {
+        let v = self.vcs;
+        let speculating = self.cfg.spec_mode != SpecMode::NonSpeculative;
+        for in_flat in 0..self.ports * v {
+            let front = self.in_buf[in_flat].front();
+            let won = self.scratch.va_winner.get(in_flat);
+            let held = self.in_out_vc[in_flat].filter(|_| !won);
+            let vca = front
+                .filter(|_| held.is_none())
+                .map(|f| (f.lookahead.out_port, 1 << f.lookahead.resource_class));
+            let (nonspec, spec) = match (front, held) {
+                (None, _) => (None, None),
+                (Some(_), Some(of)) => ((self.out_credits[of] > 0).then_some(of / v), None),
+                (Some(f), None) => (
+                    None,
+                    (speculating && (f.head || won)).then_some(f.lookahead.out_port),
+                ),
+            };
+            let (p, vc) = (in_flat / v, in_flat % v);
+            if self.scratch.vca_reqs.get(in_flat) != vca
+                || self.scratch.nonspec.get(p, vc) != nonspec
+                || self.scratch.spec.get(p, vc) != spec
+            {
+                chk.violation(format!(
+                    "router {}: request sets out of sync at input ({p}, {vc})",
+                    self.id
+                ));
+            }
+        }
+        for (name, set) in [
+            ("non-speculative", &self.scratch.nonspec),
+            ("speculative", &self.scratch.spec),
+        ] {
+            if let Err(e) = set.check() {
+                chk.violation(format!("router {}: {name} request set: {e}", self.id));
+            }
+        }
+        chk.add_checks(3 * (self.ports * v) as u64 + 2);
+    }
+
+    /// The request sets built by the last step: VC allocation,
+    /// non-speculative and speculative switch allocation. For the
+    /// live-set test harness.
+    #[doc(hidden)]
+    pub fn request_sets(&self) -> (&VcRequestSet, &SwitchRequests, &SwitchRequests) {
+        let s = &self.scratch;
+        (&s.vca_reqs, &s.nonspec, &s.spec)
+    }
+
     /// Flits currently buffered across all input VCs.
     pub fn buffered_flits(&self) -> usize {
-        self.in_buf.iter().map(VecDeque::len).sum()
+        self.nonempty.iter_set().map(|i| self.in_buf[i].len()).sum()
     }
 
     /// Input VCs currently holding at least one flit.
     pub fn busy_vcs(&self) -> usize {
-        self.in_buf.iter().filter(|b| !b.is_empty()).count()
+        self.nonempty.count_ones()
     }
 
     /// True if the router holds no flits and no in-flight grants (used by
     /// drain checks in tests).
     pub fn is_idle(&self) -> bool {
-        self.st_stage.is_empty() && self.in_buf.iter().all(VecDeque::is_empty)
+        self.st_stage.is_empty() && self.nonempty.is_zero()
     }
 }
 
@@ -1373,14 +1463,98 @@ mod tests {
         for t in 0..total {
             r.step(&topo, t);
         }
-        for (idx, s) in r.obs.vc.iter().enumerate() {
+        let obs = r.obs();
+        for (idx, s) in obs.vc.iter().enumerate() {
             assert_eq!(s.cycles(), total, "vc slot {idx}");
         }
         // The lone flit's VC: VA+spec-SA cycle and ST cycle are active,
         // the remaining cycles empty.
-        let s = &r.obs.vc[0];
+        let s = &obs.vc[0];
         assert_eq!(s.active, 2, "{s:?}");
         assert_eq!(s.empty, total - 2, "{s:?}");
+
+        // P10·V16, with skipped cycles between bursts and read-outs in the
+        // middle of the run: reading settles `empty` without touching the
+        // router, so every later read still partitions exactly.
+        let topo = TopologyKind::FlattenedButterfly4x4.build();
+        let routing = RoutingKind::Ugal { threshold: 3 };
+        let mut r = Router::new(
+            5,
+            RouterConfig::paper_default(VcAllocSpec::fbfly(4), routing),
+        );
+        let n = (r.ports() * r.vcs()) as u64;
+        let mut now = 0u64;
+        // Input VCs of resource class 0, which the flit's lookahead keeps.
+        for (burst, vc) in [0usize, 1, 8, 9].into_iter().enumerate() {
+            r.accept_flit(burst, vc, head_flit(63, 6), now);
+            while !r.is_idle() {
+                r.step(&topo, now);
+                now += 1;
+            }
+            for _ in 0..3 + burst {
+                r.skip_cycle();
+                now += 1;
+            }
+            let t = r.telemetry_counters();
+            assert_eq!(
+                t.active + t.credit_stall + t.vca_stall + t.sa_stall + t.empty,
+                now * n
+            );
+            assert_eq!(t.active, 2 * (burst as u64 + 1));
+            let obs = r.obs();
+            for (idx, s) in obs.vc.iter().enumerate() {
+                assert_eq!(s.cycles(), now, "burst {burst} vc slot {idx}");
+            }
+            assert_eq!(r.worst_port_stall(), obs.worst_port_stall());
+            assert_eq!(obs.vc[burst * r.vcs() + vc].active, 2);
+        }
+
+        // Whole networks on the three engines, read at ragged points: every
+        // VC of every router accounts for exactly `now` cycles, whether its
+        // router was stepped or skipped, and the engines agree.
+        let cfg = crate::SimConfig {
+            injection_rate: 0.02,
+            ..crate::SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 4)
+        };
+        let mut nets = [0; 3].map(|_| crate::Network::new(cfg.clone()));
+        let mut now = 0u64;
+        for chunk in [1u64, 7, 40, 150] {
+            nets[0].run_in_order(chunk, false, &mut NopProfiler);
+            nets[1].run_in_order(chunk, true, &mut NopProfiler);
+            nets[2].run_parallel(chunk, 2, &mut NopProfiler);
+            now += chunk;
+            let obs = nets.each_ref().map(|net| net.router_obs());
+            for (router, o) in obs[0].iter().enumerate() {
+                for s in &o.vc {
+                    assert_eq!(s.cycles(), now, "router {router}");
+                }
+                for (engine, other) in obs.iter().enumerate().skip(1) {
+                    assert_eq!(o.vc, other[router].vc, "router {router} engine {engine}");
+                    assert_eq!(o.out_flits, other[router].out_flits);
+                }
+            }
+        }
+        let busy: u64 = nets[0]
+            .router_obs()
+            .iter()
+            .map(|o| o.total_out_flits())
+            .sum();
+        assert!(busy > 100, "the networks carried no traffic ({busy} hops)");
+    }
+
+    #[test]
+    #[should_panic(expected = "router 27: VC (0,2) outside 5 ports x 2 VCs")]
+    fn accept_flit_rejects_a_vc_index_that_aliases_the_next_port() {
+        // mesh(1) has V = 2: (0, 2) would land in (1, 0) unchecked.
+        let (mut r, _) = mesh_router(SpecMode::Pessimistic);
+        r.accept_flit(0, 2, head_flit(63, 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "router 27: VC (5,0) outside 5 ports x 2 VCs")]
+    fn accept_credit_rejects_an_out_of_range_port() {
+        let (mut r, _) = mesh_router(SpecMode::Pessimistic);
+        r.accept_credit(5, 0);
     }
 
     #[test]
