@@ -64,100 +64,6 @@ pub fn spec_kill(spec: u64, blocked: u64) -> u64 {
     spec & !blocked
 }
 
-/// A request/grant matrix over at most 64 resource columns, one `u64` row
-/// word per requester — the kernel-side counterpart of `noc-core`'s
-/// `BitMatrix`, used as reusable scratch by the bit-parallel separable and
-/// wavefront kernels (row sweeps, transposes, diagonal scatters).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BitMatrix64 {
-    rows: usize,
-    cols: usize,
-    words: Vec<u64>,
-}
-
-impl BitMatrix64 {
-    /// All-zero `rows x cols` matrix; `cols` must be `1..=64`.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        assert!((1..=64).contains(&cols), "BitMatrix64 cols {cols} > 64");
-        BitMatrix64 {
-            rows,
-            cols,
-            words: vec![0; rows],
-        }
-    }
-
-    /// Number of requester rows.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of resource columns.
-    #[inline]
-    pub fn num_cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Row `r` as a word (bit `c` = entry `(r, c)`).
-    #[inline]
-    pub fn row(&self, r: usize) -> u64 {
-        self.words[r]
-    }
-
-    /// Overwrites row `r`; bits at or above the column count are discarded.
-    #[inline]
-    pub fn set_row(&mut self, r: usize, word: u64) {
-        self.words[r] = word & width_mask(self.cols);
-    }
-
-    /// Reads entry `(r, c)`.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> bool {
-        assert!(c < self.cols);
-        self.words[r] >> c & 1 != 0
-    }
-
-    /// Writes entry `(r, c)`.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: bool) {
-        assert!(c < self.cols);
-        if v {
-            self.words[r] |= 1 << c;
-        } else {
-            self.words[r] &= !(1 << c);
-        }
-    }
-
-    /// Clears every entry.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Total set entries.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Writes the transpose into `cols_out`: `cols_out[c]` gets bit `r` set
-    /// iff entry `(r, c)` is set. Requires `rows <= 64` and
-    /// `cols_out.len() >= cols`; entries beyond the column count are left
-    /// untouched. Runs in O(set entries), which is what makes the
-    /// output-first kernels cheap on sparse request matrices.
-    pub fn transpose_into(&self, cols_out: &mut [u64]) {
-        assert!(self.rows <= 64, "transpose needs <= 64 rows");
-        assert!(cols_out.len() >= self.cols);
-        cols_out[..self.cols].fill(0);
-        for (r, &word) in self.words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let c = w.trailing_zeros() as usize;
-                w &= w - 1;
-                cols_out[c] |= 1 << r;
-            }
-        }
-    }
-}
-
 #[derive(Clone)]
 enum Words {
     Inline([u64; INLINE_WORDS]),
@@ -715,29 +621,5 @@ mod kernel_tests {
                 .any(|&s| pats.iter().any(|&b| mutant(s, b) != oracle_kill(s, b, 64)));
             assert!(caught, "mutant '{name}' survives the pinning grid");
         }
-    }
-
-    #[test]
-    fn bitmatrix64_roundtrip_and_transpose() {
-        let mut m = BitMatrix64::new(5, 7);
-        m.set(0, 6, true);
-        m.set(4, 0, true);
-        m.set(2, 3, true);
-        assert_eq!(m.count_ones(), 3);
-        assert!(m.get(0, 6) && m.get(4, 0) && m.get(2, 3) && !m.get(1, 1));
-        let mut cols = [u64::MAX; 8];
-        m.transpose_into(&mut cols);
-        assert_eq!(cols[6], 1 << 0);
-        assert_eq!(cols[0], 1 << 4);
-        assert_eq!(cols[3], 1 << 2);
-        assert_eq!(cols[1], 0);
-        // Slots past the column count are untouched.
-        assert_eq!(cols[7], u64::MAX);
-        m.set(2, 3, false);
-        assert_eq!(m.count_ones(), 2);
-        m.set_row(1, u64::MAX);
-        assert_eq!(m.row(1), width_mask(7));
-        m.clear();
-        assert_eq!(m.count_ones(), 0);
     }
 }

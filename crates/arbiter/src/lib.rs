@@ -29,7 +29,7 @@ mod round_robin;
 mod tree;
 
 pub use bank::{ArbiterBank, TreeBank};
-pub use bits::{BitMatrix64, Bits};
+pub use bits::Bits;
 pub use fixed::FixedPriorityArbiter;
 pub use matrix::MatrixArbiter;
 pub use round_robin::RoundRobinArbiter;

@@ -533,21 +533,20 @@ pub(crate) fn ablation_traffic(ctx: &FigCtx, out: &mut String) -> fmt::Result {
                 sa_kind: kind,
                 ..base.clone()
             };
-            let curve = latency_curve_with(&cfg, &rates, ctx.warmup, ctx.measure, ctx.run);
+            let curve = LatencyCurve {
+                label: label.to_string(),
+                results: latency_curve_with(&cfg, &rates, ctx.warmup, ctx.measure, ctx.run),
+                cfg,
+            };
             write!(out, "{label:<8}")?;
-            for r in &curve {
+            for r in &curve.results {
                 if r.stable {
                     write!(out, " {:>7.1}", r.avg_latency)?;
                 } else {
                     write!(out, " {:>7}", "sat")?;
                 }
             }
-            let sat = curve
-                .iter()
-                .filter(|r| r.stable)
-                .map(|r| r.offered)
-                .fold(0.0, f64::max);
-            writeln!(out, "  | saturation ~{sat:.3}")?;
+            writeln!(out, "  | saturation ~{:.3}", curve.saturation())?;
         }
         writeln!(out)?;
     }

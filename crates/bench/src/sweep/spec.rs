@@ -151,9 +151,11 @@ impl SweepGrid {
     }
 
     /// Checks the measurement window and every value on the axes
-    /// [`SimConfig::validate`] constrains. Its checks are per-field, so
-    /// one probe per axis value covers the whole cartesian product —
-    /// without expanding it, which an invalid value (zero VCs) would not
+    /// [`SimConfig::validate`] constrains. Its checks are per-field, but
+    /// for the VC count, whose limit depends on the topology's class
+    /// structure; so one probe per axis value, and per (topology, VCs)
+    /// pair, covers the whole cartesian product — without expanding it,
+    /// which an invalid value (zero VCs, a router too wide) would not
     /// survive.
     fn validate(&self) -> Result<(), ConfigError> {
         if self.measure == 0 {
@@ -168,7 +170,10 @@ impl SweepGrid {
         let each = |axis: &[usize], set: fn(&mut SimConfig, usize)| {
             axis.iter().try_for_each(|&v| probe(&|c| set(c, v)))
         };
-        each(&self.vcs, |c, v| c.vcs_per_class = v)?;
+        for &topology in &self.topology {
+            (self.vcs.iter())
+                .try_for_each(|&v| probe(&|c| (c.topology, c.vcs_per_class) = (topology, v)))?;
+        }
         each(&self.buf_depth, |c, v| c.buf_depth = v)?;
         each(&self.burst, |c, v| c.burst = v)?;
         each(&self.payload_flits, |c, v| c.payload_flits = v)?;
@@ -495,6 +500,10 @@ mod tests {
             r#"{"name":"t","grids":[{"rates":[-0.1]}]}"#,
             r#"{"name":"t","grids":[{"rates":[2]}]}"#,
             r#"{"name":"t","grids":[{"vcs":[1,0]}]}"#,
+            // Past 64 VCs per port: mesh is 2x1xC, fbfly 2x2xC, and every
+            // (topology, VCs) pair of a grid is a point.
+            r#"{"name":"t","grids":[{"vcs":[32,33]}]}"#,
+            r#"{"name":"t","grids":[{"topology":["mesh","fbfly"],"vcs":17}]}"#,
             r#"{"name":"t","grids":[{"buf_depth":0}]}"#,
             r#"{"name":"t","grids":[{"burst":0}]}"#,
             r#"{"name":"t","grids":[{"payload_flits":0}]}"#,
@@ -509,6 +518,13 @@ mod tests {
             r#"{"grids":[{}]}"#,
         ] {
             assert!(SweepSpec::from_json(bad).is_err(), "{bad}");
+        }
+        // Exactly 64 is a router.
+        for ok in [
+            r#"{"name":"t","grids":[{"vcs":32}]}"#,
+            r#"{"name":"t","grids":[{"topology":["fbfly","torus"],"vcs":16}]}"#,
+        ] {
+            SweepSpec::from_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
         }
     }
 

@@ -255,6 +255,7 @@ fn invalid_config_is_refused_and_the_daemon_keeps_serving() {
     let addr = daemon.addr().to_string();
     for bad in [
         r#"{"name":"e2e","grids":[{"vcs":[0],"warmup":50,"measure":100}]}"#,
+        r#"{"name":"e2e","grids":[{"vcs":[40],"warmup":50,"measure":100}]}"#,
         r#"{"name":"e2e","grids":[{"buf_depth":0,"warmup":50,"measure":100}]}"#,
         r#"{"name":"e2e","grids":[{"rates":[2],"warmup":50,"measure":100}]}"#,
         r#"{"name":"e2e","grids":[{"warmup":50,"measure":0}]}"#,

@@ -354,11 +354,17 @@ fn invalid_spec_is_rejected_before_anything_is_cached_or_journaled() {
     // From outside: the parser refuses it.
     let err = SweepSpec::from_json(r#"{"name":"bad","grids":[{"vcs":[0]}]}"#).unwrap_err();
     assert!(err.contains("grids[0]") && err.contains("VCs"), "{err}");
+    let err = SweepSpec::from_json(r#"{"name":"bad","grids":[{"vcs":[40]}]}"#).unwrap_err();
+    assert!(err.ends_with("grids[0]: 80 VCs per port exceed the 64 the allocators support"));
     // Built in code: `run_sweep` refuses it, touching neither directory.
     let root = scratch("invalid");
     for grid in [
         SweepGrid {
             vcs: vec![1, 0],
+            ..SweepGrid::default()
+        },
+        SweepGrid {
+            vcs: vec![2, 40],
             ..SweepGrid::default()
         },
         SweepGrid {

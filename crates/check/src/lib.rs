@@ -208,7 +208,7 @@ mod tests {
     fn paper_designs_are_deadlock_free() {
         for label in ["mesh", "fbfly", "torus"] {
             for c in [1usize, 2] {
-                let f = fixtures::paper_design(label, c);
+                let f = fixtures::paper_design(label, c).unwrap();
                 let rep = check_fixture(&f);
                 assert!(rep.passed(), "{}:\n{}", f.label, rep.render());
             }
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn torus_without_dateline_is_deadlocked_with_named_cycle() {
-        let f = fixtures::torus_no_dateline(2);
+        let f = fixtures::torus_no_dateline(2).unwrap();
         let rep = check_fixture(&f);
         assert!(!rep.passed());
         let cycle = rep
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn cyclic_vc_transition_mask_is_deadlocked() {
-        let f = fixtures::cyclic_vc_transitions(2);
+        let f = fixtures::cyclic_vc_transitions(2).unwrap();
         let rep = check_fixture(&f);
         assert!(!rep.passed());
         assert!(
@@ -245,8 +245,19 @@ mod tests {
     }
 
     #[test]
+    fn fixtures_refuse_a_vc_count_that_makes_no_router() {
+        // 2x1xC is a router up to C = 32, 2x2xC up to C = 16.
+        assert!(fixtures::torus_no_dateline(32).is_ok());
+        assert!(fixtures::paper_design("fbfly", 16).is_ok());
+        assert!(fixtures::torus_no_dateline(33).is_err());
+        assert!(fixtures::cyclic_vc_transitions(17).is_err());
+        assert!(fixtures::paper_design("torus", 17).is_err());
+        assert!(fixtures::paper_design("mesh", 0).is_err());
+    }
+
+    #[test]
     fn mismatched_spec_ports_is_a_wiring_error() {
-        let f = fixtures::paper_design("mesh", 2);
+        let f = fixtures::paper_design("mesh", 2).unwrap();
         let bad_spec = noc_core::VcAllocSpec::mesh(2).with_ports(10);
         let rep = check_design("mesh-bad-ports", &f.topo, &f.model, &bad_spec);
         assert!(!rep.passed());

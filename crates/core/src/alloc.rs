@@ -116,40 +116,16 @@ impl AllocatorKind {
         }
     }
 
-    /// Instantiates the scalar-reference predecessor of this kind: the
-    /// element-wise implementation each bit kernel was derived from, kept
-    /// alive in the per-module `reference` submodules. The differential
-    /// test layer drives this against [`AllocatorKind::build`] and asserts
-    /// grant-identical behaviour; it is not a fast path.
+    /// Instantiates the scalar oracle of this kind, for the differential
+    /// test layer to drive against [`AllocatorKind::build`]. Only the
+    /// wavefront has one ([`crate::reference::WavefrontAllocator`]): every
+    /// other kind has a single implementation, which is its own reference.
     pub fn build_reference(self, requesters: usize, resources: usize) -> Box<dyn Allocator + Send> {
-        use noc_arbiter::ArbiterKind::{Matrix, RoundRobin};
         match self {
-            AllocatorKind::SepIfMatrix => {
-                Box::new(crate::separable::reference::SeparableInputFirst::new(
-                    requesters, resources, Matrix,
-                ))
-            }
-            AllocatorKind::SepIfRr => {
-                Box::new(crate::separable::reference::SeparableInputFirst::new(
-                    requesters, resources, RoundRobin,
-                ))
-            }
-            AllocatorKind::SepOfMatrix => {
-                Box::new(crate::separable::reference::SeparableOutputFirst::new(
-                    requesters, resources, Matrix,
-                ))
-            }
-            AllocatorKind::SepOfRr => {
-                Box::new(crate::separable::reference::SeparableOutputFirst::new(
-                    requesters, resources, RoundRobin,
-                ))
-            }
-            AllocatorKind::Wavefront => Box::new(
-                crate::wavefront::reference::WavefrontAllocator::new(requesters, resources),
-            ),
-            AllocatorKind::MaxSize => {
-                Box::new(crate::maxsize::MaxSizeAllocator::new(requesters, resources))
-            }
+            AllocatorKind::Wavefront => Box::new(crate::reference::WavefrontAllocator::new(
+                requesters, resources,
+            )),
+            _ => self.build(requesters, resources),
         }
     }
 

@@ -20,6 +20,11 @@
 //! * speculative switch allocation (§5.2) with the conventional and the
 //!   paper's **pessimistic** masking schemes ([`spec`]).
 //!
+//! The allocators a router is built from (VC, switch, speculative) are `u64`
+//! word kernels over routers of at most [`MAX_WIDTH`] ports and
+//! [`MAX_WIDTH`] VCs per port; their scalar predecessors are kept in
+//! [`mod@reference`] as differential-testing oracles.
+//!
 //! Hardware cost (delay/area/power) of the same microarchitectures is
 //! modeled by the `noc-hw` crate; network-level behaviour by `noc-sim`.
 
@@ -27,6 +32,7 @@ pub mod alloc;
 pub mod augmenting;
 pub mod matrix;
 pub mod maxsize;
+pub mod reference;
 pub mod separable;
 pub mod spec;
 pub mod switch;
@@ -45,6 +51,6 @@ pub use switch::{
 pub use vc::{
     validate_live_vc_grants, validate_vc_grants, DenseVcAllocator, MatrixVcAllocator, OutVc,
     SeparableVcAllocator, SparseVcAllocator, SpecError, VcAllocSpec, VcAllocator, VcRequest,
-    VcRequestSet,
+    VcRequestSet, MAX_WIDTH,
 };
 pub use wavefront::{DiagonalPolicy, WavefrontAllocator};

@@ -97,12 +97,11 @@ impl SpecAllocResult {
 /// Dual-allocator speculative switch allocator (Figure 9).
 ///
 /// The masking stage is the Figure 9 AND gate verbatim: blocked input and
-/// output ports are collected into two `u64` port masks and every
-/// speculative grant is killed by a single AND-NOT
-/// ([`noc_arbiter::bits::spec_kill`]) per side. The element-wise `Vec<bool>`
-/// predecessor is kept as [`reference::mask_speculative`] for the
-/// differential suite (and as the fallback for routers wider than 64
-/// ports).
+/// output ports are collected into two `u64` port masks — a router has at
+/// most [`crate::MAX_WIDTH`] ports — and every speculative grant is killed
+/// by a single AND-NOT ([`noc_arbiter::bits::spec_kill`]) per side. The
+/// differential suite checks it against the element-wise
+/// [`crate::reference::mask_speculative`].
 pub struct SpeculativeSwitchAllocator {
     nonspec: Box<dyn SwitchAllocator + Send>,
     spec: Box<dyn SwitchAllocator + Send>,
@@ -183,11 +182,6 @@ impl SpeculativeSwitchAllocator {
         if out.spec.is_empty() {
             return;
         }
-        let ports = self.ports();
-        if ports > 64 {
-            reference::mask_speculative(self.mode, nonspec_reqs, out);
-            return;
-        }
         // Collect blocked ports into two u64 masks. A speculative grant set
         // is itself a matching, so projecting it onto port bit-vectors loses
         // nothing — the kill is one AND-NOT per side.
@@ -229,50 +223,6 @@ impl SpeculativeSwitchAllocator {
     pub fn reset(&mut self) {
         self.nonspec.reset();
         self.spec.reset();
-    }
-}
-
-/// Scalar predecessor of the AND-NOT masking kernel, kept as the
-/// differential-testing oracle and the wide-router fallback.
-pub mod reference {
-    use super::{SpecAllocResult, SpecMode, SwitchRequests};
-
-    /// Element-wise masking stage: per-port `Vec<bool>` blocked flags and a
-    /// per-grant retain sweep. Moves masked grants from `out.spec` to
-    /// `out.masked`, exactly like the `u64` kill in
-    /// [`super::SpeculativeSwitchAllocator::allocate_into`].
-    pub fn mask_speculative(
-        mode: SpecMode,
-        nonspec_reqs: &SwitchRequests,
-        out: &mut SpecAllocResult,
-    ) {
-        let ports = nonspec_reqs.ports();
-        let mut in_blocked = vec![false; ports];
-        let mut out_blocked = vec![false; ports];
-        match mode {
-            SpecMode::Conventional => {
-                for g in &out.nonspec {
-                    in_blocked[g.in_port] = true;
-                    out_blocked[g.out_port] = true;
-                }
-            }
-            SpecMode::Pessimistic => {
-                for p in 0..ports {
-                    in_blocked[p] = nonspec_reqs.input_active(p);
-                    out_blocked[p] = nonspec_reqs.output_requested(p);
-                }
-            }
-            SpecMode::NonSpeculative => return,
-        }
-        let SpecAllocResult { spec, masked, .. } = out;
-        spec.retain(|g| {
-            if in_blocked[g.in_port] || out_blocked[g.out_port] {
-                masked.push(*g);
-                false
-            } else {
-                true
-            }
-        });
     }
 }
 

@@ -8,40 +8,47 @@
 //! enforced structurally by all three implementations here, exactly as in
 //! Figure 8.
 //!
-//! Each allocator exists twice: a `u64` mask kernel over [`ArbiterBank`]
-//! state (used whenever `P <= 64` and `V <= 64`) and its scalar predecessor
-//! in [`reference`], kept alive as the differential oracle and as the
-//! fallback for wider configurations.
+//! Each allocator is one `u64` mask kernel over [`ArbiterBank`] state: the
+//! ports of a router and the VCs of a port are each one word, so `P` and `V`
+//! are at most [`crate::MAX_WIDTH`] — the widest router the paper builds has
+//! `P = 10`, `V = 16`. A wider router is refused where its dimensions enter
+//! ([`crate::VcAllocSpec::try_new`]); the constructors here assert the
+//! limit. The scalar predecessors of the kernels are the differential
+//! oracles in [`crate::reference`].
 
-use crate::vc::bits_of;
+use crate::vc::{bits_of, check_width};
 use crate::wavefront::WavefrontAllocator;
 use crate::{Allocator, BitMatrix};
-use noc_arbiter::{Arbiter, ArbiterBank, ArbiterKind, Bits};
+use noc_arbiter::{ArbiterBank, ArbiterKind, Bits};
+
+/// Panics, naming the limit and the offending value, unless a `ports`-port
+/// router with `vcs` VCs per port fits the word kernels.
+fn assert_width(ports: usize, vcs: usize) {
+    if let Err(e) = check_width(ports, vcs) {
+        panic!("{e}");
+    }
+}
 
 /// Requests for one switch-allocation round: for every input VC, the output
 /// port it wants this cycle (or none when idle).
 ///
-/// Kept as words, the form the kernels consume: per input port the VCs with
-/// a request, per (input, output) pair the VCs requesting that output, the
-/// port-level request matrix, and the masks of active inputs and requested
-/// outputs. Every one of them is updated by [`SwitchRequests::request`], so
-/// the read accessors are loads and [`SwitchRequests::clear`] touches only
-/// what the round set.
+/// Kept as words, the form the kernels consume: one word per input port for
+/// the VCs with a request, one per (input, output) pair for the VCs
+/// requesting that output, the port-level request matrix, and the masks of
+/// active inputs and requested outputs. Every one of them is updated by
+/// [`SwitchRequests::request`], so the read accessors are loads and
+/// [`SwitchRequests::clear`] touches only what the round set.
 #[derive(Clone, Debug)]
 pub struct SwitchRequests {
     ports: usize,
     vcs: usize,
-    /// Words per VC set, `⌈vcs / 64⌉` (one for every router the paper
-    /// builds).
-    vc_words: usize,
     /// Output requested by input VC `in_port * V + vc`; meaningful only
     /// where the `active` bit is set. Narrow on purpose: open-loop drivers
     /// hold thousands of request sets.
     out: Vec<u16>,
-    /// VCs at input `i` with a request: words `[i * vc_words ..]`.
+    /// `active[i]`: VCs at input `i` with a request.
     active: Vec<u64>,
-    /// VCs at input `i` requesting output `o`: words
-    /// `[(i * P + o) * vc_words ..]`.
+    /// `by_out[i * P + o]`: VCs at input `i` requesting output `o`.
     by_out: Vec<u64>,
     /// Entry `(i, o)` set iff any VC at input `i` requests output `o`.
     port: BitMatrix,
@@ -68,26 +75,17 @@ impl PartialEq for SwitchRequests {
 
 impl Eq for SwitchRequests {}
 
-/// The set bits of a word array as ascending indices.
-fn word_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words
-        .iter()
-        .enumerate()
-        .flat_map(|(wi, &w)| bits_of(w).map(move |b| wi * 64 + b))
-}
-
 impl SwitchRequests {
     /// All-idle request set for a `ports`-port router with `vcs` VCs/port.
+    /// Panics if either exceeds [`crate::MAX_WIDTH`].
     pub fn new(ports: usize, vcs: usize) -> Self {
-        assert!(ports <= usize::from(u16::MAX), "port index must fit u16");
-        let vc_words = vcs.div_ceil(64).max(1);
+        assert_width(ports, vcs);
         SwitchRequests {
             ports,
             vcs,
-            vc_words,
             out: vec![0; ports * vcs],
-            active: vec![0; ports * vc_words],
-            by_out: vec![0; ports * ports * vc_words],
+            active: vec![0; ports],
+            by_out: vec![0; ports * ports],
             port: BitMatrix::new(ports, ports),
             in_active: Bits::new(ports),
             out_requested: Bits::new(ports),
@@ -104,36 +102,28 @@ impl SwitchRequests {
         self.vcs
     }
 
-    /// The `by_out` words of the pair `(in_port, out_port)`.
-    #[inline]
-    fn pair(&self, in_port: usize, out_port: usize) -> std::ops::Range<usize> {
-        let at = (in_port * self.ports + out_port) * self.vc_words;
-        at..at + self.vc_words
-    }
-
     /// Registers that VC `vc` at input `in_port` wants output `out_port`.
     /// A VC holds one request: asking again replaces the earlier one.
     pub fn request(&mut self, in_port: usize, vc: usize, out_port: usize) {
         assert!(in_port < self.ports && vc < self.vcs && out_port < self.ports);
-        let (w, bit) = (vc / 64, 1u64 << (vc % 64));
+        let bit = 1u64 << vc;
         let g = in_port * self.vcs + vc;
-        if self.active[in_port * self.vc_words + w] & bit != 0 {
+        if self.active[in_port] & bit != 0 {
             let old = usize::from(self.out[g]);
             if old == out_port {
                 return;
             }
-            let pair = self.pair(in_port, old);
-            self.by_out[pair.start + w] &= !bit;
-            if self.by_out[pair].iter().all(|&x| x == 0) {
+            let pair = in_port * self.ports + old;
+            self.by_out[pair] &= !bit;
+            if self.by_out[pair] == 0 {
                 self.port.set(in_port, old, false);
                 let still = (0..self.ports).any(|i| self.port.get(i, old));
                 self.out_requested.set(old, still);
             }
         }
         self.out[g] = out_port as u16;
-        self.active[in_port * self.vc_words + w] |= bit;
-        let at = self.pair(in_port, out_port).start + w;
-        self.by_out[at] |= bit;
+        self.active[in_port] |= bit;
+        self.by_out[in_port * self.ports + out_port] |= bit;
         self.port.set(in_port, out_port, true);
         self.in_active.set(in_port, true);
         self.out_requested.set(out_port, true);
@@ -147,11 +137,10 @@ impl SwitchRequests {
         }
         for i in self.in_active.iter_set() {
             for o in self.port.row(i).iter_set() {
-                let pair = self.pair(i, o);
-                self.by_out[pair].fill(0);
+                self.by_out[i * self.ports + o] = 0;
             }
             self.port.row_mut(i).clear();
-            self.active[i * self.vc_words..(i + 1) * self.vc_words].fill(0);
+            self.active[i] = 0;
         }
         self.in_active.clear();
         self.out_requested.clear();
@@ -161,7 +150,7 @@ impl SwitchRequests {
     #[inline]
     pub fn get(&self, in_port: usize, vc: usize) -> Option<usize> {
         assert!(vc < self.vcs);
-        let live = self.active[in_port * self.vc_words + vc / 64] >> (vc % 64) & 1 != 0;
+        let live = self.active[in_port] >> vc & 1 != 0;
         live.then(|| usize::from(self.out[in_port * self.vcs + vc]))
     }
 
@@ -173,27 +162,26 @@ impl SwitchRequests {
 
     /// Bit vector over VCs at `in_port` that request *any* output.
     pub fn active_vcs(&self, in_port: usize) -> Bits {
-        let words = &self.active[in_port * self.vc_words..(in_port + 1) * self.vc_words];
-        Bits::from_indices(self.vcs, word_bits(words))
+        Bits::from_indices(self.vcs, bits_of(self.active[in_port]))
     }
 
-    /// [`SwitchRequests::active_vcs`] as a kernel word (`vcs <= 64`).
+    /// [`SwitchRequests::active_vcs`] as a kernel word.
     #[inline]
     pub fn active_vcs_word(&self, in_port: usize) -> u64 {
-        debug_assert!(self.vcs <= 64);
         self.active[in_port]
     }
 
     /// Bit vector over VCs at `in_port` requesting `out_port` specifically.
     pub fn vcs_for_output(&self, in_port: usize, out_port: usize) -> Bits {
-        let words = &self.by_out[self.pair(in_port, out_port)];
-        Bits::from_indices(self.vcs, word_bits(words))
+        Bits::from_indices(
+            self.vcs,
+            bits_of(self.vcs_for_output_word(in_port, out_port)),
+        )
     }
 
-    /// [`SwitchRequests::vcs_for_output`] as a kernel word (`vcs <= 64`).
+    /// [`SwitchRequests::vcs_for_output`] as a kernel word.
     #[inline]
     pub fn vcs_for_output_word(&self, in_port: usize, out_port: usize) -> u64 {
-        debug_assert!(self.vcs <= 64);
         self.by_out[in_port * self.ports + out_port]
     }
 
@@ -224,13 +212,13 @@ impl SwitchRequests {
         self.out_requested.get(out_port)
     }
 
-    /// The input ports with a request, as a kernel word (`ports <= 64`).
+    /// The input ports with a request, as a kernel word.
     #[inline]
     pub fn active_inputs_word(&self) -> u64 {
         self.in_active.low_word()
     }
 
-    /// The output ports requested, as a kernel word (`ports <= 64`).
+    /// The output ports requested, as a kernel word.
     #[inline]
     pub fn requested_outputs_word(&self) -> u64 {
         self.out_requested.low_word()
@@ -240,32 +228,30 @@ impl SwitchRequests {
     /// (`active` bits and their `out` slots). Allocation-free, so the
     /// router's per-cycle invariant sweep can afford it.
     pub fn check(&self) -> Result<(), String> {
-        let (p, wv) = (self.ports, self.vc_words);
+        let p = self.ports;
         for i in 0..p {
-            let active = &self.active[i * wv..(i + 1) * wv];
-            for vc in word_bits(active) {
+            let active = self.active[i];
+            for vc in bits_of(active) {
                 let o = usize::from(self.out[i * self.vcs + vc]);
                 if vc >= self.vcs || o >= p {
                     return Err(format!("request ({i}, {vc}) -> {o} out of range"));
                 }
-                if self.by_out[self.pair(i, o).start + vc / 64] >> (vc % 64) & 1 == 0 {
+                if self.by_out[i * p + o] >> vc & 1 == 0 {
                     return Err(format!("request ({i}, {vc}) -> {o} missing by output"));
                 }
             }
             // Every live VC sits in its own output's word, so equal bit
             // counts mean the by-output words hold nothing else.
-            let by_out = &self.by_out[i * p * wv..(i + 1) * p * wv];
-            let ones = |ws: &[u64]| ws.iter().map(|w| w.count_ones()).sum::<u32>();
-            if ones(by_out) != ones(active) {
+            let by_out = &self.by_out[i * p..(i + 1) * p];
+            if by_out.iter().map(|w| w.count_ones()).sum::<u32>() != active.count_ones() {
                 return Err(format!("stale by-output bits at input {i}"));
             }
-            for o in 0..p {
-                let any = self.by_out[self.pair(i, o)].iter().any(|&w| w != 0);
-                if self.port.get(i, o) != any {
+            for (o, &vcs) in by_out.iter().enumerate() {
+                if self.port.get(i, o) != (vcs != 0) {
                     return Err(format!("port matrix out of sync at ({i}, {o})"));
                 }
             }
-            if self.in_active.get(i) != active.iter().any(|&w| w != 0) {
+            if self.in_active.get(i) != (active != 0) {
                 return Err(format!("active-input mask out of sync at {i}"));
             }
         }
@@ -330,6 +316,7 @@ pub enum SwitchAllocatorKind {
 
 impl SwitchAllocatorKind {
     /// Instantiates the allocator for a `ports`-port, `vcs`-VC router.
+    /// Panics if either exceeds [`crate::MAX_WIDTH`].
     pub fn build(self, ports: usize, vcs: usize) -> Box<dyn SwitchAllocator + Send> {
         match self {
             SwitchAllocatorKind::SepIf(k) => Box::new(SepIfSwitchAllocator::new(ports, vcs, k)),
@@ -338,19 +325,19 @@ impl SwitchAllocatorKind {
         }
     }
 
-    /// Instantiates the scalar-reference predecessor (see [`reference`]);
-    /// driven against [`SwitchAllocatorKind::build`] by the differential
-    /// test layer.
+    /// Instantiates the scalar oracle of this kind (see
+    /// [`crate::reference`]); driven against [`SwitchAllocatorKind::build`]
+    /// by the differential test layer.
     pub fn build_reference(self, ports: usize, vcs: usize) -> Box<dyn SwitchAllocator + Send> {
         match self {
             SwitchAllocatorKind::SepIf(k) => {
-                Box::new(reference::SepIfSwitchAllocator::new(ports, vcs, k))
+                Box::new(crate::reference::SepIfSwitchAllocator::new(ports, vcs, k))
             }
             SwitchAllocatorKind::SepOf(k) => {
-                Box::new(reference::SepOfSwitchAllocator::new(ports, vcs, k))
+                Box::new(crate::reference::SepOfSwitchAllocator::new(ports, vcs, k))
             }
             SwitchAllocatorKind::Wavefront => {
-                Box::new(reference::WavefrontSwitchAllocator::new(ports, vcs))
+                Box::new(crate::reference::WavefrontSwitchAllocator::new(ports, vcs))
             }
         }
     }
@@ -381,10 +368,6 @@ impl SwitchAllocatorKind {
     }
 }
 
-fn kernel_fits(ports: usize, vcs: usize) -> bool {
-    ports <= 64 && vcs <= 64
-}
-
 /// Separable input-first switch allocator (Figure 8(a)).
 ///
 /// A `V:1` arbiter per input port first picks a winning VC among all active
@@ -394,40 +377,31 @@ fn kernel_fits(ports: usize, vcs: usize) -> bool {
 pub struct SepIfSwitchAllocator {
     ports: usize,
     vcs: usize,
-    inner: SepIfSwInner,
-}
-
-enum SepIfSwInner {
-    Kernel {
-        /// `V:1` arbiter per input port.
-        input: ArbiterBank,
-        /// `P:1` arbiter per output port.
-        output: ArbiterBank,
-        /// Stage-1 scratch, `(vc, out_port)` per input port; only the
-        /// slots of this round's requesting inputs are written and read.
-        winners: Vec<Option<(usize, usize)>>,
-        /// Forwarded-request accumulator: `incoming[o]` bit `i` set iff
-        /// input `i`'s stage-1 winner targets output `o`. All-zero between
-        /// calls (stage 2 clears exactly the slots stage 1 set).
-        incoming: Vec<u64>,
-    },
-    Reference(reference::SepIfSwitchAllocator),
+    /// `V:1` arbiter per input port.
+    input: ArbiterBank,
+    /// `P:1` arbiter per output port.
+    output: ArbiterBank,
+    /// Stage-1 scratch, `(vc, out_port)` per input port; only the slots of
+    /// this round's requesting inputs are written and read.
+    winners: Vec<Option<(usize, usize)>>,
+    /// Forwarded-request accumulator: `incoming[o]` bit `i` set iff input
+    /// `i`'s stage-1 winner targets output `o`. All-zero between calls
+    /// (stage 2 clears exactly the slots stage 1 set).
+    incoming: Vec<u64>,
 }
 
 impl SepIfSwitchAllocator {
     /// Builds the allocator with the given arbiter kind in both stages.
     pub fn new(ports: usize, vcs: usize, kind: ArbiterKind) -> Self {
-        let inner = if kernel_fits(ports, vcs) {
-            SepIfSwInner::Kernel {
-                input: ArbiterBank::new(kind, ports, vcs),
-                output: ArbiterBank::new(kind, ports, ports),
-                winners: vec![None; ports],
-                incoming: vec![0; ports],
-            }
-        } else {
-            SepIfSwInner::Reference(reference::SepIfSwitchAllocator::new(ports, vcs, kind))
-        };
-        SepIfSwitchAllocator { ports, vcs, inner }
+        assert_width(ports, vcs);
+        SepIfSwitchAllocator {
+            ports,
+            vcs,
+            input: ArbiterBank::new(kind, ports, vcs),
+            output: ArbiterBank::new(kind, ports, ports),
+            winners: vec![None; ports],
+            incoming: vec![0; ports],
+        }
     }
 }
 
@@ -453,65 +427,57 @@ impl SwitchAllocator for SepIfSwitchAllocator {
         if requests.is_empty() {
             return;
         }
-        match &mut self.inner {
-            SepIfSwInner::Reference(r) => r.allocate_into(requests, out),
-            SepIfSwInner::Kernel {
-                input,
-                output,
-                winners,
-                incoming,
-            } => {
-                // Stage 1: winning VC per requesting input port (an input
-                // without requests forwards nothing, so it is not visited).
-                let mut pending = 0u64; // outputs with >= 1 forwarded request
-                let mut inputs = requests.active_inputs_word();
-                while inputs != 0 {
-                    let i = inputs.trailing_zeros() as usize;
-                    inputs &= inputs - 1;
-                    // An arbitration winner always comes from the active-VC
-                    // mask, so its request is present.
-                    let w = input
-                        .arbitrate(i, requests.active_vcs_word(i))
-                        .and_then(|v| requests.get(i, v).map(|o| (v, o)));
-                    if let Some((_, o)) = w {
-                        incoming[o] |= 1 << i;
-                        pending |= 1 << o;
-                    }
-                    winners[i] = w;
-                }
-                // Stage 2: arbitration among forwarded requests at each
-                // output, in the same ascending output order as the scalar
-                // reference (outputs with no contenders grant nothing
-                // there, so skipping them is equivalent).
-                while pending != 0 {
-                    let o = pending.trailing_zeros() as usize;
-                    pending &= pending - 1;
-                    let inc = incoming[o];
-                    incoming[o] = 0;
-                    if let Some(i) = output.arbitrate(o, inc) {
-                        let Some((v, _)) = winners[i] else { continue };
-                        out.push(SwitchGrant {
-                            in_port: i,
-                            vc: v,
-                            out_port: o,
-                        });
-                        // Both stages succeeded: commit priority updates.
-                        input.update(i, v);
-                        output.update(o, i);
-                    }
-                }
+        let SepIfSwitchAllocator {
+            input,
+            output,
+            winners,
+            incoming,
+            ..
+        } = self;
+        // Stage 1: winning VC per requesting input port (an input without
+        // requests forwards nothing, so it is not visited).
+        let mut pending = 0u64; // outputs with >= 1 forwarded request
+        let mut inputs = requests.active_inputs_word();
+        while inputs != 0 {
+            let i = inputs.trailing_zeros() as usize;
+            inputs &= inputs - 1;
+            // An arbitration winner always comes from the active-VC mask,
+            // so its request is present.
+            let w = input
+                .arbitrate(i, requests.active_vcs_word(i))
+                .and_then(|v| requests.get(i, v).map(|o| (v, o)));
+            if let Some((_, o)) = w {
+                incoming[o] |= 1 << i;
+                pending |= 1 << o;
+            }
+            winners[i] = w;
+        }
+        // Stage 2: arbitration among forwarded requests at each output, in
+        // the same ascending output order as the scalar oracle (outputs
+        // with no contenders grant nothing there, so skipping them is
+        // equivalent).
+        while pending != 0 {
+            let o = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let inc = incoming[o];
+            incoming[o] = 0;
+            if let Some(i) = output.arbitrate(o, inc) {
+                let Some((v, _)) = winners[i] else { continue };
+                out.push(SwitchGrant {
+                    in_port: i,
+                    vc: v,
+                    out_port: o,
+                });
+                // Both stages succeeded: commit priority updates.
+                input.update(i, v);
+                output.update(o, i);
             }
         }
     }
 
     fn reset(&mut self) {
-        match &mut self.inner {
-            SepIfSwInner::Kernel { input, output, .. } => {
-                input.reset();
-                output.reset();
-            }
-            SepIfSwInner::Reference(r) => r.reset(),
-        }
+        self.input.reset();
+        self.output.reset();
     }
 }
 
@@ -526,39 +492,30 @@ impl SwitchAllocator for SepIfSwitchAllocator {
 pub struct SepOfSwitchAllocator {
     ports: usize,
     vcs: usize,
-    inner: SepOfSwInner,
-}
-
-enum SepOfSwInner {
-    Kernel {
-        /// `P:1` arbiter per output port.
-        output: ArbiterBank,
-        /// `V:1` arbiter per input port.
-        vc: ArbiterBank,
-        /// Combined request columns: `colw[o]` bit `i` set iff any VC at
-        /// input `i` requests output `o`. All-zero between calls.
-        colw: Vec<u64>,
-        /// Stage-1 wins per input: `won[i]` bit `o` set iff output `o`
-        /// chose input `i`. All-zero between calls.
-        won: Vec<u64>,
-    },
-    Reference(reference::SepOfSwitchAllocator),
+    /// `P:1` arbiter per output port.
+    output: ArbiterBank,
+    /// `V:1` arbiter per input port.
+    vc: ArbiterBank,
+    /// Combined request columns: `colw[o]` bit `i` set iff any VC at input
+    /// `i` requests output `o`. All-zero between calls.
+    colw: Vec<u64>,
+    /// Stage-1 wins per input: `won[i]` bit `o` set iff output `o` chose
+    /// input `i`. All-zero between calls.
+    won: Vec<u64>,
 }
 
 impl SepOfSwitchAllocator {
     /// Builds the allocator with the given arbiter kind in both stages.
     pub fn new(ports: usize, vcs: usize, kind: ArbiterKind) -> Self {
-        let inner = if kernel_fits(ports, vcs) {
-            SepOfSwInner::Kernel {
-                output: ArbiterBank::new(kind, ports, ports),
-                vc: ArbiterBank::new(kind, ports, vcs),
-                colw: vec![0; ports],
-                won: vec![0; ports],
-            }
-        } else {
-            SepOfSwInner::Reference(reference::SepOfSwitchAllocator::new(ports, vcs, kind))
-        };
-        SepOfSwitchAllocator { ports, vcs, inner }
+        assert_width(ports, vcs);
+        SepOfSwitchAllocator {
+            ports,
+            vcs,
+            output: ArbiterBank::new(kind, ports, ports),
+            vc: ArbiterBank::new(kind, ports, vcs),
+            colw: vec![0; ports],
+            won: vec![0; ports],
+        }
     }
 }
 
@@ -584,80 +541,72 @@ impl SwitchAllocator for SepOfSwitchAllocator {
         if requests.is_empty() {
             return;
         }
-        match &mut self.inner {
-            SepOfSwInner::Reference(r) => r.allocate_into(requests, out),
-            SepOfSwInner::Kernel {
-                output,
-                vc,
-                colw,
-                won,
-            } => {
-                // Transpose the port-level request rows into columns.
-                let mut inputs = requests.active_inputs_word();
-                while inputs != 0 {
-                    let i = inputs.trailing_zeros() as usize;
-                    inputs &= inputs - 1;
-                    let mut outs = requests.port_requests().row(i).low_word();
-                    while outs != 0 {
-                        colw[outs.trailing_zeros() as usize] |= 1 << i;
-                        outs &= outs - 1;
-                    }
-                }
-                let mut active = requests.requested_outputs_word();
-                // Stage 1: each output arbitrates among requesting inputs.
-                let mut pending = 0u64; // inputs chosen by >= 1 output
-                while active != 0 {
-                    let o = active.trailing_zeros() as usize;
-                    active &= active - 1;
-                    let inc = colw[o];
-                    colw[o] = 0;
-                    if let Some(i) = output.arbitrate(o, inc) {
-                        won[i] |= 1 << o;
-                        pending |= 1 << i;
-                    }
-                }
-                // Stage 2: each input picks a winning VC among those whose
-                // requested output was granted to it (ascending input
-                // order, like the scalar sweep over all inputs).
-                while pending != 0 {
-                    let i = pending.trailing_zeros() as usize;
-                    pending &= pending - 1;
-                    let wmask = won[i];
-                    won[i] = 0;
-                    let mut cand = 0u64;
-                    let mut outs = wmask;
-                    while outs != 0 {
-                        cand |= requests.vcs_for_output_word(i, outs.trailing_zeros() as usize);
-                        outs &= outs - 1;
-                    }
-                    // A winner always comes from the candidate mask, which
-                    // is built only from VCs with live requests.
-                    if let Some((v, o)) = vc
-                        .arbitrate(i, cand)
-                        .and_then(|v| requests.get(i, v).map(|o| (v, o)))
-                    {
-                        out.push(SwitchGrant {
-                            in_port: i,
-                            vc: v,
-                            out_port: o,
-                        });
-                        vc.update(i, v);
-                        // Only the output whose grant was consumed updates.
-                        output.update(o, i);
-                    }
-                }
+        let SepOfSwitchAllocator {
+            output,
+            vc,
+            colw,
+            won,
+            ..
+        } = self;
+        // Transpose the port-level request rows into columns.
+        let mut inputs = requests.active_inputs_word();
+        while inputs != 0 {
+            let i = inputs.trailing_zeros() as usize;
+            inputs &= inputs - 1;
+            let mut outs = requests.port_requests().row(i).low_word();
+            while outs != 0 {
+                colw[outs.trailing_zeros() as usize] |= 1 << i;
+                outs &= outs - 1;
+            }
+        }
+        let mut active = requests.requested_outputs_word();
+        // Stage 1: each output arbitrates among requesting inputs.
+        let mut pending = 0u64; // inputs chosen by >= 1 output
+        while active != 0 {
+            let o = active.trailing_zeros() as usize;
+            active &= active - 1;
+            let inc = colw[o];
+            colw[o] = 0;
+            if let Some(i) = output.arbitrate(o, inc) {
+                won[i] |= 1 << o;
+                pending |= 1 << i;
+            }
+        }
+        // Stage 2: each input picks a winning VC among those whose
+        // requested output was granted to it (ascending input order, like
+        // the scalar sweep over all inputs).
+        while pending != 0 {
+            let i = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let wmask = won[i];
+            won[i] = 0;
+            let mut cand = 0u64;
+            let mut outs = wmask;
+            while outs != 0 {
+                cand |= requests.vcs_for_output_word(i, outs.trailing_zeros() as usize);
+                outs &= outs - 1;
+            }
+            // A winner always comes from the candidate mask, which is built
+            // only from VCs with live requests.
+            if let Some((v, o)) = vc
+                .arbitrate(i, cand)
+                .and_then(|v| requests.get(i, v).map(|o| (v, o)))
+            {
+                out.push(SwitchGrant {
+                    in_port: i,
+                    vc: v,
+                    out_port: o,
+                });
+                vc.update(i, v);
+                // Only the output whose grant was consumed updates.
+                output.update(o, i);
             }
         }
     }
 
     fn reset(&mut self) {
-        match &mut self.inner {
-            SepOfSwInner::Kernel { output, vc, .. } => {
-                output.reset();
-                vc.reset();
-            }
-            SepOfSwInner::Reference(r) => r.reset(),
-        }
+        self.output.reset();
+        self.vc.reset();
     }
 }
 
@@ -675,42 +624,25 @@ pub struct WavefrontSwitchAllocator {
     vcs: usize,
     /// The `P × P` port matcher.
     wavefront: WavefrontAllocator,
-    inner: WfSwInner,
+    /// `presel` arbiter `i * P + o`: V:1 round-robin arbiter choosing the
+    /// VC at input `i` that will use output `o` if granted — one contiguous
+    /// bank.
+    presel: ArbiterBank,
     /// Grant scratch matrix, kept across calls so steady-state allocation
     /// stays at zero.
     port_grants: BitMatrix,
-}
-
-enum WfSwInner {
-    /// `presel[i * P + o]`: V:1 round-robin arbiter choosing the VC at
-    /// input `i` that will use output `o` if granted — one contiguous bank.
-    Kernel(ArbiterBank),
-    /// Boxed arbiters for `V > 64`.
-    Boxed(Vec<Box<dyn Arbiter + Send>>),
 }
 
 impl WavefrontSwitchAllocator {
     /// Builds the allocator (round-robin pre-selection, per the paper's
     /// `wf/rr` configuration).
     pub fn new(ports: usize, vcs: usize) -> Self {
-        let inner = if vcs <= 64 {
-            WfSwInner::Kernel(ArbiterBank::new(
-                ArbiterKind::RoundRobin,
-                ports * ports,
-                vcs,
-            ))
-        } else {
-            WfSwInner::Boxed(
-                (0..ports * ports)
-                    .map(|_| ArbiterKind::RoundRobin.build(vcs))
-                    .collect(),
-            )
-        };
+        assert_width(ports, vcs);
         WavefrontSwitchAllocator {
             ports,
             vcs,
             wavefront: WavefrontAllocator::new(ports, ports),
-            inner,
+            presel: ArbiterBank::new(ArbiterKind::RoundRobin, ports * ports, vcs),
             port_grants: BitMatrix::new(ports, ports),
         }
     }
@@ -742,28 +674,13 @@ impl SwitchAllocator for WavefrontSwitchAllocator {
             .allocate_into(requests.port_requests(), &mut self.port_grants);
         let ports = self.ports;
         for (i, o) in self.port_grants.iter_set() {
-            let v = match &mut self.inner {
-                WfSwInner::Kernel(bank) => {
-                    let v = bank.arbitrate(i * ports + o, requests.vcs_for_output_word(i, o));
-                    if let Some(v) = v {
-                        bank.update(i * ports + o, v);
-                    }
-                    v
-                }
-                WfSwInner::Boxed(presel) => {
-                    let arb = &mut presel[i * ports + o];
-                    let v = arb.arbitrate(&requests.vcs_for_output(i, o));
-                    if let Some(v) = v {
-                        arb.update(v);
-                    }
-                    v
-                }
-            };
+            let (pair, requesting) = (i * ports + o, requests.vcs_for_output_word(i, o));
             // The wavefront core only grants port pairs that requested.
-            let Some(v) = v else {
+            let Some(v) = self.presel.arbitrate(pair, requesting) else {
                 debug_assert!(false, "wavefront granted a port pair with no requesting VC");
                 continue;
             };
+            self.presel.update(pair, v);
             out.push(SwitchGrant {
                 in_port: i,
                 vc: v,
@@ -774,14 +691,7 @@ impl SwitchAllocator for WavefrontSwitchAllocator {
 
     fn reset(&mut self) {
         self.wavefront.reset();
-        match &mut self.inner {
-            WfSwInner::Kernel(bank) => bank.reset(),
-            WfSwInner::Boxed(presel) => {
-                for a in presel {
-                    a.reset();
-                }
-            }
-        }
+        self.presel.reset();
     }
 }
 
@@ -809,260 +719,6 @@ pub fn validate_switch_grants(
         out_used.set(g.out_port, true);
     }
     Ok(())
-}
-
-/// Scalar predecessors of the switch-allocator kernels: boxed per-port
-/// arbiters and element-wise stage sweeps, kept alive as differential
-/// oracles and as the wide-configuration fallback.
-pub mod reference {
-    use super::{SwitchAllocator, SwitchGrant, SwitchRequests};
-    use crate::wavefront;
-    use crate::{Allocator, BitMatrix};
-    use noc_arbiter::{Arbiter, ArbiterKind, Bits};
-
-    /// Scalar separable input-first switch allocator.
-    pub struct SepIfSwitchAllocator {
-        ports: usize,
-        vcs: usize,
-        input_arbs: Vec<Box<dyn Arbiter + Send>>,
-        output_arbs: Vec<Box<dyn Arbiter + Send>>,
-        winners: Vec<Option<(usize, usize)>>,
-    }
-
-    impl SepIfSwitchAllocator {
-        /// Scalar counterpart of [`super::SepIfSwitchAllocator::new`].
-        pub fn new(ports: usize, vcs: usize, kind: ArbiterKind) -> Self {
-            SepIfSwitchAllocator {
-                ports,
-                vcs,
-                input_arbs: (0..ports).map(|_| kind.build(vcs)).collect(),
-                output_arbs: (0..ports).map(|_| kind.build(ports)).collect(),
-                winners: Vec::with_capacity(ports),
-            }
-        }
-    }
-
-    impl SwitchAllocator for SepIfSwitchAllocator {
-        fn ports(&self) -> usize {
-            self.ports
-        }
-
-        fn vcs(&self) -> usize {
-            self.vcs
-        }
-
-        fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-            let mut grants = Vec::new();
-            self.allocate_into(requests, &mut grants);
-            grants
-        }
-
-        fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {
-            assert_eq!(requests.ports(), self.ports);
-            assert_eq!(requests.vcs(), self.vcs);
-            out.clear();
-            if requests.is_empty() {
-                return;
-            }
-            // Stage 1: winning VC per input port.
-            self.winners.clear();
-            for i in 0..self.ports {
-                let w = self.input_arbs[i]
-                    .arbitrate(&requests.active_vcs(i))
-                    .and_then(|v| requests.get(i, v).map(|out| (v, out)));
-                self.winners.push(w);
-            }
-            let winners = &self.winners;
-            // Stage 2: arbitration among forwarded requests at each output.
-            for o in 0..self.ports {
-                let mut incoming = Bits::new(self.ports);
-                for (i, w) in winners.iter().enumerate() {
-                    if matches!(w, Some((_, out)) if *out == o) {
-                        incoming.set(i, true);
-                    }
-                }
-                if let Some(i) = self.output_arbs[o].arbitrate(&incoming) {
-                    // `incoming` only carries inputs with a stage-1 winner.
-                    let Some((v, _)) = winners[i] else { continue };
-                    out.push(SwitchGrant {
-                        in_port: i,
-                        vc: v,
-                        out_port: o,
-                    });
-                    // Both stages succeeded: commit priority updates.
-                    self.input_arbs[i].update(v);
-                    self.output_arbs[o].update(i);
-                }
-            }
-        }
-
-        fn reset(&mut self) {
-            for a in self.input_arbs.iter_mut().chain(&mut self.output_arbs) {
-                a.reset();
-            }
-        }
-    }
-
-    /// Scalar separable output-first switch allocator.
-    pub struct SepOfSwitchAllocator {
-        ports: usize,
-        vcs: usize,
-        output_arbs: Vec<Box<dyn Arbiter + Send>>,
-        vc_arbs: Vec<Box<dyn Arbiter + Send>>,
-        stage1: Vec<Option<usize>>,
-    }
-
-    impl SepOfSwitchAllocator {
-        /// Scalar counterpart of [`super::SepOfSwitchAllocator::new`].
-        pub fn new(ports: usize, vcs: usize, kind: ArbiterKind) -> Self {
-            SepOfSwitchAllocator {
-                ports,
-                vcs,
-                output_arbs: (0..ports).map(|_| kind.build(ports)).collect(),
-                vc_arbs: (0..ports).map(|_| kind.build(vcs)).collect(),
-                stage1: Vec::with_capacity(ports),
-            }
-        }
-    }
-
-    impl SwitchAllocator for SepOfSwitchAllocator {
-        fn ports(&self) -> usize {
-            self.ports
-        }
-
-        fn vcs(&self) -> usize {
-            self.vcs
-        }
-
-        fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-            let mut grants = Vec::new();
-            self.allocate_into(requests, &mut grants);
-            grants
-        }
-
-        fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {
-            assert_eq!(requests.ports(), self.ports);
-            assert_eq!(requests.vcs(), self.vcs);
-            out.clear();
-            if requests.is_empty() {
-                return;
-            }
-            // Stage 1: each output arbitrates among all requesting inputs.
-            self.stage1.clear();
-            for o in 0..self.ports {
-                let w = self.output_arbs[o].arbitrate(&requests.port_requests().col(o));
-                self.stage1.push(w);
-            }
-            let stage1 = &self.stage1;
-            // Stage 2: each input picks a winning VC among those whose
-            // requested output was granted to it.
-            for i in 0..self.ports {
-                let mut candidates = Bits::new(self.vcs);
-                for v in 0..self.vcs {
-                    if let Some(o) = requests.get(i, v) {
-                        if stage1[o] == Some(i) {
-                            candidates.set(v, true);
-                        }
-                    }
-                }
-                if let Some(v) = self.vc_arbs[i].arbitrate(&candidates) {
-                    // `candidates` only carries VCs with a live request.
-                    let Some(o) = requests.get(i, v) else {
-                        continue;
-                    };
-                    out.push(SwitchGrant {
-                        in_port: i,
-                        vc: v,
-                        out_port: o,
-                    });
-                    self.vc_arbs[i].update(v);
-                    // Only the output whose grant was consumed updates.
-                    self.output_arbs[o].update(i);
-                }
-            }
-        }
-
-        fn reset(&mut self) {
-            for a in self.output_arbs.iter_mut().chain(&mut self.vc_arbs) {
-                a.reset();
-            }
-        }
-    }
-
-    /// Scalar wavefront switch allocator (scalar wavefront core + boxed
-    /// pre-selection arbiters).
-    pub struct WavefrontSwitchAllocator {
-        ports: usize,
-        vcs: usize,
-        wavefront: wavefront::reference::WavefrontAllocator,
-        presel: Vec<Box<dyn Arbiter + Send>>,
-        port_grants: BitMatrix,
-    }
-
-    impl WavefrontSwitchAllocator {
-        /// Scalar counterpart of [`super::WavefrontSwitchAllocator::new`].
-        pub fn new(ports: usize, vcs: usize) -> Self {
-            WavefrontSwitchAllocator {
-                ports,
-                vcs,
-                wavefront: wavefront::reference::WavefrontAllocator::new(ports, ports),
-                presel: (0..ports * ports)
-                    .map(|_| ArbiterKind::RoundRobin.build(vcs))
-                    .collect(),
-                port_grants: BitMatrix::new(ports, ports),
-            }
-        }
-    }
-
-    impl SwitchAllocator for WavefrontSwitchAllocator {
-        fn ports(&self) -> usize {
-            self.ports
-        }
-
-        fn vcs(&self) -> usize {
-            self.vcs
-        }
-
-        fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-            let mut grants = Vec::new();
-            self.allocate_into(requests, &mut grants);
-            grants
-        }
-
-        fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {
-            assert_eq!(requests.ports(), self.ports);
-            assert_eq!(requests.vcs(), self.vcs);
-            out.clear();
-            if requests.is_empty() {
-                return;
-            }
-            self.wavefront
-                .allocate_into(requests.port_requests(), &mut self.port_grants);
-            let ports = self.ports;
-            let (port_grants, presel) = (&self.port_grants, &mut self.presel);
-            for (i, o) in port_grants.iter_set() {
-                let arb = &mut presel[i * ports + o];
-                // The wavefront core only grants port pairs that requested.
-                let Some(v) = arb.arbitrate(&requests.vcs_for_output(i, o)) else {
-                    debug_assert!(false, "wavefront granted a port pair with no requesting VC");
-                    continue;
-                };
-                arb.update(v);
-                out.push(SwitchGrant {
-                    in_port: i,
-                    vc: v,
-                    out_port: o,
-                });
-            }
-        }
-
-        fn reset(&mut self) {
-            self.wavefront.reset();
-            for a in &mut self.presel {
-                a.reset();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1258,8 +914,8 @@ mod tests {
     #[test]
     fn clear_leaves_a_reusable_empty_set_at_any_width() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-        // One word per VC set, and two (V = 70).
-        for (p, v) in [(5, 4), (3, 70)] {
+        // A narrow set, and the widest word in either dimension.
+        for (p, v) in [(5, 4), (3, 64), (64, 2)] {
             let mut kept = SwitchRequests::new(p, v);
             for _ in 0..20 {
                 let fresh = random_requests(&mut rng, p, v, 0.3);
@@ -1276,6 +932,35 @@ mod tests {
                 kept.check().unwrap();
                 assert_eq!(kept, fresh);
                 assert_eq!(kept.active_vcs(0), fresh.active_vcs(0));
+            }
+        }
+    }
+
+    #[test]
+    fn the_word_width_is_the_widest_router_built() {
+        // At the limit every raw-dimension constructor builds and runs.
+        for (p, v) in [(crate::MAX_WIDTH, 1), (2, crate::MAX_WIDTH)] {
+            let mut reqs = SwitchRequests::new(p, v);
+            reqs.request(p - 1, v - 1, p - 1);
+            for kind in kinds() {
+                let grants = kind.build(p, v).allocate(&reqs);
+                assert_eq!(grants.len(), 1, "{kind:?} at P={p} V={v}");
+            }
+        }
+        // One past it each panics, naming the limit and the value.
+        let builders: [fn(usize, usize); 4] = [
+            |p, v| drop(SwitchRequests::new(p, v)),
+            |p, v| drop(kinds()[0].build(p, v)),
+            |p, v| drop(kinds()[2].build(p, v)),
+            |p, v| drop(kinds()[4].build(p, v)),
+        ];
+        for build in builders {
+            for (p, v, what) in [(65, 1, "65 ports"), (2, 65, "65 VCs per port")] {
+                let msg = *std::panic::catch_unwind(|| build(p, v))
+                    .expect_err("built past the limit")
+                    .downcast::<String>()
+                    .expect("panic message");
+                assert!(msg.contains(what) && msg.contains("64"), "{msg}");
             }
         }
     }

@@ -6,8 +6,28 @@
 //! function. §4.2's *sparse VC allocation* additionally exploits the static
 //! structure of VC usage — the decomposition `V = M × R × C` into message
 //! classes, resource classes and class banks — to shrink the allocator.
+//!
+//! Every allocator here is one word kernel: the ports of a router and the
+//! VCs of a port are each a `u64`, so [`VcAllocSpec::try_new`] refuses more
+//! than [`MAX_WIDTH`] of either (the paper's widest router has 10 and 16)
+//! and everything downstream takes the spec as checked. The kernels' scalar
+//! predecessors are the differential oracles in [`mod@reference`].
 
-use crate::{Allocator, AllocatorKind, BitMatrix};
+use crate::{reference, Allocator, AllocatorKind, BitMatrix};
+
+/// Most ports per router and most VCs per port the allocators cover: each
+/// set is one kernel word.
+pub const MAX_WIDTH: usize = u64::BITS as usize;
+
+/// Checks router dimensions against [`MAX_WIDTH`].
+pub(crate) fn check_width(ports: usize, vcs: usize) -> Result<(), SpecError> {
+    for (dimension, value) in [("ports", ports), ("VCs per port", vcs)] {
+        if value > MAX_WIDTH {
+            return Err(SpecError::TooWide { dimension, value });
+        }
+    }
+    Ok(())
+}
 
 /// Describes how a router's VCs decompose into message classes (`M`),
 /// resource classes (`R`) and VCs per class (`C`), with `V = M*R*C`
@@ -36,15 +56,14 @@ pub struct VcAllocSpec {
     /// `(msg, res, bank)` of every VC index, so the per-request decode in
     /// the allocators is a load instead of two divisions.
     vc_classes: Vec<(usize, usize, usize)>,
-    /// `rc_succ` one word per class: bit `to` of `succ_mask[from]` (classes
-    /// past 63 have no bit; see [`VcRequestSet`]).
+    /// `rc_succ` one word per class: bit `to` of `succ_mask[from]`.
     succ_mask: Vec<u64>,
 }
 
 /// Why a [`VcAllocSpec`] could not be constructed. Produced by
 /// [`VcAllocSpec::try_new`]; static-analysis tooling (`noc check`) reports
 /// these instead of aborting.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpecError {
     /// One of the `P`/`M`/`R`/`C` dimensions is zero.
     ZeroDimension {
@@ -65,6 +84,14 @@ pub enum SpecError {
     DeadEndClass {
         /// The successor-less resource class.
         class: usize,
+    },
+    /// The router has more ports, or more VCs per port (`M*R*C`), than
+    /// [`MAX_WIDTH`].
+    TooWide {
+        /// `ports` or `VCs per port`.
+        dimension: &'static str,
+        /// The offending count.
+        value: usize,
     },
 }
 
@@ -91,6 +118,10 @@ impl std::fmt::Display for SpecError {
             SpecError::DeadEndClass { class } => {
                 write!(f, "resource class {class} has no successor")
             }
+            SpecError::TooWide { dimension, value } => write!(
+                f,
+                "{value} {dimension} exceed the {MAX_WIDTH} the allocators support"
+            ),
         }
     }
 }
@@ -100,8 +131,9 @@ impl std::error::Error for SpecError {}
 impl VcAllocSpec {
     /// Creates a spec with an explicit resource-class transition relation,
     /// reporting rather than panicking on invalid input: the dimensions
-    /// must be nonzero, `rc_succ` must be `R × R`, and every class needs at
-    /// least one successor (otherwise packets in it could never move).
+    /// must be nonzero, `P` and `V = M*R*C` at most [`MAX_WIDTH`],
+    /// `rc_succ` must be `R × R`, and every class needs at least one
+    /// successor (otherwise packets in it could never move).
     pub fn try_new(
         ports: usize,
         msg_classes: usize,
@@ -119,6 +151,9 @@ impl VcAllocSpec {
                 return Err(SpecError::ZeroDimension { dimension });
             }
         }
+        // Before anything is sized by it: `V` entries are allocated below.
+        let vcs = (msg_classes.saturating_mul(resource_classes)).saturating_mul(vcs_per_class);
+        check_width(ports, vcs)?;
         if rc_succ.len() != resource_classes {
             return Err(SpecError::TransitionShape {
                 rows: rc_succ.len(),
@@ -138,7 +173,7 @@ impl VcAllocSpec {
                 return Err(SpecError::DeadEndClass { class: from });
             }
         }
-        let vc_classes = (0..msg_classes * resource_classes * vcs_per_class)
+        let vc_classes = (0..vcs)
             .map(|vc| {
                 let cls = vc / vcs_per_class;
                 (
@@ -152,7 +187,6 @@ impl VcAllocSpec {
             .iter()
             .map(|row| {
                 row.iter()
-                    .take(64)
                     .enumerate()
                     .fold(0u64, |m, (to, &legal)| m | u64::from(legal) << to)
             })
@@ -230,11 +264,19 @@ impl VcAllocSpec {
         )
     }
 
-    /// Same class structure on a custom port count.
-    pub fn with_ports(mut self, ports: usize) -> Self {
-        assert!(ports > 0);
-        self.ports = ports;
-        self
+    /// Same class structure on a custom port count. Panics, like
+    /// [`VcAllocSpec::new`], if `ports` is zero or above [`MAX_WIDTH`].
+    pub fn with_ports(self, ports: usize) -> Self {
+        let (m, r, c) = (self.msg_classes, self.resource_classes, self.vcs_per_class);
+        VcAllocSpec::new(ports, m, r, c, self.rc_succ)
+    }
+
+    /// Same ports and class structure with `vcs_per_class` VCs per class —
+    /// the check a `C` arriving from outside the program (a `--vcs` flag, a
+    /// sweep axis) goes through before any preset is built from it.
+    pub fn with_vcs_per_class(&self, vcs_per_class: usize) -> Result<Self, SpecError> {
+        let (m, r) = (self.msg_classes, self.resource_classes);
+        VcAllocSpec::try_new(self.ports, m, r, vcs_per_class, self.rc_succ.clone())
     }
 
     /// Router port count `P`.
@@ -563,7 +605,7 @@ fn spread_grants(grants: &[(usize, OutVc)], n: usize, results: &mut Vec<Option<O
 
 /// Asserts that a request of VC `in_vc` of some input port for the classes
 /// in `classes` at `out_port` is legal.
-fn validate_request(spec: &VcAllocSpec, in_vc: usize, out_port: usize, classes: u64) {
+pub(crate) fn validate_request(spec: &VcAllocSpec, in_vc: usize, out_port: usize, classes: u64) {
     assert!(out_port < spec.ports(), "out port out of range");
     let (_, ir, _) = spec.vc_class(in_vc);
     assert!(classes != 0, "request with no candidate classes");
@@ -587,33 +629,9 @@ pub(crate) fn bits_of(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Computes, for VC `in_vc` of some input port, the candidate output VCs (as
-/// a `V`-wide mask over VC indices at the destination port): free output VCs
-/// in the requested classes of the input VC's own message class.
-fn candidate_mask(
-    spec: &VcAllocSpec,
-    in_vc: usize,
-    out_port: usize,
-    classes: u64,
-    free_out: &BitMatrix,
-) -> noc_arbiter::Bits {
-    let (im, _, _) = spec.vc_class(in_vc);
-    let mut mask = noc_arbiter::Bits::new(spec.total_vcs());
-    for rc in bits_of(classes) {
-        let base = spec.class_base(im, rc);
-        for bank in 0..spec.vcs_per_class() {
-            let ov = base + bank;
-            if free_out.get(out_port, ov) {
-                mask.set(ov, true);
-            }
-        }
-    }
-    mask
-}
-
-/// [`candidate_mask`] as a kernel word over VC indices at the destination
-/// port (`V <= 64`): free output VCs in the requested classes of the input
-/// VC's own message class.
+/// Computes, for VC `in_vc` of some input port, the candidate output VCs as
+/// a word over VC indices at the destination port: free output VCs in the
+/// requested classes of the input VC's own message class.
 #[inline]
 fn candidate_word(
     spec: &VcAllocSpec,
@@ -622,7 +640,6 @@ fn candidate_word(
     classes: u64,
     free_out: &BitMatrix,
 ) -> u64 {
-    debug_assert!(spec.total_vcs() <= 64);
     let (im, _, _) = spec.vc_class(in_vc);
     let class_ones = noc_arbiter::bits::width_mask(spec.vcs_per_class());
     let mut class_bits = 0u64;
@@ -630,13 +647,6 @@ fn candidate_word(
         class_bits |= class_ones << spec.class_base(im, rc);
     }
     free_out.row(out_port).low_word() & class_bits
-}
-
-/// True if the word kernels cover `spec`: one `u64` per port group and per
-/// VC row. Wider routers — none of the paper's — take the scalar
-/// [`reference`] path.
-fn fits_word_kernel(spec: &VcAllocSpec) -> bool {
-    spec.ports() <= 64 && spec.total_vcs() <= 64
 }
 
 /// The arbiter *span* of a VC allocator: how many VC indices one arbiter
@@ -693,12 +703,10 @@ fn separable_stages(kind: AllocatorKind) -> Option<(bool, noc_arbiter::ArbiterKi
 /// output-first (§4.3.2).
 ///
 /// Implemented as a word kernel over contiguous [`noc_arbiter::ArbiterBank`]
-/// / [`noc_arbiter::TreeBank`] state for any `P <= 64`, `V <= 64`: the bids
-/// for one output VC are kept as `P` words of `V` bits — one word per leaf
-/// of the §4.1 tree arbiter — so the total width `P*V` is not bounded by a
-/// machine word. The boxed-arbiter scalar predecessor lives in
-/// [`reference`]; [`DenseVcAllocator`] and [`SparseVcAllocator`] fall back
-/// to it for wider routers.
+/// / [`noc_arbiter::TreeBank`] state: the bids for one output VC are kept as
+/// `P` words of `V` bits — one word per leaf of the §4.1 tree arbiter — so
+/// the total width `P*V` is not bounded by a machine word. The boxed-arbiter
+/// scalar predecessor is [`reference::SeparableVcAllocator`].
 ///
 /// With `span < V` (sparse) every arbiter ranges over one message class
 /// only: VC index `vc` appears at an arbiter as bit `vc % span`, and class
@@ -736,7 +744,6 @@ pub struct SeparableVcAllocator {
 
 impl SeparableVcAllocator {
     /// Builds the dense Figure 3 structure with the given arbiter kind.
-    /// Panics if `P > 64` or `V > 64`.
     pub fn new(spec: VcAllocSpec, input_first: bool, kind: noc_arbiter::ArbiterKind) -> Self {
         Self::build(spec, input_first, kind, false)
     }
@@ -748,10 +755,6 @@ impl SeparableVcAllocator {
         kind: noc_arbiter::ArbiterKind,
         sparse: bool,
     ) -> Self {
-        assert!(
-            fits_word_kernel(&spec),
-            "router too wide for the word kernel"
-        );
         let ports = spec.ports();
         let n = ports * spec.total_vcs();
         let span = arbiter_span(&spec, sparse);
@@ -1036,14 +1039,8 @@ impl MatrixVcAllocator {
             validate_request(spec, iv, out_port, classes);
             let row = blocks[window].matrix.row_mut(row);
             let col0 = out_port * span;
-            if v <= 64 {
-                for ov in bits_of(candidate_word(spec, iv, out_port, classes, free_out)) {
-                    row.set(col0 + ov - base, true);
-                }
-            } else {
-                for ov in candidate_mask(spec, iv, out_port, classes, free_out).iter_set() {
-                    row.set(col0 + ov - base, true);
-                }
+            for ov in bits_of(candidate_word(spec, iv, out_port, classes, free_out)) {
+                row.set(col0 + ov - base, true);
             }
         });
         for block in blocks.iter_mut() {
@@ -1062,23 +1059,19 @@ impl MatrixVcAllocator {
     }
 }
 
-/// Builds the production allocator for `kind`, dense or sparse: the
-/// Figure 3 structure appropriate for the core architecture, on the word
-/// kernels whenever the router fits them.
+/// Builds the allocator for `kind`, dense or sparse: the Figure 3 structure
+/// appropriate for the core architecture.
 fn build_vc_allocator(
     spec: VcAllocSpec,
     kind: AllocatorKind,
     sparse: bool,
 ) -> Box<dyn VcAllocator + Send> {
     match separable_stages(kind) {
-        Some((input_first, arbiter)) if fits_word_kernel(&spec) => Box::new(
-            SeparableVcAllocator::build(spec, input_first, arbiter, sparse),
-        ),
-        Some(_) if sparse => Box::new(reference::SparseVcAllocator::new(spec, kind)),
-        Some((input_first, arbiter)) => Box::new(reference::SeparableVcAllocator::new(
+        Some((input_first, arbiter)) => Box::new(SeparableVcAllocator::build(
             spec,
             input_first,
             arbiter,
+            sparse,
         )),
         None => Box::new(MatrixVcAllocator::build(spec, sparse, |n| kind.build(n, n))),
     }
@@ -1102,9 +1095,9 @@ impl DenseVcAllocator {
         }
     }
 
-    /// [`DenseVcAllocator::new`] built entirely from scalar-reference
-    /// implementations (sort-based separable stages, element-wise cores) —
-    /// the oracle side of the differential test layer.
+    /// [`DenseVcAllocator::new`] built entirely from the scalar oracles of
+    /// [`mod@reference`] (sort-based separable stages, element-wise
+    /// cores) — the oracle side of the differential test layer.
     pub fn new_reference(spec: VcAllocSpec, kind: AllocatorKind) -> Self {
         let inner: Box<dyn VcAllocator + Send> = match separable_stages(kind) {
             Some((input_first, arbiter)) => Box::new(reference::SeparableVcAllocator::new(
@@ -1221,296 +1214,6 @@ impl VcAllocator for SparseVcAllocator {
     }
 }
 
-/// Scalar predecessors of the VC-allocation word kernels, kept alive as
-/// differential-testing oracles (and as the fallback for routers with
-/// `P > 64` or `V > 64`). Element-wise `Bits` masks, sort-based bid grouping
-/// and per-class request projection instead of `u64` words, ctz sweeps and
-/// index shifts.
-pub mod reference {
-    use super::{
-        candidate_mask, validate_request, AllocatorKind, BitMatrix, DenseVcAllocator, OutVc,
-        VcAllocSpec, VcAllocator, VcRequest,
-    };
-
-    /// Scalar separable VC allocator: boxed per-arbiter state and a sorted
-    /// `(out_flat, g)` bid edge list where the kernel uses
-    /// [`noc_arbiter::ArbiterBank`] words and a pending mask. Grant- and
-    /// priority-identical to the kernel by construction: the sorted group
-    /// sweep visits output VCs in ascending `out_flat` order, exactly the
-    /// kernel's ctz pop order over its pending mask.
-    pub struct SeparableVcAllocator {
-        spec: VcAllocSpec,
-        input_first: bool,
-        /// Per input VC (`P*V`): `V:1` arbiter over output-VC indices at the
-        /// destination port.
-        input_arbs: Vec<Box<dyn noc_arbiter::Arbiter + Send>>,
-        /// Per output VC (`P*V`): `P*V:1` *tree* arbiter over input VCs.
-        output_arbs: Vec<Box<dyn noc_arbiter::Arbiter + Send>>,
-        /// Reusable stage-1 bid edge list `(out_flat, g)`.
-        bids: Vec<(usize, usize)>,
-        /// Reusable output-first stage-1 winner list and its per-input
-        /// regroup.
-        stage1: Vec<(usize, usize)>,
-        by_input: Vec<(usize, usize)>,
-    }
-
-    impl SeparableVcAllocator {
-        /// Builds the Figure 3 structure with the given arbiter kind.
-        pub fn new(spec: VcAllocSpec, input_first: bool, kind: noc_arbiter::ArbiterKind) -> Self {
-            let v = spec.total_vcs();
-            let n = spec.ports() * v;
-            SeparableVcAllocator {
-                input_first,
-                input_arbs: (0..n).map(|_| kind.build(v)).collect(),
-                output_arbs: (0..n)
-                    .map(|_| {
-                        Box::new(noc_arbiter::TreeArbiter::new(spec.ports(), v, kind))
-                            as Box<dyn noc_arbiter::Arbiter + Send>
-                    })
-                    .collect(),
-                spec,
-                // One bid per input VC at most, so pre-sizing to `n` keeps
-                // the per-cycle scratch lists allocation-free.
-                bids: Vec::with_capacity(n),
-                stage1: Vec::with_capacity(n),
-                by_input: Vec::with_capacity(n),
-            }
-        }
-    }
-
-    impl VcAllocator for SeparableVcAllocator {
-        fn spec(&self) -> &VcAllocSpec {
-            &self.spec
-        }
-
-        fn allocate_into(
-            &mut self,
-            requests: &[Option<VcRequest>],
-            free_out: &BitMatrix,
-            results: &mut Vec<Option<OutVc>>,
-        ) {
-            // Split borrows so the arbiters can be driven mutably while the
-            // spec and scratch buffers are read.
-            let SeparableVcAllocator {
-                spec,
-                input_first,
-                input_arbs,
-                output_arbs,
-                bids,
-                stage1,
-                by_input,
-            } = self;
-            let v = spec.total_vcs();
-            let n = spec.ports() * v;
-            assert_eq!(requests.len(), n, "one request slot per input VC");
-            results.clear();
-            results.resize(n, None);
-
-            // Sparse edge list `(out_flat, g)` of stage-1 bids — iterating
-            // only requested outputs keeps work O(requests).
-            bids.clear();
-
-            if *input_first {
-                // Stage 1: each input VC picks one output VC at its port.
-                for (g, req) in requests.iter().enumerate() {
-                    let Some(req) = req else { continue };
-                    let classes = req.class_mask();
-                    validate_request(spec, g % v, req.out_port, classes);
-                    let mask = candidate_mask(spec, g % v, req.out_port, classes, free_out);
-                    if let Some(ov) = input_arbs[g].arbitrate(&mask) {
-                        bids.push((req.out_port * v + ov, g));
-                    }
-                }
-                // Stage 2: each bid-receiving output VC arbitrates.
-                bids.sort_unstable();
-                let mut i = 0;
-                while i < bids.len() {
-                    let out_flat = bids[i].0;
-                    let mut incoming = noc_arbiter::Bits::new(n);
-                    let mut j = i;
-                    while j < bids.len() && bids[j].0 == out_flat {
-                        incoming.set(bids[j].1, true);
-                        j += 1;
-                    }
-                    i = j;
-                    if let Some(g) = output_arbs[out_flat].arbitrate(&incoming) {
-                        results[g] = Some(OutVc {
-                            port: out_flat / v,
-                            vc: out_flat % v,
-                        });
-                        input_arbs[g].update(out_flat % v);
-                        output_arbs[out_flat].update(g);
-                    }
-                }
-            } else {
-                // Stage 1: each requested output VC arbitrates among all
-                // requesting input VCs.
-                for (g, req) in requests.iter().enumerate() {
-                    let Some(req) = req else { continue };
-                    let classes = req.class_mask();
-                    validate_request(spec, g % v, req.out_port, classes);
-                    let mask = candidate_mask(spec, g % v, req.out_port, classes, free_out);
-                    for ov in mask.iter_set() {
-                        bids.push((req.out_port * v + ov, g));
-                    }
-                }
-                bids.sort_unstable();
-                stage1.clear(); // (out_flat, winner g)
-                let mut i = 0;
-                while i < bids.len() {
-                    let out_flat = bids[i].0;
-                    let mut incoming = noc_arbiter::Bits::new(n);
-                    let mut j = i;
-                    while j < bids.len() && bids[j].0 == out_flat {
-                        incoming.set(bids[j].1, true);
-                        j += 1;
-                    }
-                    i = j;
-                    if let Some(g) = output_arbs[out_flat].arbitrate(&incoming) {
-                        stage1.push((out_flat, g));
-                    }
-                }
-                // Stage 2: each input VC picks among output VCs that chose
-                // it.
-                by_input.clear();
-                by_input.extend(stage1.iter().map(|&(out_flat, g)| (g, out_flat)));
-                by_input.sort_unstable();
-                let mut i = 0;
-                while i < by_input.len() {
-                    let g = by_input[i].0;
-                    let mut j = i;
-                    while j < by_input.len() && by_input[j].0 == g {
-                        j += 1;
-                    }
-                    // Stage-1 winners can only come from live requests.
-                    let Some(req) = requests[g].as_ref() else {
-                        i = j;
-                        continue;
-                    };
-                    let mut won = noc_arbiter::Bits::new(v);
-                    for k in i..j {
-                        debug_assert_eq!(by_input[k].1 / v, req.out_port);
-                        won.set(by_input[k].1 % v, true);
-                    }
-                    i = j;
-                    if let Some(ov) = input_arbs[g].arbitrate(&won) {
-                        let out_flat = req.out_port * v + ov;
-                        results[g] = Some(OutVc {
-                            port: req.out_port,
-                            vc: ov,
-                        });
-                        input_arbs[g].update(ov);
-                        output_arbs[out_flat].update(g);
-                    }
-                }
-            }
-        }
-
-        fn reset(&mut self) {
-            for a in self.input_arbs.iter_mut().chain(&mut self.output_arbs) {
-                a.reset();
-            }
-        }
-    }
-
-    /// The sparse VC allocator as §4.2 words it: `M` independent dense
-    /// sub-allocators, each over the `P*R*C` VCs of one message class and
-    /// fed a projection of the requests and of the free-VC map onto that
-    /// class. Fresh projections every call — nothing here is fast.
-    pub struct SparseVcAllocator {
-        spec: VcAllocSpec,
-        /// Class structure of one message class.
-        sub_spec: VcAllocSpec,
-        /// One scalar-reference sub-allocator per message class.
-        subs: Vec<DenseVcAllocator>,
-    }
-
-    impl SparseVcAllocator {
-        /// Scalar counterpart of [`super::SparseVcAllocator::new`].
-        pub fn new(spec: VcAllocSpec, kind: AllocatorKind) -> Self {
-            let sub_spec = VcAllocSpec::new(
-                spec.ports(),
-                1,
-                spec.resource_classes(),
-                spec.vcs_per_class(),
-                spec.rc_succ.clone(),
-            );
-            SparseVcAllocator {
-                subs: (0..spec.msg_classes())
-                    .map(|_| DenseVcAllocator::new_reference(sub_spec.clone(), kind))
-                    .collect(),
-                sub_spec,
-                spec,
-            }
-        }
-    }
-
-    impl VcAllocator for SparseVcAllocator {
-        fn spec(&self) -> &VcAllocSpec {
-            &self.spec
-        }
-
-        fn allocate_into(
-            &mut self,
-            requests: &[Option<VcRequest>],
-            free_out: &BitMatrix,
-            results: &mut Vec<Option<OutVc>>,
-        ) {
-            let spec = &self.spec;
-            let v = spec.total_vcs();
-            let v_sub = self.sub_spec.total_vcs();
-            let n = spec.ports() * v;
-            assert_eq!(requests.len(), n, "one request slot per input VC");
-            results.clear();
-            results.resize(n, None);
-
-            for (m, sub) in self.subs.iter_mut().enumerate() {
-                // Project requests and availability onto message class m.
-                let mut sub_reqs: Vec<Option<VcRequest>> = vec![None; spec.ports() * v_sub];
-                for (g, req) in requests.iter().enumerate() {
-                    let Some(req) = req else { continue };
-                    let (im, ir, ibank) = spec.vc_class(g % v);
-                    if im != m {
-                        continue;
-                    }
-                    validate_request(spec, g % v, req.out_port, req.class_mask());
-                    let sub_vc = ir * spec.vcs_per_class() + ibank;
-                    sub_reqs[(g / v) * v_sub + sub_vc] = Some(req.clone());
-                }
-                let mut sub_free = BitMatrix::new(spec.ports(), v_sub);
-                for p in 0..spec.ports() {
-                    for sv in 0..v_sub {
-                        sub_free.set(p, sv, free_out.get(p, m * v_sub + sv));
-                    }
-                }
-                let sub_grants = sub.allocate(&sub_reqs, &sub_free);
-                for (g, req) in requests.iter().enumerate() {
-                    if req.is_none() {
-                        continue;
-                    }
-                    let (im, ir, ibank) = spec.vc_class(g % v);
-                    if im != m {
-                        continue;
-                    }
-                    let sub_vc = ir * spec.vcs_per_class() + ibank;
-                    if let Some(grant) = sub_grants[(g / v) * v_sub + sub_vc] {
-                        results[g] = Some(OutVc {
-                            port: grant.port,
-                            vc: m * v_sub + grant.vc,
-                        });
-                    }
-                }
-            }
-        }
-
-        fn reset(&mut self) {
-            for s in &mut self.subs {
-                s.reset();
-            }
-        }
-    }
-}
-
 /// The checks behind both grant validators: every `(input VC, grant)` pair
 /// answers a request `(out_port, class mask)` with a free output VC of the
 /// requester's message class, and no output VC is granted twice.
@@ -1535,7 +1238,7 @@ fn check_grants(
         if om != im {
             return Err(format!("input VC {g}: message class changed"));
         }
-        if or >= 64 || classes >> or & 1 == 0 {
+        if classes >> or & 1 == 0 {
             return Err(format!("input VC {g}: granted unrequested class {or}"));
         }
         if !free_out.get(grant.port, grant.vc) {
@@ -1616,6 +1319,44 @@ mod tests {
             .unwrap_err();
         assert_eq!(e, SpecError::DeadEndClass { class: 1 });
         assert_eq!(e.to_string(), "resource class 1 has no successor");
+    }
+
+    #[test]
+    fn a_router_is_at_most_one_word_of_ports_and_of_vcs() {
+        let one = || vec![vec![true]];
+        // At the limit in either dimension, alone and together.
+        assert!(VcAllocSpec::try_new(64, 1, 1, 1, one()).is_ok());
+        assert!(VcAllocSpec::try_new(2, 2, 1, 32, one()).is_ok());
+        assert_eq!(VcAllocSpec::mesh(32).with_ports(64).total_vcs(), 64);
+        assert!(VcAllocSpec::fbfly(1).with_vcs_per_class(16).is_ok());
+        // One past it: a typed error naming the limit and the value.
+        let e = VcAllocSpec::try_new(65, 1, 1, 1, one()).unwrap_err();
+        let (dimension, value) = ("ports", 65);
+        assert_eq!(e, SpecError::TooWide { dimension, value });
+        assert_eq!(
+            e.to_string(),
+            "65 ports exceed the 64 the allocators support"
+        );
+        let e = VcAllocSpec::try_new(5, 5, 1, 13, one()).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "65 VCs per port exceed the 64 the allocators support"
+        );
+        let e = VcAllocSpec::fbfly(1).with_vcs_per_class(17).unwrap_err();
+        let (dimension, value) = ("VCs per port", 68);
+        assert_eq!(e, SpecError::TooWide { dimension, value });
+        // A product past `usize` is too wide, not an overflow.
+        let e = VcAllocSpec::try_new(5, usize::MAX, 2, 2, vec![vec![true; 2]; 2]).unwrap_err();
+        assert!(matches!(e, SpecError::TooWide { .. }), "{e}");
+        // Zero still reports as zero.
+        let e = VcAllocSpec::mesh(1).with_vcs_per_class(0).unwrap_err();
+        assert!(matches!(e, SpecError::ZeroDimension { .. }), "{e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "65 ports exceed the 64")]
+    fn with_ports_panics_past_the_limit() {
+        let _ = VcAllocSpec::mesh(1).with_ports(65);
     }
 
     #[test]

@@ -246,108 +246,6 @@ impl Allocator for WavefrontAllocator {
     }
 }
 
-/// The scalar predecessor of the bit kernel, kept alive so the two can be
-/// driven differentially. No production constructor reaches it: the kernel
-/// has no width limit.
-pub mod reference {
-    use crate::{Allocator, BitMatrix};
-    use noc_arbiter::Bits;
-
-    /// Scalar wavefront sweep: walk diagonals from `start`, visiting rows
-    /// in index order within each diagonal, granting where both the row and
-    /// the implied column are still free.
-    pub fn wavefront_with_diagonal_into(
-        requesters: usize,
-        resources: usize,
-        requests: &BitMatrix,
-        start: usize,
-        grants: &mut BitMatrix,
-    ) {
-        let n = requesters.max(resources);
-        let mut row_free = Bits::ones(n);
-        let mut col_free = Bits::ones(n);
-        for k in 0..n {
-            let d = (start + k) % n;
-            // Entries (i, j) with (i + j) mod n == d.
-            for i in 0..requesters {
-                let j = (d + n - i % n) % n;
-                if j < resources && row_free.get(i) && col_free.get(j) && requests.get(i, j) {
-                    grants.set(i, j, true);
-                    row_free.set(i, false);
-                    col_free.set(j, false);
-                }
-            }
-        }
-    }
-
-    /// Scalar wavefront allocator: identical rotating-diagonal state to the
-    /// kernel-backed [`super::WavefrontAllocator`], scalar sweep inside.
-    pub struct WavefrontAllocator {
-        requesters: usize,
-        resources: usize,
-        n: usize,
-        diagonal: usize,
-        policy: super::DiagonalPolicy,
-    }
-
-    impl WavefrontAllocator {
-        /// Scalar counterpart of [`super::WavefrontAllocator::new`].
-        pub fn new(requesters: usize, resources: usize) -> Self {
-            Self::with_policy(requesters, resources, super::DiagonalPolicy::Rotating)
-        }
-
-        /// Scalar counterpart of [`super::WavefrontAllocator::with_policy`].
-        pub fn with_policy(
-            requesters: usize,
-            resources: usize,
-            policy: super::DiagonalPolicy,
-        ) -> Self {
-            assert!(requesters > 0 && resources > 0);
-            WavefrontAllocator {
-                requesters,
-                resources,
-                n: requesters.max(resources),
-                diagonal: 0,
-                policy,
-            }
-        }
-    }
-
-    impl Allocator for WavefrontAllocator {
-        fn num_requesters(&self) -> usize {
-            self.requesters
-        }
-
-        fn num_resources(&self) -> usize {
-            self.resources
-        }
-
-        fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
-            let mut grants = BitMatrix::new(self.requesters, self.resources);
-            self.allocate_into(requests, &mut grants);
-            grants
-        }
-
-        fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
-            grants.clear();
-            wavefront_with_diagonal_into(
-                self.requesters,
-                self.resources,
-                requests,
-                self.diagonal,
-                grants,
-            );
-            if self.policy == super::DiagonalPolicy::Rotating {
-                self.diagonal = (self.diagonal + 1) % self.n;
-            }
-        }
-
-        fn reset(&mut self) {
-            self.diagonal = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,40 +1,48 @@
 //! Differential test layer: bit-parallel allocator kernels vs their scalar
-//! reference predecessors.
+//! oracles.
 //!
-//! Every allocator in this crate exists twice — the `u64` kernel behind the
-//! public constructors and the element-wise scalar implementation preserved
-//! in the per-module `reference` submodules. This suite drives both sides
-//! with identical request streams and asserts grant-identical behaviour:
+//! Every router-facing allocator in this crate is a `u64` kernel; the
+//! element-wise implementation it was derived from is kept in
+//! `noc_core::reference`. This suite drives each kernel / oracle pair with
+//! identical request streams and asserts grant-identical behaviour:
 //!
-//! * exhaustively, over **every** request matrix up to 4×4 for all five
-//!   paper allocator variants, across multi-round priority-rotation
-//!   sequences;
-//! * randomly (via the vendored proptest shim), over 5×5–16×16 matrices,
-//!   with matrix-case minimization on failure;
-//! * at the switch-allocation layer (per-VC request matrices, including the
+//! * the wavefront core — exhaustively over **every** request matrix up to
+//!   4×4 across multi-round priority-rotation sequences, randomly (via the
+//!   vendored proptest shim) over 5×5–16×16 matrices with matrix-case
+//!   minimization on failure, and on arrays one to four words wide;
+//! * the three switch allocators (per-VC request matrices, including the
 //!   wavefront pre-selection arbiters);
-//! * at the VC-allocation layer, with sparse free-VC masks and the class
+//! * the separable VC allocator, with sparse free-VC masks and the class
 //!   legality structure, up to the paper's widest router (fbfly C = 4:
-//!   `P*V = 160`) and across the `V = 64` / `P = 64` kernel boundaries;
-//! * for the sparse VC allocator, against `M` scalar dense sub-allocators
-//!   fed per-class projections — the construction §4.2 describes;
-//! * for the wavefront kernel, on arrays one to four words wide;
-//! * at the speculation layer, where the AND-NOT masking kernel must agree
-//!   with the scalar `Vec<bool>` masking for every mode.
+//!   `P*V = 160`) and at the `V = 64` / `P = 64` limits, past which a
+//!   router is rejected;
+//! * the sparse VC allocator, against `M` scalar dense sub-allocators fed
+//!   per-class projections — the construction §4.2 describes;
+//! * the speculation mask, where the AND-NOT kill must agree with the
+//!   scalar `Vec<bool>` masking for every mode.
+//!
+//! The textbook `n × n` separable allocators have one (scalar)
+//! implementation and so no pair; `tests/allocator_properties.rs` holds
+//! their properties.
 //!
 //! Priority state is part of the contract: each comparison drives one
 //! allocator pair through a whole sequence of rounds, so a single divergent
 //! pointer update surfaces as a grant mismatch in a later round even if the
 //! grants of the divergent round happen to coincide.
 
-use noc_core::vc::reference::SparseVcAllocator as ProjectedSparseVcAllocator;
-use noc_core::wavefront::reference::wavefront_with_diagonal_into;
+use noc_core::reference::{
+    mask_speculative, wavefront_with_diagonal_into, SparseVcAllocator as ProjectedSparseVcAllocator,
+};
 use noc_core::{
     validate_vc_grants, AllocatorKind, BitMatrix, DenseVcAllocator, SparseVcAllocator,
-    SpecAllocResult, SpecMode, SpeculativeSwitchAllocator, SwitchAllocatorKind, SwitchGrant,
-    SwitchRequests, VcAllocSpec, VcAllocator, VcRequest, WavefrontAllocator,
+    SpecAllocResult, SpecError, SpecMode, SpeculativeSwitchAllocator, SwitchAllocatorKind,
+    SwitchGrant, SwitchRequests, VcAllocSpec, VcAllocator, VcRequest, WavefrontAllocator,
 };
 use proptest::prelude::*;
+
+/// The `n × n` allocator kinds with both a kernel and a scalar oracle
+/// ([`AllocatorKind::build_reference`] is `build` for every other kind).
+const PAIRED_KINDS: [AllocatorKind; 1] = [AllocatorKind::Wavefront];
 
 /// Drives kernel and reference allocators of `kind` through `rounds`
 /// identical allocation rounds of `requests`, returning the first round
@@ -69,7 +77,7 @@ fn exhaustive_dims(kind: AllocatorKind, r: usize, c: usize) {
 
 #[test]
 fn exhaustive_small_matrices_all_variants() {
-    for kind in AllocatorKind::COST_FIGURE_KINDS {
+    for kind in PAIRED_KINDS {
         for r in 1..=4 {
             for c in 1..=4 {
                 exhaustive_dims(kind, r, c);
@@ -117,7 +125,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let bits: Vec<Vec<bool>> =
             (0..r).map(|_| (0..c).map(|_| rng.gen_bool(density)).collect()).collect();
-        for kind in AllocatorKind::COST_FIGURE_KINDS {
+        for kind in PAIRED_KINDS {
             let fails = |b: &[Vec<bool>]| first_mismatch(kind, &bits_to_matrix(b), 5).is_some();
             if fails(&bits) {
                 let min = proptest::minimize::matrix(bits.clone(), fails);
@@ -149,7 +157,7 @@ proptest! {
                 }))
             })
             .collect();
-        for kind in AllocatorKind::COST_FIGURE_KINDS {
+        for kind in PAIRED_KINDS {
             prop_assert!(
                 sequence_matches(kind, &seq),
                 "{}: diverged on a {rounds}-round {r}x{c} sequence (seed {seed})",
@@ -426,22 +434,17 @@ fn sparse_vc_allocators_match_per_class_projection() {
 }
 
 #[test]
-fn kernel_boundary_shapes_match_reference_and_wider_ones_stay_valid() {
+fn kernel_boundary_shapes_match_reference_and_wider_ones_are_rejected() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xb0d4);
     let two_way = || vec![vec![true, true], vec![false, true]];
-    // Widest VC rows / port sets the word kernels take.
-    let widest_kernel = [
+    // Widest VC rows / port sets a router may have.
+    let widest = [
         VcAllocSpec::new(2, 2, 2, 16, two_way()), // V = 64, P*V = 128
         VcAllocSpec::new(3, 1, 1, 64, vec![vec![true]]), // one 64-wide class
         VcAllocSpec::mesh(1).with_ports(64),      // P = 64
     ];
-    // One past either limit: the scalar fallback.
-    let past_kernel = [
-        VcAllocSpec::mesh(1).with_ports(65),             // P = 65
-        VcAllocSpec::new(3, 2, 1, 33, vec![vec![true]]), // V = 66
-    ];
-    for spec in widest_kernel.iter().chain(&past_kernel) {
+    for spec in &widest {
         for kind in AllocatorKind::COST_FIGURE_KINDS {
             assert_same_grants_over_rounds(
                 &format!("dense {}", kind.label()),
@@ -460,6 +463,17 @@ fn kernel_boundary_shapes_match_reference_and_wider_ones_stay_valid() {
                 &mut rng,
             );
         }
+    }
+    // One past either limit is no spec at all, so no allocator is ever
+    // built for it.
+    for ((ports, c), dimension, value) in [
+        ((65, 1), "ports", 65),        // P = 65
+        ((3, 33), "VCs per port", 66), // V = 66
+    ] {
+        assert_eq!(
+            VcAllocSpec::try_new(ports, 2, 1, c, vec![vec![true]]),
+            Err(SpecError::TooWide { dimension, value })
+        );
     }
 }
 
@@ -503,6 +517,21 @@ fn speculative_allocation_matches_reference_for_every_mode() {
                     (&kr.nonspec, &kr.spec, &kr.masked),
                     (&rr.nonspec, &rr.spec, &rr.masked),
                     "{mode:?}/{kind:?}: speculative allocation diverges at round {round}"
+                );
+                // The masking stage alone: hand the scalar mask everything
+                // the speculative allocator granted and it must split it
+                // the way the AND-NOT kill did.
+                let mut scalar = SpecAllocResult {
+                    nonspec: kr.nonspec.clone(),
+                    spec: [&kr.spec[..], &kr.masked].concat(),
+                    masked: Vec::new(),
+                };
+                mask_speculative(mode, &ns, &mut scalar);
+                let scalar = sorted_result(scalar);
+                assert_eq!(
+                    (&kr.spec, &kr.masked),
+                    (&scalar.spec, &scalar.masked),
+                    "{mode:?}/{kind:?}: scalar mask disagrees at round {round}"
                 );
             }
         }

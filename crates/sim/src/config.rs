@@ -3,7 +3,7 @@
 use crate::routing::RoutingKind;
 use crate::topology::TopologyKind;
 use crate::traffic::TrafficPattern;
-use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind, VcAllocSpec};
+use noc_core::{AllocatorKind, SpecError, SpecMode, SwitchAllocatorKind, VcAllocSpec};
 
 /// Full configuration of one network simulation (§3.2's setup plus the
 /// allocator design choices under study).
@@ -68,6 +68,10 @@ pub enum ConfigError {
     /// `injection_rate` is NaN, infinite, or outside `[0, 1]`
     /// flits/cycle/terminal.
     Rate(f64),
+    /// The topology's class structure at this many VCs per class is no
+    /// router the allocators cover (more than [`noc_core::MAX_WIDTH`] VCs
+    /// per port).
+    Spec(SpecError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -78,6 +82,7 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "injection rate {r} is not a number in [0, 1] flits/cycle/terminal"
             ),
+            ConfigError::Spec(e) => e.fmt(f),
         }
     }
 }
@@ -86,9 +91,11 @@ impl std::error::Error for ConfigError {}
 
 impl SimConfig {
     /// Checks the numeric fields a network cannot be built or driven
-    /// without. Configurations arriving from outside the program (CLI
-    /// flags, sweep specs, serve requests) are validated where they enter;
-    /// [`crate::Network::new`] and the run drivers assume a valid config.
+    /// without, and that the router they describe is one the allocators
+    /// cover. Configurations arriving from outside the program (CLI flags,
+    /// sweep specs, serve requests) are validated where they enter;
+    /// [`SimConfig::vc_spec`], [`crate::Network::new`] and the run drivers
+    /// assume a valid config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (count, what) in [
             (self.vcs_per_class, "VCs per class"),
@@ -104,7 +111,12 @@ impl SimConfig {
         if !(0.0..=1.0).contains(&self.injection_rate) {
             return Err(ConfigError::Rate(self.injection_rate));
         }
-        Ok(())
+        // The topology's class structure (always a router at C = 1) at the
+        // configured C.
+        let classes = self.topology.vc_spec(1);
+        (classes.with_vcs_per_class(self.vcs_per_class))
+            .map(drop)
+            .map_err(ConfigError::Spec)
     }
 
     /// The paper's baseline configuration for a topology and VC count:
@@ -190,6 +202,19 @@ mod tests {
             bad(|c| c.injection_rate = f64::NAN),
             ConfigError::Rate(r) if r.is_nan()
         ));
+        // V = M*R*C is at most one kernel word: 64 is a router, 65+ is not.
+        let vcs = |topology, c| SimConfig::paper_baseline(topology, c).validate();
+        assert_eq!(vcs(TopologyKind::Mesh8x8, 32), Ok(()));
+        assert_eq!(vcs(TopologyKind::FlattenedButterfly4x4, 16), Ok(()));
+        for (topology, c, value) in [
+            (TopologyKind::Mesh8x8, 33, 66),
+            (TopologyKind::Torus8x8, 17, 68),
+        ] {
+            let dimension = "VCs per port";
+            let e = ConfigError::Spec(SpecError::TooWide { dimension, value });
+            assert_eq!(vcs(topology, c), Err(e));
+            assert!(e.to_string().contains("exceed the 64"), "{e}");
+        }
         // Zero load is a valid (drain-phase) configuration.
         let mut idle = base.clone();
         idle.injection_rate = 0.0;

@@ -48,8 +48,11 @@ USAGE:
               [--engine seq|par|active|auto] [--threads N]
               [--record FILE] [--top] [--window N] [--match-every K]
               [--routing dor|dateline|nodateline] [--no-watchdog]
-              [--anatomy] [--anatomy-out FILE]
-  noc explain [sim config flags] [--warmup N] [--measure N] [--seed S]
+              [--anatomy] [--anatomy-out FILE] [--top-k K] [--capacity N]
+  noc explain [--topology mesh|fbfly|torus] [--vcs C] [--rate R] [--sa KIND]
+              [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
+              [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
+              [--routing dor|dateline|nodateline]
               [--engine seq|par|active|auto] [--threads N] [--top-k K]
               [--capacity N] [--out FILE] [--trace FILE] [--json]
   noc check   [--topology mesh|fbfly|torus] [--vcs C] [--all]
@@ -59,7 +62,7 @@ USAGE:
   noc quality (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--rate R]
               [--trials N]
   noc verilog (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--alloc KIND]
-              [--dense]
+              [--dense] [--spec nonspec|spec_gnt|spec_req]
   noc fig     [NAME... | --all] [--out DIR] [--cache-dir DIR] [--quiet]
   noc sweep   (run|resume|status|clean) [--preset NAME | --spec FILE]
               [--out DIR] [--cache-dir DIR] [--engine seq|par|active|auto]
@@ -76,6 +79,7 @@ USAGE:
 
 KIND (allocator): sep_if_rr sep_if_m sep_of_rr sep_of_m wf
 PATTERN:          uniform bitcomp transpose tornado shuffle
+C (--vcs):        2x1xC (mesh) or 2x2xC (fbfly, torus) VCs per port, at most 64
 
 Observability (noc sim):
   --trace FILE            write a Chrome Trace Event Format flit timeline
@@ -273,7 +277,8 @@ const DEFAULT_ANATOMY_CAPACITY: usize = 1 << 16;
 /// Default slowest-packet waterfall count for the anatomy surfaces.
 const DEFAULT_ANATOMY_TOP_K: usize = 4;
 
-/// Flags that take no value.
+/// Flags that take no value; every other flag of a [`COMMANDS`] row is
+/// followed by one.
 const BARE_FLAGS: &[&str] = &[
     "all",
     "anatomy",
@@ -291,47 +296,6 @@ const BARE_FLAGS: &[&str] = &[
     "verify",
 ];
 
-/// Flags followed by their value.
-const VALUE_FLAGS: &[&str] = &[
-    "addr",
-    "alloc",
-    "anatomy-out",
-    "buf-depth",
-    "burst",
-    "cache-dir",
-    "capacity",
-    "cycles",
-    "engine",
-    "fixture",
-    "id",
-    "match-every",
-    "measure",
-    "metrics",
-    "out",
-    "pattern",
-    "preset",
-    "rate",
-    "record",
-    "root",
-    "routers",
-    "routing",
-    "sa",
-    "sample-interval",
-    "seed",
-    "seeds",
-    "selftest",
-    "spec",
-    "threads",
-    "top-k",
-    "topology",
-    "trace",
-    "trials",
-    "vcs",
-    "warmup",
-    "window",
-    "workers",
-];
-
 /// Parsed `--key value` flags plus positional arguments.
 struct Args {
     positional: Vec<String>,
@@ -339,8 +303,8 @@ struct Args {
 }
 
 impl Args {
-    /// `--help` anywhere parses as the `help` command; a flag in neither
-    /// list, or a value flag without its value, is an error.
+    /// `--help` anywhere parses as the `help` command; a flag no command
+    /// takes, or a value flag without its value, is an error.
     fn parse(argv: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
@@ -358,7 +322,7 @@ impl Args {
             }
             let value = if BARE_FLAGS.contains(&key) {
                 "true"
-            } else if VALUE_FLAGS.contains(&key) {
+            } else if COMMANDS.iter().any(|(_, _, flags)| takes(flags, key)) {
                 it.next()
                     .ok_or_else(|| format!("flag --{key} needs a value"))?
             } else {
@@ -896,19 +860,21 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
 
 fn cmd_check(args: &Args) -> Result<(), String> {
     let c: usize = args.get("vcs", 2)?;
-    if c == 0 {
-        return Err(ConfigError::Zero("VCs per class").to_string());
-    }
+    // A VC count that makes no router (zero, too wide) is the fixture's
+    // one-line error.
+    let checked = |f: Result<fixtures::Fixture, noc_core::SpecError>| {
+        f.map(|f| check_fixture(&f)).map_err(|e| e.to_string())
+    };
     let mut reports = Vec::new();
     if let Some(name) = args.flags.get("fixture") {
         let f = fixtures::by_name(name, c)
             .ok_or_else(|| format!("unknown fixture '{name}' (no-dateline | cyclic-vc)"))?;
-        reports.push(check_fixture(&f));
+        reports.push(checked(f)?);
     } else if args.flags.contains_key("all") {
         // The paper's designs across topologies and VC counts...
         for topo in ["mesh", "fbfly", "torus"] {
             for c in [1usize, 2, 4] {
-                reports.push(check_fixture(&fixtures::paper_design(topo, c)));
+                reports.push(checked(fixtures::paper_design(topo, c))?);
             }
         }
         // ...plus every configuration the workload matrix simulates.
@@ -919,7 +885,7 @@ fn cmd_check(args: &Args) -> Result<(), String> {
         }
     } else {
         let topo = args.topology()?;
-        reports.push(check_fixture(&fixtures::paper_design(topo.label(), c)));
+        reports.push(checked(fixtures::paper_design(topo.label(), c))?);
     }
     let mut failed = 0usize;
     for rep in &reports {
@@ -1553,32 +1519,67 @@ fn cmd_help(_: &Args) -> Result<(), String> {
 
 type Command = fn(&Args) -> Result<(), String>;
 
-/// Every subcommand: `main` dispatches on it, and each has a `noc NAME`
-/// usage line in `HELP`.
-const COMMANDS: &[(&str, Command)] = &[
-    ("sim", cmd_sim),
-    ("explain", cmd_explain),
-    ("check", cmd_check),
-    ("synth", cmd_synth),
-    ("quality", cmd_quality),
-    ("verilog", cmd_verilog),
-    ("fig", cmd_fig),
-    ("sweep", cmd_sweep),
-    ("serve", cmd_serve),
-    ("client", cmd_client),
-    ("top", cmd_top),
-    ("replay", cmd_replay),
-    ("audit", cmd_audit),
-    ("mc", cmd_mc),
-    ("help", cmd_help),
+/// Every subcommand with the flags it takes, space-separated: `main`
+/// dispatches on the name, any other flag is refused, and `HELP` has a
+/// `noc NAME` usage block listing exactly these.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    (
+        "sim",
+        cmd_sim,
+        "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed seeds \
+         profile trace metrics sample-interval json verify engine threads record top window \
+         match-every routing no-watchdog anatomy anatomy-out top-k capacity",
+    ),
+    (
+        "explain",
+        cmd_explain,
+        "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed routing \
+         engine threads top-k capacity out trace json",
+    ),
+    ("check", cmd_check, "topology vcs all fixture"),
+    ("synth", cmd_synth, "topology vcs alloc dense spec"),
+    ("quality", cmd_quality, "topology vcs rate trials"),
+    ("verilog", cmd_verilog, "topology vcs alloc dense spec"),
+    ("fig", cmd_fig, "all out cache-dir quiet"),
+    (
+        "sweep",
+        cmd_sweep,
+        "preset spec out cache-dir engine threads quiet no-render telemetry anatomy",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "addr cache-dir out workers quiet selftest",
+    ),
+    (
+        "client",
+        cmd_client,
+        "preset spec status addr engine id quiet",
+    ),
+    ("top", cmd_top, "once"),
+    ("replay", cmd_replay, ""),
+    ("audit", cmd_audit, "root fixtures"),
+    ("mc", cmd_mc, "workers routers cycles"),
+    ("help", cmd_help, ""),
 ];
+
+/// True if `flag` is one of the space-separated `flags` of a [`COMMANDS`] row.
+fn takes(flags: &str, flag: &str) -> bool {
+    flags.split_whitespace().any(|f| f == flag)
+}
 
 fn run(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     let name = args.positional.first().map_or("help", String::as_str);
-    match COMMANDS.iter().find(|(n, _)| *n == name) {
-        Some((_, cmd)) => cmd(&args),
-        None => Err(format!("unknown command '{name}'\n\n{HELP}")),
+    let Some((_, cmd, flags)) = COMMANDS.iter().find(|(n, ..)| *n == name) else {
+        return Err(format!("unknown command '{name}'\n\n{HELP}"));
+    };
+    // A flag some other command takes is not silently ignored by this one:
+    // the first such on the command line is named.
+    let mut given = argv.iter().filter_map(|a| a.strip_prefix("--"));
+    match given.find(|k| args.flags.contains_key(*k) && !takes(flags, k)) {
+        Some(flag) => Err(format!("noc {name} does not take --{flag}")),
+        None => cmd(&args),
     }
 }
 
@@ -1636,28 +1637,68 @@ mod tests {
         assert!(Args::parse(&argv).is_err());
     }
 
-    /// Word after `prefix` at each place it occurs in `HELP`.
-    fn help_words(prefix: &str) -> std::collections::BTreeSet<&'static str> {
+    type Words = std::collections::BTreeSet<&'static str>;
+
+    /// Word after `prefix` at each place it occurs in `text`.
+    fn words_after(text: &'static str, prefix: &str) -> Words {
         let word = |rest: &'static str| {
             let end = rest.find(|c: char| !(c.is_ascii_lowercase() || c == '-'));
             &rest[..end.unwrap_or(rest.len())]
         };
-        HELP.split(prefix).skip(1).map(word).collect()
+        text.split(prefix).skip(1).map(word).collect()
     }
 
     #[test]
     fn help_documents_exactly_the_accepted_flags() {
-        let mut accepted: Vec<&str> = BARE_FLAGS.iter().chain(VALUE_FLAGS).copied().collect();
-        accepted.sort_unstable();
-        assert!(accepted.windows(2).all(|w| w[0] != w[1]), "duplicate flag");
-        let documented: Vec<&str> = help_words("--").into_iter().collect();
-        assert_eq!(documented, accepted);
+        // Each command's usage block — from its `noc NAME` line to the next
+        // command's — lists exactly the flags its row takes.
+        let usage = HELP.split("\n\n").nth(1).unwrap();
+        let mut accepted = Words::new();
+        for (name, _, flags) in COMMANDS {
+            let block = usage.split("\n  noc ").find(|b| {
+                b.strip_prefix(name)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with([' ', '\n']))
+            });
+            let block = block.unwrap_or_else(|| panic!("no usage block for noc {name}"));
+            let row: Words = flags.split_whitespace().collect();
+            assert_eq!(words_after(block, "--"), row, "noc {name}");
+            assert_eq!(row.len(), flags.split_whitespace().count(), "duplicate");
+            accepted.extend(row);
+        }
+        // Nothing is documented further down that no command takes, and
+        // every bare flag is some command's.
+        assert_eq!(words_after(HELP, "--"), accepted);
+        assert!(BARE_FLAGS.iter().all(|f| accepted.contains(f)));
+    }
+
+    #[test]
+    fn a_flag_of_another_command_is_refused_not_ignored() {
+        let run = |s: &str| {
+            let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
+            super::run(&argv)
+        };
+        for (line, msg) in [
+            ("check --rate 7", "noc check does not take --rate"),
+            (
+                "check --vcs 2 --seeds 3 --engine warp",
+                "noc check does not take --seeds",
+            ),
+            ("quality vca --dense", "noc quality does not take --dense"),
+            ("replay dump --once", "noc replay does not take --once"),
+            ("help --json", "noc help does not take --json"),
+            ("--json", "noc help does not take --json"),
+            // A flag no command takes stays the parser's error.
+            ("check --rat 7", "unknown flag --rat (see noc help)"),
+            ("replay dump --", "unknown flag -- (see noc help)"),
+        ] {
+            assert_eq!(run(line), Err(msg.to_string()), "{line}");
+        }
     }
 
     #[test]
     fn help_usage_lines_are_exactly_the_command_table() {
-        let documented: Vec<&str> = help_words("\n  noc ").into_iter().collect();
-        let mut table: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
+        let documented: Vec<&str> = words_after(HELP, "\n  noc ").into_iter().collect();
+        let mut table: Vec<&str> = COMMANDS.iter().map(|(n, ..)| *n).collect();
         table.sort_unstable();
         assert_eq!(documented, table);
     }
