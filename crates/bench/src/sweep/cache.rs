@@ -84,9 +84,10 @@ impl ResultCache {
         file.sync_data()
             .map_err(|e| format!("cache: cannot sync {}: {e}", tmp.display()))?;
         drop(file);
-        if path.exists() {
+        if self.contains_valid(digest) {
             // First-wins: a concurrent writer already published this
-            // digest; keep its entry and drop our staged duplicate.
+            // digest; keep its entry and drop our staged duplicate. An
+            // entry that does not read is no entry, and is replaced.
             let _ = fs::remove_file(&tmp);
             return Ok(());
         }

@@ -24,7 +24,7 @@
 //! cannot erase a journal whose records were already fsynced.
 
 use crate::sweep::cache::sync_dir;
-use noc_obs::json::esc;
+use noc_obs::json::{JsonWriter, ToJson};
 use noc_obs::JsonValue;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
@@ -43,25 +43,70 @@ pub struct JournalHeader {
     pub points: usize,
 }
 
-impl JournalHeader {
-    fn to_line(&self) -> String {
-        format!(
-            "{{\"schema\":\"noc-sweep-journal/v1\",\"name\":\"{}\",\"spec_digest\":\"{}\",\"points\":{}}}",
-            esc(&self.name),
-            esc(&self.spec_digest),
-            self.points
-        )
-    }
+/// Schema tag of the journal's header line.
+const JOURNAL_SCHEMA: &str = "noc-sweep-journal/v1";
 
-    fn parse(line: &str) -> Option<JournalHeader> {
-        let v = JsonValue::parse(line).ok()?;
-        if v.get("schema")?.as_str()? != "noc-sweep-journal/v1" {
-            return None;
-        }
-        Some(JournalHeader {
-            name: v.get("name")?.as_str()?.to_string(),
-            spec_digest: v.get("spec_digest")?.as_str()?.to_string(),
-            points: v.get("points")?.as_f64()? as usize,
+impl ToJson for JournalHeader {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("schema", JOURNAL_SCHEMA)
+            .field("name", &self.name)
+            .field("spec_digest", &self.spec_digest)
+            .field("points", self.points)
+            .end_object();
+    }
+}
+
+impl JournalHeader {
+    /// Reads a header line.
+    pub fn parse(line: &str) -> Result<JournalHeader, String> {
+        let v = JsonValue::parse(line)?;
+        v.expect_schema(JOURNAL_SCHEMA)?;
+        Ok(JournalHeader {
+            name: v.str_at("name")?.to_string(),
+            spec_digest: v.str_at("spec_digest")?.to_string(),
+            points: v.usize_at("points")?,
+        })
+    }
+}
+
+/// One completed point: a journal line after the header.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JournalRecord {
+    /// The point's content digest.
+    pub digest: String,
+    /// Human-readable point label.
+    pub label: String,
+    /// How the point was satisfied (`computed` or `cache`).
+    pub source: String,
+    /// Wall-clock cost of satisfying it, in milliseconds.
+    pub wall_ms: u64,
+}
+
+impl ToJson for JournalRecord {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("digest", &self.digest)
+            .field("label", &self.label)
+            .field("source", &self.source)
+            .field("wall_ms", self.wall_ms)
+            .end_object();
+    }
+}
+
+impl JournalRecord {
+    /// Reads a record line — the one definition of "this point is done"
+    /// that [`Journal::open`] and [`read_status`] share. A line that does
+    /// not read (at most the torn final record of a crashed run, or one
+    /// with a corrupt member) does not count; its result is either in the
+    /// cache (hit) or recomputed (miss), both correct.
+    pub fn parse(line: &str) -> Result<JournalRecord, String> {
+        let v = JsonValue::parse(line)?;
+        Ok(JournalRecord {
+            digest: v.str_at("digest")?.to_string(),
+            label: v.str_at("label")?.to_string(),
+            source: v.str_at("source")?.to_string(),
+            wall_ms: v.u64_at("wall_ms")?,
         })
     }
 }
@@ -205,7 +250,7 @@ impl Journal {
             let mut lines = text.lines();
             let head = lines
                 .next()
-                .and_then(JournalHeader::parse)
+                .and_then(|line| JournalHeader::parse(line).ok())
                 .ok_or_else(|| format!("journal: {} has no valid header", path.display()))?;
             if head != *header {
                 return Err(format!(
@@ -221,16 +266,7 @@ impl Journal {
                     header.points
                 ));
             }
-            for line in lines {
-                // Skip anything unparseable — at most the torn final
-                // record of a crashed run; its result is either in the
-                // cache (hit) or recomputed (miss), both correct.
-                if let Ok(v) = JsonValue::parse(line) {
-                    if let Some(d) = v.get("digest").and_then(JsonValue::as_str) {
-                        done.insert(d.to_string());
-                    }
-                }
-            }
+            done.extend(lines.filter_map(|l| Some(JournalRecord::parse(l).ok()?.digest)));
         }
         let mut file = OpenOptions::new()
             .create(true)
@@ -238,7 +274,7 @@ impl Journal {
             .open(path)
             .map_err(|e| format!("journal: cannot open {}: {e}", path.display()))?;
         if !exists {
-            writeln!(file, "{}", header.to_line())
+            writeln!(file, "{}", header.to_json())
                 .map_err(|e| format!("journal: cannot write header: {e}"))?;
             file.sync_data()
                 .map_err(|e| format!("journal: cannot sync header: {e}"))?;
@@ -274,13 +310,13 @@ impl Journal {
         source: &str,
         wall_ms: u64,
     ) -> Result<(), String> {
-        let line = format!(
-            "{{\"digest\":\"{}\",\"label\":\"{}\",\"source\":\"{}\",\"wall_ms\":{}}}",
-            esc(digest),
-            esc(label),
-            esc(source),
-            wall_ms
-        );
+        let record = JournalRecord {
+            digest: digest.to_string(),
+            label: label.to_string(),
+            source: source.to_string(),
+            wall_ms,
+        };
+        let line = record.to_json();
         let mut w = self
             .writer
             .lock()
@@ -300,8 +336,8 @@ impl Journal {
 pub fn read_status(path: &Path) -> Option<(JournalHeader, usize)> {
     let text = std::fs::read_to_string(path).ok()?;
     let mut lines = text.lines();
-    let header = JournalHeader::parse(lines.next()?)?;
-    let done = lines.filter(|l| JsonValue::parse(l).is_ok()).count();
+    let header = JournalHeader::parse(lines.next()?).ok()?;
+    let done = lines.filter(|l| JournalRecord::parse(l).is_ok()).count();
     Some((header, done))
 }
 

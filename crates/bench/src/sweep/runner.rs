@@ -21,7 +21,7 @@ use crate::sweep::spec::{SweepPoint, SweepSpec};
 use crate::sweep::SWEEP_SCHEMA;
 use noc_obs::{
     sweep_manifest_json, window_jsonl, AnatomyHeader, ProgressMeter, SweepManifestPoint,
-    TelemetryHeader,
+    TelemetryHeader, ToJson,
 };
 use noc_sim::{run_many, run_sim_engine, Engine, Run, SimConfig, SimResult, TelemetryOptions};
 use std::path::PathBuf;

@@ -26,13 +26,17 @@ use noc_obs::serve::{
     SERVE_SCHEMA,
 };
 use noc_sim::digest_pairs;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Longest request line a connection handler buffers. The largest request
+/// in use, the benchmark's 16-point grid, is under 1 KB.
+const MAX_REQUEST_LINE: u64 = 1 << 20;
 
 /// How the daemon listens and where its state lives.
 #[derive(Clone, Debug)]
@@ -228,11 +232,22 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, quiet: bool) {
     let mut reader = BufReader::new(reader_stream);
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
-        let _ = writeln!(writer, "{}", serve_error_line("", "request: empty line"));
-        return;
-    }
-    let request = match ServeRequest::parse(line.trim()) {
+    let read = (&mut reader)
+        .take(MAX_REQUEST_LINE + 1)
+        .read_line(&mut line);
+    let request = if read.is_err() || line.trim().is_empty() {
+        Err("request: empty line".to_string())
+    } else if line.len() as u64 > MAX_REQUEST_LINE {
+        // Read the rest of the line away before answering: closing a
+        // socket with unread input resets it, which can overtake the reply.
+        let _ = reader.skip_until(b'\n');
+        Err(format!(
+            "request: line longer than {MAX_REQUEST_LINE} bytes"
+        ))
+    } else {
+        ServeRequest::parse(line.trim())
+    };
+    let request = match request {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(writer, "{}", serve_error_line("", &e));

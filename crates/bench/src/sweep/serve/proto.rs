@@ -43,48 +43,32 @@ impl ServeRequest {
     /// Parses one request line. Errors are client-facing: they become
     /// the `message` of an `error` response line.
     pub fn parse(line: &str) -> Result<ServeRequest, String> {
-        let v = JsonValue::parse(line).map_err(|e| format!("request: {e}"))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or("");
-        if schema != SERVE_SCHEMA {
-            return Err(format!(
-                "request: schema '{schema}' is not {SERVE_SCHEMA} — client and daemon disagree"
-            ));
-        }
-        let id = v
-            .get("id")
-            .and_then(JsonValue::as_str)
-            .ok_or("request: missing string field 'id'")?
-            .to_string();
-        if id.len() > 64 {
-            return Err("request: 'id' longer than 64 bytes".to_string());
-        }
-        let engine = match v.get("engine") {
-            None => None,
-            Some(e) => {
-                let name = e.as_str().ok_or("request: 'engine' must be a string")?;
-                Some(
-                    Engine::parse(name)
-                        .ok_or_else(|| format!("request: unknown engine '{name}'"))?,
-                )
+        let request = |e: String| format!("request: {e}");
+        let v = JsonValue::parse(line).map_err(request)?;
+        let envelope = || -> Result<(String, Option<Engine>, &str), String> {
+            v.expect_schema(SERVE_SCHEMA)
+                .map_err(|e| format!("{e} — client and daemon disagree"))?;
+            let id = v.str_at("id")?.to_string();
+            if id.len() > 64 {
+                return Err("'id' longer than 64 bytes".to_string());
             }
+            let engine = v.opt_at("engine", |e| {
+                let name = e.to_str()?;
+                Engine::parse(name).ok_or_else(|| format!("unknown engine '{name}'"))
+            })?;
+            Ok((id, engine, v.str_at("type")?))
         };
-        match v.get("type").and_then(JsonValue::as_str) {
-            Some("sweep") => {
-                let spec_v = v.get("spec").ok_or("request: sweep without 'spec'")?;
-                let spec = SweepSpec::from_value(spec_v)?;
-                Ok(ServeRequest::Sweep { id, spec, engine })
+        let (id, engine, kind) = envelope().map_err(request)?;
+        // A spec's errors carry its own `sweep spec:` prefix, as on the CLI.
+        let spec = match kind {
+            "sweep" => {
+                SweepSpec::from_value(v.get("spec").ok_or("request: sweep without 'spec'")?)?
             }
-            Some("preset") => {
-                let name = v
-                    .get("preset")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("request: preset without string field 'preset'")?;
-                let spec = preset_spec(name).map_err(|e| format!("request: {e}"))?;
-                Ok(ServeRequest::Sweep { id, spec, engine })
-            }
-            Some("status") => Ok(ServeRequest::Status { id }),
-            other => Err(format!("request: unknown type {other:?}")),
-        }
+            "preset" => (v.str_at("preset").and_then(preset_spec)).map_err(request)?,
+            "status" => return Ok(ServeRequest::Status { id }),
+            other => return Err(format!("request: unknown type {other:?}")),
+        };
+        Ok(ServeRequest::Sweep { id, spec, engine })
     }
 }
 
@@ -139,7 +123,7 @@ mod tests {
             ),
             (
                 r#"{"schema":"noc-serve/v1","type":"status"}"#,
-                "missing string field 'id'",
+                "missing \"id\"",
             ),
             (
                 r#"{"schema":"noc-serve/v1","type":"preset","id":"x","preset":"fig99"}"#,

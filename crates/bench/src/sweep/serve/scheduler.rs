@@ -287,13 +287,12 @@ fn worker_loop(shared: &Shared) {
         // Store, then journal, then announce: a crash between any two
         // steps leaves "journaled ⇒ cached" intact, and a submit that
         // races the announcement finds the cache entry already durable.
-        if let Err(e) = shared.cache.store(&job.digest, &result) {
-            eprintln!("serve: warning: {e}");
-        }
-        if let Err(e) = shared
-            .journal
-            .append(&job.digest, &job.point.label, "computed", wall_ms)
-        {
+        // A result that could not be stored is still delivered, but never
+        // journaled: a restart must not be promised an entry that is absent.
+        let stored = shared.cache.store(&job.digest, &result).and_then(|()| {
+            (shared.journal).append(&job.digest, &job.point.label, "computed", wall_ms)
+        });
+        if let Err(e) = stored {
             eprintln!("serve: warning: {e}");
         }
         let subscribers = {
@@ -382,6 +381,23 @@ mod tests {
         assert_eq!(rx3.iter().take(2).count(), 2);
         assert_eq!(sched.counters().computed, 2);
         sched.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// "Journaled ⇒ cached" when the store fails: the subscriber still gets
+    /// the computed result, the journal gains no record to promise a
+    /// restart an entry that is not there.
+    #[test]
+    fn a_result_that_could_not_be_stored_is_delivered_but_not_journaled() {
+        let dir = tmp_dir("nostore");
+        let sched = scheduler(&dir, 1);
+        std::fs::remove_dir_all(dir.join("cache")).unwrap();
+        let (rx, s) = sched.submit(&smoke_points()[..1], None);
+        assert_eq!(s.scheduled, 1);
+        assert_eq!(rx.recv().unwrap().source, "computed");
+        sched.shutdown();
+        let journal = std::fs::read_to_string(dir.join("serve.journal")).unwrap();
+        assert_eq!(journal.lines().count(), 1, "header only: {journal}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,6 +16,7 @@ use crate::sweep::serve::daemon::{start, ServeOptions};
 use crate::sweep::spec::SweepSpec;
 use crate::sweep::ResultCache;
 use noc_obs::serve::serve_sweep_request_line;
+use noc_obs::JsonWriter;
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -30,15 +31,22 @@ fn extra_rate(i: usize) -> f64 {
 /// The selftest sweep spec as request-line JSON: smoke's grid plus
 /// `extras`.
 fn spec_json(warmup: u64, measure: u64, extras: &[f64]) -> String {
-    let rates: Vec<String> = SMOKE_RATES
-        .iter()
-        .chain(extras.iter())
-        .map(|r| format!("{r}"))
-        .collect();
-    format!(
-        "{{\"name\":\"selftest\",\"grids\":[{{\"topology\":\"mesh\",\"vcs\":1,\"rates\":[{}],\"warmup\":{warmup},\"measure\":{measure}}}]}}",
-        rates.join(",")
-    )
+    let rates: Vec<f64> = SMOKE_RATES.iter().chain(extras).copied().collect();
+    let mut w = JsonWriter::default();
+    w.begin_object()
+        .field("name", "selftest")
+        .key("grids")
+        .begin_array()
+        .begin_object()
+        .field("topology", "mesh")
+        .field("vcs", 1u64)
+        .field("rates", rates)
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .end_object()
+        .end_array()
+        .end_object();
+    w.finish()
 }
 
 fn check_client(i: usize, outcome: &ClientOutcome, want_unique: usize) -> Result<(), String> {

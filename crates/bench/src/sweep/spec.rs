@@ -258,33 +258,27 @@ impl SweepSpec {
     /// point the `noc serve` daemon uses for specs embedded inside a
     /// request line (same grammar and validation as [`Self::from_json`]).
     pub fn from_value(v: &JsonValue) -> Result<SweepSpec, String> {
-        let name = v
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("sweep spec: missing string field 'name'")?
-            .to_string();
-        if name.is_empty()
-            || !name
-                .bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
-        {
-            return Err(format!(
-                "sweep spec: name '{name}' must be non-empty [A-Za-z0-9_-] (it names files)"
-            ));
-        }
-        let grids_v = v
-            .get("grids")
-            .and_then(JsonValue::as_array)
-            .ok_or("sweep spec: missing array field 'grids'")?;
-        if grids_v.is_empty() {
-            return Err("sweep spec: 'grids' is empty".to_string());
-        }
-        let grids = grids_v
-            .iter()
-            .enumerate()
-            .map(|(i, g)| parse_grid(g).map_err(|e| format!("sweep spec: grids[{i}]: {e}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let spec = SweepSpec { name, grids };
+        let read = || -> Result<SweepSpec, String> {
+            let name = v.str_at("name")?.to_string();
+            if name.is_empty()
+                || !name
+                    .bytes()
+                    .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+            {
+                return Err(format!(
+                    "name '{name}' must be non-empty [A-Za-z0-9_-] (it names files)"
+                ));
+            }
+            let grids = v.arr_at("grids")?;
+            if grids.is_empty() {
+                return Err("'grids' is empty".to_string());
+            }
+            let grids = (grids.iter().enumerate())
+                .map(|(i, g)| parse_grid(g).map_err(|e| format!("grids[{i}]: {e}")))
+                .collect::<Result<_, _>>()?;
+            Ok(SweepSpec { name, grids })
+        };
+        let spec = read().map_err(|e| format!("sweep spec: {e}"))?;
         spec.validate()?;
         Ok(spec)
     }
@@ -318,114 +312,83 @@ fn parse_grid(g: &JsonValue) -> Result<SweepGrid, String> {
             return Err(format!("unknown grid key '{k}'"));
         }
     }
+    let rate = |j: &JsonValue| {
+        (j.as_f64().filter(|r| r.is_finite() && *r > 0.0))
+            .ok_or_else(|| "expected a positive number".to_string())
+    };
     let mut grid = SweepGrid::default();
-    if let Some(v) = axis(g, "topology")? {
-        grid.topology = map_axis(&v, "topology", named("topology", TopologyKind::parse))?;
+    axis(
+        g,
+        "topology",
+        &mut grid.topology,
+        named("topology", TopologyKind::parse),
+    )?;
+    axis(g, "vcs", &mut grid.vcs, JsonValue::to_usize)?;
+    axis(
+        g,
+        "vca",
+        &mut grid.vca,
+        named("allocator", AllocatorKind::parse),
+    )?;
+    axis(g, "vca_sparse", &mut grid.vca_sparse, JsonValue::to_bool)?;
+    axis(
+        g,
+        "sa",
+        &mut grid.sa,
+        named("switch allocator", SwitchAllocatorKind::parse),
+    )?;
+    axis(
+        g,
+        "spec",
+        &mut grid.spec_mode,
+        named("speculation mode", SpecMode::parse),
+    )?;
+    axis(
+        g,
+        "pattern",
+        &mut grid.pattern,
+        named("pattern", TrafficPattern::parse),
+    )?;
+    axis(g, "buf_depth", &mut grid.buf_depth, JsonValue::to_usize)?;
+    axis(g, "burst", &mut grid.burst, JsonValue::to_usize)?;
+    axis(
+        g,
+        "payload_flits",
+        &mut grid.payload_flits,
+        JsonValue::to_usize,
+    )?;
+    axis(g, "rates", &mut grid.rates, rate)?;
+    axis(g, "seeds", &mut grid.seeds, JsonValue::to_u64)?;
+    if let Some(w) = g.opt_at("warmup", JsonValue::to_u64)? {
+        grid.warmup = w;
     }
-    if let Some(v) = axis(g, "vcs")? {
-        grid.vcs = map_axis(&v, "vcs", parse_usize)?;
+    if let Some(m) = g.opt_at("measure", JsonValue::to_u64)? {
+        grid.measure = m;
     }
-    if let Some(v) = axis(g, "vca")? {
-        grid.vca = map_axis(&v, "vca", named("allocator", AllocatorKind::parse))?;
-    }
-    if let Some(v) = axis(g, "vca_sparse")? {
-        grid.vca_sparse = map_axis(&v, "vca_sparse", |j| {
-            j.as_bool().ok_or_else(|| "expected a boolean".to_string())
-        })?;
-    }
-    if let Some(v) = axis(g, "sa")? {
-        grid.sa = map_axis(
-            &v,
-            "sa",
-            named("switch allocator", SwitchAllocatorKind::parse),
-        )?;
-    }
-    if let Some(v) = axis(g, "spec")? {
-        grid.spec_mode = map_axis(&v, "spec", named("speculation mode", SpecMode::parse))?;
-    }
-    if let Some(v) = axis(g, "pattern")? {
-        grid.pattern = map_axis(&v, "pattern", named("pattern", TrafficPattern::parse))?;
-    }
-    if let Some(v) = axis(g, "buf_depth")? {
-        grid.buf_depth = map_axis(&v, "buf_depth", parse_usize)?;
-    }
-    if let Some(v) = axis(g, "burst")? {
-        grid.burst = map_axis(&v, "burst", parse_usize)?;
-    }
-    if let Some(v) = axis(g, "payload_flits")? {
-        grid.payload_flits = map_axis(&v, "payload_flits", parse_usize)?;
-    }
-    if let Some(v) = axis(g, "rates")? {
-        grid.rates = map_axis(&v, "rates", |j| {
-            j.as_f64()
-                .filter(|r| r.is_finite() && *r > 0.0)
-                .ok_or_else(|| "expected a positive number".to_string())
-        })?;
-    }
-    if let Some(v) = axis(g, "seeds")? {
-        grid.seeds = map_axis(&v, "seeds", |j| parse_usize(j).map(|s| s as u64))?;
-    }
-    if let Some(w) = g.get("warmup") {
-        grid.warmup = parse_usize(w).map_err(|e| format!("warmup: {e}"))? as u64;
-    }
-    if let Some(m) = g.get("measure") {
-        grid.measure = parse_usize(m).map_err(|e| format!("measure: {e}"))? as u64;
-    }
-    if let Some(e) = g.get("engine") {
-        let name = e.as_str().ok_or("engine: expected a string")?;
-        grid.engine =
-            Engine::parse(name).ok_or_else(|| format!("engine: unknown engine '{name}'"))?;
-    }
-    for (axis_name, empty) in [
-        ("topology", grid.topology.is_empty()),
-        ("vcs", grid.vcs.is_empty()),
-        ("rates", grid.rates.is_empty()),
-        ("seeds", grid.seeds.is_empty()),
-    ] {
-        if empty {
-            return Err(format!("axis '{axis_name}' is empty"));
-        }
+    if let Some(e) = g.opt_at("engine", named("engine", Engine::parse))? {
+        grid.engine = e;
     }
     Ok(grid)
 }
 
-/// Reads a grid member as a list: arrays pass through, scalars become a
-/// one-element list, absent keys are `None`.
-#[allow(clippy::type_complexity)]
-fn axis<'a>(g: &'a JsonValue, key: &str) -> Result<Option<Vec<&'a JsonValue>>, String> {
-    match g.get(key) {
-        None => Ok(None),
-        Some(JsonValue::Arr(items)) => {
-            if items.is_empty() {
-                return Err(format!("axis '{key}' is empty"));
-            }
-            Ok(Some(items.iter().collect()))
-        }
-        Some(v) => Ok(Some(vec![v])),
-    }
-}
-
-fn map_axis<T>(
-    items: &[&JsonValue],
+/// Reads the grid member `key` into `into`, if present: an array is the
+/// axis, a scalar a one-value axis. An empty axis would empty the grid.
+fn axis<'a, T>(
+    g: &'a JsonValue,
     key: &str,
-    f: impl Fn(&JsonValue) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    items
-        .iter()
-        .map(|v| f(v).map_err(|e| format!("{key}: {e}")))
-        .collect()
-}
-
-fn parse_usize(v: &JsonValue) -> Result<usize, String> {
-    let n = v.as_f64().ok_or("expected a number")?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(format!("expected a non-negative integer, got {n}"));
-    }
-    Ok(n as usize)
-}
-
-fn str_of(v: &JsonValue) -> Result<&str, String> {
-    v.as_str().ok_or_else(|| "expected a string".to_string())
+    into: &mut Vec<T>,
+    read: impl Fn(&'a JsonValue) -> Result<T, String>,
+) -> Result<(), String> {
+    let values = match g.get(key) {
+        None => return Ok(()),
+        Some(JsonValue::Arr(items)) if items.is_empty() => {
+            return Err(format!("axis '{key}' is empty"))
+        }
+        Some(JsonValue::Arr(items)) => items.iter().map(read).collect(),
+        Some(v) => read(v).map(|one| vec![one]),
+    };
+    *into = values.map_err(|e| format!("{key}: {e}"))?;
+    Ok(())
 }
 
 /// Reads a design-axis name with the enum's own `parse` — the one
@@ -435,7 +398,7 @@ fn named<T>(
     parse: fn(&str) -> Option<T>,
 ) -> impl Fn(&JsonValue) -> Result<T, String> {
     move |v| {
-        let s = str_of(v)?;
+        let s = v.to_str()?;
         parse(s).ok_or_else(|| format!("unknown {what} '{s}'"))
     }
 }

@@ -283,6 +283,31 @@ fn invalid_config_is_refused_and_the_daemon_keeps_serving() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// A request line nested 100,000 deep, or longer than the daemon buffers,
+/// gets an `error` line — the first used to overflow the handler's stack
+/// and end the process — and the daemon serves the next request.
+#[test]
+fn hostile_request_lines_get_an_error_reply_and_the_daemon_keeps_serving() {
+    let root = scratch("hostile");
+    let daemon = start(&opts(&root)).unwrap();
+    let addr = daemon.addr().to_string();
+    for (line, needle) in [
+        ("[".repeat(100_000), "nesting deeper than 128 levels"),
+        (
+            "x".repeat((1 << 20) + 100),
+            "line longer than 1048576 bytes",
+        ),
+    ] {
+        let err = request(&addr, &line, |_, _| {}).unwrap_err();
+        assert!(err.contains("daemon refused: request: "), "{err}");
+        assert!(err.contains(needle), "{err}");
+    }
+    let good = serve_sweep_request_line("good", &spec_json(&[0.05]), None);
+    assert_eq!(request(&addr, &good, |_, _| {}).unwrap().unique, 1);
+    daemon.shutdown();
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// The built-in selftest passes on a cold cache and again over the same,
 /// now warm, directories (the CLI defaults make every second run warm).
 #[test]

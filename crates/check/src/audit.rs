@@ -362,7 +362,7 @@ fn audit_crate_root(root: &Path, rel: &Path, report: &mut AuditReport) {
 
 /// Recursively collects `.rs` files under `dir`, skipping build output,
 /// VCS metadata and the deliberately-failing audit fixtures.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();

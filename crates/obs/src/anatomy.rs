@@ -29,7 +29,7 @@
 //! `noc-anatomy/v1` dumps are byte-identical across seq/par/active.
 
 use crate::hist::HdrHistogram;
-use crate::json::{esc, num, JsonValue};
+use crate::json::{ints, narrow, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -356,263 +356,142 @@ pub struct AnatomyHeader {
     pub top_k: u64,
 }
 
-impl AnatomyHeader {
-    /// Serializes the header as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":\"{}\",\"digest\":\"{}\",\"label\":\"{}\",\"routers\":{},\
-             \"warmup\":{},\"measure\":{},\"capacity\":{},\"top_k\":{}}}",
-            ANATOMY_SCHEMA,
-            esc(&self.digest),
-            esc(&self.label),
-            self.routers,
-            self.warmup,
-            self.measure,
-            self.capacity,
-            self.top_k
-        )
+impl ToJson for AnatomyHeader {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("schema", ANATOMY_SCHEMA)
+            .field("digest", &self.digest)
+            .field("label", &self.label)
+            .field("routers", self.routers)
+            .field("warmup", self.warmup)
+            .field("measure", self.measure)
+            .field("capacity", self.capacity)
+            .field("top_k", self.top_k)
+            .end_object();
     }
+}
 
+impl AnatomyHeader {
     fn from_value(v: &JsonValue) -> Result<AnatomyHeader, String> {
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "anatomy header: missing schema".to_string())?;
-        if schema != ANATOMY_SCHEMA {
-            return Err(format!(
-                "anatomy header: schema '{schema}' != '{ANATOMY_SCHEMA}'"
-            ));
-        }
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("anatomy header: missing {key:?}"))
-        };
+        v.expect_schema(ANATOMY_SCHEMA)?;
         Ok(AnatomyHeader {
-            digest: v
-                .get("digest")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| "anatomy header: missing digest".to_string())?
-                .to_string(),
-            label: v
-                .get("label")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            routers: u("routers")? as usize,
-            warmup: u("warmup")?,
-            measure: u("measure")?,
-            capacity: u("capacity")?,
-            top_k: u("top_k")?,
+            digest: v.str_at("digest")?.to_string(),
+            label: v.text_at("label")?,
+            routers: v.usize_at("routers")?,
+            warmup: v.u64_at("warmup")?,
+            measure: v.u64_at("measure")?,
+            capacity: v.u64_at("capacity")?,
+            top_k: v.u64_at("top_k")?,
         })
     }
 }
 
-fn hist_json(h: &HdrHistogram) -> String {
-    let mut out = String::from("{\"min\":");
-    match h.min() {
-        Some(m) => {
-            let _ = write!(out, "{m}");
-        }
-        None => out.push_str("null"),
+/// The totals line: population counts, per-stage sums and histograms.
+impl ToJson for AnatomyTotals {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("packets", self.packets)
+            .field("requests", self.class_packets[0])
+            .field("replies", self.class_packets[1])
+            .field("dropped", self.dropped)
+            .field("sums", self.sums)
+            .field("hists", &self.hists)
+            .end_object();
     }
-    out.push_str(",\"max\":");
-    match h.max() {
-        Some(m) => {
-            let _ = write!(out, "{m}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"buckets\":[");
-    for (i, (lower, _, count)) in h.iter_buckets().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{lower},{count}]");
-    }
-    out.push_str("]}");
-    out
-}
-
-fn hist_from_value(v: &JsonValue) -> Result<HdrHistogram, String> {
-    let rows = v
-        .get("buckets")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "anatomy totals: histogram missing buckets".to_string())?;
-    let mut parts = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cells = row
-            .as_array()
-            .filter(|c| c.len() == 2)
-            .ok_or_else(|| "anatomy totals: malformed histogram bucket".to_string())?;
-        let cell = |i: usize| -> Result<u64, String> {
-            cells[i]
-                .as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| "anatomy totals: non-numeric bucket cell".to_string())
-        };
-        parts.push((cell(0)?, cell(1)?));
-    }
-    let bound = |key: &str| v.get(key).and_then(JsonValue::as_f64).map(|n| n as u64);
-    Ok(HdrHistogram::from_parts(
-        &parts,
-        bound("min").unwrap_or(0),
-        bound("max").unwrap_or(0),
-    ))
-}
-
-fn totals_jsonl(t: &AnatomyTotals) -> String {
-    let mut out = format!(
-        "{{\"packets\":{},\"requests\":{},\"replies\":{},\"dropped\":{},\"sums\":[",
-        t.packets, t.class_packets[0], t.class_packets[1], t.dropped
-    );
-    for (i, s) in t.sums.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{s}");
-    }
-    out.push_str("],\"hists\":[");
-    for (i, h) in t.hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&hist_json(h));
-    }
-    out.push_str("]}");
-    out
 }
 
 fn totals_from_value(v: &JsonValue) -> Result<AnatomyTotals, String> {
-    let u = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("anatomy totals: missing {key:?}"))
-    };
-    let sums_arr = v
-        .get("sums")
-        .and_then(JsonValue::as_array)
-        .filter(|a| a.len() == STAGE_COUNT)
-        .ok_or_else(|| "anatomy totals: malformed sums".to_string())?;
-    let mut sums = [0u64; STAGE_COUNT];
-    for (i, s) in sums_arr.iter().enumerate() {
-        sums[i] = s
-            .as_f64()
-            .map(|n| n as u64)
-            .ok_or_else(|| "anatomy totals: non-numeric sum".to_string())?;
-    }
-    let hist_rows = v
-        .get("hists")
-        .and_then(JsonValue::as_array)
-        .filter(|a| a.len() == STAGE_COUNT + 1)
-        .ok_or_else(|| "anatomy totals: malformed hists".to_string())?;
-    let mut hists = Vec::with_capacity(STAGE_COUNT + 1);
-    for h in hist_rows {
-        hists.push(hist_from_value(h)?);
+    let hists = v.list_at("hists", HdrHistogram::from_value)?;
+    if hists.len() != STAGE_COUNT + 1 {
+        return Err(format!("hists: expected {} histograms", STAGE_COUNT + 1));
     }
     Ok(AnatomyTotals {
-        packets: u("packets")?,
-        class_packets: [u("requests")?, u("replies")?],
-        dropped: u("dropped")?,
-        sums,
+        packets: v.u64_at("packets")?,
+        class_packets: [v.u64_at("requests")?, v.u64_at("replies")?],
+        dropped: v.u64_at("dropped")?,
+        sums: v.at("sums", JsonValue::row)?,
         hists,
     })
 }
 
-fn packet_row(p: &PacketAnatomy) -> String {
-    let mut out = format!(
-        "[\"{:016x}\",{},{},{},{}",
-        p.packet_id, p.class, p.birth, p.eject, p.hops
-    );
-    for s in &p.stages {
-        let _ = write!(out, ",{s}");
+/// A packet row: `[id, class, birth, eject, hops, stage…]`, the id as 16
+/// hex digits (it exceeds 2^53, so it cannot travel as a number).
+impl ToJson for PacketAnatomy {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array()
+            .value(format_args!("{:016x}", self.packet_id))
+            .value(self.class)
+            .value(self.birth)
+            .value(self.eject)
+            .value(self.hops);
+        for stage in self.stages {
+            w.value(stage);
+        }
+        w.end_array();
     }
-    out.push(']');
-    out
 }
 
-fn packet_from_cells(cells: &[JsonValue]) -> Result<PacketAnatomy, String> {
-    if cells.len() != 5 + STAGE_COUNT {
-        return Err("anatomy dump: malformed packet row".to_string());
-    }
-    let packet_id = cells[0]
-        .as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| "anatomy dump: malformed packet id".to_string())?;
-    let cell = |i: usize| -> Result<u64, String> {
-        cells[i]
-            .as_f64()
-            .map(|n| n as u64)
-            .ok_or_else(|| "anatomy dump: non-numeric packet cell".to_string())
-    };
-    let mut stages = [0u64; STAGE_COUNT];
-    for (i, s) in stages.iter_mut().enumerate() {
-        *s = cell(5 + i)?;
-    }
+fn packet_from_value(v: &JsonValue) -> Result<PacketAnatomy, String> {
+    let (id, cells) = (v.to_array()?.split_first()).ok_or("empty packet row")?;
+    let [class, birth, eject, hops, stages @ ..] = ints::<{ 4 + STAGE_COUNT }>(cells)?;
     Ok(PacketAnatomy {
-        packet_id,
-        class: cell(1)? as u8,
-        birth: cell(2)?,
-        eject: cell(3)?,
-        hops: cell(4)? as u32,
+        packet_id: (id.as_str().and_then(|s| u64::from_str_radix(s, 16).ok()))
+            .ok_or("malformed packet id")?,
+        class: narrow(class)?,
+        birth,
+        eject,
+        hops: narrow(hops)?,
         stages,
     })
 }
 
-fn waterfall_jsonl(w: &Waterfall) -> String {
-    let mut out = format!("{{\"slow\":{},\"hops\":[", packet_row(&w.packet));
-    for (i, h) in w.hops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// A waterfall line: the packet row plus one
+/// `[router, in_port, in_vc, arrive, depart, vca, sa, credit, active]`
+/// row per hop.
+impl ToJson for Waterfall {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("slow", self.packet)
+            .key("hops")
+            .begin_array();
+        for h in &self.hops {
+            w.value([
+                h.router as u64,
+                h.in_port as u64,
+                h.in_vc as u64,
+                h.arrive,
+                h.depart,
+                h.vca,
+                h.sa,
+                h.credit,
+                h.active,
+            ]);
         }
-        let _ = write!(
-            out,
-            "[{},{},{},{},{},{},{},{},{}]",
-            h.router, h.in_port, h.in_vc, h.arrive, h.depart, h.vca, h.sa, h.credit, h.active
-        );
+        w.end_array().end_object();
     }
-    out.push_str("]}");
-    out
 }
 
 fn waterfall_from_value(v: &JsonValue) -> Result<Waterfall, String> {
-    let cells = v
-        .get("slow")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "anatomy dump: malformed slow row".to_string())?;
-    let packet = packet_from_cells(cells)?;
-    let rows = v
-        .get("hops")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "anatomy dump: slow row missing hops".to_string())?;
-    let mut hops = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cells = row
-            .as_array()
-            .filter(|c| c.len() == 9)
-            .ok_or_else(|| "anatomy dump: malformed hop row".to_string())?;
-        let cell = |i: usize| -> Result<u64, String> {
-            cells[i]
-                .as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| "anatomy dump: non-numeric hop cell".to_string())
-        };
-        hops.push(HopRecord {
+    let packet = v.at("slow", packet_from_value)?;
+    let hop = |row: &JsonValue| -> Result<HopRecord, String> {
+        let [router, in_port, in_vc, arrive, depart, vca, sa, credit, active] = row.row()?;
+        Ok(HopRecord {
             packet_id: packet.packet_id,
-            router: cell(0)? as u32,
-            in_port: cell(1)? as u16,
-            in_vc: cell(2)? as u16,
-            arrive: cell(3)?,
-            depart: cell(4)?,
-            vca: cell(5)?,
-            sa: cell(6)?,
-            credit: cell(7)?,
-            active: cell(8)?,
-        });
-    }
-    Ok(Waterfall { packet, hops })
+            router: narrow(router)?,
+            in_port: narrow(in_port)?,
+            in_vc: narrow(in_vc)?,
+            arrive,
+            depart,
+            vca,
+            sa,
+            credit,
+            active,
+        })
+    };
+    Ok(Waterfall {
+        packet,
+        hops: v.list_at("hops", hop)?,
+    })
 }
 
 fn dump_jsonl(
@@ -621,19 +500,15 @@ fn dump_jsonl(
     records: &[PacketAnatomy],
     slow: &[&Waterfall],
 ) -> String {
-    let mut out = header.to_json();
-    out.push('\n');
-    out.push_str(&totals_jsonl(totals));
-    out.push('\n');
+    let mut w = JsonWriter::default();
+    w.value(header).newline().value(totals).newline();
     for p in records {
-        let _ = write!(out, "{{\"pkt\":{}}}", packet_row(p));
-        out.push('\n');
+        w.begin_object().field("pkt", p).end_object().newline();
     }
-    for w in slow {
-        out.push_str(&waterfall_jsonl(w));
-        out.push('\n');
+    for s in slow {
+        w.value(s).newline();
     }
-    out
+    w.finish()
 }
 
 /// A parsed `noc-anatomy/v1` dump.
@@ -657,26 +532,27 @@ impl AnatomyDump {
         let first = lines
             .next()
             .ok_or_else(|| "empty anatomy dump".to_string())?;
-        let header = AnatomyHeader::from_value(&JsonValue::parse(first)?)?;
+        let header = AnatomyHeader::from_value(&JsonValue::parse(first)?)
+            .map_err(|e| format!("anatomy header: {e}"))?;
         let second = lines
             .next()
             .ok_or_else(|| "anatomy dump: missing totals line".to_string())?;
-        let totals = totals_from_value(&JsonValue::parse(second)?)?;
+        let totals = totals_from_value(&JsonValue::parse(second)?)
+            .map_err(|e| format!("anatomy totals: {e}"))?;
         let mut records = Vec::new();
         let mut slow = Vec::new();
         for (i, line) in lines.enumerate() {
-            let v = JsonValue::parse(line).map_err(|e| format!("dump line {}: {e}", i + 3))?;
-            if let Some(cells) = v.get("pkt").and_then(JsonValue::as_array) {
-                records.push(
-                    packet_from_cells(cells).map_err(|e| format!("dump line {}: {e}", i + 3))?,
-                );
-            } else if v.get("slow").is_some() {
-                slow.push(
-                    waterfall_from_value(&v).map_err(|e| format!("dump line {}: {e}", i + 3))?,
-                );
-            } else {
-                return Err(format!("dump line {}: unknown row kind", i + 3));
-            }
+            let row = JsonValue::parse(line).and_then(|v| {
+                if let Some(p) = v.get("pkt") {
+                    records.push(packet_from_value(p).map_err(|e| format!("pkt: {e}"))?);
+                } else if v.get("slow").is_some() {
+                    slow.push(waterfall_from_value(&v)?);
+                } else {
+                    return Err("unknown row kind".to_string());
+                }
+                Ok(())
+            });
+            row.map_err(|e| format!("dump line {}: {e}", i + 3))?;
         }
         Ok(AnatomyDump {
             header,
@@ -769,38 +645,12 @@ impl AnatomySummary {
         self.sums.iter().sum()
     }
 
-    /// Serializes the report as one JSON object (NaN maps to null).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"{}\",\"packets\":{},\"requests\":{},\"replies\":{},\"dropped\":{},\
-             \"stages\":{{",
-            ANATOMY_SCHEMA, self.packets, self.requests, self.replies, self.dropped
-        );
-        for i in 0..=STAGE_COUNT {
-            if i > 0 {
-                out.push(',');
-            }
-            let name = if i < STAGE_COUNT {
-                STAGE_NAMES[i]
-            } else {
-                "total"
-            };
-            let sum = if i < STAGE_COUNT {
-                self.sums[i]
-            } else {
-                self.total_sum()
-            };
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"sum\":{sum},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                num(self.mean[i]),
-                num(self.p50[i]),
-                num(self.p99[i]),
-                self.max[i]
-            );
+    /// Name and cycle sum of row `i`: a stage, or the end-to-end total.
+    fn row(&self, i: usize) -> (&'static str, u64) {
+        match STAGE_NAMES.get(i) {
+            Some(name) => (name, self.sums[i]),
+            None => ("total", self.total_sum()),
         }
-        out.push_str("}}");
-        out
     }
 
     /// Renders the per-stage breakdown table `noc explain` prints.
@@ -823,11 +673,7 @@ impl AnatomySummary {
             }
         };
         for i in 0..=STAGE_COUNT {
-            let (name, sum) = if i < STAGE_COUNT {
-                (STAGE_NAMES[i], self.sums[i])
-            } else {
-                ("total", total_sum)
-            };
+            let (name, sum) = self.row(i);
             let share = if total_sum > 0 {
                 format!("{:.1}%", 100.0 * sum as f64 / total_sum as f64)
             } else {
@@ -845,6 +691,31 @@ impl AnatomySummary {
             );
         }
         out
+    }
+}
+
+impl ToJson for AnatomySummary {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("schema", ANATOMY_SCHEMA)
+            .field("packets", self.packets)
+            .field("requests", self.requests)
+            .field("replies", self.replies)
+            .field("dropped", self.dropped)
+            .key("stages")
+            .begin_object();
+        for i in 0..=STAGE_COUNT {
+            let (name, sum) = self.row(i);
+            w.key(name)
+                .begin_object()
+                .field("sum", sum)
+                .field("mean", self.mean[i])
+                .field("p50", self.p50[i])
+                .field("p99", self.p99[i])
+                .field("max", self.max[i])
+                .end_object();
+        }
+        w.end_object().end_object();
     }
 }
 

@@ -11,12 +11,12 @@
 use crate::event::{FlitEvent, TraceSink};
 
 /// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into the FNV-1a state `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }

@@ -12,8 +12,9 @@
 
 use crate::anatomy::Waterfall;
 use crate::event::{FlitEvent, FlitEventKind};
-use crate::json::{esc, num};
-use crate::metrics::{MetricsRegistry, RouterObs};
+use crate::json::{JsonWriter, ToJson};
+use crate::metrics::RouterObs;
+use crate::timeseries::WindowSnapshot;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -28,9 +29,13 @@ struct Row<'a> {
     value: f64,
 }
 
+/// Counter rows from the run totals, then three gauge rows per router per
+/// telemetry window, stamped with the window's closing cycle: the buffer
+/// occupancy and busy VCs at that cycle, and the window's channel
+/// utilization (flits per cycle per output port).
 fn rows<'a>(
     routers: &'a [RouterObs],
-    registry: Option<&'a MetricsRegistry>,
+    windows: &'a [WindowSnapshot],
 ) -> impl Iterator<Item = Row<'a>> + 'a {
     let counters = routers.iter().enumerate().flat_map(|(r, obs)| {
         let per_vc = obs.vc.iter().enumerate().flat_map(move |(idx, s)| {
@@ -64,27 +69,27 @@ fn rows<'a>(
         });
         per_vc.chain(per_port)
     });
-    let gauges = registry
-        .map(|m| m.samples.as_slice())
-        .unwrap_or(&[])
-        .iter()
-        .flat_map(|s| {
+    let gauges = windows.iter().flat_map(move |w| {
+        let cycles = w.cycle / w.window;
+        w.routers.iter().enumerate().flat_map(move |(r, c)| {
+            let link_cycles = (cycles * routers[r].out_flits.len() as u64).max(1);
             [
-                ("occupancy", s.occupancy as f64),
-                ("busy_vcs", s.busy_vcs as f64),
-                ("utilization", s.utilization),
+                ("occupancy", c.occupancy as f64),
+                ("busy_vcs", c.busy_vcs as f64),
+                ("utilization", c.out_flits as f64 / link_cycles as f64),
             ]
             .into_iter()
-            .map(|(name, value)| Row {
+            .map(move |(name, value)| Row {
                 record: "gauge",
-                cycle: Some(s.cycle),
-                router: s.router as usize,
+                cycle: Some(w.cycle),
+                router: r,
                 port: None,
                 vc: None,
                 name,
                 value,
             })
-        });
+        })
+    });
     counters.chain(gauges)
 }
 
@@ -97,9 +102,9 @@ fn fmt_value(v: f64) -> String {
 }
 
 /// Encodes the metrics as long-format CSV with a header row.
-pub fn metrics_csv(routers: &[RouterObs], registry: Option<&MetricsRegistry>) -> String {
+pub fn metrics_csv(routers: &[RouterObs], windows: &[WindowSnapshot]) -> String {
     let mut out = String::from("record,cycle,router,port,vc,name,value\n");
-    for row in rows(routers, registry) {
+    for row in rows(routers, windows) {
         let opt = |o: Option<u64>| o.map(|v| v.to_string()).unwrap_or_default();
         let _ = writeln!(
             out,
@@ -118,35 +123,81 @@ pub fn metrics_csv(routers: &[RouterObs], registry: Option<&MetricsRegistry>) ->
 
 /// Encodes the metrics as JSON lines (one object per row of the same long
 /// schema; absent coordinates are omitted).
-pub fn metrics_jsonl(routers: &[RouterObs], registry: Option<&MetricsRegistry>) -> String {
-    let mut out = String::new();
-    for row in rows(routers, registry) {
-        let _ = write!(out, "{{\"record\":\"{}\"", row.record);
-        if let Some(c) = row.cycle {
-            let _ = write!(out, ",\"cycle\":{c}");
-        }
-        let _ = write!(out, ",\"router\":{}", row.router);
-        if let Some(p) = row.port {
-            let _ = write!(out, ",\"port\":{p}");
-        }
-        if let Some(v) = row.vc {
-            let _ = write!(out, ",\"vc\":{v}");
-        }
-        let _ = writeln!(out, ",\"name\":\"{}\",\"value\":{}}}", row.name, row.value);
+pub fn metrics_jsonl(routers: &[RouterObs], windows: &[WindowSnapshot]) -> String {
+    let mut w = JsonWriter::default();
+    for row in rows(routers, windows) {
+        w.begin_object()
+            .field("record", row.record)
+            .opt_field("cycle", row.cycle)
+            .field("router", row.router)
+            .opt_field("port", row.port)
+            .opt_field("vc", row.vc)
+            .field("name", row.name)
+            .field("value", row.value)
+            .end_object()
+            .newline();
     }
-    out
+    w.finish()
+}
+
+/// Opens a Chrome Trace Event Format document, one event per line.
+fn begin_trace() -> JsonWriter {
+    let mut w = JsonWriter::default();
+    w.begin_object()
+        .field("displayTimeUnit", "ns")
+        .key("traceEvents")
+        .begin_lines();
+    w
+}
+
+fn end_trace(mut w: JsonWriter) -> String {
+    w.end_array().end_object().newline();
+    w.finish()
+}
+
+/// The async `"b"`/`"e"` pair spanning a packet's lifetime.
+fn packet_span(w: &mut JsonWriter, cat: &str, id: u64, start: u64, end: u64, tid: usize) {
+    for (ph, ts) in [("b", start), ("e", end.max(start + 1))] {
+        w.begin_object()
+            .field("name", "packet")
+            .field("cat", cat)
+            .field("ph", ph)
+            .field("id", format_args!("{id:x}"))
+            .field("ts", ts)
+            .field("pid", 0u64)
+            .field("tid", tid)
+            .end_object();
+    }
+}
+
+/// One complete (`"X"`) slice; the caller adds `args` and closes it.
+#[allow(clippy::too_many_arguments)]
+fn begin_slice<'w>(
+    w: &'w mut JsonWriter,
+    name: &str,
+    cat: &str,
+    ts: u64,
+    dur: u64,
+    pid: u32,
+    tid: u32,
+    packet: u64,
+) -> &'w mut JsonWriter {
+    w.begin_object()
+        .field("name", name)
+        .field("cat", cat)
+        .field("ph", "X")
+        .field("ts", ts)
+        .field("dur", dur)
+        .field("pid", pid)
+        .field("tid", tid)
+        .key("args")
+        .begin_object()
+        .field("packet", format_args!("{packet:x}"))
 }
 
 /// Encodes a flit-event trace in the Chrome Trace Event Format.
 pub fn chrome_trace(events: &[FlitEvent]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        out.push('\n');
-    };
+    let mut w = begin_trace();
     // Packet lifetime spans: injection of the head flit to the last
     // ejection seen.
     let mut spans: HashMap<u64, (u64, u64)> = HashMap::new();
@@ -163,32 +214,26 @@ pub fn chrome_trace(events: &[FlitEvent]) -> String {
     }
     let mut span_list: Vec<_> = spans.into_iter().collect();
     span_list.sort_unstable();
-    for (pid, (start, end)) in span_list {
-        for (ph, ts) in [("b", start), ("e", end.max(start + 1))] {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"packet\",\"cat\":\"packet\",\"ph\":\"{ph}\",\
-                 \"id\":\"{pid:x}\",\"ts\":{ts},\"pid\":0,\"tid\":0}}"
-            );
-        }
+    for (id, (start, end)) in span_list {
+        packet_span(&mut w, "packet", id, start, end, 0);
     }
     for ev in events {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"flit\",\"ph\":\"X\",\"ts\":{},\"dur\":1,\
-             \"pid\":{},\"tid\":{},\"args\":{{\"packet\":\"{:x}\",\"flit\":{}}}}}",
+        let tid = (ev.port as u32) * 256 + ev.vc as u32;
+        begin_slice(
+            &mut w,
             ev.kind.name(),
+            "flit",
             ev.cycle,
+            1,
             ev.router,
-            (ev.port as u32) * 256 + ev.vc as u32,
+            tid,
             ev.packet_id,
-            ev.flit_index
-        );
+        )
+        .field("flit", ev.flit_index)
+        .end_object()
+        .end_object();
     }
-    out.push_str("\n]}\n");
-    out
+    end_trace(w)
 }
 
 /// Encodes slow-packet waterfalls as Chrome Trace Event Format stage-wait
@@ -202,69 +247,38 @@ pub fn chrome_trace(events: &[FlitEvent]) -> String {
 /// starting at the head flit's arrival cycle (the four slices tile the
 /// hop's span exactly, mirroring the ledger's reconciliation invariant).
 pub fn anatomy_chrome_trace(slow: &[&Waterfall]) -> String {
-    fn sep(out: &mut String, first: &mut bool) {
-        if !std::mem::take(first) {
-            out.push(',');
+    fn slice(w: &mut JsonWriter, name: &str, ts: u64, dur: u64, pid: u32, tid: u32, id: u64) {
+        if dur > 0 {
+            begin_slice(w, name, "anatomy", ts, dur, pid, tid, id)
+                .end_object()
+                .end_object();
         }
-        out.push('\n');
     }
-    #[allow(clippy::too_many_arguments)]
-    fn slice(
-        out: &mut String,
-        first: &mut bool,
-        name: &str,
-        ts: u64,
-        dur: u64,
-        pid: u32,
-        tid: u32,
-        packet: u64,
-    ) {
-        if dur == 0 {
-            return;
-        }
-        sep(out, first);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"cat\":\"anatomy\",\"ph\":\"X\",\"ts\":{ts},\
-             \"dur\":{dur},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"packet\":\"{packet:x}\"}}}}"
-        );
-    }
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    for (lane, w) in slow.iter().enumerate() {
-        let p = &w.packet;
-        for (ph, ts) in [("b", p.birth), ("e", p.eject.max(p.birth + 1))] {
-            sep(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"name\":\"packet\",\"cat\":\"anatomy\",\"ph\":\"{ph}\",\
-                 \"id\":\"{:x}\",\"ts\":{ts},\"pid\":0,\"tid\":{lane}}}",
-                p.packet_id
-            );
-        }
-        let lane = lane as u32;
-        let f = &mut first;
+    let mut w = begin_trace();
+    for (lane, wf) in slow.iter().enumerate() {
+        let p = &wf.packet;
+        packet_span(&mut w, "anatomy", p.packet_id, p.birth, p.eject, lane);
+        let tid = lane as u32;
         slice(
-            &mut out,
-            f,
+            &mut w,
             "src_queue",
             p.birth,
             p.stages[0],
             0,
-            lane,
+            tid,
             p.packet_id,
         );
+        let tail = p.stages[6];
         slice(
-            &mut out,
-            f,
+            &mut w,
             "serialization",
-            p.eject - p.stages[6],
-            p.stages[6],
+            p.eject - tail,
+            tail,
             0,
-            lane,
+            tid,
             p.packet_id,
         );
-        for h in &w.hops {
+        for h in &wf.hops {
             let tid = (h.in_port as u32) * 256 + h.in_vc as u32;
             let mut ts = h.arrive;
             for (name, dur) in [
@@ -273,13 +287,12 @@ pub fn anatomy_chrome_trace(slow: &[&Waterfall]) -> String {
                 ("credit", h.credit),
                 ("active", h.active),
             ] {
-                slice(&mut out, f, name, ts, dur, h.router, tid, h.packet_id);
+                slice(&mut w, name, ts, dur, h.router, tid, h.packet_id);
                 ts += dur;
             }
         }
     }
-    out.push_str("\n]}\n");
-    out
+    end_trace(w)
 }
 
 /// Encodes an [`HdrHistogram`](crate::HdrHistogram) as CSV: one row per
@@ -320,6 +333,19 @@ pub struct SweepManifestPoint {
     pub anatomy: Option<String>,
 }
 
+impl ToJson for SweepManifestPoint {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("label", &self.label)
+            .field("digest", &self.digest)
+            .field("source", self.source)
+            .field("wall_ms", self.wall_ms)
+            .opt_field("telemetry", self.telemetry.as_ref())
+            .opt_field("anatomy", self.anatomy.as_ref())
+            .end_object();
+    }
+}
+
 /// Encodes a sweep-run manifest (schema `noc-sweep-manifest/v1`) as one
 /// JSON document: identity (name, sweep schema, spec digest), hit/miss
 /// accounting for the run, and one row per point. The hit counts are the
@@ -336,71 +362,45 @@ pub fn sweep_manifest_json(
     wall_ms: u64,
     points: &[SweepManifestPoint],
 ) -> String {
-    let mut out = String::from("{\"schema\":\"noc-sweep-manifest/v1\"");
-    let _ = write!(
-        out,
-        ",\"name\":\"{}\",\"sweep_schema\":\"{}\",\"spec_digest\":\"{}\"",
-        esc(name),
-        esc(schema),
-        esc(spec_digest)
-    );
-    let _ = write!(
-        out,
-        ",\"points\":{},\"computed\":{computed},\"cache_hits\":{cache_hits},\
-         \"journal_skips\":{journal_skips},\"wall_ms\":{wall_ms}",
-        points.len()
-    );
-    out.push_str(",\"results\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"label\":\"{}\",\"digest\":\"{}\",\"source\":\"{}\",\"wall_ms\":{}",
-            esc(&p.label),
-            esc(&p.digest),
-            p.source,
-            p.wall_ms
-        );
-        if let Some(t) = &p.telemetry {
-            let _ = write!(out, ",\"telemetry\":\"{}\"", esc(t));
-        }
-        if let Some(a) = &p.anatomy {
-            let _ = write!(out, ",\"anatomy\":\"{}\"", esc(a));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    let mut w = JsonWriter::default();
+    w.begin_object()
+        .field("schema", "noc-sweep-manifest/v1")
+        .field("name", name)
+        .field("sweep_schema", schema)
+        .field("spec_digest", spec_digest)
+        .field("points", points.len())
+        .field("computed", computed)
+        .field("cache_hits", cache_hits)
+        .field("journal_skips", journal_skips)
+        .field("wall_ms", wall_ms)
+        .field("results", points)
+        .end_object();
+    w.finish()
 }
 
-/// Encodes a percentile table (as produced by
+/// A percentile table (as produced by
 /// [`HdrHistogram::percentile_table`](crate::HdrHistogram::percentile_table))
 /// as one JSON object, `{"p50": .., "p99": ..}`, with NaN mapped to
 /// `null`. Quantiles are named by their value in basis points of 100
 /// (`0.999` → `"p999"`, `1.0` → `"max"`).
-pub fn percentile_table_json(table: &[(f64, f64)]) -> String {
-    let mut out = String::from("{");
-    for (i, (q, v)) in table.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let name = if *q >= 1.0 {
-            "max".to_string()
-        } else {
+pub struct PercentileTable<'a>(pub &'a [(f64, f64)]);
+
+impl ToJson for PercentileTable<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for &(q, v) in self.0 {
             // 0.5 -> p50, 0.99 -> p99, 0.999 -> p999.
             let pct = q * 100.0;
-            if pct.fract().abs() < 1e-9 {
-                format!("p{}", pct.round() as u64)
+            if q >= 1.0 {
+                w.field("max", v);
+            } else if pct.fract().abs() < 1e-9 {
+                w.field(&format!("p{}", pct.round() as u64), v);
             } else {
-                format!("p{}", (q * 1000.0).round() as u64)
+                w.field(&format!("p{}", (q * 1000.0).round() as u64), v);
             }
-        };
-        let _ = write!(out, "\"{name}\":{}", num(*v));
+        }
+        w.end_object();
     }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -423,11 +423,22 @@ mod tests {
         vec![a, b]
     }
 
+    /// One 5-cycle window over the two 2-port routers of `sample_obs`.
+    fn sample_windows() -> Vec<WindowSnapshot> {
+        let mut rec = crate::FlightRecorder::new(5, 4);
+        let router = |out_flits, occupancy, busy_vcs| crate::RouterCounters {
+            out_flits,
+            occupancy,
+            busy_vcs,
+            ..Default::default()
+        };
+        rec.record(4, 0, 0, [router(8, 3, 1), router(0, 0, 0)].into_iter());
+        rec.ring().cloned().collect()
+    }
+
     #[test]
     fn csv_has_uniform_field_counts() {
-        let mut m = MetricsRegistry::new(5, 2);
-        m.sample(5, [(3u32, 1u32, 8u64, 2usize), (0, 0, 0, 2)].into_iter());
-        let csv = metrics_csv(&sample_obs(), Some(&m));
+        let csv = metrics_csv(&sample_obs(), &sample_windows());
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
         assert_eq!(header, "record,cycle,router,port,vc,name,value");
@@ -442,13 +453,13 @@ mod tests {
         assert_eq!(n, 2 * (2 * 2 * 5 + 2) + 2 * 3);
         assert!(csv.contains("counter,,0,0,0,credit_stall,1"));
         assert!(csv.contains("gauge,5,0,,,occupancy,3"));
+        // 8 flits in a 5-cycle window over 2 output ports.
+        assert!(csv.contains("gauge,5,0,,,utilization,0.800000"));
     }
 
     #[test]
     fn jsonl_rows_are_valid_json() {
-        let mut m = MetricsRegistry::new(5, 2);
-        m.sample(5, [(3u32, 1u32, 8u64, 2usize), (0, 0, 0, 2)].into_iter());
-        let jsonl = metrics_jsonl(&sample_obs(), Some(&m));
+        let jsonl = metrics_jsonl(&sample_obs(), &sample_windows());
         let mut n = 0;
         for line in jsonl.lines() {
             validate_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
@@ -546,7 +557,7 @@ mod tests {
     #[test]
     fn percentile_table_json_names_and_nulls() {
         let table = [(0.5, 12.0), (0.9, 20.0), (0.999, 31.5), (1.0, f64::NAN)];
-        let json = percentile_table_json(&table);
+        let json = PercentileTable(&table).to_json();
         validate_json(&json).unwrap();
         assert_eq!(json, "{\"p50\":12,\"p90\":20,\"p999\":31.5,\"max\":null}");
     }

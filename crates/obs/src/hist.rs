@@ -9,6 +9,8 @@
 //! old power-of-two histogram whose p99 for a 100-cycle tail could only be
 //! reported as "≤ 128".
 
+use crate::json::{JsonValue, JsonWriter, ToJson};
+
 /// Log-linear histogram over `u64` values with bounded relative error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HdrHistogram {
@@ -100,24 +102,33 @@ impl HdrHistogram {
         self.max = self.max.max(v);
     }
 
-    /// Rebuilds a histogram from serialized parts: `(value, count)` pairs
-    /// (any representative value inside each bucket — [`iter_buckets`]'s
-    /// lower bounds round-trip exactly) plus the exact recorded extremes,
-    /// which bucket lower bounds alone cannot recover. `min`/`max` are
-    /// ignored when `buckets` is empty.
-    ///
-    /// [`iter_buckets`]: HdrHistogram::iter_buckets
-    pub fn from_parts(buckets: &[(u64, u64)], min: u64, max: u64) -> HdrHistogram {
+    /// Reads the histogram [`ToJson`] wrote. `min` / `max` carry the exact
+    /// recorded extremes, which bucket lower bounds alone cannot recover;
+    /// they must fall in the first and last bucket (`null` when empty).
+    pub fn from_value(v: &JsonValue) -> Result<HdrHistogram, String> {
         let mut h = HdrHistogram::new();
-        for &(v, c) in buckets {
-            h.record_n(v, c);
+        for bucket in v.arr_at("buckets")? {
+            let [lower, count] = bucket.row().map_err(|e| format!("buckets: {e}"))?;
+            if h.total.checked_add(count).is_none() {
+                return Err("buckets: counts overflow".to_string());
+            }
+            h.record_n(lower, count);
         }
-        if h.total > 0 {
-            debug_assert!(min <= max && Self::index(min) == Self::index(h.min));
-            h.min = min;
-            h.max = max;
+        let min = v.opt_at("min", JsonValue::to_u64)?;
+        let max = v.opt_at("max", JsonValue::to_u64)?;
+        match (min, max) {
+            (None, None) if h.total == 0 => {}
+            (Some(min), Some(max))
+                if h.total > 0
+                    && min <= max
+                    && Self::index(min) == Self::index(h.min)
+                    && Self::index(max) == Self::index(h.max) =>
+            {
+                (h.min, h.max) = (min, max);
+            }
+            _ => return Err("min/max do not match the buckets".to_string()),
         }
-        h
+        Ok(h)
     }
 
     /// Values recorded.
@@ -201,6 +212,23 @@ impl HdrHistogram {
     }
 }
 
+/// `{"min":…,"max":…,"buckets":[[lower,count],…]}` over the non-empty
+/// buckets: the one histogram format of cache entries and anatomy dumps,
+/// lossless through [`HdrHistogram::from_value`].
+impl ToJson for HdrHistogram {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("min", self.min())
+            .field("max", self.max())
+            .key("buckets")
+            .begin_array();
+        for (lower, _, count) in self.iter_buckets() {
+            w.value([lower, count]);
+        }
+        w.end_array().end_object();
+    }
+}
+
 /// The default quantile grid reported by summaries and exporters.
 pub const DEFAULT_QUANTILES: [f64; 6] = [0.50, 0.90, 0.95, 0.99, 0.999, 1.0];
 
@@ -275,17 +303,29 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_exactly() {
+    fn json_round_trips_exactly() {
         let mut h = HdrHistogram::new();
         for v in 0..4000u64 {
             h.record(v * v % 99_991);
         }
-        let parts: Vec<(u64, u64)> = h.iter_buckets().map(|(lo, _, c)| (lo, c)).collect();
-        let rebuilt = HdrHistogram::from_parts(&parts, h.min().unwrap_or(0), h.max().unwrap_or(0));
+        let read = |text: &str| HdrHistogram::from_value(&JsonValue::parse(text).unwrap());
+        let text = h.to_json();
         // Structural equality: identical counts, total and exact extremes,
         // hence identical percentiles forever after.
-        assert_eq!(rebuilt, h);
-        assert!(HdrHistogram::from_parts(&[], 0, 0).min().is_none());
+        assert_eq!(read(&text).unwrap(), h);
+        let empty = "{\"min\":null,\"max\":null,\"buckets\":[]}";
+        assert_eq!(HdrHistogram::new().to_json(), empty);
+        assert!(read(empty).unwrap().min().is_none());
+        // Extremes outside their bucket, or on an empty histogram, are
+        // a corrupt document, not a debug assertion.
+        for bad in [
+            "{\"min\":1,\"max\":9,\"buckets\":[[3,2],[9,1]]}",
+            "{\"min\":3,\"max\":9,\"buckets\":[]}",
+            "{\"min\":null,\"max\":9,\"buckets\":[[3,2],[9,1]]}",
+            "{\"min\":3,\"max\":9,\"buckets\":[[3,9007199254740992],[9,-1]]}",
+        ] {
+            assert!(read(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

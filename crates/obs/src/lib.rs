@@ -12,9 +12,9 @@
 //! - [`metrics`]: always-on per-router counters ([`RouterObs`]) with
 //!   **stall-cause attribution** — every input VC is classified each cycle
 //!   as moving a flit, stalled on credits, stalled on VC allocation,
-//!   stalled on switch allocation, or empty — plus an opt-in sampled
-//!   time series ([`MetricsRegistry`]) of buffer occupancy and channel
-//!   utilization.
+//!   stalled on switch allocation, or empty. The windowed series of
+//!   occupancy and channel utilization is the flight recorder's
+//!   ([`timeseries`]).
 //! - [`export`]: machine-readable encoders — long-format CSV and JSON
 //!   lines for the metrics, and the Chrome Trace Event Format (loadable
 //!   in `chrome://tracing` / Perfetto) for the packet timeline.
@@ -26,9 +26,9 @@
 //!   VC allocation, switch allocation, traversal, credits); the no-op
 //!   implementation compiles every clock read away, mirroring the sink
 //!   design.
-//! - [`json`]: a tiny strict JSON reader, so specs, requests, dumps and
-//!   JSON summaries can be parsed without external dependencies, plus the
-//!   string and number encoders the writers share.
+//! - [`json`]: the JSON codec every artefact goes through — a strict,
+//!   depth-bounded reader with typed accessors and a streaming writer —
+//!   so specs, requests, dumps and summaries need no external crate.
 //! - [`digest`]: order-sensitive FNV-1a trace digests ([`DigestSink`]),
 //!   the substrate of the cycle-exact engine-equivalence and golden-trace
 //!   test layers.
@@ -75,11 +75,11 @@ pub use digest::DigestSink;
 pub use event::{CountingSink, FlitEvent, FlitEventKind, NopSink, TraceSink, VecSink};
 pub use export::{
     anatomy_chrome_trace, chrome_trace, histogram_csv, metrics_csv, metrics_jsonl,
-    percentile_table_json, sweep_manifest_json, SweepManifestPoint,
+    sweep_manifest_json, PercentileTable, SweepManifestPoint,
 };
 pub use hist::{HdrHistogram, DEFAULT_QUANTILES};
-pub use json::{validate_json, JsonValue};
-pub use metrics::{GaugeSample, MetricsRegistry, RouterBreakdown, RouterObs, StallCounters};
+pub use json::{validate_json, JsonValue, JsonWriter, ToJson};
+pub use metrics::{RouterBreakdown, RouterObs, StallCounters};
 pub use profile::{NopProfiler, Phase, PhaseProfiler, Profiler, PHASES};
 pub use progress::ProgressMeter;
 pub use record::{

@@ -1,5 +1,4 @@
-//! Always-on router counters with stall-cause attribution, and the opt-in
-//! sampled time series.
+//! Always-on router counters with stall-cause attribution.
 
 /// Per-input-VC cycle classification. Every simulated cycle, each input VC
 /// falls into exactly one bucket, so for any VC
@@ -126,74 +125,6 @@ pub struct RouterBreakdown {
     pub worst_port_stall: f64,
 }
 
-/// One sampled time-series point for one router.
-#[derive(Clone, Copy, Debug)]
-pub struct GaugeSample {
-    /// Sample cycle.
-    pub cycle: u64,
-    /// Router id.
-    pub router: u32,
-    /// Flits buffered across the router's input VCs at the sample point.
-    pub occupancy: u32,
-    /// Input VCs holding at least one flit at the sample point.
-    pub busy_vcs: u32,
-    /// Flits/cycle/port entering this router's output links since the
-    /// previous sample (channel utilization).
-    pub utilization: f64,
-}
-
-/// The opt-in sampled time series: buffer occupancy and channel
-/// utilization per router, every `sample_interval` cycles.
-#[derive(Clone, Debug)]
-pub struct MetricsRegistry {
-    /// Sampling period in cycles.
-    pub sample_interval: u64,
-    /// Collected samples, grouped by sample cycle then router.
-    pub samples: Vec<GaugeSample>,
-    /// `out_flits` totals at the previous sample, for the utilization
-    /// delta.
-    last_out: Vec<u64>,
-    /// Cycle of the previous sample.
-    last_cycle: u64,
-}
-
-impl MetricsRegistry {
-    /// Creates a registry sampling every `sample_interval` cycles (clamped
-    /// to at least 1) across `routers` routers.
-    pub fn new(sample_interval: u64, routers: usize) -> Self {
-        MetricsRegistry {
-            sample_interval: sample_interval.max(1),
-            samples: Vec::new(),
-            last_out: vec![0; routers],
-            last_cycle: 0,
-        }
-    }
-
-    /// True when `now` is a sample cycle.
-    pub fn due(&self, now: u64) -> bool {
-        now.is_multiple_of(self.sample_interval)
-    }
-
-    /// Records one sample point. `per_router` yields
-    /// `(occupancy, busy_vcs, total out_flits, ports)` per router in id
-    /// order.
-    pub fn sample(&mut self, now: u64, per_router: impl Iterator<Item = (u32, u32, u64, usize)>) {
-        let dt = now.saturating_sub(self.last_cycle).max(1) as f64;
-        for (router, (occupancy, busy_vcs, out_total, ports)) in per_router.enumerate() {
-            let sent = out_total - self.last_out[router];
-            self.last_out[router] = out_total;
-            self.samples.push(GaugeSample {
-                cycle: now,
-                router: router as u32,
-                occupancy,
-                busy_vcs,
-                utilization: sent as f64 / (dt * ports.max(1) as f64),
-            });
-        }
-        self.last_cycle = now;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,19 +164,5 @@ mod tests {
         let (port, frac) = obs.worst_port_stall();
         assert_eq!(port, 1);
         assert!((frac - 9.0 / 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn registry_samples_compute_utilization_deltas() {
-        let mut m = MetricsRegistry::new(10, 2);
-        m.sample(10, [(4u32, 2u32, 20u64, 4usize), (0, 0, 0, 4)].into_iter());
-        m.sample(20, [(6u32, 3u32, 60u64, 4usize), (0, 0, 8, 4)].into_iter());
-        assert_eq!(m.samples.len(), 4);
-        // Router 0, second sample: 40 flits over 10 cycles × 4 ports.
-        let s = &m.samples[2];
-        assert_eq!(s.cycle, 20);
-        assert!((s.utilization - 1.0).abs() < 1e-12);
-        // Router 1, second sample: 8 flits over 10 cycles × 4 ports.
-        assert!((m.samples[3].utilization - 0.2).abs() < 1e-12);
     }
 }

@@ -9,8 +9,7 @@
 //! and the run driver stamps the total wall time and cycle count so the
 //! report can express each phase as a share of the run.
 
-use crate::json::num;
-use std::fmt::Write as _;
+use crate::json::{JsonWriter, ToJson};
 
 /// Router-pipeline phase a measurement is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,36 +142,28 @@ impl Profiler {
         self.wall_nanos += other.wall_nanos;
         self.cycles += other.cycles;
     }
+}
 
-    /// One JSON object: totals, cycles/sec, and per-phase
-    /// nanos/share/events.
-    pub fn to_json(&self) -> String {
+/// One JSON object: totals, cycles/sec, and per-phase nanos/share/events.
+impl ToJson for Profiler {
+    fn write_json(&self, w: &mut JsonWriter) {
         let shares = self.shares();
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"cycles\":{},\"wall_nanos\":{},\"cycles_per_sec\":{},\"other_share\":{}",
-            self.cycles,
-            self.wall_nanos,
-            num(self.cycles_per_sec()),
-            num(self.other_share())
-        );
-        out.push_str(",\"phases\":{");
+        w.begin_object()
+            .field("cycles", self.cycles)
+            .field("wall_nanos", self.wall_nanos)
+            .field("cycles_per_sec", self.cycles_per_sec())
+            .field("other_share", self.other_share())
+            .key("phases")
+            .begin_object();
         for (i, p) in PHASES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"nanos\":{},\"share\":{},\"events\":{}}}",
-                p.name(),
-                self.phase_nanos[i],
-                num(shares[i]),
-                self.phase_events[i]
-            );
+            w.key(p.name())
+                .begin_object()
+                .field("nanos", self.phase_nanos[i])
+                .field("share", shares[i])
+                .field("events", self.phase_events[i])
+                .end_object();
         }
-        out.push_str("}}");
-        out
+        w.end_object().end_object();
     }
 }
 

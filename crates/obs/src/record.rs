@@ -14,9 +14,8 @@
 //! [`FlightRecorder`](crate::FlightRecorder) or a parsed dump, so
 //! `noc replay <dump>` reproduces the in-process summary byte for byte.
 
-use crate::json::{esc, num, JsonValue};
+use crate::json::{narrow, JsonValue, JsonWriter, ToJson};
 use crate::timeseries::{FlightRecorder, RouterCounters, WindowSnapshot};
-use std::fmt::Write as _;
 
 /// Schema tag written into every dump header and summary block.
 pub const TELEMETRY_SCHEMA: &str = "noc-telemetry/v1";
@@ -43,135 +42,96 @@ pub struct TelemetryHeader {
     pub measure: u64,
 }
 
-impl TelemetryHeader {
-    /// Serializes the header as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":\"{}\",\"digest\":\"{}\",\"label\":\"{}\",\"window\":{},\
-             \"match_every\":{},\"routers\":{},\"warmup\":{},\"measure\":{}}}",
-            TELEMETRY_SCHEMA,
-            esc(&self.digest),
-            esc(&self.label),
-            self.window,
-            self.match_every,
-            self.routers,
-            self.warmup,
-            self.measure
-        )
+impl ToJson for TelemetryHeader {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("schema", TELEMETRY_SCHEMA)
+            .field("digest", &self.digest)
+            .field("label", &self.label)
+            .field("window", self.window)
+            .field("match_every", self.match_every)
+            .field("routers", self.routers)
+            .field("warmup", self.warmup)
+            .field("measure", self.measure)
+            .end_object();
     }
+}
 
+impl TelemetryHeader {
     fn from_value(v: &JsonValue) -> Result<TelemetryHeader, String> {
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "telemetry header: missing schema".to_string())?;
-        if schema != TELEMETRY_SCHEMA {
-            return Err(format!(
-                "telemetry header: schema '{schema}' != '{TELEMETRY_SCHEMA}'"
-            ));
-        }
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("telemetry header: missing {key:?}"))
-        };
+        v.expect_schema(TELEMETRY_SCHEMA)?;
         Ok(TelemetryHeader {
-            digest: v
-                .get("digest")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| "telemetry header: missing digest".to_string())?
-                .to_string(),
-            label: v
-                .get("label")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            window: u("window")?,
-            match_every: u("match_every")?,
-            routers: u("routers")? as usize,
-            warmup: u("warmup")?,
-            measure: u("measure")?,
+            digest: v.str_at("digest")?.to_string(),
+            label: v.text_at("label")?,
+            window: v.u64_at("window")?,
+            match_every: v.u64_at("match_every")?,
+            routers: v.usize_at("routers")?,
+            warmup: v.u64_at("warmup")?,
+            measure: v.u64_at("measure")?,
         })
     }
 }
 
-/// Serializes one window snapshot as a JSONL line (no trailing newline).
-/// Router rows are fixed-order 10-tuples:
+/// One window line. Router rows are fixed-order 10-tuples:
 /// `[out_flits, occupancy, busy_vcs, active, credit, vca, sa, empty,
 /// match_granted, match_max]`.
-pub fn window_jsonl(w: &WindowSnapshot) -> String {
-    let mut out = format!(
-        "{{\"window\":{},\"cycle\":{},\"injected\":{},\"ejected\":{},\"in_flight\":{},\
-         \"routers\":[",
-        w.window, w.cycle, w.injected, w.ejected, w.in_flight
-    );
-    for (i, r) in w.routers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl ToJson for WindowSnapshot {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("window", self.window)
+            .field("cycle", self.cycle)
+            .field("injected", self.injected)
+            .field("ejected", self.ejected)
+            .field("in_flight", self.in_flight)
+            .key("routers")
+            .begin_array();
+        for r in &self.routers {
+            w.value([
+                r.out_flits,
+                r.occupancy as u64,
+                r.busy_vcs as u64,
+                r.active,
+                r.credit_stall,
+                r.vca_stall,
+                r.sa_stall,
+                r.empty,
+                r.match_granted,
+                r.match_max,
+            ]);
         }
-        let _ = write!(
-            out,
-            "[{},{},{},{},{},{},{},{},{},{}]",
-            r.out_flits,
-            r.occupancy,
-            r.busy_vcs,
-            r.active,
-            r.credit_stall,
-            r.vca_stall,
-            r.sa_stall,
-            r.empty,
-            r.match_granted,
-            r.match_max
-        );
+        w.end_array().end_object();
     }
-    out.push_str("]}");
-    out
+}
+
+/// Serializes one window snapshot as a JSONL line (no trailing newline).
+pub fn window_jsonl(w: &WindowSnapshot) -> String {
+    w.to_json()
 }
 
 fn window_from_value(v: &JsonValue) -> Result<WindowSnapshot, String> {
-    let u = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("telemetry window: missing {key:?}"))
+    let router = |row: &JsonValue| -> Result<RouterCounters, String> {
+        let [out_flits, occupancy, busy_vcs, active, credit_stall, vca_stall, sa_stall, empty, match_granted, match_max] =
+            row.row()?;
+        Ok(RouterCounters {
+            out_flits,
+            occupancy: narrow(occupancy)?,
+            busy_vcs: narrow(busy_vcs)?,
+            active,
+            credit_stall,
+            vca_stall,
+            sa_stall,
+            empty,
+            match_granted,
+            match_max,
+        })
     };
-    let rows = v
-        .get("routers")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "telemetry window: missing routers".to_string())?;
-    let mut routers = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cells = row
-            .as_array()
-            .filter(|c| c.len() == 10)
-            .ok_or_else(|| "telemetry window: malformed router row".to_string())?;
-        let cell = |i: usize| -> Result<u64, String> {
-            cells[i]
-                .as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| "telemetry window: non-numeric router cell".to_string())
-        };
-        routers.push(RouterCounters {
-            out_flits: cell(0)?,
-            occupancy: cell(1)? as u32,
-            busy_vcs: cell(2)? as u32,
-            active: cell(3)?,
-            credit_stall: cell(4)?,
-            vca_stall: cell(5)?,
-            sa_stall: cell(6)?,
-            empty: cell(7)?,
-            match_granted: cell(8)?,
-            match_max: cell(9)?,
-        });
-    }
     Ok(WindowSnapshot {
-        window: u("window")?,
-        cycle: u("cycle")?,
-        injected: u("injected")?,
-        ejected: u("ejected")?,
-        in_flight: u("in_flight")?,
-        routers,
+        window: v.u64_at("window")?,
+        cycle: v.u64_at("cycle")?,
+        injected: v.u64_at("injected")?,
+        ejected: v.u64_at("ejected")?,
+        in_flight: v.u64_at("in_flight")?,
+        routers: v.list_at("routers", router)?,
     })
 }
 
@@ -192,12 +152,15 @@ impl TelemetryDump {
         let first = lines
             .next()
             .ok_or_else(|| "empty telemetry dump".to_string())?;
-        let header = TelemetryHeader::from_value(&JsonValue::parse(first)?)?;
-        let mut windows = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let v = JsonValue::parse(line).map_err(|e| format!("dump line {}: {e}", i + 2))?;
-            windows.push(window_from_value(&v).map_err(|e| format!("dump line {}: {e}", i + 2))?);
-        }
+        let header = TelemetryHeader::from_value(&JsonValue::parse(first)?)
+            .map_err(|e| format!("telemetry header: {e}"))?;
+        let windows = lines
+            .enumerate()
+            .map(|(i, line)| {
+                (JsonValue::parse(line).and_then(|v| window_from_value(&v)))
+                    .map_err(|e| format!("dump line {}: telemetry window: {e}", i + 2))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(TelemetryDump { header, windows })
     }
 
@@ -271,77 +234,36 @@ impl TelemetrySummary {
         }
     }
 
-    /// Serializes the summary as one JSON object. NaN maps to null, floats
-    /// use shortest-roundtrip formatting, so the block round-trips
-    /// bit-exactly through [`TelemetrySummary::from_value`].
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"{}\",\"window\":{},\"windows\":{},\"max_stalled_windows\":{},\
-             \"efficiency\":[",
-            TELEMETRY_SCHEMA, self.window, self.windows, self.max_stalled_windows
-        );
-        for (i, e) in self.efficiency.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&num(*e));
-        }
-        out.push_str("],\"flits\":[");
-        for (i, f) in self.flits.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{f}");
-        }
-        out.push_str("],\"in_flight\":[");
-        for (i, f) in self.in_flight.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{f}");
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Reconstructs a summary from its parsed JSON object.
     pub fn from_value(v: &JsonValue) -> Result<TelemetrySummary, String> {
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("telemetry summary: missing {key:?}"))
-        };
-        let u64s = |key: &str| -> Result<Vec<u64>, String> {
-            v.get(key)
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("telemetry summary: missing {key:?}"))?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .map(|n| n as u64)
-                        .ok_or_else(|| format!("telemetry summary: non-numeric {key:?} entry"))
-                })
-                .collect()
-        };
-        let efficiency = v
-            .get("efficiency")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "telemetry summary: missing efficiency".to_string())?
-            .iter()
-            .map(|x| match x {
-                JsonValue::Num(n) => *n,
-                _ => f64::NAN,
+        let read = || -> Result<TelemetrySummary, String> {
+            v.expect_schema(TELEMETRY_SCHEMA)?;
+            Ok(TelemetrySummary {
+                window: v.u64_at("window")?,
+                windows: v.u64_at("windows")?,
+                max_stalled_windows: v.u64_at("max_stalled_windows")?,
+                efficiency: v.list_at("efficiency", JsonValue::nan_or_f64)?,
+                flits: v.list_at("flits", JsonValue::to_u64)?,
+                in_flight: v.list_at("in_flight", JsonValue::to_u64)?,
             })
-            .collect();
-        Ok(TelemetrySummary {
-            window: u("window")?,
-            windows: u("windows")?,
-            max_stalled_windows: u("max_stalled_windows")?,
-            efficiency,
-            flits: u64s("flits")?,
-            in_flight: u64s("in_flight")?,
-        })
+        };
+        read().map_err(|e| format!("telemetry summary: {e}"))
+    }
+}
+
+/// NaN maps to null and floats use shortest-roundtrip formatting, so the
+/// block round-trips bit-exactly through [`TelemetrySummary::from_value`].
+impl ToJson for TelemetrySummary {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .field("schema", TELEMETRY_SCHEMA)
+            .field("window", self.window)
+            .field("windows", self.windows)
+            .field("max_stalled_windows", self.max_stalled_windows)
+            .field("efficiency", &self.efficiency)
+            .field("flits", &self.flits)
+            .field("in_flight", &self.in_flight)
+            .end_object();
     }
 }
 

@@ -39,10 +39,23 @@
 //! request put on the worker queue, `cache_hits` served immediately,
 //! `coalesced` de-duplicated onto another client's in-flight work.
 
-use crate::json::{esc, JsonValue};
+use crate::json::{JsonValue, JsonWriter, Raw};
 
 /// Wire schema tag carried by every request and response line.
 pub const SERVE_SCHEMA: &str = "noc-serve/v1";
+
+/// One line of the given type: the schema tag, the type and the request
+/// id, then the type's own `members`.
+fn line(kind: &str, id: &str, members: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::default();
+    w.begin_object()
+        .field("schema", SERVE_SCHEMA)
+        .field("type", kind)
+        .field("id", id);
+    members(&mut w);
+    w.end_object();
+    w.finish()
+}
 
 /// A `sweep` request line embedding an already-validated sweep-spec JSON
 /// document (the caller must pass well-formed JSON; it is embedded raw).
@@ -50,44 +63,31 @@ pub const SERVE_SCHEMA: &str = "noc-serve/v1";
 /// line-framed, and JSON strings cannot contain literal newlines, so the
 /// collapse never alters content.
 pub fn serve_sweep_request_line(id: &str, spec_json: &str, engine: Option<&str>) -> String {
-    let engine = engine
-        .map(|e| format!(",\"engine\":\"{}\"", esc(e)))
-        .unwrap_or_default();
     let spec = spec_json.replace(['\n', '\r'], " ");
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"sweep\",\"id\":\"{}\"{engine},\"spec\":{}}}",
-        esc(id),
-        spec.trim()
-    )
+    line("sweep", id, |w| {
+        w.opt_field("engine", engine)
+            .field("spec", Raw(spec.trim()));
+    })
 }
 
 /// A `preset` request line naming an in-repo sweep preset.
 pub fn serve_preset_request_line(id: &str, preset: &str, engine: Option<&str>) -> String {
-    let engine = engine
-        .map(|e| format!(",\"engine\":\"{}\"", esc(e)))
-        .unwrap_or_default();
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"preset\",\"id\":\"{}\"{engine},\"preset\":\"{}\"}}",
-        esc(id),
-        esc(preset)
-    )
+    line("preset", id, |w| {
+        w.opt_field("engine", engine).field("preset", preset);
+    })
 }
 
 /// A `status` request line (daemon-lifetime counters, no simulation).
 pub fn serve_status_request_line(id: &str) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"status\",\"id\":\"{}\"}}",
-        esc(id)
-    )
+    line("status", id, |_| {})
 }
 
 /// The `accepted` response: the request parsed and expanded to `total`
 /// points (`unique` after in-request digest dedup).
 pub fn serve_accepted_line(id: &str, total: usize, unique: usize) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"accepted\",\"id\":\"{}\",\"total\":{total},\"unique\":{unique}}}",
-        esc(id)
-    )
+    line("accepted", id, |w| {
+        w.field("total", total).field("unique", unique);
+    })
 }
 
 /// One per-point `result` response line. `result_json` must be the
@@ -100,13 +100,13 @@ pub fn serve_result_line(
     wall_ms: u64,
     result_json: &str,
 ) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"result\",\"id\":\"{}\",\"digest\":\"{}\",\"label\":\"{}\",\"source\":\"{}\",\"wall_ms\":{wall_ms},\"result\":{result_json}}}",
-        esc(id),
-        esc(digest),
-        esc(label),
-        esc(source)
-    )
+    line("result", id, |w| {
+        w.field("digest", digest)
+            .field("label", label)
+            .field("source", source)
+            .field("wall_ms", wall_ms)
+            .field("result", Raw(result_json));
+    })
 }
 
 /// The terminal `done` response line for a request.
@@ -119,10 +119,14 @@ pub fn serve_done_line(
     coalesced: usize,
     wall_ms: u64,
 ) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"done\",\"id\":\"{}\",\"unique\":{unique},\"total\":{total},\"scheduled\":{scheduled},\"cache_hits\":{cache_hits},\"coalesced\":{coalesced},\"wall_ms\":{wall_ms}}}",
-        esc(id)
-    )
+    line("done", id, |w| {
+        w.field("unique", unique)
+            .field("total", total)
+            .field("scheduled", scheduled)
+            .field("cache_hits", cache_hits)
+            .field("coalesced", coalesced)
+            .field("wall_ms", wall_ms);
+    })
 }
 
 /// The `status` response line: daemon-lifetime counters.
@@ -134,19 +138,20 @@ pub fn serve_status_line(
     inflight: usize,
     clients: usize,
 ) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"status\",\"id\":\"{}\",\"computed\":{computed},\"cache_hits\":{cache_hits},\"coalesced\":{coalesced},\"inflight\":{inflight},\"clients\":{clients}}}",
-        esc(id)
-    )
+    line("status", id, |w| {
+        w.field("computed", computed)
+            .field("cache_hits", cache_hits)
+            .field("coalesced", coalesced)
+            .field("inflight", inflight)
+            .field("clients", clients);
+    })
 }
 
 /// An `error` response line; the connection closes after it.
 pub fn serve_error_line(id: &str, message: &str) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"error\",\"id\":\"{}\",\"message\":\"{}\"}}",
-        esc(id),
-        esc(message)
-    )
+    line("error", id, |w| {
+        w.field("message", message);
+    })
 }
 
 /// A parsed `noc-serve/v1` response line, as a client sees it.
@@ -223,80 +228,57 @@ impl ServeEvent {
     /// that only count points never pay to parse simulation results.
     pub fn parse(line: &str) -> Result<ServeEvent, String> {
         let v = JsonValue::parse(line).map_err(|e| format!("serve response: {e}"))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or("");
-        if schema != SERVE_SCHEMA {
-            return Err(format!(
-                "serve response: schema '{schema}' is not {SERVE_SCHEMA}"
-            ));
-        }
-        let id = v
-            .get("id")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let num =
-            |key: &str| -> usize { v.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as usize };
-        match v.get("type").and_then(JsonValue::as_str) {
-            Some("accepted") => Ok(ServeEvent::Accepted {
-                id,
-                total: num("total"),
-                unique: num("unique"),
-            }),
-            Some("result") => {
-                let result_json = line
-                    .find("\"result\":")
-                    .map(|i| line[i + "\"result\":".len()..].trim_end())
-                    .and_then(|s| s.strip_suffix('}'))
-                    .unwrap_or("null")
-                    .to_string();
-                Ok(ServeEvent::Result {
+        // A client reads what it is sent: a member it does not find counts
+        // as empty or zero, one of the wrong type is an error.
+        let count = |key: &str| -> Result<usize, String> {
+            Ok(v.opt_at(key, JsonValue::to_usize)?.unwrap_or(0))
+        };
+        let wall_ms =
+            || -> Result<u64, String> { Ok(v.opt_at("wall_ms", JsonValue::to_u64)?.unwrap_or(0)) };
+        let read = || -> Result<ServeEvent, String> {
+            v.expect_schema(SERVE_SCHEMA)?;
+            let id = v.text_at("id")?;
+            Ok(match v.str_at("type")? {
+                "accepted" => ServeEvent::Accepted {
                     id,
-                    digest: v
-                        .get("digest")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
+                    total: count("total")?,
+                    unique: count("unique")?,
+                },
+                "result" => ServeEvent::Result {
+                    id,
+                    digest: v.text_at("digest")?,
+                    label: v.text_at("label")?,
+                    source: v.text_at("source")?,
+                    wall_ms: wall_ms()?,
+                    result_json: (JsonValue::raw_last_member(line, "result"))
+                        .unwrap_or("null")
                         .to_string(),
-                    label: v
-                        .get("label")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    source: v
-                        .get("source")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    wall_ms: num("wall_ms") as u64,
-                    result_json,
-                })
-            }
-            Some("done") => Ok(ServeEvent::Done {
-                id,
-                unique: num("unique"),
-                total: num("total"),
-                scheduled: num("scheduled"),
-                cache_hits: num("cache_hits"),
-                coalesced: num("coalesced"),
-                wall_ms: num("wall_ms") as u64,
-            }),
-            Some("status") => Ok(ServeEvent::Status {
-                id,
-                computed: num("computed"),
-                cache_hits: num("cache_hits"),
-                coalesced: num("coalesced"),
-                inflight: num("inflight"),
-                clients: num("clients"),
-            }),
-            Some("error") => Ok(ServeEvent::Error {
-                id,
-                message: v
-                    .get("message")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            }),
-            other => Err(format!("serve response: unknown type {other:?}")),
-        }
+                },
+                "done" => ServeEvent::Done {
+                    id,
+                    unique: count("unique")?,
+                    total: count("total")?,
+                    scheduled: count("scheduled")?,
+                    cache_hits: count("cache_hits")?,
+                    coalesced: count("coalesced")?,
+                    wall_ms: wall_ms()?,
+                },
+                "status" => ServeEvent::Status {
+                    id,
+                    computed: count("computed")?,
+                    cache_hits: count("cache_hits")?,
+                    coalesced: count("coalesced")?,
+                    inflight: count("inflight")?,
+                    clients: count("clients")?,
+                },
+                "error" => ServeEvent::Error {
+                    id,
+                    message: v.text_at("message")?,
+                },
+                other => return Err(format!("unknown type {other:?}")),
+            })
+        };
+        read().map_err(|e| format!("serve response: {e}"))
     }
 }
 

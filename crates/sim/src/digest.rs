@@ -14,18 +14,7 @@
 //! result computed on one engine is valid for every other.
 
 use crate::config::SimConfig;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes`, continuing from `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
+use noc_obs::digest::{fnv1a, FNV_OFFSET};
 
 /// Digests `(key, value)` pairs into a 32-hex-character content hash.
 ///

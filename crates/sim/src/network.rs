@@ -8,8 +8,8 @@ use crate::terminal::{RouterProbe, Terminal};
 use crate::topology::Topology;
 use crate::verify::StrictChecker;
 use noc_obs::{
-    AnatomyCollector, FlightRecorder, FlitEvent, FlitEventKind, MetricsRegistry, NopProfiler,
-    NopSink, Phase, PhaseProfiler, RouterBreakdown, RouterObs, TraceSink,
+    AnatomyCollector, FlightRecorder, FlitEvent, FlitEventKind, NopProfiler, NopSink, Phase,
+    PhaseProfiler, RouterBreakdown, RouterObs, TraceSink,
 };
 use std::time::Instant;
 
@@ -167,8 +167,6 @@ pub struct Network<S: TraceSink = NopSink> {
     pub stats: NetStats,
     /// Flit-event sink.
     pub sink: S,
-    /// Opt-in sampled time series (see [`Network::enable_metrics`]).
-    pub metrics: Option<MetricsRegistry>,
     /// Opt-in windowed flight recorder (see
     /// [`Network::enable_telemetry`]).
     pub telemetry: Option<FlightRecorder>,
@@ -251,17 +249,10 @@ impl<S: TraceSink> Network<S> {
             now: 0,
             stats,
             sink,
-            metrics: None,
             telemetry: None,
             anatomy: None,
             checker: None,
         }
-    }
-
-    /// Turns on occupancy / channel-utilization sampling every
-    /// `sample_interval` cycles.
-    pub fn enable_metrics(&mut self, sample_interval: u64) {
-        self.metrics = Some(MetricsRegistry::new(sample_interval, self.routers.len()));
     }
 
     /// Turns on the flight recorder: a window snapshot every `window`
@@ -391,7 +382,6 @@ impl<S: TraceSink> Network<S> {
                 &self.routers,
                 &self.terminals,
                 &self.stats,
-                &mut self.metrics,
                 &mut self.telemetry,
                 &mut self.checker,
                 now,
@@ -501,7 +491,6 @@ impl<S: TraceSink> Network<S> {
             now,
             stats,
             sink: _,
-            metrics,
             telemetry,
             anatomy,
             checker,
@@ -665,7 +654,6 @@ impl<S: TraceSink> Network<S> {
                     routers_ref,
                     terminals,
                     stats,
-                    metrics,
                     telemetry,
                     checker,
                     cycle_now,
@@ -1036,8 +1024,8 @@ fn audit_credit_conservation(
     chk.add_checks(checks);
 }
 
-/// Post-commit bookkeeping: runtime invariant checks, sampled time
-/// series, and flight-recorder window snapshots. Does not advance `now` —
+/// Post-commit bookkeeping: runtime invariant checks and flight-recorder
+/// window snapshots. Does not advance `now` —
 /// callers own the clock.
 #[allow(clippy::too_many_arguments)]
 fn finish_cycle(
@@ -1047,7 +1035,6 @@ fn finish_cycle(
     routers: &[Router],
     terminals: &[Terminal],
     stats: &NetStats,
-    metrics: &mut Option<MetricsRegistry>,
     telemetry: &mut Option<FlightRecorder>,
     checker: &mut Option<StrictChecker>,
     now: u64,
@@ -1070,23 +1057,6 @@ fn finish_cycle(
             "cycle {now}: router invariant violations: {:?}",
             strict.violations
         );
-    }
-
-    // --- sampled time series -------------------------------------------
-    if let Some(m) = metrics {
-        if m.due(now) {
-            m.sample(
-                now,
-                routers.iter().map(|r| {
-                    (
-                        r.buffered_flits() as u32,
-                        r.busy_vcs() as u32,
-                        r.total_out_flits(),
-                        r.ports(),
-                    )
-                }),
-            );
-        }
     }
 
     // --- flight recorder ------------------------------------------------

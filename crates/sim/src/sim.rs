@@ -7,13 +7,11 @@ use crate::router::RouterStats;
 use crate::stats::NetStats;
 use crate::steady;
 use crate::verify::StrictChecker;
-use noc_obs::json::num;
 use noc_obs::{
-    percentile_table_json, AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue,
-    MetricsRegistry, NopProfiler, NopSink, PhaseProfiler, Profiler, RouterBreakdown, RouterObs,
-    TelemetrySummary, TraceSink, WindowSnapshot, DEFAULT_QUANTILES,
+    AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue, JsonWriter, NopProfiler, NopSink,
+    PercentileTable, PhaseProfiler, Profiler, RouterBreakdown, RouterObs, TelemetrySummary,
+    TraceSink, WindowSnapshot, DEFAULT_QUANTILES,
 };
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -99,74 +97,7 @@ impl SimResult {
     /// Serializes the result (including the per-router breakdown) as one
     /// JSON object.
     pub fn to_json(&self) -> String {
-        let s = &self.router_stats;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"offered\":{},\"avg_latency\":{},\"request_latency\":{},\"reply_latency\":{},\
-             \"latency_std_dev\":{},\"latency_p99\":{},\"throughput\":{},\"stable\":{}",
-            num(self.offered),
-            num(self.avg_latency),
-            num(self.request_latency),
-            num(self.reply_latency),
-            num(self.latency_std_dev),
-            num(self.latency_p99),
-            num(self.throughput),
-            self.stable
-        );
-        let _ = write!(
-            out,
-            ",\"ci95\":{},\"seeds\":{},\"warmup_detected\":{}",
-            num(self.ci95),
-            self.seeds,
-            self.warmup_detected
-                .map_or_else(|| "null".to_string(), |w| w.to_string())
-        );
-        if let Some(t) = &self.telemetry {
-            let _ = write!(out, ",\"telemetry\":{}", t.to_json());
-        }
-        let _ = write!(
-            out,
-            ",\"percentiles\":{}",
-            percentile_table_json(&self.hist.percentile_table(&DEFAULT_QUANTILES))
-        );
-        let _ = write!(
-            out,
-            ",\"router_stats\":{{\"nonspec_grants\":{},\"spec_requests\":{},\"spec_grants\":{},\
-             \"spec_masked\":{},\"spec_invalid\":{},\"vca_requests\":{},\"vca_grants\":{}}}",
-            s.nonspec_grants,
-            s.spec_requests,
-            s.spec_grants,
-            s.spec_masked,
-            s.spec_invalid,
-            s.vca_requests,
-            s.vca_grants
-        );
-        if !self.routers.is_empty() {
-            let _ = write!(
-                out,
-                ",\"max_router_throughput\":{},\"min_router_throughput\":{}",
-                num(self.max_router_throughput()),
-                num(self.min_router_throughput())
-            );
-            out.push_str(",\"routers\":[");
-            for (i, r) in self.routers.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"router\":{},\"throughput\":{},\"worst_port\":{},\"worst_port_stall\":{}}}",
-                    r.router,
-                    num(r.throughput),
-                    r.worst_port,
-                    num(r.worst_port_stall)
-                );
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
+        self.write(false)
     }
 
     /// As [`SimResult::to_json`], extended with the raw histogram state so
@@ -176,26 +107,59 @@ impl SimResult {
     /// extremes) stay in place, so a full record is also a superset of the
     /// plain report.
     pub fn to_json_full(&self) -> String {
-        let mut out = self.to_json();
-        out.pop();
-        let _ = write!(
-            out,
-            ",\"hist\":{{\"min\":{},\"max\":{},\"buckets\":[",
-            self.hist
-                .min()
-                .map_or_else(|| "null".to_string(), |v| v.to_string()),
-            self.hist
-                .max()
-                .map_or_else(|| "null".to_string(), |v| v.to_string()),
-        );
-        for (i, (lower, _, count)) in self.hist.iter_buckets().enumerate() {
-            if i > 0 {
-                out.push(',');
+        self.write(true)
+    }
+
+    fn write(&self, full: bool) -> String {
+        let s = &self.router_stats;
+        let mut w = JsonWriter::default();
+        w.begin_object()
+            .field("offered", self.offered)
+            .field("avg_latency", self.avg_latency)
+            .field("request_latency", self.request_latency)
+            .field("reply_latency", self.reply_latency)
+            .field("latency_std_dev", self.latency_std_dev)
+            .field("latency_p99", self.latency_p99)
+            .field("throughput", self.throughput)
+            .field("stable", self.stable)
+            .field("ci95", self.ci95)
+            .field("seeds", self.seeds)
+            .field("warmup_detected", self.warmup_detected)
+            .opt_field("telemetry", self.telemetry.as_ref())
+            .field(
+                "percentiles",
+                PercentileTable(&self.hist.percentile_table(&DEFAULT_QUANTILES)),
+            )
+            .key("router_stats")
+            .begin_object()
+            .field("nonspec_grants", s.nonspec_grants)
+            .field("spec_requests", s.spec_requests)
+            .field("spec_grants", s.spec_grants)
+            .field("spec_masked", s.spec_masked)
+            .field("spec_invalid", s.spec_invalid)
+            .field("vca_requests", s.vca_requests)
+            .field("vca_grants", s.vca_grants)
+            .end_object();
+        if !self.routers.is_empty() {
+            w.field("max_router_throughput", self.max_router_throughput())
+                .field("min_router_throughput", self.min_router_throughput())
+                .key("routers")
+                .begin_array();
+            for r in &self.routers {
+                w.begin_object()
+                    .field("router", r.router)
+                    .field("throughput", r.throughput)
+                    .field("worst_port", r.worst_port)
+                    .field("worst_port_stall", r.worst_port_stall)
+                    .end_object();
             }
-            let _ = write!(out, "[{lower},{count}]");
+            w.end_array();
         }
-        out.push_str("]}}");
-        out
+        if full {
+            w.field("hist", &self.hist);
+        }
+        w.end_object();
+        w.finish()
     }
 
     /// Reconstructs a result from [`SimResult::to_json_full`] output.
@@ -203,97 +167,50 @@ impl SimResult {
     /// The round-trip is bit-exact: floats are serialized with Rust's
     /// shortest-roundtrip formatting and NaN maps through `null`, so
     /// `from_json(r.to_json_full())` re-serializes to the identical
-    /// string (asserted by `full_json_round_trip_is_bit_exact`).
+    /// string (asserted by `full_json_round_trip_is_bit_exact`). The
+    /// derived members (`percentiles`, the router throughput extremes) are
+    /// recomputed, not read.
     pub fn from_json(s: &str) -> Result<SimResult, String> {
         let v = JsonValue::parse(s)?;
-        let u64_of = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let stats = v
-            .get("router_stats")
-            .ok_or_else(|| "missing router_stats".to_string())?;
-        let stat_of = |key: &str| -> Result<u64, String> {
-            stats
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("missing router_stats field {key:?}"))
-        };
-        let hist_v = v.get("hist").ok_or_else(|| "missing hist".to_string())?;
-        let buckets: Vec<(u64, u64)> = hist_v
-            .get("buckets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "missing hist.buckets".to_string())?
-            .iter()
-            .map(|pair| {
-                let p = pair.as_array().filter(|p| p.len() == 2);
-                p.and_then(|p| Some((p[0].as_f64()? as u64, p[1].as_f64()? as u64)))
-                    .ok_or_else(|| "malformed hist bucket".to_string())
+        let router_stats = |s: &JsonValue| -> Result<RouterStats, String> {
+            Ok(RouterStats {
+                nonspec_grants: s.u64_at("nonspec_grants")?,
+                spec_requests: s.u64_at("spec_requests")?,
+                spec_grants: s.u64_at("spec_grants")?,
+                spec_masked: s.u64_at("spec_masked")?,
+                spec_invalid: s.u64_at("spec_invalid")?,
+                vca_requests: s.u64_at("vca_requests")?,
+                vca_grants: s.u64_at("vca_grants")?,
             })
-            .collect::<Result<_, _>>()?;
-        let hist = HdrHistogram::from_parts(
-            &buckets,
-            hist_v.num_or_nan("min") as u64,
-            hist_v.num_or_nan("max") as u64,
-        );
-        let routers = match v.get("routers").and_then(JsonValue::as_array) {
-            None => Vec::new(),
-            Some(rows) => rows
-                .iter()
-                .map(|r| {
-                    Ok(RouterBreakdown {
-                        router: r
-                            .get("router")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| "malformed router row".to_string())?
-                            as usize,
-                        throughput: r.num_or_nan("throughput"),
-                        worst_port: r
-                            .get("worst_port")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| "malformed router row".to_string())?
-                            as usize,
-                        worst_port_stall: r.num_or_nan("worst_port_stall"),
-                    })
-                })
-                .collect::<Result<_, String>>()?,
+        };
+        let router = |r: &JsonValue| -> Result<RouterBreakdown, String> {
+            Ok(RouterBreakdown {
+                router: r.usize_at("router")?,
+                throughput: r.f64_at("throughput")?,
+                worst_port: r.usize_at("worst_port")?,
+                worst_port_stall: r.f64_at("worst_port_stall")?,
+            })
         };
         Ok(SimResult {
-            offered: v.num_or_nan("offered"),
-            avg_latency: v.num_or_nan("avg_latency"),
-            request_latency: v.num_or_nan("request_latency"),
-            reply_latency: v.num_or_nan("reply_latency"),
-            latency_std_dev: v.num_or_nan("latency_std_dev"),
-            latency_p99: v.num_or_nan("latency_p99"),
-            throughput: v.num_or_nan("throughput"),
-            stable: v
-                .get("stable")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| "missing stable".to_string())?,
-            ci95: v.num_or_nan("ci95"),
-            seeds: u64_of("seeds")? as usize,
-            warmup_detected: match v.get("warmup_detected") {
-                Some(JsonValue::Num(n)) => Some(*n as u64),
-                _ => None,
-            },
-            telemetry: match v.get("telemetry") {
-                Some(t @ JsonValue::Obj(_)) => Some(TelemetrySummary::from_value(t)?),
-                _ => None,
-            },
-            hist,
-            router_stats: RouterStats {
-                nonspec_grants: stat_of("nonspec_grants")?,
-                spec_requests: stat_of("spec_requests")?,
-                spec_grants: stat_of("spec_grants")?,
-                spec_masked: stat_of("spec_masked")?,
-                spec_invalid: stat_of("spec_invalid")?,
-                vca_requests: stat_of("vca_requests")?,
-                vca_grants: stat_of("vca_grants")?,
-            },
-            routers,
+            offered: v.f64_at("offered")?,
+            avg_latency: v.f64_at("avg_latency")?,
+            request_latency: v.f64_at("request_latency")?,
+            reply_latency: v.f64_at("reply_latency")?,
+            latency_std_dev: v.f64_at("latency_std_dev")?,
+            latency_p99: v.f64_at("latency_p99")?,
+            throughput: v.f64_at("throughput")?,
+            stable: v.bool_at("stable")?,
+            ci95: v.f64_at("ci95")?,
+            seeds: v.usize_at("seeds")?,
+            warmup_detected: v.opt_at("warmup_detected", JsonValue::to_u64)?,
+            telemetry: v.opt_at("telemetry", TelemetrySummary::from_value)?,
+            hist: v.at("hist", HdrHistogram::from_value)?,
+            router_stats: v.at("router_stats", router_stats)?,
+            routers: v
+                .opt_at("routers", |rows| {
+                    rows.to_array()?.iter().map(router).collect()
+                })?
+                .unwrap_or_default(),
         })
     }
 }
@@ -315,23 +232,13 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Parses a CLI engine name: `seq`, `par`, `active`, or `auto` (which
-    /// resolves to `par` on multi-core hosts and `seq` otherwise).
+    /// Parses a CLI engine name: `seq`, `par` or `active`.
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "seq" | "sequential" => Some(Engine::Sequential),
             "par" | "parallel" => Some(Engine::Parallel(0)),
             "active" | "active-set" => Some(Engine::ActiveSet),
-            "auto" => Some(Engine::auto()),
             _ => None,
-        }
-    }
-
-    /// The engine `auto` picks for this host.
-    pub fn auto() -> Engine {
-        match std::thread::available_parallelism() {
-            Ok(p) if p.get() >= 2 => Engine::Parallel(0),
-            _ => Engine::Sequential,
         }
     }
 
@@ -537,8 +444,8 @@ impl WatchdogTrip {
 /// * the trace sink and the profiler see every router step — they ride
 ///   the in-order cycle body, and the parallel engine falls back to it
 ///   while either is attached;
-/// * metrics, telemetry, anatomy and the invariant checker read committed
-///   state on the main thread, so they ride every engine unchanged.
+/// * telemetry, anatomy and the invariant checker read committed state on
+///   the main thread, so they ride every engine unchanged.
 pub struct Run<'a, S: TraceSink = NopSink> {
     cfg: &'a SimConfig,
     warmup: u64,
@@ -546,7 +453,6 @@ pub struct Run<'a, S: TraceSink = NopSink> {
     engine: Engine,
     sink: S,
     profile: bool,
-    metrics: Option<u64>,
     telemetry: Option<TelemetryOptions>,
     anatomy: Option<(usize, usize)>,
     verify: bool,
@@ -566,8 +472,6 @@ pub struct RunOutput {
     /// Phase attribution, stamped with the run's wall time and cycle
     /// count so shares and cycles/sec are ready to read ([`Run::profile`]).
     pub profile: Option<Profiler>,
-    /// Sampled time series ([`Run::metrics`]).
-    pub metrics: Option<MetricsRegistry>,
     /// The flight recorder, ring intact ([`Run::telemetry`]).
     pub recorder: Option<FlightRecorder>,
     /// The per-packet latency ledger ([`Run::anatomy`]).
@@ -587,7 +491,6 @@ impl<'a> Run<'a> {
             engine: Engine::Sequential,
             sink: NopSink,
             profile: false,
-            metrics: None,
             telemetry: None,
             anatomy: None,
             verify: false,
@@ -612,7 +515,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
             measure: self.measure,
             engine: self.engine,
             profile: self.profile,
-            metrics: self.metrics,
             telemetry: self.telemetry,
             anatomy: self.anatomy,
             verify: self.verify,
@@ -624,13 +526,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
     /// phases ([`RunOutput::profile`]).
     pub fn profile(mut self) -> Self {
         self.profile = true;
-        self
-    }
-
-    /// Samples the occupancy / channel-utilization time series every
-    /// `sample_interval` cycles.
-    pub fn metrics(mut self, sample_interval: u64) -> Self {
-        self.metrics = Some(sample_interval);
         self
     }
 
@@ -679,9 +574,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
         net.stats.set_window(self.warmup, total);
         if let Some(window) = self.timeline {
             net.stats.enable_timeline(window);
-        }
-        if let Some(interval) = self.metrics {
-            net.enable_metrics(interval);
         }
         if let Some(opts) = &self.telemetry {
             net.enable_telemetry(opts.window, opts.capacity, opts.matching_period());
@@ -733,7 +625,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
             router_obs: net.router_obs(),
             profile,
             stats: net.stats,
-            metrics: net.metrics,
             recorder: net.telemetry,
             anatomy: net.anatomy,
             verify: net.checker,
@@ -1010,7 +901,7 @@ where
 mod tests {
     use super::*;
     use crate::topology::TopologyKind;
-    use noc_obs::Phase;
+    use noc_obs::{Phase, ToJson};
 
     /// A recorded run on `engine`: the summary plus the recorder.
     fn recorded(
@@ -1111,7 +1002,7 @@ mod tests {
         assert_eq!(Engine::parse("seq"), Some(Engine::Sequential));
         assert_eq!(Engine::parse("par"), Some(Engine::Parallel(0)));
         assert_eq!(Engine::parse("active"), Some(Engine::ActiveSet));
-        assert!(Engine::parse("auto").is_some());
+        assert_eq!(Engine::parse("auto"), None);
         assert_eq!(Engine::parse("warp"), None);
         assert!(Engine::Parallel(0).threads() >= 1);
         assert_eq!(Engine::Parallel(3).threads(), 3);

@@ -24,10 +24,11 @@ use noc_bench::sweep::{cached_runner, run_sweep, ResultCache, SweepOptions, Swee
 use noc_bench::{figure, preset_spec, workload_matrix, Figure, FIGURES};
 use noc_check::{check_design, check_fixture, fixtures, RouteModel};
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind, VcAllocSpec};
+use noc_obs::json::Raw;
 use noc_obs::{
     anatomy_chrome_trace, chrome_trace, metrics_csv, metrics_jsonl, render_top, render_waterfall,
-    window_jsonl, AnatomyCollector, AnatomyHeader, TelemetryDump, TelemetryHeader, VecSink,
-    WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
+    window_jsonl, AnatomyCollector, AnatomyHeader, JsonWriter, Profiler, TelemetryDump,
+    TelemetryHeader, ToJson, VecSink, WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
 };
 use noc_sim::{
     run_sim_replicated, ConfigError, Engine, RoutingKind, Run, SimConfig, TelemetryOptions,
@@ -44,8 +45,7 @@ USAGE:
               [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
               [--seeds N] [--profile] [--trace FILE] [--metrics FILE]
-              [--sample-interval N] [--json] [--verify]
-              [--engine seq|par|active|auto] [--threads N]
+              [--json] [--verify] [--engine seq|par|active] [--threads N]
               [--record FILE] [--top] [--window N] [--match-every K]
               [--routing dor|dateline|nodateline] [--no-watchdog]
               [--anatomy] [--anatomy-out FILE] [--top-k K] [--capacity N]
@@ -53,7 +53,7 @@ USAGE:
               [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
               [--routing dor|dateline|nodateline]
-              [--engine seq|par|active|auto] [--threads N] [--top-k K]
+              [--engine seq|par|active] [--threads N] [--top-k K]
               [--capacity N] [--out FILE] [--trace FILE] [--json]
   noc check   [--topology mesh|fbfly|torus] [--vcs C] [--all]
               [--fixture no-dateline|cyclic-vc]
@@ -65,12 +65,12 @@ USAGE:
               [--dense] [--spec nonspec|spec_gnt|spec_req]
   noc fig     [NAME... | --all] [--out DIR] [--cache-dir DIR] [--quiet]
   noc sweep   (run|resume|status|clean) [--preset NAME | --spec FILE]
-              [--out DIR] [--cache-dir DIR] [--engine seq|par|active|auto]
+              [--out DIR] [--cache-dir DIR] [--engine seq|par|active]
               [--threads N] [--quiet] [--no-render] [--telemetry] [--anatomy]
   noc serve   [--addr HOST:PORT] [--cache-dir DIR] [--out DIR] [--workers N]
               [--quiet] [--selftest N]
   noc client  (--preset NAME | --spec FILE | --status) [--addr HOST:PORT]
-              [--engine seq|par|active|auto] [--id ID] [--quiet]
+              [--engine seq|par|active] [--id ID] [--quiet]
   noc top     DUMP [--once]
   noc replay  DUMP
   noc audit   [--root DIR] [--fixtures]
@@ -84,9 +84,9 @@ C (--vcs):        2x1xC (mesh) or 2x2xC (fbfly, torus) VCs per port, at most 64
 Observability (noc sim):
   --trace FILE            write a Chrome Trace Event Format flit timeline
                           (load in chrome://tracing or Perfetto)
-  --metrics FILE          write counters + sampled gauges; .json/.jsonl
-                          selects JSON lines, anything else CSV
-  --sample-interval N     gauge sampling period in cycles (default 100)
+  --metrics FILE          write counters + one gauge sample per --window
+                          cycles; .json/.jsonl selects JSON lines, anything
+                          else CSV
   --json                  print the run summary as one JSON object
 
 Telemetry & live view (noc sim / noc top / noc replay):
@@ -135,9 +135,9 @@ Latency anatomy (noc explain / noc sim --anatomy):
 Performance engines (noc sim, noc explain, noc sweep):
   --engine NAME           cycle-loop engine: seq (in-order reference), par
                           (two-phase step, router compute sharded across a
-                          worker pool), active (skips idle routers), auto
-                          (par on multi-core hosts). All engines are
-                          cycle-identical; only wall-clock speed differs.
+                          worker pool), active (skips idle routers). All
+                          engines are cycle-identical; only wall-clock
+                          speed differs.
   --threads N             worker-pool size for --engine par (default: all
                           available cores)
 
@@ -262,7 +262,7 @@ Examples:
   noc verilog swa --vcs 2 --alloc sep_if_rr > swa.v
   noc fig fig05 ablation-radix
   noc fig --all --out results
-  noc sweep run --preset fig13 --engine auto
+  noc sweep run --preset fig13
   noc sweep status
   noc serve --addr 127.0.0.1:4009 &
   noc client --preset smoke
@@ -407,7 +407,7 @@ impl Args {
         let engine = match self.flags.get("engine").map(String::as_str) {
             None => Engine::Sequential,
             Some(name) => Engine::parse(name)
-                .ok_or_else(|| format!("unknown engine '{name}' (seq|par|active|auto)"))?,
+                .ok_or_else(|| format!("unknown engine '{name}' (seq|par|active)"))?,
         };
         match (engine, self.flags.get("threads")) {
             (Engine::Parallel(_), Some(_)) => {
@@ -456,7 +456,6 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let (warmup, measure) = run_window(args)?;
     let trace_path = args.flags.get("trace").cloned();
     let metrics_path = args.flags.get("metrics").cloned();
-    let sample_interval: u64 = args.get("sample-interval", 100u64)?;
     let seeds: usize = args.get("seeds", 1usize)?;
     let want_profile = args.flags.contains_key("profile");
     let want_verify = args.flags.contains_key("verify");
@@ -472,9 +471,6 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let anatomy_top_k: usize = args.get("top-k", DEFAULT_ANATOMY_TOP_K)?;
     if window == 0 {
         return Err("--window must be at least 1 cycle".to_string());
-    }
-    if sample_interval == 0 {
-        return Err("--sample-interval must be at least 1 cycle".to_string());
     }
     let engine = args.engine()?;
     let observed = want_profile
@@ -512,10 +508,11 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         // --no-watchdog): a deadlocked network terminates with a
         // post-mortem dump instead of burning cycles until the measure
         // window runs out.
-        let telemetry = if want_record {
+        let telemetry = if want_record || metrics_path.is_some() {
             Some(TelemetryOptions {
                 window,
-                match_every,
+                // --metrics alone reads the window series, not matchings.
+                match_every: if want_record { match_every } else { 0 },
                 capacity: 256,
                 watchdog: (!no_watchdog).then(|| 10_000u64.div_ceil(window).max(1)),
             })
@@ -528,9 +525,6 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         }
         if want_verify {
             run = run.verify();
-        }
-        if metrics_path.is_some() {
-            run = run.metrics(sample_interval);
         }
         if want_anatomy {
             run = run.anatomy(anatomy_capacity, anatomy_top_k);
@@ -550,7 +544,11 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         let capacity_flits = (cfg.vc_spec().total_vcs() * cfg.buf_depth) as u32;
         let mut lines: Vec<String> = Vec::new();
         let mut eff: Vec<f64> = Vec::new();
+        let mut gauges: Vec<WindowSnapshot> = Vec::new();
         let on_window = |snap: &WindowSnapshot| {
+            if metrics_path.is_some() {
+                gauges.push(snap.clone());
+            }
             if !want_record {
                 return;
             }
@@ -606,9 +604,9 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         }
         if let Some(path) = &metrics_path {
             let text = if path.ends_with(".json") || path.ends_with(".jsonl") {
-                metrics_jsonl(&out.router_obs, out.metrics.as_ref())
+                metrics_jsonl(&out.router_obs, &gauges)
             } else {
-                metrics_csv(&out.router_obs, out.metrics.as_ref())
+                metrics_csv(&out.router_obs, &gauges)
             };
             std::fs::write(path, text).map_err(|e| format!("writing metrics '{path}': {e}"))?;
             eprintln!("wrote metrics to {path}");
@@ -641,20 +639,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         (out.result, out.profile, out.anatomy)
     };
     if args.flags.contains_key("json") {
-        // A plain run prints the bare result; profile / anatomy sections
-        // wrap it in an object that names each part.
-        let mut parts = String::new();
-        if let Some(p) = &profile {
-            parts.push_str(&format!(",\"profile\":{}", p.to_json()));
-        }
-        if let Some(col) = &anatomy {
-            parts.push_str(&format!(",\"anatomy\":{}", col.summary().to_json()));
-        }
-        if parts.is_empty() {
-            println!("{}", r.to_json());
-        } else {
-            println!("{{\"result\":{}{parts}}}", r.to_json());
-        }
+        println!("{}", json_report(&r, profile.as_ref(), anatomy.as_ref()));
         return Ok(());
     }
     println!("offered          {:.4} flits/cycle/terminal", r.offered);
@@ -742,6 +727,27 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         println!("{}", check_reconciliation(col, &r)?);
     }
     Ok(())
+}
+
+/// The `--json` report of `noc sim` / `noc explain`: a plain run prints the
+/// bare result; profile / anatomy sections wrap it in an object that names
+/// each part.
+fn json_report(
+    r: &noc_sim::SimResult,
+    profile: Option<&Profiler>,
+    anatomy: Option<&AnatomyCollector>,
+) -> String {
+    let result = r.to_json();
+    if profile.is_none() && anatomy.is_none() {
+        return result;
+    }
+    let mut w = JsonWriter::default();
+    w.begin_object()
+        .field("result", Raw(&result))
+        .opt_field("profile", profile)
+        .opt_field("anatomy", anatomy.map(AnatomyCollector::summary))
+        .end_object();
+    w.finish()
 }
 
 /// Writes the `noc-anatomy/v1` dump of a run of `cfg` to `path`.
@@ -835,11 +841,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         );
     }
     if args.flags.contains_key("json") {
-        println!(
-            "{{\"result\":{},\"anatomy\":{}}}",
-            r.to_json(),
-            col.summary().to_json()
-        );
+        println!("{}", json_report(&r, None, Some(&col)));
         return Ok(());
     }
     println!(
@@ -1527,7 +1529,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "sim",
         cmd_sim,
         "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed seeds \
-         profile trace metrics sample-interval json verify engine threads record top window \
+         profile trace metrics json verify engine threads record top window \
          match-every routing no-watchdog anatomy anatomy-out top-k capacity",
     ),
     (
@@ -1758,7 +1760,7 @@ mod tests {
             args("sim --engine active").engine().unwrap(),
             Engine::ActiveSet
         );
-        assert!(args("sim --engine auto").engine().is_ok());
+        assert!(args("sim --engine auto").engine().is_err());
         assert!(args("sim --engine warp").engine().is_err());
         assert!(args("sim --engine seq --threads 4").engine().is_err());
         assert!(args("sim --engine par --threads 0").engine().is_err());

@@ -249,13 +249,13 @@ fn anatomy_dumps_byte_identical_across_engines() {
 }
 
 /// Layer 5: observers compose. One run with the trace sink, profiler,
-/// metrics sampler, flight recorder, anatomy ledger and invariant checker
+/// flight recorder (and the metrics export derived from its windows),
+/// anatomy ledger and invariant checker
 /// all attached — on each engine — must reproduce, byte for byte, what each
 /// observer reports when attached alone on the sequential engine, and the
 /// checker must find nothing.
 #[test]
 fn observers_compose_on_every_engine() {
-    const SAMPLE: u64 = 64;
     for (name, cfg) in workload_matrix() {
         if name != "mesh8x8_c2_r0.25" && name != "fbfly4x4_c2_r0.2" {
             continue;
@@ -263,24 +263,27 @@ fn observers_compose_on_every_engine() {
         // Each observer alone, on seq.
         let plain = run_sim_engine(&cfg, WARMUP, MEASURE, Engine::Sequential).to_json_full();
         let ref_trace = trace_digest(&cfg, Engine::Sequential, WARMUP + MEASURE);
-        let sampled = Run::new(&cfg, WARMUP, MEASURE).metrics(SAMPLE).finish();
-        let ref_metrics = metrics_jsonl(&sampled.router_obs, sampled.metrics.as_ref());
+        let mut ref_snaps = Vec::new();
+        let recorded = Run::new(&cfg, WARMUP, MEASURE)
+            .telemetry(recording())
+            .run(|snap| ref_snaps.push(snap.clone()))
+            .expect("no watchdog to trip");
+        let ref_metrics = metrics_jsonl(&recorded.router_obs, &ref_snaps);
         let (_, ref_windows) = telemetry_lines(&cfg, Engine::Sequential);
         let (_, ref_anatomy) = anatomy_dump(&cfg, Engine::Sequential);
 
         for engine in [Engine::Sequential, Engine::ActiveSet, Engine::Parallel(4)] {
             let tag = format!("{name} on '{}'", engine.label());
             let mut sink = DigestSink::with_cycle_digests();
-            let mut windows = Vec::new();
+            let mut snaps = Vec::new();
             let run = Run::new(&cfg, WARMUP, MEASURE).engine(engine);
             let outcome = run
                 .sink(&mut sink)
                 .profile()
-                .metrics(SAMPLE)
                 .telemetry(recording())
                 .anatomy(1 << 16, 4)
                 .verify()
-                .run(|snap| windows.push(window_jsonl(snap)));
+                .run(|snap| snaps.push(snap.clone()));
             let mut out = match outcome {
                 Ok(out) => out,
                 Err(trip) => panic!("{tag}: tripped without a watchdog: {}", trip.describe()),
@@ -300,10 +303,11 @@ fn observers_compose_on_every_engine() {
             assert_eq!(sink.digest(), ref_trace.digest(), "{tag}: trace digest");
             assert_eq!(sink.events(), ref_trace.events(), "{tag}: trace events");
             assert_eq!(
-                metrics_jsonl(&out.router_obs, out.metrics.as_ref()),
+                metrics_jsonl(&out.router_obs, &snaps),
                 ref_metrics,
                 "{tag}: metrics export"
             );
+            let windows: Vec<String> = snaps.iter().map(window_jsonl).collect();
             assert_eq!(windows, ref_windows, "{tag}: telemetry windows");
             let col = out.anatomy.expect("ledger attached");
             assert_eq!(

@@ -3,8 +3,8 @@
 
 // Panicking on setup failure is the right behaviour outside library code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use noc_obs::{validate_json, CountingSink, FlitEventKind};
-use noc_sim::{run_sim, Run, SimConfig, TopologyKind};
+use noc_obs::{metrics_csv, validate_json, CountingSink, FlitEventKind};
+use noc_sim::{run_sim, Run, SimConfig, TelemetryOptions, TopologyKind};
 use std::process::Command;
 
 fn noc(args: &[&str]) -> std::process::Output {
@@ -37,7 +37,7 @@ fn cli_exports_are_machine_readable() {
         "200",
         "--measure",
         "600",
-        "--sample-interval",
+        "--window",
         "50",
         "--metrics",
         csv_path.to_str().unwrap(),
@@ -193,10 +193,16 @@ fn traced_and_untraced_runs_agree_exactly() {
     };
     let plain = run_sim(&cfg, 400, 800);
     let mut sink = CountingSink::default();
+    let mut windows = Vec::new();
     let traced = Run::new(&cfg, 400, 800)
         .sink(&mut sink)
-        .metrics(64)
-        .finish();
+        .telemetry(TelemetryOptions {
+            window: 64,
+            watchdog: None,
+            ..TelemetryOptions::recording()
+        })
+        .run(|snap| windows.push(snap.clone()))
+        .expect("no watchdog to trip");
     assert_eq!(
         plain.avg_latency.to_bits(),
         traced.result.avg_latency.to_bits()
@@ -213,9 +219,14 @@ fn traced_and_untraced_runs_agree_exactly() {
         plain.router_stats.spec_requests,
         traced.result.router_stats.spec_requests
     );
-    let m = traced.metrics.expect("sampling was enabled");
-    assert!(!m.samples.is_empty());
-    for s in &m.samples {
-        assert!((0.0..=1.0 + 1e-9).contains(&s.utilization), "{s:?}");
+    // The gauge rows of the metrics export come from the recorder's
+    // windows: 18 complete 64-cycle windows, utilization within [0, 1].
+    assert_eq!(windows.len(), 18);
+    let csv = metrics_csv(&traced.router_obs, &windows);
+    let gauges: Vec<&str> = csv.lines().filter(|l| l.starts_with("gauge,")).collect();
+    assert_eq!(gauges.len(), 18 * traced.router_obs.len() * 3);
+    for row in gauges.iter().filter(|l| l.contains(",utilization,")) {
+        let u: f64 = row.rsplit(',').next().unwrap().parse().unwrap();
+        assert!((0.0..=1.0).contains(&u), "{row}");
     }
 }
