@@ -52,10 +52,7 @@ impl ServeRequest {
             if id.len() > 64 {
                 return Err("'id' longer than 64 bytes".to_string());
             }
-            let engine = v.opt_at("engine", |e| {
-                let name = e.to_str()?;
-                Engine::parse(name).ok_or_else(|| format!("unknown engine '{name}'"))
-            })?;
+            let engine = v.opt_at("engine", |e| Engine::parse(e.to_str()?))?;
             Ok((id, engine, v.str_at("type")?))
         };
         let (id, engine, kind) = envelope().map_err(request)?;
@@ -136,7 +133,11 @@ mod tests {
             ),
             (
                 r#"{"schema":"noc-serve/v1","type":"sweep","id":"x","engine":"warp","spec":{"name":"t","grids":[{}]}}"#,
-                "unknown engine",
+                "unknown engine 'warp' (seq|active)",
+            ),
+            (
+                r#"{"schema":"noc-serve/v1","type":"preset","id":"x","engine":"par","preset":"smoke"}"#,
+                "unknown engine 'par' (seq|active)",
             ),
             (
                 r#"{"schema":"noc-serve/v1","type":"frobnicate","id":"x"}"#,

@@ -365,7 +365,7 @@ fn parse_grid(g: &JsonValue) -> Result<SweepGrid, String> {
     if let Some(m) = g.opt_at("measure", JsonValue::to_u64)? {
         grid.measure = m;
     }
-    if let Some(e) = g.opt_at("engine", named("engine", Engine::parse))? {
+    if let Some(e) = g.opt_at("engine", |v| Engine::parse(v.to_str()?))? {
         grid.engine = e;
     }
     Ok(grid)
@@ -482,6 +482,9 @@ mod tests {
         ] {
             assert!(SweepSpec::from_json(bad).is_err(), "{bad}");
         }
+        let retired = SweepSpec::from_json(r#"{"name":"t","grids":[{"engine":"par"}]}"#);
+        let err = retired.unwrap_err();
+        assert!(err.ends_with("unknown engine 'par' (seq|active)"), "{err}");
         // Exactly 64 is a router.
         for ok in [
             r#"{"name":"t","grids":[{"vcs":32}]}"#,

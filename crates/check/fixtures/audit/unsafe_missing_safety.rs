@@ -1,4 +1,4 @@
-//@ as: crates/sim/src/network.rs
+//@ as: tests/zero_alloc.rs
 // Negative fixture: audited *as if* it lived at the allowlisted path
 // above, so the containment rule passes — but the block below carries no
 // justifying comment, and `noc audit --fixtures` must report

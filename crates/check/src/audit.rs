@@ -1,24 +1,21 @@
 //! Static soundness auditor for the workspace (`noc audit`).
 //!
-//! Four mechanical rules keep the unsafe surface of the parallel engine
-//! from growing silently:
+//! Four mechanical rules keep `unsafe` and unexplained weak orderings
+//! out of the workspace:
 //!
 //! 1. **Unsafe containment** — the token `unsafe` may appear only in the
-//!    allowlisted files (the shard protocol in
-//!    `crates/sim/src/network.rs`). Anywhere else it is an error, so a
-//!    new `unsafe` block cannot land without widening the allowlist in
-//!    this file, which is exactly the review trigger we want.
+//!    allowlisted files (the counting allocator of `tests/zero_alloc.rs`).
+//!    Anywhere else it is an error, so a new `unsafe` block cannot land
+//!    without widening the allowlist in this file, which is exactly the
+//!    review trigger we want.
 //! 2. **SAFETY comments** — every `unsafe` occurrence in an allowlisted
 //!    file must have a `SAFETY:` comment on the same line or within the
 //!    few lines above it, stating the invariant that justifies it.
 //! 3. **Relaxed audit trail** — every `Ordering::Relaxed` in real code
 //!    must carry a `RELAXED:` comment nearby explaining why the weakest
-//!    ordering is sound at that site. (`crates/mc` is exempt: its
-//!    `Ordering::Relaxed` is a variant of the checker's *modeled*
-//!    ordering enum, not a `std::sync::atomic` site.)
-//! 4. **Forbid-by-default** — every crate root except `noc-sim`'s must
-//!    declare `#![forbid(unsafe_code)]`; `noc-sim`'s must declare
-//!    `#![deny(unsafe_op_in_unsafe_fn)]`.
+//!    ordering is sound at that site.
+//! 4. **Forbid-by-default** — every crate root must declare
+//!    `#![forbid(unsafe_code)]`.
 //!
 //! Rules 1–3 scan *code*, not prose: a comment-and-string stripper runs
 //! first so that doc comments discussing `unsafe` don't trip the audit.
@@ -31,15 +28,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Files allowed to contain `unsafe`, relative to the workspace root:
-/// the parallel engine's shard protocol, and the counting
-/// `GlobalAlloc` wrapper the zero-allocation test needs (the trait's
-/// methods are inherently unsafe to implement).
-pub const UNSAFE_ALLOWLIST: [&str; 2] = ["crates/sim/src/network.rs", "tests/zero_alloc.rs"];
-
-/// Crate whose root keeps `unsafe` (under `deny(unsafe_op_in_unsafe_fn)`)
-/// instead of forbidding it.
-pub const UNSAFE_CRATE: &str = "crates/sim";
+/// Files allowed to contain `unsafe`, relative to the workspace root: the
+/// counting `GlobalAlloc` wrapper the zero-allocation test needs (the
+/// trait's methods are inherently unsafe to implement).
+pub const UNSAFE_ALLOWLIST: [&str; 1] = ["tests/zero_alloc.rs"];
 
 /// How many lines above an `unsafe` / `Relaxed` site an audit comment
 /// may sit (same line always counts).
@@ -83,7 +75,7 @@ pub struct AuditReport {
     pub audited_unsafe: usize,
     /// Annotated `Ordering::Relaxed` sites.
     pub audited_relaxed: usize,
-    /// Crate roots carrying the required lint attribute.
+    /// Crate roots declaring `#![forbid(unsafe_code)]`.
     pub guarded_roots: usize,
 }
 
@@ -273,12 +265,10 @@ fn has_nearby_tag(raw_lines: &[&str], line_idx: usize, tag: &str) -> bool {
 }
 
 /// Audits one file's source text. `rel` is the path reported in
-/// findings; rules are selected by where the file sits relative to the
-/// root (allowlisted or not, inside `crates/mc` or not).
+/// findings; whether it is allowlisted selects the `unsafe` rule.
 pub fn audit_source(rel: &Path, src: &str, report: &mut AuditReport) {
     let rel_str = rel.to_string_lossy().replace('\\', "/");
     let allowlisted = UNSAFE_ALLOWLIST.iter().any(|a| rel_str == *a);
-    let in_mc = rel_str.starts_with("crates/mc/");
     let stripped = strip_comments_and_strings(src);
     let raw_lines: Vec<&str> = src.lines().collect();
 
@@ -314,7 +304,7 @@ pub fn audit_source(rel: &Path, src: &str, report: &mut AuditReport) {
                 report.audited_unsafe += 1;
             }
         }
-        if !in_mc && line.contains("Ordering::Relaxed") {
+        if line.contains("Ordering::Relaxed") {
             if has_nearby_tag(&raw_lines, idx, "RELAXED:") {
                 report.audited_relaxed += 1;
             } else {
@@ -333,29 +323,19 @@ pub fn audit_source(rel: &Path, src: &str, report: &mut AuditReport) {
 }
 
 /// Audits a crate root (`lib.rs` / the `noc` binary root) for the
-/// required blanket lint attribute.
+/// blanket `#![forbid(unsafe_code)]`.
 fn audit_crate_root(root: &Path, rel: &Path, report: &mut AuditReport) {
     let Ok(src) = fs::read_to_string(root.join(rel)) else {
         return;
     };
-    let rel_str = rel.to_string_lossy().replace('\\', "/");
-    let in_unsafe_crate = rel_str.starts_with(UNSAFE_CRATE);
-    let (required, rule) = if in_unsafe_crate {
-        (
-            "#![deny(unsafe_op_in_unsafe_fn)]",
-            "unsafe-crate-missing-deny",
-        )
-    } else {
-        ("#![forbid(unsafe_code)]", "crate-missing-forbid")
-    };
-    if src.contains(required) {
+    if src.contains("#![forbid(unsafe_code)]") {
         report.guarded_roots += 1;
     } else {
         report.findings.push(AuditFinding {
             file: rel.to_path_buf(),
             line: 1,
-            rule,
-            message: format!("crate root must declare `{required}`"),
+            rule: "crate-missing-forbid",
+            message: "crate root must declare `#![forbid(unsafe_code)]`".to_string(),
         });
     }
 }
@@ -508,7 +488,7 @@ mod tests {
 
     #[test]
     fn allowlisted_unsafe_needs_safety_comment() {
-        let rel = Path::new("crates/sim/src/network.rs");
+        let rel = Path::new("tests/zero_alloc.rs");
         let mut bad = AuditReport::default();
         audit_source(rel, "fn f() { unsafe { g() } }\n", &mut bad);
         assert_eq!(bad.findings.len(), 1);
@@ -525,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_needs_annotation_outside_mc() {
+    fn relaxed_needs_annotation() {
         let rel = Path::new("crates/obs/src/progress.rs");
         let mut bad = AuditReport::default();
         audit_source(rel, "x.load(Ordering::Relaxed);\n", &mut bad);
@@ -539,13 +519,5 @@ mod tests {
             &mut good,
         );
         assert!(good.passed());
-
-        let mut mc = AuditReport::default();
-        audit_source(
-            Path::new("crates/mc/src/protocol.rs"),
-            "done_reset: Ordering::Relaxed,\n",
-            &mut mc,
-        );
-        assert!(mc.passed(), "mc's modeled orderings are exempt");
     }
 }

@@ -20,12 +20,12 @@ fn workspace_audit_is_clean() {
     });
     assert!(report.passed(), "\n{}", report.render());
     // The audit only proves something if it actually saw the tree: the
-    // unsafe protocol sites, the annotated Relaxed sites and one guarded
-    // root per crate must all be present.
+    // counting allocator's unsafe sites, the annotated Relaxed sites and
+    // one forbidding root per crate must all be present.
     assert!(report.files_scanned > 40, "{} files", report.files_scanned);
     assert!(
         report.audited_unsafe >= 5,
-        "expected the shard protocol's SAFETY-commented sites, saw {}",
+        "expected the counting allocator's SAFETY-commented sites, saw {}",
         report.audited_unsafe
     );
     assert!(
@@ -35,7 +35,7 @@ fn workspace_audit_is_clean() {
     );
     assert!(
         report.guarded_roots >= 11,
-        "expected every crate root plus the noc binary, saw {}",
+        "expected every crate root and the noc binary to forbid unsafe, saw {}",
         report.guarded_roots
     );
 }

@@ -26,7 +26,7 @@
 //!
 //! Everything here is deterministic given the fold order (hop records in
 //! router-id order, ejections in event order — both engine-invariant), so
-//! `noc-anatomy/v1` dumps are byte-identical across seq/par/active.
+//! `noc-anatomy/v1` dumps are byte-identical across seq/active.
 
 use crate::hist::HdrHistogram;
 use crate::json::{ints, narrow, JsonValue, JsonWriter, ToJson};
@@ -182,8 +182,7 @@ struct InFlight {
 }
 
 /// The network-level ledger: ingests hop records and ejection events (both
-/// on the main thread, in deterministic order) and folds each packet on
-/// tail ejection.
+/// in deterministic order) and folds each packet on tail ejection.
 #[derive(Clone, Debug)]
 pub struct AnatomyCollector {
     capacity: usize,

@@ -295,24 +295,6 @@ pub fn anatomy_chrome_trace(slow: &[&Waterfall]) -> String {
     end_trace(w)
 }
 
-/// Encodes an [`HdrHistogram`](crate::HdrHistogram) as CSV: one row per
-/// non-empty bucket with cumulative counts and quantiles, ready for
-/// plotting a latency CDF.
-pub fn histogram_csv(hist: &crate::HdrHistogram) -> String {
-    let mut out = String::from("bucket_lower,bucket_upper,count,cumulative,quantile\n");
-    let total = hist.total().max(1) as f64;
-    let mut cumulative = 0u64;
-    for (lower, upper, count) in hist.iter_buckets() {
-        cumulative += count;
-        let _ = writeln!(
-            out,
-            "{lower},{upper},{count},{cumulative},{:.6}",
-            cumulative as f64 / total
-        );
-    }
-    out
-}
-
 /// One row of a sweep manifest: how a single experiment point was
 /// satisfied on the most recent run.
 pub struct SweepManifestPoint {
@@ -536,22 +518,6 @@ mod tests {
         assert!(trace.contains("\"ph\":\"b\""));
         assert!(trace.contains("\"tid\":513"));
         validate_json(&anatomy_chrome_trace(&[])).unwrap();
-    }
-
-    #[test]
-    fn histogram_csv_rows_are_cumulative() {
-        let mut h = crate::HdrHistogram::new();
-        for v in [2u64, 2, 9, 40, 40, 700] {
-            h.record(v);
-        }
-        let csv = histogram_csv(&h);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(
-            lines[0],
-            "bucket_lower,bucket_upper,count,cumulative,quantile"
-        );
-        let last = lines.last().unwrap();
-        assert!(last.ends_with(",6,1.000000"), "last row: {last}");
     }
 
     #[test]

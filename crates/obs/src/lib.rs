@@ -74,8 +74,8 @@ pub use anatomy::{
 pub use digest::DigestSink;
 pub use event::{CountingSink, FlitEvent, FlitEventKind, NopSink, TraceSink, VecSink};
 pub use export::{
-    anatomy_chrome_trace, chrome_trace, histogram_csv, metrics_csv, metrics_jsonl,
-    sweep_manifest_json, PercentileTable, SweepManifestPoint,
+    anatomy_chrome_trace, chrome_trace, metrics_csv, metrics_jsonl, sweep_manifest_json,
+    PercentileTable, SweepManifestPoint,
 };
 pub use hist::{HdrHistogram, DEFAULT_QUANTILES};
 pub use json::{validate_json, JsonValue, JsonWriter, ToJson};

@@ -11,7 +11,7 @@
 //! [`TelemetrySummary`] is the derived per-run digest of the same series —
 //! the `telemetry` block embedded in a `SimResult` JSON report. It is
 //! computed by the same code whether the source is a live
-//! [`FlightRecorder`](crate::FlightRecorder) or a parsed dump, so
+//! [`crate::FlightRecorder`] or a parsed dump, so
 //! `noc replay <dump>` reproduces the in-process summary byte for byte.
 
 use crate::json::{narrow, JsonValue, JsonWriter, ToJson};

@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn every_line_builder_emits_valid_json() {
         for line in [
-            serve_sweep_request_line("a", r#"{"name":"t","grids":[{}]}"#, Some("par")),
+            serve_sweep_request_line("a", r#"{"name":"t","grids":[{}]}"#, Some("active")),
             serve_preset_request_line("b", "smoke", None),
             serve_status_request_line("c"),
             serve_accepted_line("a", 4, 3),

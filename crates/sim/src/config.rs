@@ -63,14 +63,14 @@ pub struct SimConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ConfigError {
     /// A count no network can be built or driven with at zero; carries the
-    /// field's description (VCs per class, buffer depth, burst, payload).
+    /// field's description (buffer depth, burst, payload).
     Zero(&'static str),
     /// `injection_rate` is NaN, infinite, or outside `[0, 1]`
     /// flits/cycle/terminal.
     Rate(f64),
     /// The topology's class structure at this many VCs per class is no
-    /// router the allocators cover (more than [`noc_core::MAX_WIDTH`] VCs
-    /// per port).
+    /// router the allocators cover (none, or more than
+    /// [`noc_core::MAX_WIDTH`] VCs per port).
     Spec(SpecError),
 }
 
@@ -98,7 +98,6 @@ impl SimConfig {
     /// assume a valid config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (count, what) in [
-            (self.vcs_per_class, "VCs per class"),
             (self.buf_depth, "buffer depth in flits"),
             (self.burst, "burst in packets"),
             (self.payload_flits, "payload in flits"),
@@ -192,7 +191,6 @@ mod tests {
             ConfigError::Zero(what) => what,
             other => panic!("expected a zero-count error, got {other:?}"),
         };
-        assert!(zero(|c| c.vcs_per_class = 0).starts_with("VCs"));
         assert!(zero(|c| c.buf_depth = 0).starts_with("buffer depth"));
         assert!(zero(|c| c.burst = 0).starts_with("burst"));
         assert!(zero(|c| c.payload_flits = 0).starts_with("payload"));
@@ -202,8 +200,12 @@ mod tests {
             bad(|c| c.injection_rate = f64::NAN),
             ConfigError::Rate(r) if r.is_nan()
         ));
-        // V = M*R*C is at most one kernel word: 64 is a router, 65+ is not.
+        // V = M*R*C is at most one kernel word: 64 is a router, 65+ is not,
+        // and neither is 0 — the one error `noc check` reports too.
         let vcs = |topology, c| SimConfig::paper_baseline(topology, c).validate();
+        let dimension = "vcs_per_class";
+        let none = ConfigError::Spec(SpecError::ZeroDimension { dimension });
+        assert_eq!(vcs(TopologyKind::Mesh8x8, 0), Err(none));
         assert_eq!(vcs(TopologyKind::Mesh8x8, 32), Ok(()));
         assert_eq!(vcs(TopologyKind::FlattenedButterfly4x4, 16), Ok(()));
         for (topology, c, value) in [

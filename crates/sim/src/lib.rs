@@ -1,9 +1,4 @@
-// The only crate in the workspace allowed to contain `unsafe`: the
-// parallel engine's epoch/done/stop shard protocol in `network.rs`,
-// machine-checked by `crates/mc` and audited by `noc audit` (every block
-// must carry a `// SAFETY:` comment; every other crate is
-// `#![forbid(unsafe_code)]`).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 //! Cycle-accurate network-on-chip simulator (§3.2 of the paper).
 //!
 //! Models input-queued VC routers with the paper's two-stage pipeline

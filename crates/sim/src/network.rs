@@ -17,63 +17,6 @@ use std::time::Instant;
 /// for a network input port, or `None` for terminal-facing ports.
 type RevLink = Option<(usize, usize, u64)>;
 
-/// The parallel engine's epoch/done/stop protocol constants, named so the
-/// `noc-mc` model checker's encoding can be pinned to them (see
-/// `crates/sim/tests/protocol_drift.rs` — if either side changes alone,
-/// that test fails and the machine-checked proof in `crates/mc` must be
-/// re-run against the new protocol).
-///
-/// The happens-before argument these orderings carry is §11 of DESIGN.md:
-/// main's shard writes are released by [`EPOCH_PUBLISH`] and acquired by
-/// each worker's [`EPOCH_WAIT`]; each worker's shard writes are released
-/// by [`DONE_SIGNAL`] and acquired by main's [`DONE_WAIT`]. [`DONE_RESET`]
-/// may be relaxed *only because* it is program-ordered before the release
-/// publication on the same thread.
-pub mod par_protocol {
-    use std::sync::atomic::Ordering;
-
-    /// Iterations of `spin_loop` before yielding the timeslice.
-    pub const SPIN_LIMIT: u32 = 64;
-
-    /// The protocol's phase order within one cycle (epoch), shared
-    /// verbatim with `noc_mc::protocol::PHASES`.
-    pub const PHASES: [&str; 7] = [
-        "deliver_inject",
-        "reset_done",
-        "publish_epoch",
-        "worker_step",
-        "signal_done",
-        "commit",
-        "finish",
-    ];
-
-    /// `epoch.fetch_add(1, _)` on the main thread: releases the
-    /// deliver-phase shard writes to the workers.
-    pub const EPOCH_PUBLISH: Ordering = Ordering::Release;
-    /// `done.store(0, _)` on the main thread.
-    // RELAXED: sound because the program-order-later `EPOCH_PUBLISH`
-    // release fence-orders the reset before any worker can observe the
-    // new epoch (mutant `done-reset-after-publish` in crates/mc deadlocks).
-    pub const DONE_RESET: Ordering = Ordering::Relaxed;
-    /// `done.fetch_add(1, _)` on each worker: releases its shard writes.
-    pub const DONE_SIGNAL: Ordering = Ordering::Release;
-    /// Main's `done.load(_)` spin: acquires every worker's shard writes.
-    pub const DONE_WAIT: Ordering = Ordering::Acquire;
-    /// Worker's `epoch.load(_)` spin: acquires main's shard writes.
-    pub const EPOCH_WAIT: Ordering = Ordering::Acquire;
-    /// `stop.store(true, _)` when the run ends (or unwinds).
-    pub const STOP_PUBLISH: Ordering = Ordering::Release;
-    /// Worker's `stop.load(_)` check.
-    pub const STOP_WAIT: Ordering = Ordering::Acquire;
-
-    /// Worker `k`'s contiguous shard `[lo, hi)` of `n` routers across
-    /// `threads` workers. Shards partition `0..n` exactly — the
-    /// disjointness the mutual-exclusion argument quantifies over.
-    pub fn shard_range(k: usize, n: usize, threads: usize) -> (usize, usize) {
-        (k * n / threads, (k + 1) * n / threads)
-    }
-}
-
 /// An event in flight on a link or credit wire.
 #[derive(Clone, Debug)]
 enum Event {
@@ -156,11 +99,10 @@ pub struct Network<S: TraceSink = NopSink> {
     wheel: TimingWheel,
     /// Reverse link table: `rev[router][port]`, see [`RevLink`].
     rev: Vec<Vec<RevLink>>,
-    /// Per-router output buffers for the two-phase step: the compute phase
-    /// fills `out_buf[r]`, the commit phase drains it into the timing
-    /// wheel. Kept across cycles so steady-state stepping does not
-    /// allocate.
-    out_buf: Vec<RouterOutputs>,
+    /// The stepped router's products, drained into the timing wheel before
+    /// the next router steps. Kept across cycles so steady-state stepping
+    /// does not allocate.
+    out: RouterOutputs,
     /// Current cycle.
     pub now: u64,
     /// Measurement statistics.
@@ -171,15 +113,14 @@ pub struct Network<S: TraceSink = NopSink> {
     /// [`Network::enable_telemetry`]).
     pub telemetry: Option<FlightRecorder>,
     /// Opt-in per-packet latency ledger (see
-    /// [`Network::enable_anatomy`]). Folded on the main thread only: hop
-    /// records travel through [`RouterOutputs::hops`] and are ingested at
-    /// commit in router-id order, ejections fold during delivery in wheel
-    /// order — both engine-invariant, so dumps are byte-identical across
-    /// engines.
+    /// [`Network::enable_anatomy`]). Hop records travel through
+    /// [`RouterOutputs::hops`] and are ingested at commit in router-id
+    /// order, ejections fold during delivery in wheel order — neither
+    /// depends on which routers were skipped, so dumps are byte-identical
+    /// across engines.
     pub anatomy: Option<AnatomyCollector>,
-    /// Opt-in runtime invariant checker (see [`Network::enable_verify`]).
-    /// Audited on the main thread after every cycle's commit, so it works
-    /// on every engine.
+    /// Opt-in runtime invariant checker (see [`Network::enable_verify`]),
+    /// audited after every cycle's commit.
     pub checker: Option<StrictChecker>,
 }
 
@@ -233,10 +174,7 @@ impl<S: TraceSink> Network<S> {
         }
         let mut stats = NetStats::default();
         stats.init_sources(topo.num_terminals());
-        let out_buf = routers
-            .iter()
-            .map(|r| RouterOutputs::with_capacity(r.ports()))
-            .collect();
+        let out = RouterOutputs::with_capacity(topo.ports);
         let wheel_cap = 2 * routers.iter().map(Router::ports).sum::<usize>() + 2 * terminals.len();
         Network {
             topo,
@@ -245,7 +183,7 @@ impl<S: TraceSink> Network<S> {
             terminals,
             wheel: TimingWheel::with_slot_capacity(wheel_cap),
             rev,
-            out_buf,
+            out,
             now: 0,
             stats,
             sink,
@@ -288,15 +226,7 @@ impl<S: TraceSink> Network<S> {
         self.checker = Some(StrictChecker::default());
     }
 
-    /// Arms a one-shot injected panic in router `r` at cycle `cycle` (see
-    /// [`Router::arm_test_panic`]); panic-safety regression tests only.
-    #[doc(hidden)]
-    pub fn arm_router_panic(&mut self, r: usize, cycle: u64) {
-        self.routers[r].arm_test_panic(cycle);
-    }
-
-    /// Number of routers currently held by the network — the panic-safety
-    /// tests assert this survives an unwinding engine run.
+    /// Number of routers in the network.
     pub fn router_count(&self) -> usize {
         self.routers.len()
     }
@@ -322,12 +252,12 @@ impl<S: TraceSink> Network<S> {
         self.run_in_order(cycles, false, &mut NopProfiler);
     }
 
-    /// The in-order engine body behind the sequential (`skip_idle =
-    /// false`) and active-set (`skip_idle = true`) engines, attributing
-    /// wall time to pipeline phases through `prof` (with [`NopProfiler`]
-    /// every clock read compiles away). Each cycle delivers and injects,
-    /// then computes and commits router by router, then does the
-    /// post-commit bookkeeping.
+    /// The cycle body behind the sequential (`skip_idle = false`) and
+    /// active-set (`skip_idle = true`) engines, attributing wall time to
+    /// pipeline phases through `prof` (with [`NopProfiler`] every clock
+    /// read compiles away). Each cycle delivers and injects, then steps
+    /// and commits router by router, then does the post-commit
+    /// bookkeeping.
     ///
     /// Skipping is cycle-identical to stepping: an idle router's step
     /// produces no outputs, touches no allocator state and classifies no
@@ -338,330 +268,246 @@ impl<S: TraceSink> Network<S> {
     /// engine exactly.
     pub fn run_in_order<P: PhaseProfiler>(&mut self, cycles: u64, skip_idle: bool, prof: &mut P) {
         for _ in 0..cycles {
-            let now = self.now;
-            deliver_and_inject(
-                &self.topo,
-                &self.cfg,
-                &mut self.wheel,
-                &mut self.routers,
-                &mut self.terminals,
-                &mut self.stats,
-                &mut self.sink,
-                &mut self.anatomy,
-                now,
-                prof,
-            );
-
-            // Two-phase: compute into out_buf, commit to the wheel. Compute
-            // only touches the router itself; commit only schedules wheel
-            // events with delay >= 1, so interleaving compute/commit per
-            // router (here) is cycle-identical to computing all routers
-            // first (the parallel engine) as long as commits stay in
-            // router-id order.
+            self.deliver(prof);
+            self.inject();
+            // A step only touches the router itself and a commit only
+            // schedules wheel events with delay >= 1, so nothing a router
+            // sends is seen by a later router in the same cycle.
             for r in 0..self.routers.len() {
                 if skip_idle && self.routers[r].is_idle() {
                     self.routers[r].skip_cycle();
                     continue;
                 }
-                let out = &mut self.out_buf[r];
-                self.routers[r].step_into(&self.topo, now, out, &mut self.sink, prof);
-                commit_outputs(
+                self.routers[r].step_into(
                     &self.topo,
-                    &self.rev,
-                    &mut self.wheel,
-                    r,
-                    out,
-                    &mut self.anatomy,
+                    self.now,
+                    &mut self.out,
+                    &mut self.sink,
+                    prof,
+                );
+                self.commit(r);
+            }
+            self.finish_cycle();
+            self.now += 1;
+        }
+    }
+
+    /// Delivers the link and credit events landing this cycle.
+    fn deliver<P: PhaseProfiler>(&mut self, prof: &mut P) {
+        let now = self.now;
+        let wheel_timer = P::ACTIVE.then(Instant::now);
+        let mut wheel_events = 0u64;
+        // Take the slot, drain it, hand the buffer back: nothing schedules
+        // into the *current* slot (delays are >= 1 and < the wheel size), so
+        // the buffer is free to recycle once the loop ends.
+        let mut events = self.wheel.take(now);
+        for ev in events.drain(..) {
+            wheel_events += 1;
+            match ev {
+                Event::FlitToRouter {
+                    router,
+                    port,
+                    vc,
+                    flit,
+                } => {
+                    self.routers[router].accept_flit(port, vc, flit, now);
+                }
+                Event::CreditToRouter { router, port, vc } => {
+                    self.routers[router].accept_credit(port, vc);
+                }
+                Event::FlitToTerminal { term, vc, flit } => {
+                    self.stats.record_flit_ejected(now);
+                    if let Some(col) = &mut self.anatomy {
+                        if flit.head {
+                            col.eject_head(flit.packet_id, flit.birth, flit.injected, now);
+                        }
+                        if flit.tail {
+                            col.eject_tail(
+                                flit.packet_id,
+                                flit.msg_class() as u8,
+                                now,
+                                self.stats.in_window(now),
+                            );
+                        }
+                    }
+                    if flit.tail {
+                        self.stats
+                            .record_packet_from(now, flit.birth, flit.msg_class(), flit.src);
+                    }
+                    self.terminals[term].receive(&flit, now);
+                    // Ideal sink: return the credit immediately.
+                    let (router, port) = self.topo.terminal_attach(term);
+                    if S::ACTIVE {
+                        self.sink.record(FlitEvent {
+                            cycle: now,
+                            kind: FlitEventKind::Eject,
+                            router: router as u32,
+                            port: port as u16,
+                            vc: vc as u16,
+                            packet_id: flit.packet_id,
+                            flit_index: flit.flit_index as u32,
+                        });
+                    }
+                    self.wheel
+                        .schedule(now, 1, Event::CreditToRouter { router, port, vc });
+                }
+                Event::CreditToTerminal { term, vc } => {
+                    self.terminals[term].accept_credit(vc);
+                }
+            }
+        }
+        self.wheel.recycle(events);
+        if let Some(t) = wheel_timer {
+            prof.record(Phase::Credit, t.elapsed().as_nanos() as u64, wheel_events);
+        }
+    }
+
+    /// Lets every terminal generate and (if possible) inject traffic.
+    fn inject(&mut self) {
+        let now = self.now;
+        let (cfg, geom) = (&self.cfg, self.topo.geometry());
+        for term in &mut self.terminals {
+            term.generate_traffic_burst(cfg.injection_rate, cfg.pattern, geom, now, cfg.burst);
+            // A terminal with nothing queued and nothing in flight cannot
+            // inject and its step consumes no RNG, so skipping it is exact.
+            if term.backlog_packets() == 0 {
+                continue;
+            }
+            let (router, port) = (term.router, term.port);
+            let out = term.step(&self.topo, &RouterProbe(&self.routers[router]), now);
+            if let Some((vc, flit)) = out.flit {
+                self.stats.record_flit_injected(now);
+                if S::ACTIVE {
+                    self.sink.record(FlitEvent {
+                        cycle: now,
+                        kind: FlitEventKind::Inject,
+                        router: router as u32,
+                        port: port as u16,
+                        vc: vc as u16,
+                        packet_id: flit.packet_id,
+                        flit_index: flit.flit_index as u32,
+                    });
+                }
+                self.wheel.schedule(
                     now,
+                    1,
+                    Event::FlitToRouter {
+                        router,
+                        port,
+                        vc,
+                        flit,
+                    },
                 );
             }
-            finish_cycle(
+        }
+    }
+
+    /// Drains what router `r` just produced into the timing wheel. All
+    /// scheduled events carry delay >= 1, so a commit never feeds back into
+    /// the current cycle.
+    fn commit(&mut self, r: usize) {
+        let now = self.now;
+        match &mut self.anatomy {
+            Some(col) => {
+                for h in self.out.hops.drain(..) {
+                    col.ingest_hop(h);
+                }
+            }
+            None => self.out.hops.clear(),
+        }
+        for of in self.out.flits.drain(..) {
+            if let Some(term) = self.topo.port_terminal(r, of.port) {
+                self.wheel.schedule(
+                    now,
+                    1,
+                    Event::FlitToTerminal {
+                        term,
+                        vc: of.vc,
+                        flit: of.flit,
+                    },
+                );
+            } else {
+                let Some(link) = self.topo.link(r, of.port) else {
+                    unreachable!("flit sent to port {} of router {r} with no link", of.port)
+                };
+                self.wheel.schedule(
+                    now,
+                    link.latency,
+                    Event::FlitToRouter {
+                        router: link.to_router,
+                        port: link.to_port,
+                        vc: of.vc,
+                        flit: of.flit,
+                    },
+                );
+            }
+        }
+        for (in_port, in_vc) in self.out.credits.drain(..) {
+            if let Some(term) = self.topo.port_terminal(r, in_port) {
+                self.wheel
+                    .schedule(now, 1, Event::CreditToTerminal { term, vc: in_vc });
+            } else {
+                let Some((ur, up, lat)) = self.rev[r][in_port] else {
+                    unreachable!("credit return on port {in_port} of router {r} with no link")
+                };
+                self.wheel.schedule(
+                    now,
+                    lat,
+                    Event::CreditToRouter {
+                        router: ur,
+                        port: up,
+                        vc: in_vc,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Post-commit bookkeeping: runtime invariant checks and flight-recorder
+    /// window snapshots.
+    fn finish_cycle(&mut self) {
+        let now = self.now;
+        if let Some(chk) = &mut self.checker {
+            for r in &self.routers {
+                r.check_invariants(chk);
+            }
+            audit_credit_conservation(
                 &self.topo,
                 self.cfg.buf_depth,
                 &self.wheel,
                 &self.routers,
                 &self.terminals,
-                &self.stats,
-                &mut self.telemetry,
-                &mut self.checker,
                 now,
+                chk,
             );
-            self.now += 1;
-        }
-    }
-
-    /// Runs `cycles` cycles on the parallel engine: a persistent pool of
-    /// `threads` workers computes the routers' steps in disjoint shards,
-    /// and this thread commits their outputs in router-id order, so the
-    /// timing-wheel event order — and with it every result, trace and dump
-    /// — matches [`Network::run`] exactly (each router's compute phase
-    /// reads nothing outside the router). Workers spin between cycles, so
-    /// this is a throughput engine for batch runs.
-    ///
-    /// A per-router observer — an active trace sink or an active profiler
-    /// — needs the routers stepped in order on one thread, so with either
-    /// attached (or with a single worker) the run takes the in-order body
-    /// instead.
-    pub fn run_parallel<P: PhaseProfiler>(&mut self, cycles: u64, threads: usize, prof: &mut P) {
-        let threads = threads.clamp(1, self.routers.len().max(1));
-        if threads == 1 || S::ACTIVE || P::ACTIVE {
-            return self.run_in_order(cycles, false, prof);
-        }
-        if cycles == 0 {
-            return;
-        }
-
-        use par_protocol as pp;
-        use std::cell::UnsafeCell;
-        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-
-        /// Shared view of the router and output-buffer cells.
-        ///
-        /// Safety protocol (machine-checked as the `run_par` model in
-        /// `crates/mc`, see DESIGN.md §11): access alternates in phases.
-        /// Between the main thread's epoch publication
-        /// ([`par_protocol::EPOCH_PUBLISH`]) and a worker's completion
-        /// signal ([`par_protocol::DONE_SIGNAL`]) only that worker touches
-        /// its disjoint index range `[lo, hi)`; at every other time
-        /// (delivery, commit, finish) only the main thread touches any
-        /// cell. The epoch/done atomics carry the Acquire/Release edges
-        /// ordering those accesses.
-        struct Shards<'a> {
-            routers: &'a [UnsafeCell<Router>],
-            outs: &'a [UnsafeCell<RouterOutputs>],
-        }
-        // SAFETY: sharing the raw cells across worker threads is exactly
-        // what the epoch/done protocol above makes sound; without this
-        // impl the cells could not cross the `thread::scope` boundary.
-        unsafe impl Sync for Shards<'_> {}
-
-        /// Moves the drained router and output-buffer cells back into the
-        /// network on drop — on the normal path *and* on unwind, so a
-        /// panic below (a worker's, or the main thread's in
-        /// commit/deliver) cannot leave the `Network` with empty router
-        /// state. After an unwind the routers may reflect a partially
-        /// computed cycle; the guarantee is structural (every router is
-        /// back, memory-safe), not transactional.
-        struct Restore<'a> {
-            router_cells: Vec<UnsafeCell<Router>>,
-            out_cells: Vec<UnsafeCell<RouterOutputs>>,
-            routers: &'a mut Vec<Router>,
-            out_buf: &'a mut Vec<RouterOutputs>,
-        }
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.routers
-                    .extend(self.router_cells.drain(..).map(UnsafeCell::into_inner));
-                self.out_buf
-                    .extend(self.out_cells.drain(..).map(UnsafeCell::into_inner));
+        } else if cfg!(debug_assertions) {
+            // Debug builds run the (cheap) router-local invariants on the
+            // ordinary step path too, so the whole test suite exercises
+            // them; the credit audit stays opt-in via an attached checker.
+            let mut strict = StrictChecker::default();
+            for r in &self.routers {
+                r.check_invariants(&mut strict);
             }
+            assert!(
+                strict.violations.is_empty(),
+                "cycle {now}: router invariant violations: {:?}",
+                strict.violations
+            );
         }
 
-        /// Publishes `stop` when dropped, releasing every parked worker.
-        /// Lives at the top of the scope closure so both the normal exit
-        /// and a main-thread unwind set it *before* `thread::scope` joins
-        /// — otherwise a panic in commit would hang the join forever.
-        struct StopOnDrop<'a>(&'a AtomicBool);
-        impl Drop for StopOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.store(true, pp::STOP_PUBLISH);
-            }
-        }
-
-        /// Worker-side unwind detector: a panicking worker never signals
-        /// `done`, so without this flag the main thread would spin on
-        /// `done < threads` forever instead of propagating the panic.
-        struct PoisonOnPanic<'a>(&'a AtomicBool);
-        impl Drop for PoisonOnPanic<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.store(true, pp::STOP_PUBLISH);
-                }
-            }
-        }
-
-        let Network {
-            topo,
-            cfg,
-            routers,
-            terminals,
-            wheel,
-            rev,
-            out_buf,
-            now,
-            stats,
-            sink: _,
-            telemetry,
-            anatomy,
-            checker,
-        } = self;
-        let n = routers.len();
-        let guard = Restore {
-            router_cells: routers.drain(..).map(UnsafeCell::new).collect(),
-            out_cells: out_buf.drain(..).map(UnsafeCell::new).collect(),
-            routers,
-            out_buf,
-        };
-        let shards = Shards {
-            routers: &guard.router_cells,
-            outs: &guard.out_cells,
-        };
-        let epoch = AtomicU64::new(0);
-        let done = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let poisoned = AtomicBool::new(false);
-        let base_now = *now;
-        let topo_ref: &Topology = topo;
-
-        // Spin briefly, then yield the timeslice: on oversubscribed or
-        // single-core hosts a pure spin burns a whole scheduler quantum
-        // before the peer thread can make the awaited progress.
-        fn spin_or_yield(spins: &mut u32) {
-            *spins += 1;
-            if *spins < pp::SPIN_LIMIT {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-
-        std::thread::scope(|s| {
-            let stop_guard = StopOnDrop(&stop);
-            let mut handles = Vec::with_capacity(threads);
-            for k in 0..threads {
-                let (lo, hi) = pp::shard_range(k, n, threads);
-                let (shards, epoch, done, stop, poisoned) =
-                    (&shards, &epoch, &done, &stop, &poisoned);
-                handles.push(s.spawn(move || {
-                    let _poison_guard = PoisonOnPanic(poisoned);
-                    let mut seen = 0u64;
-                    loop {
-                        let mut spins = 0u32;
-                        loop {
-                            let e = epoch.load(pp::EPOCH_WAIT);
-                            if e > seen {
-                                seen = e;
-                                break;
-                            }
-                            if stop.load(pp::STOP_WAIT) {
-                                return;
-                            }
-                            spin_or_yield(&mut spins);
-                        }
-                        let cycle_now = base_now + (seen - 1);
-                        for i in lo..hi {
-                            // SAFETY: this worker owns indices [lo, hi) for
-                            // the duration of the epoch (see `Shards`);
-                            // `par_protocol::shard_range` partitions `0..n`
-                            // disjointly across workers.
-                            let router = unsafe { &mut *shards.routers[i].get() };
-                            // SAFETY: as above — same owner, same window.
-                            let out = unsafe { &mut *shards.outs[i].get() };
-                            router.step_into(
-                                topo_ref,
-                                cycle_now,
-                                out,
-                                &mut NopSink,
-                                &mut NopProfiler,
-                            );
-                        }
-                        done.fetch_add(1, pp::DONE_SIGNAL);
-                    }
-                }));
-            }
-
-            for c in 0..cycles {
-                let cycle_now = base_now + c;
-                {
-                    // SAFETY: workers are parked awaiting the next epoch, so
-                    // the main thread has exclusive access to every cell;
-                    // `UnsafeCell` is `repr(transparent)` over its payload.
-                    let routers_mut: &mut [Router] = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            guard.router_cells.as_ptr() as *mut Router,
-                            n,
-                        )
-                    };
-                    deliver_and_inject(
-                        topo_ref,
-                        cfg,
-                        wheel,
-                        routers_mut,
-                        terminals,
-                        stats,
-                        &mut NopSink,
-                        anatomy,
-                        cycle_now,
-                        &mut NopProfiler,
-                    );
-                }
-                // RELAXED: ordered before the workers' reads by the
-                // program-order-later `EPOCH_PUBLISH` release on this same
-                // thread (mutant `done-reset-after-publish` in crates/mc
-                // shows why the order, not the ordering, is what matters).
-                done.store(0, pp::DONE_RESET);
-                epoch.fetch_add(1, pp::EPOCH_PUBLISH);
-                let mut spins = 0u32;
-                loop {
-                    if done.load(pp::DONE_WAIT) >= threads {
-                        break;
-                    }
-                    if poisoned.load(pp::STOP_WAIT) {
-                        // A worker is unwinding and will never signal.
-                        // Stop touching the cells, release the surviving
-                        // workers, and re-raise the worker's own panic
-                        // payload (`thread::scope` would otherwise
-                        // replace it with a generic "a scoped thread
-                        // panicked"); `guard` restores the router state
-                        // on the way out.
-                        stop.store(true, pp::STOP_PUBLISH);
-                        for h in handles.drain(..) {
-                            if let Err(payload) = h.join() {
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                        return;
-                    }
-                    spin_or_yield(&mut spins);
-                }
-                // SAFETY: every worker signalled `done` for this epoch, so
-                // the main thread again has exclusive access.
-                let outs_mut: &mut [RouterOutputs] = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        guard.out_cells.as_ptr() as *mut RouterOutputs,
-                        n,
-                    )
-                };
-                for r in 0..n {
-                    commit_outputs(
-                        topo_ref,
-                        rev,
-                        wheel,
-                        r,
-                        &mut outs_mut[r],
-                        anatomy,
-                        cycle_now,
-                    );
-                }
-                // SAFETY: same exclusive-access window as the commit above.
-                let routers_ref: &[Router] = unsafe {
-                    std::slice::from_raw_parts(guard.router_cells.as_ptr() as *const Router, n)
-                };
-                finish_cycle(
-                    topo_ref,
-                    cfg.buf_depth,
-                    wheel,
-                    routers_ref,
-                    terminals,
-                    stats,
-                    telemetry,
-                    checker,
-                    cycle_now,
+        // Keyed purely on the cycle number, so every engine records identical
+        // windows regardless of chunking or skipping.
+        if let Some(rec) = &mut self.telemetry {
+            if rec.due(now) {
+                let injected: u64 = self.terminals.iter().map(|t| t.flits_injected).sum();
+                rec.record(
+                    now,
+                    injected,
+                    self.stats.total_flits_ejected,
+                    self.routers.iter().map(Router::telemetry_counters),
                 );
             }
-            *now = base_now + cycles;
-            drop(stop_guard);
-        });
+        }
     }
 
     /// True when no flit is buffered, in flight, or queued anywhere.
@@ -727,202 +573,6 @@ impl<S: TraceSink> Network<S> {
             self.terminals.iter().map(|t| t.minimal_started).sum(),
             self.terminals.iter().map(|t| t.nonminimal_started).sum(),
         )
-    }
-}
-
-/// Pre-router phase of a cycle: deliver timing-wheel events landing this
-/// cycle, then let every terminal generate and (if possible) inject
-/// traffic. Free function (not a method) so the persistent-pool parallel
-/// engine can call it on destructured network fields while worker threads
-/// hold the topology borrow.
-#[allow(clippy::too_many_arguments)]
-fn deliver_and_inject<S: TraceSink, P: PhaseProfiler>(
-    topo: &Topology,
-    cfg: &SimConfig,
-    wheel: &mut TimingWheel,
-    routers: &mut [Router],
-    terminals: &mut [Terminal],
-    stats: &mut NetStats,
-    sink: &mut S,
-    anatomy: &mut Option<AnatomyCollector>,
-    now: u64,
-    prof: &mut P,
-) {
-    // --- deliver link/credit events landing this cycle ----------------
-    let wheel_timer = P::ACTIVE.then(Instant::now);
-    let mut wheel_events = 0u64;
-    // Take the slot, drain it, hand the buffer back: nothing schedules
-    // into the *current* slot (delays are >= 1 and < the wheel size), so
-    // the buffer is free to recycle once the loop ends.
-    let mut events = wheel.take(now);
-    for ev in events.drain(..) {
-        wheel_events += 1;
-        match ev {
-            Event::FlitToRouter {
-                router,
-                port,
-                vc,
-                flit,
-            } => {
-                routers[router].accept_flit(port, vc, flit, now);
-            }
-            Event::CreditToRouter { router, port, vc } => {
-                routers[router].accept_credit(port, vc);
-            }
-            Event::FlitToTerminal { term, vc, flit } => {
-                stats.record_flit_ejected(now);
-                if let Some(col) = anatomy {
-                    // Fold in wheel-delivery order: identical on every
-                    // engine (delivery always runs on the main thread).
-                    if flit.head {
-                        col.eject_head(flit.packet_id, flit.birth, flit.injected, now);
-                    }
-                    if flit.tail {
-                        col.eject_tail(
-                            flit.packet_id,
-                            flit.msg_class() as u8,
-                            now,
-                            stats.in_window(now),
-                        );
-                    }
-                }
-                if flit.tail {
-                    stats.record_packet_from(now, flit.birth, flit.msg_class(), flit.src);
-                }
-                terminals[term].receive(&flit, now);
-                // Ideal sink: return the credit immediately.
-                let (router, port) = topo.terminal_attach(term);
-                if S::ACTIVE {
-                    sink.record(FlitEvent {
-                        cycle: now,
-                        kind: FlitEventKind::Eject,
-                        router: router as u32,
-                        port: port as u16,
-                        vc: vc as u16,
-                        packet_id: flit.packet_id,
-                        flit_index: flit.flit_index as u32,
-                    });
-                }
-                wheel.schedule(now, 1, Event::CreditToRouter { router, port, vc });
-            }
-            Event::CreditToTerminal { term, vc } => {
-                terminals[term].accept_credit(vc);
-            }
-        }
-    }
-    wheel.recycle(events);
-    if let Some(t) = wheel_timer {
-        prof.record(Phase::Credit, t.elapsed().as_nanos() as u64, wheel_events);
-    }
-
-    // --- terminals: traffic generation and injection -------------------
-    let n_term = terminals.len();
-    let geom = topo.geometry();
-    for t in 0..n_term {
-        terminals[t].generate_traffic_burst(cfg.injection_rate, cfg.pattern, geom, now, cfg.burst);
-        // A terminal with nothing queued and nothing in flight cannot
-        // inject and its step consumes no RNG, so skipping it is exact on
-        // every engine.
-        if terminals[t].backlog_packets() == 0 {
-            continue;
-        }
-        let router = terminals[t].router;
-        let port = terminals[t].port;
-        let out = terminals[t].step(topo, &RouterProbe(&routers[router]), now);
-        if let Some((vc, flit)) = out.flit {
-            stats.record_flit_injected(now);
-            if S::ACTIVE {
-                sink.record(FlitEvent {
-                    cycle: now,
-                    kind: FlitEventKind::Inject,
-                    router: router as u32,
-                    port: port as u16,
-                    vc: vc as u16,
-                    packet_id: flit.packet_id,
-                    flit_index: flit.flit_index as u32,
-                });
-            }
-            wheel.schedule(
-                now,
-                1,
-                Event::FlitToRouter {
-                    router,
-                    port,
-                    vc,
-                    flit,
-                },
-            );
-        }
-    }
-}
-
-/// Commit phase for one router: drain its output buffer into the timing
-/// wheel. All scheduled events carry delay >= 1, so commits never feed
-/// back into the current cycle — the property that makes the two-phase
-/// split cycle-identical to the interleaved sequential step.
-fn commit_outputs(
-    topo: &Topology,
-    rev: &[Vec<RevLink>],
-    wheel: &mut TimingWheel,
-    r: usize,
-    out: &mut RouterOutputs,
-    anatomy: &mut Option<AnatomyCollector>,
-    now: u64,
-) {
-    // Ingest hop records before the wheel drain: commit runs in router-id
-    // order on every engine, so collector state is engine-invariant.
-    match anatomy {
-        Some(col) => {
-            for h in out.hops.drain(..) {
-                col.ingest_hop(h);
-            }
-        }
-        None => out.hops.clear(),
-    }
-    for of in out.flits.drain(..) {
-        if let Some(term) = topo.port_terminal(r, of.port) {
-            wheel.schedule(
-                now,
-                1,
-                Event::FlitToTerminal {
-                    term,
-                    vc: of.vc,
-                    flit: of.flit,
-                },
-            );
-        } else {
-            let Some(link) = topo.link(r, of.port) else {
-                unreachable!("flit sent to port {} of router {r} with no link", of.port)
-            };
-            wheel.schedule(
-                now,
-                link.latency,
-                Event::FlitToRouter {
-                    router: link.to_router,
-                    port: link.to_port,
-                    vc: of.vc,
-                    flit: of.flit,
-                },
-            );
-        }
-    }
-    for (in_port, in_vc) in out.credits.drain(..) {
-        if let Some(term) = topo.port_terminal(r, in_port) {
-            wheel.schedule(now, 1, Event::CreditToTerminal { term, vc: in_vc });
-        } else {
-            let Some((ur, up, lat)) = rev[r][in_port] else {
-                unreachable!("credit return on port {in_port} of router {r} with no link")
-            };
-            wheel.schedule(
-                now,
-                lat,
-                Event::CreditToRouter {
-                    router: ur,
-                    port: up,
-                    vc: in_vc,
-                },
-            );
-        }
     }
 }
 
@@ -1022,57 +672,6 @@ fn audit_credit_conservation(
         }
     }
     chk.add_checks(checks);
-}
-
-/// Post-commit bookkeeping: runtime invariant checks and flight-recorder
-/// window snapshots. Does not advance `now` —
-/// callers own the clock.
-#[allow(clippy::too_many_arguments)]
-fn finish_cycle(
-    topo: &Topology,
-    buf_depth: usize,
-    wheel: &TimingWheel,
-    routers: &[Router],
-    terminals: &[Terminal],
-    stats: &NetStats,
-    telemetry: &mut Option<FlightRecorder>,
-    checker: &mut Option<StrictChecker>,
-    now: u64,
-) {
-    if let Some(chk) = checker {
-        for r in routers {
-            r.check_invariants(chk);
-        }
-        audit_credit_conservation(topo, buf_depth, wheel, routers, terminals, now, chk);
-    } else if cfg!(debug_assertions) {
-        // Debug builds run the (cheap) router-local invariants on the
-        // ordinary step path too, so the whole test suite exercises
-        // them; the credit audit stays opt-in via an attached checker.
-        let mut strict = StrictChecker::default();
-        for r in routers {
-            r.check_invariants(&mut strict);
-        }
-        assert!(
-            strict.violations.is_empty(),
-            "cycle {now}: router invariant violations: {:?}",
-            strict.violations
-        );
-    }
-
-    // --- flight recorder ------------------------------------------------
-    // Keyed purely on the cycle number, so every engine records identical
-    // windows regardless of chunking or skipping.
-    if let Some(rec) = telemetry {
-        if rec.due(now) {
-            let injected: u64 = terminals.iter().map(|t| t.flits_injected).sum();
-            rec.record(
-                now,
-                injected,
-                stats.total_flits_ejected,
-                routers.iter().map(Router::telemetry_counters),
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -301,20 +301,9 @@ pub struct Router {
     /// Packet-ledger state; `None` (the default) costs one branch per
     /// cycle plus one per accepted head flit.
     anatomy: Option<RouterAnatomy>,
-    /// Test-only failure injection: panic when stepped at this cycle.
-    /// `None` in all production paths; costs one comparison per step.
-    test_panic_at: Option<u64>,
 }
 
 impl Router {
-    /// Arms a one-shot injected panic: the router panics when stepped at
-    /// `cycle`. Exists solely for the engine panic-safety regression
-    /// tests (`crates/sim/tests/par_panic.rs`).
-    #[doc(hidden)]
-    pub fn arm_test_panic(&mut self, cycle: u64) {
-        self.test_panic_at = Some(cycle);
-    }
-
     /// Creates a router with empty buffers and full credits.
     pub fn new(id: usize, cfg: RouterConfig) -> Self {
         let ports = cfg.spec.ports();
@@ -360,7 +349,6 @@ impl Router {
             obs: RouterObs::new(ports, vcs),
             match_sampler: None,
             anatomy: None,
-            test_panic_at: None,
             cfg,
         }
     }
@@ -377,7 +365,7 @@ impl Router {
     }
 
     /// Enables matching-quality sampling every `period` cycles (telemetry
-    /// opt-in; see [`MatchSampler`]).
+    /// opt-in; see `MatchSampler`).
     pub fn enable_match_sampling(&mut self, period: u64) {
         assert!(period > 0, "matching sample period must be positive");
         self.match_sampler = Some(MatchSampler {
@@ -483,10 +471,8 @@ impl Router {
     /// proportion to the VCs that hold a flit, not to `P*V`. All
     /// intermediate state lives in the router's scratch arena, so in steady
     /// state a step performs no heap allocation (`tests/zero_alloc.rs`
-    /// counts). The two-phase engines call this
-    /// directly: it only mutates this router (and `out`), reading nothing
-    /// from other routers, which is what makes the compute phase safe to run
-    /// for all routers in parallel before any output is committed.
+    /// counts). It only mutates this router (and `out`), reading nothing
+    /// from other routers.
     pub fn step_into<S: TraceSink, P: PhaseProfiler>(
         &mut self,
         topo: &Topology,
@@ -495,9 +481,6 @@ impl Router {
         sink: &mut S,
         prof: &mut P,
     ) {
-        if self.test_panic_at == Some(now) {
-            panic!("injected router panic (router {} cycle {now})", self.id);
-        }
         out.clear();
         self.cycles += 1;
         let v = self.vcs;
@@ -1509,19 +1492,18 @@ mod tests {
             assert_eq!(obs.vc[burst * r.vcs() + vc].active, 2);
         }
 
-        // Whole networks on the three engines, read at ragged points: every
+        // Whole networks on both engines, read at ragged points: every
         // VC of every router accounts for exactly `now` cycles, whether its
         // router was stepped or skipped, and the engines agree.
         let cfg = crate::SimConfig {
             injection_rate: 0.02,
             ..crate::SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 4)
         };
-        let mut nets = [0; 3].map(|_| crate::Network::new(cfg.clone()));
+        let mut nets = [0; 2].map(|_| crate::Network::new(cfg.clone()));
         let mut now = 0u64;
         for chunk in [1u64, 7, 40, 150] {
             nets[0].run_in_order(chunk, false, &mut NopProfiler);
             nets[1].run_in_order(chunk, true, &mut NopProfiler);
-            nets[2].run_parallel(chunk, 2, &mut NopProfiler);
             now += chunk;
             let obs = nets.each_ref().map(|net| net.router_obs());
             for (router, o) in obs[0].iter().enumerate() {

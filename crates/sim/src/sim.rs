@@ -216,48 +216,39 @@ impl SimResult {
 }
 
 /// Simulation engine: how [`run_sim_engine`] drives the network's cycle
-/// loop. All engines are cycle-identical — same flit movements, same
+/// loop. The engines are cycle-identical — same flit movements, same
 /// statistics, same trace digests (proven by `tests/engine_equivalence.rs`)
 /// — and differ only in wall-clock speed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// Classic in-order step loop.
+    /// Steps every router, in router-id order.
     Sequential,
-    /// Two-phase compute/commit with a persistent worker pool of the given
-    /// size; `Parallel(0)` sizes the pool to the available cores.
+    /// Retired: the engine that sharded one simulation across a worker
+    /// pool was slower than `Sequential` on every workload and is gone.
+    /// The name is kept only because `benchmark/` constructs it; it *is*
+    /// `Sequential` (no name parses to it) and goes when the benchmark's
+    /// `network.parN` rungs do.
     Parallel(usize),
-    /// Sequential two-phase step that skips idle routers (fastest at low
-    /// load, where most routers are empty most cycles).
+    /// As `Sequential`, skipping idle routers (fastest at low load, where
+    /// most routers are empty most cycles).
     ActiveSet,
 }
 
 impl Engine {
-    /// Parses a CLI engine name: `seq`, `par` or `active`.
-    pub fn parse(s: &str) -> Option<Engine> {
+    /// Parses an engine name as the CLI, sweep specs and serve requests
+    /// spell it: `seq` or `active`.
+    pub fn parse(s: &str) -> Result<Engine, String> {
         match s {
-            "seq" | "sequential" => Some(Engine::Sequential),
-            "par" | "parallel" => Some(Engine::Parallel(0)),
-            "active" | "active-set" => Some(Engine::ActiveSet),
-            _ => None,
-        }
-    }
-
-    /// Worker-pool size the parallel engine will use (1 for the others).
-    pub fn threads(self) -> usize {
-        match self {
-            Engine::Parallel(0) => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-            Engine::Parallel(t) => t,
-            _ => 1,
+            "seq" | "sequential" => Ok(Engine::Sequential),
+            "active" | "active-set" => Ok(Engine::ActiveSet),
+            _ => Err(format!("unknown engine '{s}' (seq|active)")),
         }
     }
 
     /// Short name for reports and bench records.
     pub fn label(self) -> &'static str {
         match self {
-            Engine::Sequential => "seq",
-            Engine::Parallel(_) => "par",
+            Engine::Sequential | Engine::Parallel(_) => "seq",
             Engine::ActiveSet => "active",
         }
     }
@@ -276,9 +267,8 @@ impl Engine {
         prof: &mut P,
     ) {
         match self {
-            Engine::Sequential => net.run_in_order(cycles, false, prof),
+            Engine::Sequential | Engine::Parallel(_) => net.run_in_order(cycles, false, prof),
             Engine::ActiveSet => net.run_in_order(cycles, true, prof),
-            Engine::Parallel(_) => net.run_parallel(cycles, self.threads(), prof),
         }
     }
 }
@@ -439,13 +429,7 @@ impl WatchdogTrip {
 /// [`Run::finish`]) executes it. Every observer is a pure observer and
 /// every engine is cycle-identical, so any combination on any engine
 /// yields the same [`SimResult`], trace, and dumps as each observer
-/// attached alone on the sequential engine. Where each observer lives:
-///
-/// * the trace sink and the profiler see every router step — they ride
-///   the in-order cycle body, and the parallel engine falls back to it
-///   while either is attached;
-/// * telemetry, anatomy and the invariant checker read committed state on
-///   the main thread, so they ride every engine unchanged.
+/// attached alone on the sequential engine.
 pub struct Run<'a, S: TraceSink = NopSink> {
     cfg: &'a SimConfig,
     warmup: u64,
@@ -999,13 +983,12 @@ mod tests {
 
     #[test]
     fn engine_parse_covers_cli_names() {
-        assert_eq!(Engine::parse("seq"), Some(Engine::Sequential));
-        assert_eq!(Engine::parse("par"), Some(Engine::Parallel(0)));
-        assert_eq!(Engine::parse("active"), Some(Engine::ActiveSet));
-        assert_eq!(Engine::parse("auto"), None);
-        assert_eq!(Engine::parse("warp"), None);
-        assert!(Engine::Parallel(0).threads() >= 1);
-        assert_eq!(Engine::Parallel(3).threads(), 3);
+        assert_eq!(Engine::parse("seq"), Ok(Engine::Sequential));
+        assert_eq!(Engine::parse("active"), Ok(Engine::ActiveSet));
+        for gone in ["par", "parallel", "auto", "warp"] {
+            let refusal = format!("unknown engine '{gone}' (seq|active)");
+            assert_eq!(Engine::parse(gone), Err(refusal));
+        }
         assert_eq!(Engine::Sequential.label(), "seq");
     }
 
@@ -1016,10 +999,11 @@ mod tests {
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
         let seq = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
-        let par = run_sim_engine(&cfg, 500, 1_500, Engine::Parallel(4));
         let act = run_sim_engine(&cfg, 500, 1_500, Engine::ActiveSet);
-        assert_eq!(seq.to_json(), par.to_json());
         assert_eq!(seq.to_json(), act.to_json());
+        // The retired name the benchmark still builds is `Sequential`.
+        let retired = run_sim_engine(&cfg, 500, 1_500, Engine::Parallel(2));
+        assert_eq!(seq.to_json_full(), retired.to_json_full());
     }
 
     #[test]
@@ -1098,7 +1082,6 @@ mod tests {
             (res.to_json(), rec.summary().to_json())
         };
         let seq = run(Engine::Sequential);
-        assert_eq!(seq, run(Engine::Parallel(4)));
         assert_eq!(seq, run(Engine::ActiveSet));
     }
 
@@ -1170,7 +1153,6 @@ mod tests {
             (res.to_json(), col.to_jsonl(&header))
         };
         let seq = run(Engine::Sequential);
-        assert_eq!(seq, run(Engine::Parallel(4)));
         assert_eq!(seq, run(Engine::ActiveSet));
     }
 
@@ -1222,8 +1204,7 @@ mod tests {
         // An idle network makes the engine visible in the profile: the
         // in-order body times every router's (empty) allocation phases,
         // while the active-set body skips every router and so attributes
-        // exactly nothing to them. The parallel engine profiles on the
-        // in-order body.
+        // exactly nothing to them.
         let cfg = SimConfig {
             injection_rate: 0.0,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
@@ -1236,7 +1217,6 @@ mod tests {
             prof
         };
         assert!(profile(Engine::Sequential).nanos(Phase::VcAlloc) > 0);
-        assert!(profile(Engine::Parallel(4)).nanos(Phase::VcAlloc) > 0);
         assert_eq!(profile(Engine::ActiveSet).nanos(Phase::VcAlloc), 0);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! A [`StrictChecker`] attached to a network (`Network::enable_verify`,
 //! `Run::verify`, `noc sim --verify`) audits the committed state after
-//! every cycle, on the main thread, so it works on every engine; without
-//! one the per-cycle cost is a single `Option` branch. It reports:
+//! every cycle; without one the per-cycle cost is a single `Option`
+//! branch. It reports:
 //!
 //! * **matching legality** — every cycle, at most one switch grant per
 //!   input port and per output port, each grant backed by an output VC,
@@ -29,7 +29,7 @@ pub struct StrictChecker {
     pub checks: u64,
     /// Violations found (all of them, including those not stored).
     pub total_violations: u64,
-    /// First [`MAX_STORED`] violation messages.
+    /// The first 64 violation messages.
     pub violations: Vec<String>,
 }
 

@@ -45,16 +45,15 @@ USAGE:
               [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
               [--seeds N] [--profile] [--trace FILE] [--metrics FILE]
-              [--json] [--verify] [--engine seq|par|active] [--threads N]
-              [--record FILE] [--top] [--window N] [--match-every K]
+              [--json] [--verify] [--engine seq|active] [--record FILE]
+              [--top] [--window N] [--match-every K]
               [--routing dor|dateline|nodateline] [--no-watchdog]
               [--anatomy] [--anatomy-out FILE] [--top-k K] [--capacity N]
   noc explain [--topology mesh|fbfly|torus] [--vcs C] [--rate R] [--sa KIND]
               [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
-              [--routing dor|dateline|nodateline]
-              [--engine seq|par|active] [--threads N] [--top-k K]
-              [--capacity N] [--out FILE] [--trace FILE] [--json]
+              [--routing dor|dateline|nodateline] [--engine seq|active]
+              [--top-k K] [--capacity N] [--out FILE] [--trace FILE] [--json]
   noc check   [--topology mesh|fbfly|torus] [--vcs C] [--all]
               [--fixture no-dateline|cyclic-vc]
   noc synth   (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--alloc KIND]
@@ -65,16 +64,15 @@ USAGE:
               [--dense] [--spec nonspec|spec_gnt|spec_req]
   noc fig     [NAME... | --all] [--out DIR] [--cache-dir DIR] [--quiet]
   noc sweep   (run|resume|status|clean) [--preset NAME | --spec FILE]
-              [--out DIR] [--cache-dir DIR] [--engine seq|par|active]
-              [--threads N] [--quiet] [--no-render] [--telemetry] [--anatomy]
+              [--out DIR] [--cache-dir DIR] [--engine seq|active] [--quiet]
+              [--no-render] [--telemetry] [--anatomy]
   noc serve   [--addr HOST:PORT] [--cache-dir DIR] [--out DIR] [--workers N]
               [--quiet] [--selftest N]
   noc client  (--preset NAME | --spec FILE | --status) [--addr HOST:PORT]
-              [--engine seq|par|active] [--id ID] [--quiet]
+              [--engine seq|active] [--id ID] [--quiet]
   noc top     DUMP [--once]
   noc replay  DUMP
   noc audit   [--root DIR] [--fixtures]
-  noc mc      [--workers N] [--routers N] [--cycles N]
   noc help
 
 KIND (allocator): sep_if_rr sep_if_m sep_of_rr sep_of_m wf
@@ -124,7 +122,7 @@ Latency anatomy (noc explain / noc sim --anatomy):
                           the blame report always covers every packet)
   --out FILE              write the full noc-anatomy/v1 JSONL dump, keyed
                           by the config's content digest (byte-identical
-                          across --engine seq/par/active)
+                          across --engine seq/active)
   --trace FILE            write the slowest packets as Chrome Trace spans
                           (one row per packet, one span per stage/hop)
   noc sim --anatomy       append the same blame report to a plain run's
@@ -133,15 +131,12 @@ Latency anatomy (noc explain / noc sim --anatomy):
                           point, linked from the sweep manifest
 
 Performance engines (noc sim, noc explain, noc sweep):
-  --engine NAME           cycle-loop engine: seq (in-order reference), par
-                          (two-phase step, router compute sharded across a
-                          worker pool), active (skips idle routers). All
-                          engines are cycle-identical; only wall-clock
-                          speed differs.
-  --threads N             worker-pool size for --engine par (default: all
-                          available cores)
+  --engine NAME           cycle-loop engine: seq (steps every router, the
+                          reference) or active (skips idle routers). Both
+                          are cycle-identical; only wall-clock speed
+                          differs.
 
-Soundness (noc audit / noc mc):
+Soundness (noc audit):
   noc audit               static soundness gate: walks every workspace .rs
                           file and fails on `unsafe` outside the allowlist,
                           `unsafe` without a nearby SAFETY: comment,
@@ -152,15 +147,6 @@ Soundness (noc audit / noc mc):
   --fixtures              also check the negative fixtures under
                           crates/check/fixtures/audit: every one must be
                           flagged, proving the auditor has teeth
-  noc mc                  exhaustive interleaving model check of the
-                          parallel engine's epoch/done/stop protocol: the
-                          faithful model must pass (race-free, deadlock-
-                          free, all executions terminate) and every
-                          weakened mutant must be rejected with a printed
-                          counterexample schedule
-  --workers N             modeled worker threads (default 3)
-  --routers N             modeled router shards  (default 4)
-  --cycles N              modeled epochs         (default 2)
 
 Statistics (noc sim):
   --seeds N               replicate the run over N seeds: auto-detected
@@ -403,23 +389,11 @@ impl Args {
         Ok(cfg.vc_spec())
     }
 
-    fn engine(&self) -> Result<Engine, String> {
-        let engine = match self.flags.get("engine").map(String::as_str) {
-            None => Engine::Sequential,
-            Some(name) => Engine::parse(name)
-                .ok_or_else(|| format!("unknown engine '{name}' (seq|par|active)"))?,
-        };
-        match (engine, self.flags.get("threads")) {
-            (Engine::Parallel(_), Some(_)) => {
-                let t: usize = self.get("threads", 0)?;
-                if t == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                Ok(Engine::Parallel(t))
-            }
-            (_, Some(_)) => Err("--threads requires --engine par".to_string()),
-            (engine, None) => Ok(engine),
-        }
+    /// The `--engine` given, if any.
+    fn engine(&self) -> Result<Option<Engine>, String> {
+        (self.flags.get("engine"))
+            .map(|name| Engine::parse(name))
+            .transpose()
     }
 }
 
@@ -472,7 +446,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     if window == 0 {
         return Err("--window must be at least 1 cycle".to_string());
     }
-    let engine = args.engine()?;
+    let engine = args.engine()?.unwrap_or(Engine::Sequential);
     let observed = want_profile
         || want_verify
         || want_record
@@ -812,7 +786,7 @@ fn check_reconciliation(col: &AnatomyCollector, r: &noc_sim::SimResult) -> Resul
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let cfg = sim_config(args)?;
     let (warmup, measure) = run_window(args)?;
-    let engine = args.engine()?;
+    let engine = args.engine()?.unwrap_or(Engine::Sequential);
     let capacity: usize = args.get("capacity", DEFAULT_ANATOMY_CAPACITY)?;
     let top_k: usize = args.get("top-k", DEFAULT_ANATOMY_TOP_K)?;
     eprintln!(
@@ -1078,14 +1052,10 @@ fn sweep_run(
         (Some(_), Some(_)) => return Err("--preset and --spec are mutually exclusive".to_string()),
         (None, None) => return Err("sweep run needs --preset NAME or --spec FILE".to_string()),
     };
-    let engine = match args.flags.get("engine") {
-        Some(_) => Some(args.engine()?),
-        None => None,
-    };
     let opts = SweepOptions {
         cache_dir,
         out_dir,
-        engine,
+        engine: args.engine()?,
         quiet: args.flags.contains_key("quiet"),
         require_journal,
         telemetry: args.flags.contains_key("telemetry"),
@@ -1265,15 +1235,9 @@ fn cmd_client(args: &Args) -> Result<(), String> {
         .get("id")
         .cloned()
         .unwrap_or_else(|| format!("cli-{}", std::process::id()));
-    let engine = match args.flags.get("engine") {
-        Some(name) => {
-            // Validate locally for a pre-connection diagnostic; the
-            // daemon re-validates on its side.
-            Engine::parse(name).ok_or_else(|| format!("unknown engine '{name}'"))?;
-            Some(name.as_str())
-        }
-        None => None,
-    };
+    // Validate locally for a pre-connection diagnostic; the daemon
+    // re-validates on its side.
+    let engine = args.engine()?.map(Engine::label);
     let status = args.flags.contains_key("status");
     let line = match (status, args.flags.get("preset"), args.flags.get("spec")) {
         (true, None, None) => serve_status_request_line(&id),
@@ -1458,62 +1422,6 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `noc mc` — exhaustive interleaving model check of the `run_parallel`
-/// epoch/done/stop protocol. The faithful model must pass and every
-/// weakened mutant must be rejected; a rejected mutant prints its
-/// counterexample schedule so the failure mode is inspectable.
-fn cmd_mc(args: &Args) -> Result<(), String> {
-    use noc_mc::{explore, ExploreError, Limits, RunParModel};
-    let workers: usize = args.get("workers", 3)?;
-    let routers: usize = args.get("routers", 4)?;
-    let cycles: u64 = args.get("cycles", 2)?;
-    if workers == 0 || routers == 0 || cycles == 0 {
-        return Err("--workers, --routers, and --cycles must be positive".to_string());
-    }
-    let mut failed = false;
-
-    let spec = RunParModel::faithful(workers, routers, cycles);
-    let model = spec.build();
-    match explore(&model, Limits::default()) {
-        Ok(o) => println!(
-            "[PASS] {}: {} executions, {} transitions, max schedule depth {}",
-            model.name, o.executions, o.transitions, o.max_depth
-        ),
-        Err(e) => {
-            println!("[FAIL] {}:\n{}", model.name, e.render(&model));
-            failed = true;
-        }
-    }
-
-    for spec in RunParModel::mutants(workers, routers, cycles) {
-        let model = spec.build();
-        match explore(&model, Limits::default()) {
-            Err(ExploreError::Violation(cx)) => {
-                println!("[OK]   {} rejected:", model.name);
-                print!("{}", cx.render(&model));
-            }
-            Err(e @ ExploreError::LimitExceeded { .. }) => {
-                println!("[FAIL] {}: {}", model.name, e.render(&model));
-                failed = true;
-            }
-            Ok(o) => {
-                println!(
-                    "[FAIL] {} PASSED exploration ({} executions) — the \
-                     checker has lost its teeth",
-                    model.name, o.executions
-                );
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
-        Err("model check failed".to_string())
-    } else {
-        Ok(())
-    }
-}
-
 fn cmd_help(_: &Args) -> Result<(), String> {
     println!("{HELP}");
     Ok(())
@@ -1529,14 +1437,14 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "sim",
         cmd_sim,
         "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed seeds \
-         profile trace metrics json verify engine threads record top window \
+         profile trace metrics json verify engine record top window \
          match-every routing no-watchdog anatomy anatomy-out top-k capacity",
     ),
     (
         "explain",
         cmd_explain,
         "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed routing \
-         engine threads top-k capacity out trace json",
+         engine top-k capacity out trace json",
     ),
     ("check", cmd_check, "topology vcs all fixture"),
     ("synth", cmd_synth, "topology vcs alloc dense spec"),
@@ -1546,7 +1454,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "sweep",
         cmd_sweep,
-        "preset spec out cache-dir engine threads quiet no-render telemetry anatomy",
+        "preset spec out cache-dir engine quiet no-render telemetry anatomy",
     ),
     (
         "serve",
@@ -1561,7 +1469,6 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ("top", cmd_top, "once"),
     ("replay", cmd_replay, ""),
     ("audit", cmd_audit, "root fixtures"),
-    ("mc", cmd_mc, "workers routers cycles"),
     ("help", cmd_help, ""),
 ];
 
@@ -1743,27 +1650,19 @@ mod tests {
 
     #[test]
     fn engine_flag_parses_and_validates() {
-        assert_eq!(args("sim").engine().unwrap(), Engine::Sequential);
+        assert_eq!(args("sim").engine(), Ok(None));
         assert_eq!(
-            args("sim --engine seq").engine().unwrap(),
-            Engine::Sequential
+            args("sim --engine seq").engine(),
+            Ok(Some(Engine::Sequential))
         );
         assert_eq!(
-            args("sim --engine par").engine().unwrap(),
-            Engine::Parallel(0)
+            args("sim --engine active").engine(),
+            Ok(Some(Engine::ActiveSet))
         );
-        assert_eq!(
-            args("sim --engine par --threads 4").engine().unwrap(),
-            Engine::Parallel(4)
-        );
-        assert_eq!(
-            args("sim --engine active").engine().unwrap(),
-            Engine::ActiveSet
-        );
-        assert!(args("sim --engine auto").engine().is_err());
-        assert!(args("sim --engine warp").engine().is_err());
-        assert!(args("sim --engine seq --threads 4").engine().is_err());
-        assert!(args("sim --engine par --threads 0").engine().is_err());
+        for gone in ["par", "auto", "warp"] {
+            let refusal = format!("unknown engine '{gone}' (seq|active)");
+            assert_eq!(args(&format!("sim --engine {gone}")).engine(), Err(refusal));
+        }
     }
 
     #[test]
@@ -1828,10 +1727,10 @@ mod tests {
         let a = args("client --status --addr 127.0.0.1:4009");
         assert!(a.flags.contains_key("status"));
         assert_eq!(a.positional, vec!["client"]);
-        let a = args("client --preset smoke --engine par --id c1");
+        let a = args("client --preset smoke --engine active --id c1");
         assert_eq!(a.flags.get("preset").map(String::as_str), Some("smoke"));
         assert_eq!(a.flags.get("id").map(String::as_str), Some("c1"));
-        assert!(Engine::parse(a.flags.get("engine").unwrap()).is_some());
+        assert_eq!(a.engine(), Ok(Some(Engine::ActiveSet)));
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Differential tests proving the fast-path engines cycle-exact.
+//! Differential tests proving the fast-path engine cycle-exact.
 //!
-//! The two-phase parallel engine and the active-set (idle-router-skipping)
-//! engine exist purely for speed; they must be *bit-identical* to the
-//! sequential reference on every workload. Two layers of evidence:
+//! The active-set (idle-router-skipping) engine exists purely for speed; it
+//! must be *bit-identical* to the sequential reference on every workload.
+//! Two layers of evidence:
 //!
 //! 1. **Result equivalence** — the full bench workload matrix (mesh and
 //!    flattened butterfly, every injection rate), three seeds each, run on
-//!    all three engines: the `SimResult` JSON must match byte for byte.
+//!    both engines: the `SimResult` JSON must match byte for byte.
 //! 2. **Trace equivalence** — the same workloads run with a [`DigestSink`]
 //!    attached: the order-sensitive FNV-1a digest over every flit event
 //!    must match, and on a mismatch the test names the first diverging
@@ -29,12 +29,8 @@ const MEASURE: u64 = 1500;
 const TRACE_CYCLES: u64 = 1000;
 const SEEDS: u64 = 3;
 
-/// The non-reference engines under test. Four worker threads exercises
-/// real sharding even on smaller CI hosts (the pool clamps to the router
-/// count anyway).
-fn fast_engines() -> [Engine; 2] {
-    [Engine::Parallel(4), Engine::ActiveSet]
-}
+/// The non-reference engine under test.
+const FAST: Engine = Engine::ActiveSet;
 
 fn seeded(cfg: &SimConfig, off: u64) -> SimConfig {
     let mut cfg = cfg.clone();
@@ -52,15 +48,13 @@ fn assert_results_identical(prefix: &str) {
         for off in 0..SEEDS {
             let cfg = seeded(&cfg, off);
             let reference = run_sim_engine(&cfg, WARMUP, MEASURE, Engine::Sequential).to_json();
-            for engine in fast_engines() {
-                let got = run_sim_engine(&cfg, WARMUP, MEASURE, engine).to_json();
-                assert_eq!(
-                    got,
-                    reference,
-                    "{name} seed+{off}: engine '{}' diverged from sequential SimResult",
-                    engine.label()
-                );
-            }
+            let got = run_sim_engine(&cfg, WARMUP, MEASURE, FAST).to_json();
+            assert_eq!(
+                got,
+                reference,
+                "{name} seed+{off}: engine '{}' diverged from sequential SimResult",
+                FAST.label()
+            );
         }
     }
 }
@@ -83,29 +77,27 @@ fn assert_traces_identical(prefix: &str) {
             continue;
         }
         let reference = trace_digest(&cfg, Engine::Sequential, TRACE_CYCLES);
-        for engine in fast_engines() {
-            let got = trace_digest(&cfg, engine, TRACE_CYCLES);
-            if got.digest() != reference.digest() {
-                let cycle =
-                    DigestSink::first_divergence(got.cycle_digests(), reference.cycle_digests());
-                panic!(
-                    "{name}: engine '{}' trace digest {:#018x} != sequential {:#018x} \
-                     ({} vs {} events); first diverging cycle: {:?}",
-                    engine.label(),
-                    got.digest(),
-                    reference.digest(),
-                    got.events(),
-                    reference.events(),
-                    cycle
-                );
-            }
-            assert_eq!(
+        let got = trace_digest(&cfg, FAST, TRACE_CYCLES);
+        if got.digest() != reference.digest() {
+            let cycle =
+                DigestSink::first_divergence(got.cycle_digests(), reference.cycle_digests());
+            panic!(
+                "{name}: engine '{}' trace digest {:#018x} != sequential {:#018x} \
+                 ({} vs {} events); first diverging cycle: {:?}",
+                FAST.label(),
+                got.digest(),
+                reference.digest(),
                 got.events(),
                 reference.events(),
-                "{name}: engine '{}' event count diverged with equal digests",
-                engine.label()
+                cycle
             );
         }
+        assert_eq!(
+            got.events(),
+            reference.events(),
+            "{name}: engine '{}' event count diverged with equal digests",
+            FAST.label()
+        );
     }
 }
 
@@ -170,21 +162,19 @@ fn telemetry_dumps_byte_identical_across_engines() {
             !ref_lines.is_empty(),
             "{name}: recorder produced no windows"
         );
-        for engine in fast_engines() {
-            let (got_json, got_lines) = telemetry_lines(&cfg, engine);
-            assert_eq!(
-                got_json,
-                ref_json,
-                "{name}: engine '{}' recorded-run SimResult diverged",
-                engine.label()
-            );
-            assert_eq!(
-                got_lines,
-                ref_lines,
-                "{name}: engine '{}' telemetry windows diverged",
-                engine.label()
-            );
-        }
+        let (got_json, got_lines) = telemetry_lines(&cfg, FAST);
+        assert_eq!(
+            got_json,
+            ref_json,
+            "{name}: engine '{}' recorded-run SimResult diverged",
+            FAST.label()
+        );
+        assert_eq!(
+            got_lines,
+            ref_lines,
+            "{name}: engine '{}' telemetry windows diverged",
+            FAST.label()
+        );
     }
 }
 
@@ -230,21 +220,19 @@ fn anatomy_dumps_byte_identical_across_engines() {
             ref_json, plain,
             "{name}: attaching the anatomy ledger changed the sequential SimResult"
         );
-        for engine in fast_engines() {
-            let (got_json, got_dump) = anatomy_dump(&cfg, engine);
-            assert_eq!(
-                got_json,
-                ref_json,
-                "{name}: engine '{}' anatomy-run SimResult diverged",
-                engine.label()
-            );
-            assert_eq!(
-                got_dump,
-                ref_dump,
-                "{name}: engine '{}' anatomy dump diverged",
-                engine.label()
-            );
-        }
+        let (got_json, got_dump) = anatomy_dump(&cfg, FAST);
+        assert_eq!(
+            got_json,
+            ref_json,
+            "{name}: engine '{}' anatomy-run SimResult diverged",
+            FAST.label()
+        );
+        assert_eq!(
+            got_dump,
+            ref_dump,
+            "{name}: engine '{}' anatomy dump diverged",
+            FAST.label()
+        );
     }
 }
 
@@ -272,7 +260,7 @@ fn observers_compose_on_every_engine() {
         let (_, ref_windows) = telemetry_lines(&cfg, Engine::Sequential);
         let (_, ref_anatomy) = anatomy_dump(&cfg, Engine::Sequential);
 
-        for engine in [Engine::Sequential, Engine::ActiveSet, Engine::Parallel(4)] {
+        for engine in [Engine::Sequential, Engine::ActiveSet] {
             let tag = format!("{name} on '{}'", engine.label());
             let mut sink = DigestSink::with_cycle_digests();
             let mut snaps = Vec::new();
@@ -321,17 +309,5 @@ fn observers_compose_on_every_engine() {
             out.result.telemetry = None;
             assert_eq!(out.result.to_json_full(), plain, "{tag}: SimResult");
         }
-    }
-}
-
-/// The parallel engine must give the same answer whatever the worker
-/// count — sharding is a performance knob, not a semantic one.
-#[test]
-fn parallel_engine_thread_count_does_not_change_results() {
-    let (name, cfg) = workload_matrix().swap_remove(1);
-    let reference = run_sim_engine(&cfg, WARMUP, MEASURE, Engine::Sequential).to_json();
-    for threads in [1, 2, 3, 7, 64, 200] {
-        let got = run_sim_engine(&cfg, WARMUP, MEASURE, Engine::Parallel(threads)).to_json();
-        assert_eq!(got, reference, "{name}: {threads} threads diverged");
     }
 }

@@ -167,7 +167,7 @@ fn golden_traces_match_recorded() {
             .find(|(n, _)| n == name)
             .unwrap_or_else(|| panic!("{name} missing from golden file; re-bless"));
         // Every engine must reproduce the recorded sequential trace.
-        for engine in [Engine::Sequential, Engine::Parallel(4), Engine::ActiveSet] {
+        for engine in [Engine::Sequential, Engine::ActiveSet] {
             let got = run_digest(&golden_cfg(kind), engine);
             if got.digest() != want.digest {
                 let cycle = DigestSink::first_divergence(got.cycle_digests(), &want.cycle_digests);

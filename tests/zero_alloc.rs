@@ -1,13 +1,9 @@
 //! Steady-state allocation audit: after warmup, the cycle loop of every
-//! engine must run without touching the global allocator. The two-phase
-//! step keeps its `RouterOutputs` buffers across cycles and the timing
-//! wheel reuses its slot vectors, so a single heap allocation per cycle
-//! is a regression — and one this test catches exactly, via a counting
+//! engine must run without touching the global allocator. The network
+//! keeps its `RouterOutputs` buffer across cycles and the timing wheel
+//! reuses its slot vectors, so a single heap allocation per cycle is a
+//! regression — and one this test catches exactly, via a counting
 //! `#[global_allocator]` wrapped around `System`.
-//!
-//! The parallel engine allocates per *call* (thread spawn, the shard
-//! cells), never per *cycle*: doubling the cycle count must not change
-//! the allocation count.
 //!
 //! Measurements share one mutex so the counter is never polluted by a
 //! concurrently running test in this binary; other test binaries are
@@ -181,29 +177,6 @@ fn active_engine_steady_state_is_allocation_free() {
     assert_eq!(
         during, 0,
         "active engine allocated {during} times in {MEASURED} steady-state cycles"
-    );
-    drop(guard);
-}
-
-#[test]
-fn parallel_engine_allocates_per_call_not_per_cycle() {
-    let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    // Two identically warmed networks; the only difference is how many
-    // cycles the measured call runs. Thread spawn and shard setup are
-    // per-call constants, so the counts must match exactly.
-    let mut a = net(TopologyKind::Mesh8x8);
-    let mut b = net(TopologyKind::Mesh8x8);
-    let par = Engine::Parallel(3);
-    par.run(&mut a, WARMUP);
-    par.run(&mut b, WARMUP);
-    let short = allocs_during(|| par.run(&mut a, MEASURED));
-    let long = allocs_during(|| par.run(&mut b, 2 * MEASURED));
-    assert_eq!(
-        short,
-        long,
-        "parallel engine allocation count scales with cycles \
-         ({short} for {MEASURED} cycles vs {long} for {} cycles)",
-        2 * MEASURED
     );
     drop(guard);
 }
