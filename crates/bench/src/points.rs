@@ -79,8 +79,8 @@ pub const DESIGN_POINTS: [DesignPoint; 6] = [
 
 /// The fixed workload matrix: each evaluated topology at load points
 /// below, near, and at the knee of the latency curve, plus a heavy 0.4
-/// mesh point (at high load nearly every router is busy every cycle, the
-/// case that separates the engines most).
+/// mesh point (at high load nearly every router is busy every cycle and
+/// almost none is skipped).
 pub fn workload_matrix() -> Vec<(String, SimConfig)> {
     let mut out = Vec::new();
     for (tag, topo, rates) in [

@@ -23,7 +23,7 @@ use noc_obs::{
     sweep_manifest_json, window_jsonl, AnatomyHeader, ProgressMeter, SweepManifestPoint,
     TelemetryHeader, ToJson,
 };
-use noc_sim::{run_many, run_sim_engine, Engine, Run, SimConfig, SimResult, TelemetryOptions};
+use noc_sim::{run_many, run_sim, Run, SimConfig, SimResult, TelemetryOptions};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -34,8 +34,8 @@ pub struct SweepOptions {
     pub cache_dir: PathBuf,
     /// Journal + manifest directory.
     pub out_dir: PathBuf,
-    /// Engine override for every point (`None` keeps per-point engines).
-    pub engine: Option<Engine>,
+    /// Retired: `benchmark/` compiles against it, deleted by ROADMAP 3(c).
+    pub engine: Option<noc_sim::Engine>,
     /// Suppress the per-point progress lines on stderr.
     pub quiet: bool,
     /// Refuse to start without an existing journal (`noc sweep resume`).
@@ -87,7 +87,6 @@ const SWEEP_ANATOMY_TOP_K: usize = 8;
 /// stored), so observed and plain sweeps share cache entries byte for byte.
 fn compute_point(
     point: &SweepPoint,
-    engine: Engine,
     opts: &SweepOptions,
     digest: &str,
 ) -> Result<SimResult, String> {
@@ -97,7 +96,7 @@ fn compute_point(
         watchdog: None,
         ..TelemetryOptions::recording()
     };
-    let mut run = Run::new(&point.cfg, point.warmup, point.measure).engine(engine);
+    let mut run = Run::new(&point.cfg, point.warmup, point.measure);
     if opts.telemetry {
         run = run.telemetry(topts);
     }
@@ -217,8 +216,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
                 // A journaled-but-evicted point is recomputed like a miss;
                 // re-journaling it is harmless (the done-set dedups).
                 None => {
-                    let engine = opts.engine.unwrap_or(point.engine);
-                    let r = compute_point(point, engine, opts, digest)?;
+                    let r = compute_point(point, opts, digest)?;
                     cache.store(digest, &r)?;
                     (r, "computed")
                 }
@@ -295,19 +293,16 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
 }
 
 /// A `run_sim`-shaped closure backed by the content-addressed cache:
-/// hits load, misses compute on `engine` and store. The figure renderers
+/// hits load, misses compute and store. The figure renderers
 /// take this to make their grid points *and* their adaptive
 /// bisection/saturation probes resumable.
-pub fn cached_runner(
-    cache: ResultCache,
-    engine: Engine,
-) -> impl Fn(&SimConfig, u64, u64) -> SimResult + Sync {
+pub fn cached_runner(cache: ResultCache) -> impl Fn(&SimConfig, u64, u64) -> SimResult + Sync {
     move |cfg, warmup, measure| {
         let digest = cfg.digest(warmup, measure, SWEEP_SCHEMA);
         if let Some(r) = cache.load(&digest) {
             return r;
         }
-        let r = run_sim_engine(cfg, warmup, measure, engine);
+        let r = run_sim(cfg, warmup, measure);
         if let Err(e) = cache.store(&digest, &r) {
             // A read-only cache degrades to uncached, never to failure.
             eprintln!("warning: {e}");

@@ -272,10 +272,10 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, quiet: bool) {
             );
             let _ = writer.flush();
         }
-        ServeRequest::Sweep { id, spec, engine } => {
+        ServeRequest::Sweep { id, spec } => {
             let t0 = Instant::now();
             let points = spec.expand();
-            let (rx, summary) = scheduler.submit(&points, engine);
+            let (rx, summary) = scheduler.submit(&points);
             if !quiet {
                 eprintln!(
                     "[serve] {id}: '{}' — {} points, {} unique ({} scheduled, {} cache, {} coalesced)",

@@ -11,7 +11,6 @@ use crate::registry::preset_spec;
 use crate::sweep::spec::SweepSpec;
 use noc_obs::serve::SERVE_SCHEMA;
 use noc_obs::JsonValue;
-use noc_sim::Engine;
 
 /// A parsed, validated serve request.
 #[derive(Debug)]
@@ -22,8 +21,6 @@ pub enum ServeRequest {
         id: String,
         /// The validated spec.
         spec: SweepSpec,
-        /// Engine override for every point of this request.
-        engine: Option<Engine>,
     },
     /// Report daemon-lifetime counters.
     Status {
@@ -45,17 +42,16 @@ impl ServeRequest {
     pub fn parse(line: &str) -> Result<ServeRequest, String> {
         let request = |e: String| format!("request: {e}");
         let v = JsonValue::parse(line).map_err(request)?;
-        let envelope = || -> Result<(String, Option<Engine>, &str), String> {
+        let envelope = || -> Result<(String, &str), String> {
             v.expect_schema(SERVE_SCHEMA)
                 .map_err(|e| format!("{e} — client and daemon disagree"))?;
             let id = v.str_at("id")?.to_string();
             if id.len() > 64 {
                 return Err("'id' longer than 64 bytes".to_string());
             }
-            let engine = v.opt_at("engine", |e| Engine::parse(e.to_str()?))?;
-            Ok((id, engine, v.str_at("type")?))
+            Ok((id, v.str_at("type")?))
         };
-        let (id, engine, kind) = envelope().map_err(request)?;
+        let (id, kind) = envelope().map_err(request)?;
         // A spec's errors carry its own `sweep spec:` prefix, as on the CLI.
         let spec = match kind {
             "sweep" => {
@@ -65,7 +61,7 @@ impl ServeRequest {
             "status" => return Ok(ServeRequest::Status { id }),
             other => return Err(format!("request: unknown type {other:?}")),
         };
-        Ok(ServeRequest::Sweep { id, spec, engine })
+        Ok(ServeRequest::Sweep { id, spec })
     }
 }
 
@@ -81,13 +77,12 @@ mod tests {
         let line = serve_sweep_request_line(
             "c1",
             r#"{"name":"t","grids":[{"topology":"mesh","vcs":1,"rates":[0.05],"warmup":10,"measure":20}]}"#,
-            Some("seq"),
+            None,
         );
         match ServeRequest::parse(&line).unwrap() {
-            ServeRequest::Sweep { id, spec, engine } => {
+            ServeRequest::Sweep { id, spec } => {
                 assert_eq!(id, "c1");
                 assert_eq!(spec.expand().len(), 1);
-                assert_eq!(engine, Some(Engine::Sequential));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -95,15 +90,18 @@ mod tests {
 
     #[test]
     fn preset_and_status_requests_resolve() {
-        let line = serve_preset_request_line("p", "smoke", None);
+        let line = serve_preset_request_line("p", "smoke");
         match ServeRequest::parse(&line).unwrap() {
-            ServeRequest::Sweep { spec, engine, .. } => {
+            ServeRequest::Sweep { spec, .. } => {
                 assert_eq!(spec.name, "smoke");
                 assert_eq!(spec.expand().len(), 2);
-                assert_eq!(engine, None);
             }
             other => panic!("unexpected {other:?}"),
         }
+        // The "engine" member earlier clients sent is not read, whatever it says.
+        let old =
+            r#"{"schema":"noc-serve/v1","type":"preset","id":"p","engine":7,"preset":"smoke"}"#;
+        assert!(ServeRequest::parse(old).is_ok());
         assert!(matches!(
             ServeRequest::parse(&serve_status_request_line("s")).unwrap(),
             ServeRequest::Status { .. }
@@ -130,14 +128,6 @@ mod tests {
             (
                 r#"{"schema":"noc-serve/v1","type":"sweep","id":"x","spec":{"name":"t","grids":[{"ratess":[0.1]}]}}"#,
                 "unknown grid key",
-            ),
-            (
-                r#"{"schema":"noc-serve/v1","type":"sweep","id":"x","engine":"warp","spec":{"name":"t","grids":[{}]}}"#,
-                "unknown engine 'warp' (seq|active)",
-            ),
-            (
-                r#"{"schema":"noc-serve/v1","type":"preset","id":"x","engine":"par","preset":"smoke"}"#,
-                "unknown engine 'par' (seq|active)",
             ),
             (
                 r#"{"schema":"noc-serve/v1","type":"frobnicate","id":"x"}"#,

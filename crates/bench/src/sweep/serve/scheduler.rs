@@ -24,7 +24,7 @@
 use crate::sweep::cache::ResultCache;
 use crate::sweep::journal::Journal;
 use crate::sweep::spec::SweepPoint;
-use noc_sim::{run_sim_engine, Engine, SimResult};
+use noc_sim::{run_sim, SimResult};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -79,7 +79,6 @@ pub struct ServeCounters {
 struct Job {
     digest: String,
     point: SweepPoint,
-    engine: Engine,
 }
 
 #[derive(Default)]
@@ -162,11 +161,7 @@ impl Scheduler {
     /// arrive on (exactly `unique` of them, in completion order — cache
     /// hits are already in the channel when this returns) and the
     /// classification summary.
-    pub fn submit(
-        &self,
-        points: &[SweepPoint],
-        engine_override: Option<Engine>,
-    ) -> (Receiver<PointOutcome>, SubmitSummary) {
+    pub fn submit(&self, points: &[SweepPoint]) -> (Receiver<PointOutcome>, SubmitSummary) {
         let (tx, rx) = mpsc::channel();
         let mut summary = SubmitSummary {
             total: points.len(),
@@ -202,7 +197,6 @@ impl Scheduler {
                 st.queues.entry(client).or_default().push_back(Job {
                     digest,
                     point: point.clone(),
-                    engine: engine_override.unwrap_or(point.engine),
                 });
                 summary.scheduled += 1;
             }
@@ -277,12 +271,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let t0 = Instant::now();
-        let result = run_sim_engine(
-            &job.point.cfg,
-            job.point.warmup,
-            job.point.measure,
-            job.engine,
-        );
+        let result = run_sim(&job.point.cfg, job.point.warmup, job.point.measure);
         let wall_ms = t0.elapsed().as_millis() as u64;
         // Store, then journal, then announce: a crash between any two
         // steps leaves "journaled ⇒ cached" intact, and a submit that
@@ -359,8 +348,8 @@ mod tests {
         let sched = scheduler(&dir, 2);
         let points = smoke_points();
         assert_eq!(points.len(), 2);
-        let (rx1, s1) = sched.submit(&points, None);
-        let (rx2, s2) = sched.submit(&points, None);
+        let (rx1, s1) = sched.submit(&points);
+        let (rx2, s2) = sched.submit(&points);
         assert_eq!((s1.unique, s1.scheduled), (2, 2));
         assert_eq!(s2.unique, 2);
         assert_eq!(s2.scheduled, 0, "second submitter never schedules");
@@ -376,7 +365,7 @@ mod tests {
         assert_eq!(c.computed, 2, "each shared digest computed exactly once");
         assert_eq!(c.inflight, 0);
         // A third submission after completion is all cache hits.
-        let (rx3, s3) = sched.submit(&points, None);
+        let (rx3, s3) = sched.submit(&points);
         assert_eq!(s3.cache_hits, 2);
         assert_eq!(rx3.iter().take(2).count(), 2);
         assert_eq!(sched.counters().computed, 2);
@@ -392,7 +381,7 @@ mod tests {
         let dir = tmp_dir("nostore");
         let sched = scheduler(&dir, 1);
         std::fs::remove_dir_all(dir.join("cache")).unwrap();
-        let (rx, s) = sched.submit(&smoke_points()[..1], None);
+        let (rx, s) = sched.submit(&smoke_points()[..1]);
         assert_eq!(s.scheduled, 1);
         assert_eq!(rx.recv().unwrap().source, "computed");
         sched.shutdown();
@@ -408,7 +397,7 @@ mod tests {
         let sched = scheduler(&dir, 1);
         let mut points = smoke_points();
         points.push(points[0].clone());
-        let (rx, s) = sched.submit(&points, None);
+        let (rx, s) = sched.submit(&points);
         assert_eq!((s.total, s.unique, s.scheduled), (3, 2, 2));
         assert_eq!(rx.iter().take(2).count(), 2);
         sched.shutdown();
@@ -428,7 +417,6 @@ mod tests {
                 .map(|i| Job {
                     digest: format!("c{client}-{i}"),
                     point: template.clone(),
-                    engine: Engine::Sequential,
                 })
                 .collect();
             st.queues.insert(client, queue);

@@ -2,7 +2,7 @@
 //!
 //! A [`SweepSpec`] is a named list of [`SweepGrid`]s; each grid is a
 //! cartesian product over configuration axes plus a shared run window
-//! (warmup/measure) and engine. [`SweepSpec::expand`] flattens the spec
+//! (warmup/measure). [`SweepSpec::expand`] flattens the spec
 //! into a deterministic point list — same spec, same order, always — and
 //! the spec digest is computed over the *expanded point digests*, so two
 //! spec files that describe the same work (even with reordered JSON keys
@@ -11,7 +11,7 @@
 use crate::sweep::SWEEP_SCHEMA;
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind};
 use noc_obs::JsonValue;
-use noc_sim::{digest_pairs, ConfigError, Engine, SimConfig, TopologyKind, TrafficPattern};
+use noc_sim::{digest_pairs, ConfigError, SimConfig, TopologyKind, TrafficPattern};
 
 /// A named collection of sweep grids.
 #[derive(Clone, Debug)]
@@ -53,9 +53,6 @@ pub struct SweepGrid {
     pub warmup: u64,
     /// Measurement cycles per run.
     pub measure: u64,
-    /// Engine the points prefer (overridable at run time; not part of
-    /// point identity — all engines are cycle-identical).
-    pub engine: Engine,
 }
 
 impl Default for SweepGrid {
@@ -76,7 +73,6 @@ impl Default for SweepGrid {
             seeds: vec![base.seed],
             warmup: 3_000,
             measure: 6_000,
-            engine: Engine::Sequential,
         }
     }
 }
@@ -93,8 +89,8 @@ pub struct SweepPoint {
     pub warmup: u64,
     /// Measurement cycles.
     pub measure: u64,
-    /// Preferred engine.
-    pub engine: Engine,
+    /// Retired: `benchmark/` compiles against it, deleted by ROADMAP 3(c).
+    pub engine: noc_sim::Engine,
 }
 
 impl SweepPoint {
@@ -158,9 +154,7 @@ impl SweepGrid {
     /// which an invalid value (zero VCs, a router too wide) would not
     /// survive.
     fn validate(&self) -> Result<(), ConfigError> {
-        if self.measure == 0 {
-            return Err(ConfigError::Zero("measure cycles"));
-        }
+        ConfigError::check_window(self.warmup, self.measure)?;
         let base = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1);
         let probe = |set: &dyn Fn(&mut SimConfig)| {
             let mut cfg = base.clone();
@@ -199,7 +193,7 @@ impl SweepGrid {
             cfg,
             warmup: self.warmup,
             measure: self.measure,
-            engine: self.engine,
+            engine: noc_sim::Engine::Sequential,
         }
     }
 }
@@ -365,9 +359,8 @@ fn parse_grid(g: &JsonValue) -> Result<SweepGrid, String> {
     if let Some(m) = g.opt_at("measure", JsonValue::to_u64)? {
         grid.measure = m;
     }
-    if let Some(e) = g.opt_at("engine", |v| Engine::parse(v.to_str()?))? {
-        grid.engine = e;
-    }
+    // Accepted and ignored, so specs that name an engine keep loading.
+    g.opt_at("engine", JsonValue::to_str)?;
     Ok(grid)
 }
 
@@ -471,10 +464,11 @@ mod tests {
             r#"{"name":"t","grids":[{"burst":0}]}"#,
             r#"{"name":"t","grids":[{"payload_flits":0}]}"#,
             r#"{"name":"t","grids":[{"measure":0}]}"#,
+            r#"{"name":"t","grids":[{"warmup":18446744073709551615,"measure":1}]}"#,
             r#"{"name":"t","grids":[{"topology":"hypercube"}]}"#,
             r#"{"name":"t","grids":[{"sa":"maxsize"}]}"#,
             r#"{"name":"t","grids":[{"spec":7}]}"#,
-            r#"{"name":"t","grids":[{"engine":"warp"}]}"#,
+            r#"{"name":"t","grids":[{"engine":7}]}"#,
             r#"{"name":"t","grids":[{"rates":[]}]}"#,
             r#"{"name":"t","grids":[]}"#,
             r#"{"name":"../evil","grids":[{}]}"#,
@@ -482,9 +476,24 @@ mod tests {
         ] {
             assert!(SweepSpec::from_json(bad).is_err(), "{bad}");
         }
-        let retired = SweepSpec::from_json(r#"{"name":"t","grids":[{"engine":"par"}]}"#);
-        let err = retired.unwrap_err();
-        assert!(err.ends_with("unknown engine 'par' (seq|active)"), "{err}");
+        // A file cannot spell a window past `u64` (the codec stops at 2^53);
+        // a spec built in code can, and `run_sweep` validates it the same.
+        let wraps = SweepSpec {
+            name: "t".into(),
+            grids: vec![SweepGrid {
+                warmup: u64::MAX,
+                ..SweepGrid::default()
+            }],
+        };
+        let refused = wraps.validate().unwrap_err();
+        assert!(refused.ends_with("cycles overflows u64"), "{refused}");
+        // The engine name older specs carry is accepted and changes nothing:
+        // the spec digest covers every expanded point, in order.
+        let plain = SweepSpec::from_json(r#"{"name":"t","grids":[{"rates":[0.1,0.2]}]}"#).unwrap();
+        let named = r#"{"name":"t","grids":[{"rates":[0.1,0.2],"engine":"seq"}]}"#;
+        let named = SweepSpec::from_json(named).unwrap();
+        assert_eq!(named.digest(), plain.digest());
+        assert_eq!(named.expand().len(), 2);
         // Exactly 64 is a router.
         for ok in [
             r#"{"name":"t","grids":[{"vcs":32}]}"#,

@@ -238,8 +238,11 @@ fn status_and_error_paths_answer_over_tcp() {
     .unwrap_err();
     assert!(err.contains("daemon refused"), "{err}");
 
-    // An engine override rides the request through to completion.
-    let line = serve_sweep_request_line("eng", &spec_json(&[0.07]), Some("seq"));
+    // The "engine" member an earlier client sends is accepted, unread.
+    let line = format!(
+        r#"{{"schema":"noc-serve/v1","type":"sweep","id":"eng","engine":"seq","spec":{}}}"#,
+        spec_json(&[0.07])
+    );
     let outcome = request(&addr, &line, |_, _| {}).unwrap();
     assert_eq!(outcome.unique, 1);
     daemon.shutdown();

@@ -6,7 +6,7 @@ use noc_bench::sweep::{
     cached_runner, run_sweep, ResultCache, SweepGrid, SweepOptions, SweepSpec, SWEEP_SCHEMA,
 };
 use noc_bench::{FigCtx, FIGURES};
-use noc_sim::{Engine, TopologyKind};
+use noc_sim::TopologyKind;
 use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -183,7 +183,7 @@ fn preset_render_from_cache_is_bit_identical_to_direct() {
         assert_eq!(out.computed, out.total, "{}: cold cache", fig.name);
         let on_grid: HashSet<String> = spec.expand().iter().map(|p| p.digest()).collect();
         let cache = ResultCache::new(&root.join("cache")).unwrap();
-        let cached = cached_runner(cache.clone(), Engine::Sequential);
+        let cached = cached_runner(cache.clone());
         let name = fig.name;
         let via_cache = render(&move |cfg, w, m| {
             // Only the adaptive saturation probes of Figures 13/14 may

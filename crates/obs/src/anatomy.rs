@@ -25,8 +25,8 @@
 //! | `serialization` | tail trailing the head at the destination           |
 //!
 //! Everything here is deterministic given the fold order (hop records in
-//! router-id order, ejections in event order — both engine-invariant), so
-//! `noc-anatomy/v1` dumps are byte-identical across seq/active.
+//! router-id order, ejections in event order — whichever idle routers
+//! the cycle loop skipped), so `noc-anatomy/v1` dumps are reproducible.
 
 use crate::hist::HdrHistogram;
 use crate::json::{ints, narrow, JsonValue, JsonWriter, ToJson};

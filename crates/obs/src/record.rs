@@ -6,7 +6,7 @@
 //! parameters needed to interpret the series; each window line carries the
 //! network-level flit motion and a compact per-router counter row. Every
 //! value is either an integer counter or a content-hash string, so dumps
-//! from cycle-identical engines are byte-identical.
+//! from cycle-identical runs are byte-identical.
 //!
 //! [`TelemetrySummary`] is the derived per-run digest of the same series —
 //! the `telemetry` block embedded in a `SimResult` JSON report. It is

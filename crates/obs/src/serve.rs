@@ -15,10 +15,10 @@
 //! {"schema":"noc-serve/v1","type":"status","id":"c3"}
 //! ```
 //!
-//! An optional `"engine"` member on `sweep`/`preset` requests overrides
-//! the engine for every point of that request. The sweep spec grammar
-//! itself is owned by `noc_bench::sweep::SweepSpec` — this module only
-//! frames it.
+//! The envelope does not refuse members it does not know, so the
+//! `"engine"` member clients of earlier revisions sent is accepted and
+//! ignored. The sweep spec grammar itself is owned by
+//! `noc_bench::sweep::SweepSpec` — this module only frames it.
 //!
 //! Response stream:
 //!
@@ -61,19 +61,19 @@ fn line(kind: &str, id: &str, members: impl FnOnce(&mut JsonWriter)) -> String {
 /// document (the caller must pass well-formed JSON; it is embedded raw).
 /// Newlines in the document are collapsed to spaces — the wire is
 /// line-framed, and JSON strings cannot contain literal newlines, so the
-/// collapse never alters content.
-pub fn serve_sweep_request_line(id: &str, spec_json: &str, engine: Option<&str>) -> String {
+/// collapse never alters content. The third parameter is retired and
+/// unread: `benchmark/` compiles against it, deleted by ROADMAP 3(c).
+pub fn serve_sweep_request_line(id: &str, spec_json: &str, _: Option<&str>) -> String {
     let spec = spec_json.replace(['\n', '\r'], " ");
     line("sweep", id, |w| {
-        w.opt_field("engine", engine)
-            .field("spec", Raw(spec.trim()));
+        w.field("spec", Raw(spec.trim()));
     })
 }
 
 /// A `preset` request line naming an in-repo sweep preset.
-pub fn serve_preset_request_line(id: &str, preset: &str, engine: Option<&str>) -> String {
+pub fn serve_preset_request_line(id: &str, preset: &str) -> String {
     line("preset", id, |w| {
-        w.opt_field("engine", engine).field("preset", preset);
+        w.field("preset", preset);
     })
 }
 
@@ -290,8 +290,8 @@ mod tests {
     #[test]
     fn every_line_builder_emits_valid_json() {
         for line in [
-            serve_sweep_request_line("a", r#"{"name":"t","grids":[{}]}"#, Some("active")),
-            serve_preset_request_line("b", "smoke", None),
+            serve_sweep_request_line("a", r#"{"name":"t","grids":[{}]}"#, None),
+            serve_preset_request_line("b", "smoke"),
             serve_status_request_line("c"),
             serve_accepted_line("a", 4, 3),
             serve_result_line("a", "d1", "mesh \"x\"", "computed", 12, "{\"x\":1}"),

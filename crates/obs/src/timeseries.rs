@@ -4,9 +4,9 @@
 //! a [`WindowSnapshot`]; a [`FlightRecorder`] keeps the last `capacity`
 //! snapshots in a ring buffer (for post-mortem dumps) plus a compact
 //! whole-run summary series (one scalar per window, for the `telemetry`
-//! block of a run result). The recorder is engine-agnostic: it consumes
-//! plain cumulative counters keyed by cycle number, so any cycle-exact
-//! engine produces byte-identical telemetry.
+//! block of a run result). It consumes plain cumulative counters keyed by
+//! cycle number, so telemetry does not depend on how the run was chunked
+//! or which idle routers the cycle loop skipped.
 //!
 //! The stall-watchdog signal also lives here: the recorder tracks how many
 //! *consecutive* windows saw zero flit motion while flits were in flight —
@@ -168,8 +168,8 @@ impl FlightRecorder {
     }
 
     /// True when the cycle that just executed (`now`) closes a window.
-    /// Keyed purely on the cycle number, so every cycle-exact engine
-    /// snapshots at identical points.
+    /// Keyed purely on the cycle number, so a run snapshots at the same
+    /// points however it is chunked.
     pub fn due(&self, now: u64) -> bool {
         (now + 1).is_multiple_of(self.window)
     }

@@ -68,6 +68,8 @@ pub enum ConfigError {
     /// `injection_rate` is NaN, infinite, or outside `[0, 1]`
     /// flits/cycle/terminal.
     Rate(f64),
+    /// A `(warmup, measure)` run window whose sum overflows the cycle count.
+    Window(u64, u64),
     /// The topology's class structure at this many VCs per class is no
     /// router the allocators cover (none, or more than
     /// [`noc_core::MAX_WIDTH`] VCs per port).
@@ -82,12 +84,24 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "injection rate {r} is not a number in [0, 1] flits/cycle/terminal"
             ),
+            ConfigError::Window(w, m) => write!(f, "a run of {w} + {m} cycles overflows u64"),
             ConfigError::Spec(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
+
+impl ConfigError {
+    /// Checks a run window from outside the program: something is measured,
+    /// and the sum does not wrap (to a run of no cycles, or a debug panic).
+    pub fn check_window(warmup: u64, measure: u64) -> Result<(), ConfigError> {
+        if measure == 0 {
+            return Err(ConfigError::Zero("measure cycles"));
+        }
+        (warmup.checked_add(measure).map(drop)).ok_or(ConfigError::Window(warmup, measure))
+    }
+}
 
 impl SimConfig {
     /// Checks the numeric fields a network cannot be built or driven

@@ -8,10 +8,6 @@
 //! rather than any in-memory layout, which makes it stable under struct
 //! field reordering and under spec files that list the same point in a
 //! different order.
-//!
-//! The simulation [`Engine`](crate::Engine) is deliberately **not** part
-//! of a point's identity: all engines are proven cycle-identical, so a
-//! result computed on one engine is valid for every other.
 
 use crate::config::SimConfig;
 use noc_obs::digest::{fnv1a, FNV_OFFSET};

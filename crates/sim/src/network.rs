@@ -116,8 +116,7 @@ pub struct Network<S: TraceSink = NopSink> {
     /// [`Network::enable_anatomy`]). Hop records travel through
     /// [`RouterOutputs::hops`] and are ingested at commit in router-id
     /// order, ejections fold during delivery in wheel order — neither
-    /// depends on which routers were skipped, so dumps are byte-identical
-    /// across engines.
+    /// depends on which routers were skipped.
     pub anatomy: Option<AnatomyCollector>,
     /// Opt-in runtime invariant checker (see [`Network::enable_verify`]),
     /// audited after every cycle's commit.
@@ -242,30 +241,28 @@ impl<S: TraceSink> Network<S> {
         &mut self.cfg
     }
 
-    /// Runs one network cycle in router-id order.
+    /// Runs one network cycle.
     pub fn step(&mut self) {
         self.run(1);
     }
 
-    /// Runs `cycles` network cycles in router-id order.
+    /// Runs `cycles` network cycles, skipping idle routers.
     pub fn run(&mut self, cycles: u64) {
-        self.run_in_order(cycles, false, &mut NopProfiler);
+        self.run_in_order(cycles, true, &mut NopProfiler);
     }
 
-    /// The cycle body behind the sequential (`skip_idle = false`) and
-    /// active-set (`skip_idle = true`) engines, attributing wall time to
-    /// pipeline phases through `prof` (with [`NopProfiler`] every clock
-    /// read compiles away). Each cycle delivers and injects, then steps
-    /// and commits router by router, then does the post-commit
-    /// bookkeeping.
+    /// The cycle body, attributing wall time to pipeline phases through
+    /// `prof` (with [`NopProfiler`] every clock read compiles away). Each
+    /// cycle delivers and injects, then steps and commits router by router
+    /// in router-id order, then does the post-commit bookkeeping.
     ///
-    /// Skipping is cycle-identical to stepping: an idle router's step
-    /// produces no outputs, touches no allocator state and classifies no
-    /// VC, so all that is left of it is the router's cycle count
-    /// ([`Router::skip_cycle`]). Stall-cause read-outs
+    /// Production passes `skip_idle = true`, which is exact: an idle
+    /// router's step produces no outputs, touches no allocator state and
+    /// classifies no VC, so all that is left of it is the router's cycle
+    /// count ([`Router::skip_cycle`]), from which the stall-cause read-outs
     /// ([`Network::router_obs`], [`Network::router_breakdowns`]) derive
-    /// each VC's `empty` share from that count and match the sequential
-    /// engine exactly.
+    /// each VC's `empty` share. Only tests pass `false`: stepping every
+    /// router is the reference of `tests/engine_equivalence.rs`.
     pub fn run_in_order<P: PhaseProfiler>(&mut self, cycles: u64, skip_idle: bool, prof: &mut P) {
         for _ in 0..cycles {
             self.deliver(prof);
@@ -495,8 +492,8 @@ impl<S: TraceSink> Network<S> {
             );
         }
 
-        // Keyed purely on the cycle number, so every engine records identical
-        // windows regardless of chunking or skipping.
+        // Keyed purely on the cycle number, so the windows are the same
+        // however the run is chunked and whichever routers were skipped.
         if let Some(rec) = &mut self.telemetry {
             if rec.due(now) {
                 let injected: u64 = self.terminals.iter().map(|t| t.flits_injected).sum();

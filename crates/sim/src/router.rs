@@ -87,15 +87,15 @@ pub struct RouterOutputs {
     pub credits: Vec<(usize, usize)>,
     /// Hop-attribution records for head flits that traversed the switch
     /// this cycle (empty unless the packet ledger is enabled). Drained by
-    /// the network's commit phase in router-id order, which is what makes
-    /// anatomy dumps byte-identical across engines.
+    /// the network's commit phase in router-id order, so an anatomy dump
+    /// does not depend on which routers were skipped.
     pub hops: Vec<HopRecord>,
 }
 
 impl RouterOutputs {
     /// Output lists pre-sized to the per-cycle worst case — one switch
     /// traversal (flit + credit + hop record) per output port — so a
-    /// steady-state engine reusing the buffers never reallocates them.
+    /// steady-state loop reusing the buffers never reallocates them.
     pub fn with_capacity(ports: usize) -> Self {
         RouterOutputs {
             flits: Vec::with_capacity(ports),
@@ -452,8 +452,8 @@ impl Router {
     }
 
     /// Runs one cycle without tracing or profiling, returning a fresh
-    /// output buffer (single-router tests; the engines call
-    /// [`Router::step_into`] on buffers they keep).
+    /// output buffer (single-router tests; the network calls
+    /// [`Router::step_into`] on a buffer it keeps).
     pub fn step(&mut self, topo: &Topology, now: u64) -> RouterOutputs {
         let mut out = RouterOutputs::default();
         self.step_into(topo, now, &mut out, &mut NopSink, &mut NopProfiler);
@@ -858,12 +858,13 @@ impl Router {
         }
     }
 
-    /// Lives through a cycle without stepping: the active-set engine's
-    /// substitute for [`Router::step_into`] on a router that
+    /// Lives through a cycle without stepping: what the network's cycle
+    /// loop does, instead of [`Router::step_into`], with a router that
     /// [`Router::is_idle`]. Such a step would have produced nothing and
-    /// classified no VC, so counting the cycle is all of it.
+    /// classified no VC, so counting the cycle is all of it
+    /// (`router_live_sets.rs` steps a twin to prove it).
     pub fn skip_cycle(&mut self) {
-        debug_assert!(self.is_idle(), "active-set engine skipped a busy router");
+        debug_assert!(self.is_idle(), "skipped a busy router");
         self.cycles += 1;
     }
 
@@ -1167,8 +1168,8 @@ impl Router {
         self.nonempty.count_ones()
     }
 
-    /// True if the router holds no flits and no in-flight grants (used by
-    /// drain checks in tests).
+    /// True if the router holds no flits and no in-flight grants: the
+    /// cycle loop's skip predicate ([`Router::skip_cycle`]).
     pub fn is_idle(&self) -> bool {
         self.st_stage.is_empty() && self.nonempty.is_zero()
     }
@@ -1492,9 +1493,9 @@ mod tests {
             assert_eq!(obs.vc[burst * r.vcs() + vc].active, 2);
         }
 
-        // Whole networks on both engines, read at ragged points: every
+        // Whole networks, stepped and skipped, read at ragged points: every
         // VC of every router accounts for exactly `now` cycles, whether its
-        // router was stepped or skipped, and the engines agree.
+        // router was stepped or skipped, and the two agree.
         let cfg = crate::SimConfig {
             injection_rate: 0.02,
             ..crate::SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 4)
@@ -1510,8 +1511,8 @@ mod tests {
                 for s in &o.vc {
                     assert_eq!(s.cycles(), now, "router {router}");
                 }
-                for (engine, other) in obs.iter().enumerate().skip(1) {
-                    assert_eq!(o.vc, other[router].vc, "router {router} engine {engine}");
+                for (skipped, other) in obs.iter().enumerate().skip(1) {
+                    assert_eq!(o.vc, other[router].vc, "router {router} net {skipped}");
                     assert_eq!(o.out_flits, other[router].out_flits);
                 }
             }

@@ -8,9 +8,9 @@ use crate::stats::NetStats;
 use crate::steady;
 use crate::verify::StrictChecker;
 use noc_obs::{
-    AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue, JsonWriter, NopProfiler, NopSink,
-    PercentileTable, PhaseProfiler, Profiler, RouterBreakdown, RouterObs, TelemetrySummary,
-    TraceSink, WindowSnapshot, DEFAULT_QUANTILES,
+    AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue, JsonWriter, NopSink,
+    PercentileTable, Profiler, RouterBreakdown, RouterObs, TelemetrySummary, TraceSink,
+    WindowSnapshot, DEFAULT_QUANTILES,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -215,77 +215,31 @@ impl SimResult {
     }
 }
 
-/// Simulation engine: how [`run_sim_engine`] drives the network's cycle
-/// loop. The engines are cycle-identical — same flit movements, same
-/// statistics, same trace digests (proven by `tests/engine_equivalence.rs`)
-/// — and differ only in wall-clock speed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Steps every router, in router-id order.
-    Sequential,
-    /// Retired: the engine that sharded one simulation across a worker
-    /// pool was slower than `Sequential` on every workload and is gone.
-    /// The name is kept only because `benchmark/` constructs it; it *is*
-    /// `Sequential` (no name parses to it) and goes when the benchmark's
-    /// `network.parN` rungs do.
-    Parallel(usize),
-    /// As `Sequential`, skipping idle routers (fastest at low load, where
-    /// most routers are empty most cycles).
-    ActiveSet,
-}
-
-impl Engine {
-    /// Parses an engine name as the CLI, sweep specs and serve requests
-    /// spell it: `seq` or `active`.
-    pub fn parse(s: &str) -> Result<Engine, String> {
-        match s {
-            "seq" | "sequential" => Ok(Engine::Sequential),
-            "active" | "active-set" => Ok(Engine::ActiveSet),
-            _ => Err(format!("unknown engine '{s}' (seq|active)")),
-        }
-    }
-
-    /// Short name for reports and bench records.
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Sequential | Engine::Parallel(_) => "seq",
-            Engine::ActiveSet => "active",
-        }
-    }
-
-    /// Drives `net` for `cycles` cycles on this engine.
-    pub fn run<S: TraceSink>(self, net: &mut Network<S>, cycles: u64) {
-        self.run_profiled(net, cycles, &mut NopProfiler);
-    }
-
-    /// As [`Engine::run`], attributing wall time to pipeline phases
-    /// through `prof`.
-    pub fn run_profiled<S: TraceSink, P: PhaseProfiler>(
-        self,
-        net: &mut Network<S>,
-        cycles: u64,
-        prof: &mut P,
-    ) {
-        match self {
-            Engine::Sequential | Engine::Parallel(_) => net.run_in_order(cycles, false, prof),
-            Engine::ActiveSet => net.run_in_order(cycles, true, prof),
-        }
-    }
-}
-
 /// Runs one simulation: `warmup` cycles to reach steady state, then a
 /// `measure`-cycle window.
 pub fn run_sim(cfg: &SimConfig, warmup: u64, measure: u64) -> SimResult {
     Run::new(cfg, warmup, measure).finish().result
 }
 
-/// As [`run_sim`], but driving the cycle loop with the chosen [`Engine`].
-/// The result is bit-identical across engines.
-pub fn run_sim_engine(cfg: &SimConfig, warmup: u64, measure: u64, engine: Engine) -> SimResult {
-    Run::new(cfg, warmup, measure)
-        .engine(engine)
-        .finish()
-        .result
+/// Retired: `benchmark/` compiles against it, deleted by ROADMAP 3(c).
+/// There is one cycle loop, so every variant is [`Network::run`].
+#[derive(Clone, Copy, Debug)]
+pub enum Engine {
+    Sequential,
+    Parallel(usize),
+    ActiveSet,
+}
+
+impl Engine {
+    /// Retired: `benchmark/` compiles against it, deleted by ROADMAP 3(c).
+    pub fn run<S: TraceSink>(self, net: &mut Network<S>, cycles: u64) {
+        net.run(cycles);
+    }
+}
+
+/// Retired: `benchmark/` compiles against it, deleted by ROADMAP 3(c).
+pub fn run_sim_engine(cfg: &SimConfig, warmup: u64, measure: u64, _: Engine) -> SimResult {
+    run_sim(cfg, warmup, measure)
 }
 
 /// As [`run_sim`], with phase profiling on (see [`Run::profile`]).
@@ -424,17 +378,14 @@ impl WatchdogTrip {
 /// behind every `run_sim*` function, `noc sim`, `noc explain` and the
 /// sweep runner.
 ///
-/// `Run::new(&cfg, warmup, measure)` is the plain sequential run; builder
-/// methods pick the [`Engine`] and attach observers, and [`Run::run`] (or
-/// [`Run::finish`]) executes it. Every observer is a pure observer and
-/// every engine is cycle-identical, so any combination on any engine
-/// yields the same [`SimResult`], trace, and dumps as each observer
-/// attached alone on the sequential engine.
+/// `Run::new(&cfg, warmup, measure)` is the plain run; builder methods
+/// attach observers, and [`Run::run`] (or [`Run::finish`]) executes it.
+/// Every observer is a pure observer, so any combination yields the same
+/// [`SimResult`], trace, and dumps as each observer attached alone.
 pub struct Run<'a, S: TraceSink = NopSink> {
     cfg: &'a SimConfig,
     warmup: u64,
     measure: u64,
-    engine: Engine,
     sink: S,
     profile: bool,
     telemetry: Option<TelemetryOptions>,
@@ -465,14 +416,13 @@ pub struct RunOutput {
 }
 
 impl<'a> Run<'a> {
-    /// A plain run of `cfg` on the sequential engine measuring
-    /// `[warmup, warmup + measure)`, with no observer attached.
+    /// A plain run of `cfg` measuring `[warmup, warmup + measure)`, with
+    /// no observer attached.
     pub fn new(cfg: &'a SimConfig, warmup: u64, measure: u64) -> Self {
         Run {
             cfg,
             warmup,
             measure,
-            engine: Engine::Sequential,
             sink: NopSink,
             profile: false,
             telemetry: None,
@@ -484,12 +434,6 @@ impl<'a> Run<'a> {
 }
 
 impl<'a, S: TraceSink> Run<'a, S> {
-    /// Drives the cycle loop with `engine`.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Reports every flit event to `sink`, which the caller keeps.
     pub fn sink<T: TraceSink>(self, sink: &'a mut T) -> Run<'a, &'a mut T> {
         Run {
@@ -497,7 +441,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
             cfg: self.cfg,
             warmup: self.warmup,
             measure: self.measure,
-            engine: self.engine,
             profile: self.profile,
             telemetry: self.telemetry,
             anatomy: self.anatomy,
@@ -513,9 +456,9 @@ impl<'a, S: TraceSink> Run<'a, S> {
         self
     }
 
-    /// Attaches the flight recorder: [`Run::run`] then drives the engine
-    /// in window-sized chunks (chunking is cycle-exact on every engine),
-    /// hands each snapshot to its callback as the window closes, and
+    /// Attaches the flight recorder: [`Run::run`] then drives the network
+    /// in window-sized chunks (chunking is cycle-exact), hands each
+    /// snapshot to its callback as the window closes, and
     /// checks the stall watchdog between chunks.
     pub fn telemetry(mut self, opts: TelemetryOptions) -> Self {
         self.telemetry = Some(opts);
@@ -569,15 +512,15 @@ impl<'a, S: TraceSink> Run<'a, S> {
             net.enable_verify();
         }
         // Only a recorder has windows to report and a watchdog to check
-        // between them; every other run is one uninterrupted engine call.
+        // between them; every other run is one uninterrupted call.
         let chunk = self.telemetry.map_or(total, |opts| opts.window);
         let mut profile = self.profile.then(Profiler::default);
         let start = Instant::now();
         while net.now < total {
             let cycles = chunk.min(total - net.now);
             match &mut profile {
-                Some(prof) => self.engine.run_profiled(&mut net, cycles, prof),
-                None => self.engine.run(&mut net, cycles),
+                Some(prof) => net.run_in_order(cycles, true, prof),
+                None => net.run(cycles),
             }
             let (Some(opts), Some(rec)) = (&self.telemetry, &net.telemetry) else {
                 continue;
@@ -887,31 +830,28 @@ mod tests {
     use crate::topology::TopologyKind;
     use noc_obs::{Phase, ToJson};
 
-    /// A recorded run on `engine`: the summary plus the recorder.
+    /// A recorded run: the summary plus the recorder.
     fn recorded(
         cfg: &SimConfig,
         warmup: u64,
         measure: u64,
-        engine: Engine,
         opts: TelemetryOptions,
     ) -> Result<(SimResult, FlightRecorder), Box<WatchdogTrip>> {
-        let run = Run::new(cfg, warmup, measure)
-            .engine(engine)
-            .telemetry(opts);
+        let run = Run::new(cfg, warmup, measure).telemetry(opts);
         run.run(|_| {})
             .map(|out| (out.result, out.recorder.expect("recorder attached")))
     }
 
-    /// An anatomy run on `engine`: the summary plus the ledger.
+    /// An anatomy run: the summary plus the ledger.
     fn anatomy(
         cfg: &SimConfig,
         warmup: u64,
         measure: u64,
-        engine: Engine,
         top_k: usize,
     ) -> (SimResult, AnatomyCollector) {
-        let run = Run::new(cfg, warmup, measure).engine(engine);
-        let out = run.anatomy(1 << 16, top_k).finish();
+        let out = Run::new(cfg, warmup, measure)
+            .anatomy(1 << 16, top_k)
+            .finish();
         (out.result, out.anatomy.expect("ledger attached"))
     }
 
@@ -982,31 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_parse_covers_cli_names() {
-        assert_eq!(Engine::parse("seq"), Ok(Engine::Sequential));
-        assert_eq!(Engine::parse("active"), Ok(Engine::ActiveSet));
-        for gone in ["par", "parallel", "auto", "warp"] {
-            let refusal = format!("unknown engine '{gone}' (seq|active)");
-            assert_eq!(Engine::parse(gone), Err(refusal));
-        }
-        assert_eq!(Engine::Sequential.label(), "seq");
-    }
-
-    #[test]
-    fn engines_agree_on_a_short_run() {
-        let cfg = SimConfig {
-            injection_rate: 0.1,
-            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
-        };
-        let seq = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
-        let act = run_sim_engine(&cfg, 500, 1_500, Engine::ActiveSet);
-        assert_eq!(seq.to_json(), act.to_json());
-        // The retired name the benchmark still builds is `Sequential`.
-        let retired = run_sim_engine(&cfg, 500, 1_500, Engine::Parallel(2));
-        assert_eq!(seq.to_json_full(), retired.to_json_full());
-    }
-
-    #[test]
     fn full_json_round_trip_is_bit_exact() {
         let cfg = SimConfig {
             injection_rate: 0.12,
@@ -1044,7 +959,7 @@ mod tests {
             injection_rate: 0.1,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        let plain = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
+        let plain = run_sim(&cfg, 500, 1_500);
         let mut windows_seen = 0u64;
         let out = Run::new(&cfg, 500, 1_500)
             .telemetry(TelemetryOptions::recording())
@@ -1071,28 +986,13 @@ mod tests {
     }
 
     #[test]
-    fn recorded_runs_are_engine_identical() {
-        let cfg = SimConfig {
-            injection_rate: 0.15,
-            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
-        };
-        let opts = TelemetryOptions::recording();
-        let run = |engine| {
-            let (res, rec) = recorded(&cfg, 500, 1_500, engine, opts).expect("no trip");
-            (res.to_json(), rec.summary().to_json())
-        };
-        let seq = run(Engine::Sequential);
-        assert_eq!(seq, run(Engine::ActiveSet));
-    }
-
-    #[test]
     fn anatomy_run_is_a_pure_observer() {
         let cfg = SimConfig {
             injection_rate: 0.1,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        let plain = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
-        let (res, col) = anatomy(&cfg, 500, 1_500, Engine::Sequential, 4);
+        let plain = run_sim(&cfg, 500, 1_500);
+        let (res, col) = anatomy(&cfg, 500, 1_500, 4);
         // Every simulation metric must be bit-identical to the plain run.
         assert_eq!(res.avg_latency.to_bits(), plain.avg_latency.to_bits());
         assert_eq!(res.throughput.to_bits(), plain.throughput.to_bits());
@@ -1107,7 +1007,7 @@ mod tests {
             injection_rate: 0.2,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        let (res, col) = anatomy(&cfg, 500, 1_500, Engine::Sequential, 8);
+        let (res, col) = anatomy(&cfg, 500, 1_500, 8);
         assert!(col.totals.packets > 100, "window too thin to be meaningful");
         assert_eq!(col.totals.dropped, 0);
         assert_eq!(col.records.len() as u64, col.totals.packets);
@@ -1134,29 +1034,6 @@ mod tests {
     }
 
     #[test]
-    fn anatomy_dumps_are_engine_identical() {
-        let cfg = SimConfig {
-            injection_rate: 0.15,
-            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
-        };
-        let header = noc_obs::AnatomyHeader {
-            digest: cfg.digest(500, 1_500, "noc-anatomy/v1"),
-            label: cfg.label(),
-            routers: 64,
-            warmup: 500,
-            measure: 1_500,
-            capacity: 1 << 16,
-            top_k: 4,
-        };
-        let run = |engine| {
-            let (res, col) = anatomy(&cfg, 500, 1_500, engine, 4);
-            (res.to_json(), col.to_jsonl(&header))
-        };
-        let seq = run(Engine::Sequential);
-        assert_eq!(seq, run(Engine::ActiveSet));
-    }
-
-    #[test]
     fn watchdog_trips_on_torus_without_dateline() {
         // The no-dateline torus fixture deadlocks under load: packets wrap
         // around the rings and form cyclic credit dependencies. The
@@ -1171,8 +1048,8 @@ mod tests {
             watchdog: Some(10),
             ..TelemetryOptions::recording()
         };
-        let trip = recorded(&cfg, 5_000, 45_000, Engine::Sequential, opts)
-            .expect_err("no-dateline torus must deadlock");
+        let trip =
+            recorded(&cfg, 5_000, 45_000, opts).expect_err("no-dateline torus must deadlock");
         assert_eq!(trip.stalled_windows, 10);
         assert!(trip.in_flight > 0, "a stall needs stuck flits");
         assert!(
@@ -1194,30 +1071,38 @@ mod tests {
             watchdog: Some(10),
             ..TelemetryOptions::recording()
         };
-        let (res, rec) = recorded(&cfg, 2_000, 8_000, Engine::Sequential, opts).expect("no trip");
+        let (res, rec) = recorded(&cfg, 2_000, 8_000, opts).expect("no trip");
         assert!(res.throughput > 0.0);
         assert_eq!(rec.max_stalled_windows(), 0);
     }
 
     #[test]
-    fn profile_runs_on_the_requested_engine() {
-        // An idle network makes the engine visible in the profile: the
-        // in-order body times every router's (empty) allocation phases,
-        // while the active-set body skips every router and so attributes
-        // exactly nothing to them.
+    fn profiled_idle_network_attributes_nothing_to_vc_allocation() {
+        // Every router of an idle network is skipped, clock reads and all:
+        // the profile is stamped, and no allocation phase was ever timed.
         let cfg = SimConfig {
             injection_rate: 0.0,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
         };
-        let profile = |engine| {
-            let out = Run::new(&cfg, 0, 200).engine(engine).profile().finish();
-            let prof = out.profile.expect("profiler attached");
-            assert_eq!(prof.cycles, 200);
-            assert!(prof.wall_nanos > 0, "profile not stamped");
-            prof
+        let out = Run::new(&cfg, 0, 200).profile().finish();
+        let prof = out.profile.expect("profiler attached");
+        assert_eq!(prof.cycles, 200);
+        assert!(prof.wall_nanos > 0, "profile not stamped");
+        assert_eq!(prof.nanos(Phase::VcAlloc), 0);
+    }
+
+    #[test]
+    fn retired_engine_names_are_run_sim() {
+        // `benchmark/` counts `sim.engine_mismatches` over these.
+        let cfg = SimConfig {
+            injection_rate: 0.1,
+            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        assert!(profile(Engine::Sequential).nanos(Phase::VcAlloc) > 0);
-        assert_eq!(profile(Engine::ActiveSet).nanos(Phase::VcAlloc), 0);
+        let plain = run_sim(&cfg, 500, 1_500).to_json_full();
+        for engine in [Engine::ActiveSet, Engine::Parallel(2)] {
+            let retired = run_sim_engine(&cfg, 500, 1_500, engine);
+            assert_eq!(retired.to_json_full(), plain, "{engine:?}");
+        }
     }
 
     #[test]

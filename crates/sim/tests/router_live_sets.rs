@@ -14,11 +14,16 @@
 //!   ones, which have been cleared and refilled every cycle of the run;
 //! * occupancy read through the live sets matches the mirror, and every VC
 //!   accounts for exactly the cycles lived through;
-//! * each input VC delivers its flits in order, exactly once.
+//! * each input VC delivers its flits in order, exactly once;
+//! * a twin router fed the same script, but — like the network's cycle
+//!   loop — not stepped while idle (`skip_cycle`), emits the same outputs
+//!   every cycle and ends with the same counters. This is the router-level
+//!   oracle for skipping: when `tests/engine_equivalence.rs` fails on a
+//!   whole network, this names the cause.
 
 use noc_core::{SpecMode, SwitchRequests, VcAllocSpec, VcRequestSet};
 use noc_sim::packet::{PacketKind, RouteState};
-use noc_sim::router::{Router, RouterConfig};
+use noc_sim::router::{Router, RouterConfig, RouterOutputs};
 use noc_sim::routing::route_at;
 use noc_sim::{Flit, RoutingKind, StrictChecker, Topology, TopologyKind};
 use rand::rngs::StdRng;
@@ -85,7 +90,12 @@ fn drive(shape: Shape, spec_mode: SpecMode, seed: u64, cycles: u64) {
         ..RouterConfig::paper_default(shape.spec.clone(), shape.routing)
     };
     let depth = cfg.buf_depth;
-    let mut router = Router::new(shape.router, cfg);
+    let mut router = Router::new(shape.router, cfg.clone());
+    let mut twin = Router::new(shape.router, cfg);
+    // With the ledger on, a departing head emits a hop record to compare.
+    router.enable_anatomy();
+    twin.enable_anatomy();
+    let mut skipped = 0u64;
     let (ports, vcs) = (router.ports(), router.vcs());
     let n = ports * vcs;
     let terminals = topo.num_terminals();
@@ -95,25 +105,37 @@ fn drive(shape: Shape, spec_mode: SpecMode, seed: u64, cycles: u64) {
     let mut owed = vec![0usize; n];
     let mut next_packet = 0u64;
     let (mut pushed, mut left) = (0u64, 0u64);
-    // Load comes in waves so the router also drains and sits idle.
+    // Load comes in waves, in flits per cycle offered to the whole router
+    // and spread over its VCs; a quiet wave lasts until the router has
+    // drained and sat idle a while, however deep the backlog it inherits.
     let mut push_rate = 0.0;
+    let mut idle_run = 0;
 
     for now in 0..cycles {
-        if now % 64 == 0 {
-            push_rate = [0.0, 0.02, 0.15, 0.6][rng.gen_range(0..4usize)];
+        if now % 64 == 0 && (push_rate > 0.0 || idle_run >= 16) {
+            push_rate = [0.0, 0.4, 3.0, 12.0][rng.gen_range(0..4usize)] / n as f64;
         }
         // Downstream: return some owed credits.
         for out_flat in 0..n {
             if owed[out_flat] > 0 && rng.gen_bool(0.3) {
                 owed[out_flat] -= 1;
                 router.accept_credit(out_flat / vcs, out_flat % vcs);
+                twin.accept_credit(out_flat / vcs, out_flat % vcs);
             }
         }
         // Upstream: continue or start a packet where a slot is free.
         for in_flat in 0..n {
             let (port, vc) = (in_flat / vcs, in_flat % vcs);
             let input = &mut inputs[in_flat];
-            if input.queued.len() >= depth || !rng.gen_bool(push_rate) {
+            // A packet under way keeps coming through a quiet wave: its
+            // tail frees the output VC others wait for, so the router can
+            // drain completely.
+            let rate = if input.packet.is_some() {
+                f64::max(push_rate, 0.25)
+            } else {
+                push_rate
+            };
+            if input.queued.len() >= depth || !rng.gen_bool(rate) {
                 continue;
             }
             let (head, flit_index, remaining) = match input.packet.take() {
@@ -150,10 +172,25 @@ fn drive(shape: Shape, spec_mode: SpecMode, seed: u64, cycles: u64) {
             }
             input.queued.push_back((flit.packet_id, flit_index));
             router.accept_flit(port, vc, flit, now);
+            twin.accept_flit(port, vc, flit, now);
             pushed += 1;
         }
 
         let out = router.step(&topo, now);
+        let twin_out = if twin.is_idle() {
+            skipped += 1;
+            idle_run += 1;
+            twin.skip_cycle();
+            RouterOutputs::default()
+        } else {
+            idle_run = 0;
+            twin.step(&topo, now)
+        };
+        assert_eq!(
+            format!("{out:?}"),
+            format!("{twin_out:?}"),
+            "cycle {now}: stepping and skipping emitted different outputs"
+        );
 
         // Departures: one credit per flit, in order per input VC.
         assert_eq!(out.flits.len(), out.credits.len());
@@ -208,10 +245,27 @@ fn drive(shape: Shape, spec_mode: SpecMode, seed: u64, cycles: u64) {
             for s in &router.obs().vc {
                 assert_eq!(s.cycles(), now + 1);
             }
+            // The twin settles `empty` here after a run of skipped cycles.
+            assert_eq!(t, twin.telemetry_counters(), "cycle {now}");
+            assert_eq!(format!("{:?}", router.obs()), format!("{:?}", twin.obs()));
         }
     }
     assert!(pushed > cycles / 4, "only {pushed} flits pushed");
     assert!(left > pushed / 2, "only {left} of {pushed} flits left");
+
+    assert!(skipped > 0, "the twin was never idle");
+    assert_eq!(format!("{:?}", router.obs()), format!("{:?}", twin.obs()));
+    assert_eq!(router.telemetry_counters(), twin.telemetry_counters());
+    assert_eq!(router.worst_port_stall(), twin.worst_port_stall());
+    assert_eq!(
+        format!("{:?}", router.stats),
+        format!("{:?}", twin.stats),
+        "speculation counters"
+    );
+    let ((vca, nonspec, spec), (twin_vca, twin_nonspec, twin_spec)) =
+        (router.request_sets(), twin.request_sets());
+    assert_eq!(vca.to_slots(), twin_vca.to_slots());
+    assert_eq!((nonspec, spec), (twin_nonspec, twin_spec));
 }
 
 fn mesh_p5v4() -> Shape {

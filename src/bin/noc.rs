@@ -31,8 +31,8 @@ use noc_obs::{
     TelemetryHeader, ToJson, VecSink, WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
 };
 use noc_sim::{
-    run_sim_replicated, ConfigError, Engine, RoutingKind, Run, SimConfig, TelemetryOptions,
-    TopologyKind, TrafficPattern,
+    run_sim_replicated, ConfigError, RoutingKind, Run, SimConfig, TelemetryOptions, TopologyKind,
+    TrafficPattern,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -45,15 +45,15 @@ USAGE:
               [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
               [--seeds N] [--profile] [--trace FILE] [--metrics FILE]
-              [--json] [--verify] [--engine seq|active] [--record FILE]
-              [--top] [--window N] [--match-every K]
-              [--routing dor|dateline|nodateline] [--no-watchdog]
-              [--anatomy] [--anatomy-out FILE] [--top-k K] [--capacity N]
+              [--json] [--verify] [--record FILE] [--top] [--window N]
+              [--match-every K] [--routing dor|dateline|nodateline]
+              [--no-watchdog] [--anatomy] [--anatomy-out FILE] [--top-k K]
+              [--capacity N]
   noc explain [--topology mesh|fbfly|torus] [--vcs C] [--rate R] [--sa KIND]
               [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
-              [--routing dor|dateline|nodateline] [--engine seq|active]
-              [--top-k K] [--capacity N] [--out FILE] [--trace FILE] [--json]
+              [--routing dor|dateline|nodateline] [--top-k K] [--capacity N]
+              [--out FILE] [--trace FILE] [--json]
   noc check   [--topology mesh|fbfly|torus] [--vcs C] [--all]
               [--fixture no-dateline|cyclic-vc]
   noc synth   (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--alloc KIND]
@@ -64,12 +64,12 @@ USAGE:
               [--dense] [--spec nonspec|spec_gnt|spec_req]
   noc fig     [NAME... | --all] [--out DIR] [--cache-dir DIR] [--quiet]
   noc sweep   (run|resume|status|clean) [--preset NAME | --spec FILE]
-              [--out DIR] [--cache-dir DIR] [--engine seq|active] [--quiet]
-              [--no-render] [--telemetry] [--anatomy]
+              [--out DIR] [--cache-dir DIR] [--quiet] [--no-render]
+              [--telemetry] [--anatomy]
   noc serve   [--addr HOST:PORT] [--cache-dir DIR] [--out DIR] [--workers N]
               [--quiet] [--selftest N]
   noc client  (--preset NAME | --spec FILE | --status) [--addr HOST:PORT]
-              [--engine seq|active] [--id ID] [--quiet]
+              [--id ID] [--quiet]
   noc top     DUMP [--once]
   noc replay  DUMP
   noc audit   [--root DIR] [--fixtures]
@@ -121,20 +121,13 @@ Latency anatomy (noc explain / noc sim --anatomy):
   --capacity N            per-packet ledger rows to retain (default 65536;
                           the blame report always covers every packet)
   --out FILE              write the full noc-anatomy/v1 JSONL dump, keyed
-                          by the config's content digest (byte-identical
-                          across --engine seq/active)
+                          by the config's content digest
   --trace FILE            write the slowest packets as Chrome Trace spans
                           (one row per packet, one span per stage/hop)
   noc sim --anatomy       append the same blame report to a plain run's
                           summary (--anatomy-out FILE also writes the dump)
   noc sweep run --anatomy write a <digest>.anatomy.jsonl dump per computed
                           point, linked from the sweep manifest
-
-Performance engines (noc sim, noc explain, noc sweep):
-  --engine NAME           cycle-loop engine: seq (steps every router, the
-                          reference) or active (skips idle routers). Both
-                          are cycle-identical; only wall-clock speed
-                          differs.
 
 Soundness (noc audit):
   noc audit               static soundness gate: walks every workspace .rs
@@ -199,7 +192,6 @@ Experiment sweeps (noc sweep):
   --spec FILE             JSON sweep spec (grammar in DESIGN.md)
   --out DIR               journal/manifest directory (default results/sweeps)
   --cache-dir DIR         result cache directory (default results/cache)
-  --engine NAME           override the cycle-loop engine for computed points
   --quiet                 suppress per-point progress lines on stderr
   --no-render             skip the figure render after a preset run
 
@@ -388,22 +380,13 @@ impl Args {
         cfg.validate().map_err(|e| e.to_string())?;
         Ok(cfg.vc_spec())
     }
-
-    /// The `--engine` given, if any.
-    fn engine(&self) -> Result<Option<Engine>, String> {
-        (self.flags.get("engine"))
-            .map(|name| Engine::parse(name))
-            .transpose()
-    }
 }
 
 /// The `(warmup, measure)` run window of `noc sim` / `noc explain`.
 fn run_window(args: &Args) -> Result<(u64, u64), String> {
-    let measure: u64 = args.get("measure", 6000)?;
-    if measure == 0 {
-        return Err(ConfigError::Zero("measure cycles").to_string());
-    }
-    Ok((args.get("warmup", 3000)?, measure))
+    let (warmup, measure): (u64, u64) = (args.get("warmup", 3000)?, args.get("measure", 6000)?);
+    ConfigError::check_window(warmup, measure).map_err(|e| e.to_string())?;
+    Ok((warmup, measure))
 }
 
 /// Builds the simulated design point from the shared `noc sim` /
@@ -431,6 +414,9 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let trace_path = args.flags.get("trace").cloned();
     let metrics_path = args.flags.get("metrics").cloned();
     let seeds: usize = args.get("seeds", 1usize)?;
+    if seeds == 0 {
+        return Err(ConfigError::Zero("seeds").to_string());
+    }
     let want_profile = args.flags.contains_key("profile");
     let want_verify = args.flags.contains_key("verify");
     let record_path = args.flags.get("record").cloned();
@@ -446,27 +432,25 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     if window == 0 {
         return Err("--window must be at least 1 cycle".to_string());
     }
-    let engine = args.engine()?.unwrap_or(Engine::Sequential);
     let observed = want_profile
         || want_verify
         || want_record
         || want_anatomy
         || trace_path.is_some()
         || metrics_path.is_some();
-    if seeds > 1 && (observed || engine != Engine::Sequential) {
+    if seeds > 1 && observed {
         return Err(
-            "--seeds replicates plain sequential runs; it cannot be combined with --profile, \
-             --verify, --trace, --metrics, --record, --top, --anatomy or --engine"
+            "--seeds replicates plain runs; it cannot be combined with --profile, --verify, \
+             --trace, --metrics, --record, --top or --anatomy"
                 .to_string(),
         );
     }
     eprintln!(
-        "simulating {} @ {} flits/cycle/terminal ({} + {} cycles, engine {})...",
+        "simulating {} @ {} flits/cycle/terminal ({} + {} cycles)...",
         cfg.label(),
         cfg.injection_rate,
         warmup,
-        measure,
-        engine.label()
+        measure
     );
     let (r, profile, anatomy) = if seeds > 1 {
         // Replicated run: warmup is detected automatically (MSER), so the
@@ -493,7 +477,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         } else {
             (!no_watchdog).then(|| TelemetryOptions::watchdog_only(10_000))
         };
-        let mut run = Run::new(&cfg, warmup, measure).engine(engine);
+        let mut run = Run::new(&cfg, warmup, measure);
         if want_profile {
             run = run.profile();
         }
@@ -786,18 +770,16 @@ fn check_reconciliation(col: &AnatomyCollector, r: &noc_sim::SimResult) -> Resul
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let cfg = sim_config(args)?;
     let (warmup, measure) = run_window(args)?;
-    let engine = args.engine()?.unwrap_or(Engine::Sequential);
     let capacity: usize = args.get("capacity", DEFAULT_ANATOMY_CAPACITY)?;
     let top_k: usize = args.get("top-k", DEFAULT_ANATOMY_TOP_K)?;
     eprintln!(
-        "explaining {} @ {} flits/cycle/terminal ({} + {} cycles, engine {})...",
+        "explaining {} @ {} flits/cycle/terminal ({} + {} cycles)...",
         cfg.label(),
         cfg.injection_rate,
         warmup,
-        measure,
-        engine.label()
+        measure
     );
-    let run = Run::new(&cfg, warmup, measure).engine(engine);
+    let run = Run::new(&cfg, warmup, measure);
     let out = run.anatomy(capacity, top_k).finish();
     let (r, Some(col)) = (out.result, out.anatomy) else {
         return Err("internal: the anatomy ledger was not attached".to_string());
@@ -1030,8 +1012,7 @@ fn run_and_report(spec: &SweepSpec, opts: &SweepOptions) -> Result<(), String> {
 /// every grid point is a hit; only adaptive saturation probes (cached
 /// for next time) may still simulate.
 fn render_cached(fig: &Figure, opts: &SweepOptions) -> Result<String, String> {
-    let engine = opts.engine.unwrap_or(Engine::Sequential);
-    let runner = cached_runner(ResultCache::new(&opts.cache_dir)?, engine);
+    let runner = cached_runner(ResultCache::new(&opts.cache_dir)?);
     Ok(fig.render_with(&runner))
 }
 
@@ -1055,11 +1036,11 @@ fn sweep_run(
     let opts = SweepOptions {
         cache_dir,
         out_dir,
-        engine: args.engine()?,
         quiet: args.flags.contains_key("quiet"),
         require_journal,
         telemetry: args.flags.contains_key("telemetry"),
         anatomy: args.flags.contains_key("anatomy"),
+        ..SweepOptions::default_dirs()
     };
     run_and_report(&spec, &opts)?;
     if let Some(name) = preset_name {
@@ -1235,20 +1216,17 @@ fn cmd_client(args: &Args) -> Result<(), String> {
         .get("id")
         .cloned()
         .unwrap_or_else(|| format!("cli-{}", std::process::id()));
-    // Validate locally for a pre-connection diagnostic; the daemon
-    // re-validates on its side.
-    let engine = args.engine()?.map(Engine::label);
     let status = args.flags.contains_key("status");
     let line = match (status, args.flags.get("preset"), args.flags.get("spec")) {
         (true, None, None) => serve_status_request_line(&id),
-        (false, Some(name), None) => serve_preset_request_line(&id, name, engine),
+        (false, Some(name), None) => serve_preset_request_line(&id, name),
         (false, None, Some(path)) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read spec {path}: {e}"))?;
             // Validate client-side so a typo fails with the spec
             // grammar's diagnostics instead of a remote error line.
             SweepSpec::from_json(&text)?;
-            serve_sweep_request_line(&id, &text, engine)
+            serve_sweep_request_line(&id, &text, None)
         }
         _ => {
             return Err(
@@ -1437,14 +1415,14 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "sim",
         cmd_sim,
         "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed seeds \
-         profile trace metrics json verify engine record top window \
+         profile trace metrics json verify record top window \
          match-every routing no-watchdog anatomy anatomy-out top-k capacity",
     ),
     (
         "explain",
         cmd_explain,
         "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed routing \
-         engine top-k capacity out trace json",
+         top-k capacity out trace json",
     ),
     ("check", cmd_check, "topology vcs all fixture"),
     ("synth", cmd_synth, "topology vcs alloc dense spec"),
@@ -1454,18 +1432,14 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "sweep",
         cmd_sweep,
-        "preset spec out cache-dir engine quiet no-render telemetry anatomy",
+        "preset spec out cache-dir quiet no-render telemetry anatomy",
     ),
     (
         "serve",
         cmd_serve,
         "addr cache-dir out workers quiet selftest",
     ),
-    (
-        "client",
-        cmd_client,
-        "preset spec status addr engine id quiet",
-    ),
+    ("client", cmd_client, "preset spec status addr id quiet"),
     ("top", cmd_top, "once"),
     ("replay", cmd_replay, ""),
     ("audit", cmd_audit, "root fixtures"),
@@ -1589,7 +1563,7 @@ mod tests {
         for (line, msg) in [
             ("check --rate 7", "noc check does not take --rate"),
             (
-                "check --vcs 2 --seeds 3 --engine warp",
+                "check --vcs 2 --seeds 3 --rate 7",
                 "noc check does not take --seeds",
             ),
             ("quality vca --dense", "noc quality does not take --dense"),
@@ -1598,6 +1572,7 @@ mod tests {
             ("--json", "noc help does not take --json"),
             // A flag no command takes stays the parser's error.
             ("check --rat 7", "unknown flag --rat (see noc help)"),
+            ("sim --engine seq", "unknown flag --engine (see noc help)"),
             ("replay dump --", "unknown flag -- (see noc help)"),
         ] {
             assert_eq!(run(line), Err(msg.to_string()), "{line}");
@@ -1646,23 +1621,6 @@ mod tests {
         assert!(fixtures::by_name("no-dateline", 2).is_some());
         assert!(fixtures::by_name("cyclic-vc", 2).is_some());
         assert!(fixtures::by_name("bogus", 2).is_none());
-    }
-
-    #[test]
-    fn engine_flag_parses_and_validates() {
-        assert_eq!(args("sim").engine(), Ok(None));
-        assert_eq!(
-            args("sim --engine seq").engine(),
-            Ok(Some(Engine::Sequential))
-        );
-        assert_eq!(
-            args("sim --engine active").engine(),
-            Ok(Some(Engine::ActiveSet))
-        );
-        for gone in ["par", "auto", "warp"] {
-            let refusal = format!("unknown engine '{gone}' (seq|active)");
-            assert_eq!(args(&format!("sim --engine {gone}")).engine(), Err(refusal));
-        }
     }
 
     #[test]
@@ -1727,10 +1685,9 @@ mod tests {
         let a = args("client --status --addr 127.0.0.1:4009");
         assert!(a.flags.contains_key("status"));
         assert_eq!(a.positional, vec!["client"]);
-        let a = args("client --preset smoke --engine active --id c1");
+        let a = args("client --preset smoke --id c1");
         assert_eq!(a.flags.get("preset").map(String::as_str), Some("smoke"));
         assert_eq!(a.flags.get("id").map(String::as_str), Some("c1"));
-        assert_eq!(a.engine(), Ok(Some(Engine::ActiveSet)));
     }
 
     #[test]

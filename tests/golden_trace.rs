@@ -15,7 +15,7 @@
 //! ```
 
 use noc_obs::{DigestSink, JsonValue};
-use noc_sim::{Engine, Network, SimConfig, TopologyKind};
+use noc_sim::{Network, SimConfig, TopologyKind};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden_traces.json");
 const GOLDEN_SCHEMA: &str = "noc-golden/v1";
@@ -31,9 +31,9 @@ fn golden_cfg(kind: TopologyKind) -> SimConfig {
     SimConfig::paper_baseline(kind, 2)
 }
 
-fn run_digest(cfg: &SimConfig, engine: Engine) -> DigestSink {
+fn run_digest(cfg: &SimConfig) -> DigestSink {
     let mut net = Network::with_sink(cfg.clone(), DigestSink::with_cycle_digests());
-    engine.run(&mut net, CYCLES);
+    net.run(CYCLES);
     let mut sink = net.sink;
     sink.finish_cycles(CYCLES);
     sink
@@ -142,12 +142,7 @@ fn render_golden(entries: &[(String, DigestSink)]) -> String {
 fn bless() {
     let entries: Vec<(String, DigestSink)> = TOPOLOGIES
         .iter()
-        .map(|&(name, kind)| {
-            (
-                name.to_string(),
-                run_digest(&golden_cfg(kind), Engine::Sequential),
-            )
-        })
+        .map(|&(name, kind)| (name.to_string(), run_digest(&golden_cfg(kind))))
         .collect();
     std::fs::write(GOLDEN_PATH, render_golden(&entries))
         .unwrap_or_else(|e| panic!("cannot write golden trace file: {e}"));
@@ -166,31 +161,29 @@ fn golden_traces_match_recorded() {
             .iter()
             .find(|(n, _)| n == name)
             .unwrap_or_else(|| panic!("{name} missing from golden file; re-bless"));
-        // Every engine must reproduce the recorded sequential trace.
-        for engine in [Engine::Sequential, Engine::ActiveSet] {
-            let got = run_digest(&golden_cfg(kind), engine);
-            if got.digest() != want.digest {
-                let cycle = DigestSink::first_divergence(got.cycle_digests(), &want.cycle_digests);
-                panic!(
-                    "{name} (engine '{}'): trace digest {:#018x} != recorded {:#018x} \
-                     ({} vs {} events); first diverging cycle: {:?}\n\
-                     If this change is intended, re-bless with: \
-                     NOC_BLESS=1 cargo test --test golden_trace",
-                    engine.label(),
-                    got.digest(),
-                    want.digest,
-                    got.events(),
-                    want.events,
-                    cycle
-                );
-            }
-            assert_eq!(got.events(), want.events, "{name}: event count drifted");
-            assert_eq!(
-                got.cycle_digests(),
-                &want.cycle_digests[..],
-                "{name}: per-cycle digests drifted with equal final digest"
+        // The digests were recorded stepping every router; the production
+        // loop, which skips the idle ones, must reproduce them.
+        let got = run_digest(&golden_cfg(kind));
+        if got.digest() != want.digest {
+            let cycle = DigestSink::first_divergence(got.cycle_digests(), &want.cycle_digests);
+            panic!(
+                "{name}: trace digest {:#018x} != recorded {:#018x} \
+                 ({} vs {} events); first diverging cycle: {:?}\n\
+                 If this change is intended, re-bless with: \
+                 NOC_BLESS=1 cargo test --test golden_trace",
+                got.digest(),
+                want.digest,
+                got.events(),
+                want.events,
+                cycle
             );
         }
+        assert_eq!(got.events(), want.events, "{name}: event count drifted");
+        assert_eq!(
+            got.cycle_digests(),
+            &want.cycle_digests[..],
+            "{name}: per-cycle digests drifted with equal final digest"
+        );
     }
 }
 

@@ -304,7 +304,7 @@ fn every_reader_refuses_a_damaged_document_or_reads_it_exactly() {
 #[test]
 fn specs_and_requests_name_the_integer_member_they_refuse() {
     let spec = r#"{"name":"t","grids":[{"topology":"mesh","vcs":[1,2],"buf_depth":8,"burst":1,"payload_flits":4,"rates":[0.05],"seeds":[1,2],"warmup":100,"measure":200,"engine":"seq"}]}"#;
-    let request = noc_obs::serve_sweep_request_line("c", spec, Some("active"));
+    let request = noc_obs::serve_sweep_request_line("c", spec, None);
     for (what, mutant) in mutants(&JsonValue::parse(&request).unwrap()) {
         let refused = ServeRequest::parse(&text(&mutant)).err();
         let spec_refused = SweepSpec::from_value(mutant.get("spec").unwrap_or(&mutant)).err();

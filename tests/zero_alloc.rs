@@ -1,8 +1,8 @@
-//! Steady-state allocation audit: after warmup, the cycle loop of every
-//! engine must run without touching the global allocator. The network
-//! keeps its `RouterOutputs` buffer across cycles and the timing wheel
-//! reuses its slot vectors, so a single heap allocation per cycle is a
-//! regression — and one this test catches exactly, via a counting
+//! Steady-state allocation audit: after warmup, the cycle loop must run
+//! without touching the global allocator. The network keeps its
+//! `RouterOutputs` buffer across cycles and the timing wheel reuses its
+//! slot vectors, so a single heap allocation per cycle is a regression —
+//! and one this test catches exactly, via a counting
 //! `#[global_allocator]` wrapped around `System`.
 //!
 //! Measurements share one mutex so the counter is never polluted by a
@@ -10,7 +10,7 @@
 //! separate processes and invisible to this allocator.
 
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind};
-use noc_sim::{Engine, Network, SimConfig, TopologyKind};
+use noc_sim::{Network, SimConfig, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -83,7 +83,7 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> u64 {
 }
 
 #[test]
-fn sequential_engine_steady_state_is_allocation_free() {
+fn cycle_loop_steady_state_is_allocation_free() {
     let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     for topo in [TopologyKind::Mesh8x8, TopologyKind::FlattenedButterfly4x4] {
         let mut n = net(topo);
@@ -91,7 +91,7 @@ fn sequential_engine_steady_state_is_allocation_free() {
         let during = allocs_during(|| n.run(MEASURED));
         assert_eq!(
             during, 0,
-            "seq engine allocated {during} times in {MEASURED} steady-state cycles on {topo:?}"
+            "the cycle loop allocated {during} times in {MEASURED} steady-state cycles on {topo:?}"
         );
     }
     drop(guard);
@@ -165,18 +165,5 @@ fn kernel_paths_steady_state_is_allocation_free() {
              {during} times in {MEASURED} steady-state cycles"
         );
     }
-    drop(guard);
-}
-
-#[test]
-fn active_engine_steady_state_is_allocation_free() {
-    let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let mut n = net(TopologyKind::Mesh8x8);
-    Engine::ActiveSet.run(&mut n, WARMUP);
-    let during = allocs_during(|| Engine::ActiveSet.run(&mut n, MEASURED));
-    assert_eq!(
-        during, 0,
-        "active engine allocated {during} times in {MEASURED} steady-state cycles"
-    );
     drop(guard);
 }
