@@ -202,17 +202,28 @@ impl Figure {
     /// The figure's sizing with the environment overrides applied — the
     /// one place `NOC_WARMUP` / `NOC_MEASURE` / `NOC_TRIALS` are read, so
     /// paper-scale runs (`NOC_TRIALS=10000`, `NOC_MEASURE=10000`, …) and
-    /// quick ones go through the same entry.
-    fn sizing(&self) -> (u64, u64, usize) {
-        fn env<T: std::str::FromStr>(name: &str, default: T) -> T {
-            let set = std::env::var(name).ok();
-            set.and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// quick ones go through the same entry. An override that does not
+    /// parse, or zero trials, is refused rather than ignored.
+    fn sizing(&self) -> Result<(u64, u64, usize), String> {
+        fn env<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
+            let Some(v) = std::env::var_os(name) else {
+                return Ok(None);
+            };
+            let v = v.to_string_lossy();
+            v.parse()
+                .map(Some)
+                .map_err(|_| format!("invalid value '{v}' for {name}"))
         }
-        (
-            env("NOC_WARMUP", self.warmup),
-            env("NOC_MEASURE", self.measure),
-            env("NOC_TRIALS", self.trials),
-        )
+        let (warmup, measure, trials) =
+            (env("NOC_WARMUP")?, env("NOC_MEASURE")?, env("NOC_TRIALS")?);
+        if trials == Some(0) {
+            return Err("NOC_TRIALS must be at least 1".to_string());
+        }
+        Ok((
+            warmup.unwrap_or(self.warmup),
+            measure.unwrap_or(self.measure),
+            trials.unwrap_or(self.trials),
+        ))
     }
 
     /// The sweep that pre-computes this figure's grid at a `(warmup,
@@ -229,9 +240,9 @@ impl Figure {
     }
 
     /// [`Figure::spec_at`] the env-resolved window.
-    pub fn spec(&self) -> Option<SweepSpec> {
-        let (warmup, measure, _) = self.sizing();
-        self.spec_at(warmup, measure)
+    pub fn spec(&self) -> Result<Option<SweepSpec>, String> {
+        let (warmup, measure, _) = self.sizing()?;
+        Ok(self.spec_at(warmup, measure))
     }
 
     /// The figure's text at the sizing `ctx` carries.
@@ -244,14 +255,14 @@ impl Figure {
 
     /// The figure's text at its env-resolved sizing, every simulation
     /// produced by `run`.
-    pub fn render_with(&self, run: &SimRunner) -> String {
-        let (warmup, measure, trials) = self.sizing();
-        self.text(&FigCtx {
+    pub fn render_with(&self, run: &SimRunner) -> Result<String, String> {
+        let (warmup, measure, trials) = self.sizing()?;
+        Ok(self.text(&FigCtx {
             run,
             warmup,
             measure,
             trials,
-        })
+        }))
     }
 
     /// The file under `results/` (or `noc fig --out DIR`) holding this
@@ -279,7 +290,8 @@ pub fn figure(name: &str) -> Result<&'static Figure, String> {
 /// Resolves a sweep preset — a figure with a grid — by name; the error
 /// names every preset.
 pub fn preset_spec(name: &str) -> Result<SweepSpec, String> {
-    figure(name).ok().and_then(Figure::spec).ok_or_else(|| {
+    let spec = figure(name).ok().map(Figure::spec).transpose()?;
+    spec.flatten().ok_or_else(|| {
         format!(
             "unknown preset '{name}' (available: {})",
             names(|f| f.grid.is_some())

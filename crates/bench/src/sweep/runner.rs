@@ -11,6 +11,10 @@
 //! 3. **computed** — the point is simulated (via [`run_many`]'s worker
 //!    pool), stored in the cache, then journaled.
 //!
+//! A point whose digest the spec already produced is resolved once: the
+//! repeats share its result and count as cache hits (journal skips if it
+//! was one), so `computed` is the number of distinct points simulated.
+//!
 //! The journal append happens only after the cache store succeeds, so a
 //! crash at any instant leaves the invariant "journaled ⇒ cached" intact
 //! and the resumed run recomputes zero points.
@@ -24,6 +28,7 @@ use noc_obs::{
     TelemetryHeader, ToJson,
 };
 use noc_sim::{run_many, run_sim, Run, SimConfig, SimResult, TelemetryOptions};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -202,10 +207,17 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
         points: points.len(),
     };
     let (journal, done) = Journal::open(&journal_path, &header)?;
-    let meter = ProgressMeter::new(points.len());
+    // A digest the spec repeats is resolved once, at its first point.
+    let mut seen = HashMap::new();
+    let first: Vec<usize> = (digests.iter().enumerate())
+        .map(|(i, digest)| *seen.entry(digest).or_insert(i))
+        .collect();
+    let unique: Vec<usize> = (0..points.len()).filter(|&i| first[i] == i).collect();
+    let meter = ProgressMeter::new(unique.len());
 
     let outcomes: Vec<Result<(SimResult, &'static str, u64), String>> =
-        run_many(points.len(), |i| {
+        run_many(unique.len(), |u| {
+            let i = unique[u];
             let point = &points[i];
             let digest = &digests[i];
             let journaled = done.contains(digest);
@@ -232,11 +244,21 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
             Ok((result, source, wall_ms))
         });
 
-    let mut results = Vec::with_capacity(points.len());
-    let mut manifest_points = Vec::with_capacity(points.len());
+    let mut results: Vec<SimResult> = Vec::with_capacity(points.len());
+    let mut manifest_points: Vec<SweepManifestPoint> = Vec::with_capacity(points.len());
     let (mut computed, mut cache_hits, mut journal_skips) = (0usize, 0usize, 0usize);
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        let (result, source, wall_ms) = outcome?;
+    let mut outcomes = outcomes.into_iter();
+    for (i, &first) in first.iter().enumerate() {
+        let outcome = if first == i { outcomes.next() } else { None };
+        let (result, source, wall_ms) = match outcome {
+            Some(outcome) => outcome?,
+            // A repeat takes its first point's result: a cache hit if that
+            // one was computed here, otherwise the same kind of hit.
+            None => match manifest_points[first].source {
+                "computed" => (results[first].clone(), "cache", 0),
+                source => (results[first].clone(), source, 0),
+            },
+        };
         match source {
             "computed" => computed += 1,
             "cache" => cache_hits += 1,

@@ -433,6 +433,76 @@ mod tests {
         digests.sort();
         digests.dedup();
         assert_eq!(digests.len(), 12);
+
+        // Seeded random specs, with repeated axis values: the count is the
+        // product of the axis lengths, two points share a digest exactly
+        // when their configs and windows are equal, and `expand` is stable.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::HashMap;
+        /// Up to three values from `pool`, at most 48 points a grid.
+        fn axis<T: Copy>(rng: &mut StdRng, points: &mut usize, pool: &[T]) -> Vec<T> {
+            let len = rng.gen_range(1..=3usize).min(48 / *points);
+            *points *= len;
+            (0..len)
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect()
+        }
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut repeats = 0;
+        for _ in 0..200 {
+            let mut expected = 0;
+            let grids = (0..rng.gen_range(1..=2usize)).map(|_| {
+                let n = &mut 1;
+                let sa = crate::figures::SW_FIGURE_KINDS.map(|(_, kind)| kind);
+                let grid = SweepGrid {
+                    topology: axis(
+                        &mut rng,
+                        n,
+                        &[TopologyKind::Mesh8x8, TopologyKind::Torus8x8],
+                    ),
+                    vcs: axis(&mut rng, n, &[1, 2]),
+                    vca: axis(&mut rng, n, &AllocatorKind::QUALITY_FIGURE_KINDS),
+                    vca_sparse: axis(&mut rng, n, &[false, true]),
+                    sa: axis(&mut rng, n, &sa),
+                    spec_mode: axis(&mut rng, n, &SpecMode::ALL),
+                    pattern: axis(
+                        &mut rng,
+                        n,
+                        &[TrafficPattern::UniformRandom, TrafficPattern::Transpose],
+                    ),
+                    buf_depth: axis(&mut rng, n, &[4, 8]),
+                    burst: axis(&mut rng, n, &[1, 2]),
+                    payload_flits: axis(&mut rng, n, &[1, 4]),
+                    rates: axis(&mut rng, n, &[0.1, 0.2]),
+                    seeds: axis(&mut rng, n, &[1, 2]),
+                    warmup: [50, 100][rng.gen_range(0..2usize)],
+                    measure: [100, 200][rng.gen_range(0..2usize)],
+                };
+                expected += *n;
+                grid
+            });
+            let spec = SweepSpec {
+                name: "random".into(),
+                grids: grids.collect(),
+            };
+            let pts = spec.expand();
+            assert_eq!(pts.len(), expected);
+            let digests: Vec<String> = pts.iter().map(SweepPoint::digest).collect();
+            let (mut config_of, mut digest_of) = (HashMap::new(), HashMap::new());
+            for (p, digest) in pts.iter().zip(&digests) {
+                let config = format!("{:?} {} {}", p.cfg, p.warmup, p.measure);
+                assert_eq!(config_of.entry(digest).or_insert(config.clone()), &config);
+                assert_eq!(*digest_of.entry(config).or_insert(digest), digest);
+            }
+            repeats += pts.len() - config_of.len();
+            let again: Vec<(String, String)> = (spec.expand().iter())
+                .map(|p| (p.label.clone(), p.digest()))
+                .collect();
+            let first: Vec<(String, String)> =
+                (pts.iter().map(|p| p.label.clone())).zip(digests).collect();
+            assert_eq!(again, first);
+        }
+        assert!(repeats > 0, "no random grid repeated a value");
     }
 
     #[test]

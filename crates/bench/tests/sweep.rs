@@ -158,6 +158,34 @@ fn cache_is_shared_across_sweeps() {
 }
 
 #[test]
+fn a_repeated_point_is_simulated_and_journaled_once() {
+    let root = scratch("repeat");
+    let mut spec = tiny_spec("r");
+    spec.grids[0].rates = vec![0.10, 0.05, 0.10, 0.10];
+    let out = run_sweep(&spec, &opts(&root)).unwrap();
+    assert_eq!(
+        (out.total, out.computed, out.cache_hits, out.journal_skips),
+        (4, 2, 2, 0),
+        "two distinct digests simulated; the repeats are hits"
+    );
+    let journal = fs::read_to_string(&out.journal_path).unwrap();
+    assert_eq!(
+        journal.lines().count(),
+        1 + 2,
+        "header + one record per digest"
+    );
+    let json: Vec<String> = out.results.iter().map(|r| r.to_json_full()).collect();
+    assert_eq!((&json[0], &json[0]), (&json[2], &json[3]));
+    assert_ne!(json[0], json[1]);
+    let again = run_sweep(&spec, &opts(&root)).unwrap();
+    assert_eq!(
+        (again.computed, again.cache_hits, again.journal_skips),
+        (0, 0, 4)
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn preset_render_from_cache_is_bit_identical_to_direct() {
     let (warmup, measure) = (100, 200);
     let mut presets = 0;

@@ -18,13 +18,11 @@
 //! the bench workload matrix; [`fixtures`] provides deliberately-deadlocked
 //! designs the checker must reject.
 
-pub mod audit;
 pub mod cdg;
 pub mod fixtures;
 pub mod model;
 pub mod wiring;
 
-pub use audit::{audit_fixtures, audit_workspace, AuditFinding, AuditReport};
 pub use cdg::{ChannelDependencyGraph, Cycle};
 pub use fixtures::Fixture;
 pub use model::RouteModel;

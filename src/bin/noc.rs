@@ -72,7 +72,6 @@ USAGE:
               [--id ID] [--quiet]
   noc top     DUMP [--once]
   noc replay  DUMP
-  noc audit   [--root DIR] [--fixtures]
   noc help
 
 KIND (allocator): sep_if_rr sep_if_m sep_of_rr sep_of_m wf
@@ -128,18 +127,6 @@ Latency anatomy (noc explain / noc sim --anatomy):
                           summary (--anatomy-out FILE also writes the dump)
   noc sweep run --anatomy write a <digest>.anatomy.jsonl dump per computed
                           point, linked from the sweep manifest
-
-Soundness (noc audit):
-  noc audit               static soundness gate: walks every workspace .rs
-                          file and fails on `unsafe` outside the allowlist,
-                          `unsafe` without a nearby SAFETY: comment,
-                          `Ordering::Relaxed` without a RELAXED: audit
-                          note, or a crate root missing its unsafe-code
-                          lint guard
-  --root DIR              workspace root to audit (default .)
-  --fixtures              also check the negative fixtures under
-                          crates/check/fixtures/audit: every one must be
-                          flagged, proving the auditor has teeth
 
 Statistics (noc sim):
   --seeds N               replicate the run over N seeds: auto-detected
@@ -261,7 +248,6 @@ const BARE_FLAGS: &[&str] = &[
     "all",
     "anatomy",
     "dense",
-    "fixtures",
     "json",
     "no-render",
     "no-watchdog",
@@ -905,6 +891,9 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
     let rate: f64 = args.get("rate", 0.5)?;
     let spec = args.design_spec(2, rate)?;
     let trials: usize = args.get("trials", 3000)?;
+    if trials == 0 {
+        return Err("--trials must be at least 1".to_string());
+    }
     match what {
         "vca" => {
             let cfg = noc_quality::VcQualityConfig {
@@ -1013,7 +1002,7 @@ fn run_and_report(spec: &SweepSpec, opts: &SweepOptions) -> Result<(), String> {
 /// for next time) may still simulate.
 fn render_cached(fig: &Figure, opts: &SweepOptions) -> Result<String, String> {
     let runner = cached_runner(ResultCache::new(&opts.cache_dir)?);
-    Ok(fig.render_with(&runner))
+    fig.render_with(&runner)
 }
 
 fn sweep_run(
@@ -1069,6 +1058,9 @@ fn cmd_fig(args: &Args) -> Result<(), String> {
         (false, names) => (names.iter().map(|n| figure(n))).collect::<Result<_, _>>()?,
         (true, _) => return Err("fig takes NAME... or --all, not both".to_string()),
     };
+    // Resolved up front, so a bad sizing override is refused before any
+    // figure runs.
+    let specs = (figs.iter().map(|f| f.spec())).collect::<Result<Vec<_>, _>>()?;
     let cache_dir = sweep_dirs(args).0;
     let opts = SweepOptions {
         out_dir: cache_dir.clone(),
@@ -1081,8 +1073,8 @@ fn cmd_fig(args: &Args) -> Result<(), String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    for fig in figs {
-        if let Some(spec) = fig.spec() {
+    for (fig, spec) in figs.into_iter().zip(specs) {
+        if let Some(spec) = spec {
             run_and_report(&spec, &opts)?;
         }
         let text = render_cached(fig, &opts)?;
@@ -1351,55 +1343,6 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `noc audit` — the static soundness gate (see `noc_check::audit`).
-/// Exits nonzero on any finding, so CI can call it directly; `--fixtures`
-/// additionally requires every negative fixture to be flagged.
-fn cmd_audit(args: &Args) -> Result<(), String> {
-    let root = std::path::PathBuf::from(args.flags.get("root").map(String::as_str).unwrap_or("."));
-    if !root.join("crates").is_dir() {
-        return Err(format!(
-            "'{}' does not look like the workspace root (no crates/ \
-             directory); pass --root DIR",
-            root.display()
-        ));
-    }
-    let report =
-        noc_check::audit_workspace(&root).map_err(|e| format!("audit walk failed: {e}"))?;
-    print!("{}", report.render());
-    let mut failed = !report.passed();
-    if args.flags.contains_key("fixtures") {
-        let fixtures =
-            noc_check::audit_fixtures(&root).map_err(|e| format!("fixture walk failed: {e}"))?;
-        if fixtures.is_empty() {
-            return Err("no audit fixtures found".to_string());
-        }
-        for (path, rep) in fixtures {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| path.display().to_string());
-            if rep.passed() {
-                println!("[FAIL] fixture {name}: not flagged — the auditor has lost its teeth");
-                failed = true;
-            } else {
-                println!(
-                    "[OK]   fixture {name}: flagged as expected ({})",
-                    rep.findings
-                        .iter()
-                        .map(|f| f.rule)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-            }
-        }
-    }
-    if failed {
-        Err("audit failed".to_string())
-    } else {
-        Ok(())
-    }
-}
-
 fn cmd_help(_: &Args) -> Result<(), String> {
     println!("{HELP}");
     Ok(())
@@ -1442,7 +1385,6 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ("client", cmd_client, "preset spec status addr id quiet"),
     ("top", cmd_top, "once"),
     ("replay", cmd_replay, ""),
-    ("audit", cmd_audit, "root fixtures"),
     ("help", cmd_help, ""),
 ];
 

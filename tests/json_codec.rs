@@ -409,48 +409,3 @@ proptest! {
         }
     }
 }
-
-/// One codec: outside `crates/obs/src/json.rs`, production code (`src/` and
-/// `crates/*/src`, up to a file's `#[cfg(test)]`) spells no JSON member by
-/// hand — an escaped `\"key\":` literal — and casts no parsed number with
-/// `as`. The next schema gets a `ToJson` impl and the `*_at` accessors.
-#[test]
-fn production_code_has_no_hand_rolled_json() {
-    let key_literal = |line: &str| {
-        line.match_indices("\\\"").any(|(at, _)| {
-            let rest = &line[at + 2..];
-            let name = rest
-                .bytes()
-                .take_while(|b| b.is_ascii_alphanumeric() || *b == b'_');
-            let name = name.count();
-            name > 0 && rest[name..].starts_with("\\\":")
-        })
-    };
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    noc_check::audit::collect_rs(&root.join("src"), &mut files).unwrap();
-    noc_check::audit::collect_rs(&root.join("crates"), &mut files).unwrap();
-    files.retain(|f| f.components().any(|c| c.as_os_str() == "src"));
-    assert!(files.len() > 80, "the walk found {} files", files.len());
-    let mut found = Vec::new();
-    for file in files
-        .iter()
-        .filter(|f| !f.ends_with("crates/obs/src/json.rs"))
-    {
-        let source = std::fs::read_to_string(file).unwrap();
-        let production = source.split("#[cfg(test)]").next().unwrap();
-        for (n, line) in production.lines().enumerate() {
-            if key_literal(line) {
-                found.push(format!("{}:{}: key literal", file.display(), n + 1));
-            }
-        }
-        for (at, _) in production.match_indices("as_f64()") {
-            let statement = production[at..].split(';').next().unwrap();
-            if statement.contains(" as u") || statement.contains(" as i") {
-                let n = production[..at].lines().count();
-                found.push(format!("{}:{n}: cast of a parsed number", file.display()));
-            }
-        }
-    }
-    assert!(found.is_empty(), "hand-rolled JSON:\n{}", found.join("\n"));
-}

@@ -9,6 +9,10 @@
 //! concurrently running test in this binary; other test binaries are
 //! separate processes and invisible to this allocator.
 
+// `GlobalAlloc`'s methods are unsafe to implement: this file is the one
+// place in the workspace that opts out of the `unsafe_code` lint.
+#![allow(unsafe_code)]
+
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind};
 use noc_sim::{Network, SimConfig, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
