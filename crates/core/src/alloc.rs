@@ -30,6 +30,22 @@ pub trait Allocator {
         *grants = self.allocate(requests);
     }
 
+    /// [`Allocator::allocate`] fed by entries: `requests` lists the
+    /// requested `(row, col)` entries in any order, and `grants` is
+    /// cleared and refilled with the granted entries in ascending row
+    /// order. A caller that builds its requests entry by entry skips the
+    /// request and grant matrices this way. The default goes through a
+    /// [`BitMatrix`]; the wavefront feeds its diagonal kernel directly.
+    fn allocate_entries(&mut self, requests: &[(usize, usize)], grants: &mut Vec<(usize, usize)>) {
+        let requests = BitMatrix::from_entries(
+            self.num_requesters(),
+            self.num_resources(),
+            requests.iter().copied(),
+        );
+        grants.clear();
+        grants.extend(self.allocate(&requests).iter_set());
+    }
+
     /// Restores power-on priority state.
     fn reset(&mut self);
 }

@@ -297,7 +297,7 @@ pub struct WavefrontSwitchAllocator {
     vcs: usize,
     wavefront: WavefrontAllocator,
     presel: Vec<Box<dyn Arbiter + Send>>,
-    port_grants: BitMatrix,
+    matched: BitMatrix,
 }
 
 impl WavefrontSwitchAllocator {
@@ -310,7 +310,7 @@ impl WavefrontSwitchAllocator {
             presel: (0..ports * ports)
                 .map(|_| ArbiterKind::RoundRobin.build(vcs))
                 .collect(),
-            port_grants: BitMatrix::new(ports, ports),
+            matched: BitMatrix::new(ports, ports),
         }
     }
 }
@@ -338,10 +338,10 @@ impl SwitchAllocator for WavefrontSwitchAllocator {
             return;
         }
         self.wavefront
-            .allocate_into(requests.port_requests(), &mut self.port_grants);
+            .allocate_into(requests.port_requests(), &mut self.matched);
         let ports = self.ports;
-        let (port_grants, presel) = (&self.port_grants, &mut self.presel);
-        for (i, o) in port_grants.iter_set() {
+        let (matched, presel) = (&self.matched, &mut self.presel);
+        for (i, o) in matched.iter_set() {
             let arb = &mut presel[i * ports + o];
             // The wavefront core only grants port pairs that requested.
             let Some(v) = arb.arbitrate(&requests.vcs_for_output(i, o)) else {

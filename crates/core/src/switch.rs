@@ -628,9 +628,6 @@ pub struct WavefrontSwitchAllocator {
     /// VC at input `i` that will use output `o` if granted — one contiguous
     /// bank.
     presel: ArbiterBank,
-    /// Grant scratch matrix, kept across calls so steady-state allocation
-    /// stays at zero.
-    port_grants: BitMatrix,
 }
 
 impl WavefrontSwitchAllocator {
@@ -643,7 +640,6 @@ impl WavefrontSwitchAllocator {
             vcs,
             wavefront: WavefrontAllocator::new(ports, ports),
             presel: ArbiterBank::new(ArbiterKind::RoundRobin, ports * ports, vcs),
-            port_grants: BitMatrix::new(ports, ports),
         }
     }
 }
@@ -670,23 +666,26 @@ impl SwitchAllocator for WavefrontSwitchAllocator {
         if requests.is_empty() {
             return;
         }
-        self.wavefront
-            .allocate_into(requests.port_requests(), &mut self.port_grants);
-        let ports = self.ports;
-        for (i, o) in self.port_grants.iter_set() {
+        // The port-level request entries, straight from the port words.
+        let port = requests.port_requests();
+        let entries = bits_of(requests.active_inputs_word())
+            .flat_map(|i| bits_of(port.row(i).low_word()).map(move |o| (i, o)));
+        let (ports, presel) = (self.ports, &mut self.presel);
+        // Grants arrive in ascending input-port order.
+        self.wavefront.allocate_with(entries, |i, o| {
             let (pair, requesting) = (i * ports + o, requests.vcs_for_output_word(i, o));
             // The wavefront core only grants port pairs that requested.
-            let Some(v) = self.presel.arbitrate(pair, requesting) else {
+            let Some(v) = presel.arbitrate(pair, requesting) else {
                 debug_assert!(false, "wavefront granted a port pair with no requesting VC");
-                continue;
+                return;
             };
-            self.presel.update(pair, v);
+            presel.update(pair, v);
             out.push(SwitchGrant {
                 in_port: i,
                 vc: v,
                 out_port: o,
             });
-        }
+        });
     }
 
     fn reset(&mut self) {

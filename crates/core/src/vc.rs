@@ -916,8 +916,8 @@ impl SeparableVcAllocator {
 /// Dense: one core over the full `P*V × P*V` request space. Sparse: `M`
 /// independent cores of `P*V/M` inputs each, one per message class — exactly
 /// the replacement of the `P*V`-input block by `M` smaller blocks that §4.2
-/// describes — whose matrices are filled straight from the full request
-/// array.
+/// describes — fed request entries straight from the full request array
+/// through [`Allocator::allocate_entries`].
 pub struct MatrixVcAllocator {
     spec: VcAllocSpec,
     /// VC indices per block and port: `V` (dense) or `V/M` (sparse).
@@ -930,11 +930,12 @@ pub struct MatrixVcAllocator {
 
 struct MatrixBlock {
     inner: Box<dyn Allocator + Send>,
-    /// Reusable `P*span × P*span` request matrix. All-zero between calls.
-    matrix: BitMatrix,
-    /// Reusable grant matrix, filled via [`Allocator::allocate_into`] so
-    /// kernel-backed cores stay zero-alloc.
-    grants: BitMatrix,
+    /// This call's block-local request entries `(row, col)`.
+    entries: Vec<(usize, usize)>,
+    /// This call's grants, ascending by row.
+    granted: Vec<(usize, usize)>,
+    /// How many of `granted` have been read back.
+    read: usize,
 }
 
 impl MatrixVcAllocator {
@@ -961,8 +962,10 @@ impl MatrixVcAllocator {
             blocks: (0..spec.total_vcs() / span)
                 .map(|_| MatrixBlock {
                     inner: core(n),
-                    matrix: BitMatrix::new(n, n),
-                    grants: BitMatrix::new(n, n),
+                    // A row's candidates lie in one port's span.
+                    entries: Vec::with_capacity(n * span),
+                    granted: Vec::with_capacity(n),
+                    read: 0,
                 })
                 .collect(),
             span,
@@ -1029,33 +1032,46 @@ impl MatrixVcAllocator {
         // Where input VC `g` lives: its in-port VC index, its block, the
         // block's first VC index, and its block-local row — the message
         // class is dropped from the VC index, `p * span + (vc - base)`.
+        // Within one block, ascending `g` is ascending row.
         let place = |g: usize| {
             let (ip, iv) = (g / v, g % v);
             let window = arbiter_window(spec, span, iv);
             (iv, window, window * span, ip * span + iv - window * span)
         };
+        for block in blocks.iter_mut() {
+            block.entries.clear();
+        }
         requests.for_each(|g, out_port, classes| {
             let (iv, window, base, row) = place(g);
             validate_request(spec, iv, out_port, classes);
-            let row = blocks[window].matrix.row_mut(row);
+            let entries = &mut blocks[window].entries;
+            // Candidates lie in the block's window: `ov >= base`.
             let col0 = out_port * span;
             for ov in bits_of(candidate_word(spec, iv, out_port, classes, free_out)) {
-                row.set(col0 + ov - base, true);
+                entries.push((row, col0 + ov - base));
             }
         });
         for block in blocks.iter_mut() {
-            block.inner.allocate_into(&block.matrix, &mut block.grants);
+            block
+                .inner
+                .allocate_entries(&block.entries, &mut block.granted);
+            block.read = 0;
         }
+        // Merge the blocks' ascending grant lists back into input-VC order.
         grants.clear();
         requests.for_each(|g, port, _| {
             let (_, window, base, row) = place(g);
-            blocks[window].matrix.row_mut(row).clear();
-            // Every candidate column lies at the requested port.
-            if let Some(col) = blocks[window].grants.row(row).first_set() {
-                let vc = col + base - port * span;
-                grants.push((g, OutVc { port, vc }));
+            let block = &mut blocks[window];
+            if let Some(&(r, col)) = block.granted.get(block.read) {
+                if r == row {
+                    block.read += 1;
+                    // Every candidate column lies at the requested port.
+                    let vc = col + base - port * span;
+                    grants.push((g, OutVc { port, vc }));
+                }
             }
         });
+        debug_assert!(blocks.iter().all(|b| b.read == b.granted.len()));
     }
 }
 

@@ -43,17 +43,24 @@ pub enum DiagonalPolicy {
 }
 
 /// Working set of the diagonal kernel for an `n × n` array, every set
-/// `⌈n/64⌉` words wide and sized once at construction.
+/// `⌈n/64⌉` words wide and sized once at construction. `diag` and
+/// `occupied` are all-zero between calls: a call zeroes exactly the
+/// diagonals it filled.
 struct DiagonalScratch {
-    /// Words per row/column set.
+    /// Words per row/column/diagonal set.
     words: usize,
     /// `diag[d * words..][..words]`: the rows with a request on wrapped
     /// diagonal `d` (bit `i` set iff entry `(i, (d - i) mod n)` is
     /// requested).
     diag: Vec<u64>,
+    /// The diagonals with at least one request.
+    occupied: Vec<u64>,
     /// Rows / columns not yet granted in the current sweep.
     row_free: Vec<u64>,
     col_free: Vec<u64>,
+    /// `col_of[i]`: the column granted to row `i`, meaningful only where
+    /// the sweep cleared `i` from `row_free`.
+    col_of: Vec<usize>,
 }
 
 impl DiagonalScratch {
@@ -62,20 +69,21 @@ impl DiagonalScratch {
         DiagonalScratch {
             words,
             diag: vec![0; n * words],
+            occupied: vec![0; words],
             row_free: vec![0; words],
             col_free: vec![0; words],
+            col_of: vec![0; n],
         }
     }
 }
 
-/// Sets the lowest `n` bits of the word-array set `set`, clears the rest.
-fn fill_ones(set: &mut [u64], n: usize) {
-    for (w, word) in set.iter_mut().enumerate() {
-        *word = match n.saturating_sub(w * 64) {
-            0 => 0,
-            live @ 1..=63 => (1 << live) - 1,
-            _ => u64::MAX,
-        };
+/// Word `w` of the set holding the lowest `n` bits.
+#[inline]
+fn ones_word(n: usize, w: usize) -> u64 {
+    match n.saturating_sub(w * 64) {
+        0 => 0,
+        live @ 1..=63 => (1 << live) - 1,
+        _ => u64::MAX,
     }
 }
 
@@ -112,113 +120,150 @@ impl WavefrontAllocator {
     pub fn allocate_with_diagonal(&self, requests: &BitMatrix, start: usize) -> BitMatrix {
         let mut grants = BitMatrix::new(self.requesters, self.resources);
         let mut scratch = DiagonalScratch::new(self.n);
+        self.check_dims(requests, &grants);
         sweep(
             self.requesters,
             self.resources,
             &mut scratch,
-            requests,
+            requests.iter_set(),
             start,
-            &mut grants,
+            |i, j| grants.set(i, j, true),
         );
         grants
     }
 
-    /// [`WavefrontAllocator::allocate_with_diagonal`] into a caller-owned
-    /// grant matrix using the allocator's own scratch, so a per-cycle
-    /// caller never allocates.
-    pub fn allocate_with_diagonal_into(
+    /// The entry-fed allocation behind every rotating entry point — the
+    /// switch allocator's, [`Allocator::allocate_entries`] and the
+    /// [`Allocator::allocate_into`] adapter: `requests` are the requested
+    /// `(row, col)` entries in any order (a repeat is harmless), and
+    /// `grant(row, col)` is called once per grant in ascending row order.
+    /// Advances the rotating diagonal exactly like [`Allocator::allocate`]
+    /// and never allocates.
+    pub(crate) fn allocate_with(
         &mut self,
-        requests: &BitMatrix,
-        start: usize,
-        grants: &mut BitMatrix,
+        requests: impl IntoIterator<Item = (usize, usize)>,
+        grant: impl FnMut(usize, usize),
     ) {
         sweep(
             self.requesters,
             self.resources,
             &mut self.scratch,
             requests,
-            start,
-            grants,
+            self.diagonal,
+            grant,
         );
-    }
-
-    /// [`Allocator::allocate`] into a caller-owned grant matrix (advances
-    /// the rotating diagonal exactly like `allocate`).
-    pub fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
-        self.allocate_with_diagonal_into(requests, self.diagonal, grants);
         if self.policy == DiagonalPolicy::Rotating {
             self.diagonal = (self.diagonal + 1) % self.n;
         }
+    }
+
+    fn check_dims(&self, requests: &BitMatrix, grants: &BitMatrix) {
+        assert_eq!(requests.num_rows(), self.requesters);
+        assert_eq!(requests.num_cols(), self.resources);
+        assert_eq!(grants.num_rows(), self.requesters);
+        assert_eq!(grants.num_cols(), self.resources);
     }
 }
 
 /// The diagonal-propagation kernel.
 ///
 /// Entry `(i, j)` lies on wrapped diagonal `(i + j) mod n`. Scattering the
-/// request matrix into per-diagonal *row sets* (`diag[d]` bit `i` set iff
-/// requester `i` has a request on diagonal `d`) turns the wavefront sweep
-/// into: for each diagonal from `start`, take `diag[d] & row_free` word by
-/// word, pop rows in ctz order, and grant where the implied column is still
-/// free. Entries on one diagonal touch each row and column at most once, so
-/// the pop order within a diagonal cannot change the outcome — the grant set
+/// request entries into per-diagonal *row sets* (`diag[d]` bit `i` set iff
+/// requester `i` has a request on diagonal `d`), and marking `d` in the
+/// `occupied` set, turns the wavefront sweep into: for each occupied
+/// diagonal from `start` around, take `diag[d] & row_free` word by word,
+/// pop rows in ctz order, and grant where the implied column is still free.
+/// Diagonals without a request cannot grant, so they are never visited.
+/// Entries on one diagonal touch each row and column at most once, so the
+/// pop order within a diagonal cannot change the outcome — the grant set
 /// is identical to the scalar reference sweep, which the differential suite
 /// asserts exhaustively for small arrays and on random streams up to
-/// n = 200. Cost is O(requests + n·⌈n/64⌉) instead of the reference's O(n²).
+/// n = 200. Each visited diagonal is zeroed as it goes; once every row or
+/// every column is granted the sweep stops granting but still zeroes the
+/// occupied diagonals it did not reach, so the scratch is all-zero for the
+/// next call. Grants are reported in ascending row order from `col_of`.
+/// Cost is O(requests + occupied diagonals · ⌈n/64⌉) instead of the
+/// reference's O(n²).
 fn sweep(
     requesters: usize,
     resources: usize,
     scratch: &mut DiagonalScratch,
-    requests: &BitMatrix,
+    requests: impl IntoIterator<Item = (usize, usize)>,
     start: usize,
-    grants: &mut BitMatrix,
+    mut grant: impl FnMut(usize, usize),
 ) {
-    assert_eq!(requests.num_rows(), requesters);
-    assert_eq!(requests.num_cols(), resources);
-    assert_eq!(grants.num_rows(), requesters);
-    assert_eq!(grants.num_cols(), resources);
-    grants.clear();
     let n = requesters.max(resources);
     let DiagonalScratch {
         words,
         diag,
+        occupied,
         row_free,
         col_free,
+        col_of,
     } = scratch;
     let words = *words;
-    diag.fill(0);
-    for i in 0..requesters {
-        for j in requests.row(i).iter_set() {
-            let d = if i + j >= n { i + j - n } else { i + j };
-            diag[d * words + i / 64] |= 1 << (i % 64);
-        }
+    for (i, j) in requests {
+        assert!(
+            i < requesters && j < resources,
+            "request ({i}, {j}) outside {requesters}x{resources}"
+        );
+        let d = if i + j >= n { i + j - n } else { i + j };
+        diag[d * words + i / 64] |= 1 << (i % 64);
+        occupied[d / 64] |= 1 << (d % 64);
     }
-    fill_ones(row_free, requesters);
-    fill_ones(col_free, resources);
+    for w in 0..words {
+        row_free[w] = ones_word(requesters, w);
+        col_free[w] = ones_word(resources, w);
+    }
     // Each grant retires one row and one column; once either side is
     // exhausted no later diagonal can add a grant.
     let mut left = requesters.min(resources);
-    let mut d = start % n;
-    for _ in 0..n {
-        for w in 0..words {
-            let mut cand = diag[d * words + w] & row_free[w];
-            while cand != 0 {
-                let i = w * 64 + cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                // Bits in `diag` come only from real requests, so `j`
-                // is always a legal column (< resources).
-                let j = if d >= i { d - i } else { d + n - i };
-                if col_free[j / 64] >> (j % 64) & 1 != 0 {
-                    grants.set(i, j, true);
-                    row_free[i / 64] &= !(1 << (i % 64));
-                    col_free[j / 64] &= !(1 << (j % 64));
-                    left -= 1;
+    // The occupied diagonals in sweep order: from `start`'s word upward
+    // (its bits below `start` masked off), around through the lower
+    // words, and finally `start`'s word again for the bits below `start`.
+    let start = start % n;
+    let (first, below) = (start / 64, (1u64 << (start % 64)) - 1);
+    for k in 0..=words {
+        let w = (first + k) % words;
+        let mut occ = occupied[w]
+            & match k {
+                0 => !below,
+                k if k == words => below,
+                _ => u64::MAX,
+            };
+        while occ != 0 {
+            let d = w * 64 + occ.trailing_zeros() as usize;
+            occ &= occ - 1;
+            let rows = &mut diag[d * words..][..words];
+            if left > 0 {
+                for (rw, set) in rows.iter().enumerate() {
+                    let mut cand = set & row_free[rw];
+                    while cand != 0 {
+                        let i = rw * 64 + cand.trailing_zeros() as usize;
+                        cand &= cand - 1;
+                        // Bits in `diag` come only from real requests, so
+                        // `j` is always a legal column (< resources).
+                        let j = if d >= i { d - i } else { d + n - i };
+                        if col_free[j / 64] >> (j % 64) & 1 != 0 {
+                            col_of[i] = j;
+                            row_free[rw] &= !(1 << (i % 64));
+                            col_free[j / 64] &= !(1 << (j % 64));
+                            left -= 1;
+                        }
+                    }
                 }
             }
+            rows.fill(0);
         }
-        if left == 0 {
-            break;
+    }
+    occupied.fill(0);
+    for w in 0..words {
+        let mut granted = ones_word(requesters, w) & !row_free[w];
+        while granted != 0 {
+            let i = w * 64 + granted.trailing_zeros() as usize;
+            granted &= granted - 1;
+            grant(i, col_of[i]);
         }
-        d = if d + 1 == n { 0 } else { d + 1 };
     }
 }
 
@@ -233,12 +278,19 @@ impl Allocator for WavefrontAllocator {
 
     fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
         let mut grants = BitMatrix::new(self.requesters, self.resources);
-        WavefrontAllocator::allocate_into(self, requests, &mut grants);
+        self.allocate_into(requests, &mut grants);
         grants
     }
 
     fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
-        WavefrontAllocator::allocate_into(self, requests, grants);
+        self.check_dims(requests, grants);
+        grants.clear();
+        self.allocate_with(requests.iter_set(), |i, j| grants.set(i, j, true));
+    }
+
+    fn allocate_entries(&mut self, requests: &[(usize, usize)], grants: &mut Vec<(usize, usize)>) {
+        grants.clear();
+        self.allocate_with(requests.iter().copied(), |i, j| grants.push((i, j)));
     }
 
     fn reset(&mut self) {

@@ -9,7 +9,9 @@
 //! * the wavefront core — exhaustively over **every** request matrix up to
 //!   4×4 across multi-round priority-rotation sequences, randomly (via the
 //!   vendored proptest shim) over 5×5–16×16 matrices with matrix-case
-//!   minimization on failure, and on arrays one to four words wide;
+//!   minimization on failure, and on arrays one to four words wide,
+//!   including the entry-fed path's rotating state from start diagonals
+//!   on both sides of every word boundary;
 //! * the three switch allocators (per-VC request matrices, including the
 //!   wavefront pre-selection arbiters);
 //! * the separable VC allocator, with sparse free-VC masks and the class
@@ -215,6 +217,54 @@ fn wide_wavefront_matches_reference_from_random_diagonals() {
                 kernel.allocate_into(&requests, &mut kg);
                 reference.allocate_into(&requests, &mut rg);
                 assert_eq!(kg, rg, "{r}x{c} round {round}");
+            }
+        }
+    }
+}
+
+/// The entry-fed kernel ([`noc_core::Allocator::allocate_entries`]) against
+/// the scalar oracle's rotating state, sweeping from start diagonals on
+/// both sides of every word boundary. Each start runs a stream of calls
+/// from almost every diagonal empty to saturation, where the sweep exits
+/// early; a saturated call is followed by a sparse one, so a diagonal or
+/// occupied word the early exit left stale would be granted there. Entries
+/// arrive shuffled, and grants must come back in ascending row order.
+#[test]
+fn entry_fed_wavefront_keeps_the_reference_rotation() {
+    use rand::{Rng, SeedableRng};
+    const DENSITIES: [f64; 8] = [1.0, 0.005, 0.6, 0.02, 1.0, 0.1, 0.005, 0.3];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xe7d1);
+    for n in [1usize, 2, 63, 64, 65, 127, 128, 129, 160, 200] {
+        for (r, c) in [(n, n), (n, n / 2 + 1), (n / 3 + 1, n)] {
+            let starts = (64..n).step_by(64).flat_map(|b| [b - 1, b]);
+            let mut kernel = AllocatorKind::Wavefront.build(r, c);
+            let mut reference = AllocatorKind::Wavefront.build_reference(r, c);
+            let idle = BitMatrix::new(r, c);
+            let (mut entries, mut got) = (Vec::new(), Vec::new());
+            // The diagonal both allocators start their next call from.
+            let mut at = 0;
+            for start in [0].into_iter().chain(starts).chain([n - 1]) {
+                while at != start {
+                    kernel.allocate_entries(&[], &mut got);
+                    assert!(got.is_empty());
+                    reference.allocate(&idle);
+                    at = (at + 1) % n;
+                }
+                for (call, &density) in DENSITIES.iter().enumerate() {
+                    let requests = random_matrix(&mut rng, r, c, density);
+                    entries.clear();
+                    entries.extend(requests.iter_set());
+                    for k in (1..entries.len()).rev() {
+                        entries.swap(k, rng.gen_range(0..=k));
+                    }
+                    kernel.allocate_entries(&entries, &mut got);
+                    let want: Vec<_> = reference.allocate(&requests).iter_set().collect();
+                    assert_eq!(
+                        got, want,
+                        "{r}x{c} from diagonal {start}, call {call} at density {density}"
+                    );
+                    at = (at + 1) % n;
+                }
             }
         }
     }

@@ -54,7 +54,7 @@ pub fn random_sw_requests(
 /// maximum matching on the *port-level* request graph: which VC carries the
 /// grant does not change the count.
 pub fn max_switch_grants(requests: &SwitchRequests) -> usize {
-    MaxSizeAllocator::max_matching_size(&requests.port_matrix())
+    MaxSizeAllocator::max_matching_size(requests.port_requests())
 }
 
 /// Runs the Figure 12 sweep for one switch-allocator architecture.
@@ -64,6 +64,7 @@ pub fn sw_quality_curve(
     rates: &[f64],
 ) -> QualityCurve {
     let mut alloc = kind.build(cfg.ports, cfg.vcs);
+    let mut trial_grants = Vec::new();
     let mut points = Vec::with_capacity(rates.len());
     for &rate in rates {
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ (rate * 1e6) as u64);
@@ -71,7 +72,8 @@ pub fn sw_quality_curve(
         let mut max_grants = 0u64;
         for _ in 0..cfg.trials {
             let reqs = random_sw_requests(cfg.ports, cfg.vcs, &mut rng, rate);
-            grants += alloc.allocate(&reqs).len() as u64;
+            alloc.allocate_into(&reqs, &mut trial_grants);
+            grants += trial_grants.len() as u64;
             max_grants += max_switch_grants(&reqs) as u64;
         }
         points.push(QualityPoint {

@@ -68,6 +68,7 @@ pub fn vc_quality_curve(cfg: &VcQualityConfig, kind: AllocatorKind, rates: &[f64
     };
     let mut under_test = DenseVcAllocator::new(spec.clone(), kind);
     let mut reference = DenseVcAllocator::new(spec.clone(), AllocatorKind::MaxSize);
+    let mut trial_grants = Vec::new();
     let mut points = Vec::with_capacity(rates.len());
     for &rate in rates {
         // Re-seed per rate so every allocator kind sees the same matrices at
@@ -77,16 +78,10 @@ pub fn vc_quality_curve(cfg: &VcQualityConfig, kind: AllocatorKind, rates: &[f64
         let mut max_grants = 0u64;
         for _ in 0..cfg.trials {
             let reqs = random_vc_requests(spec, &mut rng, rate);
-            grants += under_test
-                .allocate(&reqs, &free)
-                .iter()
-                .filter(|g| g.is_some())
-                .count() as u64;
-            max_grants += reference
-                .allocate(&reqs, &free)
-                .iter()
-                .filter(|g| g.is_some())
-                .count() as u64;
+            under_test.allocate_into(&reqs, &free, &mut trial_grants);
+            grants += trial_grants.iter().filter(|g| g.is_some()).count() as u64;
+            reference.allocate_into(&reqs, &free, &mut trial_grants);
+            max_grants += trial_grants.iter().filter(|g| g.is_some()).count() as u64;
         }
         points.push(QualityPoint {
             rate,

@@ -890,10 +890,19 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
     let what = args.positional.get(1).map(String::as_str).unwrap_or("vca");
     let rate: f64 = args.get("rate", 0.5)?;
     let spec = args.design_spec(2, rate)?;
+    if rate == 0.0 {
+        return Err("--rate must be above 0: no request is drawn, so nothing is measured".into());
+    }
     let trials: usize = args.get("trials", 3000)?;
     if trials == 0 {
         return Err("--trials must be at least 1".to_string());
     }
+    // Trials that drew no request measured nothing: say so rather than
+    // print the library's "perfect" convention for an empty sequence.
+    let shown = |p: &noc_quality::QualityPoint| match p.max_grants {
+        0 => "n/a".to_string(),
+        _ => format!("{:.4}", p.quality()),
+    };
     match what {
         "vca" => {
             let cfg = noc_quality::VcQualityConfig {
@@ -903,8 +912,8 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
             };
             println!("VC allocation quality @ rate {rate} ({trials} trials):");
             for kind in AllocatorKind::QUALITY_FIGURE_KINDS {
-                let q = noc_quality::vc_quality_curve(&cfg, kind, &[rate]).points[0].quality();
-                println!("  {:<8} {q:.4}", kind.family());
+                let curve = noc_quality::vc_quality_curve(&cfg, kind, &[rate]);
+                println!("  {:<8} {}", kind.family(), shown(&curve.points[0]));
             }
         }
         "swa" => {
@@ -916,8 +925,8 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
             };
             println!("switch allocation quality @ rate {rate} ({trials} trials):");
             for (label, kind) in noc_bench::figures::SW_FIGURE_KINDS {
-                let q = noc_quality::sw_quality_curve(&cfg, kind, &[rate]).points[0].quality();
-                println!("  {label:<8} {q:.4}");
+                let curve = noc_quality::sw_quality_curve(&cfg, kind, &[rate]);
+                println!("  {label:<8} {}", shown(&curve.points[0]));
             }
         }
         other => return Err(format!("unknown quality target '{other}' (vca|swa)")),

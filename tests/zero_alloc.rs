@@ -102,13 +102,14 @@ fn cycle_loop_steady_state_is_allocation_free() {
 }
 
 /// The bit-parallel kernels (banked arbiter sweeps, wavefront diagonal
-/// recurrence, the matrix allocator's `allocate_into` scratch, and the
+/// recurrence, the matrix allocator's entry and grant lists, and the
 /// router's struct-of-arrays output-VC state) must preserve the zero-alloc
 /// steady state. Covers both separable kernels at C=2 (mesh 5-port, 4-VC
 /// routers: every VA/SA stage is one word wide) and the wavefront
 /// VC+switch pairing, then the paper's widest router (fbfly C=4: P=10,
 /// V=16), whose sparse VC allocators are 80 wide per message class — the
-/// multi-word tree-arbiter and wavefront-diagonal scratch.
+/// multi-word tree-arbiter and wavefront-diagonal scratch — and whose
+/// dense wavefront VC allocator is one 160-wide block.
 #[test]
 fn kernel_paths_steady_state_is_allocation_free() {
     let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
@@ -122,6 +123,7 @@ fn kernel_paths_steady_state_is_allocation_free() {
             AllocatorKind::SepIfRr,
             SwitchAllocatorKind::SepIf(rr),
             SpecMode::Pessimistic,
+            true,
         ),
         // Output-first kernels plus conventional speculation masking.
         (
@@ -129,44 +131,62 @@ fn kernel_paths_steady_state_is_allocation_free() {
             AllocatorKind::SepOfRr,
             SwitchAllocatorKind::SepOf(rr),
             SpecMode::Conventional,
+            true,
         ),
-        // Wavefront VC allocation drives `MatrixVcAllocator`'s reused
-        // grant scratch through `Allocator::allocate_into`.
+        // Wavefront VC allocation feeds `MatrixVcAllocator`'s reused entry
+        // and grant lists through `Allocator::allocate_entries`.
         (
             mesh2,
             AllocatorKind::Wavefront,
             SwitchAllocatorKind::Wavefront,
             SpecMode::Pessimistic,
+            true,
         ),
         (
             fbfly4,
             AllocatorKind::SepIfRr,
             SwitchAllocatorKind::SepIf(rr),
             SpecMode::Pessimistic,
+            true,
         ),
         (
             fbfly4,
             AllocatorKind::Wavefront,
             SwitchAllocatorKind::Wavefront,
             SpecMode::Conventional,
+            true,
+        ),
+        // The dense wavefront VC allocator: one 160-wide block.
+        (
+            fbfly4,
+            AllocatorKind::Wavefront,
+            SwitchAllocatorKind::Wavefront,
+            SpecMode::Conventional,
+            false,
         ),
     ];
-    for ((topo, c), vca_kind, sa_kind, spec_mode) in configs {
+    for ((topo, c), vca_kind, sa_kind, spec_mode, vca_sparse) in configs {
+        let baseline = SimConfig::paper_baseline(topo, c);
+        assert!(
+            baseline.vca_sparse,
+            "the paper's default VC allocator is sparse"
+        );
         let cfg = SimConfig {
             injection_rate: 0.2,
             vca_kind,
             sa_kind,
             spec_mode,
-            ..SimConfig::paper_baseline(topo, c)
+            vca_sparse,
+            ..baseline
         };
-        assert!(cfg.vca_sparse, "the paper's default VC allocator is sparse");
         let mut n = Network::new(cfg);
         n.run(WARMUP);
         let during = allocs_during(|| n.run(MEASURED));
+        let organization = if vca_sparse { "sparse" } else { "dense" };
         assert_eq!(
             during, 0,
-            "kernel path {topo:?} C={c} {vca_kind:?}/{sa_kind:?}/{spec_mode:?} allocated \
-             {during} times in {MEASURED} steady-state cycles"
+            "kernel path {topo:?} C={c} {organization} {vca_kind:?}/{sa_kind:?}/{spec_mode:?} \
+             allocated {during} times in {MEASURED} steady-state cycles"
         );
     }
     drop(guard);
