@@ -8,19 +8,14 @@ use noc_hw::{SynthError, SynthResult, Synthesizer};
 use noc_quality::{
     sw_quality_curve, vc_quality_curve, QualityCurve, SwQualityConfig, VcQualityConfig,
 };
-use noc_sim::sim::{latency_curve_with, run_sim};
+use noc_sim::sim::latency_curve;
 use noc_sim::{SimConfig, SimResult};
 
-/// The runner signature every simulation-driven series accepts: a plain
-/// `run_sim` closure simulates every point; the sweep orchestrator's
+/// The runner signature every simulation-driven series accepts: `&run_sim`
+/// simulates every point directly; the sweep orchestrator's
 /// cache-backed runner makes the same computation resumable and
 /// shareable across figures.
 pub type SimRunner = dyn Fn(&SimConfig, u64, u64) -> SimResult + Sync;
-
-/// The direct (uncached) runner: plain [`run_sim`].
-pub fn direct_runner() -> impl Fn(&SimConfig, u64, u64) -> SimResult + Sync {
-    |cfg, warmup, measure| run_sim(cfg, warmup, measure)
-}
 
 /// One VC-allocator cost point (Figures 5/6): a variant in dense and
 /// sparse organization.
@@ -251,7 +246,7 @@ fn latency_curves(
         .into_iter()
         .map(|(label, cfg)| LatencyCurve {
             label,
-            results: latency_curve_with(&cfg, &rates, warmup, measure, run),
+            results: latency_curve(&cfg, &rates, warmup, measure, run),
             cfg,
         })
         .collect()

@@ -28,7 +28,7 @@ use noc_hw::{Netlist, SynthResult, Synthesizer};
 use noc_quality::{
     sw_quality_curve, vc_quality_curve, QualityCurve, SwQualityConfig, VcQualityConfig,
 };
-use noc_sim::sim::{latency_curve_with, saturation_rate_with};
+use noc_sim::sim::{latency_curve, saturation_rate};
 use noc_sim::{SimConfig, TopologyKind};
 use rand::{Rng, SeedableRng};
 use std::fmt::{self, Write as _};
@@ -535,7 +535,7 @@ pub(crate) fn ablation_traffic(ctx: &FigCtx, out: &mut String) -> fmt::Result {
             };
             let curve = LatencyCurve {
                 label: label.to_string(),
-                results: latency_curve_with(&cfg, &rates, ctx.warmup, ctx.measure, ctx.run),
+                results: latency_curve(&cfg, &rates, ctx.warmup, ctx.measure, ctx.run),
                 cfg,
             };
             write!(out, "{label:<8}")?;
@@ -614,7 +614,7 @@ pub(crate) fn ablation_buffers(ctx: &FigCtx, out: &mut String) -> fmt::Result {
                 buf_depth: depth,
                 ..SimConfig::paper_baseline(topo, c)
             };
-            let sat = saturation_rate_with(&cfg, ctx.warmup, ctx.measure, ctx.run);
+            let sat = saturation_rate(&cfg, ctx.warmup, ctx.measure, ctx.run);
             writeln!(out, "{:<14} {:>6} {:>12.3}", cfg.label(), depth, sat)?;
         }
     }
@@ -708,7 +708,7 @@ pub(crate) fn ablation_bulk(ctx: &FigCtx, out: &mut String) -> fmt::Result {
                 burst,
                 ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 4)
             };
-            let sat = saturation_rate_with(&cfg, ctx.warmup, ctx.measure, ctx.run);
+            let sat = saturation_rate(&cfg, ctx.warmup, ctx.measure, ctx.run);
             writeln!(out, "{:<8} {:>7} {:>12.3}", label, burst, sat)?;
             sats.push(sat);
         }
@@ -746,8 +746,8 @@ pub(crate) fn ablation_torus(ctx: &FigCtx, out: &mut String) -> fmt::Result {
     )?;
     for topo in [TopologyKind::Mesh8x8, TopologyKind::Torus8x8] {
         let base = SimConfig::paper_baseline(topo, 2);
-        let zl = latency_curve_with(&base, &[0.01], warmup, measure, ctx.run)[0].avg_latency;
-        let sat = saturation_rate_with(&base, warmup, measure, ctx.run);
+        let zl = latency_curve(&base, &[0.01], warmup, measure, ctx.run)[0].avg_latency;
+        let sat = saturation_rate(&base, warmup, measure, ctx.run);
         writeln!(out, "{:<8} {:>10.2} {:>12.3}", topo.label(), zl, sat)?;
     }
 

@@ -4,7 +4,7 @@
 use noc_bench::figures::*;
 use noc_bench::points::DesignPoint;
 use noc_bench::DESIGN_POINTS;
-use noc_sim::TopologyKind;
+use noc_sim::{run_sim, Run, SimConfig, TopologyKind};
 
 fn small_points() -> Vec<&'static DesignPoint> {
     // One mesh and one fbfly point keep runtime reasonable.
@@ -83,7 +83,7 @@ fn fig13_latency_pipeline() {
         topology: TopologyKind::FlattenedButterfly4x4,
         vcs_per_class: 1,
     };
-    let curves = sa_latency_data_with(&point, 500, 1_000, &direct_runner());
+    let curves = sa_latency_data_with(&point, 500, 1_000, &run_sim);
     assert_eq!(curves.len(), 3);
     for c in &curves {
         assert_eq!(c.results.len(), point.rate_grid().len());
@@ -100,7 +100,7 @@ fn fig14_speculation_pipeline() {
         topology: TopologyKind::Mesh8x8,
         vcs_per_class: 1,
     };
-    let curves = spec_latency_data_with(&point, 500, 1_500, &direct_runner());
+    let curves = spec_latency_data_with(&point, 500, 1_500, &run_sim);
     assert_eq!(curves.len(), 3);
     let (ns, conv, pess) = (&curves[0], &curves[1], &curves[2]);
     assert_eq!(ns.label, "nonspec");
@@ -113,4 +113,44 @@ fn fig14_speculation_pipeline() {
         pess.min_rate_latency(),
         ns.min_rate_latency()
     );
+}
+
+/// Figures 13/14 measure every point after a fixed warmup. MSER, run on
+/// the sep_if / pessimistic baseline of each design point at about 80 %
+/// of its committed Figure 13 saturation, must find the transient over
+/// within that warmup. An unstable run has no steady state and MSER
+/// clamps at half the run, so stability is asserted first.
+#[test]
+fn fig13_warmup_covers_the_transient() {
+    let fig = noc_bench::figure("fig13").unwrap();
+    let text = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fig13.txt"),
+    )
+    .unwrap();
+    // One `sep_if ... | saturation ~X` row per subfigure, (a) to (f).
+    let saturation: Vec<f64> = text
+        .lines()
+        .filter(|l| l.starts_with("sep_if "))
+        .map(|l| l.rsplit('~').next().unwrap().trim().parse().unwrap())
+        .collect();
+    assert_eq!(saturation.len(), DESIGN_POINTS.len());
+    for (point, sat) in DESIGN_POINTS.iter().zip(saturation) {
+        let cfg = SimConfig {
+            injection_rate: 0.8 * sat,
+            ..SimConfig::paper_baseline(point.topology, point.vcs_per_class)
+        };
+        let r = Run::new(&cfg, fig.warmup, fig.measure)
+            .seeds(2)
+            .finish()
+            .result;
+        let label = format!("({}) @ {:.3}", point.tag, cfg.injection_rate);
+        assert!(r.stable, "{label}: unstable");
+        let warmup = r.warmup_detected.unwrap();
+        assert!(
+            warmup <= fig.warmup,
+            "{label}: MSER warmup {warmup} > fixed {}",
+            fig.warmup
+        );
+        eprintln!("{label}: MSER warmup {warmup}");
+    }
 }

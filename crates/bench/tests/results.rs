@@ -3,8 +3,8 @@
 //! and compared byte for byte (CI's `figures` job covers the rest in
 //! release). Regenerate with `noc fig --all --out results`.
 
-use noc_bench::figures::direct_runner;
 use noc_bench::{figure, FigCtx, FIGURES};
+use noc_sim::run_sim;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -36,7 +36,7 @@ fn fast_figures_match_their_committed_text() {
                 let fig = figure(name).unwrap();
                 // The registry defaults, whatever NOC_* the environment holds.
                 let text = fig.text(&FigCtx {
-                    run: &direct_runner(),
+                    run: &run_sim,
                     warmup: fig.warmup,
                     measure: fig.measure,
                     trials: fig.trials,

@@ -1,12 +1,11 @@
 //! Integration tests for the sweep orchestrator: resumability, cache
 //! sharing, and bit-identical preset renders.
 
-use noc_bench::figures::direct_runner;
 use noc_bench::sweep::{
     cached_runner, run_sweep, ResultCache, SweepGrid, SweepOptions, SweepSpec, SWEEP_SCHEMA,
 };
 use noc_bench::{FigCtx, FIGURES};
-use noc_sim::TopologyKind;
+use noc_sim::{run_sim, TopologyKind};
 use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -204,7 +203,7 @@ fn preset_render_from_cache_is_bit_identical_to_direct() {
             })
         };
         // Direct simulation of everything the figure asks for...
-        let direct = render(&direct_runner());
+        let direct = render(&run_sim);
         // ...against the sweep path: populate the cache with the figure's
         // grid, then render through it.
         let out = run_sweep(&spec, &opts(&root)).unwrap();

@@ -32,9 +32,8 @@ pub use network::Network;
 pub use packet::{Flit, PacketKind};
 pub use routing::RoutingKind;
 pub use sim::{
-    latency_curve, latency_curve_with, run_many, run_sim, run_sim_auto, run_sim_engine,
-    run_sim_profiled, run_sim_replicated, saturation_rate, saturation_rate_with, summarize,
-    zero_load_latency, Engine, Run, RunOutput, SimResult, TelemetryOptions, WatchdogTrip,
+    latency_curve, run_many, run_sim, run_sim_engine, run_sim_profiled, saturation_rate, summarize,
+    Engine, Run, RunOutput, SimResult, TelemetryOptions, WatchdogTrip, MAX_SEEDS,
 };
 pub use topology::{Topology, TopologyKind};
 pub use traffic::TrafficPattern;

@@ -518,13 +518,7 @@ impl<S: TraceSink> Network<S> {
     pub fn router_stats(&self) -> RouterStats {
         let mut agg = RouterStats::default();
         for r in &self.routers {
-            agg.nonspec_grants += r.stats.nonspec_grants;
-            agg.spec_grants += r.stats.spec_grants;
-            agg.spec_masked += r.stats.spec_masked;
-            agg.spec_invalid += r.stats.spec_invalid;
-            agg.spec_requests += r.stats.spec_requests;
-            agg.vca_grants += r.stats.vca_grants;
-            agg.vca_requests += r.stats.vca_requests;
+            agg += r.stats;
         }
         agg
     }
@@ -743,14 +737,46 @@ mod tests {
 
     #[test]
     fn zero_load_latency_is_sane_for_mesh() {
-        // At near-zero load, the average mesh packet latency should be a
-        // couple dozen cycles (pipeline + links + serialization), far from
-        // both 0 and saturation values.
-        let mut net = Network::new(quick_cfg(TopologyKind::Mesh8x8, 1, 0.01));
-        net.stats.set_window(1000, 6000);
-        net.run(6000);
-        let lat = net.stats.avg_latency();
-        assert!(lat > 8.0 && lat < 40.0, "zero-load latency {lat}");
+        // The 8x8 mesh's zero-load latency in closed form, each term read
+        // off the model (latency is tail ejection minus packet birth):
+        // - distance: uniform traffic picks one of the n - 1 other
+        //   terminals (`traffic.rs`), whose mean Manhattan distance on a
+        //   k x k mesh is 2k/3 = 16/3 links; a packet visits one router
+        //   more than it crosses links.
+        // - injection, 1 cycle: a terminal sends the head flit in the
+        //   cycle the packet is born and the injection link delivers it
+        //   to the router in the next.
+        // - per router, the cycles from the head's arrival to its switch
+        //   traversal: 1 with speculation (VA and SA in parallel in the
+        //   arrival cycle, ST in the next), 2 without (VA, then SA).
+        // - per link, 1 cycle: switch traversal schedules the flit one
+        //   link latency ahead, and every mesh link is single-cycle
+        //   (`Topology::mesh`).
+        // - ejection, 1 cycle: the last router's traversal reaches the
+        //   terminal in the next cycle.
+        // - serialization, 2 cycles: the tail trails the head by one
+        //   cycle per further flit, and every transaction is one 1-flit
+        //   and one 5-flit packet (read request and reply, or write
+        //   request and acknowledgement), so the mean is (0 + 4) / 2.
+        let k = 8.0;
+        let links = 2.0 * k / 3.0;
+        let routers = links + 1.0;
+        for (mode, per_router) in [
+            (noc_core::SpecMode::Pessimistic, 1.0),
+            (noc_core::SpecMode::NonSpeculative, 2.0),
+        ] {
+            let expect = 1.0 + routers * per_router + links * 1.0 + 1.0 + 2.0;
+            let mut cfg = quick_cfg(TopologyKind::Mesh8x8, 1, 0.005);
+            cfg.spec_mode = mode;
+            let mut net = Network::new(cfg);
+            net.stats.set_window(1_000, 61_000);
+            net.run(61_000);
+            let lat = net.stats.avg_latency();
+            assert!(
+                (lat - expect).abs() < 0.5,
+                "{mode:?}: zero-load latency {lat}, closed form {expect}"
+            );
+        }
     }
 
     #[test]

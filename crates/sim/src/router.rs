@@ -250,6 +250,18 @@ pub struct RouterStats {
     pub vca_requests: u64,
 }
 
+impl std::ops::AddAssign for RouterStats {
+    fn add_assign(&mut self, other: RouterStats) {
+        self.nonspec_grants += other.nonspec_grants;
+        self.spec_grants += other.spec_grants;
+        self.spec_masked += other.spec_masked;
+        self.spec_invalid += other.spec_invalid;
+        self.spec_requests += other.spec_requests;
+        self.vca_grants += other.vca_grants;
+        self.vca_requests += other.vca_requests;
+    }
+}
+
 /// One router instance.
 pub struct Router {
     /// Router id (index in the topology).

@@ -41,16 +41,15 @@ pub struct SimResult {
     /// True if the network kept up with the offered load (latency under
     /// [`LATENCY_CAP`] and no unbounded source backlog).
     pub stable: bool,
-    /// Half-width of the 95% confidence interval on `avg_latency` — from
-    /// replicate means ([`run_sim_replicated`]) or batch means over the
-    /// latency timeline ([`run_sim_auto`]); NaN for plain single runs,
-    /// which carry no interval estimate.
+    /// Half-width of the 95% confidence interval on `avg_latency`, from
+    /// replicate means ([`Run::seeds`]); NaN for single runs, which carry
+    /// no interval estimate.
     pub ci95: f64,
     /// Independent seeds aggregated into this result (1 for single runs).
     pub seeds: usize,
-    /// Warmup cycle count chosen by MSER steady-state detection, when a
-    /// driver detected it ([`run_sim_auto`] / [`run_sim_replicated`]);
-    /// `None` when the warmup was fixed by the caller.
+    /// Warmup cycle count chosen by MSER steady-state detection for a
+    /// replicated run ([`Run::seeds`]); `None` when the warmup was fixed
+    /// by the caller.
     pub warmup_detected: Option<u64>,
     /// Whole-run telemetry summary (per-window matching efficiency, flit
     /// motion and in-flight series), when the run had the flight recorder
@@ -258,23 +257,6 @@ pub fn summarize<S: TraceSink>(net: &Network<S>) -> SimResult {
     // latency bounded.
     let backlog = net.total_backlog() as f64 / terminals as f64;
     let stable = avg.is_finite() && avg < LATENCY_CAP && backlog < 12.0;
-    // With a latency timeline enabled, a batch-means confidence interval
-    // comes for free; plain runs report NaN (no interval estimate).
-    let ci95 = if net.stats.timeline_window() > 0 {
-        let finite: Vec<f64> = net
-            .stats
-            .timeline_means()
-            .into_iter()
-            .filter(|m| m.is_finite())
-            .collect();
-        if finite.len() >= 2 * MIN_BATCHES {
-            steady::ci95_half_width(&steady::batch_means(&finite, MIN_BATCHES))
-        } else {
-            f64::NAN
-        }
-    } else {
-        f64::NAN
-    };
     SimResult {
         offered: cfg.injection_rate,
         avg_latency: avg,
@@ -284,7 +266,8 @@ pub fn summarize<S: TraceSink>(net: &Network<S>) -> SimResult {
         latency_p99: net.stats.latency_percentile(0.99),
         throughput,
         stable,
-        ci95,
+        // One run carries no interval estimate.
+        ci95: f64::NAN,
         seeds: 1,
         warmup_detected: None,
         telemetry: net.telemetry.as_ref().map(FlightRecorder::summary),
@@ -375,13 +358,13 @@ impl WatchdogTrip {
 }
 
 /// One simulation run, described and then executed: the single driver
-/// behind every `run_sim*` function, `noc sim`, `noc explain` and the
-/// sweep runner.
+/// behind [`run_sim`], `noc sim`, `noc explain` and the sweep runner.
 ///
 /// `Run::new(&cfg, warmup, measure)` is the plain run; builder methods
-/// attach observers, and [`Run::run`] (or [`Run::finish`]) executes it.
-/// Every observer is a pure observer, so any combination yields the same
-/// [`SimResult`], trace, and dumps as each observer attached alone.
+/// attach observers or replicate it over seeds ([`Run::seeds`]), and
+/// [`Run::run`] (or [`Run::finish`]) executes it. Every observer is a
+/// pure observer, so any combination yields the same [`SimResult`],
+/// trace, and dumps as each observer attached alone.
 pub struct Run<'a, S: TraceSink = NopSink> {
     cfg: &'a SimConfig,
     warmup: u64,
@@ -391,7 +374,9 @@ pub struct Run<'a, S: TraceSink = NopSink> {
     telemetry: Option<TelemetryOptions>,
     anatomy: Option<(usize, usize)>,
     verify: bool,
+    /// Latency-timeline window of an MSER pilot run.
     timeline: Option<u64>,
+    seeds: usize,
 }
 
 /// Everything a finished [`Run`] produced. Observer fields are `Some`
@@ -415,6 +400,11 @@ pub struct RunOutput {
     pub verify: Option<StrictChecker>,
 }
 
+/// Most seeds one replicated run takes ([`Run::seeds`]). Every seed is a
+/// whole simulation, and past 30 replicates the t-multiplier of the
+/// confidence interval is already the normal 1.96.
+pub const MAX_SEEDS: usize = 1_000;
+
 impl<'a> Run<'a> {
     /// A plain run of `cfg` measuring `[warmup, warmup + measure)`, with
     /// no observer attached.
@@ -429,13 +419,39 @@ impl<'a> Run<'a> {
             anatomy: None,
             verify: false,
             timeline: None,
+            seeds: 1,
         }
+    }
+
+    /// Replicates the run over `n` seeds (`cfg.seed, cfg.seed+1, ...`, so
+    /// seed sets nest); `n = 1` is the plain run, and an `n` of 0 or above
+    /// [`MAX_SEEDS`] panics. A pilot run over all `warmup + measure`
+    /// cycles lets MSER pick the warmup ([`SimResult::warmup_detected`]),
+    /// then each replicate measures `[warmup, warmup + measure)` on the
+    /// [`run_many`] pool. The result
+    /// pools them: mean of means with a Student-t 95% CI, merged
+    /// histograms, summed router counters, the first replicate's router
+    /// breakdown, stable only if every replicate was. The rest of the
+    /// [`RunOutput`] is the pilot's.
+    ///
+    /// The pilot and every replicate carry the run's recorder, so the
+    /// stall watchdog guards each: a trip returns the pilot's, else the
+    /// lowest-index replicate's. No window callback is made. A replicated
+    /// run takes no sink, profiler, ledger or checker.
+    pub fn seeds(mut self, n: usize) -> Self {
+        assert!(
+            (1..=MAX_SEEDS).contains(&n),
+            "a run takes 1 to {MAX_SEEDS} seeds, not {n}"
+        );
+        self.seeds = n;
+        self
     }
 }
 
 impl<'a, S: TraceSink> Run<'a, S> {
     /// Reports every flit event to `sink`, which the caller keeps.
     pub fn sink<T: TraceSink>(self, sink: &'a mut T) -> Run<'a, &'a mut T> {
+        assert_eq!(self.seeds, 1, "a replicated run takes no sink");
         Run {
             sink,
             cfg: self.cfg,
@@ -446,6 +462,7 @@ impl<'a, S: TraceSink> Run<'a, S> {
             anatomy: self.anatomy,
             verify: self.verify,
             timeline: self.timeline,
+            seeds: self.seeds,
         }
     }
 
@@ -481,21 +498,17 @@ impl<'a, S: TraceSink> Run<'a, S> {
         self
     }
 
-    /// Records a windowed latency timeline in the run's statistics (the
-    /// steady-state detector's input).
-    fn timeline(mut self, window: u64) -> Self {
-        self.timeline = Some(window);
-        self
-    }
-
     /// Executes the run. `on_window` receives each telemetry snapshot as
     /// its window closes (the live `noc top` / `--record` streaming hook;
-    /// never called without [`Run::telemetry`]). Fails only when the
-    /// recorder's stall watchdog fires.
+    /// never called without [`Run::telemetry`], nor for a replicated
+    /// run). Fails only when the recorder's stall watchdog fires.
     pub fn run(
         self,
         mut on_window: impl FnMut(&WindowSnapshot),
     ) -> Result<RunOutput, Box<WatchdogTrip>> {
+        if self.seeds > 1 {
+            return self.replicate();
+        }
         let mut net = Network::with_sink(self.cfg.clone(), self.sink);
         let total = self.warmup + self.measure;
         net.stats.set_window(self.warmup, total);
@@ -558,6 +571,55 @@ impl<'a, S: TraceSink> Run<'a, S> {
         })
     }
 
+    /// The replicated run of [`Run::seeds`]: the MSER pilot, then the
+    /// replicates, pooled.
+    fn replicate(self) -> Result<RunOutput, Box<WatchdogTrip>> {
+        assert!(
+            !self.profile && self.anatomy.is_none() && !self.verify,
+            "a replicated run takes no profiler, ledger or checker"
+        );
+        let (cfg, telemetry) = (self.cfg, self.telemetry);
+        let total = self.warmup + self.measure;
+        let window = timeline_window_for(total);
+        let pilot = Run {
+            telemetry,
+            timeline: Some(window),
+            ..Run::new(cfg, 0, total)
+        };
+        let mut out = pilot.run(|_| {})?;
+        let warmup = steady::mser_truncation(&out.stats.timeline_means()) as u64 * window;
+        // A trip fails the run, and each holds a recorder: replicates above
+        // a tripped one are skipped. All below it run, so the lowest-index
+        // trip is found whatever the scheduling.
+        let first_trip = AtomicUsize::new(usize::MAX);
+        let replicates = run_many(self.seeds, |i| {
+            // RELAXED: a skip hint; results travel through run_many.
+            if i > first_trip.load(Ordering::Relaxed) {
+                return None;
+            }
+            let cfg_i = SimConfig {
+                seed: cfg.seed.wrapping_add(i as u64),
+                ..cfg.clone()
+            };
+            let replicate = Run {
+                telemetry,
+                ..Run::new(&cfg_i, warmup, total - warmup)
+            };
+            let rep = replicate.run(|_| {}).map(|rep| rep.result);
+            if rep.is_err() {
+                // RELAXED: as above.
+                first_trip.fetch_min(i, Ordering::Relaxed);
+            }
+            Some(rep)
+        });
+        let runs = replicates
+            .into_iter()
+            .flatten()
+            .collect::<Result<Vec<_>, _>>()?;
+        out.result = pool(cfg, warmup, runs);
+        Ok(out)
+    }
+
     /// Executes the run with no per-window callback and the stall watchdog
     /// off, so it cannot fail.
     pub fn finish(mut self) -> RunOutput {
@@ -571,25 +633,62 @@ impl<'a, S: TraceSink> Run<'a, S> {
     }
 }
 
+/// Pools the replicates of a [`Run::seeds`] run (see there).
+fn pool(cfg: &SimConfig, warmup: u64, runs: Vec<SimResult>) -> SimResult {
+    let mean_of = |get: fn(&SimResult) -> f64| {
+        let xs: Vec<f64> = runs.iter().map(get).filter(|x| x.is_finite()).collect();
+        if xs.is_empty() {
+            f64::NAN
+        } else {
+            xs.iter().sum::<f64>() / xs.len() as f64
+        }
+    };
+    let rep_means: Vec<f64> = runs.iter().map(|r| r.avg_latency).collect();
+    let mut hist = HdrHistogram::new();
+    let mut router_stats = RouterStats::default();
+    for r in &runs {
+        hist.merge(&r.hist);
+        router_stats += r.router_stats;
+    }
+    SimResult {
+        offered: cfg.injection_rate,
+        avg_latency: mean_of(|r| r.avg_latency),
+        request_latency: mean_of(|r| r.request_latency),
+        reply_latency: mean_of(|r| r.reply_latency),
+        latency_std_dev: mean_of(|r| r.latency_std_dev),
+        latency_p99: hist.percentile(0.99),
+        throughput: mean_of(|r| r.throughput),
+        stable: runs.iter().all(|r| r.stable),
+        ci95: steady::ci95_half_width(&rep_means),
+        seeds: runs.len(),
+        warmup_detected: Some(warmup),
+        telemetry: None,
+        hist,
+        router_stats,
+        routers: runs
+            .into_iter()
+            .next()
+            .map(|r| r.routers)
+            .unwrap_or_default(),
+    }
+}
+
 /// Default warmup/measurement lengths used by the figure benches.
 pub const DEFAULT_WARMUP: u64 = 5_000;
 /// Default measurement window.
 pub const DEFAULT_MEASURE: u64 = 10_000;
 
-/// Batches used for batch-means confidence intervals.
-const MIN_BATCHES: usize = 20;
-
-/// Timeline window length (cycles) for a run of `total` cycles: ~1% of
-/// the run, clamped so short tests still get several windows and long
-/// runs keep per-window counts meaningful.
+/// Timeline window length (cycles) for an MSER pilot of `total` cycles:
+/// ~1% of the run, clamped so short runs still get several windows and
+/// long runs keep per-window counts meaningful.
 fn timeline_window_for(total: u64) -> u64 {
     (total / 100).clamp(50, 1_000)
 }
 
 /// Runs `jobs` independent closures on a bounded worker pool (at most
 /// [`std::thread::available_parallelism`] OS threads) and collects their
-/// results in index order. Shared by [`latency_curve`] and
-/// [`run_sim_replicated`]; previously every job spawned its own thread,
+/// results in index order. Shared by [`latency_curve`], [`Run::seeds`]
+/// and the sweep runner; previously every job spawned its own thread,
 /// which oversubscribed small CI machines on wide sweeps.
 ///
 /// A panicking job aborts the pool and re-raises the panic on the calling
@@ -657,17 +756,12 @@ where
         .collect()
 }
 
-/// Runs one simulation per injection rate, in parallel on a bounded
-/// worker pool (each run is independent and deterministic).
-pub fn latency_curve(base: &SimConfig, rates: &[f64], warmup: u64, measure: u64) -> Vec<SimResult> {
-    latency_curve_with(base, rates, warmup, measure, &|c, w, m| run_sim(c, w, m))
-}
-
-/// As [`latency_curve`], but every point is produced by `run` instead of
-/// [`run_sim`] directly. A cache-backed runner (the sweep orchestrator's)
-/// plugs in here to make curve computation resumable; passing a plain
-/// `run_sim` closure reproduces [`latency_curve`] exactly.
-pub fn latency_curve_with<F>(
+/// Runs one simulation per injection rate, each produced by `run`, in
+/// parallel on a bounded worker pool (each run is independent and
+/// deterministic). Pass `&run_sim` to simulate directly; a cache-backed
+/// runner (the sweep orchestrator's) plugs in here to make curve
+/// computation resumable.
+pub fn latency_curve<F>(
     base: &SimConfig,
     rates: &[f64],
     warmup: u64,
@@ -686,111 +780,12 @@ where
     })
 }
 
-/// Detects the warmup transient of `cfg` with a pilot run of `total`
-/// cycles: the run records a latency timeline, and MSER truncation picks
-/// the first window of the steady state. Returns the warmup in cycles
-/// (a multiple of the timeline window).
-fn detect_warmup(cfg: &SimConfig, total: u64) -> u64 {
-    let window = timeline_window_for(total);
-    let pilot = Run::new(cfg, 0, total).timeline(window).finish();
-    steady::mser_truncation(&pilot.stats.timeline_means()) as u64 * window
-}
-
-/// Runs one simulation of `total` cycles with automatic steady-state
-/// detection: a pilot run finds the initialization transient (MSER over
-/// windowed latency means), then a second run measures only
-/// `[warmup, total)`. The result carries the detected warmup and a
-/// batch-means 95% confidence interval on the mean latency.
-pub fn run_sim_auto(cfg: &SimConfig, total: u64) -> SimResult {
-    let warmup = detect_warmup(cfg, total);
-    let run = Run::new(cfg, warmup, total - warmup).timeline(timeline_window_for(total));
-    let mut res = run.finish().result;
-    res.warmup_detected = Some(warmup);
-    res
-}
-
-/// Runs `n_seeds` independent replications of `cfg` (seeds
-/// `cfg.seed, cfg.seed+1, ...`, so an `n`-seed run nests inside an
-/// `m`-seed run for `n < m`), each measuring `[warmup, total)` with the
-/// warmup detected once by a pilot run. Latency-style metrics are
-/// averaged across replicates (mean of means) with a Student-t 95%
-/// confidence interval; histograms are merged, so percentiles reflect
-/// the pooled latency distribution; router counters are summed; the run
-/// is stable only if every replicate was.
-pub fn run_sim_replicated(cfg: &SimConfig, total: u64, n_seeds: usize) -> SimResult {
-    let n = n_seeds.max(1);
-    let warmup = detect_warmup(cfg, total);
-    let runs = run_many(n, |i| {
-        let cfg_i = SimConfig {
-            seed: cfg.seed.wrapping_add(i as u64),
-            ..cfg.clone()
-        };
-        Run::new(&cfg_i, warmup, total - warmup).finish().result
-    });
-    let mean_of = |get: fn(&SimResult) -> f64| {
-        let xs: Vec<f64> = runs.iter().map(get).filter(|x| x.is_finite()).collect();
-        if xs.is_empty() {
-            f64::NAN
-        } else {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
-    };
-    let rep_means: Vec<f64> = runs.iter().map(|r| r.avg_latency).collect();
-    let mut hist = HdrHistogram::new();
-    let mut router_stats = RouterStats::default();
-    for r in &runs {
-        hist.merge(&r.hist);
-        router_stats.nonspec_grants += r.router_stats.nonspec_grants;
-        router_stats.spec_grants += r.router_stats.spec_grants;
-        router_stats.spec_masked += r.router_stats.spec_masked;
-        router_stats.spec_invalid += r.router_stats.spec_invalid;
-        router_stats.spec_requests += r.router_stats.spec_requests;
-        router_stats.vca_grants += r.router_stats.vca_grants;
-        router_stats.vca_requests += r.router_stats.vca_requests;
-    }
-    SimResult {
-        offered: cfg.injection_rate,
-        avg_latency: mean_of(|r| r.avg_latency),
-        request_latency: mean_of(|r| r.request_latency),
-        reply_latency: mean_of(|r| r.reply_latency),
-        latency_std_dev: mean_of(|r| r.latency_std_dev),
-        latency_p99: hist.percentile(0.99),
-        throughput: mean_of(|r| r.throughput),
-        stable: runs.iter().all(|r| r.stable),
-        ci95: steady::ci95_half_width(&rep_means),
-        seeds: n,
-        warmup_detected: Some(warmup),
-        telemetry: None,
-        hist,
-        router_stats,
-        routers: runs
-            .into_iter()
-            .next()
-            .map(|r| r.routers)
-            .unwrap_or_default(),
-    }
-}
-
-/// Measures the zero-load latency: the average packet latency at a very
-/// light load (1% of capacity).
-pub fn zero_load_latency(base: &SimConfig) -> f64 {
-    let cfg = SimConfig {
-        injection_rate: 0.01,
-        ..base.clone()
-    };
-    run_sim(&cfg, 2_000, 12_000).avg_latency
-}
-
 /// Finds the saturation rate by bisection: the highest offered load the
-/// network sustains with bounded latency and backlog.
-pub fn saturation_rate(base: &SimConfig, warmup: u64, measure: u64) -> f64 {
-    saturation_rate_with(base, warmup, measure, &|c, w, m| run_sim(c, w, m))
-}
-
-/// As [`saturation_rate`], with every probe run produced by `run` — the
-/// probe sequence is deterministic, so a content-addressed cache makes
-/// even this adaptive search fully resumable.
-pub fn saturation_rate_with<F>(base: &SimConfig, warmup: u64, measure: u64, run: &F) -> f64
+/// network sustains with bounded latency and backlog. Every probe run is
+/// produced by `run` (`&run_sim` simulates directly); the probe sequence
+/// is deterministic, so a content-addressed cache makes even this
+/// adaptive search fully resumable.
+pub fn saturation_rate<F>(base: &SimConfig, warmup: u64, measure: u64, run: &F) -> f64
 where
     F: Fn(&SimConfig, u64, u64) -> SimResult + Sync + ?Sized,
 {
@@ -880,7 +875,7 @@ mod tests {
     #[test]
     fn latency_grows_with_load() {
         let base = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2);
-        let curve = latency_curve(&base, &[0.05, 0.25], 1_500, 4_000);
+        let curve = latency_curve(&base, &[0.05, 0.25], 1_500, 4_000, &run_sim);
         assert!(curve[1].avg_latency > curve[0].avg_latency);
     }
 
@@ -1037,10 +1032,12 @@ mod tests {
     fn watchdog_trips_on_torus_without_dateline() {
         // The no-dateline torus fixture deadlocks under load: packets wrap
         // around the rings and form cyclic credit dependencies. The
-        // watchdog must terminate the run with a usable post-mortem.
-        let cfg = SimConfig {
+        // watchdog must terminate the run with a usable post-mortem, and
+        // guard every replicate of a replicated run.
+        let fixture = |rate, seed| SimConfig {
             topology: TopologyKind::Torus8x8,
-            injection_rate: 0.35,
+            injection_rate: rate,
+            seed,
             routing_override: Some(crate::routing::RoutingKind::TorusNoDateline),
             ..SimConfig::paper_baseline(TopologyKind::Torus8x8, 1)
         };
@@ -1048,15 +1045,29 @@ mod tests {
             watchdog: Some(10),
             ..TelemetryOptions::recording()
         };
-        let trip =
-            recorded(&cfg, 5_000, 45_000, opts).expect_err("no-dateline torus must deadlock");
-        assert_eq!(trip.stalled_windows, 10);
-        assert!(trip.in_flight > 0, "a stall needs stuck flits");
-        assert!(
-            trip.recorder.latest().is_some(),
-            "post-mortem ring must hold the stalled windows"
-        );
-        assert!(trip.describe().contains("possible deadlock"));
+        let paper_seed = SimConfig::paper_baseline(TopologyKind::Torus8x8, 1).seed;
+        // At rate 0.32 seed 1 keeps moving and seed 2 deadlocks, so the
+        // MSER pilot (seed 1) passes and only the second replicate trips.
+        let lively = fixture(0.32, 1);
+        let alone = Run::new(&lively, 0, 10_000).telemetry(opts).run(|_| {});
+        assert!(alone.is_ok(), "seed 1 alone must not trip");
+        for (cfg, seeds, warmup, measure) in [
+            (fixture(0.35, paper_seed), 1, 5_000, 45_000),
+            (fixture(0.35, paper_seed), 2, 5_000, 45_000),
+            (lively, 2, 0, 10_000),
+        ] {
+            let run = Run::new(&cfg, warmup, measure).seeds(seeds);
+            let Err(trip) = run.telemetry(opts).run(|_| {}) else {
+                panic!("{seeds}-seed no-dateline torus must deadlock");
+            };
+            assert_eq!(trip.stalled_windows, 10);
+            assert!(trip.in_flight > 0, "a stall needs stuck flits");
+            assert!(
+                trip.recorder.latest().is_some(),
+                "post-mortem ring must hold the stalled windows"
+            );
+            assert!(trip.describe().contains("possible deadlock"));
+        }
     }
 
     #[test]
@@ -1130,7 +1141,7 @@ mod tests {
         // below the 0.5 bisection bound and above 0.15 (Figure 13(a) shows
         // ~0.3 for the paper's setup).
         let base = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1);
-        let sat = saturation_rate(&base, 1_500, 3_000);
+        let sat = saturation_rate(&base, 1_500, 3_000, &run_sim);
         assert!((0.15..0.5).contains(&sat), "mesh 2x1x1 saturation {sat}");
     }
 }

@@ -56,14 +56,9 @@ impl NetStats {
 
     /// Enables the latency timeline: packets are additionally binned into
     /// consecutive `window`-cycle intervals, feeding steady-state
-    /// detection and batch-means confidence intervals.
+    /// detection.
     pub fn enable_timeline(&mut self, window: u64) {
         self.timeline_window = window.max(1);
-    }
-
-    /// Timeline window length in cycles (0 when disabled).
-    pub fn timeline_window(&self) -> u64 {
-        self.timeline_window
     }
 
     /// Mean latency per timeline window (NaN for windows that delivered

@@ -4,9 +4,9 @@
 //! (*Principles and Practices of Interconnection Networks*, ch. 24-25) as
 //! used by BookSim-class simulators: instead of trusting a fixed warmup,
 //! the initialization transient is truncated automatically with an
-//! MSER-style rule over windowed latency means, and every reported mean
-//! carries a 95% confidence interval from batch means (within one run) or
-//! replicate means (across seeds).
+//! MSER-style rule over windowed latency means, and a replicated mean
+//! carries a 95% confidence interval from its replicate means (both
+//! inside [`crate::Run::seeds`]).
 
 /// Minimum number of finite windows before MSER truncation is attempted;
 /// below this the series is too short to distinguish transient from noise
@@ -71,7 +71,7 @@ pub fn t_critical_95(df: usize) -> f64 {
 }
 
 /// Half-width of the 95% confidence interval on the mean of `samples`
-/// (batch means or replicate means), `t_{n−1} · s / √n`. NaN entries are
+/// (replicate means), `t_{n−1} · s / √n`. NaN entries are
 /// skipped; fewer than two finite samples give NaN.
 pub fn ci95_half_width(samples: &[f64]) -> f64 {
     let xs: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
@@ -82,30 +82,6 @@ pub fn ci95_half_width(samples: &[f64]) -> f64 {
     let mean = xs.iter().sum::<f64>() / n as f64;
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
     t_critical_95(n - 1) * (var / n as f64).sqrt()
-}
-
-/// Groups a series into `num_batches` contiguous batches and returns each
-/// batch's mean (NaN entries skipped; batches with no finite entries are
-/// dropped). Classic batch-means preprocessing: with batches much longer
-/// than the autocorrelation time, the batch means are approximately
-/// independent and feed [`ci95_half_width`].
-pub fn batch_means(series: &[f64], num_batches: usize) -> Vec<f64> {
-    let num_batches = num_batches.max(1);
-    if series.is_empty() {
-        return Vec::new();
-    }
-    let batch_len = series.len().div_ceil(num_batches);
-    series
-        .chunks(batch_len)
-        .filter_map(|chunk| {
-            let xs: Vec<f64> = chunk.iter().copied().filter(|x| x.is_finite()).collect();
-            if xs.is_empty() {
-                None
-            } else {
-                Some(xs.iter().sum::<f64>() / xs.len() as f64)
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -173,13 +149,6 @@ mod tests {
         assert!(ci95_half_width(&[]).is_nan());
         assert!(ci95_half_width(&[1.0]).is_nan());
         assert!(ci95_half_width(&[1.0, f64::NAN]).is_nan());
-    }
-
-    #[test]
-    fn batch_means_partition_and_average() {
-        let series = [1.0, 3.0, f64::NAN, 5.0, 7.0, 9.0];
-        let b = batch_means(&series, 3);
-        assert_eq!(b, vec![2.0, 5.0, 8.0]);
     }
 
     #[test]

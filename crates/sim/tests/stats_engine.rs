@@ -2,7 +2,7 @@
 //! replicated confidence intervals, and histogram percentile accuracy.
 
 use noc_obs::HdrHistogram;
-use noc_sim::{run_sim, run_sim_auto, run_sim_replicated, SimConfig, TopologyKind};
+use noc_sim::{run_sim, Run, SimConfig, SimResult, TopologyKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -13,13 +13,18 @@ fn mesh(rate: f64) -> SimConfig {
     }
 }
 
+/// `n` replicates of `cfg` over `total` cycles, MSER picking the warmup.
+fn replicated(cfg: &SimConfig, total: u64, n: usize) -> SimResult {
+    Run::new(cfg, 0, total).seeds(n).finish().result
+}
+
 #[test]
 fn replicated_cis_from_disjoint_seed_sets_overlap() {
     // Two independent 6-seed replications of the same workload estimate
     // the same true mean, so their 95% confidence intervals must overlap
     // (the means differ by less than the sum of half-widths).
-    let a = run_sim_replicated(&mesh(0.1), 3_000, 6);
-    let b = run_sim_replicated(
+    let a = replicated(&mesh(0.1), 3_000, 6);
+    let b = replicated(
         &SimConfig {
             seed: 0xfeed_beef,
             ..mesh(0.1)
@@ -59,7 +64,7 @@ fn ci_width_shrinks_roughly_with_sqrt_seeds() {
                     seed: 0xba5e ^ (s * 1_000_003),
                     ..mesh(0.1)
                 };
-                let w = run_sim_replicated(&cfg, 2_000, n_seeds).ci95;
+                let w = replicated(&cfg, 2_000, n_seeds).ci95;
                 assert!(w.is_finite() && w > 0.0, "ci95 {w} for {n_seeds} seeds");
                 w
             })
@@ -74,10 +79,10 @@ fn ci_width_shrinks_roughly_with_sqrt_seeds() {
 
 #[test]
 fn auto_warmup_detects_the_fill_transient() {
-    let auto = run_sim_auto(&mesh(0.15), 6_000);
+    let auto = replicated(&mesh(0.15), 6_000, 2);
     let warmup = auto
         .warmup_detected
-        .expect("run_sim_auto must report the detected warmup");
+        .expect("a replicated run must report the detected warmup");
     assert!(
         warmup < 3_000,
         "MSER truncated more than half the run: {warmup}"
@@ -93,17 +98,6 @@ fn auto_warmup_detects_the_fill_transient() {
         fixed.avg_latency,
         rel * 100.0
     );
-}
-
-#[test]
-fn auto_runs_carry_a_batch_means_ci() {
-    let auto = run_sim_auto(&mesh(0.1), 6_000);
-    assert!(
-        auto.ci95.is_finite() && auto.ci95 > 0.0,
-        "batch-means ci95 {}",
-        auto.ci95
-    );
-    assert_eq!(auto.seeds, 1);
 }
 
 #[test]
@@ -151,8 +145,8 @@ fn seed_prefix_nesting_is_stable() {
     // a prefix of the 4-seed run's seeds, so adding seeds refines rather
     // than replaces the estimate. Verified indirectly: both runs must
     // agree within their CIs.
-    let r2 = run_sim_replicated(&mesh(0.1), 3_000, 2);
-    let r4 = run_sim_replicated(&mesh(0.1), 3_000, 4);
+    let r2 = replicated(&mesh(0.1), 3_000, 2);
+    let r4 = replicated(&mesh(0.1), 3_000, 4);
     assert_eq!(r2.warmup_detected, r4.warmup_detected, "same pilot run");
     let gap = (r2.avg_latency - r4.avg_latency).abs();
     assert!(

@@ -10,7 +10,7 @@
 //! Run with `cargo run --release --example fbfly_ugal`.
 
 use noc_core::SwitchAllocatorKind;
-use noc_sim::sim::{latency_curve, saturation_rate};
+use noc_sim::sim::{latency_curve, run_sim, saturation_rate};
 use noc_sim::{SimConfig, TopologyKind, TrafficPattern};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
             sa_kind: kind,
             ..base.clone()
         };
-        let sat = saturation_rate(&cfg, 2_000, 4_000);
+        let sat = saturation_rate(&cfg, 2_000, 4_000, &run_sim);
         println!("  {label:<8} saturation ~{sat:.3} flits/cycle/terminal");
     }
 
@@ -48,7 +48,7 @@ fn main() {
         ..base.clone()
     };
     let rates = [0.1, 0.2, 0.3, 0.4];
-    for r in latency_curve(&cfg, &rates, 2_000, 4_000) {
+    for r in latency_curve(&cfg, &rates, 2_000, 4_000, &run_sim) {
         println!(
             "  rate {:>5.2}: latency {:>7.2} cycles, throughput {:.3}, stable={}",
             r.offered, r.avg_latency, r.throughput, r.stable

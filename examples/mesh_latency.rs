@@ -8,7 +8,7 @@
 //! of `uniform|bitcomp|transpose|tornado|shuffle`.
 
 use noc_core::SwitchAllocatorKind;
-use noc_sim::sim::latency_curve;
+use noc_sim::sim::{latency_curve, run_sim};
 use noc_sim::{SimConfig, TopologyKind, TrafficPattern};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
             sa_kind: kind,
             ..base.clone()
         };
-        for r in latency_curve(&cfg, &rates, 2_000, 4_000) {
+        for r in latency_curve(&cfg, &rates, 2_000, 4_000, &run_sim) {
             println!(
                 "{:<8} {:>8.3} {:>10.2} {:>10.3} {:>8}",
                 label, r.offered, r.avg_latency, r.throughput, r.stable

@@ -31,8 +31,8 @@ use noc_obs::{
     TelemetryHeader, ToJson, VecSink, WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
 };
 use noc_sim::{
-    run_sim_replicated, ConfigError, RoutingKind, Run, SimConfig, TelemetryOptions, TopologyKind,
-    TrafficPattern,
+    ConfigError, RoutingKind, Run, SimConfig, TelemetryOptions, TopologyKind, TrafficPattern,
+    MAX_SEEDS,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -102,7 +102,8 @@ Telemetry & live view (noc sim / noc top / noc replay):
                           (watchdog demo)
   --no-watchdog           disable the stall watchdog (default: terminate
                           after ~10k motionless cycles with flits stuck,
-                          writing a post-mortem dump)
+                          writing a post-mortem dump; with --seeds it
+                          guards the pilot and every replicate)
   noc top DUMP [--once]   render the latest frame of a dump and follow it
                           as it grows (--once renders a single frame)
   noc replay DUMP         recompute the run's telemetry summary from the
@@ -129,8 +130,10 @@ Latency anatomy (noc explain / noc sim --anatomy):
                           point, linked from the sweep manifest
 
 Statistics (noc sim):
-  --seeds N               replicate the run over N seeds: auto-detected
-                          warmup (MSER), mean latency with a 95% CI
+  --seeds N               replicate the run over N seeds: a pilot run
+                          detects the warmup (MSER), then mean latency
+                          with a 95% CI; the stall watchdog guards the
+                          pilot and every replicate
   --profile               attribute simulator wall time to the router
                           pipeline phases and print per-phase shares
   --verify                run with the per-cycle invariant checker enabled
@@ -400,8 +403,8 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let trace_path = args.flags.get("trace").cloned();
     let metrics_path = args.flags.get("metrics").cloned();
     let seeds: usize = args.get("seeds", 1usize)?;
-    if seeds == 0 {
-        return Err(ConfigError::Zero("seeds").to_string());
+    if !(1..=MAX_SEEDS).contains(&seeds) {
+        return Err(format!("--seeds must be 1 to {MAX_SEEDS}, not {seeds}"));
     }
     let want_profile = args.flags.contains_key("profile");
     let want_verify = args.flags.contains_key("verify");
@@ -438,150 +441,139 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         warmup,
         measure
     );
-    let (r, profile, anatomy) = if seeds > 1 {
-        // Replicated run: warmup is detected automatically (MSER), so the
-        // --warmup flag only contributes to the total cycle count.
-        (
-            run_sim_replicated(&cfg, warmup + measure, seeds),
-            None,
-            None,
-        )
+    // Every flag combination is one run. Without --record / --top a
+    // coarse watchdog-only recorder still stands guard (unless
+    // --no-watchdog), over each replicate of --seeds too: a deadlocked
+    // network ends with a post-mortem dump instead of burning cycles.
+    let telemetry = if want_record || metrics_path.is_some() {
+        Some(TelemetryOptions {
+            window,
+            // --metrics alone reads the window series, not matchings.
+            match_every: if want_record { match_every } else { 0 },
+            capacity: 256,
+            watchdog: (!no_watchdog).then(|| 10_000u64.div_ceil(window).max(1)),
+        })
     } else {
-        // Every observer flag attaches to the one run. Without --record /
-        // --top a coarse watchdog-only recorder still stands guard (unless
-        // --no-watchdog): a deadlocked network terminates with a
-        // post-mortem dump instead of burning cycles until the measure
-        // window runs out.
-        let telemetry = if want_record || metrics_path.is_some() {
-            Some(TelemetryOptions {
-                window,
-                // --metrics alone reads the window series, not matchings.
-                match_every: if want_record { match_every } else { 0 },
-                capacity: 256,
-                watchdog: (!no_watchdog).then(|| 10_000u64.div_ceil(window).max(1)),
-            })
-        } else {
-            (!no_watchdog).then(|| TelemetryOptions::watchdog_only(10_000))
-        };
-        let mut run = Run::new(&cfg, warmup, measure);
-        if want_profile {
-            run = run.profile();
-        }
-        if want_verify {
-            run = run.verify();
-        }
-        if want_anatomy {
-            run = run.anatomy(anatomy_capacity, anatomy_top_k);
-        }
-        if let Some(opts) = telemetry {
-            run = run.telemetry(opts);
-        }
-        let header = TelemetryHeader {
-            digest: cfg.digest(warmup, measure, TELEMETRY_SCHEMA),
-            label: format!("{} @ {}", cfg.label(), cfg.injection_rate),
-            window: telemetry.map_or(0, |t| t.window),
-            match_every: telemetry.map_or(0, |t| t.match_every),
-            routers: cfg.topology.build().num_routers(),
-            warmup,
-            measure,
-        };
-        let capacity_flits = (cfg.vc_spec().total_vcs() * cfg.buf_depth) as u32;
-        let mut lines: Vec<String> = Vec::new();
-        let mut eff: Vec<f64> = Vec::new();
-        let mut gauges: Vec<WindowSnapshot> = Vec::new();
-        let on_window = |snap: &WindowSnapshot| {
-            if metrics_path.is_some() {
-                gauges.push(snap.clone());
-            }
-            if !want_record {
-                return;
-            }
-            lines.push(window_jsonl(snap));
-            if want_top {
-                eff.push(snap.efficiency());
-                // ANSI clear + home; frames go to stderr so a --json
-                // summary on stdout stays machine-readable.
-                eprint!(
-                    "\x1b[2J\x1b[H{}",
-                    render_top(&header.label, snap, &eff, capacity_flits)
-                );
-            }
-        };
-        let mut sink = VecSink::default();
-        let outcome = if trace_path.is_some() {
-            run.sink(&mut sink).run(on_window)
-        } else {
-            run.run(on_window)
-        };
-        let mut out = match outcome {
-            Ok(out) => out,
-            Err(trip) => {
-                // A recorded run dumps every window it streamed; the guard
-                // recorder only has its ring.
-                if !want_record {
-                    lines = trip.recorder.ring().map(window_jsonl).collect();
-                }
-                let path = record_path
-                    .unwrap_or_else(|| format!("noc-postmortem-{}.jsonl", header.digest));
-                write_telemetry_dump(&path, &header, &lines)?;
-                return Err(format!(
-                    "{}\npost-mortem telemetry dump ({} windows): {path}\n\
-                     (rerun with --no-watchdog to let the simulation spin)",
-                    trip.describe(),
-                    lines.len()
-                ));
-            }
-        };
-        if let Some(path) = &record_path {
-            write_telemetry_dump(path, &header, &lines)?;
-            eprintln!("wrote {} telemetry windows to {path}", lines.len());
+        (!no_watchdog).then(|| TelemetryOptions::watchdog_only(10_000))
+    };
+    let mut run = Run::new(&cfg, warmup, measure).seeds(seeds);
+    if want_profile {
+        run = run.profile();
+    }
+    if want_verify {
+        run = run.verify();
+    }
+    if want_anatomy {
+        run = run.anatomy(anatomy_capacity, anatomy_top_k);
+    }
+    if let Some(opts) = telemetry {
+        run = run.telemetry(opts);
+    }
+    let header = TelemetryHeader {
+        digest: cfg.digest(warmup, measure, TELEMETRY_SCHEMA),
+        label: format!("{} @ {}", cfg.label(), cfg.injection_rate),
+        window: telemetry.map_or(0, |t| t.window),
+        match_every: telemetry.map_or(0, |t| t.match_every),
+        routers: cfg.topology.build().num_routers(),
+        warmup,
+        measure,
+    };
+    let capacity_flits = (cfg.vc_spec().total_vcs() * cfg.buf_depth) as u32;
+    let mut lines: Vec<String> = Vec::new();
+    let mut eff: Vec<f64> = Vec::new();
+    let mut gauges: Vec<WindowSnapshot> = Vec::new();
+    let on_window = |snap: &WindowSnapshot| {
+        if metrics_path.is_some() {
+            gauges.push(snap.clone());
         }
         if !want_record {
-            // The guard recorder is internal; keep the report identical to
-            // an unrecorded run.
-            out.result.telemetry = None;
+            return;
         }
-        if let Some(path) = &trace_path {
-            std::fs::write(path, chrome_trace(&sink.events))
-                .map_err(|e| format!("writing trace '{path}': {e}"))?;
-            eprintln!("wrote {} flit events to {path}", sink.events.len());
-        }
-        if let Some(path) = &metrics_path {
-            let text = if path.ends_with(".json") || path.ends_with(".jsonl") {
-                metrics_jsonl(&out.router_obs, &gauges)
-            } else {
-                metrics_csv(&out.router_obs, &gauges)
-            };
-            std::fs::write(path, text).map_err(|e| format!("writing metrics '{path}': {e}"))?;
-            eprintln!("wrote metrics to {path}");
-        }
-        if let (Some(path), Some(col)) = (&anatomy_out, &out.anatomy) {
-            write_anatomy_dump(
-                path,
-                &cfg,
-                warmup,
-                measure,
-                anatomy_capacity,
-                anatomy_top_k,
-                col,
-            )?;
-        }
-        if let Some(rep) = &out.verify {
-            eprintln!(
-                "invariants       {} checks, {} violations",
-                rep.checks, rep.total_violations
+        lines.push(window_jsonl(snap));
+        if want_top {
+            eff.push(snap.efficiency());
+            // ANSI clear + home; frames go to stderr so a --json
+            // summary on stdout stays machine-readable.
+            eprint!(
+                "\x1b[2J\x1b[H{}",
+                render_top(&header.label, snap, &eff, capacity_flits)
             );
-            if !rep.passed() {
-                let mut msg = format!("{} runtime invariant violation(s):", rep.total_violations);
-                for v in rep.violations.iter().take(10) {
-                    msg.push_str("\n  ");
-                    msg.push_str(v);
-                }
-                return Err(msg);
-            }
         }
-        (out.result, out.profile, out.anatomy)
     };
+    let mut sink = VecSink::default();
+    let outcome = if trace_path.is_some() {
+        run.sink(&mut sink).run(on_window)
+    } else {
+        run.run(on_window)
+    };
+    let mut out = match outcome {
+        Ok(out) => out,
+        Err(trip) => {
+            // A recorded run dumps every window it streamed; the guard
+            // recorder only has its ring.
+            if !want_record {
+                lines = trip.recorder.ring().map(window_jsonl).collect();
+            }
+            let path =
+                record_path.unwrap_or_else(|| format!("noc-postmortem-{}.jsonl", header.digest));
+            write_telemetry_dump(&path, &header, &lines)?;
+            return Err(format!(
+                "{}\npost-mortem telemetry dump ({} windows): {path}\n\
+                 (rerun with --no-watchdog to let the simulation spin)",
+                trip.describe(),
+                lines.len()
+            ));
+        }
+    };
+    if let Some(path) = &record_path {
+        write_telemetry_dump(path, &header, &lines)?;
+        eprintln!("wrote {} telemetry windows to {path}", lines.len());
+    }
+    if !want_record {
+        // The guard recorder is internal; keep the report identical to
+        // an unrecorded run.
+        out.result.telemetry = None;
+    }
+    if let Some(path) = &trace_path {
+        std::fs::write(path, chrome_trace(&sink.events))
+            .map_err(|e| format!("writing trace '{path}': {e}"))?;
+        eprintln!("wrote {} flit events to {path}", sink.events.len());
+    }
+    if let Some(path) = &metrics_path {
+        let text = if path.ends_with(".json") || path.ends_with(".jsonl") {
+            metrics_jsonl(&out.router_obs, &gauges)
+        } else {
+            metrics_csv(&out.router_obs, &gauges)
+        };
+        std::fs::write(path, text).map_err(|e| format!("writing metrics '{path}': {e}"))?;
+        eprintln!("wrote metrics to {path}");
+    }
+    if let (Some(path), Some(col)) = (&anatomy_out, &out.anatomy) {
+        write_anatomy_dump(
+            path,
+            &cfg,
+            warmup,
+            measure,
+            anatomy_capacity,
+            anatomy_top_k,
+            col,
+        )?;
+    }
+    if let Some(rep) = &out.verify {
+        eprintln!(
+            "invariants       {} checks, {} violations",
+            rep.checks, rep.total_violations
+        );
+        if !rep.passed() {
+            let mut msg = format!("{} runtime invariant violation(s):", rep.total_violations);
+            for v in rep.violations.iter().take(10) {
+                msg.push_str("\n  ");
+                msg.push_str(v);
+            }
+            return Err(msg);
+        }
+    }
+    let (r, profile, anatomy) = (out.result, out.profile, out.anatomy);
     if args.flags.contains_key("json") {
         println!("{}", json_report(&r, profile.as_ref(), anatomy.as_ref()));
         return Ok(());

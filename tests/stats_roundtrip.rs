@@ -2,7 +2,7 @@
 //! in-repo reader parses back losslessly, with NaN mapped to `null`.
 
 use noc_obs::JsonValue;
-use noc_sim::{run_sim, run_sim_replicated, SimConfig, TopologyKind};
+use noc_sim::{run_sim, Run, SimConfig, TopologyKind};
 
 fn mesh(rate: f64) -> SimConfig {
     SimConfig {
@@ -36,7 +36,7 @@ fn single_run_summary_round_trips_with_nan_as_null() {
 
 #[test]
 fn replicated_run_summary_round_trips_ci_and_warmup() {
-    let r = run_sim_replicated(&mesh(0.1), 2_000, 3);
+    let r = Run::new(&mesh(0.1), 0, 2_000).seeds(3).finish().result;
     let v = JsonValue::parse(&r.to_json()).expect("strict JSON");
     assert_eq!(v.num_or_nan("seeds"), 3.0);
     assert!(r.ci95.is_finite());
