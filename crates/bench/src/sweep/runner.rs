@@ -24,8 +24,8 @@ use crate::sweep::journal::{Journal, JournalHeader};
 use crate::sweep::spec::{SweepPoint, SweepSpec};
 use crate::sweep::SWEEP_SCHEMA;
 use noc_obs::{
-    sweep_manifest_json, window_jsonl, AnatomyHeader, ProgressMeter, SweepManifestPoint,
-    TelemetryHeader, ToJson,
+    check_reconciliation, sweep_manifest_json, window_jsonl, write_anatomy_dump,
+    write_telemetry_dump, ProgressMeter, SweepManifestPoint, TelemetryHeader,
 };
 use noc_sim::{run_many, run_sim, Run, SimConfig, SimResult, TelemetryOptions};
 use std::collections::HashMap;
@@ -80,16 +80,16 @@ fn anatomy_filename(digest: &str) -> String {
     format!("{digest}.anatomy.jsonl")
 }
 
-/// Per-packet ledger rows retained per anatomy-enabled sweep point.
-const SWEEP_ANATOMY_CAPACITY: usize = 1 << 16;
 /// Slowest-packet waterfalls kept per anatomy-enabled sweep point.
 const SWEEP_ANATOMY_TOP_K: usize = 8;
 
 /// Simulates one point — once, whichever observers `opts` asks for — and
-/// writes each observer's dump next to the cached result. The dumps stay
-/// out of both the point digest and the cached `SimResult` (observers are
-/// pure, and the telemetry summary is stripped before the result is
-/// stored), so observed and plain sweeps share cache entries byte for byte.
+/// writes each observer's dump next to the cached result, headed by the
+/// point digest. The dumps stay out of both the point digest and the
+/// cached `SimResult` (observers are pure, and the telemetry summary is
+/// stripped before the result is stored), so observed and plain sweeps
+/// share cache entries byte for byte. A ledger that does not reconcile
+/// with the measured latency fails the point.
 fn compute_point(
     point: &SweepPoint,
     opts: &SweepOptions,
@@ -106,48 +106,43 @@ fn compute_point(
         run = run.telemetry(topts);
     }
     if opts.anatomy {
-        run = run.anatomy(SWEEP_ANATOMY_CAPACITY, SWEEP_ANATOMY_TOP_K);
+        run = run.anatomy(SWEEP_ANATOMY_TOP_K);
     }
-    let mut windows = String::new();
+    let mut windows = Vec::new();
     let mut out = run
-        .run(|snap| {
-            windows.push_str(&window_jsonl(snap));
-            windows.push('\n');
-        })
+        .run(|snap| windows.push(window_jsonl(snap)))
         .map_err(|trip| {
             format!(
                 "telemetry: watchdog tripped with no watchdog set: {}",
                 trip.describe()
             )
         })?;
+    let routers = point.cfg.topology.build().num_routers();
     if opts.telemetry {
         let header = TelemetryHeader {
             digest: digest.to_string(),
             label: point.label.clone(),
             window: topts.window,
             match_every: topts.match_every,
-            routers: point.cfg.topology.build().num_routers(),
+            routers,
             warmup: point.warmup,
             measure: point.measure,
         };
         let path = opts.cache_dir.join(telemetry_filename(digest));
-        std::fs::write(&path, format!("{}\n{windows}", header.to_json()))
-            .map_err(|e| format!("telemetry: cannot write {}: {e}", path.display()))?;
+        write_telemetry_dump(&path, &header, &windows)?;
         out.result.telemetry = None;
     }
     if let Some(col) = &out.anatomy {
-        let header = AnatomyHeader {
-            digest: digest.to_string(),
-            label: point.label.clone(),
-            routers: point.cfg.topology.build().num_routers(),
-            warmup: point.warmup,
-            measure: point.measure,
-            capacity: SWEEP_ANATOMY_CAPACITY as u64,
-            top_k: SWEEP_ANATOMY_TOP_K as u64,
-        };
-        let path = opts.cache_dir.join(anatomy_filename(digest));
-        std::fs::write(&path, col.to_jsonl(&header))
-            .map_err(|e| format!("anatomy: cannot write {}: {e}", path.display()))?;
+        check_reconciliation(col, out.result.avg_latency)?;
+        write_anatomy_dump(
+            &opts.cache_dir.join(anatomy_filename(digest)),
+            col,
+            digest.to_string(),
+            point.label.clone(),
+            routers,
+            point.warmup,
+            point.measure,
+        )?;
     }
     Ok(out.result)
 }

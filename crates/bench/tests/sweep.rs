@@ -289,8 +289,11 @@ fn anatomy_sweep_writes_linked_dumps_without_touching_the_cache_contract() {
     assert_eq!(recorded.computed, 3);
 
     // Every point got a parseable noc-anatomy/v1 dump whose retained rows
-    // all reconcile, and the manifest links each one by file name.
+    // all reconcile, and the manifest links each one by file name. The
+    // header names the point digest, and the dump's stage-sum mean is its
+    // cached result's mean latency, bit for bit.
     let manifest = fs::read_to_string(&recorded.manifest_path).unwrap();
+    let cache = ResultCache::new(&root.join("cache")).unwrap();
     let mut linked = 0;
     for part in manifest.split("\"anatomy\":\"").skip(1) {
         let name = part.split('"').next().unwrap();
@@ -301,6 +304,10 @@ fn anatomy_sweep_writes_linked_dumps_without_touching_the_cache_contract() {
         for p in &dump.records {
             assert!(p.reconciles(), "{p:?}");
         }
+        assert_eq!(name, format!("{}.anatomy.jsonl", dump.header.digest));
+        let cached = cache.load(&dump.header.digest).expect("cached result");
+        let mean = dump.totals.total_sum() as f64 / dump.totals.packets as f64;
+        assert_eq!(mean.to_bits(), cached.avg_latency.to_bits(), "{name}");
         linked += 1;
     }
     assert_eq!(linked, 3, "all three points link a dump");

@@ -16,10 +16,11 @@
 //! [`VcAllocSpec`] mask.
 
 use noc_core::VcAllocSpec;
+use noc_sim::routing::injection_class;
 use noc_sim::Topology;
 use std::collections::{HashMap, HashSet};
 
-use crate::model::{injection_class, route_step, RouteModel};
+use crate::model::{route_step, RouteModel};
 
 /// One channel-to-channel dependency, with a witness route.
 #[derive(Clone, Copy, Debug)]
@@ -136,7 +137,7 @@ impl ChannelDependencyGraph {
         state0: noc_sim::packet::RouteState,
     ) {
         let (mut router, inj_port) = topo.terminal_attach(src);
-        let mut rc = injection_class(model, &state0);
+        let mut rc = injection_class(model.routing(), &state0);
         if rc >= self.rcs {
             self.walk_errors.push(format!(
                 "route {src}->{dest}: injection class {rc} out of range (R = {})",

@@ -50,7 +50,7 @@ pub fn torus_no_dateline(c: usize) -> Result<Fixture, SpecError> {
     Ok(Fixture {
         label: format!("torus-no-dateline_c{c}"),
         topo: Topology::torus(8, 8),
-        model: RouteModel::TorusNoDateline,
+        model: RouteModel::Simulator(RoutingKind::TorusNoDateline),
         spec: VcAllocSpec::try_new(5, 2, 1, c, vec![vec![true]])?,
     })
 }

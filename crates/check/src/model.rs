@@ -1,25 +1,24 @@
 //! Route models the static checker can walk.
 //!
-//! The checker normally replays the simulator's own routing functions
-//! ([`RouteModel::Simulator`]); the other variants are deliberately broken
-//! routing relations used as negative fixtures — designs the checker must
-//! classify as deadlock-prone.
+//! The checker replays the simulator's own routing functions
+//! ([`RouteModel::Simulator`]), including the deliberately deadlock-prone
+//! no-dateline torus; [`RouteModel::AlternatingClass`] walks that same
+//! route with a broken class discipline. Both negative fixtures are
+//! designs the checker must classify as deadlock-prone.
 
 use noc_sim::packet::{Lookahead, RouteState};
-use noc_sim::routing::{route_at, RoutingKind, RC_MIN, RC_NONMIN};
+use noc_sim::routing::{route_at, RoutingKind};
 use noc_sim::Topology;
 
 /// A routing relation to analyze.
 #[derive(Clone, Copy, Debug)]
 pub enum RouteModel {
-    /// One of the simulator's routing functions (DOR, UGAL, torus dateline).
+    /// One of the simulator's routing functions (DOR, UGAL, torus
+    /// dateline, and the no-dateline torus fixture).
     Simulator(RoutingKind),
-    /// Negative fixture: shortest-direction torus DOR with **no** dateline
-    /// classes — every hop stays in resource class 0, so each ring's
-    /// channels form a dependency cycle (the classic Dally–Seitz example).
-    TorusNoDateline,
-    /// Negative fixture: torus DOR whose resource class alternates on every
-    /// hop. Each individual transition is legal under the rc_succ mask
+    /// Negative fixture: the simulator's no-dateline torus route with a
+    /// resource class that alternates on every hop. Each individual
+    /// transition is legal under the rc_succ mask
     /// `[[false, true], [true, false]]`, but on an even-length ring the
     /// alternation closes a dependency cycle — deadlock that only the
     /// global CDG analysis can see.
@@ -33,11 +32,17 @@ impl RouteModel {
             RouteModel::Simulator(RoutingKind::DimensionOrder) => "dor".to_string(),
             RouteModel::Simulator(RoutingKind::Ugal { threshold }) => format!("ugal{threshold}"),
             RouteModel::Simulator(RoutingKind::TorusDateline) => "torus-dateline".to_string(),
-            RouteModel::Simulator(RoutingKind::TorusNoDateline) => {
-                "torus-no-dateline-sim".to_string()
-            }
-            RouteModel::TorusNoDateline => "torus-no-dateline".to_string(),
+            RouteModel::Simulator(RoutingKind::TorusNoDateline) => "torus-no-dateline".to_string(),
             RouteModel::AlternatingClass => "alternating-class".to_string(),
+        }
+    }
+
+    /// The simulator routing function whose route this model walks (and
+    /// whose injection class a packet starts in).
+    pub fn routing(&self) -> RoutingKind {
+        match self {
+            RouteModel::Simulator(kind) => *kind,
+            RouteModel::AlternatingClass => RoutingKind::TorusNoDateline,
         }
     }
 
@@ -66,21 +71,6 @@ impl RouteModel {
     }
 }
 
-/// Resource class of the VC a packet occupies at its injection channel —
-/// mirrors `Terminal::try_start` in `noc-sim`.
-pub fn injection_class(model: &RouteModel, state: &RouteState) -> usize {
-    match model {
-        RouteModel::Simulator(RoutingKind::Ugal { .. }) => {
-            if state.intermediate.is_some() {
-                RC_NONMIN
-            } else {
-                RC_MIN
-            }
-        }
-        _ => 0,
-    }
-}
-
 /// One routing decision at `router` for a packet in resource class
 /// `current_rc` heading to terminal `dest`.
 pub fn route_step(
@@ -91,73 +81,15 @@ pub fn route_step(
     current_rc: usize,
     state: RouteState,
 ) -> (Lookahead, RouteState) {
+    let (la, state) = route_at(topo, model.routing(), router, dest, state);
     match model {
-        RouteModel::Simulator(kind) => route_at(topo, *kind, router, dest, state),
-        RouteModel::TorusNoDateline => {
-            let (la, state) = torus_shortest(topo, router, dest, state);
-            (
-                Lookahead {
-                    resource_class: 0,
-                    ..la
-                },
-                state,
-            )
-        }
-        RouteModel::AlternatingClass => {
-            let (la, state) = torus_shortest(topo, router, dest, state);
-            (
-                Lookahead {
-                    resource_class: 1 - current_rc,
-                    ..la
-                },
-                state,
-            )
-        }
-    }
-}
-
-/// Shortest-direction torus DOR (ties toward +), resource class left at 0 —
-/// the direction logic of the simulator's dateline router without its class
-/// discipline.
-fn torus_shortest(
-    topo: &Topology,
-    router: usize,
-    dest: usize,
-    state: RouteState,
-) -> (Lookahead, RouteState) {
-    let (dest_router, tp) = topo.terminal_attach(dest);
-    if router == dest_router {
-        return (
+        RouteModel::Simulator(_) => (la, state),
+        RouteModel::AlternatingClass => (
             Lookahead {
-                out_port: tp,
-                resource_class: 0,
+                resource_class: 1 - current_rc,
+                ..la
             },
             state,
-        );
+        ),
     }
-    let (w, h) = (topo.width, topo.height);
-    let (x, y) = topo.coords(router);
-    let (tx, ty) = topo.coords(dest_router);
-    let out_port = if x != tx {
-        let fwd = (tx + w - x) % w;
-        if fwd <= w - fwd {
-            1
-        } else {
-            2
-        }
-    } else {
-        let fwd = (ty + h - y) % h;
-        if fwd <= h - fwd {
-            3
-        } else {
-            4
-        }
-    };
-    (
-        Lookahead {
-            out_port,
-            resource_class: 0,
-        },
-        state,
-    )
 }

@@ -19,16 +19,17 @@ pub trait Allocator {
     fn num_resources(&self) -> usize;
 
     /// Computes a matching for `requests` and updates priority state.
-    fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix;
+    fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
+        let mut grants = BitMatrix::new(self.num_requesters(), self.num_resources());
+        self.allocate_into(requests, &mut grants);
+        grants
+    }
 
     /// [`Allocator::allocate`] into a caller-owned grant matrix, so a
     /// per-cycle caller can reuse one scratch matrix and never allocate.
     /// The matrix must match the allocator's dimensions; it is cleared
-    /// first. Implementations with a zero-alloc steady state override this;
-    /// the default falls back to `allocate`.
-    fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
-        *grants = self.allocate(requests);
-    }
+    /// first.
+    fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix);
 
     /// [`Allocator::allocate`] fed by entries: `requests` lists the
     /// requested `(row, col)` entries in any order, and `grants` is

@@ -75,7 +75,7 @@ impl Allocator for AugmentingPathAllocator {
         self.resources
     }
 
-    fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
+    fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
         assert_eq!(requests.num_rows(), self.requesters);
         assert_eq!(requests.num_cols(), self.resources);
         let mut col_match: Vec<Option<usize>> = vec![None; self.resources];
@@ -106,13 +106,12 @@ impl Allocator for AugmentingPathAllocator {
                 row_matched[r] = true;
             }
         }
-        let mut grants = BitMatrix::new(self.requesters, self.resources);
+        grants.clear();
         for (c, m) in col_match.iter().enumerate() {
             if let Some(r) = m {
                 grants.set(*r, c, true);
             }
         }
-        grants
     }
 
     fn reset(&mut self) {}

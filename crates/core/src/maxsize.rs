@@ -91,17 +91,15 @@ impl Allocator for MaxSizeAllocator {
         self.resources
     }
 
-    fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
+    fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
         assert_eq!(requests.num_rows(), self.requesters);
         assert_eq!(requests.num_cols(), self.resources);
-        let col_match = max_matching_assignment(requests);
-        let mut grants = BitMatrix::new(self.requesters, self.resources);
-        for (c, m) in col_match.iter().enumerate() {
+        grants.clear();
+        for (c, m) in max_matching_assignment(requests).iter().enumerate() {
             if let Some(r) = m {
                 grants.set(*r, c, true);
             }
         }
-        grants
     }
 
     fn reset(&mut self) {}

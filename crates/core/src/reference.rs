@@ -92,12 +92,6 @@ impl Allocator for WavefrontAllocator {
         self.resources
     }
 
-    fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
-        let mut grants = BitMatrix::new(self.requesters, self.resources);
-        self.allocate_into(requests, &mut grants);
-        grants
-    }
-
     fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
         grants.clear();
         wavefront_with_diagonal_into(
@@ -150,12 +144,6 @@ impl SwitchAllocator for SepIfSwitchAllocator {
 
     fn vcs(&self) -> usize {
         self.vcs
-    }
-
-    fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-        let mut grants = Vec::new();
-        self.allocate_into(requests, &mut grants);
-        grants
     }
 
     fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {
@@ -233,12 +221,6 @@ impl SwitchAllocator for SepOfSwitchAllocator {
 
     fn vcs(&self) -> usize {
         self.vcs
-    }
-
-    fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-        let mut grants = Vec::new();
-        self.allocate_into(requests, &mut grants);
-        grants
     }
 
     fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {
@@ -322,12 +304,6 @@ impl SwitchAllocator for WavefrontSwitchAllocator {
 
     fn vcs(&self) -> usize {
         self.vcs
-    }
-
-    fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-        let mut grants = Vec::new();
-        self.allocate_into(requests, &mut grants);
-        grants
     }
 
     fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {

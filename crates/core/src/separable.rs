@@ -68,11 +68,11 @@ impl Allocator for SeparableInputFirst {
         self.output_arbs.len()
     }
 
-    fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
+    fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
         assert_eq!(requests.num_rows(), self.num_requesters());
         assert_eq!(requests.num_cols(), self.num_resources());
         let (nr, nc) = (self.num_requesters(), self.num_resources());
-        let mut grants = BitMatrix::new(nr, nc);
+        grants.clear();
         let mut row_free = Bits::ones(nr);
         let mut col_free = Bits::ones(nc);
 
@@ -107,7 +107,6 @@ impl Allocator for SeparableInputFirst {
                 break;
             }
         }
-        grants
     }
 
     fn reset(&mut self) {
@@ -167,11 +166,11 @@ impl Allocator for SeparableOutputFirst {
         self.output_arbs.len()
     }
 
-    fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
+    fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
         assert_eq!(requests.num_rows(), self.num_requesters());
         assert_eq!(requests.num_cols(), self.num_resources());
         let (nr, nc) = (self.num_requesters(), self.num_resources());
-        let mut grants = BitMatrix::new(nr, nc);
+        grants.clear();
         let mut row_free = Bits::ones(nr);
         let mut col_free = Bits::ones(nc);
 
@@ -207,7 +206,6 @@ impl Allocator for SeparableOutputFirst {
                 break;
             }
         }
-        grants
     }
 
     fn reset(&mut self) {

@@ -289,15 +289,16 @@ pub trait SwitchAllocator: Send {
     fn vcs(&self) -> usize;
 
     /// Performs one switch-allocation round and updates priority state.
-    fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant>;
-
-    /// Allocation round writing grants into a caller-owned buffer, so hot
-    /// paths can reuse capacity across cycles. Must produce exactly the
-    /// grants (and priority updates) of [`SwitchAllocator::allocate`].
-    fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {
-        out.clear();
-        out.extend(self.allocate(requests));
+    fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
+        let mut grants = Vec::new();
+        self.allocate_into(requests, &mut grants);
+        grants
     }
+
+    /// [`SwitchAllocator::allocate`] writing grants into a caller-owned
+    /// buffer (cleared first), so hot paths can reuse capacity across
+    /// cycles.
+    fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>);
 
     /// Restores power-on priority state.
     fn reset(&mut self);
@@ -414,12 +415,6 @@ impl SwitchAllocator for SepIfSwitchAllocator {
         self.vcs
     }
 
-    fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-        let mut grants = Vec::new();
-        self.allocate_into(requests, &mut grants);
-        grants
-    }
-
     fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {
         assert_eq!(requests.ports(), self.ports);
         assert_eq!(requests.vcs(), self.vcs);
@@ -526,12 +521,6 @@ impl SwitchAllocator for SepOfSwitchAllocator {
 
     fn vcs(&self) -> usize {
         self.vcs
-    }
-
-    fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-        let mut grants = Vec::new();
-        self.allocate_into(requests, &mut grants);
-        grants
     }
 
     fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {
@@ -651,12 +640,6 @@ impl SwitchAllocator for WavefrontSwitchAllocator {
 
     fn vcs(&self) -> usize {
         self.vcs
-    }
-
-    fn allocate(&mut self, requests: &SwitchRequests) -> Vec<SwitchGrant> {
-        let mut grants = Vec::new();
-        self.allocate_into(requests, &mut grants);
-        grants
     }
 
     fn allocate_into(&mut self, requests: &SwitchRequests, out: &mut Vec<SwitchGrant>) {

@@ -276,12 +276,6 @@ impl Allocator for WavefrontAllocator {
         self.resources
     }
 
-    fn allocate(&mut self, requests: &BitMatrix) -> BitMatrix {
-        let mut grants = BitMatrix::new(self.requesters, self.resources);
-        self.allocate_into(requests, &mut grants);
-        grants
-    }
-
     fn allocate_into(&mut self, requests: &BitMatrix, grants: &mut BitMatrix) {
         self.check_dims(requests, grants);
         grants.clear();

@@ -32,9 +32,15 @@ use crate::hist::HdrHistogram;
 use crate::json::{ints, narrow, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Schema tag written into every anatomy dump header and summary block.
 pub const ANATOMY_SCHEMA: &str = "noc-anatomy/v1";
+
+/// Per-packet ledger rows a simulation's collector retains (the blame
+/// report always covers every packet; rows past the cap are counted as
+/// dropped).
+pub const ANATOMY_CAPACITY: usize = 1 << 16;
 
 /// Number of latency stage components (the end-to-end total is stage
 /// index [`STAGE_COUNT`] in histogram/percentile arrays).
@@ -370,6 +376,59 @@ impl ToJson for AnatomyHeader {
     }
 }
 
+/// Writes `col` to `path` as a `noc-anatomy/v1` dump. The caller names
+/// the run: `digest` keys the dump to its result and `label` titles it;
+/// the header's retention cap and waterfall count are the collector's.
+pub fn write_anatomy_dump(
+    path: &Path,
+    col: &AnatomyCollector,
+    digest: String,
+    label: String,
+    routers: usize,
+    warmup: u64,
+    measure: u64,
+) -> Result<(), String> {
+    let header = AnatomyHeader {
+        digest,
+        label,
+        routers,
+        warmup,
+        measure,
+        capacity: col.capacity as u64,
+        top_k: col.top_k as u64,
+    };
+    std::fs::write(path, col.to_jsonl(&header))
+        .map_err(|e| format!("cannot write anatomy dump '{}': {e}", path.display()))
+}
+
+/// Checks the ledger's exact reconciliation on a finished run whose
+/// measured mean latency is `avg_latency`, and renders the one-line
+/// receipt: every retained per-packet row's stage components must sum to
+/// its end-to-end latency, and the full-population stage-sum mean must be
+/// bit-identical to `avg_latency`.
+pub fn check_reconciliation(col: &AnatomyCollector, avg_latency: f64) -> Result<String, String> {
+    let exact = col.records.iter().filter(|p| p.reconciles()).count();
+    if exact != col.records.len() {
+        return Err(format!(
+            "latency anatomy failed to reconcile: {}/{} retained packets have stage sums != \
+             eject - birth",
+            col.records.len() - exact,
+            col.records.len()
+        ));
+    }
+    let mean = col.totals.total_sum() as f64 / col.totals.packets as f64;
+    if col.totals.packets > 0 && mean.to_bits() != avg_latency.to_bits() {
+        return Err(format!(
+            "latency anatomy failed to reconcile: stage-sum mean {mean} != measured mean \
+             latency {avg_latency}"
+        ));
+    }
+    Ok(format!(
+        "reconciliation   {exact}/{} retained packets exact; stage-sum mean == measured latency",
+        col.records.len()
+    ))
+}
+
 impl AnatomyHeader {
     fn from_value(v: &JsonValue) -> Result<AnatomyHeader, String> {
         v.expect_schema(ANATOMY_SCHEMA)?;
@@ -652,7 +711,7 @@ impl AnatomySummary {
         }
     }
 
-    /// Renders the per-stage breakdown table `noc explain` prints.
+    /// Renders the per-stage breakdown table `noc sim --anatomy` prints.
     pub fn render(&self) -> String {
         let mut out = format!(
             "packets          {} in window ({} requests, {} replies; {} ledger rows dropped)\n",
@@ -719,7 +778,7 @@ impl ToJson for AnatomySummary {
 }
 
 /// Renders one slow-packet waterfall as the indented hop-by-hop text block
-/// `noc explain` prints under the breakdown table.
+/// `noc sim --anatomy` prints under the breakdown table.
 pub fn render_waterfall(w: &Waterfall) -> String {
     let p = &w.packet;
     let class = if p.class == 0 { "request" } else { "reply" };

@@ -10,7 +10,6 @@
 //! plus one async `"b"`/`"e"` pair per packet spanning injection to last
 //! ejection.
 
-use crate::anatomy::Waterfall;
 use crate::event::{FlitEvent, FlitEventKind};
 use crate::json::{JsonWriter, ToJson};
 use crate::metrics::RouterObs;
@@ -140,64 +139,13 @@ pub fn metrics_jsonl(routers: &[RouterObs], windows: &[WindowSnapshot]) -> Strin
     w.finish()
 }
 
-/// Opens a Chrome Trace Event Format document, one event per line.
-fn begin_trace() -> JsonWriter {
+/// Encodes a flit-event trace in the Chrome Trace Event Format.
+pub fn chrome_trace(events: &[FlitEvent]) -> String {
     let mut w = JsonWriter::default();
     w.begin_object()
         .field("displayTimeUnit", "ns")
         .key("traceEvents")
         .begin_lines();
-    w
-}
-
-fn end_trace(mut w: JsonWriter) -> String {
-    w.end_array().end_object().newline();
-    w.finish()
-}
-
-/// The async `"b"`/`"e"` pair spanning a packet's lifetime.
-fn packet_span(w: &mut JsonWriter, cat: &str, id: u64, start: u64, end: u64, tid: usize) {
-    for (ph, ts) in [("b", start), ("e", end.max(start + 1))] {
-        w.begin_object()
-            .field("name", "packet")
-            .field("cat", cat)
-            .field("ph", ph)
-            .field("id", format_args!("{id:x}"))
-            .field("ts", ts)
-            .field("pid", 0u64)
-            .field("tid", tid)
-            .end_object();
-    }
-}
-
-/// One complete (`"X"`) slice; the caller adds `args` and closes it.
-#[allow(clippy::too_many_arguments)]
-fn begin_slice<'w>(
-    w: &'w mut JsonWriter,
-    name: &str,
-    cat: &str,
-    ts: u64,
-    dur: u64,
-    pid: u32,
-    tid: u32,
-    packet: u64,
-) -> &'w mut JsonWriter {
-    w.begin_object()
-        .field("name", name)
-        .field("cat", cat)
-        .field("ph", "X")
-        .field("ts", ts)
-        .field("dur", dur)
-        .field("pid", pid)
-        .field("tid", tid)
-        .key("args")
-        .begin_object()
-        .field("packet", format_args!("{packet:x}"))
-}
-
-/// Encodes a flit-event trace in the Chrome Trace Event Format.
-pub fn chrome_trace(events: &[FlitEvent]) -> String {
-    let mut w = begin_trace();
     // Packet lifetime spans: injection of the head flit to the last
     // ejection seen.
     let mut spans: HashMap<u64, (u64, u64)> = HashMap::new();
@@ -215,84 +163,36 @@ pub fn chrome_trace(events: &[FlitEvent]) -> String {
     let mut span_list: Vec<_> = spans.into_iter().collect();
     span_list.sort_unstable();
     for (id, (start, end)) in span_list {
-        packet_span(&mut w, "packet", id, start, end, 0);
-    }
-    for ev in events {
-        let tid = (ev.port as u32) * 256 + ev.vc as u32;
-        begin_slice(
-            &mut w,
-            ev.kind.name(),
-            "flit",
-            ev.cycle,
-            1,
-            ev.router,
-            tid,
-            ev.packet_id,
-        )
-        .field("flit", ev.flit_index)
-        .end_object()
-        .end_object();
-    }
-    end_trace(w)
-}
-
-/// Encodes slow-packet waterfalls as Chrome Trace Event Format stage-wait
-/// spans, so a `noc explain` top-K packet opens directly in
-/// `chrome://tracing` / Perfetto.
-///
-/// Each packet gets an async `"b"`/`"e"` span (birth → ejection) plus its
-/// source-queue and serialization waits on a per-packet `pid = 0` lane;
-/// each hop contributes consecutive `"X"` slices — `vca`, `sa`, `credit`,
-/// `active` — on the router's `pid = router`, `tid = port·256 + vc` lane,
-/// starting at the head flit's arrival cycle (the four slices tile the
-/// hop's span exactly, mirroring the ledger's reconciliation invariant).
-pub fn anatomy_chrome_trace(slow: &[&Waterfall]) -> String {
-    fn slice(w: &mut JsonWriter, name: &str, ts: u64, dur: u64, pid: u32, tid: u32, id: u64) {
-        if dur > 0 {
-            begin_slice(w, name, "anatomy", ts, dur, pid, tid, id)
-                .end_object()
+        for (ph, ts) in [("b", start), ("e", end.max(start + 1))] {
+            w.begin_object()
+                .field("name", "packet")
+                .field("cat", "packet")
+                .field("ph", ph)
+                .field("id", format_args!("{id:x}"))
+                .field("ts", ts)
+                .field("pid", 0u64)
+                .field("tid", 0u64)
                 .end_object();
         }
     }
-    let mut w = begin_trace();
-    for (lane, wf) in slow.iter().enumerate() {
-        let p = &wf.packet;
-        packet_span(&mut w, "anatomy", p.packet_id, p.birth, p.eject, lane);
-        let tid = lane as u32;
-        slice(
-            &mut w,
-            "src_queue",
-            p.birth,
-            p.stages[0],
-            0,
-            tid,
-            p.packet_id,
-        );
-        let tail = p.stages[6];
-        slice(
-            &mut w,
-            "serialization",
-            p.eject - tail,
-            tail,
-            0,
-            tid,
-            p.packet_id,
-        );
-        for h in &wf.hops {
-            let tid = (h.in_port as u32) * 256 + h.in_vc as u32;
-            let mut ts = h.arrive;
-            for (name, dur) in [
-                ("vca", h.vca),
-                ("sa", h.sa),
-                ("credit", h.credit),
-                ("active", h.active),
-            ] {
-                slice(&mut w, name, ts, dur, h.router, tid, h.packet_id);
-                ts += dur;
-            }
-        }
+    for ev in events {
+        w.begin_object()
+            .field("name", ev.kind.name())
+            .field("cat", "flit")
+            .field("ph", "X")
+            .field("ts", ev.cycle)
+            .field("dur", 1u64)
+            .field("pid", ev.router)
+            .field("tid", (ev.port as u32) * 256 + ev.vc as u32)
+            .key("args")
+            .begin_object()
+            .field("packet", format_args!("{:x}", ev.packet_id))
+            .field("flit", ev.flit_index)
+            .end_object()
+            .end_object();
     }
-    end_trace(w)
+    w.end_array().end_object().newline();
+    w.finish()
 }
 
 /// One row of a sweep manifest: how a single experiment point was
@@ -477,47 +377,6 @@ mod tests {
     #[test]
     fn empty_trace_still_valid() {
         validate_json(&chrome_trace(&[])).unwrap();
-    }
-
-    #[test]
-    fn anatomy_trace_tiles_each_hop_exactly() {
-        use crate::anatomy::{HopRecord, PacketAnatomy, Waterfall};
-        let w = Waterfall {
-            packet: PacketAnatomy {
-                packet_id: 0x7,
-                class: 0,
-                birth: 0,
-                eject: 12,
-                hops: 1,
-                stages: [2, 1, 1, 0, 3, 2, 3],
-            },
-            hops: vec![HopRecord {
-                packet_id: 0x7,
-                router: 5,
-                in_port: 2,
-                in_vc: 1,
-                arrive: 3,
-                depart: 7,
-                vca: 1,
-                sa: 1,
-                credit: 0,
-                active: 3,
-            }],
-        };
-        let trace = anatomy_chrome_trace(&[&w]);
-        validate_json(&trace).unwrap();
-        // Stage slices start at the arrival cycle and tile the span:
-        // vca [3,4), sa [4,5), active [5,8) — credit is zero-width and
-        // omitted.
-        assert!(trace.contains("\"name\":\"vca\",\"cat\":\"anatomy\",\"ph\":\"X\",\"ts\":3"));
-        assert!(trace.contains("\"name\":\"sa\",\"cat\":\"anatomy\",\"ph\":\"X\",\"ts\":4"));
-        assert!(trace.contains("\"name\":\"active\",\"cat\":\"anatomy\",\"ph\":\"X\",\"ts\":5"));
-        assert!(!trace.contains("\"name\":\"credit\""));
-        assert!(trace.contains("\"name\":\"src_queue\""));
-        assert!(trace.contains("\"name\":\"serialization\""));
-        assert!(trace.contains("\"ph\":\"b\""));
-        assert!(trace.contains("\"tid\":513"));
-        validate_json(&anatomy_chrome_trace(&[])).unwrap();
     }
 
     #[test]

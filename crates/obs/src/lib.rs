@@ -44,7 +44,7 @@
 //!   and `noc replay`, so a replayed dump summarizes byte-identically.
 //! - [`top`]: terminal frames for `noc top` (congestion heatmap +
 //!   matching-efficiency sparkline), rendered as plain strings.
-//! - [`anatomy`]: the per-packet latency ledger behind `noc explain` —
+//! - [`anatomy`]: the per-packet latency ledger behind `noc sim --anatomy` —
 //!   hop-by-hop stage attribution ([`HopRecord`]), the folding collector
 //!   ([`AnatomyCollector`]) with exact reconciliation against end-to-end
 //!   latency, and the `noc-anatomy/v1` dump format with a replay-identical
@@ -68,14 +68,15 @@ pub mod timeseries;
 pub mod top;
 
 pub use anatomy::{
-    render_waterfall, AnatomyCollector, AnatomyDump, AnatomyHeader, AnatomySummary, AnatomyTotals,
-    HopRecord, PacketAnatomy, Waterfall, ANATOMY_SCHEMA, STAGE_COUNT, STAGE_NAMES,
+    check_reconciliation, render_waterfall, write_anatomy_dump, AnatomyCollector, AnatomyDump,
+    AnatomyHeader, AnatomySummary, AnatomyTotals, HopRecord, PacketAnatomy, Waterfall,
+    ANATOMY_CAPACITY, ANATOMY_SCHEMA, STAGE_COUNT, STAGE_NAMES,
 };
 pub use digest::DigestSink;
 pub use event::{CountingSink, FlitEvent, FlitEventKind, NopSink, TraceSink, VecSink};
 pub use export::{
-    anatomy_chrome_trace, chrome_trace, metrics_csv, metrics_jsonl, sweep_manifest_json,
-    PercentileTable, SweepManifestPoint,
+    chrome_trace, metrics_csv, metrics_jsonl, sweep_manifest_json, PercentileTable,
+    SweepManifestPoint,
 };
 pub use hist::{HdrHistogram, DEFAULT_QUANTILES};
 pub use json::{validate_json, JsonValue, JsonWriter, ToJson};
@@ -83,7 +84,8 @@ pub use metrics::{RouterBreakdown, RouterObs, StallCounters};
 pub use profile::{NopProfiler, Phase, PhaseProfiler, Profiler, PHASES};
 pub use progress::ProgressMeter;
 pub use record::{
-    window_jsonl, TelemetryDump, TelemetryHeader, TelemetrySummary, TELEMETRY_SCHEMA,
+    window_jsonl, write_telemetry_dump, TelemetryDump, TelemetryHeader, TelemetrySummary,
+    TELEMETRY_SCHEMA,
 };
 pub use serve::{
     serve_accepted_line, serve_done_line, serve_error_line, serve_preset_request_line,

@@ -16,6 +16,7 @@
 
 use crate::json::{narrow, JsonValue, JsonWriter, ToJson};
 use crate::timeseries::{FlightRecorder, RouterCounters, WindowSnapshot};
+use std::path::Path;
 
 /// Schema tag written into every dump header and summary block.
 pub const TELEMETRY_SCHEMA: &str = "noc-telemetry/v1";
@@ -55,6 +56,23 @@ impl ToJson for TelemetryHeader {
             .field("measure", self.measure)
             .end_object();
     }
+}
+
+/// Writes a `noc-telemetry/v1` dump to `path`: the header line, then one
+/// pre-rendered JSONL line per window ([`window_jsonl`]).
+pub fn write_telemetry_dump(
+    path: &Path,
+    header: &TelemetryHeader,
+    windows: &[String],
+) -> Result<(), String> {
+    let mut text = header.to_json();
+    text.push('\n');
+    for line in windows {
+        text.push_str(line);
+        text.push('\n');
+    }
+    std::fs::write(path, text)
+        .map_err(|e| format!("cannot write telemetry dump '{}': {e}", path.display()))
 }
 
 impl TelemetryHeader {

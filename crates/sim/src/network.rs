@@ -9,7 +9,7 @@ use crate::topology::Topology;
 use crate::verify::StrictChecker;
 use noc_obs::{
     AnatomyCollector, FlightRecorder, FlitEvent, FlitEventKind, NopProfiler, NopSink, Phase,
-    PhaseProfiler, RouterBreakdown, RouterObs, TraceSink,
+    PhaseProfiler, RouterBreakdown, RouterObs, TraceSink, ANATOMY_CAPACITY,
 };
 use std::time::Instant;
 
@@ -209,10 +209,11 @@ impl<S: TraceSink> Network<S> {
 
     /// Turns on the per-packet latency ledger: every router stamps its
     /// buffered heads each cycle, ejections fold into per-stage histograms
-    /// (`capacity` bounds retained per-packet records, `top_k` the slowest
-    /// waterfalls kept). Costs one branch per router per cycle when off.
-    pub fn enable_anatomy(&mut self, capacity: usize, top_k: usize) {
-        self.anatomy = Some(AnatomyCollector::new(capacity, top_k));
+    /// ([`ANATOMY_CAPACITY`] bounds retained per-packet records, `top_k`
+    /// the slowest waterfalls kept). Costs one branch per router per cycle
+    /// when off.
+    pub fn enable_anatomy(&mut self, top_k: usize) {
+        self.anatomy = Some(AnatomyCollector::new(ANATOMY_CAPACITY, top_k));
         for r in &mut self.routers {
             r.enable_anatomy();
         }

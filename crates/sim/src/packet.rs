@@ -70,11 +70,6 @@ impl PacketKind {
             _ => None,
         }
     }
-
-    /// True for request-class packets.
-    pub fn is_request(self) -> bool {
-        self.msg_class() == 0
-    }
 }
 
 /// Routing decision state carried by a packet's head flit: for UGAL, the
@@ -173,7 +168,7 @@ mod tests {
             Some(PacketKind::WriteReply)
         );
         assert_eq!(PacketKind::ReadReply.reply_kind(), None);
-        assert!(PacketKind::WriteRequest.is_request());
-        assert!(!PacketKind::WriteReply.is_request());
+        assert_eq!(PacketKind::WriteRequest.msg_class(), 0);
+        assert_eq!(PacketKind::WriteReply.msg_class(), 1);
     }
 }

@@ -199,7 +199,7 @@ struct HopAcc {
     active: u64,
 }
 
-/// Opt-in per-packet latency ledger (the substrate of `noc explain`):
+/// Opt-in per-packet latency ledger (the substrate of `noc sim --anatomy`):
 /// arrival cycles of buffered head flits plus a stage accumulator per
 /// input VC. Disabled (`None` on [`Router::anatomy`]) it costs one branch
 /// per cycle, mirroring the [`MatchSampler`] pattern; the [`Flit`] struct

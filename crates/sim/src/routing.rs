@@ -26,9 +26,10 @@ pub enum RoutingKind {
     /// Torus routing with the dateline discipline deliberately removed:
     /// every hop stays in resource class 0, so the channel-dependency
     /// graph has the ring cycles the dateline exists to break. This is a
-    /// **negative fixture** — the dynamic twin of `noc check`'s
-    /// `no-dateline` static fixture — used to exercise the stall watchdog
-    /// on a genuine buffer-cycle deadlock. Never a shipped configuration.
+    /// **negative fixture** — `noc check`'s `no-dateline` fixture walks
+    /// this very route, and the simulator runs it to exercise the stall
+    /// watchdog on a genuine buffer-cycle deadlock. Never a shipped
+    /// configuration.
     TorusNoDateline,
 }
 
@@ -72,6 +73,22 @@ impl RoutingKind {
 pub const RC_NONMIN: usize = 0;
 /// Minimal-phase resource class (fbfly); also the ejection class.
 pub const RC_MIN: usize = 1;
+
+/// Resource class of the injection-link VC a packet starts in, given its
+/// injection-time route state: UGAL's phase-1 (non-minimal) packets start
+/// in [`RC_NONMIN`], its minimal ones in [`RC_MIN`]; every other routing
+/// starts in class 0 (torus packets pre-dateline, and the no-dateline
+/// fixture never leaves it). The terminal and `noc check` both start
+/// packets here.
+pub fn injection_class(kind: RoutingKind, state: &RouteState) -> usize {
+    match kind {
+        RoutingKind::Ugal { .. } if state.intermediate.is_some() => RC_NONMIN,
+        RoutingKind::Ugal { .. } => RC_MIN,
+        RoutingKind::DimensionOrder | RoutingKind::TorusDateline | RoutingKind::TorusNoDateline => {
+            0
+        }
+    }
+}
 
 /// Computes the routing decision *at* `router` for a packet heading to
 /// terminal `dest`: the output port, the resource class of the VCs to

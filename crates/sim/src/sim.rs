@@ -358,7 +358,7 @@ impl WatchdogTrip {
 }
 
 /// One simulation run, described and then executed: the single driver
-/// behind [`run_sim`], `noc sim`, `noc explain` and the sweep runner.
+/// behind [`run_sim`], `noc sim` and the sweep runner.
 ///
 /// `Run::new(&cfg, warmup, measure)` is the plain run; builder methods
 /// attach observers or replicate it over seeds ([`Run::seeds`]), and
@@ -372,7 +372,8 @@ pub struct Run<'a, S: TraceSink = NopSink> {
     sink: S,
     profile: bool,
     telemetry: Option<TelemetryOptions>,
-    anatomy: Option<(usize, usize)>,
+    /// Waterfalls the per-packet latency ledger keeps, when attached.
+    anatomy: Option<usize>,
     verify: bool,
     /// Latency-timeline window of an MSER pilot run.
     timeline: Option<u64>,
@@ -484,10 +485,10 @@ impl<'a, S: TraceSink> Run<'a, S> {
 
     /// Attaches the per-packet latency ledger: every router stamps its
     /// waiting heads each cycle and ejections fold into an
-    /// [`AnatomyCollector`] (`capacity` per-packet rows retained, `top_k`
-    /// slowest waterfalls kept).
-    pub fn anatomy(mut self, capacity: usize, top_k: usize) -> Self {
-        self.anatomy = Some((capacity, top_k));
+    /// [`AnatomyCollector`] (`noc_obs::ANATOMY_CAPACITY` per-packet rows
+    /// retained, `top_k` slowest waterfalls kept).
+    pub fn anatomy(mut self, top_k: usize) -> Self {
+        self.anatomy = Some(top_k);
         self
     }
 
@@ -518,8 +519,8 @@ impl<'a, S: TraceSink> Run<'a, S> {
         if let Some(opts) = &self.telemetry {
             net.enable_telemetry(opts.window, opts.capacity, opts.matching_period());
         }
-        if let Some((capacity, top_k)) = self.anatomy {
-            net.enable_anatomy(capacity, top_k);
+        if let Some(top_k) = self.anatomy {
+            net.enable_anatomy(top_k);
         }
         if self.verify {
             net.enable_verify();
@@ -673,11 +674,6 @@ fn pool(cfg: &SimConfig, warmup: u64, runs: Vec<SimResult>) -> SimResult {
     }
 }
 
-/// Default warmup/measurement lengths used by the figure benches.
-pub const DEFAULT_WARMUP: u64 = 5_000;
-/// Default measurement window.
-pub const DEFAULT_MEASURE: u64 = 10_000;
-
 /// Timeline window length (cycles) for an MSER pilot of `total` cycles:
 /// ~1% of the run, clamped so short runs still get several windows and
 /// long runs keep per-window counts meaningful.
@@ -823,7 +819,7 @@ where
 mod tests {
     use super::*;
     use crate::topology::TopologyKind;
-    use noc_obs::{Phase, ToJson};
+    use noc_obs::{check_reconciliation, Phase, ToJson};
 
     /// A recorded run: the summary plus the recorder.
     fn recorded(
@@ -844,9 +840,7 @@ mod tests {
         measure: u64,
         top_k: usize,
     ) -> (SimResult, AnatomyCollector) {
-        let out = Run::new(cfg, warmup, measure)
-            .anatomy(1 << 16, top_k)
-            .finish();
+        let out = Run::new(cfg, warmup, measure).anatomy(top_k).finish();
         (out.result, out.anatomy.expect("ledger attached"))
     }
 
@@ -1026,6 +1020,31 @@ mod tests {
             "anatomy mean {mean} != measured {}",
             res.avg_latency
         );
+    }
+
+    #[test]
+    fn check_reconciliation_accepts_a_real_ledger_and_refuses_a_broken_one() {
+        let cfg = SimConfig {
+            injection_rate: 0.2,
+            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
+        };
+        let (res, col) = anatomy(&cfg, 500, 1_500, 4);
+        let n = col.records.len();
+        assert!(n > 0);
+        let receipt = check_reconciliation(&col, res.avg_latency).expect("a real run reconciles");
+        assert!(
+            receipt.contains(&format!("{n}/{n} retained packets exact")),
+            "{receipt}"
+        );
+        // A measured mean one ulp away from the stage-sum mean is refused.
+        let off = f64::from_bits(res.avg_latency.to_bits() + 1);
+        let e = check_reconciliation(&col, off).unwrap_err();
+        assert!(e.contains("stage-sum mean"), "{e}");
+        // So is a retained row whose stages do not sum to eject - birth.
+        let mut broken = col.clone();
+        broken.records[n / 2].stages[0] += 1;
+        let e = check_reconciliation(&broken, res.avg_latency).unwrap_err();
+        assert!(e.contains(&format!("1/{n} retained packets")), "{e}");
     }
 
     #[test]

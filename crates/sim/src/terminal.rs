@@ -7,7 +7,7 @@
 //! sink: credits return to the router as soon as a flit arrives.
 
 use crate::packet::{Flit, PacketKind, RouteState};
-use crate::routing::{route_at, ugal_choose, CongestionProbe, RoutingKind, RC_MIN, RC_NONMIN};
+use crate::routing::{injection_class, route_at, ugal_choose, CongestionProbe, RoutingKind};
 use crate::topology::Topology;
 use crate::traffic::{TrafficGeometry, TrafficPattern};
 use noc_core::VcAllocSpec;
@@ -184,21 +184,10 @@ impl Terminal {
     /// process injecting read/write transactions (50/50) such that the
     /// total offered load (request + reply flits) equals `rate`
     /// flits/cycle/terminal; each transaction carries
-    /// `payload_flits + 2` flits total (6 at the paper's default).
-    pub fn generate_traffic(
-        &mut self,
-        rate: f64,
-        pattern: TrafficPattern,
-        geom: TrafficGeometry,
-        now: u64,
-    ) {
-        self.generate_traffic_burst(rate, pattern, geom, now, 1);
-    }
-
-    /// As [`Terminal::generate_traffic`], but each transaction is a burst
-    /// of `burst` request packets to one destination (§5.4's DMA-like
-    /// throughput-oriented workload). The firing probability is scaled so
-    /// the offered load in flits/cycle stays equal to `rate`.
+    /// `payload_flits + 2` flits total (6 at the paper's default). With
+    /// `burst` > 1 each transaction is a burst of `burst` request packets
+    /// to one destination (§5.4's DMA-like throughput-oriented workload),
+    /// its firing probability scaled so the offered load stays `rate`.
     pub fn generate_traffic_burst(
         &mut self,
         rate: f64,
@@ -315,22 +304,9 @@ impl Terminal {
                 )
             }
         };
-        // Injection-link resource class: phase 1 non-minimal, else minimal.
-        let inj_rc = match self.routing {
-            // Torus packets start pre-dateline (class 0); the no-dateline
-            // fixture never leaves it.
-            RoutingKind::DimensionOrder
-            | RoutingKind::TorusDateline
-            | RoutingKind::TorusNoDateline => 0,
-            RoutingKind::Ugal { .. } => {
-                if route_state.intermediate.is_some() {
-                    RC_NONMIN
-                } else {
-                    RC_MIN
-                }
-            }
-        };
-        let base = self.spec.class_base(m, inj_rc);
+        let base = self
+            .spec
+            .class_base(m, injection_class(self.routing, &route_state));
         let vc = (base..base + self.spec.vcs_per_class())
             .find(|&v| !self.vc_busy[v] && self.credits[v] > 0)?;
         if matches!(self.routing, RoutingKind::Ugal { .. }) {
@@ -398,6 +374,7 @@ impl CongestionProbe for RouterProbe<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::RC_MIN;
     use crate::topology::TopologyKind;
 
     fn mesh_terminal() -> (Terminal, Topology) {
@@ -510,7 +487,7 @@ mod tests {
         let cycles = 60_000u64;
         let geom = TopologyKind::Mesh8x8.build().geometry();
         for now in 0..cycles {
-            t.generate_traffic(0.3, TrafficPattern::UniformRandom, geom, now);
+            t.generate_traffic_burst(0.3, TrafficPattern::UniformRandom, geom, now, 1);
         }
         // Expected transactions = rate/6 per cycle.
         let expect = 0.3 / 6.0 * cycles as f64;
@@ -533,7 +510,7 @@ mod tests {
         let cycles = 60_000u64;
         let geom = topo.geometry();
         for now in 0..cycles {
-            t.generate_traffic(0.3, TrafficPattern::UniformRandom, geom, now);
+            t.generate_traffic_burst(0.3, TrafficPattern::UniformRandom, geom, now, 1);
         }
         // Transactions are 8 + 2 = 10 flits -> rate/10 firings per cycle.
         let expect = 0.3 / 10.0 * cycles as f64;

@@ -4,7 +4,7 @@
 //! Subcommands:
 //!
 //! * `noc sim`     — run one network simulation and print latency/throughput
-//! * `noc explain` — decompose end-to-end packet latency into pipeline stages
+//!   (with `--anatomy`, decomposed into pipeline stages)
 //! * `noc check`   — statically verify a design (deadlock freedom, liveness,
 //!   allocator wiring)
 //! * `noc synth`   — synthesize a VC or switch allocator design point
@@ -26,15 +26,17 @@ use noc_check::{check_design, check_fixture, fixtures, RouteModel};
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind, VcAllocSpec};
 use noc_obs::json::Raw;
 use noc_obs::{
-    anatomy_chrome_trace, chrome_trace, metrics_csv, metrics_jsonl, render_top, render_waterfall,
-    window_jsonl, AnatomyCollector, AnatomyHeader, JsonWriter, Profiler, TelemetryDump,
-    TelemetryHeader, ToJson, VecSink, WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
+    check_reconciliation, chrome_trace, metrics_csv, metrics_jsonl, render_top, render_waterfall,
+    window_jsonl, write_anatomy_dump, write_telemetry_dump, AnatomyCollector, JsonWriter, Profiler,
+    TelemetryDump, TelemetryHeader, ToJson, VecSink, WindowSnapshot, ANATOMY_SCHEMA, PHASES,
+    TELEMETRY_SCHEMA,
 };
 use noc_sim::{
     ConfigError, RoutingKind, Run, SimConfig, TelemetryOptions, TopologyKind, TrafficPattern,
     MAX_SEEDS,
 };
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -46,14 +48,8 @@ USAGE:
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
               [--seeds N] [--profile] [--trace FILE] [--metrics FILE]
               [--json] [--verify] [--record FILE] [--top] [--window N]
-              [--match-every K] [--routing dor|dateline|nodateline]
-              [--no-watchdog] [--anatomy] [--anatomy-out FILE] [--top-k K]
-              [--capacity N]
-  noc explain [--topology mesh|fbfly|torus] [--vcs C] [--rate R] [--sa KIND]
-              [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
-              [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
-              [--routing dor|dateline|nodateline] [--top-k K] [--capacity N]
-              [--out FILE] [--trace FILE] [--json]
+              [--routing dor|dateline|nodateline] [--no-watchdog]
+              [--anatomy] [--anatomy-out FILE] [--top-k K]
   noc check   [--topology mesh|fbfly|torus] [--vcs C] [--all]
               [--fixture no-dateline|cyclic-vc]
   noc synth   (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--alloc KIND]
@@ -93,10 +89,10 @@ Telemetry & live view (noc sim / noc top / noc replay):
                           the --json report as a \"telemetry\" block
   --top                   redraw a live congestion heatmap + matching-
                           efficiency sparkline as the run progresses
-  --window N              telemetry window length in cycles (default 100)
-  --match-every K         sample matching efficiency (grants vs an exact
-                          maximum matching of the same cycle's requests)
-                          once every K windows; 0 disables (default 1)
+  --window N              telemetry window length in cycles (default 100);
+                          a recorded run samples matching efficiency (grants
+                          vs an exact maximum matching of the same cycle's
+                          requests) once per window
   --routing KIND          override the topology's routing algorithm; the
                           'nodateline' torus fixture deadlocks by design
                           (watchdog demo)
@@ -109,23 +105,19 @@ Telemetry & live view (noc sim / noc top / noc replay):
   noc replay DUMP         recompute the run's telemetry summary from the
                           dump (byte-identical to the in-process block)
 
-Latency anatomy (noc explain / noc sim --anatomy):
-  noc explain runs one simulation with the per-packet latency ledger on
-  and prints the blame report: mean/p50/p99/max cycles per pipeline stage
+Latency anatomy (noc sim --anatomy):
+  runs the simulation with the per-packet latency ledger on and appends
+  the blame report: mean/p50/p99/max cycles per pipeline stage
   (src_queue, vca, sa, credit, active, wire, serialization), each stage's
-  share of total latency, and hop-by-hop waterfalls for the slowest
+  share of total latency, then hop-by-hop waterfalls for the slowest
   packets. Per-packet stage sums reconcile exactly with end-to-end
   latency; the command exits nonzero if they do not.
   --top-k K               waterfalls to retain for the slowest packets
                           (default 4; 0 disables)
-  --capacity N            per-packet ledger rows to retain (default 65536;
-                          the blame report always covers every packet)
-  --out FILE              write the full noc-anatomy/v1 JSONL dump, keyed
-                          by the config's content digest
-  --trace FILE            write the slowest packets as Chrome Trace spans
-                          (one row per packet, one span per stage/hop)
-  noc sim --anatomy       append the same blame report to a plain run's
-                          summary (--anatomy-out FILE also writes the dump)
+  --anatomy-out FILE      also write the full noc-anatomy/v1 JSONL dump,
+                          keyed by the config's content digest: the first
+                          65536 per-packet rows (the blame report always
+                          covers every packet) and the waterfalls
   noc sweep run --anatomy write a <digest>.anatomy.jsonl dump per computed
                           point, linked from the sweep manifest
 
@@ -213,9 +205,8 @@ Sweep service (noc serve / noc client):
 Examples:
   noc sim --topology fbfly --vcs 4 --rate 0.3 --sa wf
   noc sim --rate 0.2 --verify
-  noc explain --rate 0.4 --top-k 3
-  noc explain --topology fbfly --rate 0.35 --out anatomy.jsonl --json
-  noc sim --rate 0.3 --anatomy
+  noc sim --rate 0.4 --anatomy --top-k 3
+  noc sim --topology fbfly --rate 0.35 --anatomy-out anatomy.jsonl --json
   noc check --all
   noc check --fixture no-dateline
   noc sim --rate 0.25 --metrics out.csv --trace trace.json --json
@@ -238,11 +229,7 @@ Examples:
   noc serve --selftest 4
 ";
 
-/// Default per-packet ledger row retention for `noc explain` and
-/// `noc sim --anatomy` (the blame report always covers every packet).
-const DEFAULT_ANATOMY_CAPACITY: usize = 1 << 16;
-
-/// Default slowest-packet waterfall count for the anatomy surfaces.
+/// Default slowest-packet waterfall count of `noc sim --anatomy`.
 const DEFAULT_ANATOMY_TOP_K: usize = 4;
 
 /// Flags that take no value; every other flag of a [`COMMANDS`] row is
@@ -371,15 +358,14 @@ impl Args {
     }
 }
 
-/// The `(warmup, measure)` run window of `noc sim` / `noc explain`.
+/// The `(warmup, measure)` run window of `noc sim`.
 fn run_window(args: &Args) -> Result<(u64, u64), String> {
     let (warmup, measure): (u64, u64) = (args.get("warmup", 3000)?, args.get("measure", 6000)?);
     ConfigError::check_window(warmup, measure).map_err(|e| e.to_string())?;
     Ok((warmup, measure))
 }
 
-/// Builds the simulated design point from the shared `noc sim` /
-/// `noc explain` config flags.
+/// Builds the simulated design point from the `noc sim` config flags.
 fn sim_config(args: &Args) -> Result<SimConfig, String> {
     let cfg = SimConfig {
         injection_rate: args.get("rate", 0.2)?,
@@ -412,11 +398,9 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let want_top = args.flags.contains_key("top");
     let want_record = record_path.is_some() || want_top;
     let window: u64 = args.get("window", 100u64)?;
-    let match_every: u64 = args.get("match-every", 1u64)?;
     let no_watchdog = args.flags.contains_key("no-watchdog");
     let anatomy_out = args.flags.get("anatomy-out").cloned();
     let want_anatomy = args.flags.contains_key("anatomy") || anatomy_out.is_some();
-    let anatomy_capacity: usize = args.get("capacity", DEFAULT_ANATOMY_CAPACITY)?;
     let anatomy_top_k: usize = args.get("top-k", DEFAULT_ANATOMY_TOP_K)?;
     if window == 0 {
         return Err("--window must be at least 1 cycle".to_string());
@@ -449,7 +433,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         Some(TelemetryOptions {
             window,
             // --metrics alone reads the window series, not matchings.
-            match_every: if want_record { match_every } else { 0 },
+            match_every: u64::from(want_record),
             capacity: 256,
             watchdog: (!no_watchdog).then(|| 10_000u64.div_ceil(window).max(1)),
         })
@@ -464,7 +448,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         run = run.verify();
     }
     if want_anatomy {
-        run = run.anatomy(anatomy_capacity, anatomy_top_k);
+        run = run.anatomy(anatomy_top_k);
     }
     if let Some(opts) = telemetry {
         run = run.telemetry(opts);
@@ -516,7 +500,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
             }
             let path =
                 record_path.unwrap_or_else(|| format!("noc-postmortem-{}.jsonl", header.digest));
-            write_telemetry_dump(&path, &header, &lines)?;
+            write_telemetry_dump(Path::new(&path), &header, &lines)?;
             return Err(format!(
                 "{}\npost-mortem telemetry dump ({} windows): {path}\n\
                  (rerun with --no-watchdog to let the simulation spin)",
@@ -526,7 +510,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         }
     };
     if let Some(path) = &record_path {
-        write_telemetry_dump(path, &header, &lines)?;
+        write_telemetry_dump(Path::new(path), &header, &lines)?;
         eprintln!("wrote {} telemetry windows to {path}", lines.len());
     }
     if !want_record {
@@ -548,16 +532,24 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         std::fs::write(path, text).map_err(|e| format!("writing metrics '{path}': {e}"))?;
         eprintln!("wrote metrics to {path}");
     }
+    let receipt = (out.anatomy.as_ref())
+        .map(|col| check_reconciliation(col, out.result.avg_latency))
+        .transpose()?;
     if let (Some(path), Some(col)) = (&anatomy_out, &out.anatomy) {
         write_anatomy_dump(
-            path,
-            &cfg,
+            Path::new(path),
+            col,
+            cfg.digest(warmup, measure, ANATOMY_SCHEMA),
+            header.label.clone(),
+            header.routers,
             warmup,
             measure,
-            anatomy_capacity,
-            anatomy_top_k,
-            col,
         )?;
+        eprintln!(
+            "wrote anatomy dump ({} packets, {} waterfalls) to {path}",
+            col.totals.packets,
+            col.slow.len()
+        );
     }
     if let Some(rep) = &out.verify {
         eprintln!(
@@ -657,17 +649,23 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
             p.other_share() * 100.0
         );
     }
-    if let Some(col) = &anatomy {
+    if let (Some(col), Some(receipt)) = (&anatomy, receipt) {
         println!("latency anatomy (cycles per packet, decomposed by pipeline stage):");
         print!("{}", col.summary().render());
-        println!("{}", check_reconciliation(col, &r)?);
+        println!("{receipt}");
+        let slowest = col.slowest();
+        if !slowest.is_empty() {
+            println!("slowest packets:");
+            for w in slowest {
+                print!("{}", render_waterfall(w));
+            }
+        }
     }
     Ok(())
 }
 
-/// The `--json` report of `noc sim` / `noc explain`: a plain run prints the
-/// bare result; profile / anatomy sections wrap it in an object that names
-/// each part.
+/// The `--json` report of `noc sim`: a plain run prints the bare result;
+/// profile / anatomy sections wrap it in an object that names each part.
 fn json_report(
     r: &noc_sim::SimResult,
     profile: Option<&Profiler>,
@@ -684,114 +682,6 @@ fn json_report(
         .opt_field("anatomy", anatomy.map(AnatomyCollector::summary))
         .end_object();
     w.finish()
-}
-
-/// Writes the `noc-anatomy/v1` dump of a run of `cfg` to `path`.
-fn write_anatomy_dump(
-    path: &str,
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    capacity: usize,
-    top_k: usize,
-    col: &AnatomyCollector,
-) -> Result<(), String> {
-    let header = AnatomyHeader {
-        digest: cfg.digest(warmup, measure, ANATOMY_SCHEMA),
-        label: format!("{} @ {}", cfg.label(), cfg.injection_rate),
-        routers: cfg.topology.build().num_routers(),
-        warmup,
-        measure,
-        capacity: capacity as u64,
-        top_k: top_k as u64,
-    };
-    std::fs::write(path, col.to_jsonl(&header))
-        .map_err(|e| format!("cannot write anatomy dump '{path}': {e}"))?;
-    eprintln!(
-        "wrote anatomy dump ({} packets, {} waterfalls) to {path}",
-        col.totals.packets,
-        col.slow.len()
-    );
-    Ok(())
-}
-
-/// Verifies the tentpole invariant on a finished run and renders the
-/// one-line receipt CI greps for: every retained per-packet row's stage
-/// components must sum to its end-to-end latency, and the full-population
-/// stage-sum mean must be bit-identical to the measured mean latency.
-fn check_reconciliation(col: &AnatomyCollector, r: &noc_sim::SimResult) -> Result<String, String> {
-    let exact = col.records.iter().filter(|p| p.reconciles()).count();
-    if exact != col.records.len() {
-        return Err(format!(
-            "latency anatomy failed to reconcile: {}/{} retained packets have stage sums != \
-             eject - birth",
-            col.records.len() - exact,
-            col.records.len()
-        ));
-    }
-    let mean_exact = col.totals.packets == 0
-        || (col.totals.total_sum() as f64 / col.totals.packets as f64).to_bits()
-            == r.avg_latency.to_bits();
-    if !mean_exact {
-        return Err(format!(
-            "latency anatomy failed to reconcile: stage-sum mean {} != measured mean latency {}",
-            col.totals.total_sum() as f64 / col.totals.packets as f64,
-            r.avg_latency
-        ));
-    }
-    Ok(format!(
-        "reconciliation   {exact}/{} retained packets exact; stage-sum mean == measured latency",
-        col.records.len()
-    ))
-}
-
-fn cmd_explain(args: &Args) -> Result<(), String> {
-    let cfg = sim_config(args)?;
-    let (warmup, measure) = run_window(args)?;
-    let capacity: usize = args.get("capacity", DEFAULT_ANATOMY_CAPACITY)?;
-    let top_k: usize = args.get("top-k", DEFAULT_ANATOMY_TOP_K)?;
-    eprintln!(
-        "explaining {} @ {} flits/cycle/terminal ({} + {} cycles)...",
-        cfg.label(),
-        cfg.injection_rate,
-        warmup,
-        measure
-    );
-    let run = Run::new(&cfg, warmup, measure);
-    let out = run.anatomy(capacity, top_k).finish();
-    let (r, Some(col)) = (out.result, out.anatomy) else {
-        return Err("internal: the anatomy ledger was not attached".to_string());
-    };
-    let receipt = check_reconciliation(&col, &r)?;
-    if let Some(path) = args.flags.get("out") {
-        write_anatomy_dump(path, &cfg, warmup, measure, capacity, top_k, &col)?;
-    }
-    if let Some(path) = args.flags.get("trace") {
-        std::fs::write(path, anatomy_chrome_trace(&col.slowest()))
-            .map_err(|e| format!("cannot write anatomy trace '{path}': {e}"))?;
-        eprintln!(
-            "wrote {} slowest-packet stage timelines to {path}",
-            col.slow.len()
-        );
-    }
-    if args.flags.contains_key("json") {
-        println!("{}", json_report(&r, None, Some(&col)));
-        return Ok(());
-    }
-    println!(
-        "offered          {:.4} flits/cycle/terminal, accepted {:.4}",
-        r.offered, r.throughput
-    );
-    print!("{}", col.summary().render());
-    println!("{receipt}");
-    let slowest = col.slowest();
-    if !slowest.is_empty() {
-        println!("slowest packets:");
-        for w in slowest {
-            print!("{}", render_waterfall(w));
-        }
-    }
-    Ok(())
 }
 
 fn cmd_check(args: &Args) -> Result<(), String> {
@@ -1255,22 +1145,6 @@ fn cmd_client(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes a `noc-telemetry/v1` dump: the header line followed by one
-/// pre-rendered JSONL line per window.
-fn write_telemetry_dump(
-    path: &str,
-    header: &TelemetryHeader,
-    lines: &[String],
-) -> Result<(), String> {
-    let mut text = header.to_json();
-    text.push('\n');
-    for line in lines {
-        text.push_str(line);
-        text.push('\n');
-    }
-    std::fs::write(path, text).map_err(|e| format!("cannot write telemetry dump '{path}': {e}"))
-}
-
 fn load_dump(args: &Args) -> Result<TelemetryDump, String> {
     let path = args
         .positional
@@ -1360,13 +1234,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         cmd_sim,
         "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed seeds \
          profile trace metrics json verify record top window \
-         match-every routing no-watchdog anatomy anatomy-out top-k capacity",
-    ),
-    (
-        "explain",
-        cmd_explain,
-        "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed routing \
-         top-k capacity out trace json",
+         routing no-watchdog anatomy anatomy-out top-k",
     ),
     ("check", cmd_check, "topology vcs all fixture"),
     ("synth", cmd_synth, "topology vcs alloc dense spec"),
@@ -1568,10 +1436,9 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse() {
-        let a = args("sim --record run.jsonl --window 250 --match-every 4");
+        let a = args("sim --record run.jsonl --window 250");
         assert_eq!(a.flags.get("record").map(String::as_str), Some("run.jsonl"));
         assert_eq!(a.get::<u64>("window", 100).unwrap(), 250);
-        assert_eq!(a.get::<u64>("match-every", 1).unwrap(), 4);
         // top / once / no-watchdog / telemetry are bare flags.
         let a = args("sim --top --no-watchdog --rate 0.2");
         assert!(a.flags.contains_key("top"));
@@ -1593,25 +1460,14 @@ mod tests {
         let a = args("sweep run --anatomy --preset smoke");
         assert!(a.flags.contains_key("anatomy"));
         assert_eq!(a.positional, vec!["sweep", "run"]);
-        // explain takes sim-style config flags plus its own knobs.
-        let a = args("explain --rate 0.4 --top-k 3 --capacity 1024 --out anatomy.jsonl");
-        assert_eq!(a.positional, vec!["explain"]);
-        assert_eq!(a.get::<usize>("top-k", DEFAULT_ANATOMY_TOP_K).unwrap(), 3);
-        assert_eq!(
-            a.get::<usize>("capacity", DEFAULT_ANATOMY_CAPACITY)
-                .unwrap(),
-            1024
-        );
-        assert_eq!(
-            a.flags.get("out").map(String::as_str),
-            Some("anatomy.jsonl")
-        );
-        // --anatomy-out implies --anatomy in cmd_sim; it takes a value.
-        let a = args("sim --anatomy-out dump.jsonl");
+        // --anatomy-out implies --anatomy in cmd_sim; it and --top-k take
+        // a value.
+        let a = args("sim --anatomy-out dump.jsonl --top-k 3");
         assert_eq!(
             a.flags.get("anatomy-out").map(String::as_str),
             Some("dump.jsonl")
         );
+        assert_eq!(a.get::<usize>("top-k", DEFAULT_ANATOMY_TOP_K).unwrap(), 3);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use noc_bench::workload_matrix;
 use noc_obs::{
     metrics_jsonl, window_jsonl, AnatomyCollector, AnatomyHeader, DigestSink, NopProfiler, NopSink,
-    TraceSink, WindowSnapshot, ANATOMY_SCHEMA,
+    TraceSink, WindowSnapshot, ANATOMY_CAPACITY, ANATOMY_SCHEMA,
 };
 use noc_sim::{run_sim, summarize, Network, Run, SimConfig, TelemetryOptions};
 
@@ -204,7 +204,7 @@ fn telemetry_dumps_byte_identical_across_engines() {
 /// The reference's `noc-anatomy/v1` dump text.
 fn reference_anatomy(cfg: &SimConfig) -> String {
     let net = reference(cfg, NopSink, WARMUP + MEASURE, |net| {
-        net.enable_anatomy(1 << 16, 4);
+        net.enable_anatomy(4);
     });
     anatomy_jsonl(cfg, net.anatomy.as_ref().expect("ledger attached"))
 }
@@ -217,7 +217,7 @@ fn anatomy_jsonl(cfg: &SimConfig, col: &AnatomyCollector) -> String {
         routers: cfg.topology.build().num_routers(),
         warmup: WARMUP,
         measure: MEASURE,
-        capacity: 1 << 16,
+        capacity: ANATOMY_CAPACITY as u64,
         top_k: 4,
     };
     col.to_jsonl(&header)
@@ -231,7 +231,7 @@ fn anatomy_jsonl(cfg: &SimConfig, col: &AnatomyCollector) -> String {
 #[test]
 fn anatomy_dumps_byte_identical_across_engines() {
     for (name, cfg) in observed_workloads() {
-        let out = Run::new(&cfg, WARMUP, MEASURE).anatomy(1 << 16, 4).finish();
+        let out = Run::new(&cfg, WARMUP, MEASURE).anatomy(4).finish();
         let col = out.anatomy.expect("ledger attached");
         assert_eq!(
             out.result.to_json(),
@@ -266,7 +266,7 @@ fn observers_compose_on_one_run() {
             .sink(&mut sink)
             .profile()
             .telemetry(recording())
-            .anatomy(1 << 16, 4)
+            .anatomy(4)
             .verify()
             .run(|snap| snaps.push(snap.clone()))
             .expect("no watchdog to trip");
