@@ -18,16 +18,13 @@
 //! - [`daemon`]: nonblocking TCP accept loop + per-connection handler
 //!   threads streaming JSONL responses.
 //! - [`client`]: one-request client used by `noc client` and the tests.
-//! - [`selftest`]: the built-in load driver (`noc serve --selftest N`).
 
 pub mod client;
 pub mod daemon;
 pub mod proto;
 pub mod scheduler;
-pub mod selftest;
 
 pub use client::{request, ClientOutcome};
 pub use daemon::{start, Daemon, ServeOptions};
 pub use proto::ServeRequest;
 pub use scheduler::{PointOutcome, Scheduler, ServeCounters, SubmitSummary};
-pub use selftest::run_selftest;

@@ -3,7 +3,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use noc_bench::sweep::serve::{request, run_selftest, start, ClientOutcome, ServeOptions};
+use noc_bench::sweep::presets::SMOKE_RATES;
+use noc_bench::sweep::serve::{request, start, ClientOutcome, ServeOptions};
 use noc_bench::sweep::SweepSpec;
 use noc_obs::serve::{serve_status_request_line, serve_sweep_request_line, ServeEvent};
 use noc_obs::JsonValue;
@@ -68,76 +69,92 @@ fn journaled_digests(path: &Path) -> Vec<String> {
         .collect()
 }
 
-/// Two clients with overlapping grids, concurrently: every shared digest
-/// is computed exactly once, both clients receive complete result sets,
-/// and the journal records each computed digest exactly once.
+/// N clients with overlapping grids, concurrently, each asking for the
+/// smoke rates plus one rate of its own: every shared digest is computed
+/// exactly once, every client receives its complete result set with each
+/// point accounted for exactly once, and the journal records each computed
+/// digest exactly once.
 #[test]
 fn concurrent_overlapping_clients_compute_each_shared_digest_once() {
-    let root = scratch("overlap");
+    for clients in [2, 4] {
+        overlapping_clients(clients);
+    }
+}
+
+fn overlapping_clients(clients: usize) {
+    let root = scratch(&format!("overlap-{clients}"));
     let daemon = start(&opts(&root)).unwrap();
     let addr = daemon.addr().to_string();
 
-    let spec_a = spec_json(&[0.05, 0.10, 0.20]);
-    let spec_b = spec_json(&[0.05, 0.10, 0.30]);
-    let union: HashSet<String> = digests_of(&spec_a)
-        .union(&digests_of(&spec_b))
-        .cloned()
+    let specs: Vec<String> = (0..clients)
+        .map(|i| spec_json(&[&SMOKE_RATES[..], &[(i as f64 + 1.0) / 100.0]].concat()))
         .collect();
-    assert_eq!(union.len(), 4, "2 shared + 1 unique per client");
+    let per_client = SMOKE_RATES.len() + 1;
+    let union: HashSet<String> = specs.iter().flat_map(|s| digests_of(s)).collect();
+    assert_eq!(
+        union.len(),
+        SMOKE_RATES.len() + clients,
+        "shared + 1 private per client"
+    );
 
-    let (out_a, out_b) = std::thread::scope(|scope| {
-        let run = |id: &'static str, spec: &str| {
-            let line = serve_sweep_request_line(id, spec, None);
-            let addr = addr.clone();
-            let spec = spec.to_string();
-            scope.spawn(move || {
-                let mut results: HashMap<String, String> = HashMap::new();
-                let outcome = request(&addr, &line, |_, event| {
-                    if let ServeEvent::Result {
-                        digest,
-                        result_json,
-                        source,
-                        ..
-                    } = event
-                    {
-                        assert!(
-                            source == "computed" || source == "cache",
-                            "unexpected source {source}"
-                        );
-                        results.insert(digest.clone(), result_json.clone());
-                    }
+    let outcomes: Vec<(ClientOutcome, HashMap<String, String>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (specs.iter().enumerate())
+            .map(|(i, spec)| {
+                let line = serve_sweep_request_line(&format!("client-{i}"), spec, None);
+                let addr = addr.as_str();
+                scope.spawn(move || {
+                    let mut results: HashMap<String, String> = HashMap::new();
+                    let outcome = request(addr, &line, |_, event| {
+                        if let ServeEvent::Result {
+                            digest,
+                            result_json,
+                            source,
+                            ..
+                        } = event
+                        {
+                            assert!(
+                                source == "computed" || source == "cache",
+                                "unexpected source {source}"
+                            );
+                            results.insert(digest.clone(), result_json.clone());
+                        }
+                    })
+                    .unwrap();
+                    assert_eq!(
+                        results.keys().cloned().collect::<HashSet<_>>(),
+                        digests_of(spec),
+                        "client {i} received exactly its spec's digests"
+                    );
+                    (outcome, results)
                 })
-                .unwrap();
-                assert_eq!(
-                    results.keys().cloned().collect::<HashSet<_>>(),
-                    digests_of(&spec),
-                    "{id} received exactly its spec's digests"
-                );
-                (outcome, results)
             })
-        };
-        let a = run("client-a", &spec_a);
-        let b = run("client-b", &spec_b);
-        (a.join().unwrap(), b.join().unwrap())
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let (oa, results_a): (ClientOutcome, HashMap<String, String>) = out_a;
-    let (ob, results_b) = out_b;
-    assert_eq!(oa.unique, 3);
-    assert_eq!(ob.unique, 3);
+    for (i, (outcome, _)) in outcomes.iter().enumerate() {
+        assert_eq!(outcome.unique, per_client, "client {i}");
+        // Each point reached the client one way: simulated for it, read
+        // from the cache, or shared from another client's computation.
+        assert_eq!(
+            outcome.scheduled + outcome.cache_hits + outcome.coalesced,
+            outcome.unique,
+            "client {i} of {clients}: {outcome:?}"
+        );
+    }
     // Every point was satisfied exactly once daemon-wide.
     let counters = daemon.counters();
     assert_eq!(
         counters.computed,
         union.len(),
-        "each unique digest computed exactly once across both clients"
+        "each unique digest computed exactly once across {clients} clients"
     );
-    assert_eq!(counters.clients, 2);
+    assert_eq!(counters.clients, clients);
     // Cross-client agreement: shared digests carry identical results.
-    for (digest, json) in &results_a {
-        if let Some(other) = results_b.get(digest) {
-            assert_eq!(json, other, "shared digest {digest} byte-identical");
-        }
+    let mut first: HashMap<&String, &String> = HashMap::new();
+    for (digest, json) in outcomes.iter().flat_map(|(_, results)| results) {
+        let seen = first.entry(digest).or_insert(json);
+        assert_eq!(*seen, json, "shared digest {digest} byte-identical");
     }
     // The journal saw each computed digest once — no duplicate work.
     let journal = daemon.journal_path();
@@ -308,17 +325,5 @@ fn hostile_request_lines_get_an_error_reply_and_the_daemon_keeps_serving() {
     let good = serve_sweep_request_line("good", &spec_json(&[0.05]), None);
     assert_eq!(request(&addr, &good, |_, _| {}).unwrap().unique, 1);
     daemon.shutdown();
-    let _ = fs::remove_dir_all(&root);
-}
-
-/// The built-in selftest passes on a cold cache and again over the same,
-/// now warm, directories (the CLI defaults make every second run warm).
-#[test]
-fn selftest_passes_twice_over_the_same_directories() {
-    let root = scratch("selftest");
-    for run in ["cold", "warm"] {
-        run_selftest(2, &root.join("cache"), &root.join("sweeps"), 2)
-            .unwrap_or_else(|e| panic!("{run} run: {e}"));
-    }
     let _ = fs::remove_dir_all(&root);
 }

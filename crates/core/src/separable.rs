@@ -7,9 +7,8 @@
 //! [`crate::switch::SepIfSwitchAllocator`] /
 //! [`crate::switch::SepOfSwitchAllocator`], word kernels shaped by the
 //! `P`/`V` structure — so this is their one implementation: the quality
-//! ablations, the property suites and `noc check`'s wiring pass (at
-//! `n = P*V = 160`) are its callers, and they treat it as the definition of
-//! the architecture.
+//! ablations and the property suites are its callers, and they treat it as
+//! the definition of the architecture.
 
 use crate::{Allocator, BitMatrix};
 use noc_arbiter::{Arbiter, ArbiterKind, Bits};

@@ -1194,12 +1194,6 @@ impl SparseVcAllocator {
     pub fn kind(&self) -> AllocatorKind {
         self.kind
     }
-
-    /// Width of each per-message-class sub-allocator.
-    pub fn sub_width(&self) -> usize {
-        let spec = self.inner.spec();
-        spec.ports() * arbiter_span(spec, true)
-    }
 }
 
 impl VcAllocator for SparseVcAllocator {

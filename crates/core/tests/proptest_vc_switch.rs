@@ -7,28 +7,45 @@ use noc_core::{
 };
 use proptest::prelude::*;
 
-/// Strategy: a VC spec drawn from the paper's families with small ports.
+/// Strategy: a VC spec from each of the paper's three families (mesh,
+/// fbfly, torus) with 1 to 4 VCs per class on 2 to 10 ports: up to the
+/// shipped P = 10, V = 16 flattened butterfly, and through the torus's
+/// all-to-all class relation.
 fn spec_strategy() -> impl Strategy<Value = VcAllocSpec> {
-    (2usize..=5, 1usize..=2, prop::bool::ANY).prop_map(|(ports, c, fb)| {
-        if fb {
-            VcAllocSpec::fbfly(c).with_ports(ports)
-        } else {
-            VcAllocSpec::mesh(c).with_ports(ports)
-        }
+    (2usize..=10, 1usize..=4, 0usize..3).prop_map(|(ports, c, family)| {
+        let spec = match family {
+            0 => VcAllocSpec::mesh(c),
+            1 => VcAllocSpec::fbfly(c),
+            _ => VcAllocSpec::torus(c),
+        };
+        spec.with_ports(ports)
     })
 }
 
+/// One request shape per workload.
+#[derive(Clone, Copy)]
+enum Classes {
+    /// One legal successor class per request.
+    One,
+    /// A random non-empty subset of the legal successor classes.
+    Subset,
+}
+
 /// Strategy: a workload for a given spec — per input VC an optional
-/// (port, class) request plus an availability mask.
+/// (port, classes) request plus an availability mask.
 fn workload(
     spec: VcAllocSpec,
+    shape: Classes,
 ) -> impl Strategy<Value = (VcAllocSpec, Vec<Option<VcRequest>>, BitMatrix)> {
     let v = spec.total_vcs();
     let n = spec.ports() * v;
     let ports = spec.ports();
     let spec2 = spec.clone();
     (
-        proptest::collection::vec(proptest::option::of((0..ports, proptest::num::u8::ANY)), n),
+        proptest::collection::vec(
+            proptest::option::of((0..ports, proptest::num::u8::ANY, proptest::num::u8::ANY)),
+            n,
+        ),
         proptest::collection::vec(proptest::bool::ANY, ports * v),
     )
         .prop_map(move |(raw, free_bits)| {
@@ -36,11 +53,18 @@ fn workload(
                 .iter()
                 .enumerate()
                 .map(|(g, r)| {
-                    r.map(|(port, class_pick)| {
+                    r.map(|(out_port, class_pick, subset)| {
                         let (_, ir, _) = spec2.vc_class(g % v);
                         let succ = spec2.rc_successors(ir);
-                        let class = succ[class_pick as usize % succ.len()];
-                        VcRequest::one_class(port, class)
+                        let first = succ[class_pick as usize % succ.len()];
+                        let classes = match shape {
+                            Classes::One => vec![first],
+                            Classes::Subset => (succ.iter().enumerate())
+                                .filter(|&(i, &c)| c == first || subset >> i & 1 == 1)
+                                .map(|(_, &c)| c)
+                                .collect(),
+                        };
+                        VcRequest { out_port, classes }
                     })
                 })
                 .collect();
@@ -56,15 +80,19 @@ fn workload(
         })
 }
 
-fn vc_workload() -> impl Strategy<Value = (VcAllocSpec, Vec<Option<VcRequest>>, BitMatrix)> {
-    spec_strategy().prop_flat_map(workload)
+fn vc_workload(
+    shape: Classes,
+) -> impl Strategy<Value = (VcAllocSpec, Vec<Option<VcRequest>>, BitMatrix)> {
+    spec_strategy().prop_flat_map(move |spec| workload(spec, shape))
 }
 
 /// Strategy: a spec plus a short sequence of rounds against it.
 #[allow(clippy::type_complexity)]
-fn vc_rounds() -> impl Strategy<Value = (VcAllocSpec, Vec<(Vec<Option<VcRequest>>, BitMatrix)>)> {
-    spec_strategy().prop_flat_map(|spec| {
-        let rounds = proptest::collection::vec(workload(spec.clone()), 1..6);
+fn vc_rounds(
+    shape: Classes,
+) -> impl Strategy<Value = (VcAllocSpec, Vec<(Vec<Option<VcRequest>>, BitMatrix)>)> {
+    spec_strategy().prop_flat_map(move |spec| {
+        let rounds = proptest::collection::vec(workload(spec.clone(), shape), 1..6);
         rounds.prop_map(move |rs| {
             let rounds = rs.into_iter().map(|(_, reqs, free)| (reqs, free)).collect();
             (spec.clone(), rounds)
@@ -82,7 +110,7 @@ proptest! {
     // sparse. The live set is reused across rounds, so its idle slots carry
     // stale ports and classes.
     #[test]
-    fn slot_entry_and_live_entry_are_one_round((spec, rounds) in vc_rounds()) {
+    fn slot_entry_and_live_entry_are_one_round((spec, rounds) in vc_rounds(Classes::Subset)) {
         let kinds = [
             AllocatorKind::SepIfRr,
             AllocatorKind::SepIfMatrix,
@@ -138,8 +166,8 @@ proptest! {
     }
 
     #[test]
-    fn dense_vc_grants_always_valid((spec, reqs, free) in vc_workload()) {
-        for kind in AllocatorKind::QUALITY_FIGURE_KINDS {
+    fn dense_vc_grants_always_valid((spec, reqs, free) in vc_workload(Classes::Subset)) {
+        for kind in AllocatorKind::COST_FIGURE_KINDS {
             let mut a = DenseVcAllocator::new(spec.clone(), kind);
             let g = a.allocate(&reqs, &free);
             prop_assert!(validate_vc_grants(&spec, &reqs, &free, &g).is_ok(), "{kind:?}");
@@ -147,8 +175,8 @@ proptest! {
     }
 
     #[test]
-    fn sparse_vc_grants_always_valid((spec, reqs, free) in vc_workload()) {
-        for kind in AllocatorKind::QUALITY_FIGURE_KINDS {
+    fn sparse_vc_grants_always_valid((spec, reqs, free) in vc_workload(Classes::Subset)) {
+        for kind in AllocatorKind::COST_FIGURE_KINDS {
             let mut a = SparseVcAllocator::new(spec.clone(), kind);
             let g = a.allocate(&reqs, &free);
             prop_assert!(validate_vc_grants(&spec, &reqs, &free, &g).is_ok(), "{kind:?}");
@@ -156,7 +184,7 @@ proptest! {
     }
 
     #[test]
-    fn sparse_and_dense_grant_counts_match_exactly((spec, reqs, free) in vc_workload()) {
+    fn sparse_and_dense_grant_counts_match_exactly((spec, reqs, free) in vc_workload(Classes::Subset)) {
         // Message classes are independent, so splitting the allocator per
         // class must not change behaviour (grant-for-grant) for the
         // separable architectures whose arbiters see identical orderings.
@@ -172,9 +200,12 @@ proptest! {
     }
 
     #[test]
-    fn wavefront_vc_allocation_is_maximum((spec, reqs, free) in vc_workload()) {
+    fn wavefront_vc_allocation_is_maximum((spec, reqs, free) in vc_workload(Classes::One)) {
         // §4.3.2: with class-granular requests, maximal = maximum, so the
-        // wavefront grant count must equal the MaxSize count.
+        // wavefront grant count must equal the MaxSize count. One class per
+        // request: if VC a asks for classes {x, y} and VC b for {x}, with
+        // one free VC in each, granting a its x is maximal with one grant
+        // where the maximum is two.
         let mut wf = DenseVcAllocator::new(spec.clone(), AllocatorKind::Wavefront);
         let mut ms = DenseVcAllocator::new(spec.clone(), AllocatorKind::MaxSize);
         let nw = wf.allocate(&reqs, &free).iter().filter(|g| g.is_some()).count();
@@ -201,9 +232,11 @@ proptest! {
             SwitchAllocatorKind::SepIf(RoundRobin),
             SwitchAllocatorKind::SepIf(Matrix),
             SwitchAllocatorKind::SepOf(RoundRobin),
+            SwitchAllocatorKind::SepOf(Matrix),
             SwitchAllocatorKind::Wavefront,
         ] {
             let mut a = kind.build(ports, vcs);
+            prop_assert_eq!((a.ports(), a.vcs()), (ports, vcs), "{:?}", kind);
             let g = a.allocate(&reqs);
             prop_assert!(validate_switch_grants(&reqs, &g).is_ok(), "{kind:?}");
         }
@@ -242,6 +275,15 @@ proptest! {
             for g in res.nonspec.iter().chain(&res.spec) {
                 prop_assert!(!std::mem::replace(&mut in_used[g.in_port], true), "{mode:?}");
                 prop_assert!(!std::mem::replace(&mut out_used[g.out_port], true), "{mode:?}");
+            }
+            // §5.2: the pessimistic mask is built from the non-speculative
+            // requests, not the grants, so no surviving speculative grant
+            // uses a port that a non-speculative request wants.
+            if mode == SpecMode::Pessimistic {
+                for g in &res.spec {
+                    prop_assert!(!ns.input_active(g.in_port), "{g:?} at a requesting input");
+                    prop_assert!(!ns.output_requested(g.out_port), "{g:?} at a requested output");
+                }
             }
         }
     }

@@ -162,35 +162,6 @@ impl TraceSink for VecSink {
     }
 }
 
-/// Counts events per kind without storing them (cheap sanity checks and
-/// overhead measurements).
-#[derive(Clone, Debug, Default)]
-pub struct CountingSink {
-    /// Event counts indexed by `FlitEventKind as usize`.
-    pub counts: [u64; 12],
-}
-
-impl CountingSink {
-    /// Events seen of one kind.
-    pub fn count(&self, kind: FlitEventKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    /// Total events seen.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
-impl TraceSink for CountingSink {
-    const ACTIVE: bool = true;
-
-    #[inline]
-    fn record(&mut self, ev: FlitEvent) {
-        self.counts[ev.kind as usize] += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,22 +202,10 @@ mod tests {
         assert_eq!(s.dropped, 2);
     }
 
-    #[test]
-    fn counting_sink_tallies_by_kind() {
-        let mut s = CountingSink::default();
-        s.record(ev(FlitEventKind::SaGrant));
-        s.record(ev(FlitEventKind::SaGrant));
-        s.record(ev(FlitEventKind::Eject));
-        assert_eq!(s.count(FlitEventKind::SaGrant), 2);
-        assert_eq!(s.count(FlitEventKind::Eject), 1);
-        assert_eq!(s.total(), 3);
-    }
-
     // Compile-time: the no-op sink must stay inactive (so trace sites fold
-    // away) and the recording sinks active.
+    // away) and the recording sink active.
     const _: () = assert!(!NopSink::ACTIVE);
     const _: () = assert!(VecSink::ACTIVE);
-    const _: () = assert!(CountingSink::ACTIVE);
 
     #[test]
     fn kind_names_are_unique() {

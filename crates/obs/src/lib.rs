@@ -73,7 +73,7 @@ pub use anatomy::{
     ANATOMY_CAPACITY, ANATOMY_SCHEMA, STAGE_COUNT, STAGE_NAMES,
 };
 pub use digest::DigestSink;
-pub use event::{CountingSink, FlitEvent, FlitEventKind, NopSink, TraceSink, VecSink};
+pub use event::{FlitEvent, FlitEventKind, NopSink, TraceSink, VecSink};
 pub use export::{
     chrome_trace, metrics_csv, metrics_jsonl, sweep_manifest_json, PercentileTable,
     SweepManifestPoint,

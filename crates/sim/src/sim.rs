@@ -1156,11 +1156,33 @@ mod tests {
 
     #[test]
     fn saturation_rate_is_in_plausible_band() {
-        // Mesh 2x1x1 under uniform request/reply traffic saturates well
-        // below the 0.5 bisection bound and above 0.15 (Figure 13(a) shows
-        // ~0.3 for the paper's setup).
+        // Uniform random traffic on a k x k DOR mesh loads the bisection
+        // channels to its bound at 4/k flits per terminal per cycle (Dally &
+        // Towles ch. 3): 0.5 at k = 8. Mesh 2x1x1 must saturate below that
+        // and above half of it (Figure 13(a) shows ~0.3; this setup finds
+        // ~0.36).
         let base = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1);
+        let bound = 4.0 / base.topology.build().width as f64;
         let sat = saturation_rate(&base, 1_500, 3_000, &run_sim);
-        assert!((0.15..0.5).contains(&sat), "mesh 2x1x1 saturation {sat}");
+        assert!(
+            0.5 * bound < sat && sat < bound,
+            "mesh 2x1x1 saturation {sat} vs channel-load bound {bound}"
+        );
+        // Below saturation the network delivers what it is offered: accepted
+        // load within 3 % of offered at 0.2 to 0.8 x saturation. Sampling
+        // alone moves the ratio by up to ~2 % at 0.2 x over 6,000 cycles;
+        // terminals that lose one packet in twenty fall outside the band.
+        for fraction in [0.2, 0.4, 0.6, 0.8] {
+            let offered = fraction * sat;
+            let cfg = SimConfig {
+                injection_rate: offered,
+                ..base.clone()
+            };
+            let accepted = run_sim(&cfg, 1_500, 6_000).throughput;
+            assert!(
+                (accepted / offered - 1.0).abs() < 0.03,
+                "at {fraction} x saturation: accepted {accepted} vs offered {offered}"
+            );
+        }
     }
 }

@@ -63,7 +63,7 @@ USAGE:
               [--out DIR] [--cache-dir DIR] [--quiet] [--no-render]
               [--telemetry] [--anatomy]
   noc serve   [--addr HOST:PORT] [--cache-dir DIR] [--out DIR] [--workers N]
-              [--quiet] [--selftest N]
+              [--quiet]
   noc client  (--preset NAME | --spec FILE | --status) [--addr HOST:PORT]
               [--id ID] [--quiet]
   noc top     DUMP [--once]
@@ -89,9 +89,10 @@ Telemetry & live view (noc sim / noc top / noc replay):
                           the --json report as a \"telemetry\" block
   --top                   redraw a live congestion heatmap + matching-
                           efficiency sparkline as the run progresses
-  --window N              telemetry window length in cycles (default 100);
-                          a recorded run samples matching efficiency (grants
-                          vs an exact maximum matching of the same cycle's
+  --window N              telemetry window length in cycles (default 100;
+                          needs --record, --top or --metrics); a recorded
+                          run samples matching efficiency (grants vs an
+                          exact maximum matching of the same cycle's
                           requests) once per window
   --routing KIND          override the topology's routing algorithm; the
                           'nodateline' torus fixture deadlocks by design
@@ -113,7 +114,8 @@ Latency anatomy (noc sim --anatomy):
   packets. Per-packet stage sums reconcile exactly with end-to-end
   latency; the command exits nonzero if they do not.
   --top-k K               waterfalls to retain for the slowest packets
-                          (default 4; 0 disables)
+                          (default 4; 0 disables; needs --anatomy or
+                          --anatomy-out)
   --anatomy-out FILE      also write the full noc-anatomy/v1 JSONL dump,
                           keyed by the config's content digest: the first
                           65536 per-packet rows (the blame report always
@@ -135,8 +137,9 @@ Statistics (noc sim):
 Static analysis (noc check):
   checks deadlock freedom (channel-dependency graph over the sparse VC
   transition masks; prints a minimal offending cycle), VC reachability /
-  starvation / dateline discipline, and allocator wiring; exits nonzero
-  if any checked design fails
+  starvation / dateline discipline, and allocator wiring (the transition
+  mask admits every VC transition a route takes); exits nonzero if any
+  checked design fails
   --all                   check the paper's designs (mesh, fbfly, torus at
                           C = 1, 2, 4) and every workload-matrix config
   --fixture NAME          check a deliberately deadlocked negative fixture
@@ -189,11 +192,6 @@ Sweep service (noc serve / noc client):
   --addr HOST:PORT        listen/connect address (default 127.0.0.1:4009;
                           port 0 picks a free port)
   --workers N             concurrent simulations (default: cores, max 8)
-  --selftest N            run the built-in load driver instead: N
-                          concurrent overlapping clients against a fresh
-                          in-process daemon; asserts computed points ==
-                          unique digests not yet cached, then restarts the
-                          daemon and asserts zero recomputation
   noc client              send one request and print the response JSONL
   --preset NAME           request an in-repo preset by name
   --spec FILE             request the sweep spec in FILE (same grammar as
@@ -226,7 +224,6 @@ Examples:
   noc serve --addr 127.0.0.1:4009 &
   noc client --preset smoke
   noc client --status
-  noc serve --selftest 4
 ";
 
 /// Default slowest-packet waterfall count of `noc sim --anatomy`.
@@ -404,6 +401,13 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let anatomy_top_k: usize = args.get("top-k", DEFAULT_ANATOMY_TOP_K)?;
     if window == 0 {
         return Err("--window must be at least 1 cycle".to_string());
+    }
+    // A flag whose observer is off would be ignored: refuse it instead.
+    if args.flags.contains_key("window") && !(want_record || metrics_path.is_some()) {
+        return Err("--window needs --record, --top or --metrics".to_string());
+    }
+    if args.flags.contains_key("top-k") && !want_anatomy {
+        return Err("--top-k needs --anatomy or --anatomy-out".to_string());
     }
     let observed = want_profile
         || want_verify
@@ -1051,16 +1055,11 @@ fn default_serve_workers() -> usize {
         .unwrap_or(2)
 }
 
-/// `noc serve` — the sweep-as-a-service daemon (or, with `--selftest N`,
-/// its built-in concurrent-client load driver).
+/// `noc serve` — the sweep-as-a-service daemon.
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    use noc_bench::sweep::serve::{run_selftest, start, ServeOptions};
+    use noc_bench::sweep::serve::{start, ServeOptions};
     let (cache_dir, out_dir) = sweep_dirs(args);
     let workers = args.get("workers", default_serve_workers())?;
-    if args.flags.contains_key("selftest") {
-        let clients: usize = args.get("selftest", 4)?;
-        return run_selftest(clients, &cache_dir, &out_dir, workers);
-    }
     let opts = ServeOptions {
         addr: args
             .flags
@@ -1246,11 +1245,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         cmd_sweep,
         "preset spec out cache-dir quiet no-render telemetry anatomy",
     ),
-    (
-        "serve",
-        cmd_serve,
-        "addr cache-dir out workers quiet selftest",
-    ),
+    ("serve", cmd_serve, "addr cache-dir out workers quiet"),
     ("client", cmd_client, "preset spec status addr id quiet"),
     ("top", cmd_top, "once"),
     ("replay", cmd_replay, ""),
@@ -1472,10 +1467,9 @@ mod tests {
 
     #[test]
     fn serve_and_client_flags_parse() {
-        // --selftest takes a value (the client count).
-        let a = args("serve --selftest 4 --workers 2");
+        // --workers takes a value (the pool width).
+        let a = args("serve --workers 2 --quiet");
         assert_eq!(a.positional, vec!["serve"]);
-        assert_eq!(a.get::<usize>("selftest", 0).unwrap(), 4);
         assert_eq!(a.get::<usize>("workers", 8).unwrap(), 2);
         let a = args("serve --addr 127.0.0.1:0 --quiet");
         assert_eq!(a.flags.get("addr").map(String::as_str), Some("127.0.0.1:0"));

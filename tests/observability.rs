@@ -3,7 +3,7 @@
 
 // Panicking on setup failure is the right behaviour outside library code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use noc_obs::{metrics_csv, validate_json, CountingSink, FlitEventKind};
+use noc_obs::{metrics_csv, validate_json, FlitEventKind, VecSink};
 use noc_sim::{run_sim, Run, SimConfig, TelemetryOptions, TopologyKind};
 use std::process::Command;
 
@@ -165,22 +165,24 @@ fn trace_events_are_consistent_with_run_statistics() {
         injection_rate: 0.15,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
     };
-    let mut sink = CountingSink::default();
+    let mut sink = VecSink::default();
     let run = Run::new(&cfg, 300, 900).sink(&mut sink).finish();
-    let s = &sink;
-    assert!(s.count(FlitEventKind::Inject) > 0);
+    // Every event was kept, so the tallies below are complete.
+    assert_eq!(sink.dropped, 0);
+    let count = |kind| sink.events.iter().filter(|e| e.kind == kind).count() as u64;
+    assert!(count(FlitEventKind::Inject) > 0);
     // Conservation: a flit must be injected before it can eject or move.
-    assert!(s.count(FlitEventKind::Eject) <= s.count(FlitEventKind::Inject));
-    assert!(s.count(FlitEventKind::SwitchTraversal) >= s.count(FlitEventKind::Eject));
+    assert!(count(FlitEventKind::Eject) <= count(FlitEventKind::Inject));
+    assert!(count(FlitEventKind::SwitchTraversal) >= count(FlitEventKind::Eject));
     // Grant events mirror the router counters exactly.
     let rs = run.result.router_stats;
-    assert_eq!(s.count(FlitEventKind::SaGrant), rs.nonspec_grants);
-    assert_eq!(s.count(FlitEventKind::SaSpecGrant), rs.spec_grants);
-    assert_eq!(s.count(FlitEventKind::SaSpecMasked), rs.spec_masked);
-    assert_eq!(s.count(FlitEventKind::SaSpecInvalid), rs.spec_invalid);
-    assert_eq!(s.count(FlitEventKind::SaSpecRequest), rs.spec_requests);
-    assert_eq!(s.count(FlitEventKind::VcaRequest), rs.vca_requests);
-    assert_eq!(s.count(FlitEventKind::VcaGrant), rs.vca_grants);
+    assert_eq!(count(FlitEventKind::SaGrant), rs.nonspec_grants);
+    assert_eq!(count(FlitEventKind::SaSpecGrant), rs.spec_grants);
+    assert_eq!(count(FlitEventKind::SaSpecMasked), rs.spec_masked);
+    assert_eq!(count(FlitEventKind::SaSpecInvalid), rs.spec_invalid);
+    assert_eq!(count(FlitEventKind::SaSpecRequest), rs.spec_requests);
+    assert_eq!(count(FlitEventKind::VcaRequest), rs.vca_requests);
+    assert_eq!(count(FlitEventKind::VcaGrant), rs.vca_grants);
 }
 
 #[test]
@@ -192,7 +194,7 @@ fn traced_and_untraced_runs_agree_exactly() {
         ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
     };
     let plain = run_sim(&cfg, 400, 800);
-    let mut sink = CountingSink::default();
+    let mut sink = VecSink::default();
     let mut windows = Vec::new();
     let traced = Run::new(&cfg, 400, 800)
         .sink(&mut sink)
@@ -219,6 +221,9 @@ fn traced_and_untraced_runs_agree_exactly() {
         plain.router_stats.spec_requests,
         traced.result.router_stats.spec_requests
     );
+    // The sink saw the run: events were recorded and none dropped.
+    assert!(!sink.events.is_empty());
+    assert_eq!(sink.dropped, 0);
     // The gauge rows of the metrics export come from the recorder's
     // windows: 18 complete 64-cycle windows, utilization within [0, 1].
     assert_eq!(windows.len(), 18);
