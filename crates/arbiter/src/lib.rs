@@ -65,15 +65,6 @@ pub trait Arbiter {
     fn reset(&mut self);
 }
 
-/// Convenience: arbitrate and immediately commit the winner (single-stage use).
-pub fn arbitrate_and_update(arb: &mut dyn Arbiter, requests: &Bits) -> Option<usize> {
-    let w = arb.arbitrate(requests);
-    if let Some(i) = w {
-        arb.update(i);
-    }
-    w
-}
-
 /// The arbiter kinds evaluated in the paper's cost/quality studies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ArbiterKind {

@@ -33,9 +33,7 @@ pub mod optimize;
 pub mod power;
 pub mod sta;
 pub mod synth;
-pub mod verilog;
 
 pub use cell::{CellKind, CellLibrary};
 pub use netlist::{NetId, Netlist};
 pub use synth::{SynthError, SynthResult, Synthesizer};
-pub use verilog::{to_verilog, VerilogOptions};

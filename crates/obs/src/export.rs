@@ -2,41 +2,36 @@
 //! Chrome Trace Event Format.
 //!
 //! The CSV and JSONL encoders share one long (tidy) schema —
-//! `record,cycle,router,port,vc,name,value` — so counters and sampled
-//! gauges coexist in a single file that loads directly into pandas or
-//! DuckDB. The Chrome encoder emits a JSON object with a `traceEvents`
-//! array loadable in `chrome://tracing` or Perfetto: one complete (`"X"`)
-//! slice per flit event on a `pid = router`, `tid = port·256 + vc` lane,
-//! plus one async `"b"`/`"e"` pair per packet spanning injection to last
-//! ejection.
+//! `record,cycle,router,port,vc,name,value` — that loads directly into
+//! pandas or DuckDB. Every row is a run-total counter (`record` is
+//! `counter`, `cycle` is empty); the per-window series is the
+//! `noc-telemetry/v1` dump of `noc sim --record`.
+//!
+//! The Chrome encoder emits a JSON object with a `traceEvents` array
+//! loadable in `chrome://tracing` or Perfetto: one complete (`"X"`) slice
+//! per flit event on a `pid = router`, `tid = port·256 + vc` lane, plus one
+//! async `"b"`/`"e"` pair per packet spanning injection to last ejection.
 
 use crate::event::{FlitEvent, FlitEventKind};
 use crate::json::{JsonWriter, ToJson};
 use crate::metrics::RouterObs;
-use crate::timeseries::WindowSnapshot;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// One row of the long-format export.
-struct Row<'a> {
-    record: &'a str,
-    cycle: Option<u64>,
+/// One counter row of the long-format export; `vc` is absent on the
+/// per-port `out_flits` rows.
+struct Row {
     router: usize,
-    port: Option<usize>,
+    port: usize,
     vc: Option<usize>,
-    name: &'a str,
-    value: f64,
+    name: &'static str,
+    value: u64,
 }
 
-/// Counter rows from the run totals, then three gauge rows per router per
-/// telemetry window, stamped with the window's closing cycle: the buffer
-/// occupancy and busy VCs at that cycle, and the window's channel
-/// utilization (flits per cycle per output port).
-fn rows<'a>(
-    routers: &'a [RouterObs],
-    windows: &'a [WindowSnapshot],
-) -> impl Iterator<Item = Row<'a>> + 'a {
-    let counters = routers.iter().enumerate().flat_map(|(r, obs)| {
+/// The run-total counter rows: five stall counters per VC, then one
+/// `out_flits` per output port, router by router.
+fn rows(routers: &[RouterObs]) -> impl Iterator<Item = Row> + '_ {
+    routers.iter().enumerate().flat_map(|(r, obs)| {
         let per_vc = obs.vc.iter().enumerate().flat_map(move |(idx, s)| {
             let (port, vc) = (idx / obs.vcs, idx % obs.vcs);
             [
@@ -48,88 +43,44 @@ fn rows<'a>(
             ]
             .into_iter()
             .map(move |(name, v)| Row {
-                record: "counter",
-                cycle: None,
                 router: r,
-                port: Some(port),
+                port,
                 vc: Some(vc),
                 name,
-                value: v as f64,
+                value: v,
             })
         });
         let per_port = obs.out_flits.iter().enumerate().map(move |(p, &v)| Row {
-            record: "counter",
-            cycle: None,
             router: r,
-            port: Some(p),
+            port: p,
             vc: None,
             name: "out_flits",
-            value: v as f64,
+            value: v,
         });
         per_vc.chain(per_port)
-    });
-    let gauges = windows.iter().flat_map(move |w| {
-        let cycles = w.cycle / w.window;
-        w.routers.iter().enumerate().flat_map(move |(r, c)| {
-            let link_cycles = (cycles * routers[r].out_flits.len() as u64).max(1);
-            [
-                ("occupancy", c.occupancy as f64),
-                ("busy_vcs", c.busy_vcs as f64),
-                ("utilization", c.out_flits as f64 / link_cycles as f64),
-            ]
-            .into_iter()
-            .map(move |(name, value)| Row {
-                record: "gauge",
-                cycle: Some(w.cycle),
-                router: r,
-                port: None,
-                vc: None,
-                name,
-                value,
-            })
-        })
-    });
-    counters.chain(gauges)
-}
-
-fn fmt_value(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.6}")
-    }
+    })
 }
 
 /// Encodes the metrics as long-format CSV with a header row.
-pub fn metrics_csv(routers: &[RouterObs], windows: &[WindowSnapshot]) -> String {
+pub fn metrics_csv(routers: &[RouterObs]) -> String {
     let mut out = String::from("record,cycle,router,port,vc,name,value\n");
-    for row in rows(routers, windows) {
-        let opt = |o: Option<u64>| o.map(|v| v.to_string()).unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            row.record,
-            opt(row.cycle),
-            row.router,
-            opt(row.port.map(|p| p as u64)),
-            opt(row.vc.map(|v| v as u64)),
-            row.name,
-            fmt_value(row.value)
-        );
+    for row in rows(routers) {
+        let vc = row.vc.map(|v| v.to_string()).unwrap_or_default();
+        let (r, p, name, v) = (row.router, row.port, row.name, row.value);
+        let _ = writeln!(out, "counter,,{r},{p},{vc},{name},{v}");
     }
     out
 }
 
 /// Encodes the metrics as JSON lines (one object per row of the same long
 /// schema; absent coordinates are omitted).
-pub fn metrics_jsonl(routers: &[RouterObs], windows: &[WindowSnapshot]) -> String {
+pub fn metrics_jsonl(routers: &[RouterObs]) -> String {
     let mut w = JsonWriter::default();
-    for row in rows(routers, windows) {
+    for row in rows(routers) {
         w.begin_object()
-            .field("record", row.record)
-            .opt_field("cycle", row.cycle)
+            .field("record", "counter")
             .field("router", row.router)
-            .opt_field("port", row.port)
+            .field("port", row.port)
             .opt_field("vc", row.vc)
             .field("name", row.name)
             .field("value", row.value)
@@ -305,22 +256,9 @@ mod tests {
         vec![a, b]
     }
 
-    /// One 5-cycle window over the two 2-port routers of `sample_obs`.
-    fn sample_windows() -> Vec<WindowSnapshot> {
-        let mut rec = crate::FlightRecorder::new(5, 4);
-        let router = |out_flits, occupancy, busy_vcs| crate::RouterCounters {
-            out_flits,
-            occupancy,
-            busy_vcs,
-            ..Default::default()
-        };
-        rec.record(4, 0, 0, [router(8, 3, 1), router(0, 0, 0)].into_iter());
-        rec.ring().cloned().collect()
-    }
-
     #[test]
     fn csv_has_uniform_field_counts() {
-        let csv = metrics_csv(&sample_obs(), &sample_windows());
+        let csv = metrics_csv(&sample_obs());
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
         assert_eq!(header, "record,cycle,router,port,vc,name,value");
@@ -330,24 +268,21 @@ mod tests {
             assert_eq!(l.split(',').count(), cols, "ragged row: {l}");
             n += 1;
         }
-        // 2 routers × (2 ports × 2 vcs × 5 counters + 2 out_flits) + 2
-        // gauges × 3 values.
-        assert_eq!(n, 2 * (2 * 2 * 5 + 2) + 2 * 3);
+        // 2 routers × (2 ports × 2 vcs × 5 counters + 2 out_flits).
+        assert_eq!(n, 2 * (2 * 2 * 5 + 2));
         assert!(csv.contains("counter,,0,0,0,credit_stall,1"));
-        assert!(csv.contains("gauge,5,0,,,occupancy,3"));
-        // 8 flits in a 5-cycle window over 2 output ports.
-        assert!(csv.contains("gauge,5,0,,,utilization,0.800000"));
+        assert!(csv.contains("counter,,0,1,,out_flits,3"));
     }
 
     #[test]
     fn jsonl_rows_are_valid_json() {
-        let jsonl = metrics_jsonl(&sample_obs(), &sample_windows());
+        let jsonl = metrics_jsonl(&sample_obs());
         let mut n = 0;
         for line in jsonl.lines() {
             validate_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
             n += 1;
         }
-        assert_eq!(n, 2 * (2 * 2 * 5 + 2) + 2 * 3);
+        assert_eq!(n, 2 * (2 * 2 * 5 + 2));
     }
 
     #[test]

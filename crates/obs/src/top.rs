@@ -1,7 +1,8 @@
 //! Terminal rendering for `noc top`: a per-router congestion heatmap and
 //! a matching-efficiency sparkline, drawn from flight-recorder window
 //! snapshots. Pure string building — the CLI owns cursor control — so the
-//! same frame can be asserted in tests (`--once`) or redrawn live.
+//! same frame can be printed once from a dump (`noc top DUMP`), asserted
+//! in tests, or redrawn live (`noc sim --top`).
 
 use crate::timeseries::WindowSnapshot;
 use std::fmt::Write as _;

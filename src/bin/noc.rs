@@ -9,12 +9,11 @@
 //!   allocator wiring)
 //! * `noc synth`   — synthesize a VC or switch allocator design point
 //! * `noc quality` — measure open-loop matching quality
-//! * `noc verilog` — emit structural Verilog for a design point
 //! * `noc fig`     — print any figure or ablation of the registry
 //! * `noc sweep`   — run/resume cached, journaled experiment sweeps
 //! * `noc serve`   — sweep-as-a-service daemon deduplicating concurrent clients
 //! * `noc client`  — send one sweep/preset/status request to a serve daemon
-//! * `noc top`     — live/offline congestion + matching-efficiency view
+//! * `noc top`     — draw a recorded dump's congestion + matching-efficiency frame
 //! * `noc replay`  — recompute a run summary from a telemetry dump
 //!
 //! Run `noc help` (or any subcommand with `--help`) for flags. Argument
@@ -56,8 +55,6 @@ USAGE:
               [--dense] [--spec nonspec|spec_gnt|spec_req]
   noc quality (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--rate R]
               [--trials N]
-  noc verilog (vca|swa) [--topology mesh|fbfly|torus] [--vcs C] [--alloc KIND]
-              [--dense] [--spec nonspec|spec_gnt|spec_req]
   noc fig     [NAME... | --all] [--out DIR] [--cache-dir DIR] [--quiet]
   noc sweep   (run|resume|status|clean) [--preset NAME | --spec FILE]
               [--out DIR] [--cache-dir DIR] [--quiet] [--no-render]
@@ -66,7 +63,7 @@ USAGE:
               [--quiet]
   noc client  (--preset NAME | --spec FILE | --status) [--addr HOST:PORT]
               [--id ID] [--quiet]
-  noc top     DUMP [--once]
+  noc top     DUMP
   noc replay  DUMP
   noc help
 
@@ -77,23 +74,24 @@ C (--vcs):        2x1xC (mesh) or 2x2xC (fbfly, torus) VCs per port, at most 64
 Observability (noc sim):
   --trace FILE            write a Chrome Trace Event Format flit timeline
                           (load in chrome://tracing or Perfetto)
-  --metrics FILE          write counters + one gauge sample per --window
-                          cycles; .json/.jsonl selects JSON lines, anything
-                          else CSV
+  --metrics FILE          write the per-VC stall and per-port flit
+                          counters; .json/.jsonl selects JSON lines,
+                          anything else CSV
   --json                  print the run summary as one JSON object
 
 Telemetry & live view (noc sim / noc top / noc replay):
   --record FILE           flight-record the run: one noc-telemetry/v1 JSONL
                           window snapshot every --window cycles, keyed by
-                          the config's content digest; the summary joins
-                          the --json report as a \"telemetry\" block
+                          the config's content digest, written when the
+                          run ends; the summary joins the --json report
+                          as a \"telemetry\" block
   --top                   redraw a live congestion heatmap + matching-
                           efficiency sparkline as the run progresses
   --window N              telemetry window length in cycles (default 100;
-                          needs --record, --top or --metrics); a recorded
-                          run samples matching efficiency (grants vs an
-                          exact maximum matching of the same cycle's
-                          requests) once per window
+                          needs --record or --top); a recorded run samples
+                          matching efficiency (grants vs an exact maximum
+                          matching of the same cycle's requests) once per
+                          window
   --routing KIND          override the topology's routing algorithm; the
                           'nodateline' torus fixture deadlocks by design
                           (watchdog demo)
@@ -101,8 +99,7 @@ Telemetry & live view (noc sim / noc top / noc replay):
                           after ~10k motionless cycles with flits stuck,
                           writing a post-mortem dump; with --seeds it
                           guards the pilot and every replicate)
-  noc top DUMP [--once]   render the latest frame of a dump and follow it
-                          as it grows (--once renders a single frame)
+  noc top DUMP            draw the dump's latest window as one frame
   noc replay DUMP         recompute the run's telemetry summary from the
                           dump (byte-identical to the in-process block)
 
@@ -212,11 +209,10 @@ Examples:
   noc sim --rate 0.4 --record run.jsonl --json
   noc sim --rate 0.3 --top
   noc sim --topology torus --routing nodateline --rate 0.35
-  noc top run.jsonl --once
+  noc top run.jsonl
   noc replay run.jsonl
   noc synth vca --topology mesh --vcs 2 --alloc sep_if_rr
   noc quality swa --topology fbfly --vcs 4 --rate 0.5 --trials 5000
-  noc verilog swa --vcs 2 --alloc sep_if_rr > swa.v
   noc fig fig05 ablation-radix
   noc fig --all --out results
   noc sweep run --preset fig13
@@ -238,7 +234,6 @@ const BARE_FLAGS: &[&str] = &[
     "json",
     "no-render",
     "no-watchdog",
-    "once",
     "profile",
     "quiet",
     "status",
@@ -342,7 +337,7 @@ impl Args {
             .transpose()
     }
 
-    /// The router class structure `noc synth|quality|verilog` work on,
+    /// The router class structure `noc synth|quality` work on,
     /// validated like a `noc sim` configuration: zero VCs or an
     /// out-of-range request rate is a one-line error, not a panic.
     fn design_spec(&self, default_vcs: usize, rate: f64) -> Result<VcAllocSpec, String> {
@@ -403,8 +398,8 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         return Err("--window must be at least 1 cycle".to_string());
     }
     // A flag whose observer is off would be ignored: refuse it instead.
-    if args.flags.contains_key("window") && !(want_record || metrics_path.is_some()) {
-        return Err("--window needs --record, --top or --metrics".to_string());
+    if args.flags.contains_key("window") && !want_record {
+        return Err("--window needs --record or --top".to_string());
     }
     if args.flags.contains_key("top-k") && !want_anatomy {
         return Err("--top-k needs --anatomy or --anatomy-out".to_string());
@@ -433,13 +428,11 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     // coarse watchdog-only recorder still stands guard (unless
     // --no-watchdog), over each replicate of --seeds too: a deadlocked
     // network ends with a post-mortem dump instead of burning cycles.
-    let telemetry = if want_record || metrics_path.is_some() {
+    let telemetry = if want_record {
         Some(TelemetryOptions {
             window,
-            // --metrics alone reads the window series, not matchings.
-            match_every: u64::from(want_record),
-            capacity: 256,
             watchdog: (!no_watchdog).then(|| 10_000u64.div_ceil(window).max(1)),
+            ..TelemetryOptions::recording()
         })
     } else {
         (!no_watchdog).then(|| TelemetryOptions::watchdog_only(10_000))
@@ -469,11 +462,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let capacity_flits = (cfg.vc_spec().total_vcs() * cfg.buf_depth) as u32;
     let mut lines: Vec<String> = Vec::new();
     let mut eff: Vec<f64> = Vec::new();
-    let mut gauges: Vec<WindowSnapshot> = Vec::new();
     let on_window = |snap: &WindowSnapshot| {
-        if metrics_path.is_some() {
-            gauges.push(snap.clone());
-        }
         if !want_record {
             return;
         }
@@ -529,9 +518,9 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     }
     if let Some(path) = &metrics_path {
         let text = if path.ends_with(".json") || path.ends_with(".jsonl") {
-            metrics_jsonl(&out.router_obs, &gauges)
+            metrics_jsonl(&out.router_obs)
         } else {
-            metrics_csv(&out.router_obs, &gauges)
+            metrics_csv(&out.router_obs)
         };
         std::fs::write(path, text).map_err(|e| format!("writing metrics '{path}': {e}"))?;
         eprintln!("wrote metrics to {path}");
@@ -817,37 +806,6 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown quality target '{other}' (vca|swa)")),
     }
-    Ok(())
-}
-
-fn cmd_verilog(args: &Args) -> Result<(), String> {
-    use noc_hw::builders::{sw_alloc, vc_alloc};
-    let what = args.positional.get(1).map(String::as_str).unwrap_or("vca");
-    let spec = args.design_spec(1, 0.0)?;
-    let nl = match what {
-        "vca" => vc_alloc::vc_allocator_netlist(
-            &spec,
-            args.alloc_kind()?,
-            !args.flags.contains_key("dense"),
-        ),
-        "swa" => sw_alloc::speculative_switch_allocator_netlist(
-            args.sw_kind("alloc")?,
-            spec.ports(),
-            spec.total_vcs(),
-            args.spec_mode()?,
-        ),
-        other => return Err(format!("unknown verilog target '{other}' (vca|swa)")),
-    };
-    eprintln!(
-        "// '{}': {} cells, {} flops",
-        nl.name,
-        nl.cells().len(),
-        nl.dffs().len()
-    );
-    print!(
-        "{}",
-        noc_hw::to_verilog(&nl, &noc_hw::VerilogOptions::default())
-    );
     Ok(())
 }
 
@@ -1144,29 +1102,33 @@ fn cmd_client(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn load_dump(args: &Args) -> Result<TelemetryDump, String> {
+/// The positional `DUMP` of `noc top` / `noc replay`, with its path.
+fn load_dump(args: &Args) -> Result<(&str, TelemetryDump), String> {
     let path = args
         .positional
         .get(1)
-        .ok_or("usage: noc top DUMP [--once] | noc replay DUMP")?;
+        .ok_or("usage: noc top DUMP | noc replay DUMP")?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read telemetry dump '{path}': {e}"))?;
-    TelemetryDump::parse(&text)
+    Ok((path, TelemetryDump::parse(&text)?))
 }
 
 fn cmd_replay(args: &Args) -> Result<(), String> {
-    let dump = load_dump(args)?;
+    let (_, dump) = load_dump(args)?;
     println!("{}", dump.summary().to_json());
     Ok(())
 }
 
-/// Renders the dump's latest window the way the live `--top` view would.
+/// Draws the dump's latest window the way the live `--top` view would. A
+/// dump is written once, when its run ends, so there is nothing to follow.
 ///
 /// The header does not carry buffer capacities, so the occupancy heatmap is
 /// scaled by the largest occupancy seen anywhere in the dump: relative
 /// hotspots stay visible even without the absolute scale.
-fn render_dump_top(dump: &TelemetryDump) -> Option<String> {
-    let latest = dump.windows.last()?;
+fn cmd_top(args: &Args) -> Result<(), String> {
+    let (path, dump) = load_dump(args)?;
+    let latest =
+        (dump.windows.last()).ok_or_else(|| format!("'{path}' contains no telemetry windows"))?;
     let capacity = dump
         .windows
         .iter()
@@ -1180,41 +1142,8 @@ fn render_dump_top(dump: &TelemetryDump) -> Option<String> {
         .map(WindowSnapshot::efficiency)
         .collect();
     let label = format!("{} (replay)", dump.header.label);
-    Some(render_top(&label, latest, &eff, capacity))
-}
-
-fn cmd_top(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .get(1)
-        .ok_or("usage: noc top DUMP [--once]")?
-        .clone();
-    let once = args.flags.contains_key("once");
-    let mut last_len = 0usize;
-    loop {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read telemetry dump '{path}': {e}"))?;
-        if text.len() != last_len {
-            last_len = text.len();
-            let dump = TelemetryDump::parse(&text)?;
-            match render_dump_top(&dump) {
-                Some(frame) if once => {
-                    print!("{frame}");
-                    return Ok(());
-                }
-                Some(frame) => {
-                    print!("\x1b[2J\x1b[H{frame}");
-                    use std::io::Write as _;
-                    let _ = std::io::stdout().flush();
-                }
-                None if once => return Err(format!("'{path}' contains no telemetry windows")),
-                None => {}
-            }
-        } else if once {
-            return Err(format!("'{path}' contains no telemetry windows"));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(250));
-    }
+    print!("{}", render_top(&label, latest, &eff, capacity));
+    Ok(())
 }
 
 fn cmd_help(_: &Args) -> Result<(), String> {
@@ -1238,7 +1167,6 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ("check", cmd_check, "topology vcs all fixture"),
     ("synth", cmd_synth, "topology vcs alloc dense spec"),
     ("quality", cmd_quality, "topology vcs rate trials"),
-    ("verilog", cmd_verilog, "topology vcs alloc dense spec"),
     ("fig", cmd_fig, "all out cache-dir quiet"),
     (
         "sweep",
@@ -1247,7 +1175,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ),
     ("serve", cmd_serve, "addr cache-dir out workers quiet"),
     ("client", cmd_client, "preset spec status addr id quiet"),
-    ("top", cmd_top, "once"),
+    ("top", cmd_top, ""),
     ("replay", cmd_replay, ""),
     ("help", cmd_help, ""),
 ];
@@ -1373,7 +1301,7 @@ mod tests {
                 "noc check does not take --seeds",
             ),
             ("quality vca --dense", "noc quality does not take --dense"),
-            ("replay dump --once", "noc replay does not take --once"),
+            ("replay dump --rate 7", "noc replay does not take --rate"),
             ("help --json", "noc help does not take --json"),
             ("--json", "noc help does not take --json"),
             // A flag no command takes stays the parser's error.
@@ -1434,14 +1362,11 @@ mod tests {
         let a = args("sim --record run.jsonl --window 250");
         assert_eq!(a.flags.get("record").map(String::as_str), Some("run.jsonl"));
         assert_eq!(a.get::<u64>("window", 100).unwrap(), 250);
-        // top / once / no-watchdog / telemetry are bare flags.
+        // top / no-watchdog / telemetry are bare flags.
         let a = args("sim --top --no-watchdog --rate 0.2");
         assert!(a.flags.contains_key("top"));
         assert!(a.flags.contains_key("no-watchdog"));
         assert!((a.get::<f64>("rate", 0.0).unwrap() - 0.2).abs() < 1e-12);
-        let a = args("top run.jsonl --once");
-        assert!(a.flags.contains_key("once"));
-        assert_eq!(a.positional, vec!["top", "run.jsonl"]);
         let a = args("sweep run --telemetry");
         assert!(a.flags.contains_key("telemetry"));
     }

@@ -2,7 +2,8 @@
 
 // Panicking on setup failure is the right behaviour outside library code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn noc(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_noc"))
@@ -11,18 +12,32 @@ fn noc(args: &[&str]) -> std::process::Output {
         .expect("failed to spawn noc binary")
 }
 
+/// Like [`noc`], but fails the test instead of waiting for ever when the
+/// command has not exited within ten seconds.
+fn noc_exits(args: &[&str]) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_noc"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn noc binary");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("noc {args:?} did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
 #[test]
 fn help_lists_all_subcommands() {
     let out = noc(&["help"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for cmd in [
-        "noc sim",
-        "noc synth",
-        "noc quality",
-        "noc verilog",
-        "noc fig",
-    ] {
+    for cmd in ["noc sim", "noc synth", "noc quality", "noc fig"] {
         assert!(text.contains(cmd), "help missing '{cmd}'");
     }
 }
@@ -129,16 +144,6 @@ fn quality_without_a_drawn_request_is_not_a_perfect_score() {
 }
 
 #[test]
-fn verilog_emits_a_module() {
-    let out = noc(&["verilog", "vca", "--topology", "mesh", "--vcs", "1"]);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.starts_with("// Generated by noc-hw"));
-    assert!(text.contains("module "));
-    assert!(text.trim_end().ends_with("endmodule"));
-}
-
-#[test]
 fn invalid_flag_value_is_a_clean_error() {
     for (args, needle) in [
         (&["sim", "--rate", "not-a-number"][..], "invalid value"),
@@ -161,6 +166,10 @@ fn invalid_flag_value_is_a_clean_error() {
         (&["client", "--engine", "seq"], "unknown flag --engine"),
         (&["sim", "--threads", "2"], "unknown flag --threads"),
         (&["mc"], "unknown command 'mc'"),
+        // No output that nothing reads: no Verilog text, and a dump that
+        // never grows is drawn once, not followed.
+        (&["verilog", "vca"], "unknown command 'verilog'"),
+        (&["top", "run.jsonl", "--once"], "unknown flag --once"),
         // The latency anatomy is `sim --anatomy`; its ledger keeps a fixed
         // row cap, and a recorded run samples matchings every window.
         (&["explain", "--rate", "0.4"], "unknown command 'explain'"),
@@ -173,7 +182,7 @@ fn invalid_flag_value_is_a_clean_error() {
         ),
         (
             &["sim", "--window", "7"],
-            "error: --window needs --record, --top or --metrics\n",
+            "error: --window needs --record or --top\n",
         ),
         // The serve load driver is the serve_e2e suite.
         (&["serve", "--selftest", "4"], "unknown flag --selftest"),
@@ -230,7 +239,6 @@ fn invalid_design_points_are_one_line_errors_on_every_subcommand() {
     for (bad, needle) in [
         (&["quality", "vca", "--vcs", "0"][..], ""),
         (&["synth", "vca", "--vcs", "0"], ""),
-        (&["verilog", "swa", "--vcs", "0"], ""),
         (&["check", "--vcs", "0"], ""),
         (&["quality", "vca", "--rate", "2"], ""),
         (&["quality", "swa", "--rate", "-1"], ""),
@@ -250,7 +258,7 @@ fn invalid_design_points_are_one_line_errors_on_every_subcommand() {
             &["synth", "swa", "--topology", "torus", "--vcs", "17"],
             wide,
         ),
-        (&["verilog", "vca", "--vcs", "99999999999999999"], wide),
+        (&["synth", "vca", "--vcs", "99999999999999999"], wide),
         // No trials is no measurement, and a sizing override that does not
         // parse is refused, not replaced by the default (leading NAME=value
         // words set the environment, as in a shell).
@@ -417,6 +425,47 @@ fn observer_flags_compose_on_one_run() {
 }
 
 #[test]
+fn top_draws_one_frame_of_a_dump_and_exits() {
+    let dir = std::env::temp_dir().join(format!("noc-cli-top-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let record = |name: &str, measure: &str| {
+        let path = dir.join(name).to_string_lossy().into_owned();
+        let args = [
+            "sim",
+            "--warmup",
+            "10",
+            "--measure",
+            measure,
+            "--record",
+            &path,
+        ];
+        assert!(noc(&args).status.success(), "{args:?}");
+        path
+    };
+    // Three 100-cycle windows: one frame of the last, and the exit.
+    let out = noc_exits(&["top", &record("run.jsonl", "300")]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(text.matches("noc top — ").count(), 1, "{text}");
+    assert!(text.contains("window 3 (cycle 300)"), "{text}");
+    assert!(text.contains("matching efficiency"), "{text}");
+    // A run shorter than one window records none: nothing to draw.
+    let empty = record("empty.jsonl", "20");
+    let out = noc_exits(&["top", &empty]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains(&empty), "{stderr}");
+    assert!(out.stdout.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sim_anatomy_prints_the_receipt_then_the_slowest_waterfalls() {
     let run = |top_k: &str| {
         let out = noc(&[
@@ -487,14 +536,22 @@ fn watchdog_guards_a_replicated_run() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("possible deadlock/livelock"), "{stderr}");
-    let dumps = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter(|e| {
-            let name = e.as_ref().unwrap().file_name();
-            name.to_string_lossy().starts_with("noc-postmortem-")
+    let dumps: Vec<_> = (std::fs::read_dir(&dir).unwrap())
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.starts_with("noc-postmortem-")
         })
-        .count();
-    assert_eq!(dumps, 1, "{stderr}");
+        .collect();
+    assert_eq!(dumps.len(), 1, "{stderr}");
+    // `noc top` draws the post-mortem dump and exits.
+    let out = noc_exits(&["top", dumps[0].to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("matching efficiency"));
     let out = run(&["--no-watchdog"]);
     assert!(
         out.status.success(),

@@ -247,8 +247,8 @@ fn anatomy_dumps_byte_identical_across_engines() {
 }
 
 /// Layer 5: observers compose. One production run with the trace sink,
-/// profiler, flight recorder (and the metrics export derived from its
-/// windows), anatomy ledger and invariant checker all attached must
+/// profiler, flight recorder, metrics export, anatomy ledger and invariant
+/// checker all attached must
 /// reproduce, byte for byte, what each observer reports when attached alone
 /// to the reference, and the checker must find nothing.
 #[test]
@@ -257,7 +257,7 @@ fn observers_compose_on_one_run() {
         let plain = reference_result(&cfg).to_json_full();
         let ref_trace = reference_trace(&cfg, WARMUP + MEASURE);
         let (recorded, ref_snaps) = reference_recorded(&cfg);
-        let ref_metrics = metrics_jsonl(&recorded.router_obs(), &ref_snaps);
+        let ref_metrics = metrics_jsonl(&recorded.router_obs());
         let ref_anatomy = reference_anatomy(&cfg);
 
         let mut sink = DigestSink::with_cycle_digests();
@@ -285,7 +285,7 @@ fn observers_compose_on_one_run() {
         assert_eq!(sink.digest(), ref_trace.digest(), "{name}: trace digest");
         assert_eq!(sink.events(), ref_trace.events(), "{name}: trace events");
         assert_eq!(
-            metrics_jsonl(&out.router_obs, &snaps),
+            metrics_jsonl(&out.router_obs),
             ref_metrics,
             "{name}: metrics export"
         );
