@@ -264,15 +264,6 @@ impl Bits {
         }
     }
 
-    /// True if `self` and `other` share any set bit.
-    pub fn intersects(&self, other: &Bits) -> bool {
-        assert_eq!(self.len, other.len, "Bits width mismatch");
-        self.words()
-            .iter()
-            .zip(other.words())
-            .any(|(a, b)| a & b != 0)
-    }
-
     /// True if every set bit of `self` is also set in `other`.
     pub fn is_subset_of(&self, other: &Bits) -> bool {
         assert_eq!(self.len, other.len, "Bits width mismatch");
@@ -424,7 +415,6 @@ mod tests {
         let mut d = a.clone();
         d.subtract(&b);
         assert_eq!(d.iter_set().collect::<Vec<_>>(), vec![1]);
-        assert!(a.intersects(&b));
         assert!(i.is_subset_of(&a));
         assert!(!a.is_subset_of(&b));
         d.copy_from(&b);

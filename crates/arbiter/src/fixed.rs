@@ -2,9 +2,8 @@
 
 use crate::{Arbiter, Bits};
 
-/// Static-priority arbiter: the lowest-indexed requester at or above a
-/// configurable `base` position wins, without wraparound reordering over
-/// time. With `base = 0` this is the classic priority encoder.
+/// Static-priority arbiter: the lowest-indexed requester wins, without
+/// reordering over time — the classic priority encoder.
 ///
 /// This is the building block the round-robin arbiter's RTL is made of (two
 /// fixed-priority passes over a masked and an unmasked request vector), and
@@ -12,7 +11,6 @@ use crate::{Arbiter, Bits};
 #[derive(Clone, Debug)]
 pub struct FixedPriorityArbiter {
     n: usize,
-    base: usize,
 }
 
 impl FixedPriorityArbiter {
@@ -20,20 +18,7 @@ impl FixedPriorityArbiter {
     /// index 0.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "arbiter needs at least one input");
-        FixedPriorityArbiter { n, base: 0 }
-    }
-
-    /// Creates an `n`-input arbiter whose highest-priority input is `base`;
-    /// priority decreases cyclically from there.
-    pub fn with_base(n: usize, base: usize) -> Self {
-        assert!(n > 0, "arbiter needs at least one input");
-        assert!(base < n, "base {base} out of range {n}");
-        FixedPriorityArbiter { n, base }
-    }
-
-    /// The current highest-priority input index.
-    pub fn base(&self) -> usize {
-        self.base
+        FixedPriorityArbiter { n }
     }
 
     /// Selects the first set bit at or cyclically after `base`.
@@ -51,7 +36,7 @@ impl Arbiter for FixedPriorityArbiter {
 
     fn arbitrate(&self, requests: &Bits) -> Option<usize> {
         assert_eq!(requests.len(), self.n, "request width mismatch");
-        Self::select_from(requests, self.base)
+        requests.first_set()
     }
 
     fn update(&mut self, _winner: usize) {
@@ -70,16 +55,6 @@ mod tests {
         let arb = FixedPriorityArbiter::new(8);
         let r = Bits::from_indices(8, [3, 5, 7]);
         assert_eq!(arb.arbitrate(&r), Some(3));
-    }
-
-    #[test]
-    fn base_shifts_priority_with_wraparound() {
-        let arb = FixedPriorityArbiter::with_base(8, 6);
-        let r = Bits::from_indices(8, [3, 5]);
-        // Nothing at 6 or 7, wraps to 3.
-        assert_eq!(arb.arbitrate(&r), Some(3));
-        let r = Bits::from_indices(8, [3, 7]);
-        assert_eq!(arb.arbitrate(&r), Some(7));
     }
 
     #[test]

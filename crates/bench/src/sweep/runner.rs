@@ -24,8 +24,8 @@ use crate::sweep::journal::{Journal, JournalHeader};
 use crate::sweep::spec::{SweepPoint, SweepSpec};
 use crate::sweep::SWEEP_SCHEMA;
 use noc_obs::{
-    check_reconciliation, sweep_manifest_json, window_jsonl, write_anatomy_dump,
-    write_telemetry_dump, ProgressMeter, SweepManifestPoint, TelemetryHeader,
+    check_reconciliation, sweep_manifest_json, write_anatomy_dump, write_telemetry_dump,
+    ProgressMeter, SweepManifestPoint,
 };
 use noc_sim::{run_many, run_sim, Run, SimConfig, SimResult, TelemetryOptions};
 use std::collections::HashMap;
@@ -95,41 +95,27 @@ fn compute_point(
     opts: &SweepOptions,
     digest: &str,
 ) -> Result<SimResult, String> {
-    let topts = TelemetryOptions {
-        // A watchdog trip would poison the whole sweep; sweep specs are
-        // assumed deadlock-free and long stalls simply show in the dump.
-        watchdog: None,
-        ..TelemetryOptions::recording()
-    };
     let mut run = Run::new(&point.cfg, point.warmup, point.measure);
     if opts.telemetry {
-        run = run.telemetry(topts);
+        run = run.telemetry(TelemetryOptions::recording());
     }
     if opts.anatomy {
         run = run.anatomy(SWEEP_ANATOMY_TOP_K);
     }
-    let mut windows = Vec::new();
-    let mut out = run
-        .run(|snap| windows.push(window_jsonl(snap)))
-        .map_err(|trip| {
-            format!(
-                "telemetry: watchdog tripped with no watchdog set: {}",
-                trip.describe()
-            )
-        })?;
+    // A watchdog trip would poison the whole sweep; sweep specs are
+    // assumed deadlock-free and long stalls simply show in the dump.
+    let mut out = run.finish();
     let routers = point.cfg.topology.build().num_routers();
-    if opts.telemetry {
-        let header = TelemetryHeader {
-            digest: digest.to_string(),
-            label: point.label.clone(),
-            window: topts.window,
-            match_every: topts.match_every,
+    if let Some(rec) = &out.recorder {
+        write_telemetry_dump(
+            &opts.cache_dir.join(telemetry_filename(digest)),
+            rec,
+            digest.to_string(),
+            point.label.clone(),
             routers,
-            warmup: point.warmup,
-            measure: point.measure,
-        };
-        let path = opts.cache_dir.join(telemetry_filename(digest));
-        write_telemetry_dump(&path, &header, &windows)?;
+            point.warmup,
+            point.measure,
+        )?;
         out.result.telemetry = None;
     }
     if let Some(col) = &out.anatomy {

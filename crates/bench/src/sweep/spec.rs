@@ -31,8 +31,6 @@ pub struct SweepGrid {
     pub vcs: Vec<usize>,
     /// VC-allocator axis.
     pub vca: Vec<AllocatorKind>,
-    /// Sparse-VCA-organization axis.
-    pub vca_sparse: Vec<bool>,
     /// Switch-allocator axis.
     pub sa: Vec<SwitchAllocatorKind>,
     /// Speculation-scheme axis.
@@ -43,8 +41,6 @@ pub struct SweepGrid {
     pub buf_depth: Vec<usize>,
     /// Burst-size axis.
     pub burst: Vec<usize>,
-    /// Payload-length axis.
-    pub payload_flits: Vec<usize>,
     /// Injection-rate axis.
     pub rates: Vec<f64>,
     /// Seed axis.
@@ -62,13 +58,11 @@ impl Default for SweepGrid {
             topology: vec![base.topology],
             vcs: vec![base.vcs_per_class],
             vca: vec![base.vca_kind],
-            vca_sparse: vec![base.vca_sparse],
             sa: vec![base.sa_kind],
             spec_mode: vec![base.spec_mode],
             pattern: vec![base.pattern],
             buf_depth: vec![base.buf_depth],
             burst: vec![base.burst],
-            payload_flits: vec![base.payload_flits],
             rates: vec![base.injection_rate],
             seeds: vec![base.seed],
             warmup: 3_000,
@@ -108,31 +102,25 @@ impl SweepGrid {
             for &vcs in &self.vcs {
                 let base = SimConfig::paper_baseline(topology, vcs);
                 for &vca_kind in &self.vca {
-                    for &vca_sparse in &self.vca_sparse {
-                        for &sa_kind in &self.sa {
-                            for &spec_mode in &self.spec_mode {
-                                for &pattern in &self.pattern {
-                                    for &buf_depth in &self.buf_depth {
-                                        for &burst in &self.burst {
-                                            for &payload_flits in &self.payload_flits {
-                                                for &injection_rate in &self.rates {
-                                                    for &seed in &self.seeds {
-                                                        let cfg = SimConfig {
-                                                            vca_kind,
-                                                            vca_sparse,
-                                                            sa_kind,
-                                                            spec_mode,
-                                                            pattern,
-                                                            buf_depth,
-                                                            burst,
-                                                            payload_flits,
-                                                            injection_rate,
-                                                            seed,
-                                                            ..base.clone()
-                                                        };
-                                                        out.push(self.point(cfg));
-                                                    }
-                                                }
+                    for &sa_kind in &self.sa {
+                        for &spec_mode in &self.spec_mode {
+                            for &pattern in &self.pattern {
+                                for &buf_depth in &self.buf_depth {
+                                    for &burst in &self.burst {
+                                        for &injection_rate in &self.rates {
+                                            for &seed in &self.seeds {
+                                                let cfg = SimConfig {
+                                                    vca_kind,
+                                                    sa_kind,
+                                                    spec_mode,
+                                                    pattern,
+                                                    buf_depth,
+                                                    burst,
+                                                    injection_rate,
+                                                    seed,
+                                                    ..base.clone()
+                                                };
+                                                out.push(self.point(cfg));
                                             }
                                         }
                                     }
@@ -170,7 +158,6 @@ impl SweepGrid {
         }
         each(&self.buf_depth, |c, v| c.buf_depth = v)?;
         each(&self.burst, |c, v| c.burst = v)?;
-        each(&self.payload_flits, |c, v| c.payload_flits = v)?;
         (self.rates.iter()).try_for_each(|&r| probe(&|c| c.injection_rate = r))
     }
 
@@ -184,7 +171,7 @@ impl SweepGrid {
             cfg.pattern.label(),
             cfg.buf_depth,
             cfg.burst,
-            cfg.payload_flits,
+            noc_sim::packet::PAYLOAD_FLITS,
             cfg.injection_rate,
             cfg.seed,
         );
@@ -278,17 +265,15 @@ impl SweepSpec {
     }
 }
 
-const GRID_KEYS: [&str; 15] = [
+const GRID_KEYS: [&str; 13] = [
     "topology",
     "vcs",
     "vca",
-    "vca_sparse",
     "sa",
     "spec",
     "pattern",
     "buf_depth",
     "burst",
-    "payload_flits",
     "rates",
     "seeds",
     "warmup",
@@ -324,7 +309,6 @@ fn parse_grid(g: &JsonValue) -> Result<SweepGrid, String> {
         &mut grid.vca,
         named("allocator", AllocatorKind::parse),
     )?;
-    axis(g, "vca_sparse", &mut grid.vca_sparse, JsonValue::to_bool)?;
     axis(
         g,
         "sa",
@@ -345,12 +329,6 @@ fn parse_grid(g: &JsonValue) -> Result<SweepGrid, String> {
     )?;
     axis(g, "buf_depth", &mut grid.buf_depth, JsonValue::to_usize)?;
     axis(g, "burst", &mut grid.burst, JsonValue::to_usize)?;
-    axis(
-        g,
-        "payload_flits",
-        &mut grid.payload_flits,
-        JsonValue::to_usize,
-    )?;
     axis(g, "rates", &mut grid.rates, rate)?;
     axis(g, "seeds", &mut grid.seeds, JsonValue::to_u64)?;
     if let Some(w) = g.opt_at("warmup", JsonValue::to_u64)? {
@@ -462,7 +440,6 @@ mod tests {
                     ),
                     vcs: axis(&mut rng, n, &[1, 2]),
                     vca: axis(&mut rng, n, &AllocatorKind::QUALITY_FIGURE_KINDS),
-                    vca_sparse: axis(&mut rng, n, &[false, true]),
                     sa: axis(&mut rng, n, &sa),
                     spec_mode: axis(&mut rng, n, &SpecMode::ALL),
                     pattern: axis(
@@ -472,7 +449,6 @@ mod tests {
                     ),
                     buf_depth: axis(&mut rng, n, &[4, 8]),
                     burst: axis(&mut rng, n, &[1, 2]),
-                    payload_flits: axis(&mut rng, n, &[1, 4]),
                     rates: axis(&mut rng, n, &[0.1, 0.2]),
                     seeds: axis(&mut rng, n, &[1, 2]),
                     warmup: [50, 100][rng.gen_range(0..2usize)],
@@ -521,8 +497,17 @@ mod tests {
 
     #[test]
     fn unknown_keys_and_bad_values_are_rejected() {
+        // The sparse VC allocator and 4-flit payloads are fixed: a grid
+        // cannot vary them, so their old axes are typos like any other.
+        for key in ["ratess", "vca_sparse", "payload_flits"] {
+            let bad = format!(r#"{{"name":"t","grids":[{{"{key}":[4]}}]}}"#);
+            let refused = SweepSpec::from_json(&bad).unwrap_err();
+            assert!(
+                refused.ends_with(&format!("unknown grid key '{key}'")),
+                "{refused}"
+            );
+        }
         for bad in [
-            r#"{"name":"t","grids":[{"ratess":[0.1]}]}"#,
             r#"{"name":"t","grids":[{"rates":[-0.1]}]}"#,
             r#"{"name":"t","grids":[{"rates":[2]}]}"#,
             r#"{"name":"t","grids":[{"vcs":[1,0]}]}"#,
@@ -532,7 +517,6 @@ mod tests {
             r#"{"name":"t","grids":[{"topology":["mesh","fbfly"],"vcs":17}]}"#,
             r#"{"name":"t","grids":[{"buf_depth":0}]}"#,
             r#"{"name":"t","grids":[{"burst":0}]}"#,
-            r#"{"name":"t","grids":[{"payload_flits":0}]}"#,
             r#"{"name":"t","grids":[{"measure":0}]}"#,
             r#"{"name":"t","grids":[{"warmup":18446744073709551615,"measure":1}]}"#,
             r#"{"name":"t","grids":[{"topology":"hypercube"}]}"#,

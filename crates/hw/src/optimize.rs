@@ -17,7 +17,7 @@ use crate::netlist::{NetId, Netlist};
 use crate::sta;
 
 /// Maximum fanout before a buffer tree is inserted.
-pub const DEFAULT_MAX_FANOUT: usize = 6;
+pub const MAX_FANOUT: usize = 6;
 
 /// Upsizing factor per sizing iteration.
 const SIZE_STEP: f64 = 1.5;
@@ -168,7 +168,7 @@ mod tests {
             nl.output(s);
         }
         let before = sta::analyze(&nl, &lib).min_cycle_ns;
-        buffer_high_fanout(&mut nl, DEFAULT_MAX_FANOUT);
+        buffer_high_fanout(&mut nl, MAX_FANOUT);
         let after = sta::analyze(&nl, &lib).min_cycle_ns;
         assert!(after < before, "buffering should help: {before} -> {after}");
     }

@@ -67,30 +67,21 @@ impl std::error::Error for SynthError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct Synthesizer {
-    /// Cell library in use.
-    pub lib: CellLibrary,
     /// Maximum cell instances the flow can handle before "running out of
     /// memory". The default is tuned so that the same design points fail
     /// as failed for the paper's authors (dense wavefront VC allocators
     /// beyond the small mesh configs; matrix-arbiter variants of the
     /// largest flattened-butterfly VC allocator).
     pub cell_budget: usize,
-    /// Fanout cap for buffer insertion.
-    pub max_fanout: usize,
-    /// Iteration cap for critical-path sizing.
-    pub sizing_iterations: usize,
-    /// Input activity factor for the power report.
-    pub activity_factor: f64,
 }
+
+/// Iteration cap for critical-path sizing.
+const SIZING_ITERATIONS: usize = 40;
 
 impl Default for Synthesizer {
     fn default() -> Self {
         Synthesizer {
-            lib: CellLibrary::default(),
             cell_budget: 300_000,
-            max_fanout: optimize::DEFAULT_MAX_FANOUT,
-            sizing_iterations: 40,
-            activity_factor: power::PAPER_ACTIVITY_FACTOR,
         }
     }
 }
@@ -100,12 +91,13 @@ impl Synthesizer {
     pub fn unlimited() -> Self {
         Synthesizer {
             cell_budget: usize::MAX,
-            ..Synthesizer::default()
         }
     }
 
     /// Runs the flow on `netlist`: validate, check capacity, buffer
-    /// fanout, size the critical path, then report timing/area/power.
+    /// fanout, size the critical path, then report timing/area/power, all
+    /// in the default cell library with power at the paper's activity
+    /// factor (§3.1).
     pub fn run(&self, mut netlist: Netlist) -> Result<SynthResult, SynthError> {
         netlist
             .validate()
@@ -116,22 +108,22 @@ impl Synthesizer {
                 budget: self.cell_budget,
             });
         }
-        let buffers_inserted = optimize::buffer_high_fanout(&mut netlist, self.max_fanout);
+        let buffers_inserted = optimize::buffer_high_fanout(&mut netlist, optimize::MAX_FANOUT);
         if netlist.instance_count() > self.cell_budget {
             return Err(SynthError::OutOfMemory {
                 cells: netlist.instance_count(),
                 budget: self.cell_budget,
             });
         }
-        let sizing_iterations =
-            optimize::size_critical_path(&mut netlist, &self.lib, self.sizing_iterations);
-        let timing = sta::analyze(&netlist, &self.lib);
+        let lib = CellLibrary::default();
+        let sizing_iterations = optimize::size_critical_path(&mut netlist, &lib, SIZING_ITERATIONS);
+        let timing = sta::analyze(&netlist, &lib);
         let freq_ghz = 1.0 / timing.min_cycle_ns;
-        let pwr = power::analyze(&netlist, &self.lib, freq_ghz, self.activity_factor);
+        let pwr = power::analyze(&netlist, &lib, freq_ghz, power::PAPER_ACTIVITY_FACTOR);
         Ok(SynthResult {
             name: netlist.name.clone(),
             delay_ns: timing.min_cycle_ns,
-            area_um2: netlist.area_um2(&self.lib),
+            area_um2: netlist.area_um2(&lib),
             power_mw: pwr.total_mw,
             cells: netlist.cells().len(),
             dffs: netlist.dffs().len(),
@@ -163,10 +155,7 @@ mod tests {
 
     #[test]
     fn oom_emulation_trips_on_budget() {
-        let s = Synthesizer {
-            cell_budget: 10,
-            ..Synthesizer::unlimited()
-        };
+        let s = Synthesizer { cell_budget: 10 };
         match s.run(wide_or(64)) {
             Err(SynthError::OutOfMemory { cells, budget }) => {
                 assert!(cells > 10);
@@ -203,7 +192,7 @@ mod tests {
             }
             nl
         };
-        let raw_delay = sta::analyze(&extra, &s.lib).min_cycle_ns;
+        let raw_delay = sta::analyze(&extra, &CellLibrary::default()).min_cycle_ns;
         let opt = s.run(extra).unwrap();
         assert!(opt.delay_ns <= raw_delay);
         let _ = &mut raw;

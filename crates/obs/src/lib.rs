@@ -35,10 +35,11 @@
 //! - [`progress`]: a thread-safe progress/ETA meter for long experiment
 //!   sweeps; the manifest exporter in [`export`] records how each sweep
 //!   point was satisfied (computed / cache / journal).
-//! - [`timeseries`]: the bounded-memory flight recorder — windowed
-//!   per-router counter snapshots ([`WindowSnapshot`]) in a fixed-capacity
-//!   ring ([`FlightRecorder`]), including the consecutive-stalled-window
-//!   signal the simulator's deadlock watchdog trips on.
+//! - [`timeseries`]: the flight recorder ([`FlightRecorder`]) —
+//!   windowed per-router counter snapshots ([`WindowSnapshot`]), every
+//!   window of a recorded run or a bounded ring for the watchdog's guard,
+//!   and the consecutive-stalled-window signal the simulator's deadlock
+//!   watchdog trips on.
 //! - [`record`]: the `noc-telemetry/v1` dump format (JSON Lines) and the
 //!   derived per-run [`TelemetrySummary`] — shared between live recording
 //!   and `noc replay`, so a replayed dump summarizes byte-identically.
@@ -84,8 +85,7 @@ pub use metrics::{RouterBreakdown, RouterObs, StallCounters};
 pub use profile::{NopProfiler, Phase, PhaseProfiler, Profiler, PHASES};
 pub use progress::ProgressMeter;
 pub use record::{
-    window_jsonl, write_telemetry_dump, TelemetryDump, TelemetryHeader, TelemetrySummary,
-    TELEMETRY_SCHEMA,
+    write_telemetry_dump, TelemetryDump, TelemetryHeader, TelemetrySummary, TELEMETRY_SCHEMA,
 };
 pub use serve::{
     serve_accepted_line, serve_done_line, serve_error_line, serve_preset_request_line,

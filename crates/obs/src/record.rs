@@ -58,20 +58,29 @@ impl ToJson for TelemetryHeader {
     }
 }
 
-/// Writes a `noc-telemetry/v1` dump to `path`: the header line, then one
-/// pre-rendered JSONL line per window ([`window_jsonl`]).
+/// Writes the windows `rec` kept to `path` as a `noc-telemetry/v1` dump.
+/// The caller names the run: `digest` keys the dump to its result and
+/// `label` titles it; the header's window length and matching cadence are
+/// the recorder's.
 pub fn write_telemetry_dump(
     path: &Path,
-    header: &TelemetryHeader,
-    windows: &[String],
+    rec: &FlightRecorder,
+    digest: String,
+    label: String,
+    routers: usize,
+    warmup: u64,
+    measure: u64,
 ) -> Result<(), String> {
-    let mut text = header.to_json();
-    text.push('\n');
-    for line in windows {
-        text.push_str(line);
-        text.push('\n');
-    }
-    std::fs::write(path, text)
+    let header = TelemetryHeader {
+        digest,
+        label,
+        window: rec.window(),
+        match_every: rec.match_every(),
+        routers,
+        warmup,
+        measure,
+    };
+    std::fs::write(path, rec.to_jsonl(&header))
         .map_err(|e| format!("cannot write telemetry dump '{}': {e}", path.display()))
 }
 
@@ -119,11 +128,6 @@ impl ToJson for WindowSnapshot {
         }
         w.end_array().end_object();
     }
-}
-
-/// Serializes one window snapshot as a JSONL line (no trailing newline).
-pub fn window_jsonl(w: &WindowSnapshot) -> String {
-    w.to_json()
 }
 
 fn window_from_value(v: &JsonValue) -> Result<WindowSnapshot, String> {
@@ -207,7 +211,8 @@ pub struct TelemetrySummary {
 }
 
 impl TelemetrySummary {
-    /// Builds the summary from a window series (a parsed dump).
+    /// Builds the summary from a window series (a recorder's or a parsed
+    /// dump's).
     pub fn from_windows<'a>(
         window: u64,
         windows: impl Iterator<Item = &'a WindowSnapshot>,
@@ -286,19 +291,22 @@ impl ToJson for TelemetrySummary {
 }
 
 impl FlightRecorder {
-    /// The run summary accumulated live — byte-identical to
-    /// [`TelemetryDump::summary`] over a dump of every window this
-    /// recorder closed.
+    /// The run summary over the kept windows — every window of a
+    /// recording, so byte-identical to [`TelemetryDump::summary`] over its
+    /// dump.
     pub fn summary(&self) -> TelemetrySummary {
-        let (efficiency, flits, in_flight) = self.series();
-        TelemetrySummary {
-            window: self.window(),
-            windows: self.windows(),
-            max_stalled_windows: self.max_stalled_windows(),
-            efficiency: efficiency.to_vec(),
-            flits: flits.to_vec(),
-            in_flight: in_flight.to_vec(),
+        TelemetrySummary::from_windows(self.window(), self.ring())
+    }
+
+    /// The dump text: `header`'s line, then one line per kept window.
+    fn to_jsonl(&self, header: &TelemetryHeader) -> String {
+        let mut text = header.to_json();
+        text.push('\n');
+        for w in self.ring() {
+            text.push_str(&w.to_json());
+            text.push('\n');
         }
+        text
     }
 }
 
@@ -308,7 +316,7 @@ mod tests {
     use crate::json::validate_json;
 
     fn sample_recorder() -> FlightRecorder {
-        let mut rec = FlightRecorder::new(10, 8);
+        let mut rec = FlightRecorder::recording();
         for k in 1..=4u64 {
             let counters = (0..2).map(|r| RouterCounters {
                 out_flits: 3 * k + r,
@@ -324,27 +332,21 @@ mod tests {
                 match_granted: 4 * (k / 2),
                 match_max: 6 * (k / 2),
             });
-            rec.record(10 * k - 1, 6 * k, 5 * k, counters);
+            rec.record(100 * k - 1, 6 * k, 5 * k, counters);
         }
         rec
     }
 
     fn dump_of(rec: &FlightRecorder) -> String {
-        let header = TelemetryHeader {
+        rec.to_jsonl(&TelemetryHeader {
             digest: "d".repeat(32),
             label: "mesh 2x1x2".to_string(),
             window: rec.window(),
-            match_every: 2,
+            match_every: rec.match_every(),
             routers: 2,
             warmup: 0,
-            measure: 40,
-        };
-        let mut text = header.to_json();
-        for w in rec.ring() {
-            text.push('\n');
-            text.push_str(&window_jsonl(w));
-        }
-        text
+            measure: 400,
+        })
     }
 
     #[test]
@@ -355,11 +357,11 @@ mod tests {
             validate_json(line).expect(line);
         }
         let dump = TelemetryDump::parse(&text).unwrap();
-        assert_eq!(dump.header.window, 10);
-        assert_eq!(dump.header.match_every, 2);
+        assert_eq!(dump.header.window, 100);
+        assert_eq!(dump.header.match_every, 1);
         assert_eq!(dump.windows.len(), 4);
-        let reparsed: Vec<String> = dump.windows.iter().map(window_jsonl).collect();
-        let original: Vec<String> = rec.ring().map(window_jsonl).collect();
+        let reparsed: Vec<String> = dump.windows.iter().map(ToJson::to_json).collect();
+        let original: Vec<String> = rec.ring().map(ToJson::to_json).collect();
         assert_eq!(reparsed, original);
     }
 

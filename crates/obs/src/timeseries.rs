@@ -1,12 +1,13 @@
-//! Windowed time series and the bounded-memory flight recorder.
+//! Windowed time series and the flight recorder.
 //!
 //! The simulator snapshots per-router counters every `window` cycles into
-//! a [`WindowSnapshot`]; a [`FlightRecorder`] keeps the last `capacity`
-//! snapshots in a ring buffer (for post-mortem dumps) plus a compact
-//! whole-run summary series (one scalar per window, for the `telemetry`
-//! block of a run result). It consumes plain cumulative counters keyed by
-//! cycle number, so telemetry does not depend on how the run was chunked
-//! or which idle routers the cycle loop skipped.
+//! a [`WindowSnapshot`]; a [`FlightRecorder`] keeps the snapshots its dump
+//! needs: every window of a recorded run, or the last few of the
+//! watchdog's guard (for the post-mortem dump). The `telemetry` block of
+//! a run result is derived from the kept windows. It consumes plain
+//! cumulative counters keyed by cycle number, so telemetry does not
+//! depend on how the run was chunked or which idle routers the cycle loop
+//! skipped.
 //!
 //! The stall-watchdog signal also lives here: the recorder tracks how many
 //! *consecutive* windows saw zero flit motion while flits were in flight —
@@ -121,50 +122,60 @@ impl WindowSnapshot {
     }
 }
 
-/// Fixed-capacity flight recorder: keeps the most recent window snapshots
-/// for post-mortem dumps, a compact summary series for the whole run, and
-/// the consecutive-stalled-window count for the watchdog.
+/// The flight recorder: closes a window snapshot every [`Self::window`]
+/// cycles, keeps the snapshots its dump needs, and counts the
+/// consecutive stalled windows for the watchdog. It comes in two fixed
+/// modes: [`Self::recording`] keeps every window of the run and
+/// [`Self::watchdog_only`] keeps a bounded ring for the post-mortem.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     window: u64,
-    capacity: usize,
+    match_every: u64,
+    /// Windows retained; `None` keeps every one.
+    capacity: Option<usize>,
     ring: VecDeque<WindowSnapshot>,
     prev: Vec<RouterCounters>,
     prev_injected: u64,
     prev_ejected: u64,
-    windows: u64,
     stalled: u64,
-    max_stalled: u64,
-    series_efficiency: Vec<f64>,
-    series_flits: Vec<u64>,
-    series_in_flight: Vec<u64>,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder snapshotting every `window` cycles and retaining
-    /// the last `capacity` snapshots.
-    pub fn new(window: u64, capacity: usize) -> FlightRecorder {
-        assert!(window > 0, "telemetry window must be positive");
-        assert!(capacity > 0, "flight recorder needs at least one slot");
+    /// A recorded run: 100-cycle windows, one matching sample per window,
+    /// every window kept.
+    pub fn recording() -> FlightRecorder {
+        FlightRecorder::new(100, 1, None)
+    }
+
+    /// The stall guard of an unrecorded run: 500-cycle windows, no
+    /// matching sampling, the last 64 windows kept.
+    pub fn watchdog_only() -> FlightRecorder {
+        FlightRecorder::new(500, 0, Some(64))
+    }
+
+    fn new(window: u64, match_every: u64, capacity: Option<usize>) -> FlightRecorder {
         FlightRecorder {
             window,
+            match_every,
             capacity,
-            ring: VecDeque::with_capacity(capacity),
+            ring: VecDeque::with_capacity(capacity.unwrap_or(0)),
             prev: Vec::new(),
             prev_injected: 0,
             prev_ejected: 0,
-            windows: 0,
             stalled: 0,
-            max_stalled: 0,
-            series_efficiency: Vec::new(),
-            series_flits: Vec::new(),
-            series_in_flight: Vec::new(),
         }
     }
 
     /// Window length in cycles.
     pub fn window(&self) -> u64 {
         self.window
+    }
+
+    /// Matching-quality sample cadence in windows: every
+    /// `match_every`-th window carries one sampled cycle; 0 means
+    /// sampling is off.
+    pub fn match_every(&self) -> u64 {
+        self.match_every
     }
 
     /// True when the cycle that just executed (`now`) closes a window.
@@ -195,7 +206,7 @@ impl FlightRecorder {
             }
         }
         let snap = WindowSnapshot {
-            window: self.windows + 1,
+            window: self.windows() + 1,
             cycle: now + 1,
             injected: injected - self.prev_injected,
             ejected: ejected - self.prev_ejected,
@@ -204,17 +215,12 @@ impl FlightRecorder {
         };
         self.prev_injected = injected;
         self.prev_ejected = ejected;
-        self.windows += 1;
-        if snap.motionless() {
-            self.stalled += 1;
-            self.max_stalled = self.max_stalled.max(self.stalled);
+        self.stalled = if snap.motionless() {
+            self.stalled + 1
         } else {
-            self.stalled = 0;
-        }
-        self.series_efficiency.push(snap.efficiency());
-        self.series_flits.push(snap.flits());
-        self.series_in_flight.push(snap.in_flight);
-        if self.ring.len() == self.capacity {
+            0
+        };
+        if self.capacity == Some(self.ring.len()) {
             self.ring.pop_front();
         }
         self.ring.push_back(snap);
@@ -232,27 +238,12 @@ impl FlightRecorder {
 
     /// Windows recorded so far (not bounded by the ring capacity).
     pub fn windows(&self) -> u64 {
-        self.windows
+        self.latest().map_or(0, |snap| snap.window)
     }
 
     /// Consecutive motionless-with-flits-in-flight windows ending now.
     pub fn stalled_windows(&self) -> u64 {
         self.stalled
-    }
-
-    /// Longest motionless streak seen over the whole run.
-    pub fn max_stalled_windows(&self) -> u64 {
-        self.max_stalled
-    }
-
-    /// Whole-run summary series (one entry per window): matching
-    /// efficiency, flits moved, flits in flight.
-    pub fn series(&self) -> (&[f64], &[u64], &[u64]) {
-        (
-            &self.series_efficiency,
-            &self.series_flits,
-            &self.series_in_flight,
-        )
     }
 }
 
@@ -272,14 +263,14 @@ mod tests {
 
     #[test]
     fn windows_difference_cumulative_counters() {
-        let mut rec = FlightRecorder::new(10, 4);
+        let mut rec = FlightRecorder::recording();
         assert!(!rec.due(0));
-        assert!(rec.due(9));
-        rec.record(9, 5, 2, [counters(7, 3), counters(1, 0)].into_iter());
-        rec.record(19, 9, 9, [counters(12, 0), counters(4, 0)].into_iter());
+        assert!(rec.due(99));
+        rec.record(99, 5, 2, [counters(7, 3), counters(1, 0)].into_iter());
+        rec.record(199, 9, 9, [counters(12, 0), counters(4, 0)].into_iter());
         let w1 = rec.ring().next().unwrap();
         assert_eq!(w1.window, 1);
-        assert_eq!(w1.cycle, 10);
+        assert_eq!(w1.cycle, 100);
         assert_eq!((w1.injected, w1.ejected, w1.in_flight), (5, 2, 3));
         assert_eq!(w1.flits(), 8);
         let w2 = rec.latest().unwrap();
@@ -290,52 +281,59 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_but_series_is_not() {
-        let mut rec = FlightRecorder::new(5, 2);
-        for k in 0..5u64 {
-            rec.record(5 * k + 4, k + 1, k + 1, [counters(k + 1, 0)].into_iter());
+    fn guard_ring_is_bounded_but_a_recording_keeps_every_window() {
+        let (mut guard, mut recording) =
+            (FlightRecorder::watchdog_only(), FlightRecorder::recording());
+        assert_eq!((guard.window(), guard.match_every()), (500, 0));
+        assert_eq!((recording.window(), recording.match_every()), (100, 1));
+        for k in 0..70u64 {
+            for rec in [&mut guard, &mut recording] {
+                let now = rec.window() * (k + 1) - 1;
+                rec.record(now, k + 1, k + 1, [counters(k + 1, 0)].into_iter());
+            }
         }
-        assert_eq!(rec.windows(), 5);
-        assert_eq!(rec.ring().count(), 2);
-        assert_eq!(rec.latest().unwrap().window, 5);
-        assert_eq!(rec.series().1.len(), 5);
+        assert_eq!((guard.windows(), guard.ring().count()), (70, 64));
+        assert_eq!(guard.ring().next().unwrap().window, 7);
+        assert_eq!((recording.windows(), recording.ring().count()), (70, 70));
+        assert_eq!(guard.latest().unwrap().window, 70);
     }
 
     #[test]
     fn watchdog_counts_consecutive_motionless_windows() {
-        let mut rec = FlightRecorder::new(10, 8);
+        let mut rec = FlightRecorder::recording();
         // Window 1: motion (injection), flits left in flight.
-        rec.record(9, 4, 0, [counters(4, 4)].into_iter());
+        rec.record(99, 4, 0, [counters(4, 4)].into_iter());
         assert_eq!(rec.stalled_windows(), 0);
         // Windows 2-3: dead silence with 4 flits in flight.
-        rec.record(19, 4, 0, [counters(4, 4)].into_iter());
-        rec.record(29, 4, 0, [counters(4, 4)].into_iter());
+        rec.record(199, 4, 0, [counters(4, 4)].into_iter());
+        rec.record(299, 4, 0, [counters(4, 4)].into_iter());
         assert_eq!(rec.stalled_windows(), 2);
         assert!(rec.latest().unwrap().motionless());
-        // Window 4: a flit moves — streak resets, max streak remembered.
-        rec.record(39, 4, 1, [counters(5, 3)].into_iter());
+        // Window 4: a flit moves — the streak resets, the summary keeps
+        // the longest.
+        rec.record(399, 4, 1, [counters(5, 3)].into_iter());
         assert_eq!(rec.stalled_windows(), 0);
-        assert_eq!(rec.max_stalled_windows(), 2);
+        assert_eq!(rec.summary().max_stalled_windows, 2);
     }
 
     #[test]
     fn drained_network_is_not_a_stall() {
-        let mut rec = FlightRecorder::new(10, 4);
-        rec.record(9, 3, 3, [counters(3, 0)].into_iter());
-        rec.record(19, 3, 3, [counters(3, 0)].into_iter());
+        let mut rec = FlightRecorder::recording();
+        rec.record(99, 3, 3, [counters(3, 0)].into_iter());
+        rec.record(199, 3, 3, [counters(3, 0)].into_iter());
         // Nothing moved in window 2, but nothing is in flight either.
         assert_eq!(rec.stalled_windows(), 0);
     }
 
     #[test]
     fn efficiency_is_nan_without_samples() {
-        let mut rec = FlightRecorder::new(10, 4);
-        rec.record(9, 1, 0, [counters(1, 1)].into_iter());
+        let mut rec = FlightRecorder::recording();
+        rec.record(99, 1, 0, [counters(1, 1)].into_iter());
         assert!(rec.latest().unwrap().efficiency().is_nan());
         let mut c = counters(2, 1);
         c.match_granted = 3;
         c.match_max = 4;
-        rec.record(19, 2, 0, [c].into_iter());
+        rec.record(199, 2, 0, [c].into_iter());
         assert_eq!(rec.latest().unwrap().efficiency(), 0.75);
     }
 }

@@ -28,10 +28,9 @@ pub struct SimConfig {
     pub vcs_per_class: usize,
     /// Flits per VC buffer (paper: 8).
     pub buf_depth: usize,
-    /// VC allocator architecture (paper's network results use `sep_if`).
+    /// VC allocator architecture (paper's network results use `sep_if`),
+    /// always in the sparse organization (§4.2).
     pub vca_kind: AllocatorKind,
-    /// Sparse VC allocator organization.
-    pub vca_sparse: bool,
     /// Switch allocator architecture.
     pub sa_kind: SwitchAllocatorKind,
     /// Speculation scheme.
@@ -42,11 +41,6 @@ pub struct SimConfig {
     /// traffic; larger values model the DMA-like throughput-oriented
     /// workloads of §5.4 (bursts of write requests to one destination).
     pub burst: usize,
-    /// Payload flits carried by data-bearing packets (write requests and
-    /// read replies). The paper's traffic model uses 4, giving 5-flit data
-    /// packets and 6-flit transactions; the offered-load calibration in the
-    /// terminals derives its divisor from this value.
-    pub payload_flits: usize,
     /// Spatial traffic pattern.
     pub pattern: TrafficPattern,
     /// RNG seed (simulations are fully deterministic given the seed).
@@ -63,7 +57,7 @@ pub struct SimConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ConfigError {
     /// A count no network can be built or driven with at zero; carries the
-    /// field's description (buffer depth, burst, payload).
+    /// field's description (buffer depth, burst).
     Zero(&'static str),
     /// `injection_rate` is NaN, infinite, or outside `[0, 1]`
     /// flits/cycle/terminal.
@@ -114,7 +108,6 @@ impl SimConfig {
         for (count, what) in [
             (self.buf_depth, "buffer depth in flits"),
             (self.burst, "burst in packets"),
-            (self.payload_flits, "payload in flits"),
         ] {
             if count == 0 {
                 return Err(ConfigError::Zero(what));
@@ -141,12 +134,10 @@ impl SimConfig {
             vcs_per_class,
             buf_depth: 8,
             vca_kind: AllocatorKind::SepIfRr,
-            vca_sparse: true,
             sa_kind: SwitchAllocatorKind::SepIf(noc_arbiter::ArbiterKind::RoundRobin),
             spec_mode: SpecMode::Pessimistic,
             injection_rate: 0.1,
             burst: 1,
-            payload_flits: crate::packet::DEFAULT_PAYLOAD_FLITS,
             pattern: TrafficPattern::UniformRandom,
             seed: 0x5c09_2009,
             routing_override: None,
@@ -207,7 +198,6 @@ mod tests {
         };
         assert!(zero(|c| c.buf_depth = 0).starts_with("buffer depth"));
         assert!(zero(|c| c.burst = 0).starts_with("burst"));
-        assert!(zero(|c| c.payload_flits = 0).starts_with("payload"));
         assert_eq!(bad(|c| c.injection_rate = 2.0), ConfigError::Rate(2.0));
         assert_eq!(bad(|c| c.injection_rate = -1.0), ConfigError::Rate(-1.0));
         assert!(matches!(

@@ -41,7 +41,9 @@ impl SimConfig {
     /// field that affects simulation output, as `(key, value)` strings.
     /// Values use the same labels the CLI and JSON reports use; floats
     /// use Rust's shortest-roundtrip formatting, so distinct rates never
-    /// alias.
+    /// alias. `vca_sparse` and `payload_flits` are fixed (the sparse VC
+    /// allocator, [`crate::packet::PAYLOAD_FLITS`]) but keep their pairs, so
+    /// the digests of stored results stay valid.
     pub fn canonical_fields(&self) -> Vec<(String, String)> {
         let own = |s: &str| s.to_string();
         let mut fields = vec![
@@ -49,12 +51,15 @@ impl SimConfig {
             (own("vcs_per_class"), self.vcs_per_class.to_string()),
             (own("buf_depth"), self.buf_depth.to_string()),
             (own("vca_kind"), own(self.vca_kind.label())),
-            (own("vca_sparse"), self.vca_sparse.to_string()),
+            (own("vca_sparse"), own("true")),
             (own("sa_kind"), self.sa_kind.label().to_string()),
             (own("spec_mode"), own(self.spec_mode.label())),
             (own("injection_rate"), format!("{}", self.injection_rate)),
             (own("burst"), self.burst.to_string()),
-            (own("payload_flits"), self.payload_flits.to_string()),
+            (
+                own("payload_flits"),
+                crate::packet::PAYLOAD_FLITS.to_string(),
+            ),
             (own("pattern"), own(self.pattern.label())),
             (own("seed"), self.seed.to_string()),
         ];
@@ -114,10 +119,6 @@ mod tests {
                 ..base()
             },
             SimConfig {
-                payload_flits: 8,
-                ..base()
-            },
-            SimConfig {
                 topology: TopologyKind::Torus8x8,
                 ..base()
             },
@@ -131,6 +132,16 @@ mod tests {
         }
         assert_ne!(base().digest(3_001, 6_000, "v1"), d0);
         assert_ne!(base().digest(3_000, 6_001, "v1"), d0);
+    }
+
+    /// Every cache entry, dump header and sweep journal is keyed by this
+    /// construction. `vca_sparse` and `payload_flits` are literal pairs
+    /// now, and dropping them (or any other change to the field list) must
+    /// show here rather than orphan every stored result.
+    #[test]
+    fn paper_baseline_digest_is_pinned() {
+        let digest = base().digest(3_000, 6_000, noc_obs::TELEMETRY_SCHEMA);
+        assert_eq!(digest, "db0a982b20dc2aeb0c23045128663e20");
     }
 
     #[test]

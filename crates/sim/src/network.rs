@@ -141,7 +141,6 @@ impl<S: TraceSink> Network<S> {
             spec: spec.clone(),
             buf_depth: cfg.buf_depth,
             vca_kind: cfg.vca_kind,
-            vca_sparse: cfg.vca_sparse,
             sa_kind: cfg.sa_kind,
             spec_mode: cfg.spec_mode,
             routing,
@@ -150,17 +149,7 @@ impl<S: TraceSink> Network<S> {
             .map(|r| Router::new(r, rcfg.clone()))
             .collect();
         let terminals: Vec<Terminal> = (0..topo.num_terminals())
-            .map(|t| {
-                Terminal::new(
-                    t,
-                    &topo,
-                    &spec,
-                    routing,
-                    cfg.buf_depth,
-                    cfg.payload_flits,
-                    cfg.seed,
-                )
-            })
+            .map(|t| Terminal::new(t, &topo, &spec, routing, cfg.buf_depth, cfg.seed))
             .collect();
         // Reverse links for credit routing.
         let mut rev = vec![vec![None; topo.ports]; topo.num_routers()];
@@ -192,19 +181,17 @@ impl<S: TraceSink> Network<S> {
         }
     }
 
-    /// Turns on the flight recorder: a window snapshot every `window`
-    /// cycles, the last `capacity` snapshots retained. A non-zero
-    /// `matching_period` additionally enables matching-quality sampling in
-    /// every router, every `matching_period` cycles (an exact maximum
-    /// matching per router per sample — keep the period well above 1 for
-    /// production runs).
-    pub fn enable_telemetry(&mut self, window: u64, capacity: usize, matching_period: u64) {
-        self.telemetry = Some(FlightRecorder::new(window, capacity));
-        if matching_period > 0 {
+    /// Turns on the flight recorder `rec`, and with it matching-quality
+    /// sampling in every router when the recorder asks for it: one exact
+    /// maximum matching per router per `match_every` windows.
+    pub fn enable_telemetry(&mut self, rec: FlightRecorder) {
+        let period = rec.match_every() * rec.window();
+        if period > 0 {
             for r in &mut self.routers {
-                r.enable_match_sampling(matching_period);
+                r.enable_match_sampling(period);
             }
         }
+        self.telemetry = Some(rec);
     }
 
     /// Turns on the per-packet latency ledger: every router stamps its

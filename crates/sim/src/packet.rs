@@ -19,35 +19,26 @@ pub enum PacketKind {
 
 /// Payload flits per data-carrying packet in the paper's traffic model
 /// ("a head flit and four flits containing payload data", §3.2).
-pub const DEFAULT_PAYLOAD_FLITS: usize = 4;
+pub const PAYLOAD_FLITS: usize = 4;
 
 impl PacketKind {
-    /// Number of flits in a packet of this kind at the paper's default
-    /// payload size (never zero, so there is deliberately no `is_empty`).
+    /// Number of flits in a packet of this kind (never zero, so there is
+    /// deliberately no `is_empty`).
     #[allow(clippy::len_without_is_empty)]
     pub fn len(self) -> usize {
-        self.len_with(DEFAULT_PAYLOAD_FLITS)
-    }
-
-    /// Number of flits in a packet of this kind when data-carrying packets
-    /// hold `payload_flits` payload flits behind the head flit.
-    pub fn len_with(self, payload_flits: usize) -> usize {
         match self {
             PacketKind::ReadRequest | PacketKind::WriteReply => 1,
-            PacketKind::WriteRequest | PacketKind::ReadReply => 1 + payload_flits,
+            PacketKind::WriteRequest | PacketKind::ReadReply => 1 + PAYLOAD_FLITS,
         }
     }
 
     /// Mean flits per transaction (request plus its reply) under the
     /// 50/50 read/write mix — the offered-load divisor that converts a
-    /// flits/cycle rate into a transaction firing probability. Derived
-    /// from the packet lengths so rate calibration survives payload-size
-    /// changes (it is **not** the literal constant 6).
-    pub fn mean_transaction_flits(payload_flits: usize) -> f64 {
-        let read = PacketKind::ReadRequest.len_with(payload_flits)
-            + PacketKind::ReadReply.len_with(payload_flits);
-        let write = PacketKind::WriteRequest.len_with(payload_flits)
-            + PacketKind::WriteReply.len_with(payload_flits);
+    /// flits/cycle rate into a transaction firing probability, derived
+    /// from the packet lengths.
+    pub fn mean_transaction_flits() -> f64 {
+        let read = PacketKind::ReadRequest.len() + PacketKind::ReadReply.len();
+        let write = PacketKind::WriteRequest.len() + PacketKind::WriteReply.len();
         (read + write) as f64 / 2.0
     }
 
@@ -150,13 +141,10 @@ mod tests {
 
     #[test]
     fn transaction_flits_derive_from_payload_size() {
-        // The paper's default: 4 payload flits -> 6 flits per transaction.
-        assert_eq!(PacketKind::mean_transaction_flits(4), 6.0);
-        // Larger payloads grow both transaction kinds symmetrically.
-        assert_eq!(PacketKind::mean_transaction_flits(8), 10.0);
-        assert_eq!(PacketKind::WriteRequest.len_with(8), 9);
-        assert_eq!(PacketKind::ReadReply.len_with(8), 9);
-        assert_eq!(PacketKind::ReadRequest.len_with(8), 1);
+        // 4 payload flits: a head plus payload each way, 6 flits per
+        // transaction of either kind.
+        assert_eq!(PacketKind::WriteRequest.len(), 1 + PAYLOAD_FLITS);
+        assert_eq!(PacketKind::mean_transaction_flits(), 6.0);
     }
 
     #[test]

@@ -13,9 +13,9 @@ use crate::topology::Topology;
 use crate::verify::StrictChecker;
 use noc_arbiter::Bits;
 use noc_core::{
-    AllocatorKind, BitMatrix, DenseVcAllocator, OutVc, SparseVcAllocator, SpecAllocResult,
-    SpecMode, SpeculativeSwitchAllocator, SwitchAllocatorKind, SwitchRequests, VcAllocSpec,
-    VcAllocator, VcRequestSet,
+    AllocatorKind, BitMatrix, OutVc, SparseVcAllocator, SpecAllocResult, SpecMode,
+    SpeculativeSwitchAllocator, SwitchAllocatorKind, SwitchRequests, VcAllocSpec, VcAllocator,
+    VcRequestSet,
 };
 use noc_obs::{
     FlitEvent, FlitEventKind, HopRecord, NopProfiler, NopSink, Phase, PhaseProfiler,
@@ -31,10 +31,9 @@ pub struct RouterConfig {
     pub spec: VcAllocSpec,
     /// Buffer depth per VC in flits (the paper uses 8).
     pub buf_depth: usize,
-    /// VC allocator architecture.
+    /// VC allocator architecture, in the sparse organization (§4.2) the
+    /// paper's network results use.
     pub vca_kind: AllocatorKind,
-    /// Use the sparse VC allocator organization (§4.2).
-    pub vca_sparse: bool,
     /// Switch allocator architecture.
     pub sa_kind: SwitchAllocatorKind,
     /// Speculation scheme (§5.2).
@@ -52,7 +51,6 @@ impl RouterConfig {
             spec,
             buf_depth: 8,
             vca_kind: AllocatorKind::SepIfRr,
-            vca_sparse: true,
             sa_kind: SwitchAllocatorKind::SepIf(noc_arbiter::ArbiterKind::RoundRobin),
             spec_mode: SpecMode::Pessimistic,
             routing,
@@ -289,7 +287,7 @@ pub struct Router {
     /// is `None`. Maintained incrementally at grant and tail-release so VC
     /// allocation reads it directly instead of rebuilding it every cycle.
     free_out: BitMatrix,
-    vca: Box<dyn VcAllocator + Send>,
+    vca: SparseVcAllocator,
     sa: SpeculativeSwitchAllocator,
     /// Switch grants issued last cycle, traversing this cycle:
     /// `(input flat id, output port)`.
@@ -321,11 +319,7 @@ impl Router {
         let ports = cfg.spec.ports();
         let vcs = cfg.spec.total_vcs();
         let n = ports * vcs;
-        let vca: Box<dyn VcAllocator + Send> = if cfg.vca_sparse {
-            Box::new(SparseVcAllocator::new(cfg.spec.clone(), cfg.vca_kind))
-        } else {
-            Box::new(DenseVcAllocator::new(cfg.spec.clone(), cfg.vca_kind))
-        };
+        let vca = SparseVcAllocator::new(cfg.spec.clone(), cfg.vca_kind);
         let sa = SpeculativeSwitchAllocator::new(cfg.sa_kind, ports, vcs, cfg.spec_mode);
         Router {
             id,

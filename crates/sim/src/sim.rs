@@ -277,51 +277,46 @@ pub fn summarize<S: TraceSink>(net: &Network<S>) -> SimResult {
     }
 }
 
-/// Flight-recorder configuration for a recorded run ([`Run::telemetry`]).
+/// The flight recorder a run carries ([`Run::telemetry`]): one of its two
+/// fixed modes, and the stall watchdog.
 #[derive(Clone, Copy, Debug)]
 pub struct TelemetryOptions {
-    /// Telemetry window length in cycles.
-    pub window: u64,
-    /// Matching-quality sample cadence in *windows*: every
-    /// `match_every`-th window contributes one sampled cycle (an exact
-    /// maximum matching per router). 0 disables matching sampling.
-    pub match_every: u64,
-    /// Flight-recorder ring capacity, in windows.
-    pub capacity: usize,
     /// Stall-watchdog threshold in consecutive motionless windows (zero
     /// flit motion with flits in flight); `None` disables the watchdog.
     pub watchdog: Option<u64>,
+    /// [`FlightRecorder::recording`] rather than
+    /// [`FlightRecorder::watchdog_only`].
+    recording: bool,
 }
 
 impl TelemetryOptions {
-    /// Full recording defaults: 100-cycle windows, a matching sample every
-    /// window, a 256-window post-mortem ring, watchdog at 100 motionless
-    /// windows (10k cycles).
+    /// A recorded run ([`FlightRecorder::recording`]: 100-cycle windows,
+    /// a matching sample every window, every window kept), watchdog at
+    /// 100 motionless windows (10k cycles).
     pub fn recording() -> TelemetryOptions {
         TelemetryOptions {
-            window: 100,
-            match_every: 1,
-            capacity: 256,
             watchdog: Some(100),
+            recording: true,
         }
     }
 
-    /// Watchdog-only defaults: coarse windows, no matching sampling, a
-    /// small ring for the post-mortem dump; trips after roughly
-    /// `threshold_cycles` cycles without flit motion.
-    pub fn watchdog_only(threshold_cycles: u64) -> TelemetryOptions {
-        let window = 500;
+    /// The guard of an unrecorded run ([`FlightRecorder::watchdog_only`]:
+    /// 500-cycle windows, no matching sampling, the last 64 windows kept
+    /// for the post-mortem dump), watchdog at 20 motionless windows (10k
+    /// cycles).
+    pub fn watchdog_only() -> TelemetryOptions {
         TelemetryOptions {
-            window,
-            match_every: 0,
-            capacity: 64,
-            watchdog: Some(threshold_cycles.div_ceil(window).max(1)),
+            watchdog: Some(20),
+            recording: false,
         }
     }
 
-    /// Matching sample period in cycles (0 when sampling is off).
-    fn matching_period(&self) -> u64 {
-        self.match_every.saturating_mul(self.window)
+    fn recorder(&self) -> FlightRecorder {
+        if self.recording {
+            FlightRecorder::recording()
+        } else {
+            FlightRecorder::watchdog_only()
+        }
     }
 }
 
@@ -335,8 +330,6 @@ pub struct WatchdogTrip {
     pub cycle: u64,
     /// Consecutive motionless windows observed.
     pub stalled_windows: u64,
-    /// Telemetry window length in cycles.
-    pub window: u64,
     /// Flits in flight when motion stopped.
     pub in_flight: u64,
     /// The recorder, ring intact, for the post-mortem dump.
@@ -350,7 +343,7 @@ impl WatchdogTrip {
             "no flit motion for {} windows ({} cycles) with {} flits in flight at cycle {} \
              — possible deadlock/livelock",
             self.stalled_windows,
-            self.stalled_windows * self.window,
+            self.stalled_windows * self.recorder.window(),
             self.in_flight,
             self.cycle
         )
@@ -517,7 +510,7 @@ impl<'a, S: TraceSink> Run<'a, S> {
             net.stats.enable_timeline(window);
         }
         if let Some(opts) = &self.telemetry {
-            net.enable_telemetry(opts.window, opts.capacity, opts.matching_period());
+            net.enable_telemetry(opts.recorder());
         }
         if let Some(top_k) = self.anatomy {
             net.enable_anatomy(top_k);
@@ -527,7 +520,7 @@ impl<'a, S: TraceSink> Run<'a, S> {
         }
         // Only a recorder has windows to report and a watchdog to check
         // between them; every other run is one uninterrupted call.
-        let chunk = self.telemetry.map_or(total, |opts| opts.window);
+        let chunk = net.telemetry.as_ref().map_or(total, FlightRecorder::window);
         let mut profile = self.profile.then(Profiler::default);
         let start = Instant::now();
         while net.now < total {
@@ -551,7 +544,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
                 return Err(Box::new(WatchdogTrip {
                     cycle: net.now,
                     stalled_windows: stalled,
-                    window: opts.window,
                     in_flight,
                     recorder,
                 }));
@@ -1103,7 +1095,7 @@ mod tests {
         };
         let (res, rec) = recorded(&cfg, 2_000, 8_000, opts).expect("no trip");
         assert!(res.throughput > 0.0);
-        assert_eq!(rec.max_stalled_windows(), 0);
+        assert_eq!(rec.summary().max_stalled_windows, 0);
     }
 
     #[test]
@@ -1151,7 +1143,10 @@ mod tests {
         let out = Run::new(&cfg, 1_000, 9_500).telemetry(opts).finish();
         let rec = out.recorder.expect("recorder attached");
         assert_eq!(rec.windows(), 105);
-        assert!(rec.max_stalled_windows() >= 2, "fixture did not stall");
+        assert!(
+            rec.summary().max_stalled_windows >= 2,
+            "fixture did not stall"
+        );
     }
 
     #[test]

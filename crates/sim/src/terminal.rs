@@ -62,10 +62,6 @@ pub struct Terminal {
     rng: rand::rngs::StdRng,
     spec: VcAllocSpec,
     routing: RoutingKind,
-    /// Payload flits per data-bearing packet; sizes the flits this terminal
-    /// builds and the offered-load divisor (the old code hardcoded the
-    /// divisor 6.0, silently de-calibrating any non-default packet length).
-    payload_flits: usize,
     /// Monotonic per-terminal packet sequence number; combined with the
     /// terminal id it yields a collision-free packet id for any run length
     /// (the old `(id << 40) | (now << 8) | class` packing aliased across
@@ -101,7 +97,6 @@ impl Terminal {
         spec: &VcAllocSpec,
         routing: RoutingKind,
         buf_depth: usize,
-        payload_flits: usize,
         seed: u64,
     ) -> Self {
         let (router, port) = topo.terminal_attach(id);
@@ -121,7 +116,6 @@ impl Terminal {
             ),
             spec: spec.clone(),
             routing,
-            payload_flits,
             next_seq: 0,
             flits_injected: 0,
             packets_received: 0,
@@ -184,7 +178,7 @@ impl Terminal {
     /// process injecting read/write transactions (50/50) such that the
     /// total offered load (request + reply flits) equals `rate`
     /// flits/cycle/terminal; each transaction carries
-    /// `payload_flits + 2` flits total (6 at the paper's default). With
+    /// `PAYLOAD_FLITS + 2` = 6 flits total. With
     /// `burst` > 1 each transaction is a burst of `burst` request packets
     /// to one destination (§5.4's DMA-like throughput-oriented workload),
     /// its firing probability scaled so the offered load stays `rate`.
@@ -196,7 +190,7 @@ impl Terminal {
         now: u64,
         burst: usize,
     ) {
-        let txn_flits = PacketKind::mean_transaction_flits(self.payload_flits);
+        let txn_flits = PacketKind::mean_transaction_flits();
         let p_txn = rate / (txn_flits * burst as f64);
         if p_txn > 0.0 && self.rng.gen_bool(p_txn.min(1.0)) {
             let dest = pattern.dest(self.id, geom, &mut self.rng);
@@ -319,7 +313,7 @@ impl Terminal {
         // Lookahead for the attached router.
         let (lookahead, route_state) =
             route_at(topo, self.routing, self.router, pkt.dest, route_state);
-        let len = pkt.kind.len_with(self.payload_flits);
+        let len = pkt.kind.len();
         // 16 bits of terminal id over a 48-bit per-terminal sequence: ids
         // stay unique for 2^48 packets per terminal, independent of the
         // cycle count or how many packets share a cycle.
@@ -380,7 +374,7 @@ mod tests {
     fn mesh_terminal() -> (Terminal, Topology) {
         let topo = TopologyKind::Mesh8x8.build();
         let spec = VcAllocSpec::mesh(1);
-        let t = Terminal::new(5, &topo, &spec, RoutingKind::DimensionOrder, 8, 4, 42);
+        let t = Terminal::new(5, &topo, &spec, RoutingKind::DimensionOrder, 8, 42);
         (t, topo)
     }
 
@@ -498,35 +492,12 @@ mod tests {
         );
     }
 
-    /// Regression: the old calibration hardcoded the divisor 6.0, so a
-    /// non-default payload length silently offered the wrong load — at
-    /// 8 payload flits (10-flit transactions) it injected 10/6 times the
-    /// requested rate. The divisor must track the configured lengths.
-    #[test]
-    fn traffic_calibration_tracks_payload_length() {
-        let topo = TopologyKind::Mesh8x8.build();
-        let spec = VcAllocSpec::mesh(1);
-        let mut t = Terminal::new(5, &topo, &spec, RoutingKind::DimensionOrder, 8, 8, 42);
-        let cycles = 60_000u64;
-        let geom = topo.geometry();
-        for now in 0..cycles {
-            t.generate_traffic_burst(0.3, TrafficPattern::UniformRandom, geom, now, 1);
-        }
-        // Transactions are 8 + 2 = 10 flits -> rate/10 firings per cycle.
-        let expect = 0.3 / 10.0 * cycles as f64;
-        let got = t.src_queue.len() as f64;
-        assert!(
-            (got - expect).abs() < 0.1 * expect,
-            "got {got}, expected ~{expect}"
-        );
-    }
-
-    /// Data-bearing packets stream `payload_flits + 1` flits when started.
+    /// Data-bearing packets stream `PAYLOAD_FLITS + 1` flits when started.
     #[test]
     fn payload_length_sizes_streamed_packets() {
         let topo = TopologyKind::Mesh8x8.build();
         let spec = VcAllocSpec::mesh(1);
-        let mut t = Terminal::new(5, &topo, &spec, RoutingKind::DimensionOrder, 16, 8, 42);
+        let mut t = Terminal::new(5, &topo, &spec, RoutingKind::DimensionOrder, 16, 42);
         t.src_queue.push_back(PendingPacket {
             kind: PacketKind::WriteRequest,
             dest: 20,
@@ -542,8 +513,8 @@ mod tests {
                 }
             }
         }
-        // Head + 8 payload flits = 9 flits, indices 0..=8.
-        assert_eq!(tail_at, Some(8));
+        // Head + 4 payload flits = 5 flits, indices 0..=4.
+        assert_eq!(tail_at, Some(crate::packet::PAYLOAD_FLITS as u64));
     }
 
     /// Regression: the old `(id << 40) | (now << 8) | class` packing
@@ -556,7 +527,7 @@ mod tests {
         let spec = VcAllocSpec::mesh(1);
         let mut ids = std::collections::HashSet::new();
         for (term, now) in [(0usize, 1u64 << 32), (1, 0)] {
-            let mut t = Terminal::new(term, &topo, &spec, RoutingKind::DimensionOrder, 8, 4, 42);
+            let mut t = Terminal::new(term, &topo, &spec, RoutingKind::DimensionOrder, 8, 42);
             t.src_queue.push_back(PendingPacket {
                 kind: PacketKind::WriteRequest,
                 dest: 20,
@@ -595,7 +566,7 @@ mod tests {
     fn fbfly_injection_vc_class_matches_phase() {
         let topo = TopologyKind::FlattenedButterfly4x4.build();
         let spec = VcAllocSpec::fbfly(1);
-        let mut t = Terminal::new(0, &topo, &spec, RoutingKind::Ugal { threshold: 3 }, 8, 4, 7);
+        let mut t = Terminal::new(0, &topo, &spec, RoutingKind::Ugal { threshold: 3 }, 8, 7);
         // Zero congestion -> minimal -> injection VC in the minimal class.
         t.src_queue.push_back(PendingPacket {
             kind: PacketKind::ReadRequest,

@@ -26,8 +26,8 @@ use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind, VcAllocSpec};
 use noc_obs::json::Raw;
 use noc_obs::{
     check_reconciliation, chrome_trace, metrics_csv, metrics_jsonl, render_top, render_waterfall,
-    window_jsonl, write_anatomy_dump, write_telemetry_dump, AnatomyCollector, JsonWriter, Profiler,
-    TelemetryDump, TelemetryHeader, ToJson, VecSink, WindowSnapshot, ANATOMY_SCHEMA, PHASES,
+    write_anatomy_dump, write_telemetry_dump, AnatomyCollector, FlightRecorder, JsonWriter,
+    Profiler, TelemetryDump, ToJson, VecSink, WindowSnapshot, ANATOMY_SCHEMA, PHASES,
     TELEMETRY_SCHEMA,
 };
 use noc_sim::{
@@ -46,7 +46,7 @@ USAGE:
               [--alloc KIND] [--spec nonspec|spec_gnt|spec_req] [--pattern P]
               [--buf-depth N] [--burst B] [--warmup N] [--measure N] [--seed S]
               [--seeds N] [--profile] [--trace FILE] [--metrics FILE]
-              [--json] [--verify] [--record FILE] [--top] [--window N]
+              [--json] [--verify] [--record FILE] [--top]
               [--routing dor|dateline|nodateline] [--no-watchdog]
               [--anatomy] [--anatomy-out FILE] [--top-k K]
   noc check   [--topology mesh|fbfly|torus] [--vcs C] [--all]
@@ -81,17 +81,14 @@ Observability (noc sim):
 
 Telemetry & live view (noc sim / noc top / noc replay):
   --record FILE           flight-record the run: one noc-telemetry/v1 JSONL
-                          window snapshot every --window cycles, keyed by
-                          the config's content digest, written when the
-                          run ends; the summary joins the --json report
-                          as a \"telemetry\" block
+                          window snapshot every 100 cycles, keyed by the
+                          config's content digest, written when the run
+                          ends; each window samples matching efficiency
+                          (grants vs an exact maximum matching of the same
+                          cycle's requests) once; the summary joins the
+                          --json report as a \"telemetry\" block
   --top                   redraw a live congestion heatmap + matching-
                           efficiency sparkline as the run progresses
-  --window N              telemetry window length in cycles (default 100;
-                          needs --record or --top); a recorded run samples
-                          matching efficiency (grants vs an exact maximum
-                          matching of the same cycle's requests) once per
-                          window
   --routing KIND          override the topology's routing algorithm; the
                           'nodateline' torus fixture deadlocks by design
                           (watchdog demo)
@@ -389,18 +386,11 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let record_path = args.flags.get("record").cloned();
     let want_top = args.flags.contains_key("top");
     let want_record = record_path.is_some() || want_top;
-    let window: u64 = args.get("window", 100u64)?;
     let no_watchdog = args.flags.contains_key("no-watchdog");
     let anatomy_out = args.flags.get("anatomy-out").cloned();
     let want_anatomy = args.flags.contains_key("anatomy") || anatomy_out.is_some();
     let anatomy_top_k: usize = args.get("top-k", DEFAULT_ANATOMY_TOP_K)?;
-    if window == 0 {
-        return Err("--window must be at least 1 cycle".to_string());
-    }
     // A flag whose observer is off would be ignored: refuse it instead.
-    if args.flags.contains_key("window") && !want_record {
-        return Err("--window needs --record or --top".to_string());
-    }
     if args.flags.contains_key("top-k") && !want_anatomy {
         return Err("--top-k needs --anatomy or --anatomy-out".to_string());
     }
@@ -429,13 +419,11 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     // --no-watchdog), over each replicate of --seeds too: a deadlocked
     // network ends with a post-mortem dump instead of burning cycles.
     let telemetry = if want_record {
-        Some(TelemetryOptions {
-            window,
-            watchdog: (!no_watchdog).then(|| 10_000u64.div_ceil(window).max(1)),
-            ..TelemetryOptions::recording()
-        })
+        let mut opts = TelemetryOptions::recording();
+        opts.watchdog = opts.watchdog.filter(|_| !no_watchdog);
+        Some(opts)
     } else {
-        (!no_watchdog).then(|| TelemetryOptions::watchdog_only(10_000))
+        (!no_watchdog).then(TelemetryOptions::watchdog_only)
     };
     let mut run = Run::new(&cfg, warmup, measure).seeds(seeds);
     if want_profile {
@@ -450,30 +438,23 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     if let Some(opts) = telemetry {
         run = run.telemetry(opts);
     }
-    let header = TelemetryHeader {
-        digest: cfg.digest(warmup, measure, TELEMETRY_SCHEMA),
-        label: format!("{} @ {}", cfg.label(), cfg.injection_rate),
-        window: telemetry.map_or(0, |t| t.window),
-        match_every: telemetry.map_or(0, |t| t.match_every),
-        routers: cfg.topology.build().num_routers(),
-        warmup,
-        measure,
+    let label = format!("{} @ {}", cfg.label(), cfg.injection_rate);
+    let routers = cfg.topology.build().num_routers();
+    let dump = |path: &str, rec: &FlightRecorder| {
+        let digest = cfg.digest(warmup, measure, TELEMETRY_SCHEMA);
+        let (label, path) = (label.clone(), Path::new(path));
+        write_telemetry_dump(path, rec, digest, label, routers, warmup, measure)
     };
     let capacity_flits = (cfg.vc_spec().total_vcs() * cfg.buf_depth) as u32;
-    let mut lines: Vec<String> = Vec::new();
     let mut eff: Vec<f64> = Vec::new();
     let on_window = |snap: &WindowSnapshot| {
-        if !want_record {
-            return;
-        }
-        lines.push(window_jsonl(snap));
         if want_top {
             eff.push(snap.efficiency());
             // ANSI clear + home; frames go to stderr so a --json
             // summary on stdout stays machine-readable.
             eprint!(
                 "\x1b[2J\x1b[H{}",
-                render_top(&header.label, snap, &eff, capacity_flits)
+                render_top(&label, snap, &eff, capacity_flits)
             );
         }
     };
@@ -486,25 +467,23 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     let mut out = match outcome {
         Ok(out) => out,
         Err(trip) => {
-            // A recorded run dumps every window it streamed; the guard
-            // recorder only has its ring.
-            if !want_record {
-                lines = trip.recorder.ring().map(window_jsonl).collect();
-            }
-            let path =
-                record_path.unwrap_or_else(|| format!("noc-postmortem-{}.jsonl", header.digest));
-            write_telemetry_dump(Path::new(&path), &header, &lines)?;
+            // A recorded run dumps every window; the guard only its ring.
+            let path = record_path.unwrap_or_else(|| {
+                let digest = cfg.digest(warmup, measure, TELEMETRY_SCHEMA);
+                format!("noc-postmortem-{digest}.jsonl")
+            });
+            dump(&path, &trip.recorder)?;
             return Err(format!(
                 "{}\npost-mortem telemetry dump ({} windows): {path}\n\
                  (rerun with --no-watchdog to let the simulation spin)",
                 trip.describe(),
-                lines.len()
+                trip.recorder.ring().count()
             ));
         }
     };
-    if let Some(path) = &record_path {
-        write_telemetry_dump(Path::new(path), &header, &lines)?;
-        eprintln!("wrote {} telemetry windows to {path}", lines.len());
+    if let (Some(path), Some(rec)) = (&record_path, &out.recorder) {
+        dump(path, rec)?;
+        eprintln!("wrote {} telemetry windows to {path}", rec.ring().count());
     }
     if !want_record {
         // The guard recorder is internal; keep the report identical to
@@ -533,8 +512,8 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
             Path::new(path),
             col,
             cfg.digest(warmup, measure, ANATOMY_SCHEMA),
-            header.label.clone(),
-            header.routers,
+            label.clone(),
+            routers,
             warmup,
             measure,
         )?;
@@ -584,11 +563,14 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     }
     println!("stable           {}", r.stable);
     if let Some(t) = &r.telemetry {
+        // A run shorter than one window sampled no matching.
+        let eff = match t.mean_efficiency() {
+            e if e.is_nan() => "n/a".to_string(),
+            e => format!("{e:.3}"),
+        };
         println!(
-            "telemetry        {} windows x {} cycles, mean matching efficiency {:.3}",
-            t.windows,
-            t.window,
-            t.mean_efficiency()
+            "telemetry        {} windows x {} cycles, mean matching efficiency {eff}",
+            t.windows, t.window
         );
         println!(
             "  worst stall streak {} consecutive motionless windows",
@@ -1161,7 +1143,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "sim",
         cmd_sim,
         "topology vcs rate sa alloc spec pattern buf-depth burst warmup measure seed seeds \
-         profile trace metrics json verify record top window \
+         profile trace metrics json verify record top \
          routing no-watchdog anatomy anatomy-out top-k",
     ),
     ("check", cmd_check, "topology vcs all fixture"),
@@ -1359,9 +1341,8 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse() {
-        let a = args("sim --record run.jsonl --window 250");
+        let a = args("sim --record run.jsonl");
         assert_eq!(a.flags.get("record").map(String::as_str), Some("run.jsonl"));
-        assert_eq!(a.get::<u64>("window", 100).unwrap(), 250);
         // top / no-watchdog / telemetry are bare flags.
         let a = args("sim --top --no-watchdog --rate 0.2");
         assert!(a.flags.contains_key("top"));

@@ -171,18 +171,16 @@ fn invalid_flag_value_is_a_clean_error() {
         (&["verilog", "vca"], "unknown command 'verilog'"),
         (&["top", "run.jsonl", "--once"], "unknown flag --once"),
         // The latency anatomy is `sim --anatomy`; its ledger keeps a fixed
-        // row cap, and a recorded run samples matchings every window.
+        // row cap, and a recording has fixed 100-cycle windows with one
+        // matching sample each.
         (&["explain", "--rate", "0.4"], "unknown command 'explain'"),
         (&["sim", "--capacity", "1024"], "unknown flag --capacity"),
         (&["sim", "--match-every", "4"], "unknown flag --match-every"),
+        (&["sim", "--window", "50"], "unknown flag --window"),
         // A flag that only tunes an observer is refused without it.
         (
             &["sim", "--top-k", "3"],
             "error: --top-k needs --anatomy or --anatomy-out\n",
-        ),
-        (
-            &["sim", "--window", "7"],
-            "error: --window needs --record or --top\n",
         ),
         // The serve load driver is the serve_e2e suite.
         (&["serve", "--selftest", "4"], "unknown flag --selftest"),
@@ -208,7 +206,6 @@ fn invalid_sim_configs_are_one_line_errors_not_panics() {
         ["--rate", "-1"],
         ["--rate", "nan"],
         ["--rate", "2"],
-        ["--window", "0"],
         ["--measure", "0"],
         // warmup + measure past u64::MAX: refused, not wrapped to a run of
         // no cycles (release) or a panic (debug).
@@ -428,6 +425,7 @@ fn observer_flags_compose_on_one_run() {
 fn top_draws_one_frame_of_a_dump_and_exits() {
     let dir = std::env::temp_dir().join(format!("noc-cli-top-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    // The dump's path and the run's text report.
     let record = |name: &str, measure: &str| {
         let path = dir.join(name).to_string_lossy().into_owned();
         let args = [
@@ -439,11 +437,12 @@ fn top_draws_one_frame_of_a_dump_and_exits() {
             "--record",
             &path,
         ];
-        assert!(noc(&args).status.success(), "{args:?}");
-        path
+        let out = noc(&args);
+        assert!(out.status.success(), "{args:?}");
+        (path, String::from_utf8_lossy(&out.stdout).into_owned())
     };
     // Three 100-cycle windows: one frame of the last, and the exit.
-    let out = noc_exits(&["top", &record("run.jsonl", "300")]);
+    let out = noc_exits(&["top", &record("run.jsonl", "300").0]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -453,8 +452,11 @@ fn top_draws_one_frame_of_a_dump_and_exits() {
     assert_eq!(text.matches("noc top — ").count(), 1, "{text}");
     assert!(text.contains("window 3 (cycle 300)"), "{text}");
     assert!(text.contains("matching efficiency"), "{text}");
-    // A run shorter than one window records none: nothing to draw.
-    let empty = record("empty.jsonl", "20");
+    // A run shorter than one window records none: no matching sample to
+    // average, and nothing to draw.
+    let (empty, report) = record("empty.jsonl", "20");
+    let line = "telemetry        0 windows x 100 cycles, mean matching efficiency n/a\n";
+    assert!(report.contains(line), "{report}");
     let out = noc_exits(&["top", &empty]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");

@@ -26,8 +26,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc_bench::workload_matrix;
 use noc_obs::{
-    metrics_jsonl, window_jsonl, AnatomyCollector, AnatomyHeader, DigestSink, NopProfiler, NopSink,
-    TraceSink, WindowSnapshot, ANATOMY_CAPACITY, ANATOMY_SCHEMA,
+    metrics_jsonl, AnatomyCollector, AnatomyHeader, DigestSink, FlightRecorder, NopProfiler,
+    NopSink, ToJson, TraceSink, WindowSnapshot, ANATOMY_CAPACITY, ANATOMY_SCHEMA,
 };
 use noc_sim::{run_sim, summarize, Network, Run, SimConfig, TelemetryOptions};
 
@@ -148,18 +148,16 @@ fn fbfly_flit_traces_identical_across_engines() {
 /// Flight-recorder settings of the recorded layers: no watchdog, so a run
 /// cannot trip.
 fn recording() -> TelemetryOptions {
-    TelemetryOptions {
-        watchdog: None,
-        ..TelemetryOptions::recording()
-    }
+    let mut opts = TelemetryOptions::recording();
+    opts.watchdog = None;
+    opts
 }
 
-/// The reference with the flight recorder of [`recording`] on; its windows
-/// all fit the ring, which is read after the run.
+/// The reference with the recording flight recorder on (100-cycle
+/// windows, every one kept), read after the run.
 fn reference_recorded(cfg: &SimConfig) -> (Network, Vec<WindowSnapshot>) {
-    let opts = recording();
     let net = reference(cfg, NopSink, WARMUP + MEASURE, |net| {
-        net.enable_telemetry(opts.window, opts.capacity, opts.match_every * opts.window);
+        net.enable_telemetry(FlightRecorder::recording());
     });
     let snaps: Vec<WindowSnapshot> = net
         .telemetry
@@ -167,7 +165,7 @@ fn reference_recorded(cfg: &SimConfig) -> (Network, Vec<WindowSnapshot>) {
         .flat_map(|r| r.ring())
         .cloned()
         .collect();
-    assert_eq!(snaps.len() as u64, (WARMUP + MEASURE) / opts.window);
+    assert_eq!(snaps.len() as u64, (WARMUP + MEASURE) / 100);
     (net, snaps)
 }
 
@@ -189,14 +187,14 @@ fn telemetry_dumps_byte_identical_across_engines() {
         let mut lines = Vec::new();
         let out = Run::new(&cfg, WARMUP, MEASURE)
             .telemetry(recording())
-            .run(|snap| lines.push(window_jsonl(snap)))
+            .run(|snap| lines.push(snap.to_json()))
             .expect("no watchdog to trip");
         assert_eq!(
             out.result.to_json(),
             summarize(&net).to_json(),
             "{name}: recorded-run SimResult diverged"
         );
-        let ref_lines: Vec<String> = ref_snaps.iter().map(window_jsonl).collect();
+        let ref_lines: Vec<String> = ref_snaps.iter().map(ToJson::to_json).collect();
         assert_eq!(lines, ref_lines, "{name}: telemetry windows diverged");
     }
 }

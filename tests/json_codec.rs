@@ -213,7 +213,7 @@ fn parent_commit_fixtures_reencode_byte_for_byte() {
     assert_eq!(dump.windows.len(), 3);
     let mut redump = dump.header.to_json() + "\n";
     for w in &dump.windows {
-        redump += &(noc_obs::window_jsonl(w) + "\n");
+        redump += &(w.to_json() + "\n");
     }
     assert_eq!(redump, fixture("telemetry.jsonl"));
     let recorded = fixture("result_recorded.json");
@@ -303,7 +303,7 @@ fn every_reader_refuses_a_damaged_document_or_reads_it_exactly() {
 /// valid spec, and an integer member must refuse what a cast would bend.
 #[test]
 fn specs_and_requests_name_the_integer_member_they_refuse() {
-    let spec = r#"{"name":"t","grids":[{"topology":"mesh","vcs":[1,2],"buf_depth":8,"burst":1,"payload_flits":4,"rates":[0.05],"seeds":[1,2],"warmup":100,"measure":200,"engine":"seq"}]}"#;
+    let spec = r#"{"name":"t","grids":[{"topology":"mesh","vcs":[1,2],"buf_depth":8,"burst":1,"rates":[0.05],"seeds":[1,2],"warmup":100,"measure":200,"engine":"seq"}]}"#;
     let request = noc_obs::serve_sweep_request_line("c", spec, None);
     for (what, mutant) in mutants(&JsonValue::parse(&request).unwrap()) {
         let refused = ServeRequest::parse(&text(&mutant)).err();
@@ -312,7 +312,7 @@ fn specs_and_requests_name_the_integer_member_they_refuse() {
             continue;
         };
         let member = member.split(' ').next().unwrap();
-        let ints = "vcs buf_depth burst payload_flits seeds warmup measure";
+        let ints = "vcs buf_depth burst seeds warmup measure";
         if ints.split(' ').any(|int| int == member) {
             for e in [refused, spec_refused] {
                 let e = e.unwrap_or_else(|| panic!("{what} was accepted"));

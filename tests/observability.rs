@@ -195,13 +195,11 @@ fn traced_and_untraced_runs_agree_exactly() {
     let plain = run_sim(&cfg, 400, 800);
     let mut sink = VecSink::default();
     let mut windows = Vec::new();
+    let mut recording = TelemetryOptions::recording();
+    recording.watchdog = None;
     let traced = Run::new(&cfg, 400, 800)
         .sink(&mut sink)
-        .telemetry(TelemetryOptions {
-            window: 64,
-            watchdog: None,
-            ..TelemetryOptions::recording()
-        })
+        .telemetry(recording)
         .run(|snap| windows.push(snap.clone()))
         .expect("no watchdog to trip");
     assert_eq!(
@@ -223,6 +221,6 @@ fn traced_and_untraced_runs_agree_exactly() {
     // The sink saw the run: events were recorded and none dropped.
     assert!(!sink.events.is_empty());
     assert_eq!(sink.dropped, 0);
-    // The recorder saw the run too: 18 complete 64-cycle windows.
-    assert_eq!(windows.len(), 18);
+    // The recorder saw the run too: 12 complete 100-cycle windows.
+    assert_eq!(windows.len(), 12);
 }
