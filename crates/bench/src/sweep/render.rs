@@ -17,7 +17,7 @@ use crate::points::{DesignPoint, DESIGN_POINTS};
 use crate::registry::FigCtx;
 use crate::sweep::presets::{SMOKE_RATES, SPECULATION_POINTS, TRAFFIC_PATTERNS};
 use noc_core::{
-    Allocator, AllocatorKind, AugmentingPathAllocator, BitMatrix, MaxSizeAllocator,
+    max_matching, Allocator, AllocatorKind, AugmentingPathAllocator, BitMatrix,
     SeparableInputFirst, SeparableOutputFirst, SpecMode, VcAllocSpec,
 };
 use noc_hw::builders::arbiters::{arbiter_netlist, HwArbiterKind};
@@ -469,7 +469,7 @@ fn quality_vs_maximum(alloc: &mut dyn Allocator, trials: usize) -> f64 {
             }
         }
         got += alloc.allocate(&req).count_ones() as u64;
-        best += MaxSizeAllocator::max_matching_size(&req) as u64;
+        best += max_matching(&req) as u64;
     }
     got as f64 / best as f64
 }

@@ -9,6 +9,7 @@
 //! invocation, interpolating between a cheap greedy matching (0 extra
 //! steps) and the full maximum-size result.
 
+use crate::maxsize::augment;
 use crate::{Allocator, BitMatrix};
 
 /// Allocator that builds a greedy matching and then improves it with at
@@ -40,29 +41,6 @@ impl AugmentingPathAllocator {
     /// The configured augmentation budget.
     pub fn augmentations(&self) -> usize {
         self.augmentations
-    }
-
-    fn augment(
-        requests: &BitMatrix,
-        r: usize,
-        col_match: &mut [Option<usize>],
-        visited: &mut [bool],
-    ) -> bool {
-        for c in requests.row(r).iter_set() {
-            if visited[c] {
-                continue;
-            }
-            visited[c] = true;
-            let freed = match col_match[c] {
-                None => true,
-                Some(owner) => Self::augment(requests, owner, col_match, visited),
-            };
-            if freed {
-                col_match[c] = Some(r);
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -102,7 +80,7 @@ impl Allocator for AugmentingPathAllocator {
             }
             budget -= 1;
             visited.iter_mut().for_each(|v| *v = false);
-            if Self::augment(requests, r, &mut col_match, &mut visited) {
+            if augment(requests, r, &mut col_match, &mut visited) {
                 row_matched[r] = true;
             }
         }
@@ -120,7 +98,7 @@ impl Allocator for AugmentingPathAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MaxSizeAllocator;
+    use crate::max_matching;
     use rand::{Rng, SeedableRng};
 
     fn random_matrix(rng: &mut impl Rng, n: usize, density: f64) -> BitMatrix {
@@ -154,10 +132,7 @@ mod tests {
         let mut a = AugmentingPathAllocator::new(12, 12, usize::MAX);
         for _ in 0..200 {
             let req = random_matrix(&mut rng, 12, 0.25);
-            assert_eq!(
-                a.allocate(&req).count_ones(),
-                MaxSizeAllocator::max_matching_size(&req)
-            );
+            assert_eq!(a.allocate(&req).count_ones(), max_matching(&req));
         }
     }
 

@@ -29,11 +29,14 @@ pub fn max_matching_assignment(requests: &BitMatrix) -> Vec<Option<usize>> {
     col_match
 }
 
-fn augment(
+/// One augmenting-path search from requester `r`: true if `r` was matched,
+/// re-routing earlier matches along the path. Columns in `visited` are not
+/// entered again.
+pub(crate) fn augment(
     requests: &BitMatrix,
     r: usize,
-    col_match: &mut Vec<Option<usize>>,
-    visited: &mut Vec<bool>,
+    col_match: &mut [Option<usize>],
+    visited: &mut [bool],
 ) -> bool {
     for c in requests.row(r).iter_set() {
         if visited[c] {
@@ -73,12 +76,6 @@ impl MaxSizeAllocator {
             requesters,
             resources,
         }
-    }
-
-    /// Size of the maximum matching for `requests`, without materializing
-    /// the grant matrix. Thin wrapper over the free [`max_matching`].
-    pub fn max_matching_size(requests: &BitMatrix) -> usize {
-        max_matching(requests)
     }
 }
 

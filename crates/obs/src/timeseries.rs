@@ -166,6 +166,11 @@ impl FlightRecorder {
         }
     }
 
+    /// True for [`Self::recording`], which keeps every window.
+    pub fn keeps_every_window(&self) -> bool {
+        self.capacity.is_none()
+    }
+
     /// Window length in cycles.
     pub fn window(&self) -> u64 {
         self.window

@@ -1,7 +1,7 @@
 //! Switch-allocator matching quality (Figure 12).
 
 use crate::sweep::{QualityCurve, QualityPoint};
-use noc_core::{MaxSizeAllocator, SwitchAllocatorKind, SwitchRequests};
+use noc_core::{max_matching, SwitchAllocatorKind, SwitchRequests};
 use rand::{Rng, SeedableRng};
 
 /// Configuration of a switch-allocation quality sweep.
@@ -54,7 +54,7 @@ pub fn random_sw_requests(
 /// maximum matching on the *port-level* request graph: which VC carries the
 /// grant does not change the count.
 pub fn max_switch_grants(requests: &SwitchRequests) -> usize {
-    MaxSizeAllocator::max_matching_size(requests.port_requests())
+    max_matching(requests.port_requests())
 }
 
 /// Runs the Figure 12 sweep for one switch-allocator architecture.

@@ -1,6 +1,6 @@
 //! Property-based tests on the quality-harness guarantees.
 
-use noc_core::{MaxSizeAllocator, SwitchAllocatorKind, SwitchRequests};
+use noc_core::{max_matching, SwitchAllocatorKind, SwitchRequests};
 use noc_quality::sw_quality::{max_switch_grants, random_sw_requests};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ proptest! {
         // The bound equals a maximum matching of the port graph...
         prop_assert_eq!(
             bound,
-            MaxSizeAllocator::max_matching_size(&reqs.port_matrix())
+            max_matching(&reqs.port_matrix())
         );
         // ...and no allocator exceeds it.
         for kind in [

@@ -52,8 +52,8 @@ pub struct SimResult {
     /// by the caller.
     pub warmup_detected: Option<u64>,
     /// Whole-run telemetry summary (per-window matching efficiency, flit
-    /// motion and in-flight series), when the run had the flight recorder
-    /// enabled; `None` otherwise.
+    /// motion and in-flight series), when the run was recorded
+    /// ([`TelemetryOptions::recording`]); `None` otherwise.
     pub telemetry: Option<TelemetrySummary>,
     /// Full latency histogram over the measurement window (merged across
     /// replicates for replicated runs).
@@ -270,7 +270,10 @@ pub fn summarize<S: TraceSink>(net: &Network<S>) -> SimResult {
         ci95: f64::NAN,
         seeds: 1,
         warmup_detected: None,
-        telemetry: net.telemetry.as_ref().map(FlightRecorder::summary),
+        // The guard's bounded ring summarizes nothing a caller asked for.
+        telemetry: (net.telemetry.as_ref())
+            .filter(|rec| rec.keeps_every_window())
+            .map(FlightRecorder::summary),
         hist: net.stats.histogram().clone(),
         router_stats: net.router_stats(),
         routers: net.router_breakdowns(),
@@ -376,8 +379,8 @@ pub struct Run<'a, S: TraceSink = NopSink> {
 /// Everything a finished [`Run`] produced. Observer fields are `Some`
 /// exactly when the observer was attached.
 pub struct RunOutput {
-    /// Standard run summary (its `telemetry` block is present iff a
-    /// recorder was attached).
+    /// Standard run summary (its `telemetry` block is present iff the run
+    /// was recorded).
     pub result: SimResult,
     /// The network's measurement statistics.
     pub stats: NetStats,

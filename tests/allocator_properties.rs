@@ -1,6 +1,6 @@
 //! Property-based tests over the core allocation invariants (proptest).
 
-use noc_core::{Allocator, AllocatorKind, AugmentingPathAllocator, BitMatrix, MaxSizeAllocator};
+use noc_core::{max_matching, Allocator, AllocatorKind, AugmentingPathAllocator, BitMatrix};
 use proptest::prelude::*;
 
 /// Brute-force maximum matching by exhaustive row-by-row search — the
@@ -103,7 +103,7 @@ proptest! {
 
     #[test]
     fn maxsize_dominates_every_other_allocator(req in request_matrix()) {
-        let best = MaxSizeAllocator::max_matching_size(&req);
+        let best = max_matching(&req);
         for kind in all_kinds() {
             let mut a = kind.build(req.num_rows(), req.num_cols());
             let got = a.allocate(&req).count_ones();
@@ -119,7 +119,7 @@ proptest! {
         // The augmenting-path allocator with an unbounded budget and the
         // max-size oracle must both achieve the exhaustive-search optimum.
         let best = brute_force_max_matching(&req);
-        prop_assert_eq!(MaxSizeAllocator::max_matching_size(&req), best, "{:?}", req);
+        prop_assert_eq!(max_matching(&req), best, "{:?}", req);
         let mut a = AugmentingPathAllocator::new(req.num_rows(), req.num_cols(), req.num_rows());
         let g = a.allocate(&req);
         prop_assert!(g.is_matching_for(&req), "{:?}\n{:?}", req, g);
@@ -130,7 +130,7 @@ proptest! {
     fn maximal_matchings_are_at_least_half_of_maximum(req in request_matrix()) {
         // Classic 2-approximation: |maximal| >= |maximum| / 2; the
         // wavefront allocator must respect it.
-        let best = MaxSizeAllocator::max_matching_size(&req);
+        let best = max_matching(&req);
         let mut wf = AllocatorKind::Wavefront.build(req.num_rows(), req.num_cols());
         let got = wf.allocate(&req).count_ones();
         prop_assert!(2 * got >= best, "wavefront {got} < {best}/2");

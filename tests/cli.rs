@@ -107,6 +107,40 @@ fn sim_runs_and_reports_latency() {
 }
 
 #[test]
+fn design_flags_reach_the_run() {
+    // Each flag changes its line against the default. A value flag whose
+    // usage line turned bare would leave its value unparsed, and a bare
+    // one turned into a value flag would swallow the next word.
+    let line = |args: &[&str], prefix: &str| {
+        let out = noc(args);
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(out.status.success(), "{args:?}: {text}");
+        let line = text.lines().find(|l| l.starts_with(prefix));
+        line.unwrap_or_else(|| panic!("{args:?}: {text}"))
+            .to_string()
+    };
+    let sim = [
+        "sim",
+        "--rate",
+        "0.3",
+        "--warmup",
+        "200",
+        "--measure",
+        "600",
+    ];
+    for (run, flag, prefix) in [
+        (&sim[..], &["--sa", "wf"][..], "switch grants"),
+        (&sim, &["--spec", "nonspec"], "switch grants"),
+        (&sim, &["--pattern", "transpose"], "latency "),
+        (&sim, &["--seed", "7"], "latency "),
+        (&["synth", "vca"], &["--dense"], "cell area"),
+    ] {
+        let changed = line(&[run, flag].concat(), prefix);
+        assert_ne!(changed, line(run, prefix), "{flag:?}");
+    }
+}
+
+#[test]
 fn quality_reports_three_architectures() {
     let out = noc(&[
         "quality",

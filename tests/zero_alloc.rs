@@ -5,9 +5,10 @@
 //! and one this test catches exactly, via a counting
 //! `#[global_allocator]` wrapped around `System`.
 //!
-//! Measurements share one mutex so the counter is never polluted by a
-//! concurrently running test in this binary; other test binaries are
-//! separate processes and invisible to this allocator.
+//! Only the measuring thread's allocations count: `allocs_during` flags its
+//! own thread, so the harness and tests running beside it on other
+//! threads are invisible, and each test measures straight after its own
+//! set-up. A simulation runs on one thread, so its every allocation counts.
 
 // `GlobalAlloc`'s methods are unsafe to implement: this file is the one
 // place in the workspace that opts out of the `unsafe_code` lint.
@@ -16,22 +17,30 @@
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind};
 use noc_sim::{Network, SimConfig, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-/// Counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`);
-/// `dealloc` is free to run — dropping is not the regression we hunt.
+/// Counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`) on a
+/// thread inside `allocs_during`; `dealloc` is free to run — dropping is
+/// not the regression we hunt.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's count while it measures, `None` otherwise. Constant
+    /// initialisation and a type without a destructor keep the allocator's
+    /// access to it from allocating or registering anything.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    // A thread being torn down has no slot left: it is not measuring.
+    let _ = COUNT.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
 
 // SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
 // contract; the counter has no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // RELAXED: independent event counter; read only while the
-        // measurement mutex serializes all allocating activity.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded verbatim; caller upholds the layout contract.
         unsafe { System.alloc(layout) }
     }
@@ -43,15 +52,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // RELAXED: as in `alloc`.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded verbatim.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // RELAXED: as in `alloc`.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded verbatim; `ptr`/`layout` pair is the
         // caller's obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -60,9 +67,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Serializes measurements across this binary's test threads.
-static MEASURE: Mutex<()> = Mutex::new(());
 
 const WARMUP: u64 = 2_000;
 const MEASURED: u64 = 500;
@@ -75,20 +79,15 @@ fn net(topo: TopologyKind) -> Network {
     Network::new(cfg)
 }
 
-/// Allocation count across `f()`.
-// RELAXED: single-threaded reads of a monotone counter bumped by this same
-// thread's allocations; no ordering with other memory is needed.
+/// This thread's allocation count across `f()`.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let r = f();
-    drop(r);
-    // RELAXED: same single-threaded monotone-counter read as above.
-    ALLOCS.load(Ordering::Relaxed) - before
+    COUNT.with(|n| n.set(Some(0)));
+    drop(f());
+    COUNT.with(|n| n.take()).unwrap_or_default()
 }
 
 #[test]
 fn cycle_loop_steady_state_is_allocation_free() {
-    let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     for topo in [TopologyKind::Mesh8x8, TopologyKind::FlattenedButterfly4x4] {
         let mut n = net(topo);
         n.run(WARMUP);
@@ -98,7 +97,6 @@ fn cycle_loop_steady_state_is_allocation_free() {
             "the cycle loop allocated {during} times in {MEASURED} steady-state cycles on {topo:?}"
         );
     }
-    drop(guard);
 }
 
 /// The bit-parallel kernels (banked arbiter sweeps, wavefront diagonal
@@ -111,7 +109,6 @@ fn cycle_loop_steady_state_is_allocation_free() {
 /// multi-word tree-arbiter and wavefront-diagonal scratch.
 #[test]
 fn kernel_paths_steady_state_is_allocation_free() {
-    let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let rr = noc_arbiter::ArbiterKind::RoundRobin;
     let mesh2 = (TopologyKind::Mesh8x8, 2);
     let fbfly4 = (TopologyKind::FlattenedButterfly4x4, 4);
@@ -168,7 +165,6 @@ fn kernel_paths_steady_state_is_allocation_free() {
              allocated {during} times in {MEASURED} steady-state cycles"
         );
     }
-    drop(guard);
 }
 
 /// The dense wavefront VC allocator at the widest router (fbfly C=4: P=10,
@@ -181,7 +177,6 @@ fn kernel_paths_steady_state_is_allocation_free() {
 fn dense_wavefront_vc_allocator_steady_state_is_allocation_free() {
     use noc_core::{BitMatrix, DenseVcAllocator, VcAllocSpec, VcAllocator, VcRequestSet};
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let spec = VcAllocSpec::fbfly(4);
     let (p, v) = (spec.ports(), spec.total_vcs());
     let mut rng = StdRng::seed_from_u64(0x5c09);
@@ -217,7 +212,6 @@ fn dense_wavefront_vc_allocator_steady_state_is_allocation_free() {
     // A warm-up as long as the measurement sizes the grant list.
     replay(MEASURED as usize);
     let during = allocs_during(|| replay(MEASURED as usize));
-    drop(guard);
     assert_eq!(
         during, 0,
         "the dense wavefront VC allocator allocated {during} times in {MEASURED} rounds"
