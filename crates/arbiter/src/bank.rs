@@ -116,7 +116,10 @@ impl ArbiterBank {
         match self.kind {
             ArbiterKind::FixedPriority => {}
             ArbiterKind::RoundRobin => {
-                self.ptrs[a] = ((winner + 1) % self.width) as u32;
+                // One past the winner, wrapping at the width: a compare,
+                // not a division.
+                let next = winner + 1;
+                self.ptrs[a] = if next == self.width { 0 } else { next as u32 };
             }
             ArbiterKind::Matrix => {
                 let rows = &mut self.beats[a * self.width..(a + 1) * self.width];
@@ -193,11 +196,25 @@ impl TreeBank {
     /// request vector.
     #[inline]
     pub fn arbitrate(&self, a: usize, requests: &[u64]) -> Option<(usize, usize)> {
-        debug_assert_eq!(requests.len(), self.groups);
         let mut active = 0u64;
         for (g, &leaf) in requests.iter().enumerate() {
             active |= u64::from(leaf != 0) << g;
         }
+        self.arbitrate_active(a, active, requests)
+    }
+
+    /// [`TreeBank::arbitrate`] for a caller that already knows which groups
+    /// request: bit `g` of `active` is set iff `requests[g]` is nonzero, so
+    /// no leaf is scanned to find out.
+    #[inline]
+    pub fn arbitrate_active(
+        &self,
+        a: usize,
+        active: u64,
+        requests: &[u64],
+    ) -> Option<(usize, usize)> {
+        debug_assert_eq!(requests.len(), self.groups);
+        debug_assert!((0..self.groups).all(|g| (active >> g & 1 != 0) == (requests[g] != 0)));
         let g = self.root.arbitrate(a, active)?;
         let local = self.leaves.arbitrate(a * self.groups + g, requests[g])?;
         Some((g, local))
@@ -444,6 +461,31 @@ mod tests {
         // LRS among {0, 2, 3}: 3 (never served) wins; then 0 beats 2.
         assert_eq!(bank.arbitrate(0, 0b1101), Some(3));
         assert_eq!(bank.arbitrate(0, 0b0101), Some(0));
+    }
+
+    #[test]
+    fn round_robin_pointer_wraps_to_zero_past_the_last_input() {
+        for width in [1, 10, 16, 64] {
+            let last = width - 1;
+            let mut bank = ArbiterBank::new(ArbiterKind::RoundRobin, 2, width);
+            let mut arb = crate::RoundRobinArbiter::new(width);
+            // Granting the last input leaves the power-on state, so a boxed
+            // arbiter that was never updated is the oracle.
+            let fresh = ArbiterKind::RoundRobin.build(width);
+            bank.update(1, last);
+            arb.update(last);
+            assert_eq!(bank.ptrs[1], 0, "bank w={width}");
+            assert_eq!(arb.pointer(), 0, "arbiter w={width}");
+            for p in patterns(width, 50).into_iter().chain([width_mask(width)]) {
+                let bits = Bits::from_indices(width, (0..width).filter(|i| p >> i & 1 != 0));
+                let want = fresh.arbitrate(&bits);
+                assert_eq!(bank.arbitrate(1, p), want, "bank w={width} p={p:b}");
+                assert_eq!(arb.arbitrate(&bits), want, "arbiter w={width} p={p:b}");
+                assert_eq!(arb.arbitrate_masked_two_pass(&bits), want, "w={width}");
+            }
+            // Pointer 0 is top priority again: the lowest requester wins.
+            assert_eq!(bank.arbitrate(1, width_mask(width)), Some(0));
+        }
     }
 
     #[test]

@@ -70,7 +70,8 @@ impl Arbiter for RoundRobinArbiter {
 
     fn update(&mut self, winner: usize) {
         assert!(winner < self.n, "winner {winner} out of range {}", self.n);
-        self.pointer = (winner + 1) % self.n;
+        let next = winner + 1;
+        self.pointer = if next == self.n { 0 } else { next };
     }
 
     fn reset(&mut self) {

@@ -451,7 +451,7 @@ impl VcAllocator for SeparableVcAllocator {
             // Stage 1: each input VC picks one output VC at its port.
             for (g, req) in requests.iter().enumerate() {
                 let Some(req) = req else { continue };
-                let classes = req.class_mask();
+                let classes = req.classes;
                 validate_request(spec, g % v, req.out_port, classes);
                 let mask = candidate_mask(spec, g % v, req.out_port, classes, free_out);
                 if let Some(ov) = input_arbs[g].arbitrate(&mask) {
@@ -484,7 +484,7 @@ impl VcAllocator for SeparableVcAllocator {
             // requesting input VCs.
             for (g, req) in requests.iter().enumerate() {
                 let Some(req) = req else { continue };
-                let classes = req.class_mask();
+                let classes = req.classes;
                 validate_request(spec, g % v, req.out_port, classes);
                 let mask = candidate_mask(spec, g % v, req.out_port, classes, free_out);
                 for ov in mask.iter_set() {
@@ -608,7 +608,7 @@ impl VcAllocator for SparseVcAllocator {
                 if im != m {
                     continue;
                 }
-                validate_request(spec, g % v, req.out_port, req.class_mask());
+                validate_request(spec, g % v, req.out_port, req.classes);
                 let sub_vc = ir * spec.vcs_per_class() + ibank;
                 sub_reqs[(g / v) * v_sub + sub_vc] = Some(req.clone());
             }

@@ -364,32 +364,31 @@ impl VcAllocSpec {
 /// One input VC's VC-allocation request: the output port chosen by routing
 /// and the candidate resource classes there (message class is implied by the
 /// requesting VC — packets never change message class, §4.2).
+///
+/// The classes are a mask, the form [`VcRequestSet`] and every kernel read,
+/// so a request slot is two words and owns no heap memory.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VcRequest {
     /// Destination output port from the routing function.
     pub out_port: usize,
-    /// Candidate resource classes at `out_port`; each must be a legal
-    /// successor of the requesting VC's resource class. Per §4.2, requests
-    /// are class-granular: a request covers *all* free VCs of the class.
-    pub classes: Vec<usize>,
+    /// Candidate resource classes at `out_port` as a mask: bit `rc` set iff
+    /// class `rc` is a candidate. Each must be a legal successor of the
+    /// requesting VC's resource class. Per §4.2, requests are
+    /// class-granular: a request covers *all* free VCs of the class.
+    pub classes: u64,
 }
 
 impl VcRequest {
     /// Request any free VC of one class at `out_port`.
     pub fn one_class(out_port: usize, class: usize) -> Self {
+        assert!(
+            class < 64,
+            "resource class {class} beyond the class-mask width"
+        );
         VcRequest {
             out_port,
-            classes: vec![class],
+            classes: 1 << class,
         }
-    }
-
-    /// The candidate classes as a [`VcRequestSet`] mask (bit `rc` = class
-    /// `rc`).
-    pub fn class_mask(&self) -> u64 {
-        self.classes.iter().fold(0, |m, &rc| {
-            assert!(rc < 64, "resource class {rc} beyond the class-mask width");
-            m | 1 << rc
-        })
     }
 }
 
@@ -466,10 +465,8 @@ impl VcRequestSet {
     pub fn to_slots(&self) -> Vec<Option<VcRequest>> {
         (0..self.len())
             .map(|g| {
-                self.get(g).map(|(out_port, classes)| VcRequest {
-                    out_port,
-                    classes: bits_of(classes).collect(),
-                })
+                self.get(g)
+                    .map(|(out_port, classes)| VcRequest { out_port, classes })
             })
             .collect()
     }
@@ -582,7 +579,7 @@ impl Requests for [Option<VcRequest>] {
     fn for_each(&self, mut f: impl FnMut(usize, usize, u64)) {
         for (g, req) in self.iter().enumerate() {
             if let Some(req) = req {
-                f(g, req.out_port, req.class_mask());
+                f(g, req.out_port, req.classes);
             }
         }
     }
@@ -729,6 +726,9 @@ pub struct SeparableVcAllocator {
     /// iff input VC `iv` of port `p` bids on output VC `out_flat`. All-zero
     /// between calls.
     incoming: Vec<u64>,
+    /// Per output VC: the input ports with at least one bid on it — the
+    /// tree's active leaves. All-zero between calls.
+    bidders: Vec<u64>,
     /// Per output port: the output VCs with at least one bid. All-zero
     /// between calls.
     pending: Vec<u64>,
@@ -764,6 +764,7 @@ impl SeparableVcAllocator {
             input: noc_arbiter::ArbiterBank::new(kind, n, span),
             output: noc_arbiter::TreeBank::new(kind, n, ports, span),
             incoming: vec![0; n * ports],
+            bidders: vec![0; n],
             pending: vec![0; ports],
             won: vec![0; n],
             chosen: vec![0; ports],
@@ -826,6 +827,7 @@ impl SeparableVcAllocator {
             input,
             output,
             incoming,
+            bidders,
             pending,
             won,
             chosen,
@@ -861,19 +863,24 @@ impl SeparableVcAllocator {
                 pending[out_port] |= cand;
             }
             for ov in bits_of(cand) {
-                incoming[(out_port * v + ov) * ports + ip] |= 1 << (iv - base);
+                let out_flat = out_port * v + ov;
+                incoming[out_flat * ports + ip] |= 1 << (iv - base);
+                bidders[out_flat] |= 1 << ip;
             }
         });
         // Each bid-receiving output VC arbitrates, in the same ascending
         // out_flat order as the scalar reference's sorted bid list. The
-        // tree's leaves are the input ports.
+        // tree's leaves are the input ports; only the bidders' are cleared.
         let mut chosen_ports = 0u64; // input ports with >= 1 chosen VC
         for op in bits_of(bid_ports) {
             for ov in bits_of(std::mem::take(&mut pending[op])) {
                 let out_flat = op * v + ov;
+                let active = std::mem::take(&mut bidders[out_flat]);
                 let leaves = &mut incoming[out_flat * ports..(out_flat + 1) * ports];
-                let winner = output.arbitrate(out_flat, leaves);
-                leaves.fill(0);
+                let winner = output.arbitrate_active(out_flat, active, leaves);
+                for ip in bits_of(active) {
+                    leaves[ip] = 0;
+                }
                 let Some((ip, local)) = winner else { continue };
                 let base = arbiter_window(spec, span, ov) * span;
                 let g = ip * v + base + local;
@@ -892,6 +899,7 @@ impl SeparableVcAllocator {
             }
         }
         debug_assert!(incoming.iter().all(|&w| w == 0));
+        debug_assert!(bidders.iter().all(|&w| w == 0));
         // Output-first stage 2: each chosen input VC picks among output VCs
         // that chose it (ascending g, like the scalar regrouped sweep).
         for ip in bits_of(chosen_ports) {
@@ -1029,21 +1037,24 @@ impl MatrixVcAllocator {
         assert_eq!(free_out.num_rows(), spec.ports());
         assert_eq!(free_out.num_cols(), v);
 
-        // Where input VC `g` lives: its in-port VC index, its block, the
-        // block's first VC index, and its block-local row — the message
-        // class is dropped from the VC index, `p * span + (vc - base)`.
-        // Within one block, ascending `g` is ascending row.
-        let place = |g: usize| {
-            let (ip, iv) = (g / v, g % v);
-            let window = arbiter_window(spec, span, iv);
-            (iv, window, window * span, ip * span + iv - window * span)
-        };
         for block in blocks.iter_mut() {
             block.entries.clear();
         }
+        // Input VC `g` is VC `iv` of port `ip`; its block is its arbiter
+        // window and its block-local row drops the message class from the
+        // VC index, `ip * span + (iv - base)`. The walk is ascending, so the
+        // input port only moves forward.
+        let (mut ip, mut port_end) = (0, v);
         requests.for_each(|g, out_port, classes| {
-            let (iv, window, base, row) = place(g);
+            while g >= port_end {
+                ip += 1;
+                port_end += v;
+            }
+            let iv = g + v - port_end;
             validate_request(spec, iv, out_port, classes);
+            let window = arbiter_window(spec, span, iv);
+            let base = window * span;
+            let row = ip * span + iv - base;
             let entries = &mut blocks[window].entries;
             // Candidates lie in the block's window: `ov >= base`.
             let col0 = out_port * span;
@@ -1057,20 +1068,28 @@ impl MatrixVcAllocator {
                 .allocate_entries(&block.entries, &mut block.granted);
             block.read = 0;
         }
-        // Merge the blocks' ascending grant lists back into input-VC order.
+        // Merge the blocks' ascending grant lists into input-VC order: port
+        // by port, block `m`'s rows of port `ip` are VCs `m * span..` of it,
+        // so input VC `g = row + ip * (v - span) + m * span`. Dense has one
+        // block whose rows are the input VCs themselves.
         grants.clear();
-        requests.for_each(|g, port, _| {
-            let (_, window, base, row) = place(g);
-            let block = &mut blocks[window];
-            if let Some(&(r, col)) = block.granted.get(block.read) {
-                if r == row {
+        for ip in 0..spec.ports() {
+            let row_end = (ip + 1) * span;
+            for (m, block) in blocks.iter_mut().enumerate() {
+                let shift = ip * (v - span) + m * span;
+                while let Some(&(row, col)) = block.granted.get(block.read) {
+                    if row >= row_end {
+                        break;
+                    }
                     block.read += 1;
+                    let g = row + shift;
                     // Every candidate column lies at the requested port.
-                    let vc = col + base - port * span;
+                    let port = requests.out_port(g);
+                    let vc = col + m * span - port * span;
                     grants.push((g, OutVc { port, vc }));
                 }
             }
-        });
+        }
         debug_assert!(blocks.iter().all(|b| b.read == b.granted.len()));
     }
 }
@@ -1277,7 +1296,7 @@ pub fn validate_vc_grants(
 ) -> Result<(), String> {
     check_grants(
         spec,
-        |g| requests[g].as_ref().map(|r| (r.out_port, r.class_mask())),
+        |g| requests[g].as_ref().map(|r| (r.out_port, r.classes)),
         free_out,
         grants
             .iter()

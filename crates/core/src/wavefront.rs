@@ -153,7 +153,8 @@ impl WavefrontAllocator {
             grant,
         );
         if self.policy == DiagonalPolicy::Rotating {
-            self.diagonal = (self.diagonal + 1) % self.n;
+            let next = self.diagonal + 1;
+            self.diagonal = if next == self.n { 0 } else { next };
         }
     }
 
@@ -223,8 +224,8 @@ fn sweep(
     // words, and finally `start`'s word again for the bits below `start`.
     let start = start % n;
     let (first, below) = (start / 64, (1u64 << (start % 64)) - 1);
+    let mut w = first;
     for k in 0..=words {
-        let w = (first + k) % words;
         let mut occ = occupied[w]
             & match k {
                 0 => !below,
@@ -255,6 +256,7 @@ fn sweep(
             }
             rows.fill(0);
         }
+        w = if w + 1 == words { 0 } else { w + 1 };
     }
     occupied.fill(0);
     for w in 0..words {
@@ -361,6 +363,20 @@ mod tests {
             a.allocate(&req);
         }
         assert_eq!(a.current_diagonal(), 0);
+    }
+
+    #[test]
+    fn priority_diagonal_wraps_to_zero_after_n_calls() {
+        // Square, rectangular, one word exactly and past one word.
+        for (r, c) in [(1, 1), (3, 7), (7, 3), (64, 64), (65, 10), (160, 160)] {
+            let mut a = WavefrontAllocator::new(r, c);
+            let n = r.max(c);
+            let req = BitMatrix::from_entries(r, c, [(0, 0)]);
+            for k in 1..=n {
+                a.allocate(&req);
+                assert_eq!(a.current_diagonal(), k % n, "{r}x{c} after {k} calls");
+            }
+        }
     }
 
     #[test]

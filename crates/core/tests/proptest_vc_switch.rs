@@ -58,11 +58,10 @@ fn workload(
                         let succ = spec2.rc_successors(ir);
                         let first = succ[class_pick as usize % succ.len()];
                         let classes = match shape {
-                            Classes::One => vec![first],
+                            Classes::One => 1 << first,
                             Classes::Subset => (succ.iter().enumerate())
                                 .filter(|&(i, &c)| c == first || subset >> i & 1 == 1)
-                                .map(|(_, &c)| c)
-                                .collect(),
+                                .fold(0, |mask, (_, &c)| mask | 1 << c),
                         };
                         VcRequest { out_port, classes }
                     })
@@ -136,7 +135,7 @@ proptest! {
                     set.clear();
                     for (g, req) in reqs.iter().enumerate() {
                         if let Some(req) = req {
-                            set.request(g, req.out_port, req.class_mask());
+                            set.request(g, req.out_port, req.classes);
                         }
                     }
                     by_live.allocate_live(&set, free, &mut live);

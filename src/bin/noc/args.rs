@@ -38,7 +38,9 @@ pub(crate) struct Args {
 
 impl Args {
     /// `--help` anywhere parses as the `help` command; a flag no command
-    /// takes, or a value flag without its value, is an error.
+    /// takes, or a value flag without its value, is an error. A value never
+    /// starts with `--`: `--record --json` is `--record` missing its value,
+    /// not a dump named `--json`.
     pub(crate) fn parse(argv: &[String]) -> Result<Args, String> {
         let grammar = usage_grammar(crate::HELP);
         let mut positional = Vec::new();
@@ -60,6 +62,7 @@ impl Args {
                 Some((_, false)) => "true",
                 Some((_, true)) => it
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("flag --{key} needs a value"))?,
                 None => return Err(format!("unknown flag --{key} (see noc help)")),
             };

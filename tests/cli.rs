@@ -182,6 +182,19 @@ fn invalid_flag_value_is_a_clean_error() {
     for (args, needle) in [
         (&["sim", "--rate", "not-a-number"][..], "invalid value"),
         (&["sim", "--rate"], "flag --rate needs a value"),
+        // A flag is not a value: no dump named `--json`.
+        (
+            &[
+                "sim",
+                "--warmup",
+                "10",
+                "--measure",
+                "100",
+                "--record",
+                "--json",
+            ],
+            "flag --record needs a value",
+        ),
         (&["sim", "--rat", "0.9"], "unknown flag --rat"),
         // A flag only other commands take is refused, not ignored (and
         // its value never parsed): the first one given is named.

@@ -218,3 +218,112 @@ fn dense_wavefront_vc_allocator_steady_state_is_allocation_free() {
     );
     assert!(granted > 0, "no round granted a VC");
 }
+
+/// Replays `round(i)`, which allocates open-loop request set `i` of 64 and
+/// returns its grant count, for a warm-up and then a measurement that must
+/// not allocate.
+fn replayed(name: &str, mut round: impl FnMut(usize) -> usize) {
+    let rounds = MEASURED as usize;
+    let granted: usize = (0..rounds).map(|i| round(i % 64)).sum();
+    let during = allocs_during(|| (0..rounds).map(|i| round(i % 64)).sum::<usize>());
+    assert_eq!(
+        during, 0,
+        "{name} allocated {during} times in {rounds} open-loop rounds"
+    );
+    assert!(granted > 0, "{name} granted nothing");
+}
+
+/// The open-loop entries (§3.1's method: request sets replayed through
+/// `allocate_into`, as the quality curves and fig07/fig12 do) on the
+/// paper's widest router, fbfly C=4 (P=10, V=16): the VC allocators' slot
+/// entry, `[Option<VcRequest>]`, for sparse and dense separable input-first
+/// and dense wavefront; the switch allocators; and both speculation modes.
+/// Each replays a stream of random request sets after a warm-up as long as
+/// the measurement, which sizes every grant list.
+#[test]
+fn open_loop_slot_entries_are_allocation_free() {
+    use noc_core::{
+        BitMatrix, DenseVcAllocator, SparseVcAllocator, SpecAllocResult,
+        SpeculativeSwitchAllocator, SwitchRequests, VcAllocSpec, VcAllocator,
+    };
+    use noc_quality::sw_quality::random_sw_requests;
+    use noc_quality::vc_quality::random_vc_requests;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let spec = VcAllocSpec::fbfly(4);
+    let (p, v) = (spec.ports(), spec.total_vcs());
+    let mut rng = StdRng::seed_from_u64(0x0b1e);
+    let vc_sets: Vec<_> = (0..64)
+        .map(|_| random_vc_requests(&spec, &mut rng, 0.5))
+        .collect();
+    let sw_sets: Vec<_> = (0..64)
+        .map(|_| random_sw_requests(p, v, &mut rng, 0.5))
+        .collect();
+    // Each input VC bids non-speculatively or speculatively, not both.
+    let spec_pairs: Vec<_> = sw_sets
+        .iter()
+        .map(|all| {
+            let mut halves = [SwitchRequests::new(p, v), SwitchRequests::new(p, v)];
+            for port in 0..p {
+                for vc in 0..v {
+                    if let Some(out) = all.get(port, vc) {
+                        halves[usize::from(rng.gen_bool(0.5))].request(port, vc, out);
+                    }
+                }
+            }
+            halves
+        })
+        .collect();
+    let mut free = BitMatrix::new(p, v);
+    for port in 0..p {
+        for vc in 0..v {
+            free.set(port, vc, true);
+        }
+    }
+    let vcas: [(&str, Box<dyn VcAllocator>); 3] = [
+        (
+            "sparse sep_if VC allocator",
+            Box::new(SparseVcAllocator::new(spec.clone(), AllocatorKind::SepIfRr)),
+        ),
+        (
+            "dense sep_if VC allocator",
+            Box::new(DenseVcAllocator::new(spec.clone(), AllocatorKind::SepIfRr)),
+        ),
+        (
+            "dense wavefront VC allocator",
+            Box::new(DenseVcAllocator::new(
+                spec.clone(),
+                AllocatorKind::Wavefront,
+            )),
+        ),
+    ];
+    for (name, mut vca) in vcas {
+        let mut out = Vec::new();
+        replayed(name, |i| {
+            vca.allocate_into(&vc_sets[i], &free, &mut out);
+            out.iter().flatten().count()
+        });
+    }
+    let rr = noc_arbiter::ArbiterKind::RoundRobin;
+    for kind in [
+        SwitchAllocatorKind::SepIf(rr),
+        SwitchAllocatorKind::SepOf(rr),
+        SwitchAllocatorKind::Wavefront,
+    ] {
+        let mut sa = kind.build(p, v);
+        let mut out = Vec::new();
+        replayed(&format!("{kind:?} switch allocator"), |i| {
+            sa.allocate_into(&sw_sets[i], &mut out);
+            out.len()
+        });
+    }
+    for mode in [SpecMode::Pessimistic, SpecMode::Conventional] {
+        let kind = SwitchAllocatorKind::SepIf(rr);
+        let mut sa = SpeculativeSwitchAllocator::new(kind, p, v, mode);
+        let mut out = SpecAllocResult::default();
+        replayed(&format!("{mode:?} speculative switch allocator"), |i| {
+            let [nonspec, speculative] = &spec_pairs[i];
+            sa.allocate_into(nonspec, speculative, &mut out);
+            out.nonspec.len() + out.spec.len()
+        });
+    }
+}
